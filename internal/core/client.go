@@ -573,13 +573,6 @@ func (m *Mount) obsFailover(what string, nsd int) {
 	}
 }
 
-// ResetFailover forgets observed server failures.
-//
-// Deprecated: failover state now recovers automatically — a down primary
-// is re-probed every ClientConfig.ProbeInterval and marked up on the
-// first success. This is a no-op beyond clearing the probe timers early.
-func (m *Mount) ResetFailover() { m.fo = make([]foState, len(m.info.Servers)) }
-
 // Unmount flushes all dirty state, surrenders every token this client
 // holds on the filesystem, and detaches the mount.
 func (m *Mount) Unmount(p *sim.Proc) error {

@@ -38,8 +38,10 @@ type aggStats struct {
 // incrementally. Feed it through a tracer observer:
 //
 //	agg := critpath.NewAgg()
-//	tr.SetObserver(agg.Observe)
-//	tr.SetDiscard() // aggregate-only: nothing retained
+//	tr.Configure(trace.Config{
+//		Observer: agg.Observe,
+//		Discard:  true, // aggregate-only: nothing retained
+//	})
 //
 // and call Report after the run.
 type Agg struct {

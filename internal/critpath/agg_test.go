@@ -71,7 +71,7 @@ func buildWorkload(tr *trace.Tracer, nOps int) {
 func TestAggMatchesAnalyze(t *testing.T) {
 	tr := trace.New()
 	agg := NewAgg()
-	tr.SetObserver(agg.Observe)
+	tr.Configure(trace.Config{Observer: agg.Observe})
 	const nOps = 200
 	buildWorkload(tr, nOps)
 
@@ -124,10 +124,7 @@ func TestAggDiscardMode(t *testing.T) {
 	run := func(discard bool) (*Agg, *trace.Tracer) {
 		tr := trace.New()
 		agg := NewAgg()
-		tr.SetObserver(agg.Observe)
-		if discard {
-			tr.SetDiscard()
-		}
+		tr.Configure(trace.Config{Observer: agg.Observe, Discard: discard})
 		buildWorkload(tr, 80)
 		return agg, tr
 	}

@@ -207,7 +207,6 @@ func (c *Conn) activate() {
 	c.active = true
 	c.lastAdvance = now
 	c.queue[0].started = now
-	tol := nw.SolveTolerance > 0
 	for i, l := range c.path {
 		c.linkPos[i] = int32(len(l.conns))
 		l.conns = append(l.conns, linkSlot{c: c, pi: int32(i)})
@@ -215,16 +214,8 @@ func (c *Conn) activate() {
 			l.busyIdx = len(nw.busyLinks)
 			nw.busyLinks = append(nw.busyLinks, l)
 		}
-		if !tol {
-			nw.linkChanged(l)
-		}
 	}
-	if tol {
-		// Tolerance mode: one joining conn does not dirty its links — it is
-		// placed at its path's standing water level, and only links whose
-		// load then drifts past the tolerance are re-solved.
-		nw.markConnDirty(c)
-	}
+	nw.rerate(c)
 	c.actIdx = len(nw.activeList)
 	nw.activeList = append(nw.activeList, c)
 	c.scheduleBump()
@@ -319,17 +310,8 @@ func (c *Conn) bump() {
 	if !capped {
 		return
 	}
-	nw := c.net
-	if nw.SolveTolerance > 0 {
-		// The uncapped conn can claim more; re-place it at its path's
-		// water level instead of re-solving every link it crosses.
-		nw.markConnDirty(c)
-	} else {
-		for _, l := range c.path {
-			nw.linkChanged(l)
-		}
-	}
-	nw.recompute()
+	c.net.rerate(c)
+	c.net.recompute()
 }
 
 // advance credits progress to the head messages up to now, delivering any
@@ -497,16 +479,24 @@ func (nw *Network) linkChanged(l *Link) {
 	nw.dirtyLinks = append(nw.dirtyLinks, l)
 }
 
-// markConnDirty queues a conn for tolerance-mode placement: a flow
-// arrival or a window bump needs a (new) rate, but giving one conn its
-// path's standing water level does not require re-solving the links it
-// crosses. Processing order is append order — deterministic.
-func (nw *Network) markConnDirty(c *Conn) {
-	if c.dirtyQ {
+// rerate asks for a new rate for c after it joined its links or its
+// window cap rose. Exact mode dirties every link it crosses. Tolerance
+// mode queues the conn for placement at its path's standing water level
+// instead (see placeDirtyConns): one joining or uncapped conn does not
+// require re-solving its links, and only links whose load then drifts
+// past the tolerance are re-solved. Placement order is queue order —
+// deterministic.
+func (nw *Network) rerate(c *Conn) {
+	if nw.SolveTolerance <= 0 {
+		for _, l := range c.path {
+			nw.linkChanged(l)
+		}
 		return
 	}
-	c.dirtyQ = true
-	nw.dirtyConns = append(nw.dirtyConns, c)
+	if !c.dirtyQ {
+		c.dirtyQ = true
+		nw.dirtyConns = append(nw.dirtyConns, c)
+	}
 }
 
 // recompute requests a rate reallocation over the dirty frontier.
@@ -553,7 +543,7 @@ func (nw *Network) doRecompute() {
 		// hand back every cycle the local solver saved.
 		nw.lastSolveConns = nw.drainWork
 		if len(nw.deferredLinks) > 0 {
-			// Promote boundary expansions held over by solveLocal into the
+			// Promote boundary expansions held over by region solves into the
 			// dirty frontier, but do NOT book a drain just for them: any
 			// flow event (a completion's deactivate, an arrival's
 			// placement) calls recompute, sees the dirt and schedules the
@@ -573,51 +563,44 @@ func (nw *Network) doRecompute() {
 // every other conn's rate untouched. At SolveTolerance 0 it closes the
 // frontier over whole connected components (exact); above 0 it first
 // places dirty conns at their paths' standing water levels (no solve at
-// all), then runs the bottleneck-local solve over whatever links the
-// placements and departures have drifted past the tolerance, escalating
-// back to the exact closure when adaptive expansion fails to settle or
-// the periodic re-anchor is due.
+// all), then runs a region solve over whatever links the placements and
+// departures have drifted past the tolerance, escalating back to the
+// exact closure when adaptive expansion fails to settle or the periodic
+// re-anchor is due.
 func (nw *Network) solveDirty() {
-	if nw.SolveTolerance <= 0 {
-		nw.solveClosure()
-		return
-	}
-	if len(nw.dirtyConns) > 0 {
-		nw.placeDirtyConns()
-	}
-	every := nw.FullSolveEvery
-	if every <= 0 {
-		every = defaultFullSolveEvery
-	}
-	if nw.localSince >= every {
-		// Periodic full solve: re-anchor every streaming conn at the exact
-		// max-min fixed point so placement and boundary-tolerance drift
-		// cannot accumulate. Seeding the frontier with every busy link
-		// makes the closure cover everything active.
-		nw.localSince = 0
-		nw.stats.PeriodicFulls++
-		for _, l := range nw.busyLinks {
-			if !l.dirty {
-				l.dirty = true
-				nw.dirtyLinks = append(nw.dirtyLinks, l)
-			}
+	closure := nw.SolveTolerance <= 0
+	if !closure {
+		if len(nw.dirtyConns) > 0 {
+			nw.placeDirtyConns()
 		}
-		nw.solveClosure()
-		return
+		switch {
+		case nw.localSince >= nw.fullSolveEvery:
+			// Periodic full solve: re-anchor every streaming conn at the
+			// exact max-min fixed point so placement and boundary-tolerance
+			// drift cannot accumulate. Seeding the frontier with every busy
+			// link makes the closure cover everything active.
+			nw.localSince = 0
+			nw.stats.PeriodicFulls++
+			for _, l := range nw.busyLinks {
+				if !l.dirty {
+					l.dirty = true
+					nw.dirtyLinks = append(nw.dirtyLinks, l)
+				}
+			}
+			closure = true
+		case len(nw.dirtyLinks) == 0:
+			return // placements stayed within tolerance everywhere
+		case nw.localBudget <= 0:
+			// Expansion ping-ponged past the cap: settle the remaining
+			// frontier exactly rather than keep chasing boundaries.
+			nw.stats.Escalations++
+			closure = true
+		default:
+			nw.localBudget--
+			nw.localSince++
+		}
 	}
-	if len(nw.dirtyLinks) == 0 {
-		return // placements stayed within tolerance everywhere
-	}
-	if nw.localBudget <= 0 {
-		// Expansion ping-ponged past the cap: settle the remaining
-		// frontier exactly rather than keep chasing boundaries.
-		nw.stats.Escalations++
-		nw.solveClosure()
-		return
-	}
-	nw.localBudget--
-	nw.localSince++
-	nw.solveLocal()
+	nw.solve(closure)
 }
 
 // placeDirtyConns gives each queued conn a rate at the standing water
@@ -695,21 +678,43 @@ func (nw *Network) placeDirtyConns() {
 	nw.localSince++
 }
 
-// solveClosure is the exact incremental solve: re-solve the connected
-// component(s) of the dirty frontier.
+// solve is the water fill: it re-solves max-min fairness over a region
+// grown from the dirty frontier and leaves every rate outside it alone.
 //
-// Invariant: a conn's max-min rate depends only on its connected component
-// (conns sharing links, transitively). Progressive filling decomposes
-// exactly across components, so re-solving the closure of the dirty links
+// With closure set the region grows transitively — dirty links -> their
+// conns -> those conns' links -> ... — to the frontier's whole connected
+// component(s), and the solve is exact. A conn's max-min rate depends only
+// on its component (conns sharing links, transitively), and progressive
+// filling decomposes exactly across components, so re-solving the closure
 // reproduces what a from-scratch global solve would assign there, while
-// rates outside the closure are still valid — none of their links'
-// membership, caps, or up/down state changed.
-func (nw *Network) solveClosure() {
+// rates outside it are still valid: none of their links' membership, caps,
+// or up/down state changed.
+//
+// Without closure (tolerance mode) the region is only the conns crossing a
+// dirty link. Every other link those conns touch becomes a *boundary
+// link*: it offers what the conns outside the region leave behind
+// (cap - (used - region's share)), and only the region's conns compete for
+// it — the outside conns' rates are held fixed. Striped read-ahead fuses
+// the production fleet into one giant component, so the closure re-solves
+// O(fleet) conns on every dirty link; the region is O(conns on the dirty
+// links) instead. The approximation is checked a posteriori: a boundary
+// link whose load drifted past SolveTolerance x capacity, or whose outside
+// conns hold far more than the region's water level there, is deferred to
+// the next drain, which grows the region across it. Expansion is therefore
+// adaptive — it propagates exactly as far as shares move past the
+// tolerance — and each round's rates are consistent snapshots (bytes are
+// conserved regardless: completions settle exact message sizes, so a stale
+// rate shifts timing, never data).
+//
+// A closure has no boundary links — every link a region conn crosses is in
+// the region — so the boundary init and checks below are empty loops and
+// the boundary drain never runs. Only the discovery pass is skipped
+// outright, so exact mode pays nothing for it.
+func (nw *Network) solve(closure bool) {
 	now := nw.Sim.Now()
 	nw.epoch++
 	epoch := nw.epoch
 
-	// Closure: dirty links -> their conns -> those conns' links -> ...
 	links := nw.compLinks[:0]
 	for _, l := range nw.dirtyLinks {
 		l.dirty = false
@@ -728,6 +733,9 @@ func (nw *Network) solveClosure() {
 			}
 			c.mark = epoch
 			conns = append(conns, c)
+			if !closure {
+				continue
+			}
 			for _, pl := range c.path {
 				if pl.mark != epoch {
 					pl.mark = epoch
@@ -739,16 +747,21 @@ func (nw *Network) solveClosure() {
 
 	nw.lastSolveConns = len(conns)
 	nw.drainWork += len(conns)
-	nw.stats.FullSolves++
+	if closure {
+		nw.stats.FullSolves++
+	} else {
+		nw.stats.LocalSolves++
+	}
 	nw.noteFrontier(len(conns))
 
-	// Advance component conns at their old rates before changing them.
-	// This may deliver messages and deactivate conns; linkChanged defers
-	// re-queuing links already in this component (membership is read live
-	// below), while newly touched outside links re-enter the frontier.
-	// The survivors are collected in the same pass — advance only
-	// changes its own conn's active flag, so the post-advance state each
-	// append sees is final.
+	// Advance region conns at their old rates before changing them. This
+	// may deliver messages and deactivate conns; linkChanged defers
+	// re-queuing links already in this region (membership is read live
+	// below), while newly touched outside links — boundary links included —
+	// re-enter the frontier, so membership changes at the region's edge are
+	// always re-solved, never approximated away. The survivors are
+	// collected in the same pass — advance only changes its own conn's
+	// active flag, so the post-advance state each append sees is final.
 	unassigned := nw.unassigned[:0]
 	minCap := math.Inf(1)
 	nw.inSolve = true
@@ -764,6 +777,36 @@ func (nw *Network) solveClosure() {
 		unassigned = append(unassigned, c)
 	}
 	nw.inSolve = false
+
+	// Boundary discovery over the survivors, accumulating the region's
+	// current (pre-solve) load and membership on each boundary link.
+	boundary := nw.boundLinks[:0]
+	if !closure {
+		for _, c := range unassigned {
+			for _, pl := range c.path {
+				if pl.mark == epoch {
+					continue
+				}
+				if pl.bMark != epoch {
+					pl.bMark = epoch
+					pl.compUsed, pl.compNew = 0, 0
+					pl.compActive = 0
+					pl.compLevel = math.Inf(1)
+					pl.compList = pl.compList[:0]
+					boundary = append(boundary, pl)
+				}
+				pl.compUsed += c.rate
+				pl.compActive++
+				pl.compList = append(pl.compList, c)
+			}
+		}
+		nw.stats.BoundaryLinks += uint64(len(boundary))
+	}
+
+	// Link init. Region links are fully re-solved: every conn crossing
+	// them is in the region. Boundary links offer only what the outside
+	// conns leave: residual = cap - (used - region's share), contended by
+	// the region's crossers alone.
 	for _, l := range links {
 		l.residual = l.cap
 		if l.down {
@@ -772,12 +815,39 @@ func (nw *Network) solveClosure() {
 		l.nActive = len(l.conns)
 		l.level = 0 // re-established below if the link turns out to bind
 	}
+	for _, l := range boundary {
+		outside := l.used - l.compUsed
+		if outside < 0 {
+			outside = 0
+		}
+		l.residual = l.cap - outside
+		// A standing bottleneck offers each region crosser its water level,
+		// not a cut of the leftover slack. On a saturated shared trunk the
+		// residual is near zero, and splitting it would starve the region's
+		// crossers while the trunk's incumbents keep their full fair share
+		// — guaranteeing a fairness violation and a trunk-wide re-solve
+		// after every region solve at its edge. Rating crossers at the
+		// standing level instead matches what the incumbents hold, the same
+		// reasoning as placeLevel for arrivals; any overcommit this books
+		// against a stale level is bounded by the drift check, which
+		// triggers the real trunk solve once it passes tolerance x cap.
+		if lvl := l.level * float64(l.compActive); lvl > l.residual {
+			l.residual = lvl
+			if l.residual > l.cap {
+				l.residual = l.cap
+			}
+		}
+		if l.down || l.residual < 0 {
+			l.residual = 0
+		}
+		l.nActive = l.compActive
+	}
 
-	// Link-centric water filling. Each round finds the single most
-	// constrained link and settles work at its fair share m; because
-	// fixing a conn at (or below) the minimum share can only raise the
-	// other links' shares, m is non-decreasing across rounds, which
-	// makes two shortcuts exact:
+	// Link-centric water filling over region + boundary links. Each round
+	// finds the single most constrained link and settles work at its fair
+	// share m; because fixing a conn at (or below) the minimum share can
+	// only raise the other links' shares, m is non-decreasing across
+	// rounds, which makes two shortcuts exact:
 	//
 	//   - Window-capped conns sort once by cap; a pointer sweeps the
 	//     sorted prefix, fixing every conn whose cap falls below the
@@ -787,8 +857,9 @@ func (nw *Network) solveClosure() {
 	//     instead of rescanning every remaining conn's path share.
 	//
 	// Round cost is O(links) + O(conns fixed x path), so a solve is
-	// linear-ish in the component rather than rounds x conns x path —
-	// the term that dominated the from-scratch solver at 1024 nodes.
+	// linear-ish in the region rather than rounds x conns x path — the
+	// term that dominated the from-scratch solver at 1024 nodes.
+	links = append(links, boundary...)
 	left := len(unassigned)
 	var capHeap []*Conn // built only if a window cap can actually bind
 	ties := nw.tieLinks[:0]
@@ -851,239 +922,14 @@ func (nw *Network) solveClosure() {
 			}
 			continue
 		}
-		// Drain the bottlenecks: every unsolved conn crossing a link at
-		// the minimum share gets exactly m (their caps are all above m —
+		// Drain the bottlenecks: every unsolved region conn crossing a link
+		// at the minimum share gets exactly m (their caps are all above m —
 		// the heap sweep already fixed everything at or below it).
 		// Draining every exactly-tied link in one round matters in
 		// symmetric topologies, where hundreds of identical access links
 		// hit bit-identical shares: fixing a conn at the minimum share
 		// leaves the other tied links' shares at exactly m, so they are
 		// all bottlenecks of the same water level.
-		for _, l := range ties {
-			l.level = m // standing water level for tolerance-mode placement
-			for _, slot := range l.conns {
-				c := slot.c
-				if c.solved == epoch {
-					continue
-				}
-				c.solved = epoch
-				nw.assignRate(c, m)
-				left--
-			}
-		}
-	}
-	nw.tieLinks = ties[:0]
-
-	// Every component link is now exactly consistent: re-anchor the
-	// tolerance-mode drift baseline at its true load.
-	for _, l := range links {
-		l.solvedUsed = l.used
-	}
-
-	// Keep the grown scratch backing arrays for the next solve.
-	nw.compLinks = links[:0]
-	nw.compConns = conns[:0]
-	nw.unassigned = unassigned[:0]
-}
-
-// solveLocal is the bottleneck-local solve: instead of closing the dirty
-// frontier over whole connected components, it re-solves only the conns
-// that cross a dirty link. Every other link those conns touch becomes a
-// *boundary link*: its residual capacity is what the conns outside the
-// region leave behind (cap - (used - region's share)), and only the
-// region's conns compete for it — the outside conns' rates are treated as
-// fixed. Striped read-ahead fuses the production fleet into one giant
-// component, so the exact closure re-solves O(fleet) conns on every dirty
-// link; the local region is O(conns on the dirty links) instead.
-//
-// The approximation is checked a posteriori: if the solve moved a boundary
-// link's carried load by more than SolveTolerance x capacity, the outside
-// conns' fair shares there have materially shifted, so the link re-enters
-// the dirty frontier and the next solve expands across it. Expansion is
-// therefore adaptive — it propagates exactly as far as shares move past
-// the tolerance — and each round's rates are consistent snapshots (bytes
-// are conserved regardless: completions settle exact message sizes, so a
-// stale rate shifts timing, never data).
-func (nw *Network) solveLocal() {
-	now := nw.Sim.Now()
-	nw.epoch++
-	epoch := nw.epoch
-
-	// Region links: the dirty seeds only, no transitive closure.
-	links := nw.compLinks[:0]
-	for _, l := range nw.dirtyLinks {
-		l.dirty = false
-		if l.mark != epoch {
-			l.mark = epoch
-			links = append(links, l)
-		}
-	}
-	nw.dirtyLinks = nw.dirtyLinks[:0]
-
-	// Region conns: everything crossing a seed.
-	conns := nw.compConns[:0]
-	for _, l := range links {
-		for _, slot := range l.conns {
-			c := slot.c
-			if c.mark != epoch {
-				c.mark = epoch
-				conns = append(conns, c)
-			}
-		}
-	}
-
-	nw.lastSolveConns = len(conns)
-	nw.drainWork += len(conns)
-	nw.stats.LocalSolves++
-	nw.noteFrontier(len(conns))
-
-	// Advance region conns at their old rates before changing them. A
-	// delivery here can deactivate a conn; deactivation dirties its links,
-	// and the boundary links among them (mark != epoch) re-enter the
-	// frontier for the next solveDirty pass — membership changes at the
-	// region's edge are always re-solved, never approximated away.
-	unassigned := nw.unassigned[:0]
-	minCap := math.Inf(1)
-	nw.inSolve = true
-	for _, c := range conns {
-		c.advance(now)
-		if !c.active {
-			continue
-		}
-		c.prevRate = c.rate
-		if c.rateCap < minCap {
-			minCap = c.rateCap
-		}
-		unassigned = append(unassigned, c)
-	}
-	nw.inSolve = false
-
-	// Boundary discovery over the survivors, accumulating the region's
-	// current (pre-solve) load and membership on each boundary link.
-	boundary := nw.boundLinks[:0]
-	for _, c := range unassigned {
-		for _, pl := range c.path {
-			if pl.mark == epoch {
-				continue
-			}
-			if pl.bMark != epoch {
-				pl.bMark = epoch
-				pl.compUsed, pl.compNew = 0, 0
-				pl.compActive = 0
-				pl.compLevel = math.Inf(1)
-				pl.compList = pl.compList[:0]
-				boundary = append(boundary, pl)
-			}
-			pl.compUsed += c.rate
-			pl.compActive++
-			pl.compList = append(pl.compList, c)
-		}
-	}
-	nw.stats.BoundaryLinks += uint64(len(boundary))
-
-	// Link init. Region links are fully re-solved: every conn crossing
-	// them is in the region. Boundary links offer only what the outside
-	// conns leave: residual = cap - (used - region's share), contended by
-	// the region's crossers alone.
-	for _, l := range links {
-		l.residual = l.cap
-		if l.down {
-			l.residual = 0
-		}
-		l.nActive = len(l.conns)
-		l.level = 0 // re-established below if the link turns out to bind
-	}
-	for _, l := range boundary {
-		outside := l.used - l.compUsed
-		if outside < 0 {
-			outside = 0
-		}
-		l.residual = l.cap - outside
-		// A standing bottleneck offers each region crosser its water level,
-		// not a cut of the leftover slack. On a saturated shared trunk the
-		// residual is near zero, and splitting it would starve the region's
-		// crossers while the trunk's incumbents keep their full fair share
-		// — guaranteeing a fairness violation and a trunk-wide re-solve
-		// after every local solve at its edge. Rating crossers at the
-		// standing level instead matches what the incumbents hold, the same
-		// reasoning as placeLevel for arrivals; any overcommit this books
-		// against a stale level is bounded by the drift check, which
-		// triggers the real trunk solve once it passes tolerance x cap.
-		if lvl := l.level * float64(l.compActive); lvl > l.residual {
-			l.residual = lvl
-			if l.residual > l.cap {
-				l.residual = l.cap
-			}
-		}
-		if l.down || l.residual < 0 {
-			l.residual = 0
-		}
-		l.nActive = l.compActive
-	}
-
-	// Water filling over region + boundary links — the same rounds, cap
-	// heap and exact-tie draining as the closure solve (see solveClosure
-	// for the shortcut proofs). Two local differences: boundary links join
-	// the round scan, and the bottleneck drain skips conns outside the
-	// region (a boundary link's conn list mixes both).
-	links = append(links, boundary...)
-	left := len(unassigned)
-	var capHeap []*Conn
-	ties := nw.tieLinks[:0]
-	for left > 0 {
-		m := math.Inf(1)
-		ties = ties[:0]
-		for _, l := range links {
-			if l.nActive > 0 {
-				if s := l.residual / float64(l.nActive); s < m {
-					m = s
-					ties = append(ties[:0], l)
-				} else if s == m {
-					ties = append(ties, l)
-				}
-			}
-		}
-		if len(ties) == 0 {
-			for _, c := range unassigned {
-				if c.solved != epoch {
-					c.solved = epoch
-					nw.assignRate(c, c.rateCap)
-					left--
-				}
-			}
-			break
-		}
-		if minCap <= m {
-			if capHeap == nil {
-				capHeap = nw.capHeap[:0]
-				capHeap = append(capHeap, unassigned...)
-				for i := len(capHeap)/2 - 1; i >= 0; i-- {
-					capSiftDown(capHeap, i)
-				}
-				nw.capHeap = capHeap[:0]
-			}
-			for len(capHeap) > 0 && capHeap[0].rateCap <= m {
-				c := capHeap[0]
-				n := len(capHeap) - 1
-				capHeap[0] = capHeap[n]
-				capHeap[n] = nil
-				capHeap = capHeap[:n]
-				if n > 1 {
-					capSiftDown(capHeap, 0)
-				}
-				if c.solved == epoch {
-					continue
-				}
-				c.solved = epoch
-				nw.assignRate(c, c.rateCap)
-				left--
-			}
-			minCap = math.Inf(1)
-			if len(capHeap) > 0 {
-				minCap = capHeap[0].rateCap
-			}
-			continue
-		}
 		for _, l := range ties {
 			if l.bMark == epoch {
 				// This boundary link bound the region at water level m;
@@ -1092,7 +938,7 @@ func (nw *Network) solveLocal() {
 				// from the region-crosser list built during boundary
 				// discovery — the link's own conn list is mostly outside
 				// conns (a trunk carries thousands) and scanning it per
-				// tie round dominated local-solve cost.
+				// tie round dominated region-solve cost.
 				if m < l.compLevel {
 					l.compLevel = m
 				}
@@ -1117,7 +963,7 @@ func (nw *Network) solveLocal() {
 			for _, slot := range l.conns {
 				c := slot.c
 				if c.mark != epoch || c.solved == epoch {
-					continue // deactivated during advance, or already done
+					continue // outside the region, or already done
 				}
 				c.solved = epoch
 				nw.assignRate(c, m)
@@ -1145,7 +991,7 @@ func (nw *Network) solveLocal() {
 	//     cumulative drift against the standing solvedUsed baseline, not
 	//     the shift this one region solve produced: each region solve
 	//     nudges a shared trunk a little, and expanding on every nudge
-	//     escalates every local solve into a trunk-sized one. Letting the
+	//     escalates every region solve into a trunk-sized one. Letting the
 	//     nudges accumulate until they sum past tolerance x cap is
 	//     exactly the tolerance-mode contract, and buys one trunk solve
 	//     per tolerance-worth of real movement instead of one per drain.

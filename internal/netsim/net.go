@@ -106,11 +106,12 @@ type Network struct {
 	// with it byte-identical replays of every existing seeded run.
 	SolveTolerance float64
 
-	// FullSolveEvery bounds the drift tolerance-mode can accumulate: after
-	// this many consecutive local solves, one exact closure solve runs over
-	// every busy link and re-anchors all rates at the true max-min fixed
-	// point. Zero means the default (128). Ignored when SolveTolerance is 0.
-	FullSolveEvery int
+	// fullSolveEvery bounds the drift tolerance mode can accumulate: after
+	// this many consecutive region solves and placement batches, one exact
+	// closure solve runs over every busy link and re-anchors all rates at
+	// the true max-min fixed point. New sets defaultFullSolveEvery (512);
+	// tests may shorten it. Ignored when SolveTolerance is 0.
+	fullSolveEvery int
 
 	localSince  int // local solves since the last full re-anchor
 	localBudget int // local solves left in this recompute before escalating
@@ -118,8 +119,8 @@ type Network struct {
 	stats SolverStats
 }
 
-// defaultFullSolveEvery applies when FullSolveEvery is zero. The interval
-// is a staleness/cost trade that interacts with how boundaries are offered
+// defaultFullSolveEvery is the periodic re-anchor interval. It is a
+// staleness/cost trade that interacts with how boundaries are offered
 // capacity: when boundary links rationed region crossers to their residual
 // slack, starved crossers re-expanded constantly and frequent fulls (128)
 // were needed to damp the churn; with standing-level offers the expansion
@@ -158,7 +159,8 @@ type SolverStats struct {
 	// Expansions counts local solves that violated a boundary link's
 	// tolerance and re-seeded the frontier with it.
 	Expansions uint64
-	// PeriodicFulls counts full solves forced by FullSolveEvery.
+	// PeriodicFulls counts full solves forced by the periodic re-anchor
+	// (every 512 region solves and placement batches).
 	PeriodicFulls uint64
 	// Escalations counts recompute drains that hit maxLocalPerRecompute
 	// and fell back to the exact closure.
@@ -231,7 +233,8 @@ func New(s *sim.Sim) *Network {
 		Sim: s,
 		// 16 MiB default window: enough for ~1.6 Gb/s at 80 ms RTT per
 		// conn, matching well-tuned 2005-era TCP stacks.
-		DefaultTCP: TCPConfig{MaxWindow: 16 * units.MiB, InitWindow: 64 * units.KiB},
+		DefaultTCP:     TCPConfig{MaxWindow: 16 * units.MiB, InitWindow: 64 * units.KiB},
+		fullSolveEvery: defaultFullSolveEvery,
 	}
 	nw.recomputeFn = nw.doRecompute
 	return nw

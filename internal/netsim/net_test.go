@@ -29,6 +29,7 @@ func twoNodeNet(rate units.BitsPerSec, delay sim.Time) (*sim.Sim, *Network, *Nod
 }
 
 func TestSingleFlowSaturatesLink(t *testing.T) {
+	t.Parallel()
 	s, nw, a, b := twoNodeNet(1*units.Gbps, sim.Millisecond)
 	c := nw.DialTCP(a, b, noWindow)
 	var deliveredAt sim.Time
@@ -44,6 +45,7 @@ func TestSingleFlowSaturatesLink(t *testing.T) {
 }
 
 func TestWindowCapsThroughput(t *testing.T) {
+	t.Parallel()
 	// 10 Gb/s link but 80 ms RTT and 8 MiB window: rate = 8 MiB / 80 ms
 	// ≈ 104.9 MB/s — the SC'02 question in miniature.
 	s, nw, a, b := twoNodeNet(10*units.Gbps, 40*sim.Millisecond)
@@ -60,6 +62,7 @@ func TestWindowCapsThroughput(t *testing.T) {
 }
 
 func TestTwoFlowsShareFairly(t *testing.T) {
+	t.Parallel()
 	s, nw, a, b := twoNodeNet(1*units.Gbps, sim.Millisecond)
 	c1 := nw.DialTCP(a, b, noWindow)
 	c2 := nw.DialTCP(a, b, noWindow)
@@ -75,6 +78,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 }
 
 func TestShortFlowReleasesBandwidth(t *testing.T) {
+	t.Parallel()
 	s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
 	c1 := nw.DialTCP(a, b, noWindow)
 	c2 := nw.DialTCP(a, b, noWindow)
@@ -91,6 +95,7 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 }
 
 func TestCappedFlowLeavesResidual(t *testing.T) {
+	t.Parallel()
 	// One capped conn (50 MB/s via window) + one open conn on a 1 Gb/s
 	// link: open conn should get the remaining 75 MB/s.
 	s, nw, a, b := twoNodeNet(1*units.Gbps, 50*sim.Millisecond)
@@ -107,6 +112,7 @@ func TestCappedFlowLeavesResidual(t *testing.T) {
 }
 
 func TestSlowStartRamp(t *testing.T) {
+	t.Parallel()
 	// With slow start from 64 KiB, early throughput must be well below
 	// the steady-state cap, and cwnd doubles each RTT.
 	s, nw, a, b := twoNodeNet(10*units.Gbps, 40*sim.Millisecond)
@@ -124,6 +130,7 @@ func TestSlowStartRamp(t *testing.T) {
 }
 
 func TestBottleneckInMiddle(t *testing.T) {
+	t.Parallel()
 	// a --10G-- m --1G-- b : end-to-end limited by the 1G hop.
 	s := sim.New()
 	nw := New(s)
@@ -140,6 +147,7 @@ func TestBottleneckInMiddle(t *testing.T) {
 }
 
 func TestECMPSpreadsConns(t *testing.T) {
+	t.Parallel()
 	// Two parallel 10G links between switches; many conns should use both.
 	s := sim.New()
 	nw := New(s)
@@ -167,6 +175,7 @@ func TestECMPSpreadsConns(t *testing.T) {
 }
 
 func TestNoRoutePanics(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	a := nw.NewNode("a")
@@ -180,6 +189,7 @@ func TestNoRoutePanics(t *testing.T) {
 }
 
 func TestLoopbackConn(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	a := nw.NewNode("a")
@@ -196,6 +206,7 @@ func TestLoopbackConn(t *testing.T) {
 }
 
 func TestMonitorRecordsLinkBytes(t *testing.T) {
+	t.Parallel()
 	s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
 	mon := nw.MonitorLink(nw.Links()[0], sim.Second)
 	c := nw.DialTCP(a, b, noWindow)
@@ -213,6 +224,7 @@ func TestMonitorRecordsLinkBytes(t *testing.T) {
 }
 
 func TestMessagesFIFO(t *testing.T) {
+	t.Parallel()
 	s, nw, a, b := twoNodeNet(1*units.Gbps, sim.Millisecond)
 	c := nw.DialTCP(a, b, noWindow)
 	var order []int
@@ -234,6 +246,7 @@ func TestMessagesFIFO(t *testing.T) {
 }
 
 func TestPathDelaySum(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	a := nw.NewNode("a")
@@ -249,6 +262,7 @@ func TestPathDelaySum(t *testing.T) {
 // Property: however many equal flows share one link, the link is fully
 // used (sum of rates == capacity) and rates are equal.
 func TestPropertyMaxMinSaturation(t *testing.T) {
+	t.Parallel()
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%16) + 1
 		s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
@@ -278,6 +292,7 @@ func TestPropertyMaxMinSaturation(t *testing.T) {
 // Property: bytes are conserved — monitor totals equal the sum of message
 // sizes regardless of message count/sizes.
 func TestPropertyByteConservation(t *testing.T) {
+	t.Parallel()
 	f := func(sizesRaw []uint16) bool {
 		if len(sizesRaw) > 40 {
 			sizesRaw = sizesRaw[:40]

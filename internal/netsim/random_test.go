@@ -47,6 +47,7 @@ func buildRandomTopology(s *sim.Sim, rng *rand.Rand) (*Network, []*Node) {
 // message is delivered exactly once, byte counts are conserved, and the
 // simulation terminates.
 func TestPropertyRandomTopologyConservation(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New()
@@ -120,6 +121,7 @@ func allInactive(nw *Network) bool {
 // Property: transfer time on a clean two-node path is never better than
 // the physics bound size/capacity + delay.
 func TestPropertyPhysicsBound(t *testing.T) {
+	t.Parallel()
 	f := func(szRaw uint32, rateRaw, delayRaw uint8) bool {
 		s := sim.New()
 		nw := New(s)
@@ -144,6 +146,7 @@ func TestPropertyPhysicsBound(t *testing.T) {
 // Property: with a window cap and RTT, rate never exceeds window/RTT by
 // more than float slop.
 func TestPropertyWindowBound(t *testing.T) {
+	t.Parallel()
 	f := func(wndRaw, delayRaw uint8) bool {
 		s := sim.New()
 		nw := New(s)

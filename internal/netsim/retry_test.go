@@ -11,6 +11,7 @@ import (
 )
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
+	t.Parallel()
 	pol := RetryPolicy{MaxAttempts: 10, BaseBackoff: 10 * sim.Millisecond, MaxBackoff: 50 * sim.Millisecond}
 	want := []sim.Time{10, 20, 40, 50, 50}
 	for i, w := range want {
@@ -24,6 +25,7 @@ func TestBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestDeadlineExpiresAndDiscardsLateResponse(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(40 * sim.Millisecond)
 	server.Handle("slow", func(p *sim.Proc, req *Request) Response {
 		p.Sleep(sim.Second)
@@ -52,6 +54,7 @@ func TestDeadlineExpiresAndDiscardsLateResponse(t *testing.T) {
 }
 
 func TestGoRetrySucceedsAfterTransientFailures(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(sim.Millisecond)
 	errFlaky := errors.New("flaky")
 	fails := 3
@@ -86,6 +89,7 @@ func TestGoRetrySucceedsAfterTransientFailures(t *testing.T) {
 }
 
 func TestGoRetryStopsOnPermanentError(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(sim.Millisecond)
 	errPerm := errors.New("permanent")
 	served := 0
@@ -109,6 +113,7 @@ func TestGoRetryStopsOnPermanentError(t *testing.T) {
 }
 
 func TestLinkDownStallsAndResumes(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	a := nw.NewNode("a")

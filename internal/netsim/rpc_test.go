@@ -20,6 +20,7 @@ func rpcPair(delay sim.Time) (*sim.Sim, *Endpoint, *Endpoint) {
 }
 
 func TestRPCRoundTrip(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(40 * sim.Millisecond)
 	server.Handle("echo", func(p *sim.Proc, req *Request) Response {
 		return Response{Size: req.Size, Payload: req.Payload}
@@ -45,6 +46,7 @@ func TestRPCRoundTrip(t *testing.T) {
 }
 
 func TestRPCHandlerMayBlock(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(0)
 	server.Handle("slow", func(p *sim.Proc, req *Request) Response {
 		p.Sleep(5 * sim.Second) // simulated disk service
@@ -62,6 +64,7 @@ func TestRPCHandlerMayBlock(t *testing.T) {
 }
 
 func TestRPCPipelinedGo(t *testing.T) {
+	t.Parallel()
 	// Many async requests overlap: total time must be far below serial.
 	s, client, server := rpcPair(40 * sim.Millisecond)
 	server.Handle("get", func(p *sim.Proc, req *Request) Response {
@@ -84,6 +87,7 @@ func TestRPCPipelinedGo(t *testing.T) {
 }
 
 func TestRPCErrorPropagates(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(0)
 	sentinel := errors.New("no such block")
 	server.Handle("fail", func(p *sim.Proc, req *Request) Response {
@@ -100,6 +104,7 @@ func TestRPCErrorPropagates(t *testing.T) {
 }
 
 func TestRPCUnknownServicePanics(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(0)
 	defer func() {
 		if recover() == nil {
@@ -111,6 +116,7 @@ func TestRPCUnknownServicePanics(t *testing.T) {
 }
 
 func TestRPCDuplicateServicePanics(t *testing.T) {
+	t.Parallel()
 	_, _, server := rpcPair(0)
 	server.Handle("x", func(p *sim.Proc, req *Request) Response { return Response{} })
 	defer func() {
@@ -122,6 +128,7 @@ func TestRPCDuplicateServicePanics(t *testing.T) {
 }
 
 func TestRPCMultipleConnsRaiseWindow(t *testing.T) {
+	t.Parallel()
 	// Over a long fat path with a modest per-conn window, 4 conns should
 	// move bulk data ~4x faster than 1 conn.
 	run := func(conns int) sim.Time {
@@ -156,6 +163,7 @@ func TestRPCMultipleConnsRaiseWindow(t *testing.T) {
 }
 
 func TestInFlightAccounting(t *testing.T) {
+	t.Parallel()
 	s, client, server := rpcPair(10 * sim.Millisecond)
 	server.Handle("read", func(p *sim.Proc, req *Request) Response {
 		return Response{Size: units.KiB}

@@ -9,6 +9,7 @@ import (
 )
 
 func TestLinkEfficiencyDeratesCapacity(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	nw.LinkEfficiency = 0.94
@@ -24,6 +25,7 @@ func TestLinkEfficiencyDeratesCapacity(t *testing.T) {
 }
 
 func TestLinkEfficiencyDefaultsToNominal(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s) // LinkEfficiency zero -> 1.0
 	a := nw.NewNode("a")
@@ -35,6 +37,7 @@ func TestLinkEfficiencyDefaultsToNominal(t *testing.T) {
 }
 
 func TestRestartIdlePreservesWindowOverShortGaps(t *testing.T) {
+	t.Parallel()
 	// A conn idle for less than RestartIdle keeps its grown window; one
 	// idle far longer restarts from InitWindow.
 	run := func(gap sim.Time) float64 {
@@ -69,6 +72,7 @@ func TestRestartIdlePreservesWindowOverShortGaps(t *testing.T) {
 }
 
 func TestMinRecomputeIntervalStillConservesBytes(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	nw.MinRecomputeInterval = 500 * sim.Microsecond
@@ -105,6 +109,7 @@ func TestMinRecomputeIntervalStillConservesBytes(t *testing.T) {
 }
 
 func TestThrottledRecomputeTimingError(t *testing.T) {
+	t.Parallel()
 	// With a large MinRecomputeInterval, completion times may be stale by
 	// at most ~the interval.
 	s := sim.New()
@@ -130,6 +135,7 @@ func TestThrottledRecomputeTimingError(t *testing.T) {
 }
 
 func TestEndpointConnsRoundRobin(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := New(s)
 	a := nw.NewNode("a")

@@ -5,21 +5,19 @@ package trace
 // 1024-node production sweep. Three alternatives bound memory:
 //
 //   - Streaming: events are JSON-encoded to a writer the instant they are
-//     recorded and never retained (SetStream).
+//     recorded and never retained (Config.Stream).
 //   - Ring buffer: only the last N events are retained, each slot owning
-//     a private copy of its arguments (SetRing).
-//   - Discard: nothing is retained at all (SetDiscard) — useful together
-//     with an observer that folds events into aggregates incrementally
-//     (see internal/critpath.Agg).
+//     a private copy of its arguments (Config.Ring).
+//   - Discard: nothing is retained at all (Config.Discard) — useful
+//     together with an observer that folds events into aggregates
+//     incrementally (see internal/critpath.Agg).
 //
-// Orthogonally, deterministic per-operation sampling (SetSampleOneIn)
+// Orthogonally, deterministic per-operation sampling (Config.SampleOneIn)
 // keeps a hash-selected subset of operations. The selector is a splitmix64
 // hash of the operation ID — not an RNG — so two runs of the same seeded
 // experiment sample the *same* operations and a sampled export is
 // byte-reproducible, a strict line-subset of the full export, and every
 // retained operation's causal tree is complete (critpath-analyzable).
-
-import "io"
 
 // retainMode selects what push does with a kept event.
 type retainMode uint8
@@ -31,20 +29,6 @@ const (
 	modeDiscard                   // retain nothing
 )
 
-// SetSampleOneIn keeps one operation in n (n <= 1 disables sampling and
-// keeps everything). Events with no operation attribution (Op == 0 —
-// engine samples, background instants) are always kept: they are few and
-// scale-independent. Events of unsampled operations are dropped before
-// any retention cost is paid.
-//
-// Deprecated: use New(WithSampleOneIn(n)) or Configure.
-func (t *Tracer) SetSampleOneIn(n uint64) {
-	if t == nil {
-		return
-	}
-	t.applySample(n)
-}
-
 // SampleOneIn returns the sampling factor (0 or 1 = unsampled).
 func (t *Tracer) SampleOneIn() uint64 {
 	if t == nil {
@@ -53,22 +37,8 @@ func (t *Tracer) SampleOneIn() uint64 {
 	return t.sampleEvery
 }
 
-// SetStream switches the tracer to streaming mode: each kept event is
-// written to w as one JSONL line immediately and not retained, so memory
-// stays O(1) in run length. Events()/Len() see only events recorded
-// before the switch. The first write error is latched and returned by
-// FlushStream; recording continues (dropping output) after an error.
-//
-// Deprecated: use New(WithStream(w)) or Configure.
-func (t *Tracer) SetStream(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.applyStream(w)
-}
-
 // FlushStream flushes the streaming writer and reports the first error
-// encountered since SetStream (nil in other modes).
+// encountered since streaming was configured (nil in other modes).
 func (t *Tracer) FlushStream() error {
 	if t == nil || t.stream == nil {
 		return nil
@@ -77,42 +47,6 @@ func (t *Tracer) FlushStream() error {
 		t.streamErr = err
 	}
 	return t.streamErr
-}
-
-// SetRing switches the tracer to ring-buffer mode keeping the last n
-// events. Each slot owns a copy of its arguments, so the shared arena
-// never grows. Events() materializes the ring oldest-first.
-//
-// Deprecated: use New(WithRing(n)) or Configure.
-func (t *Tracer) SetRing(n int) {
-	if t == nil {
-		return
-	}
-	t.applyRing(n)
-}
-
-// SetDiscard switches the tracer to discard mode: events flow to the
-// observer (if any) and are then dropped. This is the aggregate-only
-// mode — attach a critpath.Agg observer and nothing is ever retained.
-//
-// Deprecated: use New(WithDiscard()) or Configure.
-func (t *Tracer) SetDiscard() {
-	if t == nil {
-		return
-	}
-	t.applyDiscard()
-}
-
-// SetObserver installs a callback invoked for every kept event, in all
-// modes, before retention. The args slice is only valid during the call;
-// observers that need it later must copy. Pass nil to remove.
-//
-// Deprecated: use New(WithObserver(fn)) or Configure.
-func (t *Tracer) SetObserver(fn func(e Event, args []Arg)) {
-	if t == nil {
-		return
-	}
-	t.applyObserver(fn)
 }
 
 // TotalEmitted returns how many events passed sampling since creation,

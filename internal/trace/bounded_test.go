@@ -29,7 +29,7 @@ func TestSampleDeterministicSubset(t *testing.T) {
 	}
 
 	sampled := New()
-	sampled.SetSampleOneIn(4)
+	sampled.Configure(Config{SampleOneIn: 4})
 	emitOps(sampled, 100)
 	var out1 bytes.Buffer
 	if err := sampled.WriteJSONL(&out1); err != nil {
@@ -37,7 +37,7 @@ func TestSampleDeterministicSubset(t *testing.T) {
 	}
 
 	again := New()
-	again.SetSampleOneIn(4)
+	again.Configure(Config{SampleOneIn: 4})
 	emitOps(again, 100)
 	var out2 bytes.Buffer
 	if err := again.WriteJSONL(&out2); err != nil {
@@ -94,7 +94,7 @@ func TestStreamMode(t *testing.T) {
 
 	var got bytes.Buffer
 	streamed := New()
-	streamed.SetStream(&got)
+	streamed.Configure(Config{Stream: &got})
 	emitOps(streamed, 10)
 	if err := streamed.FlushStream(); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestStreamMode(t *testing.T) {
 
 func TestRingMode(t *testing.T) {
 	tr := New()
-	tr.SetRing(7)
+	tr.Configure(Config{Ring: 7})
 	emitOps(tr, 10) // 40 events total, ring keeps last 7
 	evs := tr.Events()
 	if len(evs) != 7 {
@@ -160,17 +160,16 @@ func TestRingMode(t *testing.T) {
 
 func TestDiscardAndObserver(t *testing.T) {
 	tr := New()
-	tr.SetDiscard()
 	var seen int
 	var argSum int64
-	tr.SetObserver(func(e Event, args []Arg) {
+	tr.Configure(Config{Discard: true, Observer: func(e Event, args []Arg) {
 		seen++
 		for _, a := range args {
 			if a.Key == "bytes" {
 				argSum += a.IVal
 			}
 		}
-	})
+	}})
 	emitOps(tr, 5)
 	if tr.Len() != 0 {
 		t.Errorf("discard mode retained %d events", tr.Len())
@@ -185,7 +184,7 @@ func TestDiscardAndObserver(t *testing.T) {
 
 func TestResetPreservesMode(t *testing.T) {
 	tr := New()
-	tr.SetRing(4)
+	tr.Configure(Config{Ring: 4})
 	emitOps(tr, 3)
 	tr.Reset()
 	if got := len(tr.Events()); got != 0 {

@@ -11,83 +11,53 @@ import (
 // Stream > Ring > Discard > buffer, mirroring how the experiment layer
 // always resolved the equivalent CLI flags.
 type Config struct {
-	// SampleOneIn keeps one operation in N (0 or 1 keeps everything);
-	// see SetSampleOneIn for the determinism contract.
+	// SampleOneIn keeps one operation in N (0 or 1 keeps everything).
+	// Events with no operation attribution (Op == 0 — engine samples,
+	// background instants) are always kept: they are few and
+	// scale-independent. Events of unsampled operations are dropped before
+	// any retention cost is paid.
 	SampleOneIn uint64
-	// Observer is invoked for every kept event before retention.
+	// Observer is invoked for every kept event, in all modes, before
+	// retention. The args slice is only valid during the call; observers
+	// that need it later must copy.
 	Observer func(e Event, args []Arg)
 	// Stream, when non-nil, selects streaming mode: every kept event is
-	// JSON-encoded to this writer immediately and never retained.
+	// written to this writer as one JSONL line immediately and never
+	// retained, so memory stays O(1) in run length. Events()/Len() see
+	// only events recorded before the switch. The first write error is
+	// latched and returned by FlushStream; recording continues (dropping
+	// output) after an error.
 	Stream io.Writer
 	// Ring, when > 0, selects ring-buffer mode keeping the last Ring
-	// events.
+	// events. Each slot owns a copy of its arguments, so the shared arena
+	// never grows. Events() materializes the ring oldest-first.
 	Ring int
 	// Discard, when true, retains nothing (aggregate-only runs: pair
 	// with an Observer).
 	Discard bool
 }
 
-// Option mutates a Config; pass options to New.
-type Option func(*Config)
-
-// WithSampleOneIn keeps one operation in n (deterministic hash-selected;
-// n <= 1 keeps all).
-func WithSampleOneIn(n uint64) Option { return func(c *Config) { c.SampleOneIn = n } }
-
-// WithObserver installs an observer invoked for every kept event.
-func WithObserver(fn func(e Event, args []Arg)) Option {
-	return func(c *Config) { c.Observer = fn }
-}
-
-// WithStream selects streaming retention to w.
-func WithStream(w io.Writer) Option { return func(c *Config) { c.Stream = w } }
-
-// WithRing selects ring-buffer retention of the last n events.
-func WithRing(n int) Option { return func(c *Config) { c.Ring = n } }
-
-// WithDiscard selects no retention.
-func WithDiscard() Option { return func(c *Config) { c.Discard = true } }
-
 // Configure applies a complete Config to the tracer, replacing the
-// sampling factor, observer, and retention mode. It is the single
-// canonical configuration path; the legacy setters (SetStream, SetRing,
-// SetDiscard, SetSampleOneIn, SetObserver) are thin wrappers over the
-// same internals.
+// sampling factor, observer, and retention mode. It is the tracer's only
+// configuration path.
 func (t *Tracer) Configure(cfg Config) {
 	if t == nil {
 		return
 	}
-	t.applySample(cfg.SampleOneIn)
-	t.applyObserver(cfg.Observer)
+	t.sampleEvery = cfg.SampleOneIn
+	t.observer = cfg.Observer
 	switch {
 	case cfg.Stream != nil:
-		t.applyStream(cfg.Stream)
+		t.mode = modeStream
+		t.stream = bufio.NewWriterSize(cfg.Stream, 1<<16)
 	case cfg.Ring > 0:
-		t.applyRing(cfg.Ring)
+		t.mode = modeRing
+		t.ring = make([]Event, cfg.Ring)
+		t.ringArgs = make([][]Arg, cfg.Ring)
+		t.ringNext, t.ringLen = 0, 0
 	case cfg.Discard:
-		t.applyDiscard()
+		t.mode = modeDiscard
 	default:
 		t.mode = modeBuffer
 	}
 }
-
-func (t *Tracer) applySample(n uint64) { t.sampleEvery = n }
-
-func (t *Tracer) applyObserver(fn func(e Event, args []Arg)) { t.observer = fn }
-
-func (t *Tracer) applyStream(w io.Writer) {
-	t.mode = modeStream
-	t.stream = bufio.NewWriterSize(w, 1<<16)
-}
-
-func (t *Tracer) applyRing(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.mode = modeRing
-	t.ring = make([]Event, n)
-	t.ringArgs = make([][]Arg, n)
-	t.ringNext, t.ringLen = 0, 0
-}
-
-func (t *Tracer) applyDiscard() { t.mode = modeDiscard }

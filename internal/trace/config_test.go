@@ -21,100 +21,12 @@ func emitWorkload(t *Tracer) {
 	t.Instant("engine", "sample", "engine", 99, I("fired", 12))
 }
 
-// export renders a tracer's retained state for comparison.
-func export(t *testing.T, tr *Tracer) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	return buf.String()
-}
-
-// TestOptionsMatchLegacySetters: for every retention/sampling mode, a
-// tracer built with New(options...) must behave byte-identically to one
-// built with New() + the deprecated setters.
-func TestOptionsMatchLegacySetters(t *testing.T) {
-	t.Run("buffer", func(t *testing.T) {
-		a, b := New(), New(WithSampleOneIn(1))
-		emitWorkload(a)
-		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("buffer exports differ")
-		}
-	})
-
-	t.Run("sampled", func(t *testing.T) {
-		a := New()
-		a.SetSampleOneIn(4)
-		b := New(WithSampleOneIn(4))
-		emitWorkload(a)
-		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("sampled exports differ")
-		}
-		if a.TotalEmitted() != b.TotalEmitted() {
-			t.Fatalf("emitted %d vs %d", a.TotalEmitted(), b.TotalEmitted())
-		}
-	})
-
-	t.Run("stream", func(t *testing.T) {
-		var wa, wb bytes.Buffer
-		a := New()
-		a.SetStream(&wa)
-		b := New(WithStream(&wb))
-		emitWorkload(a)
-		emitWorkload(b)
-		if err := a.FlushStream(); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.FlushStream(); err != nil {
-			t.Fatal(err)
-		}
-		if wa.String() != wb.String() {
-			t.Fatal("streamed bytes differ")
-		}
-		if wa.Len() == 0 {
-			t.Fatal("stream produced nothing")
-		}
-	})
-
-	t.Run("ring", func(t *testing.T) {
-		a := New()
-		a.SetRing(16)
-		b := New(WithRing(16))
-		emitWorkload(a)
-		emitWorkload(b)
-		if got, want := export(t, b), export(t, a); got != want {
-			t.Fatal("ring exports differ")
-		}
-		if b.Len() != 16 {
-			t.Fatalf("ring retained %d, want 16", b.Len())
-		}
-	})
-
-	t.Run("discard+observer", func(t *testing.T) {
-		var na, nb int
-		a := New()
-		a.SetDiscard()
-		a.SetObserver(func(e Event, args []Arg) { na++ })
-		b := New(WithDiscard(), WithObserver(func(e Event, args []Arg) { nb++ }))
-		emitWorkload(a)
-		emitWorkload(b)
-		if na != nb || na == 0 {
-			t.Fatalf("observer counts differ: %d vs %d", na, nb)
-		}
-		if a.Len() != 0 || b.Len() != 0 {
-			t.Fatal("discard mode retained events")
-		}
-	})
-}
-
 // TestConfigPrecedence: stream wins over ring wins over discard, matching
 // the documented resolution order.
 func TestConfigPrecedence(t *testing.T) {
 	var w bytes.Buffer
-	tr := New(WithStream(&w), WithRing(8), WithDiscard())
+	tr := New()
+	tr.Configure(Config{Stream: &w, Ring: 8, Discard: true})
 	emitWorkload(tr)
 	if err := tr.FlushStream(); err != nil {
 		t.Fatal(err)
@@ -126,7 +38,8 @@ func TestConfigPrecedence(t *testing.T) {
 		t.Fatal("stream mode retained events")
 	}
 
-	tr2 := New(WithRing(8), WithDiscard())
+	tr2 := New()
+	tr2.Configure(Config{Ring: 8, Discard: true})
 	emitWorkload(tr2)
 	if n := len(tr2.Events()); n != 8 {
 		t.Fatalf("ring did not win precedence over discard: %d events", n)

@@ -110,20 +110,9 @@ type Tracer struct {
 	scratch     []Arg // reusable copy handed to observers (args must not escape push)
 }
 
-// New returns an empty tracer. With no options it buffers everything (the
-// classic analysis-grade mode); options select bounded retention and
-// sampling — see Config.
-func New(opts ...Option) *Tracer {
-	t := &Tracer{}
-	if len(opts) > 0 {
-		var cfg Config
-		for _, o := range opts {
-			o(&cfg)
-		}
-		t.Configure(cfg)
-	}
-	return t
-}
+// New returns an empty tracer that buffers everything (the classic
+// analysis-grade mode); Configure selects bounded retention and sampling.
+func New() *Tracer { return &Tracer{} }
 
 // Enabled reports whether the tracer records (i.e. is non-nil). Callers
 // holding a possibly-nil *Tracer may call it unconditionally.
