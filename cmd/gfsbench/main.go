@@ -24,7 +24,7 @@
 // rate recomputation. `-json BENCH_10.json` is the artifact the CI
 // events/sec floor checks against.
 //
-// The -scheduler/-engine-stats/-nodes/-size/-cpuprofile/-memprofile
+// The -engine-stats/-solve-tolerance/-nodes/-size/-cpuprofile/-memprofile
 // flags are registered through experiments.Options, the flag surface
 // shared with gfssim.
 package main

@@ -12,7 +12,6 @@
 //	gfssim -exp sc03 -ra-depth 8      # WAN read pipeline depth 8 per client
 //	gfssim -exp production -gather -wide-tokens  # write-gathering fast path on
 //	gfssim -exp production -engine-stats         # profile the simulator itself
-//	gfssim -exp production -scheduler heap       # event queue: heap vs calendar
 //	gfssim -exp production -nodes 1024 -size 64MiB -jsonl-stream t.jsonl -trace-sample 64
 //	                                  # bounded-memory sampled trace at scale
 //	gfssim -exp production -attr-agg  # attribution with zero event retention

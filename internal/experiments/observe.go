@@ -145,16 +145,11 @@ func SetObservability(cfg *ObsConfig) *Obs {
 // Observability returns the installed hook, or nil.
 func Observability() *Obs { return obs }
 
-// newSim builds a simulator on the installed scheduler (SetScheduler)
-// and, when observability is on, attaches the tracer and the periodic
-// snapshot tick. All experiments create their simulators through this.
+// newSim builds a simulator and, when observability is on, attaches the
+// tracer and the periodic snapshot tick. All experiments create their
+// simulators through this.
 func newSim() *sim.Sim {
-	sched, err := sim.NewScheduler(schedName)
-	if err != nil {
-		// SetScheduler validated the name; reaching here is a bug.
-		panic(err)
-	}
-	s := sim.NewWith(sched)
+	s := sim.New()
 	if obs != nil {
 		obs.attachSim(s)
 	}

@@ -24,7 +24,6 @@ import (
 // value in place.
 type Options struct {
 	// Engine plane (RegisterEngine).
-	Scheduler      string  // event-queue implementation: "calendar" (default) or "heap"
 	EngineStats    bool    // print engine telemetry after the runs
 	SolveTolerance float64 // bottleneck-local rate solves (0 = exact, byte-identical)
 
@@ -68,11 +67,9 @@ type Options struct {
 	MemProfile string
 }
 
-// RegisterEngine registers the engine-plane flags: scheduler selection
-// and engine telemetry.
+// RegisterEngine registers the engine-plane flags: engine telemetry and
+// the rate-solver tolerance.
 func (o *Options) RegisterEngine(fs *flag.FlagSet) {
-	fs.StringVar(&o.Scheduler, "scheduler", "",
-		"event-queue scheduler: calendar (default) or heap")
 	fs.BoolVar(&o.EngineStats, "engine-stats", false,
 		"print engine-plane telemetry (events/sec, queue depth, per-kind wall attribution)")
 	fs.Float64Var(&o.SolveTolerance, "solve-tolerance", 0,
@@ -159,12 +156,9 @@ func (o *Options) RegisterProfiles(fs *flag.FlagSet) {
 }
 
 // Validate checks cross-flag consistency — the rules that hold whichever
-// binary parsed the flags — and installs the scheduler choice so every
-// simulator built through this package uses it.
+// binary parsed the flags — and installs the solve tolerance so every
+// network built through this package uses it.
 func (o *Options) Validate() error {
-	if err := SetScheduler(o.Scheduler); err != nil {
-		return err
-	}
 	if err := SetSolveTolerance(o.SolveTolerance); err != nil {
 		return err
 	}
@@ -285,27 +279,6 @@ func (o *Options) WriteMemProfile() error {
 	return err
 }
 
-// schedName is the installed scheduler choice ("" = package default,
-// the calendar queue). Every simulator built through this package —
-// newSim inside experiments, NewSim from benchmarks — draws a fresh
-// scheduler of this flavor.
-var schedName string
-
-// SetScheduler installs the event-queue scheduler used by every
-// subsequently built simulator. Valid names are "" or "calendar" for
-// the calendar queue and "heap" for the binary heap; anything else is
-// an error and leaves the current choice in place.
-func SetScheduler(name string) error {
-	if _, err := sim.NewScheduler(name); err != nil {
-		return err
-	}
-	schedName = name
-	return nil
-}
-
-// SchedulerName returns the installed scheduler choice ("" = calendar).
-func SchedulerName() string { return schedName }
-
 // solveTol is the installed rate-solver tolerance. Every network built
 // through this package (newNet inside experiments, benchmark sites built
 // over NewSim's networks via the topo helpers) gets it applied.
@@ -328,10 +301,10 @@ func SetSolveTolerance(t float64) error {
 // SolveToleranceValue returns the installed solve tolerance.
 func SolveToleranceValue() float64 { return solveTol }
 
-// NewSim builds a simulator with the installed scheduler and, when
-// observability is on, attaches the tracer, engine probe, timeline and
-// snapshot tick — the constructor for benchmarks that build their own
-// sites by hand. Experiments inside this package use it via newSim.
+// NewSim builds a simulator and, when observability is on, attaches the
+// tracer, engine probe, timeline and snapshot tick — the constructor for
+// benchmarks that build their own sites by hand. Experiments inside this
+// package use it via newSim.
 func NewSim() *sim.Sim {
 	return newSim()
 }

@@ -42,7 +42,7 @@ func TestFlagSurface(t *testing.T) {
 		want     []string
 	}{
 		{"engine", (*Options).RegisterEngine,
-			[]string{"engine-stats", "scheduler", "solve-tolerance"}},
+			[]string{"engine-stats", "solve-tolerance"}},
 		{"trace", (*Options).RegisterTrace,
 			[]string{"attr", "attr-agg", "interval", "jsonl", "jsonl-stream",
 				"stats", "trace", "trace-ring", "trace-sample"}},
@@ -73,14 +73,14 @@ func TestOptionsParsing(t *testing.T) {
 	var o Options
 	fs := registerAll(&o)
 	err := fs.Parse([]string{
-		"-scheduler", "heap", "-engine-stats",
+		"-solve-tolerance", "0.02", "-engine-stats",
 		"-nodes", "64, 256,1024", "-size", "64MiB",
 		"-trace-sample", "8", "-interval", "5s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Scheduler != "heap" || !o.EngineStats || o.TraceSample != 8 {
+	if o.SolveTolerance != 0.02 || !o.EngineStats || o.TraceSample != 8 {
 		t.Fatalf("parsed %+v", o)
 	}
 	counts, err := o.NodeCounts(nil)
@@ -100,9 +100,9 @@ func TestOptionsParsing(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	defer SetScheduler("")
+	defer SetSolveTolerance(0)
 	bad := []Options{
-		{Scheduler: "fibonacci"},
+		{SolveTolerance: 1.5},
 		{JSONLStream: "s.jsonl", TraceOut: "t.json"},
 		{JSONLStream: "s.jsonl", TraceRing: 16},
 		{Attr: true, AttrAgg: true},
@@ -112,36 +112,12 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted %+v", i, o)
 		}
 	}
-	good := Options{Scheduler: "heap", Attr: true, JSONLOut: "e.jsonl"}
+	good := Options{SolveTolerance: 0.02, Attr: true, JSONLOut: "e.jsonl"}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected %+v: %v", good, err)
 	}
-	if SchedulerName() != "heap" {
-		t.Fatalf("Validate did not install scheduler, got %q", SchedulerName())
-	}
-}
-
-// TestSchedulerSelection: NewSim must honor the installed choice, and an
-// invalid name must not disturb it.
-func TestSchedulerSelection(t *testing.T) {
-	defer SetScheduler("")
-	if err := SetScheduler("heap"); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewSim().SchedulerName(); got != "heap" {
-		t.Fatalf("NewSim scheduler = %q, want heap", got)
-	}
-	if err := SetScheduler("nope"); err == nil {
-		t.Fatal("bad scheduler name accepted")
-	}
-	if got := NewSim().SchedulerName(); got != "heap" {
-		t.Fatalf("failed SetScheduler disturbed choice: %q", got)
-	}
-	if err := SetScheduler(""); err != nil {
-		t.Fatal(err)
-	}
-	if got := NewSim().SchedulerName(); got != "calendar" {
-		t.Fatalf("default scheduler = %q, want calendar", got)
+	if SolveToleranceValue() != 0.02 {
+		t.Fatalf("Validate did not install solve tolerance, got %v", SolveToleranceValue())
 	}
 }
 

@@ -155,7 +155,7 @@ func (p *EngineProbe) exec(kind EventKind, fn func()) {
 	ks.count++
 	p.ctr++
 	if p.ctr%engineDepthOneIn == 0 {
-		d := p.sim.sched.Len()
+		d := p.sim.q.len()
 		p.depthHist[depthBucket(d)]++
 		p.depthN++
 	}
@@ -188,7 +188,7 @@ func (p *EngineProbe) emitTraceSample() {
 	}
 	tr.Instant("engine", "sample", "engine", int64(p.sim.now),
 		trace.I("fired", int64(p.sim.fired)),
-		trace.I("pending", int64(p.sim.sched.Len())))
+		trace.I("pending", int64(p.sim.q.len())))
 }
 
 // notePending tracks the exact event-queue high-water mark (called from

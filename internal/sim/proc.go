@@ -1,73 +1,139 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"gfs/internal/trace"
 )
 
-// Proc is a simulated process: a goroutine whose execution interleaves with
-// the event loop one-at-a-time, SimPy style. Inside the process function,
-// blocking calls (Sleep, Resource.Acquire, Queue.Get, Signal.Wait) suspend
-// the process and hand control back to the simulator; the simulator resumes
-// it when the corresponding event fires. At most one goroutine — either the
-// event loop or exactly one process — runs at any moment, so process code
+// Proc is a simulated process: a coroutine whose execution interleaves
+// with the event loop one-at-a-time, SimPy style. Inside the process
+// function, blocking calls (Sleep, Resource.Acquire, Queue.Get,
+// Signal.Wait) suspend the process and hand control back to whoever
+// resumed it — the event loop, or a process that woke it synchronously;
+// the simulator resumes it when the corresponding event fires. At most one
+// of the event loop and the processes runs at any moment, so process code
 // needs no locking and runs deterministically.
+//
+// A process runs on a runner borrowed from its Sim's pool when it starts
+// and returned when its function returns, so spawning a process costs no
+// goroutine of its own.
 type Proc struct {
 	sim    *Sim
 	name   string
-	resume chan struct{} // simulator -> process
-	park   chan struct{} // process -> simulator
+	fn     func(p *Proc) // nil once started
+	r      *runner       // the runner executing fn; nil before start and once done
 	done   bool
 	killed bool
 	ctx    trace.Ctx // causal context carried into blocking calls (RPC, IO)
 
 	// timer is the process's reusable sleep event (at most one Sleep is
 	// outstanding per process, so one embedded Event serves every Sleep
-	// without allocating); wakeFn is its prebuilt callback.
+	// without allocating); wakeFn is its prebuilt callback, and also the
+	// start event's and every waiter list's.
 	timer  Event
 	wakeFn func()
+}
+
+// runner is a pooled coroutine that executes process functions one after
+// another. Switching to it with next and back with yield is a direct
+// runtime coroutine switch on the caller's thread: no scheduler round trip,
+// no channel. Nested switches are fine — a process that wakes another
+// synchronously (Resource.Release, Queue.push) resumes it from inside its
+// own coroutine and regains control when that one parks.
+type runner struct {
+	p     *Proc
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // Go spawns a process running fn. The process starts at the current virtual
 // instant (after currently queued same-time events).
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-		park:   make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name, fn: fn}
 	p.wakeFn = p.wake
-	s.ScheduleKind(KindProcStart, 0, func() {
-		go func() {
-			<-p.resume
-			func() {
-				defer handleKilled()
-				if !p.killed {
-					fn(p)
-				}
-			}()
-			p.done = true
-			p.park <- struct{}{}
-		}()
-		p.transfer()
-	})
+	s.Post(KindProcStart, 0, p.wakeFn)
 	return p
 }
 
-// transfer hands control to the process and waits for it to park again.
-// Called only from the event-loop side.
-func (p *Proc) transfer() {
-	p.resume <- struct{}{}
-	<-p.park
+// start binds the process to an idle runner (or a new one) and runs it
+// until it first parks or returns. A process killed before its start
+// never runs.
+func (p *Proc) start() {
+	if p.killed {
+		p.done = true
+		p.fn = nil
+		return
+	}
+	s := p.sim
+	var r *runner
+	if n := len(s.idle); n > 0 {
+		r = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		r = &runner{}
+		r.next, r.stop = iter.Pull(r.loop)
+	}
+	r.p = p
+	p.r = r
+	r.next()
 }
 
-// yield parks the process and hands control back to the simulator.
+// loop is the runner's coroutine body: run the bound process, return the
+// runner to the idle pool, park until the next process (or stop).
+func (r *runner) loop(yield func(struct{}) bool) {
+	r.yield = yield
+	for {
+		p := r.p
+		p.run()
+		p.done = true
+		p.r = nil
+		r.p = nil
+		p.sim.idle = append(p.sim.idle, r)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the process function, converting the internal kill panic
+// into a clean return. Any other panic propagates out of the runner and
+// surfaces from the next() that resumed it — ultimately from Run on the
+// caller's goroutine.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				panic(r)
+			}
+			// A killed process no longer keeps Run alive.
+			p.timer.Cancel()
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+}
+
+// releaseRunners stops every idle runner, ending its goroutine. Runners of
+// processes still blocked in the simulator stay parked with them.
+func (s *Sim) releaseRunners() {
+	for i, r := range s.idle {
+		s.idle[i] = nil
+		r.stop()
+	}
+	s.idle = s.idle[:0]
+}
+
+// yield parks the process and hands control back to whoever resumed it.
 // Called only from the process side.
 func (p *Proc) yield() {
-	p.park <- struct{}{}
-	<-p.resume
+	p.r.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -76,9 +142,11 @@ func (p *Proc) yield() {
 type procKilled struct{}
 
 // Kill terminates the process the next time it would resume. Blocking calls
-// never return in a killed process; the goroutine unwinds via panic/recover
-// internally. Must be called from the event loop or another process, not
-// from the process itself.
+// never return in a killed process; the coroutine unwinds via panic/recover
+// internally, and the blocking call it was parked in gives back what it
+// held (a queue slot, granted resource units, a pending sleep). Must be
+// called from the event loop or another process, not from the process
+// itself.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return
@@ -87,17 +155,22 @@ func (p *Proc) Kill() {
 	// The process is parked somewhere waiting for a resume. Resume it once
 	// so it can observe killed and unwind. It may be waiting inside a
 	// resource queue; those resumes are harmless on a done process because
-	// wake() checks the flags.
+	// wake() checks done.
 	p.sim.Post(KindWake, 0, p.wakeFn)
 }
 
-// wake resumes a parked process from the event loop. Safe on finished or
-// killed processes.
+// wake starts or resumes the process from event context (or synchronously
+// from another process). Safe on finished or killed processes: a stale
+// wake on a done process is a no-op even after its runner was reused.
 func (p *Proc) wake() {
 	if p.done {
 		return
 	}
-	p.transfer()
+	if p.r == nil {
+		p.start()
+		return
+	}
+	p.r.next()
 }
 
 // Name returns the process name given to Go.
@@ -143,9 +216,7 @@ func (p *Proc) WaitUntil(t Time) {
 // Suspend parks the process until another party calls wake via the returned
 // function. The returned func is safe to call exactly once from event
 // context.
-func (p *Proc) Suspend() (wake func()) {
-	return func() { p.wake() }
-}
+func (p *Proc) Suspend() (wake func()) { return p.wakeFn }
 
 // Block parks the process immediately; used together with Suspend by
 // resource implementations:
@@ -154,13 +225,3 @@ func (p *Proc) Suspend() (wake func()) {
 //	registerWaiter(wake)
 //	p.Block()
 func (p *Proc) Block() { p.yield() }
-
-// handleKilled converts the internal kill panic into a clean goroutine
-// exit. Go's wrapper uses it.
-func handleKilled() {
-	if r := recover(); r != nil {
-		if _, ok := r.(procKilled); !ok {
-			panic(r)
-		}
-	}
-}

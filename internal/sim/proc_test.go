@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -295,5 +297,223 @@ func TestPropertyResourceMakespan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProcNestedWake: a Release from inside a process hands the units to
+// the next waiter and runs it synchronously — a wake nested inside the
+// releasing process's own coroutine, two levels deep here — before the
+// releaser continues.
+func TestProcNestedWake(t *testing.T) {
+	s := New()
+	r1 := NewResource(s, "r1", 1)
+	r2 := NewResource(s, "r2", 1)
+	var order []string
+	s.Go("a", func(p *Proc) {
+		r1.Acquire(p, 1)
+		r2.Acquire(p, 1)
+		p.Sleep(Second)
+		r1.Release(1)
+		order = append(order, "a")
+	})
+	s.Go("b", func(p *Proc) {
+		r1.Acquire(p, 1)
+		order = append(order, "b")
+		r1.Release(1)
+		r2.Release(1) // wakes c from inside b, itself inside a's Release
+		order = append(order, "b-done")
+	})
+	s.Go("c", func(p *Proc) {
+		r2.Acquire(p, 1)
+		order = append(order, "c")
+		r2.Release(1)
+	})
+	s.Run()
+	want := []string{"b", "c", "b-done", "a"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if r1.InUse() != 0 || r2.InUse() != 0 || s.Now() != Second {
+		t.Fatalf("in use %d/%d at %v", r1.InUse(), r2.InUse(), s.Now())
+	}
+}
+
+// TestProcKillBeforeStart: a process killed before its first run never
+// runs, and is done.
+func TestProcKillBeforeStart(t *testing.T) {
+	s := New()
+	ran := false
+	p := s.Go("victim", func(p *Proc) { ran = true })
+	p.Kill()
+	s.Run()
+	if ran || !p.Done() {
+		t.Fatalf("ran = %v, done = %v", ran, p.Done())
+	}
+}
+
+// TestProcPanicSurfacesFromRun: a panic other than the kill unwind
+// escapes the process and is recovered by Run's caller, on its own
+// goroutine — also when the panicking process was woken synchronously
+// from inside another process.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	for _, nested := range []bool{false, true} {
+		s := New()
+		r := NewResource(s, "r", 1)
+		s.Go("holder", func(p *Proc) {
+			r.Acquire(p, 1)
+			p.Sleep(Second)
+			r.Release(1)
+		})
+		s.Go("bomb", func(p *Proc) {
+			if nested {
+				r.Acquire(p, 1)
+			} else {
+				p.Sleep(Second)
+			}
+			panic("boom")
+		})
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			s.Run()
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("nested=%v: recovered %v, want boom", nested, got)
+		}
+	}
+}
+
+// TestProcStaleWakeOnReusedRunner: a wake held past its process's end is
+// a no-op, even once the process's runner executes another process.
+func TestProcStaleWakeOnReusedRunner(t *testing.T) {
+	s := New()
+	var first *runner
+	p1 := s.Go("first", func(p *Proc) { first = p.r })
+	var woke Time
+	var p2 *Proc
+	s.Schedule(Millisecond, func() {
+		p2 = s.Go("second", func(p *Proc) {
+			p.Sleep(Second)
+			woke = p.Now()
+		})
+	})
+	stale := p1.Suspend()
+	s.Schedule(2*Millisecond, func() {
+		if p2.r != first {
+			t.Errorf("second process did not reuse the first's runner")
+		}
+		stale()
+	})
+	s.Run()
+	if woke != Second+Millisecond {
+		t.Fatalf("second woke at %v, want 1.001s", woke)
+	}
+}
+
+// TestProcRunnersReleased: Run leaves no goroutines behind once every
+// process has finished, however many ran.
+func TestProcRunnersReleased(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	for i := 0; i < 1000; i++ {
+		d := Time(i%7) * Millisecond
+		s.Go("short", func(p *Proc) { p.Sleep(d) })
+	}
+	s.Run()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Run, %d before", n, base)
+	}
+}
+
+// TestKillReleasesResource: a process killed while queued on a resource
+// leaves the queue; one killed after a Release granted it units gives them
+// back. Either way later acquirers get through.
+func TestKillReleasesResource(t *testing.T) {
+	for _, granted := range []bool{false, true} {
+		s := New()
+		r := NewResource(s, "r", 1)
+		var victim *Proc
+		s.Go("holder", func(p *Proc) {
+			r.Acquire(p, 1)
+			p.Sleep(2 * Second)
+			if granted {
+				victim.Kill() // the Release below grants before the kill lands
+			}
+			r.Release(1)
+		})
+		victim = s.Go("victim", func(p *Proc) {
+			r.Acquire(p, 1)
+			t.Errorf("granted=%v: killed process acquired", granted)
+		})
+		if !granted {
+			s.Schedule(Second, victim.Kill)
+		}
+		var late Time = -1
+		s.Go("late", func(p *Proc) {
+			p.Sleep(3 * Second)
+			r.Acquire(p, 1)
+			late = p.Now()
+			r.Release(1)
+		})
+		s.Run()
+		if late != 3*Second || r.InUse() != 0 || r.Queued() != 0 {
+			t.Fatalf("granted=%v: late acquire at %v, in use %d, queued %d",
+				granted, late, r.InUse(), r.Queued())
+		}
+	}
+}
+
+// TestKillQueueWaiter: a process killed in Get or Put neither keeps its
+// place in line nor swallows the wakeup meant for the live waiter behind
+// it, whether the kill lands before or after the wakeup.
+func TestKillQueueWaiter(t *testing.T) {
+	for _, spent := range []bool{false, true} {
+		s := New()
+		in := NewQueue[int](s, "in", 0)
+		out := NewQueue[int](s, "out", 1)
+		out.TryPut(0)
+		var dead []*Proc
+		for _, name := range []string{"dead-getter", "dead-putter"} {
+			name := name
+			dead = append(dead, s.Go(name, func(p *Proc) {
+				if name == "dead-getter" {
+					in.Get(p)
+				} else {
+					out.Put(p, 1)
+				}
+				t.Errorf("spent=%v: %s returned", spent, name)
+			}))
+		}
+		got, put := -1, false
+		s.Go("live-getter", func(p *Proc) { got = in.Get(p) })
+		s.Go("live-putter", func(p *Proc) { out.Put(p, 2); put = true })
+		s.Go("driver", func(p *Proc) {
+			p.Sleep(Second)
+			for _, d := range dead {
+				d.Kill()
+			}
+			if !spent {
+				p.Sleep(Second) // the kills land before the handoffs
+			}
+			in.Put(p, 7) // with spent, wakes the dead getter first
+			out.Get(p)   // with spent, wakes the dead putter first
+		})
+		s.Run()
+		if got != 7 || !put || in.Len() != 0 || out.Len() != 1 {
+			t.Fatalf("spent=%v: live getter got %d, live putter put %v, lens %d/%d",
+				spent, got, put, in.Len(), out.Len())
+		}
+	}
+}
+
+// TestKillCancelsSleep: a killed sleeper's timer goes with it, so it no
+// longer keeps Run going.
+func TestKillCancelsSleep(t *testing.T) {
+	s := New()
+	p := s.Go("sleeper", func(p *Proc) { p.Sleep(Hour) })
+	s.Schedule(Second, p.Kill)
+	s.Run()
+	if s.Now() != Second || s.Pending() != 0 {
+		t.Fatalf("Run ended at %v with %d pending, want 1s and 0", s.Now(), s.Pending())
 	}
 }

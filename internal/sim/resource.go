@@ -9,7 +9,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	waiters  []resWaiter
 
 	// Stats
 	totalAcquired uint64
@@ -17,8 +17,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	n    int
-	wake func()
+	n int
+	p *Proc
 }
 
 // NewResource returns a resource with the given capacity (> 0). The
@@ -72,14 +72,32 @@ func (r *Resource) grant(n int) {
 	}
 }
 
-// Acquire blocks process p until n units are available, FIFO order.
+// Acquire blocks process p until n units are available, FIFO order. A
+// process killed while it waits leaves the queue, or gives back the units
+// if they were granted before it could observe the kill.
 func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
-	w := &resWaiter{n: n, wake: p.Suspend()}
-	r.waiters = append(r.waiters, w)
+	r.waiters = append(r.waiters, resWaiter{n: n, p: p})
+	defer func() {
+		if p.killed {
+			r.abandon(p, n)
+		}
+	}()
 	p.Block()
+}
+
+// abandon undoes a killed waiter's Acquire.
+func (r *Resource) abandon(p *Proc, n int) {
+	for i, w := range r.waiters {
+		if w.p == p {
+			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
+			r.grantWaiters()
+			return
+		}
+	}
+	r.Release(n)
 }
 
 // Release returns n units and wakes any waiters that now fit.
@@ -88,6 +106,12 @@ func (r *Resource) Release(n int) {
 		panic(fmt.Sprintf("sim: resource %q release %d with %d in use", r.name, n, r.inUse))
 	}
 	r.inUse -= n
+	r.grantWaiters()
+}
+
+// grantWaiters grants units to waiters in FIFO order while the head fits,
+// waking each synchronously.
+func (r *Resource) grantWaiters() {
 	for len(r.waiters) > 0 {
 		w := r.waiters[0]
 		if r.inUse+w.n > r.capacity {
@@ -95,7 +119,7 @@ func (r *Resource) Release(n int) {
 		}
 		r.waiters = r.waiters[1:]
 		r.grant(w.n)
-		w.wake()
+		w.p.wake()
 	}
 }
 
@@ -113,8 +137,8 @@ type Queue[T any] struct {
 	name    string
 	max     int // 0 = unbounded
 	items   []T
-	getters []func()
-	putters []func()
+	getters []*Proc
+	putters []*Proc
 
 	totalPut uint64
 	peakLen  int
@@ -149,18 +173,13 @@ func (q *Queue[T]) push(item T) {
 	if len(q.items) > q.peakLen {
 		q.peakLen = len(q.items)
 	}
-	if len(q.getters) > 0 {
-		wake := q.getters[0]
-		q.getters = q.getters[1:]
-		wake()
-	}
+	wakeFirst(&q.getters)
 }
 
 // Put enqueues item, blocking p while the queue is full.
 func (q *Queue[T]) Put(p *Proc, item T) {
 	for q.max > 0 && len(q.items) >= q.max {
-		q.putters = append(q.putters, p.Suspend())
-		p.Block()
+		parkIn(p, &q.putters, func() bool { return len(q.items) < q.max })
 	}
 	q.push(item)
 }
@@ -177,21 +196,48 @@ func (q *Queue[T]) TryGet() (T, bool) {
 func (q *Queue[T]) pop() T {
 	item := q.items[0]
 	q.items = q.items[1:]
-	if len(q.putters) > 0 {
-		wake := q.putters[0]
-		q.putters = q.putters[1:]
-		wake()
-	}
+	wakeFirst(&q.putters)
 	return item
 }
 
 // Get dequeues the oldest item, blocking p while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
-		q.getters = append(q.getters, p.Suspend())
-		p.Block()
+		parkIn(p, &q.getters, func() bool { return len(q.items) > 0 })
 	}
 	return q.pop()
+}
+
+// wakeFirst wakes the longest-waiting process on the list.
+func wakeFirst(ws *[]*Proc) {
+	if len(*ws) > 0 {
+		p := (*ws)[0]
+		*ws = (*ws)[1:]
+		p.wake()
+	}
+}
+
+// parkIn blocks p on the wait list ws. A process killed while parked
+// leaves the list on its way out and, when ready reports that what it
+// waited for is there, passes the wakeup it may have been spent on to the
+// next waiter.
+func parkIn(p *Proc, ws *[]*Proc, ready func() bool) {
+	*ws = append(*ws, p)
+	defer func() {
+		if !p.killed {
+			return
+		}
+		for i, w := range *ws {
+			if w == p {
+				*ws = append((*ws)[:i], (*ws)[i+1:]...)
+				break
+			}
+		}
+		if ready() {
+			wakeFirst(ws)
+		}
+	}()
+	p.Block()
 }
 
 // Signal is a broadcast condition: processes Wait on it and a later Fire

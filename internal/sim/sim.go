@@ -1,12 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel keeps a virtual clock and a queue of pending events behind the
-// swappable Scheduler interface (binary heap or calendar queue — see
-// NewScheduler). Events scheduled for the same instant fire in scheduling
-// order on every scheduler, so a simulation run is fully reproducible and
-// byte-identical across implementations. On top of the raw event queue the
-// package offers SimPy-style processes (see Proc) and blocking resources
-// (Resource, Queue, Signal) that make sequential protocol code readable.
+// The kernel keeps a virtual clock and a binary heap of pending events.
+// Events scheduled for the same instant fire in scheduling order, so a
+// simulation run is fully reproducible. On top of the raw event queue the
+// package offers SimPy-style processes (see Proc) — coroutines switched on
+// the caller's thread and run on runners pooled per Sim — and blocking
+// resources (Resource, Queue, Signal) that make sequential protocol code
+// readable.
 //
 // All other packages in this repository — the network, disk, RAID, SAN and
 // file-system models — are built on this kernel.
@@ -71,12 +71,10 @@ type Event struct {
 	fn   func()
 	sim  *Sim
 
-	// Scheduler bookkeeping: queued is the authoritative in-queue flag
-	// (an Event zero value is not queued); pos is the heap index or
-	// in-bucket slot, bucket the calendar bucket index.
+	// Queue bookkeeping: queued is the authoritative in-queue flag (an
+	// Event zero value is not queued); pos is the heap index.
 	queued bool
 	pos    int32
-	bucket int32
 
 	canceled bool
 	daemon   bool      // housekeeping: never keeps Run alive (see AtDaemon)
@@ -105,7 +103,7 @@ func (e *Event) Cancel() {
 	}
 	e.canceled = true
 	if e.queued && e.sim != nil {
-		e.sim.sched.Remove(e)
+		e.sim.q.remove(e)
 		if e.daemon {
 			e.sim.daemons--
 		}
@@ -117,8 +115,12 @@ func (e *Event) Cancel() {
 type Sim struct {
 	now     Time
 	seq     uint64
-	sched   Scheduler
+	q       eventQueue
 	stopped bool
+
+	// idle holds parked process runners ready for the next Go; Run and
+	// RunUntil release them on return (see releaseRunners).
+	idle []*runner
 
 	// free recycles pooled (Post) events. Its size is bounded by the peak
 	// number of in-flight pooled events, not the run length.
@@ -149,20 +151,8 @@ type Sim struct {
 	fired uint64
 }
 
-// New returns an empty simulator with the clock at zero, using the default
-// (calendar-queue) scheduler.
-func New() *Sim {
-	return NewWith(NewCalendarScheduler())
-}
-
-// NewWith returns an empty simulator driven by the given scheduler.
-func NewWith(sched Scheduler) *Sim {
-	return &Sim{sched: sched}
-}
-
-// SchedulerName reports which scheduler implementation drives this
-// simulator.
-func (s *Sim) SchedulerName() string { return s.sched.Name() }
+// New returns an empty simulator with the clock at zero.
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -183,7 +173,7 @@ func (s *Sim) Resources() []*Resource { return s.resources }
 func (s *Sim) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued.
-func (s *Sim) Pending() int { return s.sched.Len() }
+func (s *Sim) Pending() int { return s.q.len() }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently corrupt causality.
@@ -198,10 +188,10 @@ func (s *Sim) AtKind(k EventKind, t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	e := &Event{when: t, seq: s.seq, fn: fn, sim: s, kind: k, bucket: -1, pos: -1}
-	s.sched.Push(e)
+	e := &Event{when: t, seq: s.seq, fn: fn, sim: s, kind: k, pos: -1}
+	s.q.push(e)
 	if s.probe != nil {
-		s.probe.notePending(s.sched.Len())
+		s.probe.notePending(s.q.len())
 	}
 	return e
 }
@@ -253,16 +243,16 @@ func (s *Sim) Post(k EventKind, d Time, fn func()) {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{sim: s, pooled: true, bucket: -1, pos: -1}
+		e = &Event{sim: s, pooled: true, pos: -1}
 	}
 	s.seq++
 	e.when = s.now + d
 	e.seq = s.seq
 	e.fn = fn
 	e.kind = k
-	s.sched.Push(e)
+	s.q.push(e)
 	if s.probe != nil {
-		s.probe.notePending(s.sched.Len())
+		s.probe.notePending(s.q.len())
 	}
 }
 
@@ -287,16 +277,16 @@ func (s *Sim) Arm(e *Event, k EventKind, d Time, fn func()) {
 	e.canceled = false
 	e.daemon = false
 	e.pooled = false
-	s.sched.Push(e)
+	s.q.push(e)
 	if s.probe != nil {
-		s.probe.notePending(s.sched.Len())
+		s.probe.notePending(s.q.len())
 	}
 }
 
 // Step executes the next pending event, advancing the clock. It returns
 // false when no events remain.
 func (s *Sim) Step() bool {
-	e := s.sched.Pop()
+	e := s.q.pop()
 	if e == nil {
 		return false
 	}
@@ -326,10 +316,11 @@ func (s *Sim) Step() bool {
 // still fire — a sampler tick coincident with the last real event
 // closes its final window — but time never advances for daemons alone.
 func (s *Sim) Run() {
+	defer s.releaseRunners()
 	s.stopped = false
 	for !s.stopped {
-		if s.sched.Len() <= s.daemons {
-			when, ok := s.sched.PeekWhen()
+		if s.q.len() <= s.daemons {
+			when, ok := s.q.peekWhen()
 			if !ok || when > s.now {
 				return
 			}
@@ -342,9 +333,10 @@ func (s *Sim) Run() {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (s *Sim) RunUntil(t Time) {
+	defer s.releaseRunners()
 	s.stopped = false
 	for !s.stopped {
-		when, ok := s.sched.PeekWhen()
+		when, ok := s.q.peekWhen()
 		if !ok || when > t {
 			break
 		}
