@@ -25,7 +25,7 @@ func wanStreamRate(b *testing.B, readAhead int, oneWay sim.Time, window units.By
 	if window > 0 {
 		nw.DefaultTCP = netsim.TCPConfig{MaxWindow: window, InitWindow: 64 * units.KiB}
 	}
-	site := experiments.NewSite(s, nw, "origin")
+	site := experiments.Env{}.NewSite(s, nw, "origin")
 	site.BuildFS(experiments.FSOptions{
 		Name: "fs", BlockSize: units.MiB,
 		Servers: 8, ServerEth: 10 * units.Gbps,
@@ -90,7 +90,7 @@ func stripeRate(b *testing.B, servers int, blockSize units.Bytes) float64 {
 	b.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	site := experiments.NewSite(s, nw, "origin")
+	site := experiments.Env{}.NewSite(s, nw, "origin")
 	site.BuildFS(experiments.FSOptions{
 		Name: "fs", BlockSize: blockSize,
 		Servers: servers, ServerEth: units.Gbps,

@@ -94,14 +94,14 @@ func main() {
 		// modes exist to avoid, and the sweep reports engine numbers only.
 		// The other sweeps additionally collect a timeline, so the JSON
 		// carries rate-vs-time series per row, not just the scalar rates.
-		obs = experiments.SetObservability(&experiments.ObsConfig{
+		obs = experiments.NewObs(experiments.ObsConfig{
 			Trace:            *jsonPath != "" && *sweep != "simscale",
 			Engine:           *sweep == "simscale" || opts.EngineStats,
 			Timeline:         *jsonPath != "" && *sweep != "simscale",
 			TimelineInterval: 250 * sim.Millisecond,
 		})
-		defer experiments.SetObservability(nil)
 	}
+	env := experiments.Env{SolveTolerance: opts.SolveTolerance, Obs: obs}
 
 	var columns []string
 	var rows [][]float64
@@ -126,7 +126,7 @@ func main() {
 	case "readahead":
 		columns = []string{"readahead_blocks", "MBps"}
 		for _, ra := range []int{0, 1, 2, 4, 8, 16, 32, 64} {
-			addRow(float64(ra), wanReadRate(ra, rtt, size))
+			addRow(float64(ra), wanReadRate(env, ra, rtt, size))
 		}
 	case "nodes":
 		columns = []string{"nodes", "read_MBps", "write_MBps"}
@@ -134,6 +134,7 @@ func main() {
 			cfg := experiments.DefaultProductionConfig()
 			cfg.NodeCounts = []int{n}
 			cfg.SizePer = size
+			cfg.Env = env
 			r := experiments.RunProductionScaling(cfg)
 			addRow(float64(n), r.Series[0].Points[0].Y, r.Series[1].Points[0].Y)
 		}
@@ -146,6 +147,7 @@ func main() {
 			cfg := experiments.DefaultProductionConfig()
 			cfg.NodeCounts = []int{n}
 			cfg.SizePer = size
+			cfg.Env = env
 			experiments.RunProductionScaling(cfg)
 			es := sim.MergeEngineSnapshots(obs.EngineWindows()[start:])
 			addRow(float64(n), float64(es.Events),
@@ -157,12 +159,12 @@ func main() {
 	case "blocksize":
 		columns = []string{"blocksize_KiB", "MBps"}
 		for _, bs := range []units.Bytes{256 * units.KiB, 512 * units.KiB, units.MiB, 2 * units.MiB, 4 * units.MiB} {
-			addRow(float64(bs/units.KiB), streamRate(8, bs, rtt, size))
+			addRow(float64(bs/units.KiB), streamRate(env, 8, bs, rtt, size))
 		}
 	case "stripe":
 		columns = []string{"nsd_servers", "MBps"}
 		for _, srv := range []int{1, 2, 4, 8, 16, 32} {
-			addRow(float64(srv), streamRate(srv, units.MiB, 0, size))
+			addRow(float64(srv), streamRate(env, srv, units.MiB, 0, size))
 		}
 	case "sc03depth":
 		// Single viz client on the sc03 show-floor topology, sweeping the
@@ -177,6 +179,7 @@ func main() {
 			cfg.FileSize = 256 * units.MiB
 			cfg.VizEth = 10 * units.Gbps
 			cfg.ReadAhead = d
+			cfg.Env = env
 			r := experiments.RunSC03(cfg)
 			addRow(float64(d), r.Headline["client MB/s"], r.Headline["peak Gb/s"])
 		}
@@ -188,6 +191,7 @@ func main() {
 		for _, n := range []int{0, 4, 8} {
 			cfg := experiments.DefaultMetastormConfig()
 			cfg.Shards = []int{n}
+			cfg.Env = env
 			r := experiments.RunMetastorm(cfg)
 			addRow(float64(n),
 				r.Headline[fmt.Sprintf("ops/s @%d shards", n)],
@@ -201,7 +205,7 @@ func main() {
 		// whole stripes.
 		columns = []string{"gather", "write_MBps", "read_MBps", "rmw_writes", "full_stripe_writes", "gathered_flushes"}
 		for _, g := range []bool{false, true} {
-			addRow(writeGatherRow(g, size)...)
+			addRow(writeGatherRow(env, g, size)...)
 		}
 	default:
 		flag.Usage()
@@ -427,10 +431,10 @@ func ms(ns int64) float64 { return float64(ns/1000) / 1000 }
 // a small DS4100-backed filesystem and reports rates plus the RAID and
 // client gathering counters. BlockSize 1 MiB against a 2 MiB stripe
 // width means every ungathered writeback is a sub-stripe update.
-func writeGatherRow(gather bool, size units.Bytes) []float64 {
-	s := experiments.NewSim()
+func writeGatherRow(env experiments.Env, gather bool, size units.Bytes) []float64 {
+	s := env.NewSim()
 	nw := netsim.New(s)
-	site := experiments.NewSite(s, nw, "wg")
+	site := env.NewSite(s, nw, "wg")
 	// DS4100 enclosures trimmed to four LUNs behind 4 Gb/s loops: the
 	// SATA spindles, not the fabric, set the ceiling, so the ablation
 	// measures the RAID write path rather than FC serialization.
@@ -520,20 +524,20 @@ func writeGatherRow(gather bool, size units.Bytes) []float64 {
 
 // wanReadRate measures one client streaming across an RTT-deep WAN with
 // the given read-ahead depth.
-func wanReadRate(readAhead int, rtt sim.Time, size units.Bytes) float64 {
-	return streamRateTuned(func(cfg *core.ClientConfig) { cfg.ReadAhead = readAhead }, 8, units.MiB, rtt, size)
+func wanReadRate(env experiments.Env, readAhead int, rtt sim.Time, size units.Bytes) float64 {
+	return streamRateTuned(env, func(cfg *core.ClientConfig) { cfg.ReadAhead = readAhead }, 8, units.MiB, rtt, size)
 }
 
 // streamRate measures one client streaming from a FS with the given
 // server count and block size.
-func streamRate(servers int, blockSize units.Bytes, rtt sim.Time, size units.Bytes) float64 {
-	return streamRateTuned(nil, servers, blockSize, rtt, size)
+func streamRate(env experiments.Env, servers int, blockSize units.Bytes, rtt sim.Time, size units.Bytes) float64 {
+	return streamRateTuned(env, nil, servers, blockSize, rtt, size)
 }
 
-func streamRateTuned(tune func(*core.ClientConfig), servers int, blockSize units.Bytes, rtt sim.Time, size units.Bytes) float64 {
-	s := experiments.NewSim()
+func streamRateTuned(env experiments.Env, tune func(*core.ClientConfig), servers int, blockSize units.Bytes, rtt sim.Time, size units.Bytes) float64 {
+	s := env.NewSim()
 	nw := netsim.New(s)
-	site := experiments.NewSite(s, nw, "origin")
+	site := env.NewSite(s, nw, "origin")
 	site.BuildFS(experiments.FSOptions{
 		Name: "fs", BlockSize: blockSize,
 		Servers: servers, ServerEth: 10 * units.Gbps,

@@ -6,6 +6,8 @@
 //	gfssim -exp sc02 -csv             # emit the series as CSV instead of a chart
 //	gfssim -exp sc04 -trace out.json  # record a Chrome trace (load in Perfetto)
 //	gfssim -exp sc04 -stats           # mmpmon-style snapshot + metrics registry
+//	gfssim -exp anl -stats -attr -interval 10s -timeline-interval 10s -timeline-ring 128
+//	                                  # live mmpmon snapshots with rate and op_lat lines
 //	gfssim -exp production -attr      # critical-path latency attribution
 //	gfssim -exp sc02 -depth 1 -attr   # single outstanding request: WAN-bound
 //	gfssim -exp failover -outage 12s  # crash drill with a longer NSD outage
@@ -98,7 +100,7 @@ func main() {
 		if opts.FileSize > 0 {
 			cfg.FileSize = units.Bytes(opts.FileSize)
 		}
-		runners[0].Run = func() *experiments.Result { return experiments.RunSC02(cfg) }
+		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunSC02(cfg) }
 	}
 
 	if opts.RADepth > 0 || opts.WBDirty > 0 {
@@ -110,7 +112,7 @@ func main() {
 			cfg := experiments.DefaultSC03Config()
 			cfg.ReadAhead = opts.RADepth
 			cfg.WriteBehind = opts.WBDirty
-			runners[0].Run = func() *experiments.Result { return experiments.RunSC03(cfg) }
+			runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunSC03(cfg) }
 		}
 	}
 
@@ -132,7 +134,7 @@ func main() {
 		}
 		cfg.ReadAhead = opts.RADepth
 		cfg.WriteBehind = opts.WBDirty
-		runners[0].Run = func() *experiments.Result { return experiments.RunFailover(cfg) }
+		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunFailover(cfg) }
 	}
 
 	if opts.Gather || opts.WideTok || opts.Nodes != "" || opts.Size != "" {
@@ -157,7 +159,10 @@ func main() {
 		if sz > 0 {
 			cfg.SizePer = sz
 		}
-		runners[0].Run = func() *experiments.Result { return experiments.RunProductionScaling(cfg) }
+		runners[0].Run = func(env experiments.Env) *experiments.Result {
+			cfg.Env = env
+			return experiments.RunProductionScaling(cfg)
+		}
 	}
 
 	if opts.TokenShards >= 0 {
@@ -167,7 +172,7 @@ func main() {
 		}
 		cfg := experiments.DefaultMetastormConfig()
 		cfg.Shards = []int{opts.TokenShards}
-		runners[0].Run = func() *experiments.Result { return experiments.RunMetastorm(cfg) }
+		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunMetastorm(cfg) }
 	}
 
 	stopProf, err := opts.StartCPUProfile()
@@ -212,19 +217,19 @@ func main() {
 				fmt.Fprintf(os.Stderr, "timeline: serving /metrics and /timeline on %s\n", opts.HTTPAddr)
 			}
 		}
-		obs = experiments.SetObservability(&cfg)
-		defer experiments.SetObservability(nil)
+		obs = experiments.NewObs(cfg)
 	}
+	env := experiments.Env{SolveTolerance: opts.SolveTolerance, Obs: obs}
 
 	// With -attr but no trace export, each experiment is analyzed and the
-	// buffer dropped, keeping -exp all bounded. When a trace file is also
-	// requested the buffer must survive, so attribution runs once at the
-	// end over everything.
-	attrPerRun := opts.Attr && opts.TraceOut == "" && opts.JSONLOut == ""
+	// buffer dropped, keeping -exp all bounded. When a trace file or the
+	// final snapshot's op_lat section also needs the buffer, it must
+	// survive, so attribution runs once at the end over everything.
+	attrPerRun := opts.Attr && opts.TraceOut == "" && opts.JSONLOut == "" && !opts.Stats
 
 	for _, r := range runners {
 		fmt.Printf("running %s (%s)...\n", r.Name, r.Paper)
-		res := r.Run()
+		res := r.Run(env)
 		if *csv {
 			fmt.Printf("== %s: %s ==\n", res.ID, res.Title)
 			fmt.Print(res.HeadlineTable())

@@ -71,17 +71,16 @@ func main() {
 		}
 	}
 
-	experiments.SetObservability(&experiments.ObsConfig{
+	env := experiments.Env{Obs: experiments.NewObs(experiments.ObsConfig{
 		Timeline:         true,
 		TimelineInterval: sim.Time((*interval) / time.Nanosecond),
 		// The dashboard only ever draws the last -spark windows; the ring
 		// keeps memory flat no matter how long the run.
 		TimelineRing:   *spark,
 		TimelineOnTick: render,
-	})
-	defer experiments.SetObservability(nil)
+	})}
 
-	r.Run()
+	r.Run(env)
 	fmt.Printf("\ngfstop: run complete after %d windows\n", frames)
 }
 

@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Exporting cluster: sdsc.teragrid with the production-style FS.
-	sdsc := experiments.NewSite(s, nw, "sdsc.teragrid")
+	sdsc := experiments.Env{}.NewSite(s, nw, "sdsc.teragrid")
 	step("mmcrcluster -C sdsc.teragrid ...", "cluster %s created; RSA keypair generated (mmauth genkey new)", sdsc.Cluster.Name)
 	sdsc.BuildFS(experiments.FSOptions{
 		Name: "gpfs-wan", BlockSize: units.MiB,
@@ -54,7 +54,7 @@ func main() {
 		sdsc.FS.NSDs(), sdsc.FS.Capacity())
 
 	// Importing cluster: ncsa.teragrid across a 10 Gb/s, 2x15 ms WAN.
-	ncsa := experiments.NewSite(s, nw, "ncsa.teragrid")
+	ncsa := experiments.Env{}.NewSite(s, nw, "ncsa.teragrid")
 	nw.DuplexLink("teragrid", sdsc.Switch, ncsa.Switch, 10*units.Gbps, 15*sim.Millisecond)
 	step("mmcrcluster -C ncsa.teragrid ...", "cluster %s created", ncsa.Cluster.Name)
 

@@ -245,7 +245,7 @@ type (
 )
 
 // NewSite creates a cluster with an Ethernet core switch.
-func NewSite(s *Sim, nw *Network, name string) *Site { return experiments.NewSite(s, nw, name) }
+func NewSite(s *Sim, nw *Network, name string) *Site { return experiments.Env{}.NewSite(s, nw, name) }
 
 // FaultPlan is a deterministic, virtual-time script of failures and
 // repairs: NSD server crashes and restarts, RAID member failures with
@@ -291,7 +291,10 @@ type (
 	Registry = metrics.Registry
 	// Histogram is a log-scale latency histogram with p50/p95/p99.
 	Histogram = metrics.Histogram
-	// ObsConfig selects what the experiment observability hook collects.
+	// Env is an experiment run's environment: solve tolerance and
+	// observability. Pass one to Runner.Run; the zero Env is a plain run.
+	Env = experiments.Env
+	// ObsConfig selects what an Env's observability collects.
 	ObsConfig = experiments.ObsConfig
 	// Obs carries an observed run's tracer, registry and snapshots.
 	Obs = experiments.Obs
@@ -304,9 +307,11 @@ func NewTracer() *Tracer { return trace.New() }
 // Network.Metrics to collect RPC, flow and file-system samples.
 func NewRegistry() *Registry { return metrics.NewRegistry() }
 
-// SetObservability installs (nil removes) the observability hook used by
-// experiment runs; see cmd/gfssim -trace/-stats and cmd/mmpmon.
-var SetObservability = experiments.SetObservability
+// NewObs builds the observability state for experiment runs; set it as
+// Env.Obs. cmd/gfssim builds one from -trace/-stats/-attr/-interval;
+// `gfssim -exp anl -stats -attr -interval 10s -timeline-interval 10s
+// -timeline-ring 128` prints live mmpmon snapshots.
+func NewObs(cfg ObsConfig) *Obs { return experiments.NewObs(cfg) }
 
 // WriteMmpmon renders an mmpmon-style statistics snapshot for clusters
 // built directly (without the experiments hook).

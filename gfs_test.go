@@ -16,6 +16,7 @@ import (
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
+	t.Parallel()
 	s := gfs.NewSim()
 	nw := gfs.NewNetwork(s)
 
@@ -97,6 +98,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeIdentity(t *testing.T) {
+	t.Parallel()
 	ca, err := gfs.NewCA("TestGrid CA")
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +122,7 @@ func TestFacadeIdentity(t *testing.T) {
 }
 
 func TestExperimentRegistryThroughFacade(t *testing.T) {
+	t.Parallel()
 	rs := gfs.Experiments()
 	if len(rs) != 12 {
 		t.Fatalf("registry size %d", len(rs))
@@ -146,6 +149,7 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 }
 
 func TestTypedErrorsThroughFacade(t *testing.T) {
+	t.Parallel()
 	sentinels := []error{
 		gfs.ErrNotExist, gfs.ErrExist, gfs.ErrIsDir, gfs.ErrNotDir,
 		gfs.ErrPermission, gfs.ErrNotMounted, gfs.ErrDirtyPages,
@@ -165,6 +169,7 @@ func TestTypedErrorsThroughFacade(t *testing.T) {
 }
 
 func TestFacadeUnitsAndTime(t *testing.T) {
+	t.Parallel()
 	if gfs.MiB != 1<<20 || gfs.GB != 1e9 {
 		t.Error("unit constants wrong")
 	}

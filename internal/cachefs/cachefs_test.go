@@ -27,13 +27,13 @@ func newCacheRig(t testing.TB) *cacheRig {
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	library := experiments.NewSite(s, nw, "library")
+	library := experiments.Env{}.NewSite(s, nw, "library")
 	library.BuildFS(experiments.FSOptions{
 		Name: "archive", BlockSize: units.MiB,
 		Servers: 4, ServerEth: units.Gbps,
 		StoreRate: 400 * units.MBps, StoreCap: 10 * units.TB, StoreStreams: 4,
 	})
-	edge := experiments.NewSite(s, nw, "edge")
+	edge := experiments.Env{}.NewSite(s, nw, "edge")
 	edge.BuildFS(experiments.FSOptions{
 		Name: "scratch", BlockSize: units.MiB,
 		Servers: 2, ServerEth: units.Gbps,

@@ -33,12 +33,10 @@ const (
 // EngineProbe.NoteExternalAllocs).
 //
 // The arena is single-threaded like everything else under the simulator:
-// no locking. A disabled arena (ClientConfig.NoArena) degrades every get
-// to a plain make and every put to a no-op.
+// no locking.
 type bufArena struct {
 	s         *sim.Sim
 	blockSize int
-	disabled  bool
 
 	blocks  [][]byte
 	scratch [][]byte
@@ -48,8 +46,8 @@ type bufArena struct {
 	recycled uint64 // buffers returned to a free list
 }
 
-func newBufArena(s *sim.Sim, blockSize int, disabled bool) *bufArena {
-	return &bufArena{s: s, blockSize: blockSize, disabled: disabled}
+func newBufArena(s *sim.Sim, blockSize int) *bufArena {
+	return &bufArena{s: s, blockSize: blockSize}
 }
 
 // noteAlloc charges one refill allocation to the engine probe (if any).
@@ -61,9 +59,6 @@ func (a *bufArena) noteAlloc() {
 
 // getBlock returns a zeroed BlockSize buffer for page.data.
 func (a *bufArena) getBlock() []byte {
-	if a.disabled {
-		return make([]byte, a.blockSize)
-	}
 	if n := len(a.blocks); n > 0 {
 		b := a.blocks[n-1]
 		a.blocks[n-1] = nil
@@ -80,7 +75,7 @@ func (a *bufArena) getBlock() []byte {
 // putBlock recycles a page-data buffer. Foreign-sized buffers are dropped:
 // only buffers getBlock handed out come back.
 func (a *bufArena) putBlock(b []byte) {
-	if a.disabled || cap(b) < a.blockSize || len(a.blocks) >= maxArenaBlocks {
+	if cap(b) < a.blockSize || len(a.blocks) >= maxArenaBlocks {
 		return
 	}
 	a.recycled++
@@ -90,21 +85,19 @@ func (a *bufArena) putBlock(b []byte) {
 // getScratch returns an n-byte staging buffer with arbitrary contents —
 // callers overwrite every byte before use.
 func (a *bufArena) getScratch(n int) []byte {
-	if !a.disabled {
-		for i := len(a.scratch) - 1; i >= 0; i-- {
-			if cap(a.scratch[i]) >= n {
-				last := len(a.scratch) - 1
-				b := a.scratch[i]
-				a.scratch[i] = a.scratch[last]
-				a.scratch[last] = nil
-				a.scratch = a.scratch[:last]
-				a.hits++
-				return b[:n]
-			}
+	for i := len(a.scratch) - 1; i >= 0; i-- {
+		if cap(a.scratch[i]) >= n {
+			last := len(a.scratch) - 1
+			b := a.scratch[i]
+			a.scratch[i] = a.scratch[last]
+			a.scratch[last] = nil
+			a.scratch = a.scratch[:last]
+			a.hits++
+			return b[:n]
 		}
-		a.misses++
-		a.noteAlloc()
 	}
+	a.misses++
+	a.noteAlloc()
 	return make([]byte, n)
 }
 
@@ -112,7 +105,7 @@ func (a *bufArena) getScratch(n int) []byte {
 // (the NSD server copies payload data on receipt, so the buffer is dead
 // the moment the response lands).
 func (a *bufArena) putScratch(b []byte) {
-	if a.disabled || cap(b) == 0 || len(a.scratch) >= maxArenaScratch {
+	if cap(b) == 0 || len(a.scratch) >= maxArenaScratch {
 		return
 	}
 	a.recycled++

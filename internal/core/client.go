@@ -47,11 +47,6 @@ type ClientConfig struct {
 	// conflict-free range containing the request, carved back down when a
 	// competitor shows up.
 	WideTokens bool
-	// NoArena disables the per-mount page-buffer arena: page data and
-	// flush scratch buffers are allocated fresh instead of recycled. The
-	// zero value (arenas on) is the fast path; the knob exists for A/B
-	// runs and the modeltest arena arm.
-	NoArena bool
 }
 
 // DefaultProbeInterval is how often a mount re-checks a down primary.
@@ -324,7 +319,7 @@ func (cl *Client) mount(p *sim.Proc, device, fsName, owner string, mgr *netsim.E
 	if !ok {
 		return nil, fmt.Errorf("core: bad mount reply %T", resp.Payload)
 	}
-	arena := newBufArena(cl.sim, int(info.BlockSize), cl.cfg.NoArena)
+	arena := newBufArena(cl.sim, int(info.BlockSize))
 	m := &Mount{
 		c: cl, Device: device, fsName: fsName, owner: owner, info: info,
 		pool:      newPagePool(int(cl.cfg.PagePool/info.BlockSize), arena),

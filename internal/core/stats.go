@@ -49,7 +49,7 @@ type MountStats struct {
 	ShardTokenAcquires uint64 // token acquires served by a shard
 	ShardFallbacks     uint64 // ops rerouted to the coordinator (shard down/moved)
 
-	// Page-buffer arena counters (zero with ClientConfig.NoArena).
+	// Page-buffer arena counters.
 	ArenaHits     uint64 // buffer gets served from a free list
 	ArenaMisses   uint64 // buffer gets that had to allocate
 	ArenaRecycled uint64 // buffers returned to a free list

@@ -19,6 +19,7 @@ type CacheConfig struct {
 	Budget   units.Bytes
 	Accesses int // Zipf-ish: repeated touches of a small hot set
 	HotSet   int
+	Env      Env // solve tolerance and observability for the run
 }
 
 // DefaultCacheConfig models an edge site working against a distant
@@ -52,15 +53,15 @@ func RunCache(cfg CacheConfig) *Result {
 	}
 
 	build := func() (*sim.Sim, *Site, *core.Client, string) {
-		s := newSim()
-		nw := newEthernetNet(s)
-		library := NewSite(s, nw, "library")
+		s := cfg.Env.NewSim()
+		nw := cfg.Env.newEthernetNet(s)
+		library := cfg.Env.NewSite(s, nw, "library")
 		library.BuildFS(FSOptions{
 			Name: "archive", BlockSize: units.MiB,
 			Servers: 8, ServerEth: units.Gbps,
 			StoreRate: 400 * units.MBps, StoreCap: 50 * units.TB, StoreStreams: 4,
 		})
-		edge := NewSite(s, nw, "edge")
+		edge := cfg.Env.NewSite(s, nw, "edge")
 		edge.BuildFS(FSOptions{
 			Name: "scratch", BlockSize: units.MiB,
 			Servers: 4, ServerEth: units.Gbps,
@@ -100,7 +101,7 @@ func RunCache(cfg CacheConfig) *Result {
 	var directWAN units.Bytes
 	{
 		s, library, client, device := build()
-		run(s, func(p *sim.Proc) error {
+		cfg.Env.run(s, func(p *sim.Proc) error {
 			if err := seed(p, library); err != nil {
 				return err
 			}
@@ -134,7 +135,7 @@ func RunCache(cfg CacheConfig) *Result {
 	var hits, misses uint64
 	{
 		s, library, client, device := build()
-		run(s, func(p *sim.Proc) error {
+		cfg.Env.run(s, func(p *sim.Proc) error {
 			if err := seed(p, library); err != nil {
 				return err
 			}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"gfs/internal/auth"
 	"gfs/internal/core"
 	"gfs/internal/metrics"
@@ -18,6 +16,7 @@ type DEISAConfig struct {
 	Servers   int // NSD servers per site
 	FileSize  units.Bytes
 	BlockSize units.Bytes
+	Env       Env // solve tolerance and observability for the run
 }
 
 // DefaultDEISAConfig mirrors the DEISA core: CINECA, FZJ, IDRIS, RZG on
@@ -40,13 +39,13 @@ func DefaultDEISAConfig() DEISAConfig {
 // Mbytes/s, thus hitting the theoretical limit of the network").
 func RunDEISA(cfg DEISAConfig) *Result {
 	res := NewResult("E6", "DEISA MC-GPFS: all-pairs remote direct I/O")
-	s := newSim()
-	nw := newEthernetNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
 
 	hub := nw.NewNode("deisa-net")
 	sites := make([]*Site, len(cfg.Sites))
 	for i, name := range cfg.Sites {
-		sites[i] = NewSite(s, nw, name)
+		sites[i] = cfg.Env.NewSite(s, nw, name)
 		nw.DuplexLink(name+"-wan", sites[i].Switch, hub, cfg.LinkRate, cfg.LinkDelay)
 		sites[i].BuildFS(FSOptions{
 			Name: "gpfs-" + name, BlockSize: cfg.BlockSize,
@@ -72,7 +71,7 @@ func RunDEISA(cfg DEISAConfig) *Result {
 
 	matrix := &metrics.Series{Name: "pair rate", XLabel: "pair index", YLabel: "MB/s"}
 	var minRate, maxRate float64
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		// Seed one plasma dataset at each site.
 		for i, st := range sites {
 			m, err := st.Clients[0].MountLocal(p, st.FS)
@@ -125,5 +124,3 @@ func RunDEISA(cfg DEISAConfig) *Result {
 	res.Note("paper: >100 MB/s on every pairing — the 1 Gb/s WAN is the only limit")
 	return res
 }
-
-var _ = fmt.Sprintf

@@ -13,20 +13,20 @@ import (
 	"gfs/internal/units"
 )
 
-// traceWorkload builds a small two-site WAN topology, seeds a file at
-// the owning site, reads it remotely (read-ahead, tokens, a revoke via
-// a second writer). Observability must already be installed.
-func traceWorkload(t *testing.T) {
+// traceWorkload builds a small two-site WAN topology in env, seeds a
+// file at the owning site, reads it remotely (read-ahead, tokens, a
+// revoke via a second writer).
+func traceWorkload(t *testing.T, env Env) {
 	t.Helper()
-	s := newSim()
-	nw := newEthernetNet(s)
-	owner := NewSite(s, nw, "alpha")
+	s := env.NewSim()
+	nw := env.newEthernetNet(s)
+	owner := env.NewSite(s, nw, "alpha")
 	owner.BuildFS(FSOptions{
 		Name: "gpfs0", BlockSize: 256 * units.KiB,
 		Servers: 2, ServerEth: units.Gbps,
 		StoreRate: 200 * units.MBps, StoreCap: 64 * units.GiB, StoreStreams: 2,
 	})
-	importer := NewSite(s, nw, "beta")
+	importer := env.NewSite(s, nw, "beta")
 	importer.BuildFS(FSOptions{
 		Name: "scratch", BlockSize: 256 * units.KiB,
 		Servers: 1, ServerEth: units.Gbps,
@@ -38,7 +38,7 @@ func traceWorkload(t *testing.T) {
 	writer := owner.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 	reader := importer.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 
-	run(s, func(p *sim.Proc) error {
+	env.run(s, func(p *sim.Proc) error {
 		mw, err := writer.MountLocal(p, owner.FS)
 		if err != nil {
 			return err
@@ -73,14 +73,13 @@ func traceWorkload(t *testing.T) {
 	})
 }
 
-// traceRun installs observability, runs traceWorkload, and returns the
+// traceRun observes traceWorkload and returns the
 // observability products: the Chrome trace bytes, the JSONL bytes, the
 // mmpmon snapshot and the registry.
 func traceRun(t *testing.T) (chrome, jsonl, snapshot, registry []byte) {
 	t.Helper()
-	o := SetObservability(&ObsConfig{Trace: true, Stats: true})
-	defer SetObservability(nil)
-	traceWorkload(t)
+	o := NewObs(ObsConfig{Trace: true, Stats: true})
+	traceWorkload(t, Env{Obs: o})
 
 	var cb, jb, sb bytes.Buffer
 	if err := o.Tracer.WriteChrome(&cb); err != nil {
@@ -97,6 +96,7 @@ func traceRun(t *testing.T) (chrome, jsonl, snapshot, registry []byte) {
 // byte-identical observability output — the property that makes traces
 // diffable across code changes.
 func TestTraceDeterminism(t *testing.T) {
+	t.Parallel()
 	c1, j1, s1, r1 := traceRun(t)
 	c2, j2, s2, r2 := traceRun(t)
 	if !bytes.Equal(c1, c2) {
@@ -121,10 +121,10 @@ func TestTraceDeterminism(t *testing.T) {
 // the phases this topology exercises (WAN propagation, disk service,
 // network serialization).
 func TestAttributionDeterminism(t *testing.T) {
+	t.Parallel()
 	render := func() string {
-		o := SetObservability(&ObsConfig{Trace: true})
-		defer SetObservability(nil)
-		traceWorkload(t)
+		o := NewObs(ObsConfig{Trace: true})
+		traceWorkload(t, Env{Obs: o})
 		return critpath.Analyze(o.Tracer).String()
 	}
 	a, b := render(), render()
@@ -143,9 +143,9 @@ func TestAttributionDeterminism(t *testing.T) {
 // causal tree wiring through tokens, RPCs, flows and disks loses no
 // intervals and double-counts none.
 func TestAttributionConservation(t *testing.T) {
-	o := SetObservability(&ObsConfig{Trace: true})
-	defer SetObservability(nil)
-	traceWorkload(t)
+	t.Parallel()
+	o := NewObs(ObsConfig{Trace: true})
+	traceWorkload(t, Env{Obs: o})
 	rep := critpath.Analyze(o.Tracer)
 	if len(rep.Ops) == 0 {
 		t.Fatal("no operations analyzed")
@@ -165,18 +165,18 @@ func TestAttributionConservation(t *testing.T) {
 // promises: RPC, flow, NSD, token, cache and auth events all appear, and
 // the mmpmon snapshot agrees with MountStats.
 func TestTraceCoversStack(t *testing.T) {
-	o := SetObservability(&ObsConfig{Trace: true, Stats: true})
-	defer SetObservability(nil)
-
-	s := newSim()
-	nw := newEthernetNet(s)
-	owner := NewSite(s, nw, "alpha")
+	t.Parallel()
+	o := NewObs(ObsConfig{Trace: true, Stats: true})
+	env := Env{Obs: o}
+	s := env.NewSim()
+	nw := env.newEthernetNet(s)
+	owner := env.NewSite(s, nw, "alpha")
 	owner.BuildFS(FSOptions{
 		Name: "gpfs0", BlockSize: 256 * units.KiB,
 		Servers: 2, ServerEth: units.Gbps,
 		StoreRate: 200 * units.MBps, StoreCap: 64 * units.GiB, StoreStreams: 2,
 	})
-	importer := NewSite(s, nw, "beta")
+	importer := env.NewSite(s, nw, "beta")
 	importer.BuildFS(FSOptions{
 		Name: "scratch", BlockSize: 256 * units.KiB,
 		Servers: 1, ServerEth: units.Gbps,
@@ -190,7 +190,7 @@ func TestTraceCoversStack(t *testing.T) {
 	reader := importer.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 
 	var st core.MountStats
-	run(s, func(p *sim.Proc) error {
+	env.run(s, func(p *sim.Proc) error {
 		mw, err := writer.MountLocal(p, owner.FS)
 		if err != nil {
 			return err
@@ -247,20 +247,19 @@ func TestTraceCoversStack(t *testing.T) {
 // TestPeriodicSnapshotsDrain: a live snapshot tick must not keep the
 // simulation from draining, and must fire while work is in flight.
 func TestPeriodicSnapshotsDrain(t *testing.T) {
+	t.Parallel()
 	var out bytes.Buffer
-	SetObservability(&ObsConfig{Stats: true, Interval: 50 * sim.Millisecond, Out: &out})
-	defer SetObservability(nil)
-
-	s := newSim()
-	nw := newEthernetNet(s)
-	site := NewSite(s, nw, "solo")
+	env := Env{Obs: NewObs(ObsConfig{Stats: true, Interval: 50 * sim.Millisecond, Out: &out})}
+	s := env.NewSim()
+	nw := env.newEthernetNet(s)
+	site := env.NewSite(s, nw, "solo")
 	site.BuildFS(FSOptions{
 		Name: "gpfs0", BlockSize: 256 * units.KiB,
 		Servers: 1, ServerEth: units.Gbps,
 		StoreRate: 100 * units.MBps, StoreCap: units.GiB, StoreStreams: 2,
 	})
 	client := site.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
-	run(s, func(p *sim.Proc) error {
+	env.run(s, func(p *sim.Proc) error {
 		m, err := client.MountLocal(p, site.FS)
 		if err != nil {
 			return err

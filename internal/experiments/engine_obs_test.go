@@ -14,11 +14,11 @@ import (
 // opsWorkload runs a single-site workload with enough operations for
 // quantile comparisons: a 32 MiB seed written in 1 MiB calls, then a
 // block-by-block cold read from a second client (128 read ops).
-func opsWorkload(t *testing.T) {
+func opsWorkload(t *testing.T, env Env) {
 	t.Helper()
-	s := newSim()
-	nw := newEthernetNet(s)
-	site := NewSite(s, nw, "alpha")
+	s := env.NewSim()
+	nw := env.newEthernetNet(s)
+	site := env.NewSite(s, nw, "alpha")
 	site.BuildFS(FSOptions{
 		Name: "gpfs0", BlockSize: 256 * units.KiB,
 		Servers: 2, ServerEth: units.Gbps,
@@ -26,7 +26,7 @@ func opsWorkload(t *testing.T) {
 	})
 	writer := site.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 	reader := site.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
-	run(s, func(p *sim.Proc) error {
+	env.run(s, func(p *sim.Proc) error {
 		mw, err := writer.MountLocal(p, site.FS)
 		if err != nil {
 			return err
@@ -56,10 +56,10 @@ func opsWorkload(t *testing.T) {
 // JSONL — the sampler keys on op IDs, never on wall clock or map order —
 // and the sampled export must be a strict line-subset of the full one.
 func TestSampledExperimentDeterminism(t *testing.T) {
+	t.Parallel()
 	runSampled := func(every uint64) []byte {
-		o := SetObservability(&ObsConfig{Trace: true, SampleOneIn: every})
-		defer SetObservability(nil)
-		traceWorkload(t)
+		o := NewObs(ObsConfig{Trace: true, SampleOneIn: every})
+		traceWorkload(t, Env{Obs: o})
 		var b bytes.Buffer
 		if err := o.Tracer.WriteJSONL(&b); err != nil {
 			t.Fatal(err)
@@ -93,10 +93,10 @@ func TestSampledExperimentDeterminism(t *testing.T) {
 // modest relative band (both runs are deterministic, so this bound is a
 // regression gate, not a statistical hope).
 func TestSampledAttributionTolerance(t *testing.T) {
+	t.Parallel()
 	analyze := func(every uint64) *critpath.Report {
-		o := SetObservability(&ObsConfig{Trace: true, SampleOneIn: every})
-		defer SetObservability(nil)
-		opsWorkload(t)
+		o := NewObs(ObsConfig{Trace: true, SampleOneIn: every})
+		opsWorkload(t, Env{Obs: o})
 		return critpath.Analyze(o.Tracer)
 	}
 	full := analyze(1)
@@ -143,20 +143,19 @@ func TestSampledAttributionTolerance(t *testing.T) {
 // events to a writer as they happen must yield byte-for-byte the JSONL a
 // buffered tracer exports afterwards, while retaining no events.
 func TestStreamedExperimentMatchesBuffered(t *testing.T) {
+	t.Parallel()
 	var streamed bytes.Buffer
-	o := SetObservability(&ObsConfig{Trace: true, Stream: &streamed})
-	traceWorkload(t)
+	o := NewObs(ObsConfig{Trace: true, Stream: &streamed})
+	traceWorkload(t, Env{Obs: o})
 	if err := o.Tracer.FlushStream(); err != nil {
 		t.Fatal(err)
 	}
 	if n := o.Tracer.Len(); n != 0 {
 		t.Fatalf("streaming tracer retained %d events", n)
 	}
-	SetObservability(nil)
 
-	o2 := SetObservability(&ObsConfig{Trace: true})
-	defer SetObservability(nil)
-	traceWorkload(t)
+	o2 := NewObs(ObsConfig{Trace: true})
+	traceWorkload(t, Env{Obs: o2})
 	var buffered bytes.Buffer
 	if err := o2.Tracer.WriteJSONL(&buffered); err != nil {
 		t.Fatal(err)
@@ -172,10 +171,10 @@ func TestStreamedExperimentMatchesBuffered(t *testing.T) {
 // snapshot is sane, the deterministic engine/sample instants make traced
 // runs byte-reproducible, and the probe does not perturb virtual time.
 func TestEngineObsExperiment(t *testing.T) {
+	t.Parallel()
 	runEngine := func() ([]byte, sim.EngineSnapshot) {
-		o := SetObservability(&ObsConfig{Trace: true, Engine: true, EngineTraceEvery: 512})
-		defer SetObservability(nil)
-		traceWorkload(t)
+		o := NewObs(ObsConfig{Trace: true, Engine: true, EngineTraceEvery: 512})
+		traceWorkload(t, Env{Obs: o})
 		var b bytes.Buffer
 		if err := o.Tracer.WriteJSONL(&b); err != nil {
 			t.Fatal(err)
@@ -210,9 +209,8 @@ func TestEngineObsExperiment(t *testing.T) {
 
 	// A probe-free run must see identical virtual-time products: the
 	// probe observes the engine, it must not steer it.
-	o := SetObservability(&ObsConfig{Trace: true})
-	defer SetObservability(nil)
-	traceWorkload(t)
+	o := NewObs(ObsConfig{Trace: true})
+	traceWorkload(t, Env{Obs: o})
 	var plain bytes.Buffer
 	if err := o.Tracer.WriteJSONL(&plain); err != nil {
 		t.Fatal(err)
@@ -233,17 +231,16 @@ func TestEngineObsExperiment(t *testing.T) {
 // observer during a real experiment must agree with batch analysis of a
 // buffered trace of the identical run — exact on counts and totals.
 func TestAggExperimentMatchesBatch(t *testing.T) {
-	oa := SetObservability(&ObsConfig{Trace: true, Agg: true})
-	opsWorkload(t)
+	t.Parallel()
+	oa := NewObs(ObsConfig{Trace: true, Agg: true})
+	opsWorkload(t, Env{Obs: oa})
 	if n := oa.Tracer.Len(); n != 0 {
 		t.Fatalf("aggregate-only tracer retained %d events", n)
 	}
 	incr := oa.Agg.Report()
-	SetObservability(nil)
 
-	ob := SetObservability(&ObsConfig{Trace: true})
-	defer SetObservability(nil)
-	opsWorkload(t)
+	ob := NewObs(ObsConfig{Trace: true})
+	opsWorkload(t, Env{Obs: ob})
 	batch := critpath.Analyze(ob.Tracer)
 
 	if len(batch.Ops) == 0 || len(batch.Ops) != len(incr.Ops) {

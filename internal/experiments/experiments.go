@@ -76,24 +76,25 @@ func (r *Result) String() string {
 type Runner struct {
 	Name  string
 	Paper string // which figure/table/section it regenerates
-	Run   func() *Result
+	// Run executes the experiment at its default configuration in env.
+	Run func(env Env) *Result
 }
 
 // All returns the experiment registry in presentation order.
 func All() []Runner {
 	return []Runner{
-		{"sc02", "Fig. 2 — SC'02 FCIP read from the show floor", func() *Result { return RunSC02(DefaultSC02Config()) }},
-		{"sc03", "Fig. 5 — SC'03 native WAN-GPFS bandwidth", func() *Result { return RunSC03(DefaultSC03Config()) }},
-		{"sc04", "Fig. 8 — SC'04 multi-cluster transfer rates", func() *Result { return RunSC04(DefaultSC04Config()) }},
-		{"storcloud", "§4 — SC'04 local StorCloud file system rate", func() *Result { return RunStorCloudLocal(DefaultStorCloudConfig()) }},
-		{"production", "Fig. 11 — 2005 production scaling, reads and writes", func() *Result { return RunProductionScaling(DefaultProductionConfig()) }},
-		{"anl", "§5 — ANL remote mount, 32 nodes", func() *Result { return RunANL(DefaultANLConfig()) }},
-		{"deisa", "§7 — DEISA core-site MC-GPFS", func() *Result { return RunDEISA(DefaultDEISAConfig()) }},
-		{"paradigm", "§1/§8 — direct GFS access vs GridFTP movement", func() *Result { return RunParadigm(DefaultParadigmConfig()) }},
-		{"hsm", "§8 — HSM migration and recall", func() *Result { return RunHSM(DefaultHSMConfig()) }},
-		{"cache", "§8 — automatic edge caching over a copyright library", func() *Result { return RunCache(DefaultCacheConfig()) }},
-		{"failover", "Fig. 5 / §3 — dip-and-recovery under an injected NSD server crash", func() *Result { return RunFailover(DefaultFailoverConfig()) }},
-		{"metastorm", "§6 — metadata storm over the sharded token/metadata plane", func() *Result { return RunMetastorm(DefaultMetastormConfig()) }},
+		{"sc02", "Fig. 2 — SC'02 FCIP read from the show floor", func(e Env) *Result { c := DefaultSC02Config(); c.Env = e; return RunSC02(c) }},
+		{"sc03", "Fig. 5 — SC'03 native WAN-GPFS bandwidth", func(e Env) *Result { c := DefaultSC03Config(); c.Env = e; return RunSC03(c) }},
+		{"sc04", "Fig. 8 — SC'04 multi-cluster transfer rates", func(e Env) *Result { c := DefaultSC04Config(); c.Env = e; return RunSC04(c) }},
+		{"storcloud", "§4 — SC'04 local StorCloud file system rate", func(e Env) *Result { c := DefaultStorCloudConfig(); c.Env = e; return RunStorCloudLocal(c) }},
+		{"production", "Fig. 11 — 2005 production scaling, reads and writes", func(e Env) *Result { c := DefaultProductionConfig(); c.Env = e; return RunProductionScaling(c) }},
+		{"anl", "§5 — ANL remote mount, 32 nodes", func(e Env) *Result { c := DefaultANLConfig(); c.Env = e; return RunANL(c) }},
+		{"deisa", "§7 — DEISA core-site MC-GPFS", func(e Env) *Result { c := DefaultDEISAConfig(); c.Env = e; return RunDEISA(c) }},
+		{"paradigm", "§1/§8 — direct GFS access vs GridFTP movement", func(e Env) *Result { c := DefaultParadigmConfig(); c.Env = e; return RunParadigm(c) }},
+		{"hsm", "§8 — HSM migration and recall", func(e Env) *Result { c := DefaultHSMConfig(); c.Env = e; return RunHSM(c) }},
+		{"cache", "§8 — automatic edge caching over a copyright library", func(e Env) *Result { c := DefaultCacheConfig(); c.Env = e; return RunCache(c) }},
+		{"failover", "Fig. 5 / §3 — dip-and-recovery under an injected NSD server crash", func(e Env) *Result { c := DefaultFailoverConfig(); c.Env = e; return RunFailover(c) }},
+		{"metastorm", "§6 — metadata storm over the sharded token/metadata plane", func(e Env) *Result { c := DefaultMetastormConfig(); c.Env = e; return RunMetastorm(c) }},
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 // scaled-down versions to verify construction, plumbing and shape.
 
 func TestSC02Small(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultSC02Config()
 	cfg.FileSize = 4 * units.GB
 	r := RunSC02(cfg)
@@ -27,6 +28,7 @@ func TestSC02Small(t *testing.T) {
 }
 
 func TestSC03Small(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultSC03Config()
 	cfg.Servers = 10
 	cfg.VizNodes = 12
@@ -54,6 +56,7 @@ func TestSC03Small(t *testing.T) {
 }
 
 func TestSC04Small(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultSC04Config()
 	cfg.Servers = 12
 	cfg.SiteNodes = 10
@@ -74,6 +77,7 @@ func TestSC04Small(t *testing.T) {
 }
 
 func TestStorCloudSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultStorCloudConfig()
 	cfg.Servers = 10
 	cfg.Arrays = 8
@@ -90,6 +94,7 @@ func TestStorCloudSmall(t *testing.T) {
 }
 
 func TestProductionSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultProductionConfig()
 	cfg.Servers = 16
 	cfg.Arrays = 8
@@ -112,6 +117,7 @@ func TestProductionSmall(t *testing.T) {
 }
 
 func TestANLSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultANLConfig()
 	cfg.Production.Servers = 16
 	cfg.Production.Arrays = 8
@@ -129,6 +135,7 @@ func TestANLSmall(t *testing.T) {
 }
 
 func TestDEISASmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultDEISAConfig()
 	cfg.Sites = []string{"cineca", "fzj", "rzg"}
 	cfg.Servers = 4
@@ -146,6 +153,7 @@ func TestDEISASmall(t *testing.T) {
 }
 
 func TestParadigmSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultParadigmConfig()
 	cfg.FileSize = 8 * units.GB
 	cfg.Queries = 100
@@ -163,6 +171,7 @@ func TestParadigmSmall(t *testing.T) {
 }
 
 func TestHSMSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultHSMConfig()
 	cfg.Files = 12
 	cfg.FileSize = 200 * units.GB
@@ -184,6 +193,7 @@ func TestHSMSmall(t *testing.T) {
 }
 
 func TestRegistryAndRendering(t *testing.T) {
+	t.Parallel()
 	if len(All()) != 12 {
 		t.Errorf("registry has %d experiments, want 12", len(All()))
 	}
@@ -205,6 +215,7 @@ func TestRegistryAndRendering(t *testing.T) {
 }
 
 func TestCacheExperimentSmall(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultCacheConfig()
 	cfg.Files = 6
 	cfg.FileSize = 64 * units.MiB

@@ -31,6 +31,7 @@ type FailoverConfig struct {
 	// experiment defaults (32 blocks readahead, client-default dirty cap).
 	ReadAhead   int
 	WriteBehind int
+	Env         Env // solve tolerance and observability for the run
 }
 
 // DefaultFailoverConfig scales the SC'03 topology down to a failure
@@ -59,10 +60,10 @@ func DefaultFailoverConfig() FailoverConfig {
 // operator action — returning bandwidth to its pre-fault level.
 func RunFailover(cfg FailoverConfig) *Result {
 	res := NewResult("E7/failover", "WAN read bandwidth through an NSD server crash and restart")
-	s := newSim()
-	nw := newEthernetNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
 
-	prod := NewSite(s, nw, "prod")
+	prod := cfg.Env.NewSite(s, nw, "prod")
 	prod.BuildFS(FSOptions{
 		Name: "gpfs-ha", BlockSize: cfg.BlockSize,
 		Servers: cfg.Servers, ServerEth: 2 * units.Gbps,
@@ -111,7 +112,7 @@ func RunFailover(cfg FailoverConfig) *Result {
 
 	var start sim.Time
 	var readErrs int
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		sm, err := seeder.MountLocal(p, prod.FS)
 		if err != nil {
 			return err

@@ -10,10 +10,12 @@ import (
 	"gfs/internal/units"
 )
 
-// smallFailover is a scaled-down crash drill that keeps test time short:
-// two servers, two WAN readers, a three-second outage in a ten-second run.
-func smallFailover() FailoverConfig {
+// smallFailover is a scaled-down crash drill in env that keeps test
+// time short: two servers, two WAN readers, a three-second outage in a
+// ten-second run.
+func smallFailover(env Env) FailoverConfig {
 	return FailoverConfig{
+		Env:       env,
 		Servers:   2,
 		Clients:   2,
 		WANRate:   2 * units.Gbps,
@@ -31,7 +33,8 @@ func smallFailover() FailoverConfig {
 // collapses during the outage and returns to >= 90% of the pre-fault
 // rate after the restart, with no read ever surfacing an error.
 func TestFailoverRecovers(t *testing.T) {
-	res := RunFailover(smallFailover())
+	t.Parallel()
+	res := RunFailover(smallFailover(Env{}))
 	pre := res.Headline["pre-fault Gb/s"]
 	dip := res.Headline["dip Gb/s"]
 	post := res.Headline["post-recovery Gb/s"]
@@ -55,10 +58,10 @@ func TestFailoverRecovers(t *testing.T) {
 // exactly. The critical path must also show the new recovery phase:
 // blocks stalled on the dead server charge time to retry backoff.
 func TestFailoverDeterminism(t *testing.T) {
+	t.Parallel()
 	capture := func() (jsonl []byte, rendered, attr string) {
-		o := SetObservability(&ObsConfig{Trace: true})
-		defer SetObservability(nil)
-		res := RunFailover(smallFailover())
+		o := NewObs(ObsConfig{Trace: true})
+		res := RunFailover(smallFailover(Env{Obs: o}))
 		var jb bytes.Buffer
 		if err := o.Tracer.WriteJSONL(&jb); err != nil {
 			t.Fatal(err)

@@ -17,6 +17,7 @@ type HSMConfig struct {
 	Files    int
 	FileSize units.Bytes
 	Accesses int
+	Env      Env // solve tolerance and observability for the run
 }
 
 // DefaultHSMConfig models a scaled-down archive-backed GFS: the disk pool
@@ -38,13 +39,13 @@ func DefaultHSMConfig() HSMConfig {
 // archive sites.
 func RunHSM(cfg HSMConfig) *Result {
 	res := NewResult("E9", "HSM watermark migration and transparent recall")
-	s := newSim()
+	s := cfg.Env.NewSim()
 	lib := hsm.NewLibrary(s, "silo", cfg.Drives, cfg.Carts, hsm.LTO2())
 	mgr := hsm.NewManager(s, "gfs-hsm", lib, cfg.DiskPool)
 
 	resident := metrics.NewSummary("resident access s")
 	recall := metrics.NewSummary("recall access s")
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		// Ingest a dataset 1.6x the disk pool: migration must kick in.
 		for i := 0; i < cfg.Files; i++ {
 			if err := mgr.Ingest(p, fmt.Sprintf("/archive/run%03d", i), cfg.FileSize); err != nil {

@@ -19,6 +19,7 @@ type MetastormConfig struct {
 	FileSize  units.Bytes // payload per file — small, the point of the storm
 	BlockSize units.Bytes
 	Shards    []int // arms: token-shard counts (0 = central manager only)
+	Env       Env   // solve tolerance and observability for the run
 }
 
 // DefaultMetastormConfig keeps the storm small enough for CI while
@@ -71,9 +72,9 @@ func RunMetastorm(cfg MetastormConfig) *Result {
 // runMetastormArm runs one arm and returns (metadata ops/sec, fraction
 // of client-time blocked in metadata RPCs).
 func runMetastormArm(cfg MetastormConfig, shards int) (float64, float64) {
-	s := newSim()
-	nw := newEthernetNet(s)
-	site := NewSite(s, nw, "storm")
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
+	site := cfg.Env.NewSite(s, nw, "storm")
 	site.BuildFS(FSOptions{
 		Name: "gpfs-meta", BlockSize: cfg.BlockSize,
 		Servers: cfg.Servers, ServerEth: units.Gbps,
@@ -86,7 +87,7 @@ func runMetastormArm(cfg MetastormConfig, shards int) (float64, float64) {
 
 	var elapsed sim.Time
 	var metaWait sim.Time
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		mounts, err := MountAll(p, clients, site.FS, "")
 		if err != nil {
 			return err

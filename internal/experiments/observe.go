@@ -14,11 +14,29 @@ import (
 	"gfs/internal/trace"
 )
 
+// Env is the run environment an experiment is built in: the rate-solver
+// tolerance and the observability sinks. Experiments build their own
+// simulators inside Run, so the caller cannot attach tracers directly;
+// instead every simulator, network and cluster a run creates through
+// its Env is wired up as it is born. The zero Env is a plain,
+// unobserved run with the exact solver, and retains nothing. Runs with
+// different Envs share no state and may execute concurrently; runs that
+// share one Obs must not.
+type Env struct {
+	// SolveTolerance is the bottleneck-local solve tolerance applied to
+	// every network the run builds: 0 keeps the exact closure solver
+	// (byte-identical to prior releases); a fraction in (0, 1) lets local
+	// solves stop at links whose load shifts by less than that fraction
+	// of capacity.
+	SolveTolerance float64
+	// Obs collects traces, metrics, engine telemetry and timelines; nil
+	// means observability is off and every instrumentation site degrades
+	// to a branch or two.
+	Obs *Obs
+}
+
 // ObsConfig selects what the observability layer collects while
-// experiments run. Experiments build their own simulators inside Run, so
-// the CLI cannot attach tracers directly; instead it installs a
-// package-level hook with SetObservability and every simulator, network
-// and cluster the experiments create is wired up as it is born.
+// experiments run.
 type ObsConfig struct {
 	// Trace collects virtual-time events for the Chrome/JSONL exporters.
 	Trace bool
@@ -74,9 +92,9 @@ type ObsConfig struct {
 	TimelineOnTick func(*timeline.Collector, timeline.Snapshot)
 }
 
-// Obs is the live state of one observed run: the shared tracer and
-// registry plus every simulator and cluster created while it was
-// installed.
+// Obs is the live state of one observed run or sweep: the shared tracer
+// and registry plus every simulator and cluster created through an Env
+// carrying it.
 type Obs struct {
 	cfg      ObsConfig
 	Tracer   *trace.Tracer
@@ -101,19 +119,10 @@ type Obs struct {
 	tlStream *bufio.Writer
 }
 
-// obs is the installed hook; nil means observability is off and every
-// instrumentation site degrades to a branch or two.
-var obs *Obs
-
-// SetObservability installs the observability hook for subsequent
-// experiment runs (nil removes it). It returns the Obs whose Tracer,
-// Registry and Snapshot carry the results.
-func SetObservability(cfg *ObsConfig) *Obs {
-	if cfg == nil {
-		obs = nil
-		return nil
-	}
-	o := &Obs{cfg: *cfg, snapped: map[*sim.EngineProbe]bool{},
+// NewObs builds the observability state for cfg. Pass it to runs in an
+// Env; its Tracer, Registry and Snapshot then carry the results.
+func NewObs(cfg ObsConfig) *Obs {
+	o := &Obs{cfg: cfg, snapped: map[*sim.EngineProbe]bool{},
 		tlBySim: map[*sim.Sim]*timeline.Collector{}}
 	if cfg.TimelineStream != nil {
 		o.tlStream = bufio.NewWriterSize(cfg.TimelineStream, 1<<16)
@@ -138,31 +147,27 @@ func SetObservability(cfg *ObsConfig) *Obs {
 	if cfg.Stats {
 		o.Registry = metrics.NewRegistry()
 	}
-	obs = o
 	return o
 }
 
-// Observability returns the installed hook, or nil.
-func Observability() *Obs { return obs }
-
-// newSim builds a simulator and, when observability is on, attaches the
-// tracer and the periodic snapshot tick. All experiments create their
-// simulators through this.
-func newSim() *sim.Sim {
+// NewSim builds a simulator and, when observability is on, attaches the
+// tracer, engine probe, timeline and snapshot tick. Experiments and
+// benchmarks that build their own sites create simulators through this.
+func (e Env) NewSim() *sim.Sim {
 	s := sim.New()
-	if obs != nil {
-		obs.attachSim(s)
+	if e.Obs != nil {
+		e.Obs.attachSim(s)
 	}
 	return s
 }
 
-// newNet builds a plain network on s, attaching the metrics registry and
-// the installed solver tolerance (SetSolveTolerance).
-func newNet(s *sim.Sim) *netsim.Network {
+// newNet builds a plain network on s with the solve tolerance and, when
+// observability is on, the metrics registry.
+func (e Env) newNet(s *sim.Sim) *netsim.Network {
 	nw := netsim.New(s)
-	nw.SolveTolerance = solveTol
-	if obs != nil {
-		nw.Metrics = obs.Registry
+	nw.SolveTolerance = e.SolveTolerance
+	if e.Obs != nil {
+		nw.Metrics = e.Obs.Registry
 	}
 	return nw
 }
@@ -302,9 +307,6 @@ func (o *Obs) sampleSim(s *sim.Sim, tk *timeline.Tick) {
 // simulator, in creation order.
 func (o *Obs) Timelines() []*timeline.Collector { return o.tls }
 
-// TimelineFor returns the collector attached to s, or nil.
-func (o *Obs) TimelineFor(s *sim.Sim) *timeline.Collector { return o.tlBySim[s] }
-
 // FlushTimeline flushes the shared timeline stream and returns the
 // first error any collector hit while streaming.
 func (o *Obs) FlushTimeline() error {
@@ -319,29 +321,10 @@ func (o *Obs) FlushTimeline() error {
 	return nil
 }
 
-// ObserveSim wires a simulator built outside newSim into the
-// observability plane (tracer, engine probe, timeline, snapshot tick) —
-// for benchmarks that construct sims and sites by hand.
-func (o *Obs) ObserveSim(s *sim.Sim) { o.attachSim(s) }
-
-// observeCluster registers a cluster for snapshot enumeration (called
-// from NewSite).
-func observeCluster(c *core.Cluster) {
-	if obs != nil {
-		obs.clusters = append(obs.clusters, c)
-	}
-}
-
-// observeRunDone is called by run() the moment a simulator's event loop
-// drains, freezing that run's engine window while its wall clock is
-// still honest (a snapshot taken after later runs would charge their
-// wall time to this window too).
-func observeRunDone(s *sim.Sim) {
-	if obs != nil {
-		obs.captureEngine(s)
-	}
-}
-
+// captureEngine freezes the engine window of s. Env.run calls it the
+// moment a simulator's event loop drains, while its wall clock is still
+// honest (a snapshot taken after later runs would charge their wall time
+// to this window too).
 func (o *Obs) captureEngine(s *sim.Sim) {
 	p := s.EngineProbe()
 	if p == nil || o.snapped[p] {
@@ -353,7 +336,7 @@ func (o *Obs) captureEngine(s *sim.Sim) {
 
 // EngineWindows returns every finished engine window so far — one per
 // simulator run with a probe attached. Probes whose runs did not go
-// through run() are snapshotted now.
+// through Env.run are snapshotted now.
 func (o *Obs) EngineWindows() []sim.EngineSnapshot {
 	for _, s := range o.sims {
 		o.captureEngine(s)

@@ -155,12 +155,38 @@ func (o *Options) RegisterProfiles(fs *flag.FlagSet) {
 		"write a pprof heap profile (post-run, after GC) to this file")
 }
 
-// Validate checks cross-flag consistency — the rules that hold whichever
-// binary parsed the flags — and installs the solve tolerance so every
-// network built through this package uses it.
+// Validate checks flag ranges and cross-flag consistency — the rules
+// that hold whichever binary parsed the flags.
 func (o *Options) Validate() error {
-	if err := SetSolveTolerance(o.SolveTolerance); err != nil {
-		return err
+	if o.SolveTolerance < 0 || o.SolveTolerance >= 1 {
+		return fmt.Errorf("-solve-tolerance %g out of range [0, 1)", o.SolveTolerance)
+	}
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{
+		{"interval", o.Interval}, {"timeline-interval", o.TimelineInterval},
+		{"http-hold", o.HTTPHold}, {"crash", o.CrashAt},
+		{"outage", o.Outage}, {"duration", o.Duration},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("-%s %s is negative", d.flag, d.v)
+		}
+	}
+	for _, n := range []struct {
+		flag string
+		v    int64
+	}{
+		{"trace-ring", int64(o.TraceRing)}, {"timeline-ring", int64(o.TimelineRing)},
+		{"depth", int64(o.Depth)}, {"block", o.Block}, {"filesize", o.FileSize},
+		{"ra-depth", int64(o.RADepth)}, {"wb-max-dirty", int64(o.WBDirty)},
+	} {
+		if n.v < 0 {
+			return fmt.Errorf("-%s %d is negative", n.flag, n.v)
+		}
+	}
+	if o.TokenShards < -1 {
+		return fmt.Errorf("-token-shards %d is below -1", o.TokenShards)
 	}
 	if o.JSONLStream != "" && (o.TraceOut != "" || o.JSONLOut != "" || o.TraceRing > 0) {
 		return fmt.Errorf("-jsonl-stream retains nothing; it cannot combine with -trace/-jsonl/-trace-ring")
@@ -279,32 +305,12 @@ func (o *Options) WriteMemProfile() error {
 	return err
 }
 
-// solveTol is the installed rate-solver tolerance. Every network built
-// through this package (newNet inside experiments, benchmark sites built
-// over NewSim's networks via the topo helpers) gets it applied.
-var solveTol float64
+// SolveToleranceValue returns the zero Env's solve tolerance, 0.
+//
+// Deprecated: read Env.SolveTolerance.
+func SolveToleranceValue() float64 { return Env{}.SolveTolerance }
 
-// SetSolveTolerance installs the bottleneck-local solve tolerance used by
-// every subsequently built network. 0 keeps the exact closure solver
-// (byte-identical to prior releases); a fraction in (0, 1) lets local
-// solves stop at links whose load shifts by less than that fraction of
-// capacity. Out-of-range values are an error and leave the current choice
-// in place.
-func SetSolveTolerance(t float64) error {
-	if t < 0 || t >= 1 {
-		return fmt.Errorf("solve tolerance %g out of range [0, 1)", t)
-	}
-	solveTol = t
-	return nil
-}
-
-// SolveToleranceValue returns the installed solve tolerance.
-func SolveToleranceValue() float64 { return solveTol }
-
-// NewSim builds a simulator and, when observability is on, attaches the
-// tracer, engine probe, timeline and snapshot tick — the constructor for
-// benchmarks that build their own sites by hand. Experiments inside this
-// package use it via newSim.
-func NewSim() *sim.Sim {
-	return newSim()
-}
+// NewSim builds an unobserved simulator.
+//
+// Deprecated: use Env.NewSim; the zero Env gives the same simulator.
+func NewSim() *sim.Sim { return Env{}.NewSim() }

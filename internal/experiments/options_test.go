@@ -36,6 +36,7 @@ func names(fs *flag.FlagSet) []string {
 // or dropping a flag must update this test, making drift between gfssim
 // and gfsbench a compile-and-test-visible event instead of a silent one.
 func TestFlagSurface(t *testing.T) {
+	t.Parallel()
 	groups := []struct {
 		name     string
 		register func(*Options, *flag.FlagSet)
@@ -70,6 +71,7 @@ func TestFlagSurface(t *testing.T) {
 }
 
 func TestOptionsParsing(t *testing.T) {
+	t.Parallel()
 	var o Options
 	fs := registerAll(&o)
 	err := fs.Parse([]string{
@@ -100,12 +102,27 @@ func TestOptionsParsing(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	defer SetSolveTolerance(0)
+	t.Parallel()
 	bad := []Options{
 		{SolveTolerance: 1.5},
+		{SolveTolerance: -0.1},
 		{JSONLStream: "s.jsonl", TraceOut: "t.json"},
 		{JSONLStream: "s.jsonl", TraceRing: 16},
 		{Attr: true, AttrAgg: true},
+		{Interval: -time.Second},
+		{TimelineInterval: -time.Second},
+		{HTTPHold: -time.Second},
+		{CrashAt: -time.Second},
+		{Outage: -time.Second},
+		{Duration: -time.Second},
+		{TraceRing: -1},
+		{TimelineRing: -4},
+		{Depth: -1},
+		{Block: -1},
+		{FileSize: -1},
+		{RADepth: -1},
+		{WBDirty: -1},
+		{TokenShards: -2},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -116,14 +133,12 @@ func TestOptionsValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected %+v: %v", good, err)
 	}
-	if SolveToleranceValue() != 0.02 {
-		t.Fatalf("Validate did not install solve tolerance, got %v", SolveToleranceValue())
-	}
 }
 
 // TestObsConfigMapping: the flag-to-ObsConfig translation preserves the
 // mutual implications main used to encode by hand.
 func TestObsConfigMapping(t *testing.T) {
+	t.Parallel()
 	o := Options{
 		EngineStats: true, Attr: true, TraceSample: 64,
 		Interval: 5 * time.Second, TimelineRing: 32,

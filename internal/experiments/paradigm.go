@@ -24,6 +24,7 @@ type ParadigmConfig struct {
 	Servers      int
 	BlockSize    units.Bytes
 	Streams      int // GridFTP parallel streams
+	Env          Env // solve tolerance and observability for the run
 }
 
 // DefaultParadigmConfig is an NVO-style scenario scaled down 50x: a
@@ -56,22 +57,22 @@ func RunParadigm(cfg ParadigmConfig) *Result {
 	var gfsTime sim.Time
 	var gfsMoved units.Bytes
 	{
-		s := newSim()
-		nw := newEthernetNet(s)
-		sdsc := NewSite(s, nw, "sdsc")
+		s := cfg.Env.NewSim()
+		nw := cfg.Env.newEthernetNet(s)
+		sdsc := cfg.Env.NewSite(s, nw, "sdsc")
 		sdsc.BuildFS(FSOptions{
 			Name: "nvo", BlockSize: cfg.BlockSize,
 			Servers: cfg.Servers, ServerEth: units.Gbps,
 			StoreRate: 400 * units.MBps, StoreCap: 100 * units.TB, StoreStreams: 8,
 		})
-		remote := NewSite(s, nw, "analysis")
+		remote := cfg.Env.NewSite(s, nw, "analysis")
 		nw.DuplexLink("wan", sdsc.Switch, remote.Switch, cfg.WANRate, cfg.WANDelay)
 		device := Peer(sdsc, remote, auth.ReadOnly)
 		ccfg := core.DefaultClientConfig()
 		ccfg.ReadAhead = 4 // random queries: deep read-ahead wastes WAN
 		client := remote.AddClients(1, 10*units.Gbps, ccfg)[0]
 		seeder := sdsc.AddClients(1, 10*units.Gbps, core.DefaultClientConfig())[0]
-		run(s, func(p *sim.Proc) error {
+		cfg.Env.run(s, func(p *sim.Proc) error {
 			sm, err := seeder.MountLocal(p, sdsc.FS)
 			if err != nil {
 				return err
@@ -107,8 +108,8 @@ func RunParadigm(cfg ParadigmConfig) *Result {
 	var ftpTime sim.Time
 	var ftpMoved units.Bytes
 	{
-		s := newSim()
-		nw := newEthernetNet(s)
+		s := cfg.Env.NewSim()
+		nw := cfg.Env.newEthernetNet(s)
 		a := nw.NewNode("sdsc")
 		b := nw.NewNode("analysis")
 		nw.DuplexLink("wan", a, b, cfg.WANRate, cfg.WANDelay)
@@ -117,7 +118,7 @@ func RunParadigm(cfg ParadigmConfig) *Result {
 		for i := 0; i < cfg.TouchedFiles; i++ {
 			srv.Put(fmt.Sprintf("/catalog%02d.fits", i), cfg.FileSize)
 		}
-		run(s, func(p *sim.Proc) error {
+		cfg.Env.run(s, func(p *sim.Proc) error {
 			t0 := p.Now()
 			for i := 0; i < cfg.TouchedFiles; i++ {
 				n, err := cl.Fetch(p, srv, fmt.Sprintf("/catalog%02d.fits", i))

@@ -5,7 +5,6 @@ import (
 
 	"gfs/internal/auth"
 	"gfs/internal/core"
-	"gfs/internal/disk"
 	"gfs/internal/metrics"
 	"gfs/internal/netsim"
 	"gfs/internal/san"
@@ -25,6 +24,7 @@ type ProductionConfig struct {
 	Transfer   units.Bytes // MPI-IO transfer size (paper: 1 MB)
 	Gather     bool        // stripe-aligned flush gathering + NSD batching + elevator
 	WideTokens bool        // opportunistic wide token grants
+	Env        Env         // solve tolerance and observability for the run
 }
 
 // DefaultProductionConfig mirrors the paper's machine-room measurement,
@@ -47,9 +47,10 @@ func DefaultProductionConfig() ProductionConfig {
 	}
 }
 
-// buildProduction stands up the §5 configuration and returns the site.
-func buildProduction(s *sim.Sim, nw *netsim.Network, cfg ProductionConfig) *Site {
-	site := NewSite(s, nw, "sdsc")
+// buildProduction stands up the §5 configuration in env and returns the
+// site.
+func buildProduction(env Env, s *sim.Sim, nw *netsim.Network, cfg ProductionConfig) *Site {
+	site := env.NewSite(s, nw, "sdsc")
 	site.BuildFS(FSOptions{
 		Name: "gpfs-prod", BlockSize: cfg.BlockSize,
 		Servers: cfg.Servers, ServerEth: units.Gbps,
@@ -73,9 +74,9 @@ func RunProductionScaling(cfg ProductionConfig) *Result {
 
 	for _, nodes := range cfg.NodeCounts {
 		for _, doWrite := range []bool{true, false} {
-			s := newSim()
-			nw := newEthernetNet(s)
-			site := buildProduction(s, nw, cfg)
+			s := cfg.Env.NewSim()
+			nw := cfg.Env.newEthernetNet(s)
+			site := buildProduction(cfg.Env, s, nw, cfg)
 			ccfg := core.DefaultClientConfig()
 			ccfg.ReadAhead = 16
 			ccfg.WriteBehind = 16
@@ -86,7 +87,7 @@ func RunProductionScaling(cfg ProductionConfig) *Result {
 			ccfg.WideTokens = cfg.WideTokens
 			clients := site.AddClients(nodes, units.Gbps, ccfg)
 			var rate float64
-			run(s, func(p *sim.Proc) error {
+			cfg.Env.run(s, func(p *sim.Proc) error {
 				mounts, err := MountAll(p, clients, site.FS, "")
 				if err != nil {
 					return err
@@ -146,6 +147,7 @@ type ANLConfig struct {
 	WANRate    units.BitsPerSec
 	WANDelay   sim.Time
 	SizePer    units.Bytes
+	Env        Env // for the whole run; Production.Env is not read
 }
 
 // DefaultANLConfig mirrors the paper: 32 ANL nodes over the TeraGrid.
@@ -166,11 +168,11 @@ func DefaultANLConfig() ANLConfig {
 // approximately 1.2 GB/s to all 32 nodes".
 func RunANL(cfg ANLConfig) *Result {
 	res := NewResult("E5", "ANL remote mount of the SDSC production GFS")
-	s := newSim()
-	nw := newEthernetNet(s)
-	site := buildProduction(s, nw, cfg.Production)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
+	site := buildProduction(cfg.Env, s, nw, cfg.Production)
 
-	anl := NewSite(s, nw, "anl")
+	anl := cfg.Env.NewSite(s, nw, "anl")
 	nw.DuplexLink("teragrid-anl", site.Switch, anl.Switch, cfg.WANRate, cfg.WANDelay)
 	device := Peer(site, anl, auth.ReadWrite)
 	ccfg := core.DefaultClientConfig()
@@ -179,7 +181,7 @@ func RunANL(cfg ANLConfig) *Result {
 	seeder := site.AddClients(1, 10*units.Gbps, core.DefaultClientConfig())[0]
 
 	var rate float64
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		sm, err := seeder.MountLocal(p, site.FS)
 		if err != nil {
 			return err
@@ -233,6 +235,3 @@ func RunANL(cfg ANLConfig) *Result {
 	res.Note("paper: ~1.2 GB/s to all 32 ANL nodes over the TeraGrid")
 	return res
 }
-
-// ensure disk import is used even if configs change.
-var _ = disk.SATA250

@@ -18,6 +18,7 @@ type SC02Config struct {
 	BlockSize units.Bytes
 	Depth     int // outstanding block requests (SANergy pipelining)
 	Interval  sim.Time
+	Env       Env // solve tolerance and observability for the run
 }
 
 // DefaultSC02Config mirrors the SC'02 demonstration, scaled so the run
@@ -37,8 +38,8 @@ func DefaultSC02Config() SC02Config {
 // across the FCIP-extended SAN to the Baltimore show floor, 80 ms RTT.
 func RunSC02(cfg SC02Config) *Result {
 	res := NewResult("E1/Fig2", "SC'02 GFS read performance, SDSC to Baltimore over FCIP")
-	s := newSim()
-	nw := newNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newNet(s)
 	nw.MinRecomputeInterval = 100 * sim.Microsecond
 	nw.DefaultTCP = netsim.TCPConfig{} // FC credit flow control, no TCP window
 	f := san.NewFabric(s, nw)
@@ -69,7 +70,7 @@ func RunSC02(cfg SC02Config) *Result {
 		mons = append(mons, m)
 	}
 
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		if err := client.Create(p, "/enzo.dump", cfg.FileSize); err != nil {
 			return err
 		}

@@ -31,6 +31,7 @@ type SC03Config struct {
 	// hardware). The readahead-depth sweep raises it so the measurement is
 	// bounded by the WAN pipeline, not a single client's NIC.
 	VizEth units.BitsPerSec
+	Env    Env // solve tolerance and observability for the run
 }
 
 // DefaultSC03Config mirrors SC'03: 40 dual-IA64 servers on the Phoenix
@@ -54,10 +55,10 @@ func DefaultSC03Config() SC03Config {
 // was restarted.
 func RunSC03(cfg SC03Config) *Result {
 	res := NewResult("E2/Fig5", "SC'03 native WAN-GPFS bandwidth, show floor to SDSC")
-	s := newSim()
-	nw := newEthernetNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
 
-	show := NewSite(s, nw, "showfloor")
+	show := cfg.Env.NewSite(s, nw, "showfloor")
 	show.BuildFS(FSOptions{
 		Name: "gpfs-sc03", BlockSize: cfg.BlockSize,
 		Servers: cfg.Servers, ServerEth: units.Gbps,
@@ -94,7 +95,7 @@ func RunSC03(cfg SC03Config) *Result {
 
 	var vizStart, vizEnd sim.Time
 	var vizMounts []*core.Mount
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		sm, err := seeder.MountLocal(p, show.FS)
 		if err != nil {
 			return err

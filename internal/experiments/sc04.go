@@ -23,6 +23,7 @@ type SC04Config struct {
 	ReadFiles  int         // files per read phase
 	Phases     int         // alternating read/write phases
 	WriteBytes units.Bytes // per client per write phase
+	Env        Env         // solve tolerance and observability for the run
 }
 
 // DefaultSC04Config mirrors the SC'04 StorCloud demonstration.
@@ -46,11 +47,11 @@ func DefaultSC04Config() SC04Config {
 // served from the Pittsburgh show floor.
 func RunSC04(cfg SC04Config) *Result {
 	res := NewResult("E3/Fig8", "SC'04 transfer rates: 3x10GbE, multi-cluster GPFS")
-	s := newSim()
-	nw := newEthernetNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newEthernetNet(s)
 
 	// Show-floor cluster: 40 servers, SAN-backed by StorCloud arrays.
-	show := NewSite(s, nw, "showfloor")
+	show := cfg.Env.NewSite(s, nw, "showfloor")
 	show.BuildFS(FSOptions{
 		Name: "gpfs-sc04", BlockSize: cfg.BlockSize,
 		Servers: cfg.Servers, ServerEth: units.Gbps,
@@ -73,7 +74,7 @@ func RunSC04(cfg SC04Config) *Result {
 
 	// Remote sites hang off the hub.
 	makeSite := func(name string) *Site {
-		st := NewSite(s, nw, name)
+		st := cfg.Env.NewSite(s, nw, name)
 		nw.DuplexLink(name+"-tg", hub, st.Switch, 30*units.Gbps, 2*sim.Millisecond)
 		return st
 	}
@@ -102,7 +103,7 @@ func RunSC04(cfg SC04Config) *Result {
 	seeder := show.AddClients(1, 30*units.Gbps, core.DefaultClientConfig())[0]
 
 	var demoStart sim.Time
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		sm, err := seeder.MountLocal(p, show.FS)
 		if err != nil {
 			return err

@@ -18,6 +18,7 @@ type StorCloudConfig struct {
 	ArrayCfg  san.ArrayConfig
 	PerServer units.Bytes // bytes each server streams
 	IOSize    units.Bytes
+	Env       Env // solve tolerance and observability for the run
 }
 
 // DefaultStorCloudConfig approximates the ~160 TB StorCloud loaner pool:
@@ -42,8 +43,8 @@ func DefaultStorCloudConfig() StorCloudConfig {
 // 30 GB/s theoretical disk-to-server aggregate.
 func RunStorCloudLocal(cfg StorCloudConfig) *Result {
 	res := NewResult("E3b", "SC'04 StorCloud local transfer rate, 40 servers x 3 FC HBAs")
-	s := newSim()
-	nw := newNet(s)
+	s := cfg.Env.NewSim()
+	nw := cfg.Env.newNet(s)
 	nw.MinRecomputeInterval = 100 * sim.Microsecond
 	nw.DefaultTCP = netsim.TCPConfig{} // all FC, credit flow control
 	f := san.NewFabric(s, nw)
@@ -62,7 +63,7 @@ func RunStorCloudLocal(cfg StorCloudConfig) *Result {
 
 	var moved units.Bytes
 	var elapsed sim.Time
-	run(s, func(p *sim.Proc) error {
+	cfg.Env.run(s, func(p *sim.Proc) error {
 		wg := sim.NewWaitGroup(s)
 		var firstErr error
 		t0 := p.Now()

@@ -13,15 +13,15 @@ import (
 // identical failover runs and demands byte-identical JSONL — the
 // property the CI timeline gate diffs on real binaries.
 func TestTimelineDeterminism(t *testing.T) {
+	t.Parallel()
 	capture := func() (string, *Obs) {
 		var buf bytes.Buffer
-		o := SetObservability(&ObsConfig{
+		o := NewObs(ObsConfig{
 			Timeline:         true,
 			TimelineInterval: 500 * sim.Millisecond,
 			TimelineStream:   &buf,
 		})
-		defer SetObservability(nil)
-		RunFailover(smallFailover())
+		RunFailover(smallFailover(Env{Obs: o}))
 		if err := o.FlushTimeline(); err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func TestTimelineDeterminism(t *testing.T) {
 // at the ring size however many windows the run closes, while Total
 // keeps counting.
 func TestTimelineRingBounded(t *testing.T) {
-	o := SetObservability(&ObsConfig{
+	t.Parallel()
+	o := NewObs(ObsConfig{
 		Timeline:         true,
 		TimelineInterval: 100 * sim.Millisecond,
 		TimelineRing:     8,
 	})
-	defer SetObservability(nil)
-	RunFailover(smallFailover())
+	RunFailover(smallFailover(Env{Obs: o}))
 
 	tl := o.Timelines()[0]
 	if tl.Ticks() <= 8 {
@@ -98,13 +98,13 @@ func TestTimelineRingBounded(t *testing.T) {
 // final snapshot carries "mmpmon rate" lines from the last closed
 // window.
 func TestTimelineSnapshotRates(t *testing.T) {
-	o := SetObservability(&ObsConfig{
+	t.Parallel()
+	o := NewObs(ObsConfig{
 		Stats:            true,
 		Timeline:         true,
 		TimelineInterval: sim.Second,
 	})
-	defer SetObservability(nil)
-	RunFailover(smallFailover())
+	RunFailover(smallFailover(Env{Obs: o}))
 
 	var buf bytes.Buffer
 	o.Snapshot(&buf)

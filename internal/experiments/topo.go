@@ -25,14 +25,25 @@ type Site struct {
 	Clients []*core.Client
 }
 
-// NewSite creates a cluster with an Ethernet core switch.
-func NewSite(s *sim.Sim, nw *netsim.Network, name string) *Site {
+// NewSite creates a cluster with an Ethernet core switch and, when
+// observability is on, registers it for snapshots, timelines and solver
+// statistics.
+func (e Env) NewSite(s *sim.Sim, nw *netsim.Network, name string) *Site {
 	cl, err := core.NewCluster(s, nw, name, auth.AuthOnly)
 	if err != nil {
 		panic(err)
 	}
-	observeCluster(cl)
+	if e.Obs != nil {
+		e.Obs.clusters = append(e.Obs.clusters, cl)
+	}
 	return &Site{S: s, Net: nw, Cluster: cl, Switch: nw.NewNode(name + "-sw")}
+}
+
+// NewSite creates an unobserved cluster with an Ethernet core switch.
+//
+// Deprecated: use Env.NewSite; the zero Env gives the same site.
+func NewSite(s *sim.Sim, nw *netsim.Network, name string) *Site {
+	return Env{}.NewSite(s, nw, name)
 }
 
 // FSOptions sizes a site's filesystem.
@@ -162,7 +173,7 @@ func MountAll(p *sim.Proc, clients []*core.Client, local *core.FileSystem, devic
 
 // run drives fn as a process to completion, panicking on error (experiment
 // construction errors are programming errors).
-func run(s *sim.Sim, fn func(p *sim.Proc) error) {
+func (e Env) run(s *sim.Sim, fn func(p *sim.Proc) error) {
 	var err error
 	done := false
 	s.Go("experiment", func(p *sim.Proc) {
@@ -170,7 +181,9 @@ func run(s *sim.Sim, fn func(p *sim.Proc) error) {
 		done = true
 	})
 	s.Run()
-	observeRunDone(s)
+	if e.Obs != nil {
+		e.Obs.captureEngine(s)
+	}
 	if !done {
 		panic("experiment deadlocked")
 	}
@@ -205,8 +218,8 @@ const ethEfficiency = 0.94
 // newEthernetNet returns a network whose links are derated by Ethernet
 // framing; the FC experiments (SC'02, StorCloud) build plain networks —
 // FC nominal rates already name payload capacity.
-func newEthernetNet(s *sim.Sim) *netsim.Network {
-	nw := newNet(s)
+func (e Env) newEthernetNet(s *sim.Sim) *netsim.Network {
+	nw := e.newNet(s)
 	nw.LinkEfficiency = ethEfficiency
 	// Large fleets tolerate slightly stale rate allocations in exchange
 	// for an order of magnitude fewer allocation passes. The per-conn

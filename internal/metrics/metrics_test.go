@@ -205,23 +205,3 @@ func TestTable(t *testing.T) {
 		t.Errorf("table lines = %d, want 3", len(lines))
 	}
 }
-
-func TestSamplerCollectsAndStops(t *testing.T) {
-	s := sim.New()
-	depth := 0.0
-	sp := NewSampler(s, "queue", "requests", sim.Second, func() float64 { return depth })
-	s.Schedule(2500*sim.Millisecond, func() { depth = 7 })
-	s.Schedule(5500*sim.Millisecond, func() { sp.Stop() })
-	s.Schedule(10*sim.Second, func() {}) // keep the sim alive past the stop
-	s.Run()
-	ser := sp.Series()
-	if ser.Len() != 5 {
-		t.Fatalf("samples = %d, want 5 (1s..5s)", ser.Len())
-	}
-	if ser.Points[0].Y != 0 || ser.Points[4].Y != 7 {
-		t.Errorf("sample values wrong: %+v", ser.Points)
-	}
-	if ser.Points[2].X != 3 {
-		t.Errorf("sample times wrong: %+v", ser.Points)
-	}
-}

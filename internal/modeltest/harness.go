@@ -45,12 +45,6 @@ type Config struct {
 	// be able to tell a sharded run from an unsharded one.
 	Shards int
 
-	// NoArena disables the client page-buffer arena, so every page and
-	// flush scratch buffer is a fresh allocation. Like Gather, arenas are
-	// pure allocation machinery: runs with and without them must satisfy
-	// the byte oracle on the same seeds.
-	NoArena bool
-
 	// MetaHeavy switches the op mix to a metadata storm: mostly
 	// create/stat/rename/remove of small files spread over deep
 	// directories — the NorduGrid small-file workload, and the traffic
@@ -133,7 +127,6 @@ func buildRig(cfg *Config) *rig {
 	ccfg.TokenChunk = 8 // narrow tokens: more steal traffic between clients
 	ccfg.Gather = cfg.Gather
 	ccfg.WideTokens = cfg.WideTokens
-	ccfg.NoArena = cfg.NoArena
 	// Enough retry budget to ride out the scripted server outage.
 	ccfg.Retry = netsim.RetryPolicy{
 		MaxAttempts: 40,

@@ -23,7 +23,7 @@ func newRig(t testing.TB, servers, clients int) *rig {
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	site := experiments.NewSite(s, nw, "lab")
+	site := experiments.Env{}.NewSite(s, nw, "lab")
 	site.BuildFS(experiments.FSOptions{
 		Name: "fs", BlockSize: units.MiB,
 		Servers: servers, ServerEth: units.Gbps,
