@@ -9,41 +9,59 @@ import (
 	"testing"
 )
 
-// TestGoldenProduction pins the report and the JSONL trace of
-// `gfssim -exp production -nodes 4 -jsonl t.jsonl` to sha256 digests.
-// Kernel changes must not move a single event: any change to dispatch
-// order, process hand-off or the model shows up here as a digest
-// mismatch. A change that is meant to alter the output re-records the
-// digests and says why.
-func TestGoldenProduction(t *testing.T) {
-	dir := t.TempDir()
-	jsonl := filepath.Join(dir, "t.jsonl")
-	report := filepath.Join(dir, "report.txt")
-	out, err := os.Create(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout, args, cmdline := os.Stdout, os.Args, flag.CommandLine
-	defer func() { os.Stdout, os.Args, flag.CommandLine = stdout, args, cmdline }()
-	os.Stdout = out
-	os.Args = []string{"gfssim", "-exp", "production", "-nodes", "4", "-jsonl", jsonl}
-	flag.CommandLine = flag.NewFlagSet("gfssim", flag.ContinueOnError)
-	main()
-	os.Stdout = stdout
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, f := range []struct{ path, digest string }{
-		{report, "13b5921d658de74f271f85cf33b822fd51614e75f7c1ad78a797ef7ca2802644"},
-		{jsonl, "3c467b14af0e89869ea8bece3ed4157f866ba468b7238b1ecfb4263676a68369"},
+// TestGolden pins the report and the JSONL trace of whole gfssim runs to
+// sha256 digests. Kernel and solver changes must not move a single event:
+// any change to dispatch order, process hand-off, rate allocation or the
+// model shows up here as a digest mismatch. A change that is meant to
+// alter the output re-records the digests and says why.
+//
+//   - production, 4 nodes: the full file-system stack on a LAN farm.
+//   - failover: WAN reads through an NSD server crash over a 6 ms path,
+//     where slow-start window caps bind (the water fill's cap sweep).
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		args          []string
+		report, jsonl string
+	}{
+		{"production", []string{"-exp", "production", "-nodes", "4"},
+			"13b5921d658de74f271f85cf33b822fd51614e75f7c1ad78a797ef7ca2802644",
+			"3c467b14af0e89869ea8bece3ed4157f866ba468b7238b1ecfb4263676a68369"},
+		{"failover", []string{"-exp", "failover"},
+			"8e375daed6157087df6ac5ec531b095f6302d3e63be28b609a170d8e4c7855b3",
+			"3adf3a0d3f2b13f8c06b655a9ffb548bfa74059fa17d04e9bee99e500a4ac068"},
 	} {
-		b, err := os.ReadFile(f.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != f.digest {
-			t.Errorf("%s: digest %s, want %s (%d bytes)", filepath.Base(f.path), got, f.digest, len(b))
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jsonl := filepath.Join(dir, "t.jsonl")
+			report := filepath.Join(dir, "report.txt")
+			out, err := os.Create(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout, args, cmdline := os.Stdout, os.Args, flag.CommandLine
+			defer func() { os.Stdout, os.Args, flag.CommandLine = stdout, args, cmdline }()
+			os.Stdout = out
+			os.Args = append(append([]string{"gfssim"}, tc.args...), "-jsonl", jsonl)
+			flag.CommandLine = flag.NewFlagSet("gfssim", flag.ContinueOnError)
+			main()
+			os.Stdout = stdout
+			if err := out.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, f := range []struct{ path, digest string }{
+				{report, tc.report},
+				{jsonl, tc.jsonl},
+			} {
+				b, err := os.ReadFile(f.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != f.digest {
+					t.Errorf("%s: digest %s, want %s (%d bytes)", filepath.Base(f.path), got, f.digest, len(b))
+				}
+			}
+		})
 	}
 }

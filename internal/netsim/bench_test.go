@@ -40,6 +40,51 @@ func BenchmarkRecompute(b *testing.B) {
 	}
 }
 
+// BenchmarkRecomputeWindowCapped is BenchmarkRecompute in the WAN
+// slow-start regime of the ANL remote mount: 256 server-to-client conns
+// cross a 10 Gb/s, 28 ms RTT trunk with initial windows of 64 KiB to
+// 1 MiB, so the smaller windows cap their conns below the trunk's fair
+// share and the water fill's cap sweep assigns them.
+func BenchmarkRecomputeWindowCapped(b *testing.B) {
+	s := sim.New()
+	nw := New(s)
+	sw1 := nw.NewNode("sw1")
+	sw2 := nw.NewNode("sw2")
+	nw.DuplexLink("trunk", sw1, sw2, 10*units.Gbps, 14*sim.Millisecond)
+	var clients, servers []*Node
+	for i := 0; i < 64; i++ {
+		h := nw.NewNode(fmt.Sprintf("c%d", i))
+		nw.DuplexLink(fmt.Sprintf("cl%d", i), h, sw1, units.Gbps, 50*sim.Microsecond)
+		clients = append(clients, h)
+	}
+	for i := 0; i < 8; i++ {
+		h := nw.NewNode(fmt.Sprintf("s%d", i))
+		nw.DuplexLink(fmt.Sprintf("sl%d", i), h, sw2, 10*units.Gbps, 50*sim.Microsecond)
+		servers = append(servers, h)
+	}
+	s.Schedule(0, func() {
+		for i := 0; i < 256; i++ {
+			c := nw.DialTCP(servers[i%8], clients[i%64], TCPConfig{
+				InitWindow: 64 * units.KiB << (i % 5),
+				MaxWindow:  16 * units.MiB,
+			})
+			c.Send(100*units.GB, nil) // long-lived: stays active
+		}
+	})
+	// Stop before the first window bump (one RTT in): every conn is
+	// still at its initial window.
+	s.RunUntil(sim.Millisecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range nw.busyLinks {
+			nw.linkChanged(l)
+		}
+		for len(nw.dirtyLinks) > 0 {
+			nw.solveDirty()
+		}
+	}
+}
+
 // BenchmarkMessageThroughput measures simulator cost per delivered
 // message under heavy small-message traffic.
 func BenchmarkMessageThroughput(b *testing.B) {

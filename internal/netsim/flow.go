@@ -51,6 +51,7 @@ type Conn struct {
 	rate        float64 // bytes/sec currently allocated
 	prevRate    float64 // allocation scratch
 	rateCap     float64 // cwnd/RTT, cached; updated on dial/activate/bump
+	pathCap     float64 // capacity of the slowest link on path (+Inf if none)
 	lastAdvance sim.Time
 	idleSince   sim.Time
 
@@ -100,8 +101,10 @@ func (nw *Network) DialTCP(src, dst *Node, tcp TCPConfig) *Conn {
 	}
 	c.path = path
 	c.linkPos = make([]int32, len(path))
+	c.pathCap = math.Inf(1)
 	for _, l := range path {
 		c.oneWay += l.delay
+		c.pathCap = math.Min(c.pathCap, l.cap)
 	}
 	c.rtt = 2 * c.oneWay
 	c.cwnd = c.initialWindow()
@@ -205,6 +208,7 @@ func (c *Conn) activate() {
 		c.updateRateCap()
 	}
 	c.active = true
+	nw.capIndexAdd(c)
 	c.lastAdvance = now
 	c.queue[0].started = now
 	for i, l := range c.path {
@@ -224,6 +228,7 @@ func (c *Conn) activate() {
 func (c *Conn) deactivate() {
 	nw := c.net
 	c.active = false
+	nw.capIndexRemove(c)
 	rate := c.rate
 	c.rate = 0
 	c.idleSince = nw.Sim.Now()
@@ -295,23 +300,26 @@ func (c *Conn) bump() {
 	if !c.active {
 		return
 	}
+	nw := c.net
 	// The cap binds only when the last solve allocated exactly at it
 	// (assignRate stores rateCap verbatim, so this equality is exact).
 	// Raising a cap the solver never consulted cannot move the max-min
 	// fixed point: every allocated rate stays valid, so a link-limited
 	// conn's window doubling dirties nothing.
 	capped := c.rate >= c.rateCap
+	nw.capIndexRemove(c)
 	c.cwnd *= 2
 	if c.cwnd > float64(c.tcp.MaxWindow) {
 		c.cwnd = float64(c.tcp.MaxWindow)
 	}
 	c.updateRateCap()
+	nw.capIndexAdd(c)
 	c.scheduleBump()
 	if !capped {
 		return
 	}
-	c.net.rerate(c)
-	c.net.recompute()
+	nw.rerate(c)
+	nw.recompute()
 }
 
 // advance credits progress to the head messages up to now, delivering any
@@ -413,8 +421,8 @@ func (c *Conn) scheduleCompletion() {
 	}
 	// Lazy re-arm, tolerance mode only: if the pending event already sits
 	// within tolerance of the new finish instant, keep it. Big solves
-	// nudge thousands of rates by a hair each, and the calendar-queue
-	// unlink+insert per nudge costs more than the whole water fill; a
+	// nudge thousands of rates by a hair each, and even an in-place heap
+	// sift per nudge adds up to more than the whole water fill; a
 	// completion firing early is caught by advance() (nothing delivered,
 	// re-armed at the residue), one firing late delays the message by at
 	// most tolerance x its remaining transfer time — the same ε the rates
@@ -424,17 +432,15 @@ func (c *Conn) scheduleCompletion() {
 			return
 		}
 	}
-	if c.completionEvt.Queued() {
-		c.completionEvt.Cancel()
-	}
 	// Round the completion instant up to a whole nanosecond so a
 	// sub-epsilon float remainder can never re-arm a zero-delay event in
-	// an endless same-timestamp loop.
+	// an endless same-timestamp loop. A still-queued completion moves in
+	// place.
 	dt := sim.Time(math.Ceil(ns))
 	if dt < 1 {
 		dt = 1
 	}
-	c.net.Sim.Arm(&c.completionEvt, kindCompletion, dt, c.completionFn)
+	c.net.Sim.Rearm(&c.completionEvt, kindCompletion, dt, c.completionFn)
 }
 
 func (nw *Network) onCompletion(c *Conn) {
@@ -763,7 +769,6 @@ func (nw *Network) solve(closure bool) {
 	// collected in the same pass — advance only changes its own conn's
 	// active flag, so the post-advance state each append sees is final.
 	unassigned := nw.unassigned[:0]
-	minCap := math.Inf(1)
 	nw.inSolve = true
 	for _, c := range conns {
 		c.advance(now)
@@ -771,9 +776,6 @@ func (nw *Network) solve(closure bool) {
 			continue
 		}
 		c.prevRate = c.rate
-		if c.rateCap < minCap {
-			minCap = c.rateCap
-		}
 		unassigned = append(unassigned, c)
 	}
 	nw.inSolve = false
@@ -849,9 +851,14 @@ func (nw *Network) solve(closure bool) {
 	// only raise the other links' shares, m is non-decreasing across
 	// rounds, which makes two shortcuts exact:
 	//
-	//   - Window-capped conns sort once by cap; a pointer sweeps the
-	//     sorted prefix, fixing every conn whose cap falls below the
-	//     current m. Caps already passed can never bind again.
+	//   - A cursor sweeps the standing cap index (see capIndex) while its
+	//     caps are at or below the current m, fixing every region conn it
+	//     passes at its cap. Caps already passed can never bind again.
+	//     Conns outside the index need no sweep: an unassigned conn keeps
+	//     nActive >= 1 on every link of its path, so m <= residual/nActive
+	//     <= l.cap there, i.e. m <= pathCap, and a cap above pathCap can
+	//     never fall to m. The index yields the binding conns in the same
+	//     (rateCap, id) order a heap over the whole region would pop them.
 	//   - A bottleneck round assigns exactly the conns crossing the min
 	//     link (each gets m, zeroing the link's residual and nActive),
 	//     instead of rescanning every remaining conn's path share.
@@ -861,7 +868,7 @@ func (nw *Network) solve(closure bool) {
 	// term that dominated the from-scratch solver at 1024 nodes.
 	links = append(links, boundary...)
 	left := len(unassigned)
-	var capHeap []*Conn // built only if a window cap can actually bind
+	capIndex, capPos := nw.capIndex, 0
 	ties := nw.tieLinks[:0]
 	for left > 0 {
 		m := math.Inf(1)
@@ -888,43 +895,28 @@ func (nw *Network) solve(closure bool) {
 			}
 			break
 		}
-		if minCap <= m {
-			// Some cap binds below the fair share. Heapify on first need:
-			// most solves end with every cap above the water level and
-			// never pay for ordering at all.
-			if capHeap == nil {
-				capHeap = nw.capHeap[:0]
-				capHeap = append(capHeap, unassigned...)
-				for i := len(capHeap)/2 - 1; i >= 0; i-- {
-					capSiftDown(capHeap, i)
-				}
-				nw.capHeap = capHeap[:0]
+		// Fix every region conn whose cap binds at or below the fair share,
+		// then re-find the water level. A sweep that fixes nothing (only
+		// conns outside the region, or already drained) left every share
+		// as it was, so the bottleneck drain goes ahead at this m.
+		swept := false
+		for capPos < len(capIndex) && capIndex[capPos].rateCap <= m {
+			c := capIndex[capPos]
+			capPos++
+			if c.mark != epoch || c.solved == epoch {
+				continue // outside the region, or drained via a bottleneck
 			}
-			for len(capHeap) > 0 && capHeap[0].rateCap <= m {
-				c := capHeap[0]
-				n := len(capHeap) - 1
-				capHeap[0] = capHeap[n]
-				capHeap[n] = nil
-				capHeap = capHeap[:n]
-				if n > 1 {
-					capSiftDown(capHeap, 0)
-				}
-				if c.solved == epoch {
-					continue // already drained via a bottleneck link
-				}
-				c.solved = epoch
-				nw.assignRate(c, c.rateCap)
-				left--
-			}
-			minCap = math.Inf(1)
-			if len(capHeap) > 0 {
-				minCap = capHeap[0].rateCap
-			}
+			c.solved = epoch
+			nw.assignRate(c, c.rateCap)
+			left--
+			swept = true
+		}
+		if swept {
 			continue
 		}
 		// Drain the bottlenecks: every unsolved region conn crossing a link
 		// at the minimum share gets exactly m (their caps are all above m —
-		// the heap sweep already fixed everything at or below it).
+		// the cap sweep already fixed everything at or below it).
 		// Draining every exactly-tied link in one round matters in
 		// symmetric topologies, where hundreds of identical access links
 		// hit bit-identical shares: fixing a conn at the minimum share
@@ -1106,8 +1098,8 @@ func (nw *Network) assignRate(c *Conn, r float64) {
 	c.scheduleCompletion()
 }
 
-// capLess orders conns by window cap, conn ID breaking ties so the
-// heap's pop order (and the solver's float arithmetic) is deterministic.
+// capLess orders conns by window cap, conn ID breaking ties, so the cap
+// sweep's order (and the solver's float arithmetic) is deterministic.
 func capLess(a, b *Conn) bool {
 	if a.rateCap != b.rateCap {
 		return a.rateCap < b.rateCap
@@ -1115,20 +1107,42 @@ func capLess(a, b *Conn) bool {
 	return a.id < b.id
 }
 
-// capSiftDown restores the min-heap property of h rooted at i.
-func capSiftDown(h []*Conn, i int) {
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
+// capSlot returns c's position in the cap index under capLess: its slot
+// if indexed, else where it would be inserted.
+func (nw *Network) capSlot(c *Conn) int {
+	lo, hi := 0, len(nw.capIndex)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if capLess(nw.capIndex[h], c) {
+			lo = h + 1
+		} else {
+			hi = h
 		}
-		if r := j + 1; r < len(h) && capLess(h[r], h[j]) {
-			j = r
-		}
-		if !capLess(h[j], h[i]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
 	}
+	return lo
+}
+
+// capIndexAdd indexes a conn that just became active or changed its
+// window cap, if that cap can bind (see capIndex).
+func (nw *Network) capIndexAdd(c *Conn) {
+	if c.rateCap > c.pathCap {
+		return
+	}
+	i := nw.capSlot(c)
+	nw.capIndex = append(nw.capIndex, nil)
+	copy(nw.capIndex[i+1:], nw.capIndex[i:])
+	nw.capIndex[i] = c
+}
+
+// capIndexRemove drops an active conn from the cap index before it goes
+// idle or its window cap changes; a no-op if its cap was never indexed.
+func (nw *Network) capIndexRemove(c *Conn) {
+	if c.rateCap > c.pathCap {
+		return
+	}
+	i := nw.capSlot(c)
+	n := len(nw.capIndex) - 1
+	copy(nw.capIndex[i:], nw.capIndex[i+1:])
+	nw.capIndex[n] = nil
+	nw.capIndex = nw.capIndex[:n]
 }

@@ -128,6 +128,29 @@ func checkAgainstReference(t *testing.T, nw *Network, label string) {
 	}
 }
 
+// checkCapIndex asserts the cap index invariant: strictly sorted by
+// capLess, and holding exactly the active conns whose window cap can bind
+// (rateCap <= pathCap).
+func checkCapIndex(t *testing.T, nw *Network, label string) {
+	t.Helper()
+	for i := 1; i < len(nw.capIndex); i++ {
+		if a, b := nw.capIndex[i-1], nw.capIndex[i]; !capLess(a, b) {
+			t.Fatalf("%s: cap index out of order at %d: conn %d (cap %g) before conn %d (cap %g)",
+				label, i, a.id, a.rateCap, b.id, b.rateCap)
+		}
+	}
+	indexed := make(map[*Conn]bool, len(nw.capIndex))
+	for _, c := range nw.capIndex {
+		indexed[c] = true
+	}
+	for _, c := range nw.conns {
+		if want := c.active && c.rateCap <= c.pathCap; indexed[c] != want {
+			t.Fatalf("%s: conn %d indexed=%v, want %v (active=%v cap %g pathCap %g)",
+				label, c.id, indexed[c], want, c.active, c.rateCap, c.pathCap)
+		}
+	}
+}
+
 // TestIncrementalMatchesFromScratch drives a seeded random workload —
 // sends of varied sizes over a multi-switch topology, link failures and
 // repairs, idle periods — and after every event checks that the
@@ -188,6 +211,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			steps := 0
 			for s.Step() {
 				steps++
+				checkCapIndex(t, nw, fmt.Sprintf("step %d", steps))
 				if len(nw.dirtyLinks) == 0 && !nw.recomputeScheduled {
 					checkAgainstReference(t, nw, fmt.Sprintf("step %d", steps))
 				}
@@ -198,6 +222,96 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			// Everything must drain.
 			if len(nw.activeList) != 0 && !trunk.down {
 				t.Fatalf("%d conns still active after drain", len(nw.activeList))
+			}
+		})
+	}
+}
+
+// TestIncrementalWindowCapped is the slow-start twin of
+// TestIncrementalMatchesFromScratch: a 25 ms trunk and 64 KiB initial /
+// 16 MiB max windows keep caps far below the 1 Gb/s links while conns
+// ramp, so the water fill's cap sweep does most of the assigning. Each
+// conn sends a chain of transfers separated by gaps both shorter and
+// longer than defaultRestartIdle, so conns enter the cap index on
+// activation, move within it on every window bump, leave it when their
+// window outgrows the path, restart slow start after a long idle and
+// leave it on deactivation. After every event the index must hold its
+// invariant and the rates must equal a from-scratch solve.
+func TestIncrementalWindowCapped(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			s := sim.New()
+			nw := New(s)
+			sw1 := nw.NewNode("sw1")
+			sw2 := nw.NewNode("sw2")
+			nw.DuplexLink("trunk", sw1, sw2, units.Gbps, 25*sim.Millisecond)
+			var hosts []*Node
+			for i := 0; i < 8; i++ {
+				h := nw.NewNode(fmt.Sprintf("h%d", i))
+				sw := sw1
+				if i >= 4 {
+					sw = sw2
+				}
+				nw.DuplexLink(fmt.Sprintf("l%d", i), h, sw, units.Gbps, 100*sim.Microsecond)
+				hosts = append(hosts, h)
+			}
+			tcp := TCPConfig{InitWindow: 64 * units.KiB, MaxWindow: 16 * units.MiB}
+			gaps := []sim.Time{50 * sim.Millisecond, 200 * sim.Millisecond,
+				800 * sim.Millisecond, 2 * sim.Second}
+			var conns []*Conn
+			for i := 0; i < 16; i++ {
+				src, dst := hosts[rng.Intn(4)], hosts[4+rng.Intn(4)]
+				if i%2 == 1 {
+					src, dst = dst, src
+				}
+				c := nw.DialTCP(src, dst, tcp)
+				conns = append(conns, c)
+				at := sim.Time(rng.Intn(100)) * sim.Millisecond
+				for k := 0; k < 6; k++ {
+					size := units.Bytes(64+rng.Intn(16<<10)) * units.KiB
+					s.At(at, func() { c.Send(size, nil) })
+					at += gaps[rng.Intn(len(gaps))]
+				}
+			}
+			init := float64(tcp.InitWindow)
+			grown := make(map[*Conn]bool)
+			var repositioned, outgrown, restarted bool
+			steps := 0
+			for s.Step() {
+				steps++
+				label := fmt.Sprintf("step %d", steps)
+				checkCapIndex(t, nw, label)
+				if len(nw.dirtyLinks) == 0 && !nw.recomputeScheduled {
+					checkAgainstReference(t, nw, label)
+				}
+				for _, c := range conns {
+					if !c.active {
+						continue
+					}
+					switch {
+					case c.cwnd == init && grown[c]:
+						restarted = true
+						grown[c] = false
+					case c.cwnd > init:
+						grown[c] = true
+						if c.rateCap <= c.pathCap {
+							repositioned = true
+						} else {
+							outgrown = true
+						}
+					}
+				}
+			}
+			if len(nw.activeList) != 0 || len(nw.capIndex) != 0 {
+				t.Fatalf("%d conns active, %d indexed after drain", len(nw.activeList), len(nw.capIndex))
+			}
+			if !repositioned || !outgrown || !restarted {
+				t.Fatalf("workload missed a cap-index path: repositioned=%v outgrown=%v restarted=%v",
+					repositioned, outgrown, restarted)
 			}
 		})
 	}

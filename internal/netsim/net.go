@@ -47,10 +47,16 @@ type Network struct {
 	compLinks  []*Link
 	compConns  []*Conn
 	unassigned []*Conn
-	capHeap    []*Conn
 	tieLinks   []*Link
 	boundLinks []*Link // boundary links of the current local solve
 	msgFree    []*message
+
+	// capIndex holds exactly the active conns whose window cap can bind —
+	// rateCap <= pathCap — sorted by capLess. activate, bump and
+	// deactivate keep it current, so a solve sweeps it with a cursor
+	// instead of ordering its region by cap. LAN conns, whose windows
+	// outrun their links, never enter it.
+	capIndex []*Conn
 
 	routesDirty bool
 	dist        [][]int32 // dist[dst.id][n.id] = hops from n to dst, -1 unreachable

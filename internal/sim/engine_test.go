@@ -11,6 +11,7 @@ import (
 
 // TestEngineProbeCounts checks per-kind counting and the snapshot basics.
 func TestEngineProbeCounts(t *testing.T) {
+	t.Parallel()
 	s := New()
 	p := NewEngineProbe()
 	s.SetEngineProbe(p)
@@ -67,6 +68,7 @@ func TestEngineProbeCounts(t *testing.T) {
 // TestEngineProbeDetached checks that a probe attached mid-run only counts
 // its own window, and that a detached sim runs clean.
 func TestEngineProbeDetached(t *testing.T) {
+	t.Parallel()
 	s := New()
 	for i := 0; i < 5; i++ {
 		s.Schedule(Time(i), func() {})
@@ -98,6 +100,7 @@ func TestEngineProbeDetached(t *testing.T) {
 // and without a probe produces identical virtual-time outcomes: the probe
 // observes, it must never perturb.
 func TestEngineProbeDeterminism(t *testing.T) {
+	t.Parallel()
 	run := func(probe bool) (Time, uint64) {
 		s := New()
 		if probe {
@@ -121,7 +124,8 @@ func TestEngineProbeDeterminism(t *testing.T) {
 // TestNoteExternalAllocs checks that allocations a subsystem reports as
 // recycled-buffer refills (arena misses) are excluded from the
 // allocs/event figure, and that the call is nil-safe so call sites need
-// no probe guard.
+// no probe guard. It stays serial: the probe reads the process-wide
+// allocation counter, which parallel tests would inflate.
 func TestNoteExternalAllocs(t *testing.T) {
 	var nilProbe *EngineProbe
 	nilProbe.NoteExternalAllocs(7) // must not panic
@@ -164,6 +168,7 @@ func TestNoteExternalAllocs(t *testing.T) {
 // TestEngineTraceSample checks the deterministic engine instants carry
 // only virtual-time fields.
 func TestEngineTraceSample(t *testing.T) {
+	t.Parallel()
 	run := func() []byte {
 		s := New()
 		tr := trace.New()
@@ -204,6 +209,7 @@ func TestEngineTraceSample(t *testing.T) {
 }
 
 func TestDepthBucket(t *testing.T) {
+	t.Parallel()
 	cases := []struct{ d, want int }{
 		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {1023, 10}, {1024, 11},
 	}
@@ -215,6 +221,7 @@ func TestDepthBucket(t *testing.T) {
 }
 
 func TestMergeEngineSnapshots(t *testing.T) {
+	t.Parallel()
 	a := EngineSnapshot{
 		Events: 100, WallNs: 1e9, SimNs: 2e9, PeakPending: 10, AllocsPerEvent: 2,
 		Kinds: []EngineKindStat{{Name: "x", Count: 60, EstWallNs: 100}},

@@ -8,6 +8,7 @@ import (
 )
 
 func TestProcSleep(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var at []Time
 	s.Go("sleeper", func(p *Proc) {
@@ -27,6 +28,7 @@ func TestProcSleep(t *testing.T) {
 }
 
 func TestProcInterleaving(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var order []string
 	s.Go("a", func(p *Proc) {
@@ -49,6 +51,7 @@ func TestProcInterleaving(t *testing.T) {
 }
 
 func TestProcWaitUntil(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var end Time
 	s.Go("w", func(p *Proc) {
@@ -63,6 +66,7 @@ func TestProcWaitUntil(t *testing.T) {
 }
 
 func TestProcKill(t *testing.T) {
+	t.Parallel()
 	s := New()
 	reached := false
 	p := s.Go("victim", func(p *Proc) {
@@ -83,6 +87,7 @@ func TestProcKill(t *testing.T) {
 }
 
 func TestResourceMutex(t *testing.T) {
+	t.Parallel()
 	s := New()
 	r := NewResource(s, "mutex", 1)
 	var inCS int
@@ -112,6 +117,7 @@ func TestResourceMutex(t *testing.T) {
 }
 
 func TestResourceCapacityParallelism(t *testing.T) {
+	t.Parallel()
 	s := New()
 	r := NewResource(s, "pool", 3)
 	for i := 0; i < 6; i++ {
@@ -132,6 +138,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
+	t.Parallel()
 	s := New()
 	r := NewResource(s, "r", 1)
 	var order []int
@@ -154,6 +161,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceTryAcquire(t *testing.T) {
+	t.Parallel()
 	s := New()
 	r := NewResource(s, "r", 2)
 	if !r.TryAcquire(2) {
@@ -169,6 +177,7 @@ func TestResourceTryAcquire(t *testing.T) {
 }
 
 func TestQueueProducerConsumer(t *testing.T) {
+	t.Parallel()
 	s := New()
 	q := NewQueue[int](s, "q", 0)
 	var got []int
@@ -195,6 +204,7 @@ func TestQueueProducerConsumer(t *testing.T) {
 }
 
 func TestQueueBoundedBlocksPutter(t *testing.T) {
+	t.Parallel()
 	s := New()
 	q := NewQueue[int](s, "q", 2)
 	var putDone Time
@@ -215,6 +225,7 @@ func TestQueueBoundedBlocksPutter(t *testing.T) {
 }
 
 func TestSignalBroadcast(t *testing.T) {
+	t.Parallel()
 	s := New()
 	sig := NewSignal(s)
 	woken := 0
@@ -241,6 +252,7 @@ func TestSignalBroadcast(t *testing.T) {
 }
 
 func TestWaitGroup(t *testing.T) {
+	t.Parallel()
 	s := New()
 	wg := NewWaitGroup(s)
 	wg.Add(3)
@@ -263,6 +275,7 @@ func TestWaitGroup(t *testing.T) {
 }
 
 func TestWaitGroupZeroDoesNotBlock(t *testing.T) {
+	t.Parallel()
 	s := New()
 	wg := NewWaitGroup(s)
 	ran := false
@@ -279,6 +292,7 @@ func TestWaitGroupZeroDoesNotBlock(t *testing.T) {
 // Property: with capacity c and n unit jobs of duration d, makespan is
 // ceil(n/c)*d.
 func TestPropertyResourceMakespan(t *testing.T) {
+	t.Parallel()
 	f := func(nRaw, cRaw uint8) bool {
 		n := int(nRaw%20) + 1
 		c := int(cRaw%5) + 1
@@ -305,6 +319,7 @@ func TestPropertyResourceMakespan(t *testing.T) {
 // releasing process's own coroutine, two levels deep here — before the
 // releaser continues.
 func TestProcNestedWake(t *testing.T) {
+	t.Parallel()
 	s := New()
 	r1 := NewResource(s, "r1", 1)
 	r2 := NewResource(s, "r2", 1)
@@ -341,6 +356,7 @@ func TestProcNestedWake(t *testing.T) {
 // TestProcKillBeforeStart: a process killed before its first run never
 // runs, and is done.
 func TestProcKillBeforeStart(t *testing.T) {
+	t.Parallel()
 	s := New()
 	ran := false
 	p := s.Go("victim", func(p *Proc) { ran = true })
@@ -356,6 +372,7 @@ func TestProcKillBeforeStart(t *testing.T) {
 // goroutine — also when the panicking process was woken synchronously
 // from inside another process.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
+	t.Parallel()
 	for _, nested := range []bool{false, true} {
 		s := New()
 		r := NewResource(s, "r", 1)
@@ -386,6 +403,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // TestProcStaleWakeOnReusedRunner: a wake held past its process's end is
 // a no-op, even once the process's runner executes another process.
 func TestProcStaleWakeOnReusedRunner(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var first *runner
 	p1 := s.Go("first", func(p *Proc) { first = p.r })
@@ -411,7 +429,8 @@ func TestProcStaleWakeOnReusedRunner(t *testing.T) {
 }
 
 // TestProcRunnersReleased: Run leaves no goroutines behind once every
-// process has finished, however many ran.
+// process has finished, however many ran. It stays serial: the goroutine
+// count is process-wide.
 func TestProcRunnersReleased(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := New()
@@ -429,6 +448,7 @@ func TestProcRunnersReleased(t *testing.T) {
 // leaves the queue; one killed after a Release granted it units gives them
 // back. Either way later acquirers get through.
 func TestKillReleasesResource(t *testing.T) {
+	t.Parallel()
 	for _, granted := range []bool{false, true} {
 		s := New()
 		r := NewResource(s, "r", 1)
@@ -467,6 +487,7 @@ func TestKillReleasesResource(t *testing.T) {
 // place in line nor swallows the wakeup meant for the live waiter behind
 // it, whether the kill lands before or after the wakeup.
 func TestKillQueueWaiter(t *testing.T) {
+	t.Parallel()
 	for _, spent := range []bool{false, true} {
 		s := New()
 		in := NewQueue[int](s, "in", 0)
@@ -509,6 +530,7 @@ func TestKillQueueWaiter(t *testing.T) {
 // TestKillCancelsSleep: a killed sleeper's timer goes with it, so it no
 // longer keeps Run going.
 func TestKillCancelsSleep(t *testing.T) {
+	t.Parallel()
 	s := New()
 	p := s.Go("sleeper", func(p *Proc) { p.Sleep(Hour) })
 	s.Schedule(Second, p.Kill)

@@ -10,6 +10,8 @@ package sim
 //   - push is called only with events not currently queued.
 //   - remove is called only with events currently queued (Cancel removes
 //     eagerly, so the queue never holds canceled events).
+//   - fix is called only with events currently queued, after their
+//     (when, seq) key changed (Rearm moves an event in place).
 //   - pop returns the minimum event and marks it not-queued; it returns
 //     nil when empty.
 //
@@ -76,6 +78,13 @@ func (q *eventQueue) remove(e *Event) {
 	}
 	e.queued = false
 	e.pos = -1
+}
+
+// fix restores heap order after a queued event's key changed.
+func (q *eventQueue) fix(e *Event) {
+	if i := int(e.pos); !q.up(i) {
+		q.down(i)
+	}
 }
 
 // up sifts the event at index i toward the root, moving parents down

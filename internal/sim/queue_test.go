@@ -18,7 +18,8 @@ type refEvent struct {
 
 // dispatchTrace runs a seeded random workload — timers, nested schedules,
 // daemons, same-instant ties, cancellations before and during the run,
-// pooled posts, re-armed events — and records the dispatch order (got)
+// pooled posts, re-armed events, queued events moved in place by Rearm
+// before and during the run — and records the dispatch order (got)
 // beside the order a reference derives from every scheduling it saw
 // (want): the non-canceled events sorted by (when, seq), cut after the
 // last non-daemon event's instant, as Run leaves later daemons unfired.
@@ -39,12 +40,23 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 		ref *refEvent
 		tag string
 	}
-	var cancelable, armed []handle
-	cancel := func(h handle) {
+	var cancelable, armed []*handle
+	cancel := func(h *handle) {
 		if h.e.Queued() {
 			h.e.Cancel()
 			h.ref.canceled = true
 		}
+	}
+	// move re-arms a still-queued armed event in place; to the reference
+	// that is a cancel plus a fresh scheduling.
+	move := func(h *handle) {
+		if !h.e.Queued() {
+			return
+		}
+		h.ref.canceled = true
+		tag := h.tag + "-moved"
+		s.Rearm(h.e, KindOther, Time(rng.Intn(5))*Millisecond, func() { record(tag) })
+		h.ref = note(h.e.When(), tag, false)
 	}
 	id := 0
 	var spawn func(depth int)
@@ -67,7 +79,7 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 		case 2:
 			e := &Event{}
 			s.Arm(e, KindOther, d, func() { record(tag + "-armed") })
-			armed = append(armed, handle{e, note(e.When(), tag+"-armed", false), tag})
+			armed = append(armed, &handle{e, note(e.When(), tag+"-armed", false), tag})
 		default:
 			e := s.Schedule(d, func() {
 				record(tag)
@@ -77,8 +89,11 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 				if rng.Intn(8) == 0 && len(cancelable) > 0 {
 					cancel(cancelable[rng.Intn(len(cancelable))])
 				}
+				if rng.Intn(8) == 0 && len(armed) > 0 {
+					move(armed[rng.Intn(len(armed))])
+				}
 			})
-			cancelable = append(cancelable, handle{e, note(e.When(), tag, false), tag})
+			cancelable = append(cancelable, &handle{e, note(e.When(), tag, false), tag})
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -97,7 +112,12 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 		if rng.Intn(2) == 0 {
 			tag := h.tag + "-rearmed"
 			s.Arm(h.e, KindOther, Time(rng.Intn(5))*Millisecond, func() { record(tag) })
-			note(h.e.When(), tag, false)
+			h.ref = note(h.e.When(), tag, false)
+		}
+	}
+	for _, h := range armed {
+		if rng.Intn(4) == 0 {
+			move(h)
 		}
 	}
 	s.Run()
@@ -132,6 +152,7 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 // reference — the determinism contract every byte-identity CI gate rests
 // on.
 func TestSchedulerDifferential(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 20; seed++ {
 		got, want := dispatchTrace(seed, 200)
 		if len(got) == 0 {
@@ -152,6 +173,7 @@ func TestSchedulerDifferential(t *testing.T) {
 // TestArmReuse re-arms one embedded event many times, with interleaved
 // cancels, and checks each firing lands at the right instant.
 func TestArmReuse(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var e Event
 	fired := 0
@@ -184,6 +206,42 @@ func TestArmReuse(t *testing.T) {
 	}
 }
 
+// TestRearmMovesQueuedEvent: Rearm moves a queued event earlier, later or
+// to the same instant, and it fires exactly once at its new instant. At a
+// shared instant it fires after events scheduled before the re-arm, just
+// as a Cancel then Arm would. On an idle event Rearm is Arm, and a
+// re-armed daemon stops counting as one.
+func TestRearmMovesQueuedEvent(t *testing.T) {
+	t.Parallel()
+	s := New()
+	var got []string
+	rec := func(tag string) func() {
+		return func() { got = append(got, fmt.Sprintf("%d:%s", s.Now()/Millisecond, tag)) }
+	}
+	var earlier, later, same, idle Event
+	s.Arm(&earlier, KindOther, 5*Millisecond, rec("stale-earlier"))
+	s.Arm(&later, KindOther, 3*Millisecond, rec("stale-later"))
+	s.Arm(&same, KindOther, 4*Millisecond, rec("stale-same"))
+	s.Schedule(4*Millisecond, rec("tie"))
+	s.Rearm(&earlier, KindOther, 2*Millisecond, rec("earlier"))
+	s.Rearm(&later, KindOther, 8*Millisecond, rec("later"))
+	s.Rearm(&same, KindOther, 4*Millisecond, rec("same"))
+	s.Rearm(&idle, KindOther, 6*Millisecond, rec("idle"))
+	d := s.AtDaemon(Millisecond, rec("stale-daemon"))
+	s.Rearm(d, KindOther, 7*Millisecond, rec("daemon"))
+	if s.Daemons() != 0 {
+		t.Fatalf("%d daemons after re-arming the only one", s.Daemons())
+	}
+	if s.Pending() != 6 {
+		t.Fatalf("%d events pending, want 6", s.Pending())
+	}
+	s.Run()
+	want := []string{"2:earlier", "4:tie", "4:same", "6:idle", "7:daemon", "8:later"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
 // TestArmWhileQueuedPanics: double-arming without a Cancel is a bug.
 func TestArmWhileQueuedPanics(t *testing.T) {
 	s := New()
@@ -200,6 +258,7 @@ func TestArmWhileQueuedPanics(t *testing.T) {
 // TestPostPoolRecycles: steady-state Post traffic must not grow the free
 // list beyond the peak number of in-flight pooled events.
 func TestPostPoolRecycles(t *testing.T) {
+	t.Parallel()
 	s := New()
 	fired := 0
 	var tick func()

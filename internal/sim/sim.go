@@ -65,6 +65,8 @@ func (t Time) String() string {
 //   - caller-owned events (Arm): embedded in a long-lived struct and
 //     re-armed across many firings, eliminating per-firing allocation on
 //     hot timers (flow completion estimates, cwnd bumps, process sleeps).
+//     Arm requires an event that is not queued; Rearm also takes a queued
+//     one and moves it in place, dispatching exactly as Cancel then Arm.
 type Event struct {
 	when Time
 	seq  uint64
@@ -260,13 +262,44 @@ func (s *Sim) Post(k EventKind, d Time, fn func()) {
 // Event is typically embedded in a long-lived struct and re-armed across
 // many firings — no allocation after the first. The owner may Cancel a
 // queued armed event and re-arm it later; arming an event that is still
-// queued panics (Cancel it first).
+// queued panics (Cancel it first, or Rearm it).
 func (s *Sim) Arm(e *Event, k EventKind, d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
 	if e.queued {
 		panic("sim: arming an event that is still queued")
+	}
+	s.arm(e, k, d, fn)
+	s.q.push(e)
+	if s.probe != nil {
+		s.probe.notePending(s.q.len())
+	}
+}
+
+// Rearm is Arm for an event that may still be queued. A queued event
+// moves to its new instant in place — one heap sift instead of a remove
+// and a push — and takes a fresh sequence number just as Cancel then Arm
+// would give it, so dispatch order is exactly theirs. An event that is
+// not queued is simply armed.
+func (s *Sim) Rearm(e *Event, k EventKind, d Time, fn func()) {
+	if !e.queued {
+		s.Arm(e, k, d, fn)
+		return
+	}
+	if e.daemon {
+		s.daemons--
+	}
+	s.arm(e, k, d, fn)
+	s.q.fix(e)
+	if s.probe != nil {
+		s.probe.notePending(s.q.len())
+	}
+}
+
+// arm stamps a caller-owned event with its next firing: instant, a fresh
+// sequence number, callback and kind, as a plain (non-daemon, unpooled,
+// uncanceled) event of this sim.
+func (s *Sim) arm(e *Event, k EventKind, d Time, fn func()) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	s.seq++
 	e.when = s.now + d
@@ -277,10 +310,6 @@ func (s *Sim) Arm(e *Event, k EventKind, d Time, fn func()) {
 	e.canceled = false
 	e.daemon = false
 	e.pooled = false
-	s.q.push(e)
-	if s.probe != nil {
-		s.probe.notePending(s.q.len())
-	}
 }
 
 // Step executes the next pending event, advancing the clock. It returns

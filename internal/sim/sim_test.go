@@ -8,6 +8,7 @@ import (
 )
 
 func TestClockStartsAtZero(t *testing.T) {
+	t.Parallel()
 	s := New()
 	if s.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", s.Now())
@@ -15,6 +16,7 @@ func TestClockStartsAtZero(t *testing.T) {
 }
 
 func TestScheduleOrdering(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var got []int
 	s.Schedule(3*Second, func() { got = append(got, 3) })
@@ -33,6 +35,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSameTimeFIFO(t *testing.T) {
+	t.Parallel()
 	s := New()
 	var got []int
 	for i := 0; i < 10; i++ {
@@ -48,6 +51,7 @@ func TestSameTimeFIFO(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
+	t.Parallel()
 	s := New()
 	fired := false
 	e := s.Schedule(Second, func() { fired = true })
@@ -62,6 +66,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
+	t.Parallel()
 	s := New()
 	s.Schedule(Second, func() {})
 	s.Run()
@@ -74,6 +79,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
+	t.Parallel()
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
@@ -96,6 +102,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestStop(t *testing.T) {
+	t.Parallel()
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
@@ -113,6 +120,7 @@ func TestStop(t *testing.T) {
 }
 
 func TestNestedScheduling(t *testing.T) {
+	t.Parallel()
 	s := New()
 	depth := 0
 	var rec func()
@@ -135,6 +143,7 @@ func TestNestedScheduling(t *testing.T) {
 // Property: events fire in nondecreasing time order regardless of insertion
 // order.
 func TestPropertyEventOrdering(t *testing.T) {
+	t.Parallel()
 	f := func(delaysRaw []uint16) bool {
 		s := New()
 		var fired []Time
@@ -154,6 +163,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 // Property: a random mix of schedules and cancels fires exactly the
 // non-canceled events.
 func TestPropertyCancelExactness(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
@@ -184,6 +194,7 @@ func TestPropertyCancelExactness(t *testing.T) {
 }
 
 func TestTimeString(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		t    Time
 		want string
@@ -201,6 +212,7 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestFromSecondsRoundTrip(t *testing.T) {
+	t.Parallel()
 	for _, sec := range []float64{0, 0.001, 1, 3600.5} {
 		got := FromSeconds(sec).Seconds()
 		if diff := got - sec; diff > 1e-9 || diff < -1e-9 {
