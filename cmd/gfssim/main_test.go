@@ -18,6 +18,8 @@ import (
 //   - production, 4 nodes: the full file-system stack on a LAN farm.
 //   - failover: WAN reads through an NSD server crash over a 6 ms path,
 //     where slow-start window caps bind (the water fill's cap sweep).
+//   - anl: the §5 remote mount. One client seeds 32 files first, driving
+//     write-behind across 32 inodes in one page pool.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -30,6 +32,9 @@ func TestGolden(t *testing.T) {
 		{"failover", []string{"-exp", "failover"},
 			"8e375daed6157087df6ac5ec531b095f6302d3e63be28b609a170d8e4c7855b3",
 			"3adf3a0d3f2b13f8c06b655a9ffb548bfa74059fa17d04e9bee99e500a4ac068"},
+		{"anl", []string{"-exp", "anl"},
+			"fafe201e0cf70fd03e53df13953a176269a79de4f55a9c2bad8bc98f1ecf7d3a",
+			"4939be9e4946b63286328a204463bd1a39c35afc0bdeef59a4784a4e18882290"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

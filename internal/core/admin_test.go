@@ -12,6 +12,7 @@ import (
 )
 
 func TestNSDFailoverServesReads(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 3, 1, 256*units.KiB)
 	// Make server 1 the backup for every NSD primary-served by server 0.
 	backup := r.fs.servers[1]
@@ -55,6 +56,7 @@ func TestNSDFailoverServesReads(t *testing.T) {
 }
 
 func TestNSDFailWithoutBackupErrors(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -85,6 +87,7 @@ func TestNSDFailWithoutBackupErrors(t *testing.T) {
 }
 
 func TestFSCKCleanAfterChurn(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 3, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -120,6 +123,7 @@ func TestFSCKCleanAfterChurn(t *testing.T) {
 }
 
 func TestFSCKDetectsCorruption(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -152,6 +156,7 @@ func TestFSCKDetectsCorruption(t *testing.T) {
 }
 
 func TestRename(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	data := pattern(int(512*units.KiB), 5)
 	r.run(t, func(p *sim.Proc) error {
@@ -197,6 +202,7 @@ func TestRename(t *testing.T) {
 }
 
 func TestRenameRejectsCycle(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -214,6 +220,7 @@ func TestRenameRejectsCycle(t *testing.T) {
 }
 
 func TestRenameOntoExistingFails(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -230,6 +237,7 @@ func TestRenameOntoExistingFails(t *testing.T) {
 }
 
 func TestStatFS(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 3, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -264,6 +272,7 @@ func TestStatFS(t *testing.T) {
 // Property: arbitrary create/write/remove/rename churn leaves the
 // filesystem fsck-clean.
 func TestPropertyFSCKInvariant(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := newRig(t, 2, 1, 256*units.KiB)
@@ -316,6 +325,7 @@ func TestPropertyFSCKInvariant(t *testing.T) {
 }
 
 func TestChmodChown(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)
 	rootClient := r.addClient("admin", DefaultClientConfig(), Identity{DN: "/CN=admin", Root: true})
 	r.run(t, func(p *sim.Proc) error {
@@ -359,6 +369,7 @@ func TestChmodChown(t *testing.T) {
 }
 
 func TestUnmountDropsTokensAndAllowsRemount(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		mA, _ := r.clients[0].MountLocal(p, r.fs)

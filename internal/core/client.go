@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gfs/internal/metrics"
@@ -575,9 +576,11 @@ func (m *Mount) Unmount(p *sim.Proc) error {
 		return fmt.Errorf("core: %s on %s: %w", m.Device, m.c.id, ErrNotMounted)
 	}
 	// Flush everything dirty across all inodes.
-	m.flushDirty(m.pool.allPages(), true)
+	m.flushDirty(m.pool.dirty, true)
 	m.wgFl.Wait(p)
-	for _, pg := range m.pool.pages {
+	// The first problem page in (inode, block) order decides the error,
+	// so the same state always reports the same one.
+	for _, pg := range m.pool.allPages() {
 		if pg.err != nil {
 			return pg.err
 		}
@@ -714,15 +717,10 @@ func (cl *Client) serveRevoke(p *sim.Proc, req *netsim.Request) netsim.Response 
 // flush failed (sticky err) are left dirty and not retried here — the
 // same semantics the old drain-everything wait had.
 func (m *Mount) flushRange(p *sim.Proc, ino int64, start, end units.Bytes) {
-	bs := m.info.BlockSize
 	for {
 		var sel []*page
 		busy := false
-		for _, pg := range m.pool.pagesOf(ino) {
-			pgStart := units.Bytes(pg.key.idx) * bs
-			if !overlaps(pgStart, pgStart+bs, start, end) {
-				continue
-			}
+		for _, pg := range m.pool.span(ino, start, end, m.info.BlockSize) {
 			if pg.flushing {
 				busy = true
 				continue
@@ -784,12 +782,32 @@ type page struct {
 	elem *list.Element
 }
 
+// pagePool is the client cache: the page map, an LRU list, and an index
+// that keeps pages in the order flush and revoke I/O must go out —
+// (inode, block) — so no sweep scans or sorts the whole pool. That order
+// is load-bearing: map order would make event timing, and traces,
+// nondeterministic.
+//
+//   - byIno holds each inode's cached pages in block order, and inos the
+//     inodes with any, ascending. The two mirror pages exactly: a re-add
+//     over a stale page takes its slot, and remove unindexes only the
+//     current occupant of a key.
+//   - dirty holds every page with pg.dirty set, in (inode, block) order —
+//     including a stale page still flushing after its key was re-added,
+//     which sits beside the new occupant until its flush lands. Only
+//     markDirty and markClean write pg.dirty.
+//
+// pagesOf, dirtyOf and span return windows of the index: valid until the
+// next add, remove or mark, so a caller that does any of those while
+// walking one must walk a copy.
 type pagePool struct {
 	capacity int
 	pages    map[pageKey]*page
+	byIno    map[int64][]*page
+	inos     []int64
+	dirty    []*page
 	lru      *list.List // front = most recently used
-	dirty    int
-	arena    *bufArena // reclaims page.data on remove
+	arena    *bufArena  // reclaims page.data on remove
 	// unusedPrefetch counts prefetched pages dropped before any demand
 	// read claimed them — the honest cost of speculation (see
 	// MountStats.PrefetchUnused).
@@ -800,7 +818,23 @@ func newPagePool(capacity int, arena *bufArena) *pagePool {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &pagePool{capacity: capacity, pages: make(map[pageKey]*page), lru: list.New(), arena: arena}
+	return &pagePool{capacity: capacity, pages: make(map[pageKey]*page),
+		byIno: make(map[int64][]*page), lru: list.New(), arena: arena}
+}
+
+// blockPos returns the position in pgs (one inode's pages, in block
+// order) of the first page with block index >= idx.
+func blockPos(pgs []*page, idx int64) int {
+	return sort.Search(len(pgs), func(i int) bool { return pgs[i].key.idx >= idx })
+}
+
+// dirtyPos returns the position in the dirty index of the first page
+// whose key is not below k.
+func (pp *pagePool) dirtyPos(k pageKey) int {
+	return sort.Search(len(pp.dirty), func(i int) bool {
+		d := pp.dirty[i].key
+		return d.ino > k.ino || d.ino == k.ino && d.idx >= k.idx
+	})
 }
 
 func (pp *pagePool) get(k pageKey) *page {
@@ -818,16 +852,26 @@ func (pp *pagePool) add(k pageKey, ref BlockRef) *page {
 	pg := &page{key: k, ref: ref}
 	pg.elem = pp.lru.PushFront(pg)
 	pp.pages[k] = pg
+	pgs := pp.byIno[k.ino]
+	if len(pgs) == 0 {
+		i, _ := slices.BinarySearch(pp.inos, k.ino)
+		pp.inos = slices.Insert(pp.inos, i, k.ino)
+	}
+	if i := blockPos(pgs, k.idx); i < len(pgs) && pgs[i].key.idx == k.idx {
+		pgs[i] = pg // re-add over a stale page
+	} else {
+		pp.byIno[k.ino] = slices.Insert(pgs, i, pg)
+	}
 	return pg
 }
 
 // remove unlinks a page, charging a never-used prefetch if applicable.
-// The map check guards against a stale page whose key has since been
-// re-added: only the current occupant may be deleted by key. The page's
-// data buffer goes back to the arena — every discard path (evict,
-// invalidate, truncate/remove discard, stale I/O landing) funnels through
-// here — unless a reader still holds a pin, in which case the recycle is
-// deferred to the last unpin.
+// The occupant check guards against a stale page whose key has since
+// been re-added: only the current occupant may be deleted by key, from
+// the map and the index alike. The page's data buffer goes back to the
+// arena — every discard path (evict, invalidate, truncate/remove discard,
+// stale I/O landing) funnels through here — unless a reader still holds
+// a pin, in which case the recycle is deferred to the last unpin.
 func (pp *pagePool) remove(pg *page) {
 	if pg.prefetched {
 		pp.unusedPrefetch++
@@ -836,6 +880,15 @@ func (pp *pagePool) remove(pg *page) {
 	pp.lru.Remove(pg.elem)
 	if pp.pages[pg.key] == pg {
 		delete(pp.pages, pg.key)
+		pgs := pp.byIno[pg.key.ino]
+		i := blockPos(pgs, pg.key.idx)
+		if pgs = slices.Delete(pgs, i, i+1); len(pgs) > 0 {
+			pp.byIno[pg.key.ino] = pgs
+		} else {
+			delete(pp.byIno, pg.key.ino)
+			j, _ := slices.BinarySearch(pp.inos, pg.key.ino)
+			pp.inos = slices.Delete(pp.inos, j, j+1)
+		}
 	}
 	if pg.data != nil {
 		if pg.pins > 0 {
@@ -845,6 +898,26 @@ func (pp *pagePool) remove(pg *page) {
 			pg.data = nil
 		}
 	}
+}
+
+// markDirty sets a clean pg dirty and files it in the dirty index.
+func (pp *pagePool) markDirty(pg *page) {
+	pg.dirty = true
+	pp.dirty = slices.Insert(pp.dirty, pp.dirtyPos(pg.key), pg)
+}
+
+// markClean clears pg's dirty bit and drops it from the dirty index; a
+// clean page is left as it is.
+func (pp *pagePool) markClean(pg *page) {
+	if !pg.dirty {
+		return
+	}
+	pg.dirty = false
+	i := pp.dirtyPos(pg.key)
+	for pp.dirty[i] != pg {
+		i++ // a stale page and the current occupant may share a key
+	}
+	pp.dirty = slices.Delete(pp.dirty, i, i+1)
 }
 
 // unpin releases a reader's hold on a page, completing any recycle that
@@ -881,13 +954,10 @@ func (pp *pagePool) evict() {
 // with I/O in flight are marked stale and dropped when it lands, so a
 // late-landing fetch can never fill a page whose block was freed.
 func (pp *pagePool) discard(ino, fromIdx int64) {
-	for _, pg := range pp.pagesOf(ino) {
-		if pg.key.idx < fromIdx {
-			continue
-		}
-		if pg.dirty && !pg.flushing {
-			pg.dirty = false
-			pp.dirty--
+	pgs := pp.byIno[ino]
+	for _, pg := range slices.Clone(pgs[blockPos(pgs, fromIdx):]) {
+		if !pg.flushing {
+			pp.markClean(pg)
 		}
 		if pg.fetching || pg.flushing {
 			pg.stale = true
@@ -897,40 +967,35 @@ func (pp *pagePool) discard(ino, fromIdx int64) {
 	}
 }
 
-// pagesOf returns the inode's cached pages sorted by block index. The
-// sort is load-bearing: flush and revoke I/O is issued in this order, and
-// map order here would make event timing — and traces — nondeterministic.
-func (pp *pagePool) pagesOf(ino int64) []*page {
-	var out []*page
-	for _, pg := range pp.pages {
-		if pg.key.ino == ino {
-			out = append(out, pg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key.idx < out[j].key.idx })
-	return out
+// pagesOf returns the inode's cached pages in block order.
+func (pp *pagePool) pagesOf(ino int64) []*page { return pp.byIno[ino] }
+
+// span returns the inode's cached pages overlapping [start, end), in
+// block order.
+func (pp *pagePool) span(ino int64, start, end, bs units.Bytes) []*page {
+	pgs := pp.byIno[ino]
+	pgs = pgs[blockPos(pgs, int64(start/bs)):]
+	return pgs[:blockPos(pgs, int64((end+bs-1)/bs))]
 }
 
-// allPages returns every cached page sorted by (inode, block index), for
-// deterministic whole-mount sweeps (unmount).
+// dirtyOf returns the inode's dirty pages in block order.
+func (pp *pagePool) dirtyOf(ino int64) []*page {
+	return pp.dirty[pp.dirtyPos(pageKey{ino: ino}):pp.dirtyPos(pageKey{ino: ino + 1})]
+}
+
+// allPages returns a copy of every cached page in (inode, block) order,
+// for whole-mount sweeps.
 func (pp *pagePool) allPages() []*page {
 	out := make([]*page, 0, len(pp.pages))
-	for _, pg := range pp.pages {
-		out = append(out, pg)
+	for _, ino := range pp.inos {
+		out = append(out, pp.byIno[ino]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.ino != out[j].key.ino {
-			return out[i].key.ino < out[j].key.ino
-		}
-		return out[i].key.idx < out[j].key.idx
-	})
 	return out
 }
 
 func (pp *pagePool) invalidate(ino int64, start, end, bs units.Bytes) {
-	for _, pg := range pp.pagesOf(ino) {
-		pgStart := units.Bytes(pg.key.idx) * bs
-		if overlaps(pgStart, pgStart+bs, start, end) && !pg.dirty && !pg.fetching && !pg.flushing {
+	for _, pg := range slices.Clone(pp.span(ino, start, end, bs)) {
+		if !pg.dirty && !pg.fetching && !pg.flushing {
 			pp.remove(pg)
 		}
 	}
@@ -939,7 +1004,7 @@ func (pp *pagePool) invalidate(ino int64, start, end, bs units.Bytes) {
 // invalidateAll drops every clean, quiescent page (used when cached data
 // must be re-fetched from the servers).
 func (pp *pagePool) invalidateAll() {
-	for _, pg := range pp.pages {
+	for _, pg := range pp.allPages() {
 		if !pg.dirty && !pg.fetching && !pg.flushing {
 			pp.remove(pg)
 		}

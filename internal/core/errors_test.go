@@ -13,6 +13,7 @@ import (
 // TestSentinelIdentity checks every exported sentinel survives wrapping
 // and that no two sentinels alias each other.
 func TestSentinelIdentity(t *testing.T) {
+	t.Parallel()
 	sentinels := []error{
 		ErrNotExist, ErrExist, ErrIsDir, ErrNotDir, ErrPermission,
 		ErrNotMounted, ErrDirtyPages, ErrNoSuchDevice, ErrNotEmpty,
@@ -35,6 +36,7 @@ func TestSentinelIdentity(t *testing.T) {
 // TestTypedErrorsEndToEnd drives real operations through the full RPC
 // stack and checks each failure carries its sentinel.
 func TestTypedErrorsEndToEnd(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.clients[0].MountLocal(p, r.fs)
@@ -108,6 +110,7 @@ func TestTypedErrorsEndToEnd(t *testing.T) {
 // the read error that finally surfaces, after the retry budget runs out,
 // still wraps ErrServerDown.
 func TestServerDownSurfacesTyped(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.clients[0].MountLocal(p, r.fs)

@@ -13,6 +13,7 @@ import (
 // backup, serves reads through the backup, restarts the primary, and
 // checks the periodic probe moves traffic back — with no manual reset.
 func TestFailoverProbeRediscoversPrimary(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.fs.SetBackup(r.fs.nsds[0], r.fs.servers[1])
 	r.run(t, func(p *sim.Proc) error {
@@ -64,6 +65,7 @@ func TestFailoverProbeRediscoversPrimary(t *testing.T) {
 // filesystem for less than the retry budget and checks the in-flight
 // read survives the outage instead of failing.
 func TestRetryRidesOutShortOutage(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.clients[0].MountLocal(p, r.fs)
@@ -103,6 +105,7 @@ func TestRetryRidesOutShortOutage(t *testing.T) {
 // checks a conflicting writer is granted the range after the lease runs
 // out rather than blocking forever.
 func TestTokenLeaseExpiryStealsFromDeadClient(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)
 	lease := 2 * sim.Second
 	r.fs.SetTokenLease(lease)

@@ -563,9 +563,8 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 		dataOff += sp.Len
 		pg.gen++
 		if !pg.dirty {
-			pg.dirty = true
+			m.pool.markDirty(pg)
 			pg.dFrom, pg.dTo = sp.Offset, sp.Offset+sp.Len
-			m.pool.dirty++
 		} else {
 			if sp.Offset < pg.dFrom {
 				pg.dFrom = sp.Offset
@@ -584,18 +583,18 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 	// flushes them asynchronously; the writer is blocked (backpressure)
 	// only when far over the limit, and that stall is traced as its own
 	// writeback phase — the visible cost of the -wb-max-dirty knob.
-	if m.pool.dirty >= m.c.cfg.WriteBehind {
+	if len(m.pool.dirty) >= m.c.cfg.WriteBehind {
 		m.writeBehind(f.ino)
 	}
-	if m.pool.dirty >= 2*m.c.cfg.WriteBehind {
+	if len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
 		m.writeStalls++
 		var waitStart int64
 		if rec.tr != nil {
 			waitStart = int64(m.c.sim.Now())
 		}
-		for m.pool.dirty >= 2*m.c.cfg.WriteBehind {
+		for len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
 			m.flSig.Wait(p)
-			if m.c.cfg.Gather && m.pool.dirty >= 2*m.c.cfg.WriteBehind {
+			if m.c.cfg.Gather && len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
 				// Gathered write-behind may have held edge runs back; keep
 				// the scheduler running so the stall always ends (it falls
 				// back to unaligned flushing once nothing is in flight).
@@ -616,14 +615,14 @@ func (m *Mount) writeBehind(ino int64) {
 	tr, reg := m.obs()
 	if tr != nil {
 		tr.Instant("cache", "writebehind", m.c.id, int64(m.c.sim.Now()),
-			trace.I("ino", ino), trace.I("dirty", int64(m.pool.dirty)))
+			trace.I("ino", ino), trace.I("dirty", int64(len(m.pool.dirty))))
 	}
 	if reg != nil {
 		reg.Counter("cache.writebehind_triggers").Inc()
 	}
-	issued := m.flushDirty(m.pool.pagesOf(ino), false)
+	issued := m.flushDirty(m.pool.dirtyOf(ino), false)
 	var others []*page
-	for _, pg := range m.pool.allPages() {
+	for _, pg := range m.pool.dirty {
 		if pg.key.ino != ino {
 			others = append(others, pg)
 		}
@@ -634,13 +633,13 @@ func (m *Mount) writeBehind(ino int64) {
 		// pool sits over its dirty bound and nothing is in flight: flush
 		// unaligned rather than let the writer's backpressure loop wait
 		// forever for a flush ack that is never coming.
-		m.flushDirty(m.pool.allPages(), true)
+		m.flushDirty(m.pool.dirty, true)
 	}
 }
 
 // flushAllDirty starts async flushes for every dirty page of an inode.
 func (m *Mount) flushAllDirty(ino int64) {
-	m.flushDirty(m.pool.pagesOf(ino), true)
+	m.flushDirty(m.pool.dirtyOf(ino), true)
 }
 
 // gatherRuns groups pages (pre-sorted by inode and block index) into runs
@@ -787,10 +786,7 @@ func (m *Mount) flushGathered(run []*page) {
 		}
 		for i, pg := range run {
 			if pg.stale {
-				if pg.dirty {
-					pg.dirty = false
-					m.pool.dirty--
-				}
+				m.pool.markClean(pg)
 				m.pool.remove(pg)
 				continue
 			}
@@ -799,9 +795,8 @@ func (m *Mount) flushGathered(run []*page) {
 				m.bytesWritten += bs
 				// Same rule as flushAsync: a page rewritten mid-flight
 				// (generation moved) stays dirty and flushes again.
-				if pg.dirty && pg.gen == snapGens[i] {
-					pg.dirty = false
-					m.pool.dirty--
+				if pg.gen == snapGens[i] {
+					m.pool.markClean(pg)
 				}
 			} else {
 				pg.err = resp.Err
@@ -854,10 +849,7 @@ func (m *Mount) flushAsync(pg *page) {
 		if pg.stale {
 			// The block was freed (truncate/remove) mid-flush; drop the
 			// page rather than reinstating any state.
-			if pg.dirty {
-				pg.dirty = false
-				m.pool.dirty--
-			}
+			m.pool.markClean(pg)
 			m.wgFl.Done()
 			m.flSig.Fire()
 			m.pool.remove(pg)
@@ -869,9 +861,8 @@ func (m *Mount) flushAsync(pg *page) {
 			// Clean only if nothing touched the page while the flush was
 			// in flight; an unchanged interval is not enough — the content
 			// may have been rewritten in place.
-			if pg.dirty && pg.gen == snapGen {
-				pg.dirty = false
-				m.pool.dirty--
+			if pg.gen == snapGen {
+				m.pool.markClean(pg)
 			}
 		} else {
 			pg.err = resp.Err

@@ -85,6 +85,7 @@ func pattern(n int, seed int64) []byte {
 }
 
 func TestWriteReadRoundTripSameClient(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.clients[0].MountLocal(p, r.fs)
@@ -114,6 +115,7 @@ func TestWriteReadRoundTripSameClient(t *testing.T) {
 }
 
 func TestWriteReadRoundTripCrossClient(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 2, 256*units.KiB)
 	data := pattern(int(2*units.MiB)+99, 7)
 	r.run(t, func(p *sim.Proc) error {
@@ -154,6 +156,7 @@ func TestWriteReadRoundTripCrossClient(t *testing.T) {
 }
 
 func TestRevokeFlushesUnsyncedWrites(t *testing.T) {
+	t.Parallel()
 	// Writer overwrites a synced region without syncing; a reader's token
 	// acquisition must force the writer's dirty pages to disk first.
 	r := newRig(t, 2, 2, 256*units.KiB)
@@ -197,6 +200,7 @@ func TestRevokeFlushesUnsyncedWrites(t *testing.T) {
 }
 
 func TestStripingSpreadsAcrossNSDs(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -224,6 +228,7 @@ func TestStripingSpreadsAcrossNSDs(t *testing.T) {
 }
 
 func TestPermissions(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		mA, _ := r.clients[0].MountLocal(p, r.fs)
@@ -262,6 +267,7 @@ func TestPermissions(t *testing.T) {
 }
 
 func TestMkdirListRemove(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -310,6 +316,7 @@ func TestMkdirListRemove(t *testing.T) {
 }
 
 func TestRemoveFreesBlocks(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -335,6 +342,7 @@ func TestRemoveFreesBlocks(t *testing.T) {
 }
 
 func TestTruncateShrinks(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -371,6 +379,7 @@ func TestTruncateShrinks(t *testing.T) {
 }
 
 func TestSmallPagePoolEvicts(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultClientConfig()
 	cfg.PagePool = 2 * units.MiB // 8 pages of 256 KiB
 	r := newRig(t, 2, 0, 256*units.KiB)
@@ -403,6 +412,7 @@ func TestSmallPagePoolEvicts(t *testing.T) {
 }
 
 func TestReadAheadHidesWANLatency(t *testing.T) {
+	t.Parallel()
 	// Identical WAN reads with read-ahead 0 vs 16: deep prefetch must be
 	// several times faster across 40 ms one-way latency. This is the
 	// paper's central mechanism.
@@ -467,6 +477,7 @@ func TestReadAheadHidesWANLatency(t *testing.T) {
 }
 
 func TestTokenChunkAmortizesRPCs(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -488,6 +499,7 @@ func TestTokenChunkAmortizesRPCs(t *testing.T) {
 }
 
 func TestReadBeyondEOF(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -506,6 +518,7 @@ func TestReadBeyondEOF(t *testing.T) {
 }
 
 func TestOpenMissingFile(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -517,6 +530,7 @@ func TestOpenMissingFile(t *testing.T) {
 }
 
 func TestCreateDuplicateFails(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)

@@ -140,6 +140,7 @@ func renderedSnapshot(t testing.TB) string {
 // its input was rendered from: every mount counter, NSD line, and the
 // sim footer must come back exactly.
 func TestMmpmonRoundTrip(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	var want MountStats
 	r.run(t, func(p *sim.Proc) error {
@@ -241,6 +242,7 @@ func TestMmpmonRoundTrip(t *testing.T) {
 // warnings), and a hist line written before p999 existed must still
 // parse.
 func TestMmpmonEngineHistRoundTrip(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 256*units.KiB)
 	probe := sim.NewEngineProbe()
 	r.s.SetEngineProbe(probe)

@@ -64,6 +64,7 @@ func newSANRig(t testing.TB, nClients int, cfg ClientConfig) (*rig, *san.Array) 
 // flush must land as a full-stripe write (no read-modify-write), and the
 // data must read back exactly from a cold client.
 func TestGatherFullStripeWrites(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultClientConfig()
 	cfg.Gather = true
 	cfg.WideTokens = true
@@ -125,6 +126,7 @@ func TestGatherFullStripeWrites(t *testing.T) {
 // member (parity still covers it) and the bytes must still be exact end
 // to end — degraded mode changes timing, never contents.
 func TestGatherFullStripeDegradedRAID(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultClientConfig()
 	cfg.Gather = true
 	cfg.WideTokens = true
@@ -183,6 +185,7 @@ func TestGatherFullStripeDegradedRAID(t *testing.T) {
 // the second writer's acquisition must carve it back down (revoke, flush,
 // partial release) without losing either writer's bytes or deadlocking.
 func TestWideGrantCarveDown(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultClientConfig()
 	cfg.WideTokens = true
 	r := newRig(t, 2, 0, 128*units.KiB)
@@ -277,6 +280,7 @@ func TestWideGrantCarveDown(t *testing.T) {
 // counter, and a whole unknown section. All must be skipped with
 // warnings while every known counter still lands.
 func TestParseMmpmonForwardCompat(t *testing.T) {
+	t.Parallel()
 	input := strings.Join([]string{
 		"=== mmpmon snapshot t=2.500000s ===",
 		"mmpmon node sdsc/c0 fs_io_s OK",

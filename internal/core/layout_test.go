@@ -8,6 +8,7 @@ import (
 )
 
 func TestAllocatorBasic(t *testing.T) {
+	t.Parallel()
 	a := NewAllocator(10)
 	if a.Total() != 10 || a.Used() != 0 || a.Free() != 10 {
 		t.Fatalf("fresh allocator: %d/%d", a.Used(), a.Total())
@@ -34,6 +35,7 @@ func TestAllocatorBasic(t *testing.T) {
 }
 
 func TestAllocatorDoubleFreePanics(t *testing.T) {
+	t.Parallel()
 	a := NewAllocator(4)
 	s, _ := a.Alloc()
 	a.Release(s)
@@ -46,6 +48,7 @@ func TestAllocatorDoubleFreePanics(t *testing.T) {
 }
 
 func TestAllocatorLargeWordSkip(t *testing.T) {
+	t.Parallel()
 	a := NewAllocator(1000)
 	for i := 0; i < 1000; i++ {
 		if _, ok := a.Alloc(); !ok {
@@ -60,6 +63,7 @@ func TestAllocatorLargeWordSkip(t *testing.T) {
 // Property: alloc/release sequences keep used-count and bitmap consistent,
 // and never hand out an allocated slot.
 func TestPropertyAllocatorConsistency(t *testing.T) {
+	t.Parallel()
 	f := func(ops []bool, sizeRaw uint8) bool {
 		size := int64(sizeRaw%64) + 1
 		a := NewAllocator(size)
@@ -99,6 +103,7 @@ func TestPropertyAllocatorConsistency(t *testing.T) {
 }
 
 func TestStriperRoundRobin(t *testing.T) {
+	t.Parallel()
 	s := Striper{NSDs: 4, First: 2}
 	want := []int{2, 3, 0, 1, 2, 3}
 	for b, w := range want {
@@ -109,6 +114,7 @@ func TestStriperRoundRobin(t *testing.T) {
 }
 
 func TestSpansSingleBlock(t *testing.T) {
+	t.Parallel()
 	got := spans(units.MiB, 100, 200)
 	if len(got) != 1 || got[0].Index != 0 || got[0].Offset != 100 || got[0].Len != 200 {
 		t.Fatalf("spans = %+v", got)
@@ -116,6 +122,7 @@ func TestSpansSingleBlock(t *testing.T) {
 }
 
 func TestSpansCrossBlocks(t *testing.T) {
+	t.Parallel()
 	bs := units.Bytes(1024)
 	got := spans(bs, 1000, 2100) // [1000, 3100): blocks 0,1,2,3
 	if len(got) != 4 {
@@ -129,6 +136,7 @@ func TestSpansCrossBlocks(t *testing.T) {
 // Property: spans partition the request exactly and block-align interior
 // boundaries.
 func TestPropertySpansPartition(t *testing.T) {
+	t.Parallel()
 	f := func(offRaw, sizeRaw uint32) bool {
 		bs := units.Bytes(256 * units.KiB)
 		off := units.Bytes(offRaw % (1 << 26))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"gfs/internal/sim"
@@ -80,4 +81,42 @@ func BenchmarkFSCK(b *testing.B) {
 
 func fileName(i int) string {
 	return "/f" + string(rune('a'+i/26%26)) + string(rune('a'+i%26)) + string(rune('0'+i/676))
+}
+
+// BenchmarkWriteBehind seeds files through one mount the way RunANL does:
+// 1 MiB blocks, the default 512-page pool, 8 MiB WriteAts. Once the pool
+// is full every write trips write-behind with 512 cached pages beside the
+// dirty ones. One iteration writes and closes one 64 MiB file, and
+// removes the file written 16 iterations earlier so the disks never fill.
+func BenchmarkWriteBehind(b *testing.B) {
+	r := newRig(b, 4, 1, units.MiB)
+	r.run(b, func(p *sim.Proc) error {
+		m, err := r.clients[0].MountLocal(p, r.fs)
+		if err != nil {
+			return err
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f, err := m.Create(p, fmt.Sprintf("/seed%d", i), DefaultPerm)
+			if err != nil {
+				return err
+			}
+			for off := units.Bytes(0); off < 64*units.MiB; off += 8 * units.MiB {
+				if err := f.WriteAt(p, off, 8*units.MiB); err != nil {
+					return err
+				}
+			}
+			if err := f.Close(p); err != nil {
+				return err
+			}
+			if i >= 16 {
+				if err := m.Remove(p, fmt.Sprintf("/seed%d", i-16)); err != nil {
+					return err
+				}
+			}
+		}
+		b.StopTimer()
+		return nil
+	})
 }

@@ -12,6 +12,7 @@ import (
 // timeline window renders are recovered exactly by ParseMmpmon — the
 // scraper contract the rate plane adds to the snapshot format.
 func TestMmpmonRateRoundTrip(t *testing.T) {
+	t.Parallel()
 	snap := timeline.Snapshot{
 		T:     2,
 		Names: []string{"link.wan.MBps", "nsd.srv0.read_MBps", "token.fs.waiting"},
@@ -53,6 +54,7 @@ func TestMmpmonRateRoundTrip(t *testing.T) {
 // TestMmpmonRateForwardCompat checks that a malformed or future rate
 // line degrades to a warning instead of a parse failure.
 func TestMmpmonRateForwardCompat(t *testing.T) {
+	t.Parallel()
 	in := "mmpmon rate only.three.fields\n" +
 		"mmpmon rate x MB/s notanumber\n" +
 		"mmpmon rate good MB/s 1.5\n"

@@ -102,6 +102,7 @@ func (r *wanRig) run(t testing.TB, fn func(p *sim.Proc) error) {
 }
 
 func TestRemoteMountReadsData(t *testing.T) {
+	t.Parallel()
 	r := newWANRig(t, auth.ReadOnly, true)
 	data := pattern(int(2*units.MiB), 42)
 	r.run(t, func(p *sim.Proc) error {
@@ -151,6 +152,7 @@ func TestRemoteMountReadsData(t *testing.T) {
 }
 
 func TestRemoteMountWithoutKeysFails(t *testing.T) {
+	t.Parallel()
 	r := newWANRig(t, auth.ReadWrite, false)
 	r.run(t, func(p *sim.Proc) error {
 		if _, err := r.ncsaClient.MountRemote(p, "gpfs_sdsc"); err == nil {
@@ -161,6 +163,7 @@ func TestRemoteMountWithoutKeysFails(t *testing.T) {
 }
 
 func TestRemoteMountWithoutGrantFails(t *testing.T) {
+	t.Parallel()
 	r := newWANRig(t, auth.None, true)
 	r.run(t, func(p *sim.Proc) error {
 		if _, err := r.ncsaClient.MountRemote(p, "gpfs_sdsc"); err == nil {
@@ -171,6 +174,7 @@ func TestRemoteMountWithoutGrantFails(t *testing.T) {
 }
 
 func TestReadOnlyGrantBlocksWrites(t *testing.T) {
+	t.Parallel()
 	r := newWANRig(t, auth.ReadOnly, true)
 	r.run(t, func(p *sim.Proc) error {
 		mR, err := r.ncsaClient.MountRemote(p, "gpfs_sdsc")
@@ -185,6 +189,7 @@ func TestReadOnlyGrantBlocksWrites(t *testing.T) {
 }
 
 func TestReadWriteGrantAllowsWrites(t *testing.T) {
+	t.Parallel()
 	r := newWANRig(t, auth.ReadWrite, true)
 	data := pattern(int(units.MiB)+13, 5)
 	r.run(t, func(p *sim.Proc) error {
@@ -223,6 +228,7 @@ func TestReadWriteGrantAllowsWrites(t *testing.T) {
 }
 
 func TestCrossSiteCoherence(t *testing.T) {
+	t.Parallel()
 	// SDSC writes, NCSA reads, SDSC overwrites (unsynced), NCSA re-reads:
 	// token revocation across the WAN must deliver the new bytes.
 	r := newWANRig(t, auth.ReadWrite, true)
@@ -274,6 +280,7 @@ func TestCrossSiteCoherence(t *testing.T) {
 }
 
 func TestMountPaysWANLatency(t *testing.T) {
+	t.Parallel()
 	// The remote mount involves the auth handshake (2 RTT) + fsinfo +
 	// mount.config: at 20 ms RTT that is >= 80 ms of wall clock.
 	r := newWANRig(t, auth.ReadOnly, true)

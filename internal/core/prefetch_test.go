@@ -12,6 +12,7 @@ import (
 // demand misses, claimed prefetches count as hits of their own kind, and
 // speculation dropped unused is reported as such.
 func TestPrefetchAccounting(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 0, 256*units.KiB)
 	cfg := DefaultClientConfig()
 	cfg.ReadAhead = 8
@@ -95,6 +96,7 @@ func TestPrefetchAccounting(t *testing.T) {
 // The stream detector ramps depth up only while reads stay sequential,
 // and restarts after a seek.
 func TestPrefetchStreamDetector(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 0, 256*units.KiB)
 	cfg := DefaultClientConfig()
 	cfg.ReadAhead = 16
@@ -160,6 +162,7 @@ func TestPrefetchStreamDetector(t *testing.T) {
 // write-back land on freed (and possibly reallocated) blocks, and a
 // subsequent extension must read back exactly.
 func TestTruncateDiscardsDirtyTail(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 64*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)
@@ -232,6 +235,7 @@ func TestTruncateDiscardsDirtyTail(t *testing.T) {
 // Removing a file with cached state discards its pages; blocks freed by
 // the remove can be reused by another file without corruption.
 func TestRemoveDiscardsPages(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1, 64*units.KiB)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.clients[0].MountLocal(p, r.fs)

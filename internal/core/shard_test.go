@@ -21,6 +21,7 @@ func shardedRig(t testing.TB, nServers, nClients, shards int, blockSize units.By
 }
 
 func TestShardRoutingPureAndStable(t *testing.T) {
+	t.Parallel()
 	// The client and the coordinator must route identically, so the
 	// routing functions have to be pure and canonicalize paths the same
 	// way the namespace does.
@@ -76,6 +77,7 @@ func TestShardRoutingPureAndStable(t *testing.T) {
 }
 
 func TestShardedWriteReadCrossClient(t *testing.T) {
+	t.Parallel()
 	// Data-path smoke with the plane sharded: cross-client read forces a
 	// revoke through a shard's home endpoint, and the shard's bulk
 	// allocation regions feed the writer's blocks.
@@ -168,6 +170,7 @@ func wantOneExist(errs [2]error) error {
 }
 
 func TestRacingCreateExactlyOneWins(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			r := shardedRig(t, 4, 2, shards, 256*units.KiB)
@@ -191,6 +194,7 @@ func TestRacingCreateExactlyOneWins(t *testing.T) {
 }
 
 func TestRacingRenameExactlyOneWins(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			r := shardedRig(t, 4, 2, shards, 256*units.KiB)
@@ -222,6 +226,7 @@ func TestRacingRenameExactlyOneWins(t *testing.T) {
 }
 
 func TestShardCrashStealBack(t *testing.T) {
+	t.Parallel()
 	// Kill a shard's home server mid-run: clients must fall back to the
 	// coordinator, the coordinator must wait out the lease and merge the
 	// shard's token table into its own (grants preserved — no revoke
@@ -337,6 +342,7 @@ func TestShardCrashStealBack(t *testing.T) {
 }
 
 func TestMmpmonShardCounters(t *testing.T) {
+	t.Parallel()
 	// Per-shard token counters ride inside the io_s section as plain
 	// key/value rows, so an older ParseMmpmon recovers them as counters
 	// without new grammar.
@@ -408,6 +414,7 @@ func TestMmpmonShardCounters(t *testing.T) {
 }
 
 func TestMmpmonUnshardedOmitsShardRows(t *testing.T) {
+	t.Parallel()
 	// The unsharded rendering must stay byte-compatible with pre-shard
 	// consumers: no per-shard rows at all.
 	r := newRig(t, 2, 1, 256*units.KiB)

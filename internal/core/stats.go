@@ -67,7 +67,7 @@ func (m *Mount) Stats() MountStats {
 		PrefetchUnused: m.pool.unusedPrefetch,
 		Writebacks:     m.writebacks,
 		WriteStalls:    m.writeStalls,
-		DirtyPages:     m.pool.dirty,
+		DirtyPages:     len(m.pool.dirty),
 		Opens:          m.opens,
 		Closes:         m.closes,
 		Reads:          m.readOps,

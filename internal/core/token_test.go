@@ -9,6 +9,7 @@ import (
 )
 
 func TestTokenCoversAfterInsert(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokShared)
 	if !tt.holderCovers(1, "a", 0, 100, TokShared) {
@@ -26,6 +27,7 @@ func TestTokenCoversAfterInsert(t *testing.T) {
 }
 
 func TestTokenMergeAdjacent(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokShared)
 	tt.insert(1, "a", 100, 200, TokShared)
@@ -38,6 +40,7 @@ func TestTokenMergeAdjacent(t *testing.T) {
 }
 
 func TestTokenSharedNoConflict(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokShared)
 	if len(tt.conflicts(1, 50, 150, TokShared, "b")) != 0 {
@@ -49,6 +52,7 @@ func TestTokenSharedNoConflict(t *testing.T) {
 }
 
 func TestTokenExclusiveConflicts(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokExclusive)
 	if len(tt.conflicts(1, 50, 150, TokShared, "b")) != 1 {
@@ -65,6 +69,7 @@ func TestTokenExclusiveConflicts(t *testing.T) {
 }
 
 func TestTokenCarveSplits(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 300, TokShared)
 	tt.carve(1, "a", 100, 200)
@@ -77,6 +82,7 @@ func TestTokenCarveSplits(t *testing.T) {
 }
 
 func TestTokenUpgradeSharedToExclusive(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokShared)
 	tt.insert(1, "a", 25, 75, TokExclusive)
@@ -89,6 +95,7 @@ func TestTokenUpgradeSharedToExclusive(t *testing.T) {
 }
 
 func TestTokenDropHolder(t *testing.T) {
+	t.Parallel()
 	tt := newTokenTable()
 	tt.insert(1, "a", 0, 100, TokShared)
 	tt.insert(1, "b", 0, 100, TokShared)
@@ -106,6 +113,7 @@ func TestTokenDropHolder(t *testing.T) {
 // ever hold overlapping ranges where either is exclusive — provided every
 // insert carves conflicting holders first (as serveToken does).
 func TestPropertyTokenTableNoIllegalOverlap(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tt := newTokenTable()
@@ -145,6 +153,7 @@ func TestPropertyTokenTableNoIllegalOverlap(t *testing.T) {
 
 // Property: carve exactly removes [start,end) and nothing else.
 func TestPropertyCarveExact(t *testing.T) {
+	t.Parallel()
 	f := func(aRaw, bRaw, cRaw, dRaw uint16) bool {
 		a, b := units.Bytes(aRaw), units.Bytes(aRaw)+units.Bytes(bRaw)+1
 		c, d := units.Bytes(cRaw), units.Bytes(cRaw)+units.Bytes(dRaw)+1
