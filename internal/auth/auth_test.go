@@ -29,6 +29,7 @@ func pairedRegistries(t *testing.T, mode CipherMode) (imp, exp *Registry) {
 }
 
 func TestPublicPEMRoundTrip(t *testing.T) {
+	t.Parallel()
 	pem := sdscKey.PublicPEM()
 	if !strings.Contains(string(pem), "BEGIN PUBLIC KEY") {
 		t.Fatalf("not PEM: %s", pem)
@@ -43,12 +44,14 @@ func TestPublicPEMRoundTrip(t *testing.T) {
 }
 
 func TestParsePublicPEMRejectsGarbage(t *testing.T) {
+	t.Parallel()
 	if _, err := ParsePublicPEM([]byte("not pem")); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 func TestHandshakeMutualAuth(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AuthOnly)
 	cs, ss, err := imp.Authenticate(exp)
 	if err != nil {
@@ -63,6 +66,7 @@ func TestHandshakeMutualAuth(t *testing.T) {
 }
 
 func TestHandshakeRejectsImpostorServer(t *testing.T) {
+	t.Parallel()
 	// Importer trusts the real sdsc key, but an impostor with a different
 	// key answers for "sdsc.teragrid".
 	imp := NewRegistry(ncsaKey, AuthOnly)
@@ -79,6 +83,7 @@ func TestHandshakeRejectsImpostorServer(t *testing.T) {
 }
 
 func TestHandshakeRejectsImpostorClient(t *testing.T) {
+	t.Parallel()
 	// Exporter trusts real ncsa; an impostor claims to be ncsa.
 	impostorKey, _ := GenerateKey("ncsa.teragrid")
 	impostor := NewRegistry(impostorKey, AuthOnly)
@@ -95,6 +100,7 @@ func TestHandshakeRejectsImpostorClient(t *testing.T) {
 }
 
 func TestHandshakeRequiresMutualTrust(t *testing.T) {
+	t.Parallel()
 	imp := NewRegistry(ncsaKey, AuthOnly)
 	exp := NewRegistry(sdscKey, AuthOnly)
 	if _, _, err := imp.Authenticate(exp); err == nil {
@@ -110,6 +116,7 @@ func TestHandshakeRequiresMutualTrust(t *testing.T) {
 }
 
 func TestStricterCipherWins(t *testing.T) {
+	t.Parallel()
 	imp := NewRegistry(ncsaKey, AuthOnly)
 	exp := NewRegistry(sdscKey, AES128)
 	if err := imp.AddRemote(exp.Cluster(), exp.Key().PublicPEM()); err != nil {
@@ -128,6 +135,7 @@ func TestStricterCipherWins(t *testing.T) {
 }
 
 func TestSealOpenAuthOnly(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AuthOnly)
 	cs, ss, err := imp.Authenticate(exp)
 	if err != nil {
@@ -145,6 +153,7 @@ func TestSealOpenAuthOnly(t *testing.T) {
 }
 
 func TestSealOpenAES(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AES128)
 	cs, ss, err := imp.Authenticate(exp)
 	if err != nil {
@@ -167,6 +176,7 @@ func TestSealOpenAES(t *testing.T) {
 }
 
 func TestTamperDetected(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AES128)
 	cs, ss, err := imp.Authenticate(exp)
 	if err != nil {
@@ -180,6 +190,7 @@ func TestTamperDetected(t *testing.T) {
 }
 
 func TestGrants(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AuthOnly)
 	if err := exp.Grant("gpfs-wan", imp.Cluster(), ReadOnly); err != nil {
 		t.Fatal(err)
@@ -204,6 +215,7 @@ func TestGrants(t *testing.T) {
 }
 
 func TestRemoveRemoteDropsGrants(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AuthOnly)
 	if err := exp.Grant("gpfs-wan", imp.Cluster(), ReadWrite); err != nil {
 		t.Fatal(err)
@@ -221,6 +233,7 @@ func TestRemoveRemoteDropsGrants(t *testing.T) {
 }
 
 func TestRemotesSorted(t *testing.T) {
+	t.Parallel()
 	exp := NewRegistry(sdscKey, AuthOnly)
 	_ = exp.AddRemote("ncsa", ncsaKey.PublicPEM())
 	_ = exp.AddRemote("anl", anlKey.PublicPEM())
@@ -232,6 +245,7 @@ func TestRemotesSorted(t *testing.T) {
 
 // Property: Seal/Open round-trips arbitrary payloads in both modes.
 func TestPropertySealRoundTrip(t *testing.T) {
+	t.Parallel()
 	imp, exp := pairedRegistries(t, AES128)
 	cs, ss, err := imp.Authenticate(exp)
 	if err != nil {

@@ -22,6 +22,7 @@ func newGrid(t *testing.T) (*CA, *IdentityService, *Credential) {
 }
 
 func TestDNFormat(t *testing.T) {
+	t.Parallel()
 	_, _, cred := newGrid(t)
 	if got := cred.DN(); got != "/O=SDSC/CN=Jane Researcher" {
 		t.Errorf("DN = %q", got)
@@ -29,6 +30,7 @@ func TestDNFormat(t *testing.T) {
 }
 
 func TestVerifyIssuedCert(t *testing.T) {
+	t.Parallel()
 	ca, _, cred := newGrid(t)
 	if err := ca.Verify(cred.Cert, testTime); err != nil {
 		t.Fatalf("issued cert rejected: %v", err)
@@ -36,6 +38,7 @@ func TestVerifyIssuedCert(t *testing.T) {
 }
 
 func TestVerifyRejectsForeignCert(t *testing.T) {
+	t.Parallel()
 	ca, _, _ := newGrid(t)
 	otherCA, err := NewCA("Rogue CA")
 	if err != nil {
@@ -51,6 +54,7 @@ func TestVerifyRejectsForeignCert(t *testing.T) {
 }
 
 func TestVerifyRejectsExpired(t *testing.T) {
+	t.Parallel()
 	ca, _, cred := newGrid(t)
 	if err := ca.Verify(cred.Cert, time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
 		t.Fatal("expired cert accepted")
@@ -58,6 +62,7 @@ func TestVerifyRejectsExpired(t *testing.T) {
 }
 
 func TestGridMapBijective(t *testing.T) {
+	t.Parallel()
 	g := NewGridMap("sdsc")
 	if err := g.Map("/O=SDSC/CN=Jane", 501); err != nil {
 		t.Fatal(err)
@@ -82,6 +87,7 @@ func TestGridMapBijective(t *testing.T) {
 }
 
 func TestCrossSiteOwnership(t *testing.T) {
+	t.Parallel()
 	// The paper's scenario: Jane is uid 501 at SDSC, 7044 at NCSA, 12 at
 	// ANL. A file she writes via SDSC must appear as hers at every site.
 	_, ids, cred := newGrid(t)
@@ -116,6 +122,7 @@ func TestCrossSiteOwnership(t *testing.T) {
 }
 
 func TestCanonicalOwnerRejectsWrongUID(t *testing.T) {
+	t.Parallel()
 	_, ids, cred := newGrid(t)
 	if err := ids.Site("sdsc").Map(cred.DN(), 501); err != nil {
 		t.Fatal(err)
@@ -126,6 +133,7 @@ func TestCanonicalOwnerRejectsWrongUID(t *testing.T) {
 }
 
 func TestCanonicalOwnerRejectsUnmappedUser(t *testing.T) {
+	t.Parallel()
 	ca, ids, _ := newGrid(t)
 	ids.Site("sdsc") // exists but empty
 	cred, err := ca.Issue("Nobody", "SDSC")
@@ -138,6 +146,7 @@ func TestCanonicalOwnerRejectsUnmappedUser(t *testing.T) {
 }
 
 func TestLocalUIDUnknownSite(t *testing.T) {
+	t.Parallel()
 	_, ids, cred := newGrid(t)
 	if _, err := ids.LocalUID("psc", cred.DN()); err == nil {
 		t.Fatal("unknown site accepted")
@@ -145,6 +154,7 @@ func TestLocalUIDUnknownSite(t *testing.T) {
 }
 
 func TestSitesSorted(t *testing.T) {
+	t.Parallel()
 	_, ids, _ := newGrid(t)
 	ids.Site("sdsc")
 	ids.Site("anl")

@@ -31,6 +31,7 @@ func teraGridLegacy(t *testing.T) *LegacyTrust {
 }
 
 func TestLegacyIntraClusterTrust(t *testing.T) {
+	t.Parallel()
 	lt := teraGridLegacy(t)
 	if err := lt.TrustAll("sdsc", "sdsc"); err != nil {
 		t.Fatal(err)
@@ -51,6 +52,7 @@ func TestLegacyIntraClusterTrust(t *testing.T) {
 }
 
 func TestLegacyMultiClusterExplosion(t *testing.T) {
+	t.Parallel()
 	// The GPFS 2.3 *development* multi-cluster scheme: every cluster
 	// needs passwordless root everywhere.
 	lt := teraGridLegacy(t)
@@ -79,6 +81,7 @@ func TestLegacyMultiClusterExplosion(t *testing.T) {
 }
 
 func TestLegacyShellMismatch(t *testing.T) {
+	t.Parallel()
 	lt := teraGridLegacy(t)
 	mis := lt.ShellMismatch()
 	// aixp5 (rsh) clashes with both ssh domains.
@@ -88,6 +91,7 @@ func TestLegacyShellMismatch(t *testing.T) {
 }
 
 func TestMmdshRequiresFullTrust(t *testing.T) {
+	t.Parallel()
 	lt := teraGridLegacy(t)
 	if err := lt.TrustAll("sdsc", "sdsc"); err != nil {
 		t.Fatal(err)
@@ -112,6 +116,7 @@ func TestMmdshRequiresFullTrust(t *testing.T) {
 }
 
 func TestLegacyErrors(t *testing.T) {
+	t.Parallel()
 	lt := NewLegacyTrust()
 	if err := lt.AddDomain(LegacyDomain{Name: "empty"}); err == nil {
 		t.Error("empty domain accepted")
@@ -131,6 +136,7 @@ func TestLegacyErrors(t *testing.T) {
 // N(N-1) where N = sum n_i, and the RSA model always needs exactly k
 // secrets.
 func TestPropertyLegacyEdgeCount(t *testing.T) {
+	t.Parallel()
 	f := func(sizesRaw []uint8) bool {
 		if len(sizesRaw) == 0 || len(sizesRaw) > 5 {
 			return true

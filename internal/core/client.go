@@ -149,6 +149,7 @@ type Mount struct {
 	fsName string
 	owner  string // owning cluster
 	info   mountInfo
+	svc    mountSvcs
 
 	pool       *pagePool
 	arena      *bufArena   // recycles page.data and flush scratch buffers
@@ -184,6 +185,28 @@ type Mount struct {
 	shardMetaOps       uint64 // metadata ops served by a shard
 	shardTokenAcquires uint64 // token acquires served by a shard
 	shardFallbacks     uint64 // ops rerouted to the coordinator (shard down/moved)
+}
+
+// mountSvcs are the FS-qualified service names a mount calls, built once
+// at mount time so no RPC on the data or metadata path formats a name.
+type mountSvcs struct {
+	meta, token, nsd      string
+	shardMeta, shardToken []string // indexed like mountInfo.Shards
+}
+
+func newMountSvcs(fsName string, shards int) mountSvcs {
+	sv := mountSvcs{
+		meta:       metaService + "." + fsName,
+		token:      tokenService + "." + fsName,
+		nsd:        nsdService + "." + fsName,
+		shardMeta:  make([]string, shards),
+		shardToken: make([]string, shards),
+	}
+	for k := 0; k < shards; k++ {
+		sv.shardMeta[k] = shardSvcName(metaService, k, fsName)
+		sv.shardToken[k] = shardSvcName(tokenService, k, fsName)
+	}
+	return sv
 }
 
 // stripeWOf returns the RAID stripe width behind an NSD, or 0 when the
@@ -323,6 +346,7 @@ func (cl *Client) mount(p *sim.Proc, device, fsName, owner string, mgr *netsim.E
 	arena := newBufArena(cl.sim, int(info.BlockSize))
 	m := &Mount{
 		c: cl, Device: device, fsName: fsName, owner: owner, info: info,
+		svc:       newMountSvcs(fsName, len(info.Shards)),
 		pool:      newPagePool(int(cl.cfg.PagePool/info.BlockSize), arena),
 		arena:     arena,
 		toks:      newTokenTable(),
@@ -373,7 +397,7 @@ func (m *Mount) meta(p *sim.Proc, op metaOp) netsim.Response {
 func (m *Mount) metaCall(p *sim.Proc, op metaOp) netsim.Response {
 	if n := len(m.info.Shards); n > 0 {
 		if k := metaRoute(n, op); k >= 0 && !m.shardDown[k] {
-			resp := m.c.EP.Call(p, m.info.Shards[k], shardSvcName(metaService, k, m.fsName), 192, op)
+			resp := m.c.EP.Call(p, m.info.Shards[k], m.svc.shardMeta[k], 192, op)
 			if !shardUnavailable(resp.Err) {
 				m.shardMetaOps++
 				return resp
@@ -382,7 +406,7 @@ func (m *Mount) metaCall(p *sim.Proc, op metaOp) netsim.Response {
 			m.shardFallbacks++
 		}
 	}
-	return m.c.EP.Call(p, m.info.Manager, metaService+"."+m.fsName, 192, op)
+	return m.c.EP.Call(p, m.info.Manager, m.svc.meta, 192, op)
 }
 
 // Create makes a new file.
@@ -508,7 +532,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayloa
 		}
 	}
 
-	m.c.EP.GoDeadline(callCtx, srv.EP, nsdService+"."+m.fsName, reqSize, pl, pol.Deadline, func(r netsim.Response) {
+	m.c.EP.GoDeadline(callCtx, srv.EP, m.svc.nsd, reqSize, pl, pol.Deadline, func(r netsim.Response) {
 		done := m.c.sim.Now()
 		if probing && tr != nil {
 			result := "up"
@@ -588,7 +612,7 @@ func (m *Mount) Unmount(p *sim.Proc) error {
 			return fmt.Errorf("core: unmount: %w", ErrDirtyPages)
 		}
 	}
-	resp := m.c.EP.Call(p, m.info.Manager, tokenService+"."+m.fsName, 128,
+	resp := m.c.EP.Call(p, m.info.Manager, m.svc.token, 128,
 		tokenOp{Op: "unmount", Cluster: m.c.cluster.Name, Client: m.c.id})
 	if resp.Err != nil {
 		return resp.Err
@@ -642,7 +666,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 	routed := false
 	if n := len(m.info.Shards); n > 0 {
 		if k := inodeShard(n, ino); !m.shardDown[k] {
-			resp = m.c.EP.Call(p, m.info.Shards[k], shardSvcName(tokenService, k, m.fsName), 128, op)
+			resp = m.c.EP.Call(p, m.info.Shards[k], m.svc.shardToken[k], 128, op)
 			routed = !shardUnavailable(resp.Err)
 			if routed {
 				m.shardTokenAcquires++
@@ -653,7 +677,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 		}
 	}
 	if !routed {
-		resp = m.c.EP.Call(p, m.info.Manager, tokenService+"."+m.fsName, 128, op)
+		resp = m.c.EP.Call(p, m.info.Manager, m.svc.token, 128, op)
 	}
 	if tr != nil {
 		p.SetCtx(prev)

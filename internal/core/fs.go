@@ -269,8 +269,38 @@ func (fs *FileSystem) checkClusterAccess(cluster string, op disk.Op) error {
 // form every metadata operation works in: rooted, no ".", "..", empty, or
 // duplicate segments. Relative paths are interpreted from the root, and
 // ".." never escapes it. The normalization is idempotent (fuzzed in
-// FuzzPath).
-func cleanPath(p string) string { return path.Clean("/" + p) }
+// FuzzPath). A path already in that form, the common case, is returned
+// as is, with no copy.
+func cleanPath(p string) string {
+	if isCleanPath(p) {
+		return p
+	}
+	return path.Clean("/" + p)
+}
+
+// isCleanPath reports whether p is exactly what path.Clean("/"+p) would
+// return: "/", or "/"-separated segments none of which is empty, "." or
+// "..", with no trailing "/".
+func isCleanPath(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if len(p) < 2 || p[0] != '/' || p[len(p)-1] == '/' {
+		return false
+	}
+	seg := 1
+	for i := 1; i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		switch p[seg:i] {
+		case "", ".", "..":
+			return false
+		}
+		seg = i + 1
+	}
+	return true
+}
 
 // resolve walks a path to an inode.
 func (fs *FileSystem) resolve(p string) (*Inode, error) {
@@ -279,7 +309,9 @@ func (fs *FileSystem) resolve(p string) (*Inode, error) {
 	if p == "/" {
 		return cur, nil
 	}
-	for _, part := range strings.Split(strings.TrimPrefix(p, "/"), "/") {
+	// Walk the segments of the clean path in place, without splitting it.
+	for rest := p[1:]; ; {
+		part, tail, more := strings.Cut(rest, "/")
 		if !cur.Dir {
 			return nil, fmt.Errorf("core: %s: %w", cur.Name, ErrNotDir)
 		}
@@ -288,8 +320,11 @@ func (fs *FileSystem) resolve(p string) (*Inode, error) {
 			return nil, fmt.Errorf("core: %s: %w", p, ErrNotExist)
 		}
 		cur = fs.inodes[num]
+		if !more {
+			return cur, nil
+		}
+		rest = tail
 	}
-	return cur, nil
 }
 
 // parentOf finds the directory containing an inode (the root is its own
@@ -318,7 +353,9 @@ func (fs *FileSystem) resolveParent(p string) (*Inode, string, error) {
 	if base == "" {
 		return nil, "", fmt.Errorf("core: cannot operate on root")
 	}
-	parent, err := fs.resolve(dir)
+	// dir is clean but for its trailing "/"; resolve it without, so
+	// cleanPath takes its no-copy path.
+	parent, err := fs.resolve(dir[:max(len(dir)-1, 1)])
 	if err != nil {
 		return nil, "", err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"path"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,12 +16,14 @@ import (
 // FuzzPath fuzzes the path normalization every metadata operation runs
 // through, plus resolve on a live filesystem: normalization must be
 // total (no panics), idempotent, and always yield a rooted path with no
-// ".."/"."/empty segments; ".." must never escape the root.
+// ".."/"."/empty segments; ".." must never escape the root. Its
+// already-clean fast path must agree with path.Clean on every input.
 func FuzzPath(f *testing.F) {
 	for _, s := range []string{
 		"", "/", ".", "..", "a", "/a/b/c", "a//b", "../../x", "/a/../b",
 		"./", "a/./b", "/a/b/../../../c", "a/", "//", "/..", "...",
 		"a\x00b", `a\b`, strings.Repeat("/x", 64), "/dir/../dir/./f",
+		"/a/.", "/a/..", "/.a", "/a..b", "/a/",
 	} {
 		f.Add(s)
 	}
@@ -30,6 +33,9 @@ func FuzzPath(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, p string) {
 		c := cleanPath(p)
+		if want := path.Clean("/" + p); c != want {
+			t.Fatalf("cleanPath(%q) = %q, path.Clean gives %q", p, c, want)
+		}
 		if !strings.HasPrefix(c, "/") {
 			t.Fatalf("cleanPath(%q) = %q: not rooted", p, c)
 		}

@@ -18,6 +18,7 @@ func report(t *testing.T, divs []Divergence) {
 // random create/read/write/truncate/rename/remove/sync program, then a
 // cold-cache verifier. Zero divergences allowed.
 func TestRandomWorkload(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -30,6 +31,7 @@ func TestRandomWorkload(t *testing.T) {
 // dying mid-run for 2 s. The retry machinery must ride it out: same
 // zero-divergence bar, and every operation still has to succeed.
 func TestRandomWorkloadServerCrash(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -50,6 +52,7 @@ func TestRandomWorkloadServerCrash(t *testing.T) {
 // durability oracle: every byte acked by Sync before the crash is intact
 // after the victim's lease expires and its tokens are stolen.
 func TestCrashDurability(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -63,6 +66,7 @@ func TestCrashDurability(t *testing.T) {
 // The knobs are pure performance machinery: the byte-level oracle and
 // the namespace checks must not notice them.
 func TestRandomWorkloadGather(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -77,6 +81,7 @@ func TestRandomWorkloadGather(t *testing.T) {
 // must not ack — the pages stay dirty and are re-flushed on retry, so
 // the verifier still sees every byte.
 func TestRandomWorkloadGatherServerCrash(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -94,6 +99,7 @@ func TestRandomWorkloadGatherServerCrash(t *testing.T) {
 // on: an acked Sync must survive the client crash even when the flush
 // that carried it was a gathered multi-block write.
 func TestCrashDurabilityGather(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -109,6 +115,7 @@ func TestCrashDurabilityGather(t *testing.T) {
 // after the server has copied the payload, so the byte oracle must see
 // no stale data.
 func TestRandomWorkloadArenaArms(t *testing.T) {
+	t.Parallel()
 	t.Run("arena", func(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			seed := seed
@@ -123,6 +130,7 @@ func TestRandomWorkloadArenaArms(t *testing.T) {
 // both runs are clean — a cheap determinism canary at the package level
 // (the byte-level trace diff lives in CI).
 func TestDeterministicDivergenceFree(t *testing.T) {
+	t.Parallel()
 	for i := 0; i < 2; i++ {
 		report(t, Run(Config{Seed: 42, Clients: 2, Ops: 60}))
 	}
@@ -133,6 +141,7 @@ func TestDeterministicDivergenceFree(t *testing.T) {
 // machinery — the byte-level oracle and the namespace checks must come
 // out identical to the unsharded runs on the same seeds.
 func TestRandomWorkloadSharded(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -146,6 +155,7 @@ func TestRandomWorkloadSharded(t *testing.T) {
 // directories — against the flat reference, with and without sharding
 // on the same seeds. Zero divergences allowed either way.
 func TestMetadataStorm(t *testing.T) {
+	t.Parallel()
 	for _, shards := range []int{0, 4} {
 		shards := shards
 		name := "unsharded"
@@ -171,6 +181,7 @@ func TestMetadataStorm(t *testing.T) {
 // marked clean when the stale flush finally acked — the rewrite never
 // reached the media.
 func TestMetadataStormServerCrash(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -190,6 +201,7 @@ func TestMetadataStormServerCrash(t *testing.T) {
 // and merge the shard's token table into its own, and the run must stay
 // divergence-free end to end: lease steal-back under live traffic.
 func TestMetadataStormShardCrash(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -209,6 +221,7 @@ func TestMetadataStormShardCrash(t *testing.T) {
 // even when the tokens being stolen live in a shard's table rather than
 // the central manager's.
 func TestCrashDurabilitySharded(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(string(rune('A'+seed-1)), func(t *testing.T) {
@@ -221,6 +234,7 @@ func TestCrashDurabilitySharded(t *testing.T) {
 // TestDeterministicDivergenceFreeSharded is the determinism canary for
 // the sharded plane: same seed, same storm, twice — both clean.
 func TestDeterministicDivergenceFreeSharded(t *testing.T) {
+	t.Parallel()
 	for i := 0; i < 2; i++ {
 		report(t, Run(Config{Seed: 42, Clients: 2, Ops: 60, MetaHeavy: true, Shards: 4}))
 	}

@@ -106,3 +106,15 @@ func BenchmarkMessageThroughput(b *testing.B) {
 		b.Fatalf("delivered %d of %d", delivered, b.N)
 	}
 }
+
+// BenchmarkRPCRoundTrip measures one steady-state blocking Call over a
+// LAN pair: request and response transfers, the handler's process, and
+// the call-record and message recycling around them.
+func BenchmarkRPCRoundTrip(b *testing.B) {
+	step := callLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

@@ -45,7 +45,12 @@ type Conn struct {
 	oneWay sim.Time
 	rtt    sim.Time
 
+	// queue[head:] are the undelivered messages, FIFO. Delivery advances
+	// head instead of reslicing, and a drained queue rewinds to the start
+	// of its backing array, so a conn carrying one message at a time
+	// never reallocates it.
 	queue       []*message
+	head        int
 	active      bool
 	actIdx      int     // index in Network.activeList, -1 when inactive
 	rate        float64 // bytes/sec currently allocated
@@ -152,7 +157,7 @@ func (c *Conn) updateRateCap() {
 }
 
 // Queued returns the number of undelivered messages.
-func (c *Conn) Queued() int { return len(c.queue) }
+func (c *Conn) Queued() int { return len(c.queue) - c.head }
 
 // Send queues size bytes for delivery; onDelivered (optional) fires at the
 // virtual instant the last byte arrives at the destination. Must be called
@@ -185,6 +190,13 @@ func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 	if size == 0 {
 		m.size, m.remaining = 1, 1 // headers are never free
 	}
+	if c.head > 0 && len(c.queue) == cap(c.queue) {
+		// Full with delivered slots at the front: slide the live
+		// messages down instead of growing the array.
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
+	}
 	c.queue = append(c.queue, m)
 	if !c.active {
 		c.activate()
@@ -210,7 +222,7 @@ func (c *Conn) activate() {
 	c.active = true
 	nw.capIndexAdd(c)
 	c.lastAdvance = now
-	c.queue[0].started = now
+	c.queue[c.head].started = now
 	for i, l := range c.path {
 		c.linkPos[i] = int32(len(l.conns))
 		l.conns = append(l.conns, linkSlot{c: c, pi: int32(i)})
@@ -336,8 +348,8 @@ func (c *Conn) advance(now sim.Time) {
 	}
 	credit := c.rate * (now - c.lastAdvance).Seconds()
 	c.lastAdvance = now
-	for len(c.queue) > 0 {
-		head := c.queue[0]
+	for c.head < len(c.queue) {
+		head := c.queue[c.head]
 		if head.remaining > credit+rateEps {
 			head.remaining -= credit
 			return
@@ -350,8 +362,12 @@ func (c *Conn) advance(now sim.Time) {
 
 func (c *Conn) deliverHead(now sim.Time) {
 	nw := c.net
-	head := c.queue[0]
-	c.queue = c.queue[1:]
+	head := c.queue[c.head]
+	c.queue[c.head] = nil
+	c.head++
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+	}
 	// Any pending completion event refers to the delivered message; drop
 	// it so a skipped reschedule can never fire it for the next one.
 	if c.completionEvt.Queued() {
@@ -375,7 +391,7 @@ func (c *Conn) deliverHead(now sim.Time) {
 		tr.SpanCtx(head.ctx, 0, "flow", "xfer", c.src.name+"->"+c.dst.name,
 			int64(head.enq), int64(now+c.oneWay),
 			trace.I("bytes", int64(head.size)),
-			trace.I("queued", int64(len(c.queue))),
+			trace.I("queued", int64(c.Queued())),
 			trace.I("queue_ns", int64(head.started-head.enq)),
 			trace.I("xmit_ns", int64(now-head.started)),
 			trace.I("prop_ns", int64(c.oneWay)))
@@ -393,7 +409,7 @@ func (c *Conn) deliverHead(now sim.Time) {
 	if len(c.queue) == 0 {
 		c.deactivate()
 	} else {
-		c.queue[0].started = now
+		c.queue[c.head].started = now
 	}
 }
 
@@ -412,7 +428,7 @@ func (c *Conn) scheduleCompletion() {
 	// re-arm it every nanosecond instead. Park the conn: don't arm at all
 	// beyond the horizon. Any future solve or placement that gives it a
 	// real rate reschedules it.
-	ns := c.queue[0].remaining / c.rate * 1e9
+	ns := c.queue[c.head].remaining / c.rate * 1e9
 	if ns > completionHorizon {
 		if c.completionEvt.Queued() {
 			c.completionEvt.Cancel()

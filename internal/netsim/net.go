@@ -50,6 +50,9 @@ type Network struct {
 	tieLinks   []*Link
 	boundLinks []*Link // boundary links of the current local solve
 	msgFree    []*message
+	callFree   []*rpcCall // recycled RPC call records
+
+	rpcInFlight int // RPCs issued on any endpoint and not yet answered
 
 	// capIndex holds exactly the active conns whose window cap can bind —
 	// rateCap <= pathCap — sorted by capLess. activate, bump and

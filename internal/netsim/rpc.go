@@ -26,8 +26,25 @@ type Response struct {
 }
 
 // Handler serves one request. It runs in its own simulated process and may
-// block (on disk resources, nested RPCs, etc.).
+// block (on disk resources, nested RPCs, etc.). The *Request is valid only
+// until the handler returns: it lives in a pooled call record that the
+// next RPC reuses, so a handler must not keep the pointer (or hand it to
+// a process or callback that outlives it). Copy the fields it needs.
 type Handler func(p *sim.Proc, req *Request) Response
+
+// service is one registered handler with its process name, built once at
+// Handle time rather than on every request.
+type service struct {
+	h    Handler
+	proc string // "rpc:"+name
+}
+
+// peerConns is an endpoint's conn pool to one peer and its round-robin
+// cursor.
+type peerConns struct {
+	conns []*Conn
+	rr    int
+}
 
 // Endpoint gives a node an RPC personality: named services, plus Call for
 // outbound requests. Each (endpoint, peer) pair shares a pool of conns,
@@ -36,11 +53,10 @@ type Handler func(p *sim.Proc, req *Request) Response
 type Endpoint struct {
 	net      *Network
 	node     *Node
-	services map[string]Handler
+	services map[string]service
 
 	connsPerPeer int
-	out          map[*Endpoint][]*Conn // request conns, this -> peer
-	rr           map[*Endpoint]int     // round-robin index
+	out          map[*Endpoint]*peerConns // request conns, this -> peer
 
 	inFlight     int // outbound RPCs issued but not yet answered
 	peakInFlight int // high-water mark of inFlight
@@ -60,10 +76,9 @@ func (nw *Network) NewEndpoint(node *Node, connsPerPeer int) *Endpoint {
 	return &Endpoint{
 		net:          nw,
 		node:         node,
-		services:     make(map[string]Handler),
+		services:     make(map[string]service),
 		connsPerPeer: connsPerPeer,
-		out:          make(map[*Endpoint][]*Conn),
-		rr:           make(map[*Endpoint]int),
+		out:          make(map[*Endpoint]*peerConns),
 	}
 }
 
@@ -81,25 +96,75 @@ func (e *Endpoint) InFlight() int { return e.inFlight }
 func (e *Endpoint) PeakInFlight() int { return e.peakInFlight }
 
 // Handle registers a service handler by name.
-func (e *Endpoint) Handle(service string, h Handler) {
-	if _, dup := e.services[service]; dup {
-		panic(fmt.Sprintf("netsim: duplicate service %q on %s", service, e.node))
+func (e *Endpoint) Handle(name string, h Handler) {
+	if _, dup := e.services[name]; dup {
+		panic(fmt.Sprintf("netsim: duplicate service %q on %s", name, e.node))
 	}
-	e.services[service] = h
+	e.services[name] = service{h: h, proc: "rpc:" + name}
 }
 
 func (e *Endpoint) connTo(peer *Endpoint) *Conn {
-	pool := e.out[peer]
-	if pool == nil {
-		pool = make([]*Conn, e.connsPerPeer)
-		for i := range pool {
-			pool[i] = e.net.Dial(e.node, peer.node)
+	pc := e.out[peer]
+	if pc == nil {
+		pc = &peerConns{conns: make([]*Conn, e.connsPerPeer)}
+		for i := range pc.conns {
+			pc.conns[i] = e.net.Dial(e.node, peer.node)
 		}
-		e.out[peer] = pool
+		e.out[peer] = pc
 	}
-	i := e.rr[peer]
-	e.rr[peer] = (i + 1) % len(pool)
-	return pool[i]
+	c := pc.conns[pc.rr]
+	pc.rr = (pc.rr + 1) % len(pc.conns)
+	return c
+}
+
+// rpcCall is the record of one in-flight RPC. Records are recycled
+// through Network.callFree, so a steady-state round trip allocates only
+// the handler's process. Its three stages — request arrival, handler
+// body, response arrival — are method values bound once per record.
+//
+// Lifetime: a record is freed after its last read — by Call once its
+// caller is woken, or by respond just before onDone runs — so a woken
+// caller or onDone may issue the next RPC at once and reuse it. A record
+// whose caller or handler process was killed is never freed (it leaks to
+// the garbage collector), never freed twice.
+type rpcCall struct {
+	e, peer  *Endpoint
+	svc      service
+	req      Request
+	resp     Response
+	ctx      trace.Ctx // the caller's context; req.Ctx is the RPC's own
+	sid      int64     // the RPC's span ID (0 when not tracing)
+	issued   sim.Time
+	tr       *trace.Tracer     // tracer at issue time, nil when off
+	reg      *metrics.Registry // registry at issue time, nil when off
+	respConn *Conn
+	onDone   func(Response)
+	wake     func() // Call's blocked caller; nil for Go
+	done     bool   // response arrived (Call only)
+
+	arriveFn  func()
+	serveFn   func(*sim.Proc)
+	respondFn func()
+}
+
+// newCall draws a call record from the free pool.
+func (nw *Network) newCall() *rpcCall {
+	if n := len(nw.callFree); n > 0 {
+		c := nw.callFree[n-1]
+		nw.callFree[n-1] = nil
+		nw.callFree = nw.callFree[:n-1]
+		return c
+	}
+	c := &rpcCall{}
+	c.arriveFn, c.serveFn, c.respondFn = c.arrive, c.serve, c.respond
+	return c
+}
+
+// freeCall recycles a call record, dropping every reference it holds but
+// its bound stages.
+func (nw *Network) freeCall(c *rpcCall) {
+	*c = rpcCall{arriveFn: c.arriveFn, serveFn: c.serveFn, respondFn: c.respondFn}
+	nw.callFree = append(nw.callFree, c)
 }
 
 // Call performs a blocking RPC from process p: the request's bytes cross
@@ -108,17 +173,12 @@ func (e *Endpoint) connTo(peer *Endpoint) *Conn {
 // RPC inherits p's causal context, so its span parents into whatever
 // operation p is executing.
 func (e *Endpoint) Call(p *sim.Proc, peer *Endpoint, service string, reqSize units.Bytes, payload any) Response {
-	var resp Response
-	done := false
-	wake := p.Suspend()
-	e.GoCtx(p.Ctx(), peer, service, reqSize, payload, func(r Response) {
-		resp = r
-		done = true
-		wake()
-	})
-	if !done {
+	c := e.issue(p.Ctx(), peer, service, reqSize, payload, nil, p.Suspend())
+	for !c.done {
 		p.Block()
 	}
+	resp := c.resp
+	e.net.freeCall(c)
 	return resp
 }
 
@@ -127,7 +187,7 @@ func (e *Endpoint) Call(p *sim.Proc, peer *Endpoint, service string, reqSize uni
 // requests in flight (the read-ahead pipeline at the heart of WAN-GFS
 // performance).
 func (e *Endpoint) Go(peer *Endpoint, service string, reqSize units.Bytes, payload any, onDone func(Response)) {
-	e.GoCtx(trace.Ctx{}, peer, service, reqSize, payload, onDone)
+	e.issue(trace.Ctx{}, peer, service, reqSize, payload, onDone, nil)
 }
 
 // GoCtx is Go with an explicit causal context. The RPC's span ID is
@@ -136,57 +196,89 @@ func (e *Endpoint) Go(peer *Endpoint, service string, reqSize units.Bytes, paylo
 // causes — nested calls, disk service, wire transfers — hangs off it in
 // the op tree.
 func (e *Endpoint) GoCtx(ctx trace.Ctx, peer *Endpoint, service string, reqSize units.Bytes, payload any, onDone func(Response)) {
-	h, ok := peer.services[service]
+	e.issue(ctx, peer, service, reqSize, payload, onDone, nil)
+}
+
+// issue starts one RPC on a fresh call record and sends its request.
+// Exactly one of onDone (Go) and wake (Call) is used on completion.
+func (e *Endpoint) issue(ctx trace.Ctx, peer *Endpoint, name string, reqSize units.Bytes, payload any, onDone func(Response), wake func()) *rpcCall {
+	svc, ok := peer.services[name]
 	if !ok {
-		panic(fmt.Sprintf("netsim: no service %q on %s", service, peer.node))
+		panic(fmt.Sprintf("netsim: no service %q on %s", name, peer.node))
 	}
 	nw := e.net
-	tr, reg := nw.Sim.Tracer(), nw.Metrics
-	var issued sim.Time
-	if tr != nil || reg != nil {
-		issued = nw.Sim.Now()
+	c := nw.newCall()
+	c.e, c.peer, c.svc, c.ctx, c.onDone, c.wake = e, peer, svc, ctx, onDone, wake
+	c.tr, c.reg = nw.Sim.Tracer(), nw.Metrics
+	if c.tr != nil || c.reg != nil {
+		c.issued = nw.Sim.Now()
 	}
-	var sid int64
 	var child trace.Ctx
-	if tr != nil {
-		sid = tr.NewSpanID()
-		child = trace.Ctx{Op: ctx.Op, Parent: sid}
+	if c.tr != nil {
+		c.sid = c.tr.NewSpanID()
+		child = trace.Ctx{Op: ctx.Op, Parent: c.sid}
 	}
 	e.inFlight++
 	if e.inFlight > e.peakInFlight {
 		e.peakInFlight = e.inFlight
 	}
-	if reg != nil {
-		reg.Gauge("rpc.in_flight").Set(float64(e.inFlight))
+	nw.rpcInFlight++
+	if c.reg != nil {
+		c.reg.Gauge("rpc.in_flight").Set(float64(nw.rpcInFlight))
 	}
 	reqConn := e.connTo(peer)
-	respConn := peer.connTo(e)
-	req := &Request{From: e, Service: service, Size: reqSize, Payload: payload, Ctx: child}
-	reqConn.SendCtx(child, reqSize+HeaderBytes, func() {
-		peer.net.Sim.Go("rpc:"+service, func(sp *sim.Proc) {
-			sp.SetCtx(child)
-			resp := h(sp, req)
-			respConn.SendCtx(child, resp.Size+HeaderBytes, func() {
-				e.inFlight--
-				if reg != nil {
-					reg.Gauge("rpc.in_flight").Set(float64(e.inFlight))
-				}
-				if tr != nil || reg != nil {
-					e.recordRPC(tr, reg, peer, service, issued, reqSize, &resp, ctx, sid)
-				}
-				if onDone != nil {
-					onDone(resp)
-				}
-			})
-		})
-	})
+	c.respConn = peer.connTo(e)
+	c.req = Request{From: e, Service: name, Size: reqSize, Payload: payload, Ctx: child}
+	reqConn.SendCtx(child, reqSize+HeaderBytes, c.arriveFn)
+	return c
 }
 
-// recordRPC emits the request/response span and registry samples for one
-// completed RPC. Kept out of Go's hot closure so the disabled path pays
-// only the nil checks.
-func (e *Endpoint) recordRPC(tr *trace.Tracer, reg *metrics.Registry, peer *Endpoint, service string, issued sim.Time, reqSize units.Bytes, resp *Response, ctx trace.Ctx, sid int64) {
-	now := e.net.Sim.Now()
+// arrive runs when the request's last byte lands: spawn the handler.
+func (c *rpcCall) arrive() {
+	c.peer.net.Sim.Go(c.svc.proc, c.serveFn)
+}
+
+// serve is the handler process's body: run the handler, send the
+// response back.
+func (c *rpcCall) serve(sp *sim.Proc) {
+	sp.SetCtx(c.req.Ctx)
+	c.resp = c.svc.h(sp, &c.req)
+	c.respConn.SendCtx(c.req.Ctx, c.resp.Size+HeaderBytes, c.respondFn)
+}
+
+// respond runs when the response's last byte lands back at the caller.
+// Nothing may touch c after the caller is woken or c is freed: both hand
+// the record on to whatever RPC comes next.
+func (c *rpcCall) respond() {
+	e := c.e
+	nw := e.net
+	e.inFlight--
+	nw.rpcInFlight--
+	if c.reg != nil {
+		c.reg.Gauge("rpc.in_flight").Set(float64(nw.rpcInFlight))
+	}
+	if c.tr != nil || c.reg != nil {
+		c.record()
+	}
+	if c.wake != nil {
+		c.done = true
+		c.wake()
+		return
+	}
+	onDone, resp := c.onDone, c.resp
+	nw.freeCall(c)
+	if onDone != nil {
+		onDone(resp)
+	}
+}
+
+// record emits the request/response span and registry samples for a
+// completed RPC. Kept out of respond so the disabled path pays only the
+// nil checks.
+func (c *rpcCall) record() {
+	tr, reg, resp := c.tr, c.reg, &c.resp
+	service, reqSize := c.req.Service, c.req.Size
+	now := c.e.net.Sim.Now()
 	if tr != nil {
 		args := []trace.Arg{
 			trace.I("req_bytes", int64(reqSize)),
@@ -195,8 +287,8 @@ func (e *Endpoint) recordRPC(tr *trace.Tracer, reg *metrics.Registry, peer *Endp
 		if resp.Err != nil {
 			args = append(args, trace.S("err", resp.Err.Error()))
 		}
-		tr.SpanCtx(ctx, sid, "rpc", service, e.node.name+"->"+peer.node.name,
-			int64(issued), int64(now), args...)
+		tr.SpanCtx(c.ctx, c.sid, "rpc", service, c.e.node.name+"->"+c.peer.node.name,
+			int64(c.issued), int64(now), args...)
 	}
 	if reg != nil {
 		reg.Counter("rpc.calls").Inc()
@@ -205,7 +297,7 @@ func (e *Endpoint) recordRPC(tr *trace.Tracer, reg *metrics.Registry, peer *Endp
 		}
 		reg.Counter("rpc.req_bytes").Add(uint64(reqSize + HeaderBytes))
 		reg.Counter("rpc.resp_bytes").Add(uint64(resp.Size + HeaderBytes))
-		reg.Histogram("rpc.latency_ns").Observe(float64(now - issued))
-		reg.Histogram("rpc.latency_ns." + service).Observe(float64(now - issued))
+		reg.Histogram("rpc.latency_ns").Observe(float64(now - c.issued))
+		reg.Histogram("rpc.latency_ns." + service).Observe(float64(now - c.issued))
 	}
 }

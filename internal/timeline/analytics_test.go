@@ -23,6 +23,7 @@ func fig5() []Point {
 }
 
 func TestAnalyzeDip(t *testing.T) {
+	t.Parallel()
 	rep := AnalyzeDip(fig5(), 1, 5, 8, 20, 0.9)
 	if rep.Baseline != 10 {
 		t.Errorf("baseline %v, want 10", rep.Baseline)
@@ -47,6 +48,7 @@ func TestAnalyzeDip(t *testing.T) {
 }
 
 func TestAnalyzeDipNeverRecovers(t *testing.T) {
+	t.Parallel()
 	pts := []Point{{1, 10}, {2, 10}, {3, 1}, {4, 1}, {5, 1}}
 	rep := AnalyzeDip(pts, 1, 3, 4, 6, 0.9)
 	if rep.RecoverAt != -1 || rep.TimeToRecover != -1 {
@@ -58,6 +60,7 @@ func TestAnalyzeDipNeverRecovers(t *testing.T) {
 }
 
 func TestMeanMinBetween(t *testing.T) {
+	t.Parallel()
 	pts := []Point{{1, 4}, {2, 8}, {3, 2}}
 	if m := MeanBetween(pts, 1, 3); m != 6 {
 		t.Errorf("mean [1,3) = %v, want 6 (half-open: t=3 excluded)", m)
@@ -74,6 +77,7 @@ func TestMeanMinBetween(t *testing.T) {
 }
 
 func TestComputeImbalance(t *testing.T) {
+	t.Parallel()
 	im := ComputeImbalance([]float64{10, 10, 10, 10})
 	if im.MaxOverMean != 1 || im.CoV != 0 {
 		t.Errorf("balanced: max/mean %v CoV %v", im.MaxOverMean, im.CoV)
@@ -91,6 +95,7 @@ func TestComputeImbalance(t *testing.T) {
 }
 
 func TestCoVSeries(t *testing.T) {
+	t.Parallel()
 	a, b := &Series{Name: "a"}, &Series{Name: "b"}
 	a.add(1, 0)
 	b.add(1, 20)
@@ -111,6 +116,7 @@ func TestCoVSeries(t *testing.T) {
 }
 
 func TestStragglerSkew(t *testing.T) {
+	t.Parallel()
 	sk := StragglerSkew([]float64{4, 8, 8, 8})
 	if sk.Min != 4 || sk.Median != 8 || sk.Max != 8 {
 		t.Errorf("skew %+v", sk)

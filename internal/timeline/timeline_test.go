@@ -21,6 +21,7 @@ func driveCounter(s *sim.Sim, end sim.Time, step float64) *float64 {
 }
 
 func TestRateWindows(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	cum := driveCounter(s, 3*sim.Second, 10) // 100/s steady
 	c := New(s, sim.Second)
@@ -55,6 +56,7 @@ func TestRateWindows(t *testing.T) {
 }
 
 func TestRatioWindows(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	hits, total := new(float64), new(float64)
 	s.At(sim.Second/2, func() { *hits += 3; *total += 4 })
@@ -80,6 +82,7 @@ func TestRatioWindows(t *testing.T) {
 // collectors each counted the other as pending work and rescheduled
 // forever. Daemon events end with the real workload.
 func TestDaemonTicksDoNotKeepRunAlive(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	a := New(s, sim.Second)
 	b := New(s, 300*sim.Millisecond)
@@ -96,6 +99,7 @@ func TestDaemonTicksDoNotKeepRunAlive(t *testing.T) {
 }
 
 func TestRingRetention(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	cum := driveCounter(s, 10*sim.Second, 1)
 	c := New(s, sim.Second)
@@ -122,6 +126,7 @@ func TestRingRetention(t *testing.T) {
 }
 
 func TestStreamDeterminismAndRoundTrip(t *testing.T) {
+	t.Parallel()
 	runOnce := func() []byte {
 		var buf bytes.Buffer
 		s := sim.New()
@@ -167,6 +172,7 @@ func TestStreamDeterminismAndRoundTrip(t *testing.T) {
 }
 
 func TestSanitizeNonFinite(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	s.At(sim.Second, func() {})
 	c := New(s, sim.Second)
@@ -183,6 +189,7 @@ func TestSanitizeNonFinite(t *testing.T) {
 }
 
 func TestSumAndSpark(t *testing.T) {
+	t.Parallel()
 	a := &Series{Name: "a"}
 	b := &Series{Name: "b"}
 	a.add(1, 10)

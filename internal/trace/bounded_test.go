@@ -21,6 +21,7 @@ func emitOps(t *Tracer, nOps int) {
 }
 
 func TestSampleDeterministicSubset(t *testing.T) {
+	t.Parallel()
 	full := New()
 	emitOps(full, 100)
 	var fullOut bytes.Buffer
@@ -85,6 +86,7 @@ func TestSampleDeterministicSubset(t *testing.T) {
 }
 
 func TestStreamMode(t *testing.T) {
+	t.Parallel()
 	buffered := New()
 	emitOps(buffered, 10)
 	var want bytes.Buffer
@@ -121,6 +123,7 @@ func TestStreamMode(t *testing.T) {
 }
 
 func TestRingMode(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	tr.Configure(Config{Ring: 7})
 	emitOps(tr, 10) // 40 events total, ring keeps last 7
@@ -159,6 +162,7 @@ func TestRingMode(t *testing.T) {
 }
 
 func TestDiscardAndObserver(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	var seen int
 	var argSum int64
@@ -183,6 +187,7 @@ func TestDiscardAndObserver(t *testing.T) {
 }
 
 func TestResetPreservesMode(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	tr.Configure(Config{Ring: 4})
 	emitOps(tr, 3)

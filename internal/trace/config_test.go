@@ -24,6 +24,7 @@ func emitWorkload(t *Tracer) {
 // TestConfigPrecedence: stream wins over ring wins over discard, matching
 // the documented resolution order.
 func TestConfigPrecedence(t *testing.T) {
+	t.Parallel()
 	var w bytes.Buffer
 	tr := New()
 	tr.Configure(Config{Stream: &w, Ring: 8, Discard: true})

@@ -10,6 +10,7 @@ import (
 // TestNilTracerIsSafe: every method must be a no-op on a nil tracer —
 // that is the whole disabled-path contract.
 func TestNilTracerIsSafe(t *testing.T) {
+	t.Parallel()
 	var tr *Tracer
 	tr.Span("rpc", "call", "a->b", 0, 10, I("bytes", 4))
 	tr.Instant("cache", "hit", "c0", 5)
@@ -26,6 +27,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 func TestRecordAndCount(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	tr.Span("rpc", "nsd.io", "a->b", 1000, 3000, I("bytes", 64))
 	tr.Span("rpc", "nsd.io", "a->b", 2000, 5000)
@@ -63,6 +65,7 @@ type chromeEvent struct {
 }
 
 func TestWriteChromeShape(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	// Two categories, two tracks in the first — exercises the pid/tid
 	// metadata assignment.
@@ -140,6 +143,7 @@ func TestWriteChromeShape(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
+	t.Parallel()
 	tr := New()
 	tr.Span("flow", "xfer", "a->b", 0, 100, I("bytes", 7))
 	tr.Instant("cache", "miss", "c0", 50)
@@ -175,6 +179,7 @@ func TestWriteJSONL(t *testing.T) {
 // TestChromeDeterminism: the exporter itself must be byte-stable for a
 // given event sequence (map iteration must not leak into the output).
 func TestChromeDeterminism(t *testing.T) {
+	t.Parallel()
 	build := func() *Tracer {
 		tr := New()
 		for i := int64(0); i < 50; i++ {
