@@ -24,9 +24,9 @@
 // rate recomputation. `-json BENCH_10.json` is the artifact the CI
 // events/sec floor checks against.
 //
-// The -engine-stats/-solve-tolerance/-nodes/-size/-cpuprofile/-memprofile
-// flags are registered through experiments.Options, the flag surface
-// shared with gfssim.
+// The -engine-stats/-nodes/-size/-cpuprofile/-memprofile flags are
+// registered through experiments.Options, the flag surface shared with
+// gfssim.
 package main
 
 import (
@@ -101,7 +101,7 @@ func main() {
 			TimelineInterval: 250 * sim.Millisecond,
 		})
 	}
-	env := experiments.Env{SolveTolerance: opts.SolveTolerance, Obs: obs}
+	env := experiments.Env{Obs: obs}
 
 	var columns []string
 	var rows [][]float64
@@ -250,7 +250,7 @@ func main() {
 
 // recomputeWallPct estimates what share of the run's wall clock went to
 // flow-rate recomputation, from the probe's per-kind attribution. This
-// is the number the bottleneck-local solver exists to shrink.
+// is the share the CI simscale floor bounds.
 func recomputeWallPct(es sim.EngineSnapshot) float64 {
 	var total, rec int64
 	for _, k := range es.Kinds {
@@ -346,8 +346,8 @@ func rowSeries(row int, tl *timeline.Collector) []benchSeries {
 // for the write-gathering ablation, 9 for the metadata-storm token-shard
 // sweep, 10 for the engine-throughput simscale sweep (which carries no
 // op attribution — it measures the simulator, not the modeled
-// filesystem, and rep is nil; 8 was the pre-bottleneck-local,
-// pre-recompute_wall_pct shape of the same sweep).
+// filesystem, and rep is nil; 8 was the same sweep before it
+// reported recompute_wall_pct).
 func writeJSON(path, sweep string, columns []string, rows [][]float64, series []benchSeries, rep *critpath.Report) error {
 	bench := 2
 	switch sweep {

@@ -219,7 +219,7 @@ func main() {
 		}
 		obs = experiments.NewObs(cfg)
 	}
-	env := experiments.Env{SolveTolerance: opts.SolveTolerance, Obs: obs}
+	env := experiments.Env{Obs: obs}
 
 	// With -attr but no trace export, each experiment is analyzed and the
 	// buffer dropped, keeping -exp all bounded. When a trace file or the

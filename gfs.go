@@ -291,8 +291,8 @@ type (
 	Registry = metrics.Registry
 	// Histogram is a log-scale latency histogram with p50/p95/p99.
 	Histogram = metrics.Histogram
-	// Env is an experiment run's environment: solve tolerance and
-	// observability. Pass one to Runner.Run; the zero Env is a plain run.
+	// Env is an experiment run's environment: its observability. Pass
+	// one to Runner.Run; the zero Env is a plain run.
 	Env = experiments.Env
 	// ObsConfig selects what an Env's observability collects.
 	ObsConfig = experiments.ObsConfig

@@ -95,6 +95,7 @@ func min(a, b units.Bytes) units.Bytes {
 }
 
 func TestMissThenHit(t *testing.T) {
+	t.Parallel()
 	r := newCacheRig(t)
 	r.run(t, func(p *sim.Proc) error {
 		names, err := seedLibrary(p, r.library, 1, 64*units.MiB)
@@ -147,6 +148,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
+	t.Parallel()
 	r := newCacheRig(t)
 	r.run(t, func(p *sim.Proc) error {
 		names, err := seedLibrary(p, r.library, 4, 32*units.MiB)
@@ -184,6 +186,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestStaleRefetch(t *testing.T) {
+	t.Parallel()
 	r := newCacheRig(t)
 	r.run(t, func(p *sim.Proc) error {
 		names, err := seedLibrary(p, r.library, 1, 16*units.MiB)
@@ -228,6 +231,7 @@ func TestStaleRefetch(t *testing.T) {
 }
 
 func TestOversizedFileRejected(t *testing.T) {
+	t.Parallel()
 	r := newCacheRig(t)
 	r.run(t, func(p *sim.Proc) error {
 		names, err := seedLibrary(p, r.library, 1, 64*units.MiB)
@@ -248,6 +252,7 @@ func TestOversizedFileRejected(t *testing.T) {
 }
 
 func TestMissingRemoteFile(t *testing.T) {
+	t.Parallel()
 	r := newCacheRig(t)
 	r.run(t, func(p *sim.Proc) error {
 		if _, err := seedLibrary(p, r.library, 1, units.MiB); err != nil {

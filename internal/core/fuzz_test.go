@@ -78,6 +78,7 @@ func FuzzMmpmonParse(f *testing.F) {
 	f.Add("mmpmon sim events_fired 10 pending 0\n")
 	f.Add("mmpmon node c0 fs_io_s OK\nbytes read: 9999999999999999999999\n")
 	f.Add("garbage\n")
+	f.Add("mmpmon solver full 86 region_conns 1024 b0 2 b5 84\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		snap, err := ParseMmpmon(strings.NewReader(data))

@@ -106,14 +106,12 @@ type MmpmonRate struct {
 	Value float64
 }
 
-// MmpmonSolver is one "mmpmon solver" line: a network's full vs
-// bottleneck-local solve counters and the frontier-size histogram
-// (log2 bucket index -> solve count; empty buckets are absent).
+// MmpmonSolver is one "mmpmon solver" line: a network's solve count,
+// the conns those solves re-rated, and the frontier-size histogram (log2
+// bucket index -> solve count; empty buckets are absent).
 type MmpmonSolver struct {
-	Full, Local, Placements           int64
-	Periodic, Escalations, Expansions int64
-	RegionConns, BoundaryLinks        int64
-	FrontierHist                      map[int]int64
+	Full, RegionConns int64
+	FrontierHist      map[int]int64
 }
 
 // ParseMmpmon parses a WriteMmpmon rendering. It is strict about the
@@ -253,19 +251,14 @@ func ParseMmpmon(r io.Reader) (*MmpmonSnapshot, error) {
 			sv := MmpmonSolver{}
 			err := firstErr(
 				kvInt(kv, "full", &sv.Full),
-				kvInt(kv, "local", &sv.Local),
-				kvInt(kv, "placements", &sv.Placements),
-				kvInt(kv, "periodic", &sv.Periodic),
-				kvInt(kv, "escalations", &sv.Escalations),
-				kvInt(kv, "expansions", &sv.Expansions),
 				kvInt(kv, "region_conns", &sv.RegionConns),
-				kvInt(kv, "boundary_links", &sv.BoundaryLinks),
 			)
 			if err != nil {
 				return fail(err.Error())
 			}
-			// b<idx> pairs are the frontier histogram ("boundary_links"
-			// fails the Atoi and is skipped).
+			// b<idx> pairs are the frontier histogram. Keys of older
+			// writers (local, placements, ..., boundary_links) are
+			// ignored; "boundary_links" fails the Atoi and is skipped.
 			for k, v := range kv {
 				if len(k) < 2 || k[0] != 'b' {
 					continue

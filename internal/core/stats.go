@@ -247,14 +247,11 @@ func WriteMmpmon(w io.Writer, s *sim.Sim, clusters []*Cluster) {
 }
 
 // WriteMmpmonSolver renders one network's rate-solver statistics as an
-// mmpmon line: full vs bottleneck-local solve counts, adaptive-expansion
-// and escalation counters, and the frontier-size histogram as b<bucket>
-// pairs (bucket b covers frontiers of up to 2^b conns; empty buckets are
-// omitted).
+// mmpmon line: the solve count, the conns those solves re-rated, and the
+// frontier-size histogram as b<bucket> pairs (bucket b covers frontiers of
+// up to 2^b conns; empty buckets are omitted).
 func WriteMmpmonSolver(w io.Writer, st netsim.SolverStats) {
-	fmt.Fprintf(w, "mmpmon solver full %d local %d placements %d periodic %d escalations %d expansions %d region_conns %d boundary_links %d",
-		st.FullSolves, st.LocalSolves, st.Placements, st.PeriodicFulls,
-		st.Escalations, st.Expansions, st.RegionConns, st.BoundaryLinks)
+	fmt.Fprintf(w, "mmpmon solver full %d region_conns %d", st.FullSolves, st.RegionConns)
 	for b, n := range st.FrontierHist {
 		if n > 0 {
 			fmt.Fprintf(w, " b%d %d", b, n)

@@ -69,6 +69,7 @@ func buildWorkload(tr *trace.Tracer, nOps int) {
 // phases to match within per-instance rounding, and quantiles within the
 // histogram's bucket resolution.
 func TestAggMatchesAnalyze(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	agg := NewAgg()
 	tr.Configure(trace.Config{Observer: agg.Observe})
@@ -121,6 +122,7 @@ func TestAggMatchesAnalyze(t *testing.T) {
 // discard retains nothing yet produces the identical report to observer +
 // buffer, and rendering works off the histogram-backed stats.
 func TestAggDiscardMode(t *testing.T) {
+	t.Parallel()
 	run := func(discard bool) (*Agg, *trace.Tracer) {
 		tr := trace.New()
 		agg := NewAgg()
@@ -148,6 +150,7 @@ func TestAggDiscardMode(t *testing.T) {
 // TestAggRootless checks that ops whose root never arrives are dropped,
 // matching Analyze's behaviour for rootless span groups.
 func TestAggRootless(t *testing.T) {
+	t.Parallel()
 	agg := NewAgg()
 	agg.Observe(trace.Event{Kind: trace.Span, Op: 9, SID: 1, Parent: 5,
 		Cat: "rpc", Name: "orphan", TS: 0, Dur: 10}, nil)

@@ -36,6 +36,7 @@ func phasesOf(t *testing.T, r *Report, name string) map[string]int64 {
 
 // A single op with one rpc child: residuals land on client and rpc.
 func TestLinearChain(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "read", start: 0, end: 100},
@@ -60,6 +61,7 @@ func TestLinearChain(t *testing.T) {
 
 // Fan-out: two overlapping children; the last finisher owns the overlap.
 func TestFanOutLastFinisherWins(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "write", start: 0, end: 100},
@@ -92,6 +94,7 @@ func TestFanOutLastFinisherWins(t *testing.T) {
 
 // A zero-duration span must neither crash nor consume path time.
 func TestZeroDurationSpans(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "read", start: 0, end: 50},
@@ -119,6 +122,7 @@ func TestZeroDurationSpans(t *testing.T) {
 
 // Flow spans split into queue/xmit/prop by their arg-carried boundaries.
 func TestFlowSubPhaseSplit(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "read", start: 0, end: 100},
@@ -140,6 +144,7 @@ func TestFlowSubPhaseSplit(t *testing.T) {
 
 // Wait spans are redistributed over the background op type's profile.
 func TestWaitRedistribution(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	// Background fetch op: 75% disk, 25% rpc.
 	emitOp(tr, 1, []spanSpec{
@@ -172,6 +177,7 @@ func TestWaitRedistribution(t *testing.T) {
 // Anything on the critical path beneath a token span — the acquire RPC,
 // its flows, server-side revokes — is token machinery, not transport.
 func TestTokenSubtreeChargesTokenWait(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "write", start: 0, end: 100},
@@ -196,6 +202,7 @@ func TestTokenSubtreeChargesTokenWait(t *testing.T) {
 
 // With no background ops observed, waits stay in the cache phase.
 func TestWaitFallbackToCache(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "write", start: 0, end: 50},
@@ -212,6 +219,7 @@ func TestWaitFallbackToCache(t *testing.T) {
 // — they are the visible costs of the -ra-depth and -wb-max-dirty
 // knobs, never redistributed over background profiles.
 func TestPipelineStallPhases(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	// A background fetch op exists; the stalls must NOT redistribute
 	// over its profile.
@@ -243,6 +251,7 @@ func TestPipelineStallPhases(t *testing.T) {
 
 // Phase totals always conserve e2e time exactly.
 func TestConservation(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 1, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "read", start: 0, end: 1000},
@@ -272,6 +281,7 @@ func TestConservation(t *testing.T) {
 
 // Quantiles use the nearest-rank method on the exact latency set.
 func TestQuantiles(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	for i := int64(1); i <= 100; i++ {
 		emitOp(tr, i, []spanSpec{
@@ -293,6 +303,7 @@ func TestQuantiles(t *testing.T) {
 
 // Rendering is byte-deterministic for identical traces.
 func TestRenderDeterminism(t *testing.T) {
+	t.Parallel()
 	build := func() string {
 		tr := trace.New()
 		emitOp(tr, 1, []spanSpec{
@@ -316,6 +327,7 @@ func TestRenderDeterminism(t *testing.T) {
 
 // Slowest orders by descending latency with op-ID tiebreak.
 func TestSlowest(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	for i := int64(1); i <= 5; i++ {
 		emitOp(tr, i, []spanSpec{
@@ -337,6 +349,7 @@ func TestSlowest(t *testing.T) {
 
 // WriteTree renders all spans of an op without crashing on odd shapes.
 func TestWriteTree(t *testing.T) {
+	t.Parallel()
 	tr := trace.New()
 	emitOp(tr, 7, []spanSpec{
 		{sid: 1, parent: 0, cat: "op", name: "read", start: 0, end: 100},

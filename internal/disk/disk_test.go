@@ -10,6 +10,7 @@ import (
 )
 
 func TestServiceTimeRandomVsSequential(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	d := New(s, "d0", SATA250())
 	p := d.Params()
@@ -28,6 +29,7 @@ func TestServiceTimeRandomVsSequential(t *testing.T) {
 }
 
 func TestAccessAccounting(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	d := New(s, "d0", SATA250())
 	s.Go("io", func(p *sim.Proc) {
@@ -50,6 +52,7 @@ func TestAccessAccounting(t *testing.T) {
 }
 
 func TestQueueSerializes(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	d := New(s, "d0", SATA250())
 	var finish []sim.Time
@@ -70,6 +73,7 @@ func TestQueueSerializes(t *testing.T) {
 }
 
 func TestSequentialStreamRate(t *testing.T) {
+	t.Parallel()
 	// A long sequential stream should approach the media rate.
 	s := sim.New()
 	d := New(s, "d0", SATA250())
@@ -88,6 +92,7 @@ func TestSequentialStreamRate(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	d := New(s, "d0", SATA250())
 	panicked := false
@@ -108,6 +113,7 @@ func TestOutOfRangePanics(t *testing.T) {
 // Property: service time is monotone in size and never less than pure
 // media transfer time.
 func TestPropertyServiceTimeMonotone(t *testing.T) {
+	t.Parallel()
 	f := func(szRaw uint32, offRaw uint32) bool {
 		s := sim.New()
 		d := New(s, "d", SATA250())

@@ -19,7 +19,7 @@ type CacheConfig struct {
 	Budget   units.Bytes
 	Accesses int // Zipf-ish: repeated touches of a small hot set
 	HotSet   int
-	Env      Env // solve tolerance and observability for the run
+	Env      Env // observability for the run
 }
 
 // DefaultCacheConfig models an edge site working against a distant

@@ -16,7 +16,7 @@ type DEISAConfig struct {
 	Servers   int // NSD servers per site
 	FileSize  units.Bytes
 	BlockSize units.Bytes
-	Env       Env // solve tolerance and observability for the run
+	Env       Env // observability for the run
 }
 
 // DefaultDEISAConfig mirrors the DEISA core: CINECA, FZJ, IDRIS, RZG on

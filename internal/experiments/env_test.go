@@ -20,9 +20,9 @@ func smallProduction(env Env) ProductionConfig {
 }
 
 // TestEnvRunsConcurrently runs a traced DEISA run and a traced
-// production run at solve tolerance 0.02 side by side, each in its own
-// Env, and demands byte for byte the report and JSONL each produces
-// when run alone: runs share no state.
+// production run side by side, each in its own Env, and demands byte for
+// byte the report and JSONL each produces when run alone: runs share no
+// state.
 func TestEnvRunsConcurrently(t *testing.T) {
 	t.Parallel()
 	runs := []func(Env) *Result{
@@ -36,7 +36,6 @@ func TestEnvRunsConcurrently(t *testing.T) {
 		},
 		func(env Env) *Result { return RunProductionScaling(smallProduction(env)) },
 	}
-	tolerances := []float64{0, 0.02}
 	type output struct {
 		report string
 		jsonl  string // sha256 of the JSONL export
@@ -44,7 +43,7 @@ func TestEnvRunsConcurrently(t *testing.T) {
 	}
 	capture := func(i int) output {
 		o := NewObs(ObsConfig{Trace: true})
-		res := runs[i](Env{SolveTolerance: tolerances[i], Obs: o})
+		res := runs[i](Env{Obs: o})
 		h := sha256.New()
 		err := o.Tracer.WriteJSONL(h)
 		return output{res.String(), fmt.Sprintf("%x", h.Sum(nil)), err}
@@ -75,24 +74,6 @@ func TestEnvRunsConcurrently(t *testing.T) {
 		}
 		if a.jsonl != b.jsonl {
 			t.Errorf("run %d: concurrent JSONL sha256 %s, sequential %s", i, b.jsonl, a.jsonl)
-		}
-	}
-}
-
-// TestSolveToleranceReachesNetworks: the tolerance set on an Env must
-// reach every network the run builds — local solves and placements
-// happen at 0.02 and never at 0.
-func TestSolveToleranceReachesNetworks(t *testing.T) {
-	t.Parallel()
-	for _, tol := range []float64{0, 0.02} {
-		o := NewObs(ObsConfig{})
-		RunProductionScaling(smallProduction(Env{SolveTolerance: tol, Obs: o}))
-		st := o.SolverStats()
-		if tol == 0 && (st.LocalSolves != 0 || st.Placements != 0) {
-			t.Errorf("tolerance 0: %d local solves, %d placements, want none", st.LocalSolves, st.Placements)
-		}
-		if tol > 0 && (st.LocalSolves == 0 || st.Placements == 0) {
-			t.Errorf("tolerance %g: %d local solves, %d placements, want both > 0", tol, st.LocalSolves, st.Placements)
 		}
 	}
 }

@@ -31,7 +31,7 @@ type FailoverConfig struct {
 	// experiment defaults (32 blocks readahead, client-default dirty cap).
 	ReadAhead   int
 	WriteBehind int
-	Env         Env // solve tolerance and observability for the run
+	Env         Env // observability for the run
 }
 
 // DefaultFailoverConfig scales the SC'03 topology down to a failure

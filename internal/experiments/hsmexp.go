@@ -17,7 +17,7 @@ type HSMConfig struct {
 	Files    int
 	FileSize units.Bytes
 	Accesses int
-	Env      Env // solve tolerance and observability for the run
+	Env      Env // observability for the run
 }
 
 // DefaultHSMConfig models a scaled-down archive-backed GFS: the disk pool

@@ -19,7 +19,7 @@ type MetastormConfig struct {
 	FileSize  units.Bytes // payload per file — small, the point of the storm
 	BlockSize units.Bytes
 	Shards    []int // arms: token-shard counts (0 = central manager only)
-	Env       Env   // solve tolerance and observability for the run
+	Env       Env   // observability for the run
 }
 
 // DefaultMetastormConfig keeps the storm small enough for CI while

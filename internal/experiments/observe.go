@@ -14,21 +14,14 @@ import (
 	"gfs/internal/trace"
 )
 
-// Env is the run environment an experiment is built in: the rate-solver
-// tolerance and the observability sinks. Experiments build their own
-// simulators inside Run, so the caller cannot attach tracers directly;
-// instead every simulator, network and cluster a run creates through
-// its Env is wired up as it is born. The zero Env is a plain,
-// unobserved run with the exact solver, and retains nothing. Runs with
-// different Envs share no state and may execute concurrently; runs that
-// share one Obs must not.
+// Env is the run environment an experiment is built in: the
+// observability sinks. Experiments build their own simulators inside
+// Run, so the caller cannot attach tracers directly; instead every
+// simulator, network and cluster a run creates through its Env is wired
+// up as it is born. The zero Env is a plain, unobserved run and retains
+// nothing. Runs with different Envs share no state and may execute
+// concurrently; runs that share one Obs must not.
 type Env struct {
-	// SolveTolerance is the bottleneck-local solve tolerance applied to
-	// every network the run builds: 0 keeps the exact closure solver
-	// (byte-identical to prior releases); a fraction in (0, 1) lets local
-	// solves stop at links whose load shifts by less than that fraction
-	// of capacity.
-	SolveTolerance float64
 	// Obs collects traces, metrics, engine telemetry and timelines; nil
 	// means observability is off and every instrumentation site degrades
 	// to a branch or two.
@@ -161,11 +154,10 @@ func (e Env) NewSim() *sim.Sim {
 	return s
 }
 
-// newNet builds a plain network on s with the solve tolerance and, when
-// observability is on, the metrics registry.
+// newNet builds a plain network on s with, when observability is on,
+// the metrics registry.
 func (e Env) newNet(s *sim.Sim) *netsim.Network {
 	nw := netsim.New(s)
-	nw.SolveTolerance = e.SolveTolerance
 	if e.Obs != nil {
 		nw.Metrics = e.Obs.Registry
 	}
@@ -366,21 +358,15 @@ func (o *Obs) SolverStats() netsim.SolverStats {
 	return st
 }
 
-// WriteSolverReport prints the bottleneck-local rate solver's work:
-// full vs local solves, how often the tolerance check expanded or a
-// recompute escalated to the exact closure, and the log2 histogram of
-// solved frontier sizes. Silent when no network ever solved (pure
-// SAN/engine benchmarks).
+// WriteSolverReport prints the rate solver's work: how many solves ran,
+// how many conns they re-rated, and the log2 histogram of solved frontier
+// sizes. Silent when no network ever solved (pure SAN/engine benchmarks).
 func (o *Obs) WriteSolverReport(w io.Writer) {
 	st := o.SolverStats()
-	if st.Solves() == 0 && st.Placements == 0 {
+	if st.Solves() == 0 {
 		return
 	}
-	fmt.Fprintf(w, "rate solves: %d full, %d local, %d placements (%d periodic, %d escalations, %d expansions)\n",
-		st.FullSolves, st.LocalSolves, st.Placements,
-		st.PeriodicFulls, st.Escalations, st.Expansions)
-	fmt.Fprintf(w, "  re-solved %d conns against %d boundary links held fixed\n",
-		st.RegionConns, st.BoundaryLinks)
+	fmt.Fprintf(w, "rate solves: %d, re-solved %d conns\n", st.FullSolves, st.RegionConns)
 	fmt.Fprintf(w, "  frontier conns per solve:")
 	for i, n := range st.FrontierHist {
 		if n == 0 {

@@ -24,8 +24,7 @@ import (
 // value in place.
 type Options struct {
 	// Engine plane (RegisterEngine).
-	EngineStats    bool    // print engine telemetry after the runs
-	SolveTolerance float64 // bottleneck-local rate solves (0 = exact, byte-identical)
+	EngineStats bool // print engine telemetry after the runs
 
 	// Trace retention and sampling (RegisterTrace).
 	TraceOut    string        // Chrome trace-event JSON path
@@ -67,13 +66,10 @@ type Options struct {
 	MemProfile string
 }
 
-// RegisterEngine registers the engine-plane flags: engine telemetry and
-// the rate-solver tolerance.
+// RegisterEngine registers the engine-plane flags: engine telemetry.
 func (o *Options) RegisterEngine(fs *flag.FlagSet) {
 	fs.BoolVar(&o.EngineStats, "engine-stats", false,
 		"print engine-plane telemetry (events/sec, queue depth, per-kind wall attribution)")
-	fs.Float64Var(&o.SolveTolerance, "solve-tolerance", 0,
-		"bottleneck-local rate solves: re-solve only conns whose boundary load shifts past this fraction of link capacity (0 = exact closure, byte-identical)")
 }
 
 // RegisterTrace registers the trace/attribution/snapshot flags.
@@ -158,9 +154,6 @@ func (o *Options) RegisterProfiles(fs *flag.FlagSet) {
 // Validate checks flag ranges and cross-flag consistency — the rules
 // that hold whichever binary parsed the flags.
 func (o *Options) Validate() error {
-	if o.SolveTolerance < 0 || o.SolveTolerance >= 1 {
-		return fmt.Errorf("-solve-tolerance %g out of range [0, 1)", o.SolveTolerance)
-	}
 	for _, d := range []struct {
 		flag string
 		v    time.Duration
@@ -214,12 +207,20 @@ func (o *Options) NodeCounts(def []int) ([]int, error) {
 	return out, nil
 }
 
-// SizeBytes parses -size; zero means the flag was not given.
+// SizeBytes parses -size; zero means the flag was not given. A given
+// size must be positive.
 func (o *Options) SizeBytes() (units.Bytes, error) {
 	if o.Size == "" {
 		return 0, nil
 	}
-	return units.ParseBytes(o.Size)
+	n, err := units.ParseBytes(o.Size)
+	if err != nil {
+		return 0, err
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("%q is not positive", o.Size)
+	}
+	return n, nil
 }
 
 // NeedTrace reports whether any requested output requires a tracer.
@@ -305,10 +306,10 @@ func (o *Options) WriteMemProfile() error {
 	return err
 }
 
-// SolveToleranceValue returns the zero Env's solve tolerance, 0.
+// SolveToleranceValue returns 0.
 //
-// Deprecated: read Env.SolveTolerance.
-func SolveToleranceValue() float64 { return Env{}.SolveTolerance }
+// Deprecated: the rate solver is exact-only and has no tolerance.
+func SolveToleranceValue() float64 { return 0 }
 
 // NewSim builds an unobserved simulator.
 //

@@ -43,7 +43,7 @@ func TestFlagSurface(t *testing.T) {
 		want     []string
 	}{
 		{"engine", (*Options).RegisterEngine,
-			[]string{"engine-stats", "solve-tolerance"}},
+			[]string{"engine-stats"}},
 		{"trace", (*Options).RegisterTrace,
 			[]string{"attr", "attr-agg", "interval", "jsonl", "jsonl-stream",
 				"stats", "trace", "trace-ring", "trace-sample"}},
@@ -75,14 +75,14 @@ func TestOptionsParsing(t *testing.T) {
 	var o Options
 	fs := registerAll(&o)
 	err := fs.Parse([]string{
-		"-solve-tolerance", "0.02", "-engine-stats",
+		"-engine-stats",
 		"-nodes", "64, 256,1024", "-size", "64MiB",
 		"-trace-sample", "8", "-interval", "5s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.SolveTolerance != 0.02 || !o.EngineStats || o.TraceSample != 8 {
+	if !o.EngineStats || o.TraceSample != 8 {
 		t.Fatalf("parsed %+v", o)
 	}
 	counts, err := o.NodeCounts(nil)
@@ -99,13 +99,19 @@ func TestOptionsParsing(t *testing.T) {
 	if _, err := (&Options{Nodes: "64,zero"}).NodeCounts(nil); err == nil {
 		t.Fatal("bad node count accepted")
 	}
+	if def, err := (&Options{}).SizeBytes(); def != 0 || err != nil {
+		t.Fatalf("default SizeBytes = %v, %v", def, err)
+	}
+	for _, bad := range []string{"-1MiB", "0", "0B", "0.4B", "12parsecs"} {
+		if sz, err := (&Options{Size: bad}).SizeBytes(); err == nil {
+			t.Errorf("SizeBytes accepted -size %q as %v", bad, sz)
+		}
+	}
 }
 
 func TestOptionsValidate(t *testing.T) {
 	t.Parallel()
 	bad := []Options{
-		{SolveTolerance: 1.5},
-		{SolveTolerance: -0.1},
 		{JSONLStream: "s.jsonl", TraceOut: "t.json"},
 		{JSONLStream: "s.jsonl", TraceRing: 16},
 		{Attr: true, AttrAgg: true},
@@ -129,7 +135,7 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted %+v", i, o)
 		}
 	}
-	good := Options{SolveTolerance: 0.02, Attr: true, JSONLOut: "e.jsonl"}
+	good := Options{Attr: true, JSONLOut: "e.jsonl"}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected %+v: %v", good, err)
 	}

@@ -24,7 +24,7 @@ type ParadigmConfig struct {
 	Servers      int
 	BlockSize    units.Bytes
 	Streams      int // GridFTP parallel streams
-	Env          Env // solve tolerance and observability for the run
+	Env          Env // observability for the run
 }
 
 // DefaultParadigmConfig is an NVO-style scenario scaled down 50x: a

@@ -24,7 +24,7 @@ type ProductionConfig struct {
 	Transfer   units.Bytes // MPI-IO transfer size (paper: 1 MB)
 	Gather     bool        // stripe-aligned flush gathering + NSD batching + elevator
 	WideTokens bool        // opportunistic wide token grants
-	Env        Env         // solve tolerance and observability for the run
+	Env        Env         // observability for the run
 }
 
 // DefaultProductionConfig mirrors the paper's machine-room measurement,

@@ -18,7 +18,7 @@ type SC02Config struct {
 	BlockSize units.Bytes
 	Depth     int // outstanding block requests (SANergy pipelining)
 	Interval  sim.Time
-	Env       Env // solve tolerance and observability for the run
+	Env       Env // observability for the run
 }
 
 // DefaultSC02Config mirrors the SC'02 demonstration, scaled so the run

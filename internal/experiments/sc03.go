@@ -31,7 +31,7 @@ type SC03Config struct {
 	// hardware). The readahead-depth sweep raises it so the measurement is
 	// bounded by the WAN pipeline, not a single client's NIC.
 	VizEth units.BitsPerSec
-	Env    Env // solve tolerance and observability for the run
+	Env    Env // observability for the run
 }
 
 // DefaultSC03Config mirrors SC'03: 40 dual-IA64 servers on the Phoenix

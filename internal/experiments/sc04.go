@@ -23,7 +23,7 @@ type SC04Config struct {
 	ReadFiles  int         // files per read phase
 	Phases     int         // alternating read/write phases
 	WriteBytes units.Bytes // per client per write phase
-	Env        Env         // solve tolerance and observability for the run
+	Env        Env         // observability for the run
 }
 
 // DefaultSC04Config mirrors the SC'04 StorCloud demonstration.

@@ -18,7 +18,7 @@ type StorCloudConfig struct {
 	ArrayCfg  san.ArrayConfig
 	PerServer units.Bytes // bytes each server streams
 	IOSize    units.Bytes
-	Env       Env // solve tolerance and observability for the run
+	Env       Env // observability for the run
 }
 
 // DefaultStorCloudConfig approximates the ~160 TB StorCloud loaner pool:

@@ -38,6 +38,7 @@ func testPattern(n int, seed byte) []byte {
 // degraded (parity-reconstructed) reads during the failure window, and a
 // healthy set once the rebuild completes.
 func TestDegradedReadsSurviveDiskFailure(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := netsim.New(s)
 	cluster, err := core.NewCluster(s, nw, "sdsc", auth.AuthOnly)
@@ -135,6 +136,7 @@ func TestDegradedReadsSurviveDiskFailure(t *testing.T) {
 // scripted virtual time, that LinkFlap expands to the right down/up
 // cycle, and that installing a past event panics.
 func TestPlanSchedulesInOrder(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	nw := netsim.New(s)
 	a, b := nw.NewNode("a"), nw.NewNode("b")

@@ -42,6 +42,7 @@ func sc02Rig(t testing.TB, tunnelCfg TunnelConfig, arrays int) (*sim.Sim, *Clien
 }
 
 func TestTunnelShape(t *testing.T) {
+	t.Parallel()
 	_, _, _, tun := sc02Rig(t, DefaultTunnelConfig(), 2)
 	if got := len(tun.Links()); got != 16 {
 		t.Errorf("tunnel links = %d, want 16 (8 duplex channels)", got)
@@ -61,6 +62,7 @@ func TestTunnelShape(t *testing.T) {
 }
 
 func TestCreateOpenMissing(t *testing.T) {
+	t.Parallel()
 	s, c, _, _ := sc02Rig(t, DefaultTunnelConfig(), 1)
 	var createErr, dupErr, missErr error
 	s.Go("t", func(p *sim.Proc) {
@@ -81,6 +83,7 @@ func TestCreateOpenMissing(t *testing.T) {
 }
 
 func TestWANReadThroughputDespiteRTT(t *testing.T) {
+	t.Parallel()
 	// The SC'02 claim: >700 MB/s sustained over 80 ms RTT on an 8 Gb/s
 	// path. With 8 parallel channels and deep pipelining the simulated
 	// client must comfortably beat 500 MB/s.
@@ -113,6 +116,7 @@ func TestWANReadThroughputDespiteRTT(t *testing.T) {
 }
 
 func TestShallowPipelineIsLatencyBound(t *testing.T) {
+	t.Parallel()
 	// depth=1 over 80 ms RTT: each 8 MiB block takes >= one RTT, so the
 	// rate collapses to ~100 MB/s — why naive access fails on a WAN.
 	s, c, _, _ := sc02Rig(t, DefaultTunnelConfig(), 4)
@@ -138,6 +142,7 @@ func TestShallowPipelineIsLatencyBound(t *testing.T) {
 }
 
 func TestWriteFile(t *testing.T) {
+	t.Parallel()
 	s, c, _, _ := sc02Rig(t, DefaultTunnelConfig(), 2)
 	var err error
 	s.Go("w", func(p *sim.Proc) {
@@ -156,6 +161,7 @@ func TestWriteFile(t *testing.T) {
 }
 
 func TestTunnelMonitorSeesTraffic(t *testing.T) {
+	t.Parallel()
 	s, c, _, tun := sc02Rig(t, DefaultTunnelConfig(), 2)
 	var mons []*metrics.RateMonitor
 	for _, l := range tun.EastboundLinks() {

@@ -36,6 +36,7 @@ func wanPair(t testing.TB, streams int, window units.Bytes) (*sim.Sim, *Client, 
 }
 
 func TestFetchWholeFile(t *testing.T) {
+	t.Parallel()
 	s, cl, srv := wanPair(t, 4, 8*units.MiB)
 	srv.Put("/nvo/slice.fits", 2*units.GB)
 	var got units.Bytes
@@ -58,6 +59,7 @@ func TestFetchWholeFile(t *testing.T) {
 }
 
 func TestFetchMissingFileFails(t *testing.T) {
+	t.Parallel()
 	s, cl, srv := wanPair(t, 4, 8*units.MiB)
 	var err error
 	s.Go("t", func(p *sim.Proc) { _, err = cl.Fetch(p, srv, "/nope") })
@@ -68,6 +70,7 @@ func TestFetchMissingFileFails(t *testing.T) {
 }
 
 func TestPushRegistersFile(t *testing.T) {
+	t.Parallel()
 	s, cl, srv := wanPair(t, 4, 8*units.MiB)
 	var err error
 	s.Go("t", func(p *sim.Proc) { err = cl.Push(p, srv, "/out.dat", 512*units.MB) })
@@ -85,6 +88,7 @@ func TestPushRegistersFile(t *testing.T) {
 }
 
 func TestParallelStreamsBeatSingleStream(t *testing.T) {
+	t.Parallel()
 	// The GridFTP design point: with a per-conn window of 2 MiB over a
 	// 60 ms RTT, one stream caps near 33 MB/s; 8 streams approach 8x.
 	run := func(streams int) sim.Time {
@@ -106,6 +110,7 @@ func TestParallelStreamsBeatSingleStream(t *testing.T) {
 }
 
 func TestWholesaleVsPartialAccessRatio(t *testing.T) {
+	t.Parallel()
 	// E7's core arithmetic: fetching a 100 GB file to read 1 GB of it
 	// wastes ~99% of the bytes moved. Verify the byte accounting that the
 	// paradigm-comparison bench builds on.

@@ -23,6 +23,7 @@ func sched(t *testing.T) *Scheduler {
 }
 
 func TestReserveAndConflict(t *testing.T) {
+	t.Parallel()
 	s := sched(t)
 	r1, err := s.Reserve("anl", 0, sim.Hour, 6)
 	if err != nil {
@@ -47,6 +48,7 @@ func TestReserveAndConflict(t *testing.T) {
 }
 
 func TestAvailableEdgeCases(t *testing.T) {
+	t.Parallel()
 	s := sched(t)
 	if s.Available("nowhere", 0, sim.Hour, 1) {
 		t.Error("unknown site available")
@@ -70,6 +72,7 @@ func TestAvailableEdgeCases(t *testing.T) {
 }
 
 func TestCoAllocateFindsFirstCommonWindow(t *testing.T) {
+	t.Parallel()
 	s := sched(t)
 	// Block SDSC for the first hour and ANL for the first two hours.
 	if _, err := s.Reserve("sdsc", 0, sim.Hour, 32); err != nil {
@@ -100,6 +103,7 @@ func TestCoAllocateFindsFirstCommonWindow(t *testing.T) {
 }
 
 func TestCoAllocateHorizonExhausted(t *testing.T) {
+	t.Parallel()
 	s := sched(t)
 	if _, err := s.Reserve("anl", 0, 48*sim.Hour, 8); err != nil {
 		t.Fatal(err)
@@ -113,6 +117,7 @@ func TestCoAllocateHorizonExhausted(t *testing.T) {
 }
 
 func TestCoAllocateValidation(t *testing.T) {
+	t.Parallel()
 	s := sched(t)
 	if _, _, err := s.CoAllocate(nil, 0, sim.Hour, sim.Minute); err == nil {
 		t.Error("empty request list accepted")
@@ -126,6 +131,7 @@ func TestCoAllocateValidation(t *testing.T) {
 }
 
 func TestSC04Scenario(t *testing.T) {
+	t.Parallel()
 	// The Fig. 7 arrangement: Enzo on DataStar while NCSA visualizes —
 	// booked for the same window, then the processes wait for the start.
 	sm := sim.New()
@@ -160,6 +166,7 @@ func TestSC04Scenario(t *testing.T) {
 // Property: random reservation traffic never oversubscribes any site at
 // any boundary instant.
 func TestPropertyNeverOversubscribed(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := New(sim.New())

@@ -29,6 +29,7 @@ func run(t *testing.T, s *sim.Sim, fn func(p *sim.Proc) error) {
 }
 
 func TestIngestStaysResidentBelowWatermark(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 2, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -47,6 +48,7 @@ func TestIngestStaysResidentBelowWatermark(t *testing.T) {
 }
 
 func TestWatermarkMigration(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 2, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -76,6 +78,7 @@ func TestWatermarkMigration(t *testing.T) {
 }
 
 func TestRecallIsTransparentAndSlow(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 1, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -114,6 +117,7 @@ func TestRecallIsTransparentAndSlow(t *testing.T) {
 }
 
 func TestAccessResidentIsFast(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 1, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -132,6 +136,7 @@ func TestAccessResidentIsFast(t *testing.T) {
 }
 
 func TestPremigrateKeepsDiskCopy(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 1, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -165,6 +170,7 @@ func TestPremigrateKeepsDiskCopy(t *testing.T) {
 }
 
 func TestIngestTooLargeFails(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 10*units.GB, 1, 4)
 	var err error
@@ -176,6 +182,7 @@ func TestIngestTooLargeFails(t *testing.T) {
 }
 
 func TestCartridgeOverflow(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	// 1 cartridge of 200 GB; disk pool small so everything migrates.
 	lib := NewLibrary(s, "tiny", 1, 1, LTO2())
@@ -197,6 +204,7 @@ func TestCartridgeOverflow(t *testing.T) {
 }
 
 func TestDualFilesReleasedBeforeTapeWrites(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := newMgr(s, 100*units.GB, 2, 10)
 	run(t, s, func(p *sim.Proc) error {
@@ -231,6 +239,7 @@ func TestDualFilesReleasedBeforeTapeWrites(t *testing.T) {
 // Property: disk accounting is exact — used equals the sum of on-disk file
 // sizes after arbitrary ingest/access traffic.
 func TestPropertyDiskAccounting(t *testing.T) {
+	t.Parallel()
 	f := func(sizesRaw []uint8) bool {
 		if len(sizesRaw) > 12 {
 			sizesRaw = sizesRaw[:12]

@@ -18,6 +18,7 @@ func archivePair(s *sim.Sim) (*Manager, *Manager, *Replicator) {
 }
 
 func TestReplicateCreatesSecondCopy(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	sdsc, psc, r := archivePair(s)
 	run(t, s, func(p *sim.Proc) error {
@@ -54,6 +55,7 @@ func TestReplicateCreatesSecondCopy(t *testing.T) {
 }
 
 func TestCatastropheAndRestore(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	sdsc, _, r := archivePair(s)
 	run(t, s, func(p *sim.Proc) error {
@@ -88,6 +90,7 @@ func TestCatastropheAndRestore(t *testing.T) {
 }
 
 func TestRestoreWithoutReplicaFails(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	sdsc, _, r := archivePair(s)
 	run(t, s, func(p *sim.Proc) error {
@@ -105,6 +108,7 @@ func TestRestoreWithoutReplicaFails(t *testing.T) {
 }
 
 func TestRestoreOfLiveFileFails(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	sdsc, _, r := archivePair(s)
 	run(t, s, func(p *sim.Proc) error {
@@ -122,6 +126,7 @@ func TestRestoreOfLiveFileFails(t *testing.T) {
 }
 
 func TestReplicateMigratedFileReadsTape(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	sdsc, psc, r := archivePair(s)
 	run(t, s, func(p *sim.Proc) error {
@@ -151,6 +156,7 @@ func TestReplicateMigratedFileReadsTape(t *testing.T) {
 }
 
 func TestReplicatorRejectsForeignManager(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	_, _, r := archivePair(s)
 	stranger := NewManager(s, "ncsa", NewLibrary(s, "x", 1, 2, LTO2()), units.TB)
@@ -166,6 +172,7 @@ func TestReplicatorRejectsForeignManager(t *testing.T) {
 }
 
 func TestMutualSecondCopies(t *testing.T) {
+	t.Parallel()
 	// Both directions, as SDSC and PSC ran it.
 	s := sim.New()
 	sdsc, psc, r := archivePair(s)

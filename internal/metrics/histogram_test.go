@@ -6,6 +6,7 @@ import (
 )
 
 func TestHistBucketBoundaries(t *testing.T) {
+	t.Parallel()
 	// Bucket 0 catches everything <= 1 (and NaN).
 	for _, v := range []float64{-5, 0, 0.5, 1, math.NaN()} {
 		if got := HistBucket(v); got != 0 {
@@ -59,6 +60,7 @@ func TestHistBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
+	t.Parallel()
 	h := NewHistogram()
 	if h.P50() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram must report zeros")
@@ -96,6 +98,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramSingleValue(t *testing.T) {
+	t.Parallel()
 	h := NewHistogram()
 	for i := 0; i < 10; i++ {
 		h.Observe(3_000_000) // 3 ms in ns
@@ -109,6 +112,7 @@ func TestHistogramSingleValue(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
+	t.Parallel()
 	r := NewRegistry()
 	r.Counter("a").Inc()
 	r.Counter("a").Add(4)

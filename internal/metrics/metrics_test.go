@@ -11,6 +11,7 @@ import (
 )
 
 func TestRateMonitorBinning(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "link", sim.Second)
 	s.Schedule(500*sim.Millisecond, func() { m.Record(100 * units.MB) })
@@ -33,6 +34,7 @@ func TestRateMonitorBinning(t *testing.T) {
 }
 
 func TestRateMonitorSpread(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "x", sim.Second)
 	s.Schedule(2*sim.Second, func() {
@@ -53,6 +55,7 @@ func TestRateMonitorSpread(t *testing.T) {
 }
 
 func TestRateMonitorPeakAndGbps(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "x", sim.Second)
 	s.Schedule(sim.Second/2, func() { m.Record(units.Bytes(1.25e9)) }) // 10 Gb in one second
@@ -68,6 +71,7 @@ func TestRateMonitorPeakAndGbps(t *testing.T) {
 
 // Property: RecordSpread conserves bytes across bins.
 func TestPropertySpreadConservesBytes(t *testing.T) {
+	t.Parallel()
 	f := func(nRaw uint32, fromRaw, spanRaw uint16) bool {
 		s := sim.New()
 		m := NewRateMonitor(s, "x", sim.Second)
@@ -88,6 +92,7 @@ func TestPropertySpreadConservesBytes(t *testing.T) {
 }
 
 func TestSeriesStats(t *testing.T) {
+	t.Parallel()
 	s := &Series{Name: "s"}
 	for i, y := range []float64{1, 5, 3, 9, 7} {
 		s.Add(float64(i), y)
@@ -104,6 +109,7 @@ func TestSeriesStats(t *testing.T) {
 }
 
 func TestSeriesCSV(t *testing.T) {
+	t.Parallel()
 	s := &Series{Name: "r", XLabel: "t", YLabel: "MB/s"}
 	s.Add(0, 1.5)
 	s.Add(1, 2.5)
@@ -115,6 +121,7 @@ func TestSeriesCSV(t *testing.T) {
 }
 
 func TestMergeCSV(t *testing.T) {
+	t.Parallel()
 	a := &Series{Name: "read"}
 	a.Add(1, 10)
 	a.Add(2, 20)
@@ -137,6 +144,7 @@ func TestMergeCSV(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
+	t.Parallel()
 	sm := NewSummary("lat")
 	for _, v := range []float64{4, 1, 3, 2, 5} {
 		sm.Observe(v)
@@ -153,6 +161,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSummaryEmpty(t *testing.T) {
+	t.Parallel()
 	sm := NewSummary("e")
 	if sm.Mean() != 0 || sm.Min() != 0 || sm.Max() != 0 || sm.Quantile(0.9) != 0 {
 		t.Error("empty summary should return zeros")
@@ -160,6 +169,7 @@ func TestSummaryEmpty(t *testing.T) {
 }
 
 func TestChartRender(t *testing.T) {
+	t.Parallel()
 	s := &Series{Name: "r", XLabel: "time (s)", YLabel: "MB/s"}
 	for i := 0; i < 50; i++ {
 		s.Add(float64(i), 700*(1-math.Exp(-float64(i)/5)))
@@ -177,6 +187,7 @@ func TestChartRender(t *testing.T) {
 }
 
 func TestChartEmpty(t *testing.T) {
+	t.Parallel()
 	out := NewChart("none").Render()
 	if !strings.Contains(out, "(no data)") {
 		t.Errorf("empty chart output: %q", out)
@@ -184,6 +195,7 @@ func TestChartEmpty(t *testing.T) {
 }
 
 func TestChartLegendMultiSeries(t *testing.T) {
+	t.Parallel()
 	a := &Series{Name: "read"}
 	a.Add(0, 1)
 	b := &Series{Name: "write"}
@@ -195,6 +207,7 @@ func TestChartLegendMultiSeries(t *testing.T) {
 }
 
 func TestTable(t *testing.T) {
+	t.Parallel()
 	out := Table([]string{"metric", "paper", "measured"},
 		[][]string{{"peak Gb/s", "8.96", "8.7"}})
 	if !strings.Contains(out, "metric") || !strings.Contains(out, "8.96") {

@@ -35,7 +35,7 @@ func BenchmarkRecompute(b *testing.B) {
 			nw.linkChanged(l)
 		}
 		for len(nw.dirtyLinks) > 0 {
-			nw.solveDirty()
+			nw.solve()
 		}
 	}
 }
@@ -80,7 +80,7 @@ func BenchmarkRecomputeWindowCapped(b *testing.B) {
 			nw.linkChanged(l)
 		}
 		for len(nw.dirtyLinks) > 0 {
-			nw.solveDirty()
+			nw.solve()
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //
 // Reallocation is incremental: links whose active-conn membership, window
 // caps, or up/down state changed join a dirty frontier, and only the
-// connected component of the frontier is re-solved (see solveDirty). Conns
+// connected component of the frontier is re-solved (see solve). Conns
 // outside it keep their rates verbatim.
 package netsim
 
@@ -35,9 +35,8 @@ type Network struct {
 	activeList         []*Conn // active conns (swap-removed; order not meaningful)
 	busyLinks          []*Link // links with >= 1 active conn
 	dirtyLinks         []*Link // frontier for the next incremental solve
-	dirtyConns         []*Conn // tolerance mode: conns awaiting water-level placement
 	epoch              uint32  // stamps links/conns into the current component
-	inSolve            bool    // inside solveDirty's advance pass
+	inSolve            bool    // inside solve's advance pass
 	inRecompute        bool
 	recomputeScheduled bool
 	recomputeFn        func() // == doRecompute, hoisted to avoid a closure per kick
@@ -48,7 +47,6 @@ type Network struct {
 	compConns  []*Conn
 	unassigned []*Conn
 	tieLinks   []*Link
-	boundLinks []*Link // boundary links of the current local solve
 	msgFree    []*message
 	callFree   []*rpcCall // recycled RPC call records
 
@@ -99,52 +97,16 @@ type Network struct {
 	// 134 ms block transfers). Zero disables scaling.
 	RecomputePerConn sim.Time
 
-	lastSolveConns int     // cost of the last recompute, for the scaled throttle
-	drainWork      int     // conns touched so far in the current tolerance drain
-	deferredLinks  []*Link // boundary expansions held over for the next paced drain
+	lastSolveConns int // cost of the last recompute, for the scaled throttle
 
-	// SolveTolerance > 0 makes rate recomputation bottleneck-local: a
-	// solve covers only the conns crossing dirty links, and every other
-	// link those conns touch is held at its current outside load instead
-	// of being expanded into. After the solve, any such boundary link
-	// whose carried load shifted by more than SolveTolerance x capacity
-	// re-seeds the frontier, so expansion is adaptive — it goes exactly as
-	// far as fair shares materially move. The value is the fraction of a
-	// link's capacity by which its load may be mispredicted (0.02 = 2%).
-	// Zero (the default) keeps the exact connected-component closure and
-	// with it byte-identical replays of every existing seeded run.
+	// SolveTolerance is ignored: rates always come from the exact
+	// connected-component solve.
+	//
+	// Deprecated: the bottleneck-local tolerance solver was removed.
 	SolveTolerance float64
-
-	// fullSolveEvery bounds the drift tolerance mode can accumulate: after
-	// this many consecutive region solves and placement batches, one exact
-	// closure solve runs over every busy link and re-anchors all rates at
-	// the true max-min fixed point. New sets defaultFullSolveEvery (512);
-	// tests may shorten it. Ignored when SolveTolerance is 0.
-	fullSolveEvery int
-
-	localSince  int // local solves since the last full re-anchor
-	localBudget int // local solves left in this recompute before escalating
 
 	stats SolverStats
 }
-
-// defaultFullSolveEvery is the periodic re-anchor interval. It is a
-// staleness/cost trade that interacts with how boundaries are offered
-// capacity: when boundary links rationed region crossers to their residual
-// slack, starved crossers re-expanded constantly and frequent fulls (128)
-// were needed to damp the churn; with standing-level offers the expansion
-// pressure is gone and a sparser re-anchor is measurably faster at 1024
-// nodes while the drift and fairness checks still bound per-link error.
-const defaultFullSolveEvery = 512
-
-// maxLocalPerRecompute caps how many local solves one recompute drain may
-// run before escalating to the exact closure: the cap turns a pathological
-// ping-pong between neighboring regions into a single exact solve. It is
-// deliberately generous — boundary-fairness expansions legitimately take
-// several rounds to swallow a busy trunk, and a local round touches ~100
-// conns where the closure at 1024+ nodes touches tens of thousands, so
-// escalating early costs far more than the rounds it saves.
-const maxLocalPerRecompute = 64
 
 // frontierBuckets is the number of log2 component-size buckets in the
 // solver's frontier histogram: bucket i holds solves whose component had
@@ -155,30 +117,10 @@ const frontierBuckets = 24
 // All values derive from virtual-time event order, so they are byte-
 // deterministic across identical seeded runs.
 type SolverStats struct {
-	// FullSolves counts exact connected-component closure solves — every
-	// solve at SolveTolerance 0, plus periodic re-anchors and escalations
-	// in tolerance mode.
+	// FullSolves counts connected-component solves.
 	FullSolves uint64
-	// LocalSolves counts tolerance-bounded bottleneck-local solves.
-	LocalSolves uint64
-	// Placements counts conns placed at their path's standing water level
-	// without any solve — the tolerance-mode fast path for flow arrivals
-	// and window bumps.
-	Placements uint64
-	// Expansions counts local solves that violated a boundary link's
-	// tolerance and re-seeded the frontier with it.
-	Expansions uint64
-	// PeriodicFulls counts full solves forced by the periodic re-anchor
-	// (every 512 region solves and placement batches).
-	PeriodicFulls uint64
-	// Escalations counts recompute drains that hit maxLocalPerRecompute
-	// and fell back to the exact closure.
-	Escalations uint64
 	// RegionConns is the cumulative number of conns re-solved.
 	RegionConns uint64
-	// BoundaryLinks is the cumulative number of links held fixed at the
-	// edge of local solves.
-	BoundaryLinks uint64
 	// FrontierHist is a log2 histogram of solved component sizes (conns
 	// per solve): bucket i counts solves with [2^(i-1), 2^i) conns.
 	FrontierHist [frontierBuckets]uint64
@@ -187,20 +129,14 @@ type SolverStats struct {
 // Add folds other into s — for aggregating across several networks.
 func (s *SolverStats) Add(other SolverStats) {
 	s.FullSolves += other.FullSolves
-	s.LocalSolves += other.LocalSolves
-	s.Placements += other.Placements
-	s.Expansions += other.Expansions
-	s.PeriodicFulls += other.PeriodicFulls
-	s.Escalations += other.Escalations
 	s.RegionConns += other.RegionConns
-	s.BoundaryLinks += other.BoundaryLinks
 	for i := range s.FrontierHist {
 		s.FrontierHist[i] += other.FrontierHist[i]
 	}
 }
 
-// Solves returns the total number of solves of either flavor.
-func (s *SolverStats) Solves() uint64 { return s.FullSolves + s.LocalSolves }
+// Solves returns the total number of solves.
+func (s *SolverStats) Solves() uint64 { return s.FullSolves }
 
 // SolverStats returns a snapshot of the flow solver's counters.
 func (nw *Network) SolverStats() SolverStats { return nw.stats }
@@ -242,8 +178,7 @@ func New(s *sim.Sim) *Network {
 		Sim: s,
 		// 16 MiB default window: enough for ~1.6 Gb/s at 80 ms RTT per
 		// conn, matching well-tuned 2005-era TCP stacks.
-		DefaultTCP:     TCPConfig{MaxWindow: 16 * units.MiB, InitWindow: 64 * units.KiB},
-		fullSolveEvery: defaultFullSolveEvery,
+		DefaultTCP: TCPConfig{MaxWindow: 16 * units.MiB, InitWindow: 64 * units.KiB},
 	}
 	nw.recomputeFn = nw.doRecompute
 	return nw
@@ -307,47 +242,6 @@ type Link struct {
 	residual float64
 	nActive  int
 
-	// used is the sum of the currently allocated rates of the active conns
-	// crossing this link, maintained incrementally by assignRate,
-	// deactivate and conn placement. Bottleneck-local solves read it to
-	// hold a boundary link's outside load fixed; it influences nothing at
-	// SolveTolerance 0. Re-zeroed whenever the link goes idle, so float
-	// drift cannot accumulate across bursts.
-	used float64
-
-	// solvedUsed is the link's carried load the last time a solve left it
-	// consistent. Tolerance mode compares used against it: once placements
-	// and departures have drifted the load past SolveTolerance x capacity,
-	// the link joins the dirty frontier and is re-solved exactly. Unused at
-	// SolveTolerance 0.
-	solvedUsed float64
-
-	// level is the water level at which this link last drained conns as a
-	// bottleneck (0 = never a bottleneck in its last solve, or unknown).
-	// Tolerance mode places new and re-capped conns at the min of their
-	// path levels instead of re-solving the whole component: on a
-	// saturated shared trunk the fair share of a joining conn is the
-	// trunk's standing level, not the (zero) slack.
-	level float64
-
-	// Boundary-link scratch, valid while bMark == Network.epoch during a
-	// local solve: the region's pre-solve load on this link, the region's
-	// newly assigned load, how many region conns cross it, and the lowest
-	// water level at which this link drained region conns as a bottleneck
-	// (+Inf if it never bound).
-	bMark      uint32
-	compUsed   float64
-	compNew    float64
-	compActive int
-	compLevel  float64
-
-	// compList holds the region conns crossing this boundary link, filled
-	// during boundary discovery. The bottleneck drain walks it instead of
-	// the link's full conn list: a shared trunk carries thousands of
-	// outside conns, and scanning them per tie round dominated local-solve
-	// cost. Capacity is retained across solves.
-	compList []*Conn
-
 	busyIdx int // index in Network.busyLinks, -1 when idle
 }
 
@@ -370,27 +264,6 @@ func (l *Link) BytesDelivered() units.Bytes { return l.delivered }
 
 // Down reports whether the link is failed.
 func (l *Link) Down() bool { return l.down }
-
-// placeLevel is the rate a joining or re-capped conn holding own
-// bytes/sec here can claim on this link without a solve: the spare
-// capacity plus what it already holds, or the link's standing bottleneck
-// level if that is higher — on a saturated link a joiner's max-min fair
-// share is the level the link's conns drained at, not the (zero) slack.
-// Tolerance-mode placement only; the overcommit it can introduce is
-// bounded by the caller's drift check.
-func (l *Link) placeLevel(own float64) float64 {
-	if l.down {
-		return 0
-	}
-	avail := l.cap - l.used + own
-	if avail < 0 {
-		avail = 0
-	}
-	if l.level > avail {
-		return l.level
-	}
-	return avail
-}
 
 // SetDown fails (true) or restores (false) the link. While down, the
 // link carries nothing: every conn crossing it is allocated rate zero

@@ -20,6 +20,7 @@ func newSet(s *sim.Sim, members int) *Set {
 }
 
 func TestGeometry(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9) // 8+P
 	if r.DataDisks() != 8 {
@@ -34,6 +35,7 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestParityRotates(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9)
 	seen := map[int]bool{}
@@ -50,6 +52,7 @@ func TestParityRotates(t *testing.T) {
 }
 
 func TestDataDiskSkipsParity(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9)
 	for st := int64(0); st < 20; st++ {
@@ -69,6 +72,7 @@ func TestDataDiskSkipsParity(t *testing.T) {
 }
 
 func TestFullStripeWriteNoRMW(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9)
 	s.Go("w", func(p *sim.Proc) {
@@ -81,6 +85,7 @@ func TestFullStripeWriteNoRMW(t *testing.T) {
 }
 
 func TestPartialWriteIsRMWAndSlower(t *testing.T) {
+	t.Parallel()
 	s1 := sim.New()
 	r1 := newSet(s1, 9)
 	s1.Go("w", func(p *sim.Proc) { r1.Write(p, 0, r1.StripeWidth()) })
@@ -104,6 +109,7 @@ func TestPartialWriteIsRMWAndSlower(t *testing.T) {
 }
 
 func TestReadParallelism(t *testing.T) {
+	t.Parallel()
 	// Reading a full stripe should take about one segment's service time
 	// (members work in parallel), not eight.
 	s := sim.New()
@@ -117,6 +123,7 @@ func TestReadParallelism(t *testing.T) {
 }
 
 func TestDegradedReadTouchesSurvivors(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9)
 	r.FailDisk(r.dataDisk(0, 0))
@@ -138,6 +145,7 @@ func TestDegradedReadTouchesSurvivors(t *testing.T) {
 }
 
 func TestRebuildRepairsSet(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	// Tiny capacity so the rebuild is fast.
 	small := disk.Params{Capacity: 64 * units.MiB, SeekAvg: sim.Millisecond,
@@ -163,6 +171,7 @@ func TestRebuildRepairsSet(t *testing.T) {
 }
 
 func TestSegmentsCoverRequestExactly(t *testing.T) {
+	t.Parallel()
 	s := sim.New()
 	r := newSet(s, 9)
 	var total units.Bytes
@@ -180,6 +189,7 @@ func TestSegmentsCoverRequestExactly(t *testing.T) {
 
 // Property: XOR parity reconstructs any single missing block.
 func TestPropertyParityReconstruct(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, nRaw, szRaw, missRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%8) + 2
@@ -206,6 +216,7 @@ func TestPropertyParityReconstruct(t *testing.T) {
 
 // Property: UpdateParity equals recomputing parity from scratch.
 func TestPropertyUpdateParity(t *testing.T) {
+	t.Parallel()
 	f := func(seed int64, nRaw, szRaw, idxRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%8) + 2
@@ -231,6 +242,7 @@ func TestPropertyUpdateParity(t *testing.T) {
 // Property: segment decomposition is a partition — contiguous, ordered,
 // exactly covering the request, for random geometry.
 func TestPropertySegmentsPartition(t *testing.T) {
+	t.Parallel()
 	f := func(offRaw, szRaw uint32, membersRaw uint8) bool {
 		s := sim.New()
 		members := int(membersRaw%7) + 3

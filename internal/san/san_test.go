@@ -19,6 +19,7 @@ func testFabric() (*sim.Sim, *Fabric, *netsim.Node) {
 }
 
 func TestDS4100Shape(t *testing.T) {
+	t.Parallel()
 	s, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
 	if len(a.Sets) != 7 {
@@ -43,6 +44,7 @@ func TestDS4100Shape(t *testing.T) {
 }
 
 func TestLUNControllerSplit(t *testing.T) {
+	t.Parallel()
 	_, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
 	if a.LUNController(0) != a.Controller(0) || a.LUNController(1) != a.Controller(1) {
@@ -54,6 +56,7 @@ func TestLUNControllerSplit(t *testing.T) {
 }
 
 func TestReadLUNMovesData(t *testing.T) {
+	t.Parallel()
 	s, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
 	host := f.Net.NewNode("host")
@@ -77,6 +80,7 @@ func TestReadLUNMovesData(t *testing.T) {
 }
 
 func TestWriteLUNError(t *testing.T) {
+	t.Parallel()
 	s, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
 	host := f.Net.NewNode("host")
@@ -93,6 +97,7 @@ func TestWriteLUNError(t *testing.T) {
 }
 
 func TestControllerBandwidthCapsAggregate(t *testing.T) {
+	t.Parallel()
 	// All-LUN reads through one controller cannot exceed its 2 Gb/s FC.
 	s, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
@@ -127,6 +132,7 @@ func TestControllerBandwidthCapsAggregate(t *testing.T) {
 }
 
 func TestPipelinedReadsOverlapDiskAndWire(t *testing.T) {
+	t.Parallel()
 	s, f, sw := testFabric()
 	a := f.NewArray("ds0", sw, DS4100Config())
 	host := f.Net.NewNode("host")
@@ -156,6 +162,7 @@ func TestPipelinedReadsOverlapDiskAndWire(t *testing.T) {
 }
 
 func TestISLAndMultiSwitchPath(t *testing.T) {
+	t.Parallel()
 	s, f, _ := testFabric()
 	swA := f.Switch("a")
 	swB := f.Switch("b")
@@ -173,6 +180,7 @@ func TestISLAndMultiSwitchPath(t *testing.T) {
 }
 
 func TestSwitchIsMemoized(t *testing.T) {
+	t.Parallel()
 	_, f, _ := testFabric()
 	if f.Switch("x") != f.Switch("x") {
 		t.Error("Switch(name) should return the same node")

@@ -6,6 +6,7 @@ import (
 )
 
 func TestBytesString(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		b    Bytes
 		want string
@@ -25,6 +26,7 @@ func TestBytesString(t *testing.T) {
 }
 
 func TestBytesIEC(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		b    Bytes
 		want string
@@ -42,6 +44,7 @@ func TestBytesIEC(t *testing.T) {
 }
 
 func TestParseBytes(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		in   string
 		want Bytes
@@ -70,6 +73,7 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseBytesErrors(t *testing.T) {
+	t.Parallel()
 	for _, in := range []string{"", "abc", "1XB", "..5GB"} {
 		if _, err := ParseBytes(in); err == nil {
 			t.Errorf("ParseBytes(%q) succeeded, want error", in)
@@ -78,6 +82,7 @@ func TestParseBytesErrors(t *testing.T) {
 }
 
 func TestRateConversions(t *testing.T) {
+	t.Parallel()
 	if got := (10 * Gbps).Bytes(); got != 1.25*GBps {
 		t.Errorf("10Gb/s = %v B/s, want 1.25GB/s", got)
 	}
@@ -87,6 +92,7 @@ func TestRateConversions(t *testing.T) {
 }
 
 func TestRateStrings(t *testing.T) {
+	t.Parallel()
 	if got := (8.96 * Gbps).String(); got != "8.96Gb/s" {
 		t.Errorf("got %q", got)
 	}
@@ -100,6 +106,7 @@ func TestRateStrings(t *testing.T) {
 
 // Property: bits<->bytes conversion round-trips.
 func TestPropertyRateRoundTrip(t *testing.T) {
+	t.Parallel()
 	f := func(raw uint32) bool {
 		r := BitsPerSec(raw)
 		back := r.Bytes().Bits()
@@ -114,6 +121,7 @@ func TestPropertyRateRoundTrip(t *testing.T) {
 // Property: String of a parsed canonical decimal value stays in the same
 // unit band (sanity of formatting thresholds).
 func TestPropertyParseFormatsDontPanic(t *testing.T) {
+	t.Parallel()
 	f := func(v uint32, unit uint8) bool {
 		units := []Bytes{1, KB, MB, GB, TB, KiB, MiB, GiB}
 		b := Bytes(v%100000) * units[int(unit)%len(units)]

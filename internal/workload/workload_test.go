@@ -48,6 +48,7 @@ func (r *rig) run(t testing.TB, fn func(p *sim.Proc) error) {
 }
 
 func TestEnzoWritesAllDumps(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 1)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.site.Clients[0].MountLocal(p, r.site.FS)
@@ -88,6 +89,7 @@ func TestEnzoWritesAllDumps(t *testing.T) {
 }
 
 func TestVizReadsEverything(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 3)
 	r.run(t, func(p *sim.Proc) error {
 		m0, err := r.site.Clients[0].MountLocal(p, r.site.FS)
@@ -123,6 +125,7 @@ func TestVizReadsEverything(t *testing.T) {
 }
 
 func TestSorterMovesBothDirections(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.site.Clients[0].MountLocal(p, r.site.FS)
@@ -159,6 +162,7 @@ func TestSorterMovesBothDirections(t *testing.T) {
 }
 
 func TestNVOQueriesWithinBounds(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1)
 	r.run(t, func(p *sim.Proc) error {
 		m, err := r.site.Clients[0].MountLocal(p, r.site.FS)
@@ -193,6 +197,7 @@ func TestNVOQueriesWithinBounds(t *testing.T) {
 }
 
 func TestNVODeterministicSeed(t *testing.T) {
+	t.Parallel()
 	run := func() sim.Time {
 		r := newRig(t, 2, 1)
 		var el sim.Time
@@ -218,6 +223,7 @@ func TestNVODeterministicSeed(t *testing.T) {
 }
 
 func TestMPIIOWriteThenRead(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 4)
 	r.run(t, func(p *sim.Proc) error {
 		var mounts []*core.Mount
@@ -263,6 +269,7 @@ func TestMPIIOWriteThenRead(t *testing.T) {
 }
 
 func TestMPIIODisjointWritersDontRevoke(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 4)
 	r.run(t, func(p *sim.Proc) error {
 		cfg := core.DefaultClientConfig()
@@ -293,6 +300,7 @@ func TestMPIIODisjointWritersDontRevoke(t *testing.T) {
 }
 
 func TestMPIIOErrors(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1)
 	r.run(t, func(p *sim.Proc) error {
 		m, _ := r.site.Clients[0].MountLocal(p, r.site.FS)
@@ -314,6 +322,7 @@ func TestMPIIOErrors(t *testing.T) {
 }
 
 func TestSCECCheckpointRun(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 4, 4)
 	r.run(t, func(p *sim.Proc) error {
 		var mounts []*core.Mount
@@ -355,6 +364,7 @@ func TestSCECCheckpointRun(t *testing.T) {
 }
 
 func TestSCECValidation(t *testing.T) {
+	t.Parallel()
 	r := newRig(t, 2, 1)
 	r.run(t, func(p *sim.Proc) error {
 		w := &workload.SCEC{Dir: "/x", Checkpoints: 1, SlabSize: units.MiB}
