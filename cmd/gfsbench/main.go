@@ -63,6 +63,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gfsbench:", err)
 		os.Exit(2)
 	}
+	if err := checkRTT(*rttFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "gfsbench:", err)
+		os.Exit(2)
+	}
 
 	// Per-sweep defaults: the simscale sweep measures engine throughput,
 	// where 512 MiB/client at 1024 nodes would take minutes of wall clock
@@ -520,6 +524,15 @@ func writeGatherRow(env experiments.Env, gather bool, size units.Bytes) []float6
 		on = 1
 	}
 	return []float64{on, wr, rd, float64(rmw), float64(fsw), float64(st.GatheredFlushes)}
+}
+
+// checkRTT rejects a negative -rtt: half of it becomes the WAN link's
+// one-way delay.
+func checkRTT(rtt time.Duration) error {
+	if rtt < 0 {
+		return fmt.Errorf("-rtt %s is negative", rtt)
+	}
+	return nil
 }
 
 // wanReadRate measures one client streaming across an RTT-deep WAN with

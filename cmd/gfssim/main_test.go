@@ -20,6 +20,9 @@ import (
 //     where slow-start window caps bind (the water fill's cap sweep).
 //   - anl: the §5 remote mount. One client seeds 32 files first, driving
 //     write-behind across 32 inodes in one page pool.
+//   - failover-stats: the failover run with periodic mmpmon snapshots and
+//     a timeline ring, pinning every mmpmon line kind the writer emits
+//     (fs_io_s, io_s, nsd, resource, sim, solver, hist, rate, op_lat).
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -35,6 +38,9 @@ func TestGolden(t *testing.T) {
 		{"anl", []string{"-exp", "anl"},
 			"fafe201e0cf70fd03e53df13953a176269a79de4f55a9c2bad8bc98f1ecf7d3a",
 			"4939be9e4946b63286328a204463bd1a39c35afc0bdeef59a4784a4e18882290"},
+		{"failover-stats", []string{"-exp", "failover", "-stats", "-interval", "5s", "-timeline-ring", "8"},
+			"e1738a01c6ba2c4732fa94284b9b115f5698618d194ccc1d38273fc926e19022",
+			"3adf3a0d3f2b13f8c06b655a9ffb548bfa74059fa17d04e9bee99e500a4ac068"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,8 +51,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gfstop: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	if *interval <= 0 {
-		fmt.Fprintln(os.Stderr, "gfstop: interval must be positive")
+	if err := checkFlags(*interval, *top, *spark); err != nil {
+		fmt.Fprintln(os.Stderr, "gfstop:", err)
 		os.Exit(2)
 	}
 
@@ -82,6 +83,20 @@ func main() {
 
 	r.Run(env)
 	fmt.Printf("\ngfstop: run complete after %d windows\n", frames)
+}
+
+// checkFlags rejects the window, row and sparkline settings the
+// dashboard cannot draw with.
+func checkFlags(interval time.Duration, top, spark int) error {
+	switch {
+	case interval <= 0:
+		return errors.New("interval must be positive")
+	case top < 0:
+		return fmt.Errorf("-top %d is negative", top)
+	case spark < 0:
+		return fmt.Errorf("-spark %d is negative", spark)
+	}
+	return nil
 }
 
 // writeBalance prints the imbalance analytics for the two natural

@@ -165,26 +165,7 @@ type Mount struct {
 	// stolen shard never takes its authority back).
 	shardDown []bool
 
-	bytesRead        units.Bytes
-	bytesWritten     units.Bytes
-	cacheHits        uint64
-	cacheMisses      uint64
-	prefetchIssued   uint64
-	prefetchHits     uint64
-	writebacks       uint64
-	writeStalls      uint64
-	opens            uint64
-	closes           uint64
-	readOps          uint64
-	writeOps         uint64
-	gatheredFlushes  uint64 // multi-page flush RPCs issued
-	fullStripeWrites uint64 // gathered flushes covering whole RAID stripes
-	wideTokenGrants  uint64 // grants wider than the desired range
-	batchedNSDOps    uint64 // multi-block NSD RPCs (flush + prefetch)
-
-	shardMetaOps       uint64 // metadata ops served by a shard
-	shardTokenAcquires uint64 // token acquires served by a shard
-	shardFallbacks     uint64 // ops rerouted to the coordinator (shard down/moved)
+	st MountStats // counted in place; Stats fills in the derived fields
 }
 
 // mountSvcs are the FS-qualified service names a mount calls, built once
@@ -399,11 +380,11 @@ func (m *Mount) metaCall(p *sim.Proc, op metaOp) netsim.Response {
 		if k := metaRoute(n, op); k >= 0 && !m.shardDown[k] {
 			resp := m.c.EP.Call(p, m.info.Shards[k], m.svc.shardMeta[k], 192, op)
 			if !shardUnavailable(resp.Err) {
-				m.shardMetaOps++
+				m.st.ShardMetaOps++
 				return resp
 			}
 			m.shardDown[k] = true
-			m.shardFallbacks++
+			m.st.ShardFallbacks++
 		}
 	}
 	return m.c.EP.Call(p, m.info.Manager, m.svc.meta, 192, op)
@@ -432,7 +413,7 @@ func (m *Mount) Open(p *sim.Proc, path string) (*File, error) {
 }
 
 func (m *Mount) fileFrom(a Attrs) *File {
-	m.opens++
+	m.st.Opens++
 	return &File{m: m, ino: a.Inode, name: a.Name, size: a.Size}
 }
 
@@ -669,10 +650,10 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 			resp = m.c.EP.Call(p, m.info.Shards[k], m.svc.shardToken[k], 128, op)
 			routed = !shardUnavailable(resp.Err)
 			if routed {
-				m.shardTokenAcquires++
+				m.st.ShardTokenAcquires++
 			} else {
 				m.shardDown[k] = true
-				m.shardFallbacks++
+				m.st.ShardFallbacks++
 			}
 		}
 	}
@@ -690,7 +671,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 		g = grantRange{reqStart, reqEnd}
 	}
 	if m.c.cfg.WideTokens && (g.Start < desStart || g.End > desEnd) {
-		m.wideTokenGrants++
+		m.st.WideTokenGrants++
 		if reg != nil {
 			reg.Counter("token.wide_grants").Inc()
 		}

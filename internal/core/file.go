@@ -132,7 +132,7 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 			// Demand read claims a prefetched (or in-flight prefetch)
 			// page: the speculation paid off.
 			pg.prefetched = false
-			m.prefetchHits++
+			m.st.PrefetchHits++
 			if _, reg := m.obs(); reg != nil {
 				reg.Counter("cache.prefetch_hits").Inc()
 			}
@@ -145,14 +145,14 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 	tr, reg := m.obs()
 	if prefetch {
 		pg.prefetched = true
-		m.prefetchIssued++
+		m.st.PrefetchIssued++
 		opName = "prefetch"
 		if reg != nil {
 			reg.Counter("cache.prefetch_issued").Inc()
 		}
 	} else {
 		pg.prefetched = false
-		m.cacheMisses++
+		m.st.CacheMisses++
 		if reg != nil {
 			reg.Counter("cache.misses").Inc()
 		}
@@ -194,7 +194,7 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 		if resp.Err == nil {
 			pg.present = true
 			pg.err = nil
-			m.bytesRead += bs
+			m.st.BytesRead += bs
 			if verify {
 				if bytes, ok := resp.Payload.([]byte); ok {
 					pg.mergeFetched(m.arena, bytes, bs)
@@ -263,8 +263,8 @@ func (m *Mount) fetchRunAsync(f *File, idxs []int64, verify bool) {
 		pg.prefetched = true
 		pages[i] = pg
 	}
-	m.prefetchIssued += uint64(k)
-	m.batchedNSDOps++
+	m.st.PrefetchIssued += uint64(k)
+	m.st.BatchedNSDOps++
 	tr, reg := m.obs()
 	if reg != nil {
 		reg.Counter("cache.prefetch_issued").Add(uint64(k))
@@ -298,7 +298,7 @@ func (m *Mount) fetchRunAsync(f *File, idxs []int64, verify bool) {
 			if resp.Err == nil {
 				pg.present = true
 				pg.err = nil
-				m.bytesRead += bs
+				m.st.BytesRead += bs
 				if verify && units.Bytes(len(media)) == ln {
 					pg.mergeFetched(m.arena, media[units.Bytes(i)*bs:units.Bytes(i+1)*bs], bs)
 				}
@@ -367,7 +367,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 	if m.detached {
 		return nil, fmt.Errorf("core: %s on %s: %w", m.Device, m.c.id, ErrNotMounted)
 	}
-	m.readOps++
+	m.st.Reads++
 	rec := m.beginOp(p, "read")
 	if rec.tr != nil {
 		defer func() {
@@ -390,7 +390,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 	for i, sp := range sps {
 		pg := m.fetchAsync(f, sp.Index, f.layout[sp.Index], verify, false)
 		if !pg.fetching && pg.present {
-			m.cacheHits++
+			m.st.CacheHits++
 			hits++
 		}
 		pg.pins++
@@ -531,7 +531,7 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 	if m.detached {
 		return fmt.Errorf("core: %s on %s: %w", m.Device, m.c.id, ErrNotMounted)
 	}
-	m.writeOps++
+	m.st.Writes++
 	rec := m.beginOp(p, "write")
 	if rec.tr != nil {
 		defer func() {
@@ -587,7 +587,7 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 		m.writeBehind(f.ino)
 	}
 	if len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
-		m.writeStalls++
+		m.st.WriteStalls++
 		var waitStart int64
 		if rec.tr != nil {
 			waitStart = int64(m.c.sim.Now())
@@ -738,12 +738,12 @@ func (m *Mount) flushGathered(run []*page) {
 	for _, pg := range run {
 		pg.flushing = true
 	}
-	m.writebacks += uint64(n)
-	m.gatheredFlushes++
-	m.batchedNSDOps++
+	m.st.Writebacks += uint64(n)
+	m.st.GatheredFlushes++
+	m.st.BatchedNSDOps++
 	if sw := m.stripeWOf(run[0].ref.NSD); sw > 0 && sw%bs == 0 {
 		if swb := int64(sw / bs); swb >= 1 && run[0].ref.Block%swb == 0 {
-			m.fullStripeWrites += uint64(int64(n) / swb)
+			m.st.FullStripeWrites += uint64(int64(n) / swb)
 		}
 	}
 	var data []byte
@@ -792,7 +792,7 @@ func (m *Mount) flushGathered(run []*page) {
 			}
 			if resp.Err == nil {
 				pg.err = nil
-				m.bytesWritten += bs
+				m.st.BytesWritten += bs
 				// Same rule as flushAsync: a page rewritten mid-flight
 				// (generation moved) stays dirty and flushes again.
 				if pg.gen == snapGens[i] {
@@ -814,7 +814,7 @@ func (m *Mount) flushAsync(pg *page) {
 		return
 	}
 	pg.flushing = true
-	m.writebacks++
+	m.st.Writebacks++
 	snapFrom, snapTo := pg.dFrom, pg.dTo
 	snapGen := pg.gen
 	var data []byte
@@ -857,7 +857,7 @@ func (m *Mount) flushAsync(pg *page) {
 		}
 		if resp.Err == nil {
 			pg.err = nil
-			m.bytesWritten += snapTo - snapFrom
+			m.st.BytesWritten += snapTo - snapFrom
 			// Clean only if nothing touched the page while the flush was
 			// in flight; an unchanged interval is not enough — the content
 			// may have been rewritten in place.
@@ -910,7 +910,7 @@ func (f *File) Sync(p *sim.Proc) error {
 // Close syncs and releases the handle (tokens are retained for reuse, as
 // GPFS does).
 func (f *File) Close(p *sim.Proc) error {
-	f.m.closes++
+	f.m.st.Closes++
 	return f.Sync(p)
 }
 

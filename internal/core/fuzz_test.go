@@ -79,6 +79,13 @@ func FuzzMmpmonParse(f *testing.F) {
 	f.Add("mmpmon node c0 fs_io_s OK\nbytes read: 9999999999999999999999\n")
 	f.Add("garbage\n")
 	f.Add("mmpmon solver full 86 region_conns 1024 b0 2 b5 84\n")
+	f.Add("mmpmon engine events 9 wall_ns 5 sim_ns 7 ev_per_s 1800000000 wall_ms_per_sim_s 0.714 " +
+		"allocs_per_ev 0.50 depth_p50 1 depth_p99 3 peak_pending 4\n")
+	f.Add("mmpmon engine_kind sim.timer count 9 est_wall_ns 5\n")
+	f.Add("mmpmon hist op.read_ns n 10 mean 5 p50 5 p95 9 p99 10 p999 10 max 10\n")
+	f.Add("mmpmon rate link.wan.MBps MB/s 1157.70464\n")
+	f.Add("mmpmon op_lat read n 4 mean 1.500ms p50 1.200ms p95 2.000ms p99 2.000ms p999 2.000ms " +
+		"net_xmit 60.0% disk 40.0%\n")
 
 	f.Fuzz(func(t *testing.T, data string) {
 		snap, err := ParseMmpmon(strings.NewReader(data))
@@ -98,6 +105,47 @@ func FuzzMmpmonParse(f *testing.F) {
 			t.Fatalf("parse is not deterministic (err2=%v)", err2)
 		}
 	})
+}
+
+// TestMmpmonParseBoundary pins the outcomes at the edge of the grammar
+// that differential fuzzing against the earlier positional parser found.
+// A line either fails the parse, or only warns; neither yields a record.
+func TestMmpmonParseBoundary(t *testing.T) {
+	t.Parallel()
+	const opLat = "mmpmon op_lat read n 4 mean 1.500ms p50 1.200ms p95 2.000ms p99 2.000ms p999 2.000ms\n"
+	for _, tc := range []struct {
+		in   string
+		fail bool
+	}{
+		{"mmpmon resource \f\n", true},
+		{"mmpmon hist \t\n", true},
+		// 18 words: a resource line has exactly 15.
+		{"mmpmon resource r 0 0 0 cap 0 inuse 0 queued 0 peak 0 acquired 0 peak_util 0\n", true},
+		// The key words of an exact kind are checked, and their order.
+		{"mmpmon resource r a 1 b 2 c 3 d 4 e 5 f 0.5\n", true},
+		{"mmpmon fs g io_s OK\nmmpmon nsd n0 up written 2 read 1\n", true},
+		{"mmpmon sim events_fired 1 pending 2 pending 3\n", true},
+		{"mmpmon resource r cap 1 inuse 0 queued 0 peak 1 acquired 1 peak_util 1.00 extra 2\n", true},
+		// Not a known kind: two spaces, or no space after the kind word.
+		{"mmpmon  nsd 0\n", false},
+		{"mmpmon sim\n", false},
+		// An op_lat line ends the io_s section an nsd line needs.
+		{"mmpmon fs g io_s OK\n" + opLat + "mmpmon nsd n0 up read 1 written 2\n", true},
+		// Advisory lines only warn.
+		{"mmpmon op_lat read n x\n", false},
+		{"mmpmon rate r MB/s 1 extra 2\n", false},
+	} {
+		snap, err := ParseMmpmon(strings.NewReader(tc.in))
+		switch {
+		case tc.fail && err == nil:
+			t.Errorf("%q parsed without error", tc.in)
+		case !tc.fail && err != nil:
+			t.Errorf("%q: %v, want only a warning", tc.in, err)
+		case !tc.fail && (len(snap.Warnings) == 0 || len(snap.Records) != 0):
+			t.Errorf("%q: warnings %v, records %+v; want a warning and no record",
+				tc.in, snap.Warnings, snap.Records)
+		}
+	}
 }
 
 func countLinesWithPrefix(data, prefix string) int {
@@ -194,39 +242,43 @@ func TestMmpmonRoundTrip(t *testing.T) {
 	if fsio.Node != "sdsc/c0" || fsio.Filesystem != "gpfs0" {
 		t.Fatalf("section identity = %q/%q", fsio.Node, fsio.Filesystem)
 	}
-	for key, want := range map[string]int64{
-		"bytes read":      int64(want.BytesRead),
-		"bytes written":   int64(want.BytesWritten),
-		"cache hits":      int64(want.CacheHits),
-		"cache misses":    int64(want.CacheMisses),
-		"prefetch issued": int64(want.PrefetchIssued),
-		"prefetch hits":   int64(want.PrefetchHits),
-		"prefetch unused": int64(want.PrefetchUnused),
-		"writebacks":      int64(want.Writebacks),
-		"write stalls":    int64(want.WriteStalls),
-		"opens":           int64(want.Opens),
-		"closes":          int64(want.Closes),
-
-		"gathered flushes":   int64(want.GatheredFlushes),
-		"full stripe writes": int64(want.FullStripeWrites),
-		"wide token grants":  int64(want.WideTokenGrants),
-		"batched nsd ops":    int64(want.BatchedNSDOps),
-	} {
-		if got := fsio.Counters[key]; got != want {
-			t.Errorf("counter %q = %d, want %d", key, got, want)
+	// Every mmpmon-tagged MountStats field must come back as its row,
+	// and every row must be a tagged field.
+	wantV := reflect.ValueOf(want)
+	rows := 0
+	for i := 0; i < wantV.NumField(); i++ {
+		label := wantV.Type().Field(i).Tag.Get("mmpmon")
+		if label == "" {
+			continue
 		}
+		rows++
+		v := wantV.Field(i)
+		var n int64
+		if v.CanInt() {
+			n = v.Int()
+		} else {
+			n = int64(v.Uint())
+		}
+		if got, ok := fsio.Counters[label]; !ok {
+			t.Errorf("row %q missing from the rendering", label)
+		} else if got != n {
+			t.Errorf("row %q = %d, want %d", label, got, n)
+		}
+	}
+	if rows != len(fsio.Counters) {
+		t.Errorf("rendered %d counter rows, MountStats tags %d: %v", len(fsio.Counters), rows, fsio.Counters)
 	}
 	if len(snap.IO) != 1 || len(snap.IO[0].NSDs) != 2 {
 		t.Fatalf("io_s sections = %d (nsds %v), want 1 section with 2 nsds",
 			len(snap.IO), snap.IO)
 	}
 	for _, nsd := range snap.IO[0].NSDs {
-		if nsd.State != "up" {
-			t.Errorf("nsd %s state %q, want up", nsd.Name, nsd.State)
+		if nsd.Args[0] != "up" {
+			t.Errorf("nsd %s state %q, want up", nsd.Name, nsd.Args[0])
 		}
 	}
-	if snap.EventsFired <= 0 {
-		t.Errorf("events_fired = %d, want > 0", snap.EventsFired)
+	if sims := snap.Kind("sim"); len(sims) != 1 || sims[0].Int("events_fired") <= 0 {
+		t.Errorf("sim lines = %+v, want one with events_fired > 0", sims)
 	}
 	if snap.Time <= 0 {
 		t.Errorf("snapshot time = %v, want > 0", snap.Time)
@@ -238,8 +290,8 @@ func TestMmpmonRoundTrip(t *testing.T) {
 			fsio.Counters["prefetch issued"], fsio.Counters["cache misses"])
 	}
 	// Snapshots without a probe carry no engine section.
-	if snap.Engine != nil || len(snap.EngineKinds) != 0 {
-		t.Errorf("engine section present without a probe: %+v %+v", snap.Engine, snap.EngineKinds)
+	if eng, kinds := snap.Kind("engine"), snap.Kind("engine_kind"); len(eng)+len(kinds) != 0 {
+		t.Errorf("engine section present without a probe: %+v %+v", eng, kinds)
 	}
 	_ = fmt.Sprintf("%v", snap) // the types must all be printable
 }
@@ -289,39 +341,43 @@ func TestMmpmonEngineHistRoundTrip(t *testing.T) {
 	if len(snap.Warnings) != 0 {
 		t.Errorf("own rendering produced warnings: %v", snap.Warnings)
 	}
-	if snap.Engine == nil {
-		t.Fatal("no engine line parsed")
+	engines := snap.Kind("engine")
+	if len(engines) != 1 {
+		t.Fatalf("engine lines = %+v, want one", engines)
 	}
-	if snap.Engine.Events <= 0 || snap.Engine.WallNs <= 0 || snap.Engine.SimNs <= 0 {
-		t.Errorf("engine window not populated: %+v", snap.Engine)
+	eng := engines[0]
+	if eng.Int("events") <= 0 || eng.Int("wall_ns") <= 0 || eng.Int("sim_ns") <= 0 {
+		t.Errorf("engine window not populated: %+v", eng)
 	}
-	if len(snap.EngineKinds) == 0 {
+	kinds := snap.Kind("engine_kind")
+	if len(kinds) == 0 {
 		t.Fatal("no engine_kind lines parsed")
 	}
 	var kindSum int64
 	seenKinds := map[string]bool{}
-	for _, k := range snap.EngineKinds {
-		kindSum += k.Count
+	for _, k := range kinds {
+		kindSum += k.Int("count")
 		seenKinds[k.Name] = true
 	}
-	if kindSum != snap.Engine.Events {
-		t.Errorf("kind counts sum %d != engine events %d", kindSum, snap.Engine.Events)
+	if kindSum != eng.Int("events") {
+		t.Errorf("kind counts sum %d != engine events %d", kindSum, eng.Int("events"))
 	}
 	for _, want := range []string{"sim.timer", "net.flow_completion", "net.deliver"} {
 		if !seenKinds[want] {
 			t.Errorf("expected event kind %q in %v", want, seenKinds)
 		}
 	}
-	if len(snap.Hists) != 1 || snap.Hists[0].Name != "op.read_ns" {
-		t.Fatalf("hists = %+v, want one op.read_ns entry", snap.Hists)
+	hists := snap.Kind("hist")
+	if len(hists) != 1 || hists[0].Name != "op.read_ns" {
+		t.Fatalf("hists = %+v, want one op.read_ns entry", hists)
 	}
-	hist := snap.Hists[0]
-	if hist.N != 2000 || !hist.HasP999 {
+	hist := hists[0]
+	if _, hasP999 := hist.Fields["p999"]; hist.Int("n") != 2000 || !hasP999 {
 		t.Errorf("hist = %+v, want n=2000 with p999", hist)
 	}
-	if hist.P999 < hist.P99 || hist.Max < hist.P999 {
+	if hist.Float("p999") < hist.Float("p99") || hist.Float("max") < hist.Float("p999") {
 		t.Errorf("quantile ladder out of order: p99=%v p999=%v max=%v",
-			hist.P99, hist.P999, hist.Max)
+			hist.Float("p99"), hist.Float("p999"), hist.Float("max"))
 	}
 
 	// Forward compatibility: a pre-p999 hist line still parses.
@@ -330,8 +386,12 @@ func TestMmpmonEngineHistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pre-p999 hist line failed to parse: %v", err)
 	}
-	if len(oldSnap.Hists) != 1 || oldSnap.Hists[0].HasP999 || oldSnap.Hists[0].N != 10 {
-		t.Errorf("pre-p999 hist parsed wrong: %+v", oldSnap.Hists)
+	oldHists := oldSnap.Kind("hist")
+	if len(oldHists) != 1 || oldHists[0].Int("n") != 10 {
+		t.Fatalf("pre-p999 hist parsed wrong: %+v", oldHists)
+	}
+	if _, hasP999 := oldHists[0].Fields["p999"]; hasP999 {
+		t.Errorf("pre-p999 hist parsed wrong: %+v", oldHists)
 	}
 }
 

@@ -310,8 +310,8 @@ func TestParseMmpmonForwardCompat(t *testing.T) {
 	if _, ok := fsio.Counters["flux capacitance"]; ok {
 		t.Error("non-integer counter landed as a value")
 	}
-	if snap.EventsFired != 7 {
-		t.Errorf("sim footer after unknown section: events_fired = %d, want 7", snap.EventsFired)
+	if sims := snap.Kind("sim"); len(sims) != 1 || sims[0].Int("events_fired") != 7 {
+		t.Errorf("sim footer after unknown section: %+v, want events_fired 7", sims)
 	}
 	if len(snap.Warnings) < 2 {
 		t.Errorf("warnings = %v, want at least the bad counter and the unknown section", snap.Warnings)

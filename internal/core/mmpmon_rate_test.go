@@ -37,16 +37,21 @@ func TestMmpmonRateRoundTrip(t *testing.T) {
 	if len(parsed.Warnings) != 0 {
 		t.Fatalf("rate lines produced warnings: %v", parsed.Warnings)
 	}
-	if len(parsed.Rates) != 3 {
-		t.Fatalf("got %d rates, want 3: %+v", len(parsed.Rates), parsed.Rates)
+	rates := parsed.Kind("rate")
+	if len(rates) != 3 {
+		t.Fatalf("got %d rates, want 3: %+v", len(rates), rates)
 	}
-	for i, want := range []MmpmonRate{
-		{Name: "link.wan.MBps", Unit: "MB/s", Value: 1157.70464},
-		{Name: "nsd.srv0.read_MBps", Unit: "MB/s", Value: 0.5},
-		{Name: "token.fs.waiting", Unit: "-", Value: 3},
+	for i, want := range []struct {
+		name, unit string
+		value      float64
+	}{
+		{"link.wan.MBps", "MB/s", 1157.70464},
+		{"nsd.srv0.read_MBps", "MB/s", 0.5},
+		{"token.fs.waiting", "-", 3},
 	} {
-		if parsed.Rates[i] != want {
-			t.Errorf("rate %d = %+v, want %+v", i, parsed.Rates[i], want)
+		r := rates[i]
+		if r.Name != want.name || r.Args[0] != want.unit || r.Float("value") != want.value {
+			t.Errorf("rate %d = %+v, want %+v", i, r, want)
 		}
 	}
 }
@@ -62,8 +67,8 @@ func TestMmpmonRateForwardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Rates) != 1 || parsed.Rates[0].Name != "good" {
-		t.Fatalf("rates %+v, want only the well-formed line", parsed.Rates)
+	if rates := parsed.Kind("rate"); len(rates) != 1 || rates[0].Name != "good" {
+		t.Fatalf("rates %+v, want only the well-formed line", rates)
 	}
 	if len(parsed.Warnings) != 2 {
 		t.Fatalf("warnings %v, want 2 (bad field count, bad value)", parsed.Warnings)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestMmpmonSolverRoundTrip(t *testing.T) {
 	st.FrontierHist[5] = 84
 	var buf bytes.Buffer
 	WriteMmpmonSolver(&buf, st)
-	want := MmpmonSolver{Full: 86, RegionConns: 1024, FrontierHist: map[int]int64{0: 2, 5: 84}}
+	wantHist := map[int]int64{0: 2, 5: 84}
 	for _, line := range []string{
 		buf.String(),
 		"mmpmon solver full 86 local 0 placements 0 periodic 0 escalations 0 expansions 0 " +
@@ -33,8 +34,23 @@ func TestMmpmonSolverRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
-		if len(parsed.Solvers) != 1 || !reflect.DeepEqual(parsed.Solvers[0], want) {
-			t.Errorf("%q parsed to %+v, want [%+v]", line, parsed.Solvers, want)
+		solvers := parsed.Kind("solver")
+		if len(solvers) != 1 {
+			t.Fatalf("%q parsed to %+v, want one solver line", line, solvers)
+		}
+		sv := solvers[0]
+		// b<idx> keys are the frontier histogram; boundary_links is not.
+		hist := map[int]int64{}
+		for k, v := range sv.Fields {
+			idx, err1 := strconv.Atoi(strings.TrimPrefix(k, "b"))
+			n, err2 := strconv.ParseInt(v, 10, 64)
+			if strings.HasPrefix(k, "b") && err1 == nil && err2 == nil {
+				hist[idx] = n
+			}
+		}
+		if sv.Int("full") != 86 || sv.Int("region_conns") != 1024 || !reflect.DeepEqual(hist, wantHist) {
+			t.Errorf("%q parsed to full %d region_conns %d hist %v, want 86 1024 %v",
+				line, sv.Int("full"), sv.Int("region_conns"), hist, wantHist)
 		}
 	}
 }

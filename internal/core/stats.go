@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 
@@ -14,7 +15,10 @@ import (
 )
 
 // MountStats is the per-mount I/O statistics record — the analogue of one
-// mmpmon fs_io_s response row.
+// mmpmon fs_io_s response row. A Mount counts into its own MountStats in
+// place, and WriteMmpmon renders every field with an mmpmon tag as one
+// "label: value" row, in declaration order: a new mount counter is one
+// tagged field plus its increment.
 //
 // The cache counters keep speculation honest: CacheMisses counts only
 // demand fetches, while prefetched blocks are tracked from issue
@@ -22,70 +26,47 @@ import (
 // or being dropped untouched (PrefetchUnused). A hit rate computed from
 // CacheHits/CacheMisses is therefore not inflated by readahead traffic.
 type MountStats struct {
-	BytesRead      units.Bytes
-	BytesWritten   units.Bytes
-	CacheHits      uint64
-	CacheMisses    uint64 // demand fetches only; prefetches are separate
-	PrefetchIssued uint64 // speculative block fetches started
-	PrefetchHits   uint64 // prefetched blocks later claimed by demand reads
-	PrefetchUnused uint64 // prefetched blocks dropped without a demand read
-	Writebacks     uint64 // background dirty-page flushes issued
-	WriteStalls    uint64 // writes blocked on write-behind backpressure
-	DirtyPages     int    // dirty pages currently in the pool
-	Opens          uint64
-	Closes         uint64
-	Reads          uint64 // read calls (ReadAt/Read), not blocks
-	Writes         uint64 // write calls (WriteAt/Write)
+	BytesRead      units.Bytes `mmpmon:"bytes read"`
+	BytesWritten   units.Bytes `mmpmon:"bytes written"`
+	Opens          uint64      `mmpmon:"opens"`
+	Closes         uint64      `mmpmon:"closes"`
+	Reads          uint64      `mmpmon:"reads"`  // read calls (ReadAt/Read), not blocks
+	Writes         uint64      `mmpmon:"writes"` // write calls (WriteAt/Write)
+	CacheHits      uint64      `mmpmon:"cache hits"`
+	CacheMisses    uint64      `mmpmon:"cache misses"`    // demand fetches only; prefetches are separate
+	PrefetchIssued uint64      `mmpmon:"prefetch issued"` // speculative block fetches started
+	PrefetchHits   uint64      `mmpmon:"prefetch hits"`   // prefetched blocks later claimed by demand reads
+	PrefetchUnused uint64      `mmpmon:"prefetch unused"` // prefetched blocks dropped without a demand read
+	Writebacks     uint64      `mmpmon:"writebacks"`      // background dirty-page flushes issued
+	WriteStalls    uint64      `mmpmon:"write stalls"`    // writes blocked on write-behind backpressure
 
 	// Write-gathering counters (zero unless ClientConfig.Gather /
 	// WideTokens are on).
-	GatheredFlushes  uint64 // multi-page flush RPCs issued
-	FullStripeWrites uint64 // gathered flushes covering whole RAID stripes
-	WideTokenGrants  uint64 // token grants wider than the desired range
-	BatchedNSDOps    uint64 // multi-block NSD RPCs (flushes + prefetches)
+	GatheredFlushes  uint64 `mmpmon:"gathered flushes"`   // multi-page flush RPCs issued
+	FullStripeWrites uint64 `mmpmon:"full stripe writes"` // gathered flushes covering whole RAID stripes
+	WideTokenGrants  uint64 `mmpmon:"wide token grants"`  // token grants wider than the desired range
+	BatchedNSDOps    uint64 `mmpmon:"batched nsd ops"`    // multi-block NSD RPCs (flushes + prefetches)
 
 	// Sharded-plane counters (zero on an unsharded filesystem).
-	ShardMetaOps       uint64 // metadata ops served by a shard
-	ShardTokenAcquires uint64 // token acquires served by a shard
-	ShardFallbacks     uint64 // ops rerouted to the coordinator (shard down/moved)
+	ShardMetaOps       uint64 `mmpmon:"shard meta ops"`       // metadata ops served by a shard
+	ShardTokenAcquires uint64 `mmpmon:"shard token acquires"` // token acquires served by a shard
+	ShardFallbacks     uint64 `mmpmon:"shard fallbacks"`      // ops rerouted to the coordinator (shard down/moved)
 
 	// Page-buffer arena counters.
-	ArenaHits     uint64 // buffer gets served from a free list
-	ArenaMisses   uint64 // buffer gets that had to allocate
-	ArenaRecycled uint64 // buffers returned to a free list
+	ArenaHits     uint64 `mmpmon:"arena hits"`     // buffer gets served from a free list
+	ArenaMisses   uint64 `mmpmon:"arena misses"`   // buffer gets that had to allocate
+	ArenaRecycled uint64 `mmpmon:"arena recycled"` // buffers returned to a free list
+
+	DirtyPages int // dirty pages currently in the pool
 }
 
 // Stats returns a snapshot of the mount's I/O statistics.
 func (m *Mount) Stats() MountStats {
-	return MountStats{
-		BytesRead:      m.bytesRead,
-		BytesWritten:   m.bytesWritten,
-		CacheHits:      m.cacheHits,
-		CacheMisses:    m.cacheMisses,
-		PrefetchIssued: m.prefetchIssued,
-		PrefetchHits:   m.prefetchHits,
-		PrefetchUnused: m.pool.unusedPrefetch,
-		Writebacks:     m.writebacks,
-		WriteStalls:    m.writeStalls,
-		DirtyPages:     len(m.pool.dirty),
-		Opens:          m.opens,
-		Closes:         m.closes,
-		Reads:          m.readOps,
-		Writes:         m.writeOps,
-
-		GatheredFlushes:  m.gatheredFlushes,
-		FullStripeWrites: m.fullStripeWrites,
-		WideTokenGrants:  m.wideTokenGrants,
-		BatchedNSDOps:    m.batchedNSDOps,
-
-		ShardMetaOps:       m.shardMetaOps,
-		ShardTokenAcquires: m.shardTokenAcquires,
-		ShardFallbacks:     m.shardFallbacks,
-
-		ArenaHits:     m.arena.hits,
-		ArenaMisses:   m.arena.misses,
-		ArenaRecycled: m.arena.recycled,
-	}
+	st := m.st
+	st.PrefetchUnused = m.pool.unusedPrefetch
+	st.DirtyPages = len(m.pool.dirty)
+	st.ArenaHits, st.ArenaMisses, st.ArenaRecycled = m.arena.hits, m.arena.misses, m.arena.recycled
+	return st
 }
 
 // FSName returns the name of the mounted filesystem (which may differ
@@ -149,35 +130,17 @@ func WriteMmpmon(w io.Writer, s *sim.Sim, clusters []*Cluster) {
 		mounts := cl.Mounts()
 		sort.Slice(mounts, func(i, j int) bool { return mounts[i].Device < mounts[j].Device })
 		for _, m := range mounts {
-			st := m.Stats()
+			st := reflect.ValueOf(m.Stats())
 			fmt.Fprintf(w, "mmpmon node %s fs_io_s OK\n", cl.id)
 			fmt.Fprintf(w, "cluster: %s\n", m.owner)
 			fmt.Fprintf(w, "filesystem: %s\n", m.fsName)
 			fmt.Fprintf(w, "disks: %d\n", m.info.NSDs)
 			fmt.Fprintf(w, "timestamp: %.6f\n", now.Seconds())
-			fmt.Fprintf(w, "bytes read: %d\n", int64(st.BytesRead))
-			fmt.Fprintf(w, "bytes written: %d\n", int64(st.BytesWritten))
-			fmt.Fprintf(w, "opens: %d\n", st.Opens)
-			fmt.Fprintf(w, "closes: %d\n", st.Closes)
-			fmt.Fprintf(w, "reads: %d\n", st.Reads)
-			fmt.Fprintf(w, "writes: %d\n", st.Writes)
-			fmt.Fprintf(w, "cache hits: %d\n", st.CacheHits)
-			fmt.Fprintf(w, "cache misses: %d\n", st.CacheMisses)
-			fmt.Fprintf(w, "prefetch issued: %d\n", st.PrefetchIssued)
-			fmt.Fprintf(w, "prefetch hits: %d\n", st.PrefetchHits)
-			fmt.Fprintf(w, "prefetch unused: %d\n", st.PrefetchUnused)
-			fmt.Fprintf(w, "writebacks: %d\n", st.Writebacks)
-			fmt.Fprintf(w, "write stalls: %d\n", st.WriteStalls)
-			fmt.Fprintf(w, "gathered flushes: %d\n", st.GatheredFlushes)
-			fmt.Fprintf(w, "full stripe writes: %d\n", st.FullStripeWrites)
-			fmt.Fprintf(w, "wide token grants: %d\n", st.WideTokenGrants)
-			fmt.Fprintf(w, "batched nsd ops: %d\n", st.BatchedNSDOps)
-			fmt.Fprintf(w, "shard meta ops: %d\n", st.ShardMetaOps)
-			fmt.Fprintf(w, "shard token acquires: %d\n", st.ShardTokenAcquires)
-			fmt.Fprintf(w, "shard fallbacks: %d\n", st.ShardFallbacks)
-			fmt.Fprintf(w, "arena hits: %d\n", st.ArenaHits)
-			fmt.Fprintf(w, "arena misses: %d\n", st.ArenaMisses)
-			fmt.Fprintf(w, "arena recycled: %d\n", st.ArenaRecycled)
+			for i := 0; i < st.NumField(); i++ {
+				if label := st.Type().Field(i).Tag.Get("mmpmon"); label != "" {
+					fmt.Fprintf(w, "%s: %d\n", label, st.Field(i).Interface())
+				}
+			}
 		}
 	}
 

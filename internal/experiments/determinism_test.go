@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -268,5 +269,49 @@ func TestPeriodicSnapshotsDrain(t *testing.T) {
 	})
 	if n := bytes.Count(out.Bytes(), []byte("=== mmpmon snapshot")); n < 2 {
 		t.Fatalf("expected several periodic snapshots, got %d:\n%.500s", n, out.String())
+	}
+}
+
+// TestTracedSnapshotsParse parses what a traced run with periodic
+// snapshots and a timeline writes (the output of gfssim -stats -interval
+// with tracing on) and requires the parser to read every line of it: no
+// warnings, and one record for each "mmpmon <kind>" line written.
+func TestTracedSnapshotsParse(t *testing.T) {
+	t.Parallel()
+	var out bytes.Buffer
+	o := NewObs(ObsConfig{
+		Trace: true, Stats: true, Interval: 20 * sim.Millisecond, Out: &out,
+		Timeline: true, TimelineInterval: 10 * sim.Millisecond, TimelineRing: 8,
+	})
+	traceWorkload(t, Env{Obs: o})
+	o.Snapshot(&out)
+
+	snap, err := core.ParseMmpmon(bytes.NewReader(out.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Warnings) != 0 {
+		t.Fatalf("%d warnings, first: %s", len(snap.Warnings), snap.Warnings[0])
+	}
+	written := map[string]int{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "mmpmon" && f[1] != "node" && f[1] != "fs" {
+			written[f[1]]++
+		}
+	}
+	parsed := map[string]int{}
+	for _, r := range snap.Records {
+		parsed[r.Kind]++
+	}
+	for _, io := range snap.IO {
+		parsed["nsd"] += len(io.NSDs)
+	}
+	for _, kind := range []string{"nsd", "resource", "sim", "solver", "hist", "rate", "op_lat"} {
+		if written[kind] == 0 {
+			t.Errorf("no mmpmon %s line written", kind)
+		}
+	}
+	if !maps.Equal(parsed, written) {
+		t.Errorf("records per kind %v, lines written %v", parsed, written)
 	}
 }
