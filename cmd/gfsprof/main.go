@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,6 +46,10 @@ func main() {
 			os.Exit(2)
 		}
 		*inPath = flag.Arg(0)
+	}
+	if err := checkFlags(*top, *tlSeries); err != nil {
+		fmt.Fprintln(os.Stderr, "gfsprof:", err)
+		os.Exit(2)
 	}
 
 	in := os.Stdin
@@ -112,6 +117,18 @@ func main() {
 	}
 }
 
+// checkFlags rejects a negative -top and a malformed -series glob before
+// any input is read.
+func checkFlags(top int, series string) error {
+	if top < 0 {
+		return fmt.Errorf("-top %d is negative", top)
+	}
+	if _, err := path.Match(series, ""); err != nil {
+		return errors.New("-series: " + err.Error())
+	}
+	return nil
+}
+
 func fmtMs(ns int64) string { return fmt.Sprintf("%.3fms", float64(ns)/1e6) }
 
 // writeTimeline summarizes a parsed timeline dump: per run, one row per
@@ -159,12 +176,7 @@ func writeTimelineSpark(w io.Writer, run *timeline.Run, glob string) {
 	var names []string
 	max := 0.0
 	for _, n := range run.Names() {
-		ok, err := path.Match(glob, n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gfsprof: -series: %v\n", err)
-			os.Exit(2)
-		}
-		if !ok {
+		if ok, _ := path.Match(glob, n); !ok { // checkFlags vetted the glob
 			continue
 		}
 		names = append(names, n)

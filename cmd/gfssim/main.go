@@ -263,6 +263,7 @@ func main() {
 		}
 		if opts.Stats {
 			obs.Snapshot(os.Stdout)
+			obs.WriteCounters(os.Stdout)
 			fmt.Print(obs.Registry.Render())
 		}
 		if opts.EngineStats {

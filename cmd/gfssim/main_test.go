@@ -23,6 +23,11 @@ import (
 //   - failover-stats: the failover run with periodic mmpmon snapshots and
 //     a timeline ring, pinning every mmpmon line kind the writer emits
 //     (fs_io_s, io_s, nsd, resource, sim, solver, hist, rate, op_lat).
+//   - metastorm-shards-stats: a storm on four token shards with -stats,
+//     pinning the per-shard io_s rows, the token, rpc and net counters
+//     and the rpc.in_flight line.
+//   - production-gather-stats: gathered flushes, wide token grants and
+//     the NSD elevator with -stats, pinning their counter lines.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -41,6 +46,12 @@ func TestGolden(t *testing.T) {
 		{"failover-stats", []string{"-exp", "failover", "-stats", "-interval", "5s", "-timeline-ring", "8"},
 			"e1738a01c6ba2c4732fa94284b9b115f5698618d194ccc1d38273fc926e19022",
 			"3adf3a0d3f2b13f8c06b655a9ffb548bfa74059fa17d04e9bee99e500a4ac068"},
+		{"metastorm-shards-stats", []string{"-exp", "metastorm", "-token-shards", "4", "-stats"},
+			"ebb0cd66cb759cc78eb5dc672211ae36a88081017772cdf86154e8fa8ed9321f",
+			"ba420ae09c2d0ea9a17e0c6aa0a6751dfe4062dc4290e4957067375f8ef314c9"},
+		{"production-gather-stats", []string{"-exp", "production", "-nodes", "4", "-gather", "-wide-tokens", "-stats"},
+			"ddd214339c51b1b474d1185bf719ddfed12034edc99f923f25f0107d419b1d24",
+			"115d8b9ea78ca0a0eab60ca72af0618845abf54c3e1258d56cae3693ada11dcc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

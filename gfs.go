@@ -287,7 +287,9 @@ type (
 	Tracer = trace.Tracer
 	// TraceEvent is one recorded span or instant.
 	TraceEvent = trace.Event
-	// Registry collects named counters, gauges and latency histograms.
+	// Registry collects named latency histograms. Counters are typed
+	// fields read through Mount.Stats, FileSystem.Stats and
+	// Network.Stats.
 	Registry = metrics.Registry
 	// Histogram is a log-scale latency histogram with p50/p95/p99.
 	Histogram = metrics.Histogram
@@ -303,8 +305,8 @@ type (
 // NewTracer returns an empty tracer; attach it with Sim.SetTracer.
 func NewTracer() *Tracer { return trace.New() }
 
-// NewRegistry returns an empty metrics registry; attach it to
-// Network.Metrics to collect RPC, flow and file-system samples.
+// NewRegistry returns an empty histogram registry; attach it to
+// Network.Metrics to collect RPC, flow and file-system latency samples.
 func NewRegistry() *Registry { return metrics.NewRegistry() }
 
 // NewObs builds the observability state for experiment runs; set it as

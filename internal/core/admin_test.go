@@ -368,6 +368,76 @@ func TestChmodChown(t *testing.T) {
 	})
 }
 
+// TestSiblingUnmountKeepsRevokes: the token manager's client registry is
+// cluster-wide, so unmounting one filesystem must not drop a client that
+// still mounts another of the cluster's filesystems. Otherwise a later
+// conflicting write there carves the client's token without a revoke and
+// the client goes on reading its stale cache.
+func TestSiblingUnmountKeepsRevokes(t *testing.T) {
+	t.Parallel()
+	r := newRig(t, 1, 2, 256*units.KiB)
+	fs1 := r.cl.CreateFS("gpfs1", 256*units.KiB)
+	node := r.nw.NewNode("nsd-b")
+	r.nw.DuplexLink("nsd-b-eth", node, r.sw, units.Gbps, 50*sim.Microsecond)
+	srv := fs1.AddServer("srv-b", node, 2)
+	fs1.AddNSD("nsd-b", NewRateStore(r.s, "store-b", 400*units.MBps, 100*units.GB, 8), srv)
+	mgr := r.nw.NewNode("mgr-b")
+	r.nw.DuplexLink("mgr-b-eth", mgr, r.sw, units.Gbps, 50*sim.Microsecond)
+	fs1.SetManager(mgr, 2)
+	old, fresh := pattern(int(units.MiB), 1), pattern(int(units.MiB), 2)
+	r.run(t, func(p *sim.Proc) error {
+		m0, err := r.clients[0].MountLocal(p, r.fs)
+		if err != nil {
+			return err
+		}
+		m1, err := r.clients[0].MountLocal(p, fs1)
+		if err != nil {
+			return err
+		}
+		f, err := m1.Create(p, "/x", DefaultPerm|WorldWrite)
+		if err != nil {
+			return err
+		}
+		if err := f.WriteBytesAt(p, 0, old); err != nil {
+			return err
+		}
+		if err := f.Sync(p); err != nil {
+			return err
+		}
+		if _, err := f.ReadBytesAt(p, 0, units.MiB); err != nil {
+			return err
+		}
+		if err := m0.Unmount(p); err != nil {
+			return err
+		}
+		w, err := r.clients[1].MountLocal(p, fs1)
+		if err != nil {
+			return err
+		}
+		g, err := w.Open(p, "/x")
+		if err != nil {
+			return err
+		}
+		if err := g.WriteBytesAt(p, 0, fresh); err != nil {
+			return err
+		}
+		if err := g.Sync(p); err != nil {
+			return err
+		}
+		if _, revokes := fs1.TokenStats(); revokes == 0 {
+			return fmt.Errorf("conflicting write on gpfs1 sent no revoke")
+		}
+		got, err := f.ReadBytesAt(p, 0, units.MiB)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, fresh) {
+			return fmt.Errorf("client0 read stale bytes after client1's write")
+		}
+		return nil
+	})
+}
+
 func TestUnmountDropsTokensAndAllowsRemount(t *testing.T) {
 	t.Parallel()
 	r := newRig(t, 2, 2, 256*units.KiB)

@@ -86,7 +86,8 @@ type Client struct {
 	cfg     ClientConfig
 	down    bool
 
-	mounts map[string]*Mount
+	mounts  map[string]*Mount
+	retired MountStats // counts of the mounts it has unmounted
 }
 
 // NewClient creates a client on a node.
@@ -111,6 +112,7 @@ func NewClient(c *Cluster, name string, node *netsim.Node, cfg ClientConfig, id 
 	}
 	cl.EP.Handle(revokeService, cl.serveRevoke)
 	c.clients[cl.id] = cl
+	c.members = append(c.members, cl)
 	return cl
 }
 
@@ -140,6 +142,18 @@ func (cl *Client) Mounts() []*Mount {
 		out = append(out, m)
 	}
 	return out
+}
+
+// mountsOf counts the client's mounts of filesystems the named cluster
+// owns.
+func (cl *Client) mountsOf(cluster string) int {
+	n := 0
+	for _, m := range cl.mounts {
+		if m.owner == cluster {
+			n++
+		}
+	}
+	return n
 }
 
 // Mount is one mounted filesystem on a client.
@@ -357,16 +371,13 @@ func (m *Mount) meta(p *sim.Proc, op metaOp) netsim.Response {
 	op.Cluster = m.c.cluster.Name
 	op.Caller = m.c.Ident
 	_, reg := m.obs()
-	var issued sim.Time
-	if reg != nil {
-		issued = m.c.sim.Now()
-	}
+	issued := m.c.sim.Now()
+	m.st.MetaCalls++
 	resp := m.metaCall(p, op)
 	if reg != nil {
 		// meta.call_ns is the client-observed metadata latency — wire plus
 		// manager-queue wait — the quantity the metastorm critpath
 		// attribution reads.
-		reg.Counter("meta.calls").Inc()
 		reg.Histogram("meta.call_ns").Observe(float64(m.c.sim.Now() - issued))
 	}
 	return resp
@@ -527,7 +538,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayloa
 		if r.Err == nil || !transientIO(r.Err) {
 			if onPrimary && st.down && r.Err == nil {
 				st.down = false
-				m.obsFailover("primary_up", nsd)
+				m.obsFailover(&m.st.PrimaryUps, "primary_up", nsd)
 			}
 			onDone(r)
 			return
@@ -537,7 +548,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayloa
 			if !st.down {
 				st.down = true
 				st.nextProbe = done + m.c.cfg.ProbeInterval
-				m.obsFailover("primary_down", nsd)
+				m.obsFailover(&m.st.PrimaryDowns, "primary_down", nsd)
 			}
 			if backup != nil {
 				// Fail over immediately; the backoff budget is for when
@@ -563,14 +574,11 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayloa
 	})
 }
 
-// obsFailover emits a failover state-change instant and counter.
-func (m *Mount) obsFailover(what string, nsd int) {
-	tr, reg := m.obs()
-	if tr != nil {
+// obsFailover counts a failover state change in *n and emits its instant.
+func (m *Mount) obsFailover(n *uint64, what string, nsd int) {
+	*n++
+	if tr, _ := m.obs(); tr != nil {
 		tr.Instant("failover", what, m.c.id, int64(m.c.sim.Now()), trace.I("nsd", int64(nsd)))
-	}
-	if reg != nil {
-		reg.Counter("failover." + what).Inc()
 	}
 }
 
@@ -599,6 +607,7 @@ func (m *Mount) Unmount(p *sim.Proc) error {
 		return resp.Err
 	}
 	m.detached = true
+	m.c.retired.add(m.Stats())
 	delete(m.c.mounts, m.Device)
 	return nil
 }
@@ -624,10 +633,7 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 	desStart := (reqStart / cbs) * cbs
 	desEnd := ((reqEnd + cbs - 1) / cbs) * cbs
 	tr, reg := m.obs()
-	var issued sim.Time
-	if tr != nil || reg != nil {
-		issued = m.c.sim.Now()
-	}
+	issued := m.c.sim.Now()
 	// The token span becomes the parent of the acquire RPC (and of any
 	// revocations the manager fans out on our behalf), so token-wait time
 	// is separable from wire time on the critical path.
@@ -672,11 +678,9 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 	}
 	if m.c.cfg.WideTokens && (g.Start < desStart || g.End > desEnd) {
 		m.st.WideTokenGrants++
-		if reg != nil {
-			reg.Counter("token.wide_grants").Inc()
-		}
 	}
 	m.toks.insert(ino, m.c.id, g.Start, g.End, mode)
+	m.st.TokenAcquires++
 	if tr != nil || reg != nil {
 		now := m.c.sim.Now()
 		if tr != nil {
@@ -685,7 +689,6 @@ func (m *Mount) acquireToken(p *sim.Proc, ino int64, start, end units.Bytes, mod
 				trace.I("end", int64(g.End)), trace.S("mode", mode.String()))
 		}
 		if reg != nil {
-			reg.Counter("token.acquires").Inc()
 			reg.Histogram("token.acquire_ns").Observe(float64(now - issued))
 		}
 	}

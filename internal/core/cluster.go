@@ -23,7 +23,10 @@ type Cluster struct {
 	Registry *auth.Registry
 
 	fss     map[string]*FileSystem
-	clients map[string]*Client
+	clients map[string]*Client // every client with a mount here, as the token manager sees them
+	members []*Client          // clients created in this cluster, in creation order
+
+	st ClusterStats
 
 	remoteClusters map[string]*RemoteClusterDef
 	remoteFS       map[string]*RemoteFS
@@ -248,16 +251,13 @@ func (c *Cluster) authenticateTo(p *sim.Proc, ep *netsim.Endpoint, rc *RemoteClu
 	if !ok {
 		return fmt.Errorf("core: %s has no key for %s", c.Name, rc.Name)
 	}
-	tr, reg := c.Sim.Tracer(), c.Net.Metrics
-	var issued sim.Time
-	if tr != nil || reg != nil {
-		issued = c.Sim.Now()
-	}
+	tr, reg, issued := c.Sim.Tracer(), c.Net.Metrics, c.Sim.Now()
 	// record closes over the outcome so every network-visiting return path
-	// emits the handshake span with its error (or success) attached.
+	// counts the handshake and emits its span with its outcome attached.
 	record := func(err error) error {
-		if tr == nil && reg == nil {
-			return err
+		c.st.Handshakes++
+		if err != nil {
+			c.st.AuthFailures++
 		}
 		now := c.Sim.Now()
 		if tr != nil {
@@ -268,10 +268,6 @@ func (c *Cluster) authenticateTo(p *sim.Proc, ep *netsim.Endpoint, rc *RemoteClu
 			tr.Span("auth", "handshake", c.Name, int64(issued), int64(now), args...)
 		}
 		if reg != nil {
-			reg.Counter("auth.handshakes").Inc()
-			if err != nil {
-				reg.Counter("auth.failures").Inc()
-			}
 			reg.Histogram("auth.handshake_ns").Observe(float64(now - issued))
 		}
 		return err

@@ -133,29 +133,20 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 			// page: the speculation paid off.
 			pg.prefetched = false
 			m.st.PrefetchHits++
-			if _, reg := m.obs(); reg != nil {
-				reg.Counter("cache.prefetch_hits").Inc()
-			}
 		}
 		return pg
 	}
 	pg.fetching = true
 	pg.inPrefetch = prefetch
 	opName := "fetch"
-	tr, reg := m.obs()
+	tr, _ := m.obs()
 	if prefetch {
 		pg.prefetched = true
 		m.st.PrefetchIssued++
 		opName = "prefetch"
-		if reg != nil {
-			reg.Counter("cache.prefetch_issued").Inc()
-		}
 	} else {
 		pg.prefetched = false
 		m.st.CacheMisses++
-		if reg != nil {
-			reg.Counter("cache.misses").Inc()
-		}
 	}
 	// Each fetch is its own background operation: several foreground
 	// reads may wait on the same in-flight fetch, so the RPC tree hangs
@@ -264,12 +255,8 @@ func (m *Mount) fetchRunAsync(f *File, idxs []int64, verify bool) {
 		pages[i] = pg
 	}
 	m.st.PrefetchIssued += uint64(k)
-	m.st.BatchedNSDOps++
-	tr, reg := m.obs()
-	if reg != nil {
-		reg.Counter("cache.prefetch_issued").Add(uint64(k))
-		reg.Counter("cache.batched_fetches").Inc()
-	}
+	m.st.BatchedFetches++
+	tr, _ := m.obs()
 	rec := m.beginBgOp("prefetch")
 	if tr != nil {
 		tr.InstantCtx(rec.ctx(), "cache", "prefetch", m.c.id, int64(m.c.sim.Now()),
@@ -385,7 +372,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 	sequential := off == f.pos
 	sps := spans(bs, off, size)
 	pages := make([]*page, len(sps))
-	tr, reg := m.obs()
+	tr, _ := m.obs()
 	var hits uint64
 	for i, sp := range sps {
 		pg := m.fetchAsync(f, sp.Index, f.layout[sp.Index], verify, false)
@@ -405,14 +392,9 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 			m.pool.unpin(pg)
 		}
 	}()
-	if hits > 0 {
-		if tr != nil {
-			tr.Instant("cache", "hit", m.c.id, int64(m.c.sim.Now()),
-				trace.I("ino", f.ino), trace.I("blocks", int64(hits)))
-		}
-		if reg != nil {
-			reg.Counter("cache.hits").Add(hits)
-		}
+	if hits > 0 && tr != nil {
+		tr.Instant("cache", "hit", m.c.id, int64(m.c.sim.Now()),
+			trace.I("ino", f.ino), trace.I("blocks", int64(hits)))
 	}
 	// Read-ahead: the stream detector keeps a pipeline of speculative
 	// block fetches in flight beyond the request on sequential access —
@@ -452,12 +434,10 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 					}
 				}
 				f.raEdge = raLast
+				m.st.ReadaheadBlocks += uint64(raLast - raFrom + 1)
 				if tr != nil {
 					tr.Instant("cache", "readahead", m.c.id, int64(m.c.sim.Now()),
 						trace.I("ino", f.ino), trace.I("blocks", raLast-raFrom+1))
-				}
-				if reg != nil {
-					reg.Counter("cache.readahead_blocks").Add(uint64(raLast - raFrom + 1))
 				}
 			}
 		}
@@ -612,13 +592,10 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 // dirty pages — a multi-file writer is bounded too, not just the file
 // being written.
 func (m *Mount) writeBehind(ino int64) {
-	tr, reg := m.obs()
-	if tr != nil {
+	m.st.WritebehindTriggers++
+	if tr, _ := m.obs(); tr != nil {
 		tr.Instant("cache", "writebehind", m.c.id, int64(m.c.sim.Now()),
 			trace.I("ino", ino), trace.I("dirty", int64(len(m.pool.dirty))))
-	}
-	if reg != nil {
-		reg.Counter("cache.writebehind_triggers").Inc()
 	}
 	issued := m.flushDirty(m.pool.dirtyOf(ino), false)
 	var others []*page
@@ -740,7 +717,6 @@ func (m *Mount) flushGathered(run []*page) {
 	}
 	m.st.Writebacks += uint64(n)
 	m.st.GatheredFlushes++
-	m.st.BatchedNSDOps++
 	if sw := m.stripeWOf(run[0].ref.NSD); sw > 0 && sw%bs == 0 {
 		if swb := int64(sw / bs); swb >= 1 && run[0].ref.Block%swb == 0 {
 			m.st.FullStripeWrites += uint64(int64(n) / swb)
@@ -758,10 +734,7 @@ func (m *Mount) flushGathered(run []*page) {
 		snapGens[i] = pg.gen
 	}
 	_, reg := m.obs()
-	var issued sim.Time
-	if reg != nil {
-		issued = m.c.sim.Now()
-	}
+	issued := m.c.sim.Now()
 	rec := m.beginBgOp("flush")
 	m.wgFl.Add(1)
 	m.flInFlight++
@@ -779,9 +752,8 @@ func (m *Mount) flushGathered(run []*page) {
 		}
 		m.flInFlight--
 		m.endBgOp(rec, trace.I("ino", run[0].key.ino), trace.I("bytes", int64(ln)), trace.I("blocks", int64(n)))
+		m.st.Flushes++
 		if reg != nil {
-			reg.Counter("cache.flushes").Inc()
-			reg.Counter("cache.gathered_flushes").Inc()
 			reg.Histogram("cache.flush_ns").Observe(float64(m.c.sim.Now() - issued))
 		}
 		for i, pg := range run {
@@ -823,10 +795,7 @@ func (m *Mount) flushAsync(pg *page) {
 		copy(data, pg.data[snapFrom:snapTo])
 	}
 	_, reg := m.obs()
-	var issued sim.Time
-	if reg != nil {
-		issued = m.c.sim.Now()
-	}
+	issued := m.c.sim.Now()
 	// Each write-back is its own background "flush" op: the writer that
 	// dirtied the page has long since returned, and wb_wait/sync_wait
 	// time is redistributed over the aggregate flush profile by critpath.
@@ -842,8 +811,8 @@ func (m *Mount) flushAsync(pg *page) {
 		pg.flushing = false
 		m.flInFlight--
 		m.endBgOp(rec, trace.I("ino", pg.key.ino), trace.I("bytes", int64(snapTo-snapFrom)))
+		m.st.Flushes++
 		if reg != nil {
-			reg.Counter("cache.flushes").Inc()
 			reg.Histogram("cache.flush_ns").Observe(float64(m.c.sim.Now() - issued))
 		}
 		if pg.stale {

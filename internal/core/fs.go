@@ -87,9 +87,7 @@ type FileSystem struct {
 	stripeAlign bool
 	elevator    bool
 
-	// Stats
-	metaOps      uint64
-	tokenWaiting int // acquire requests blocked on in-flight revokes
+	st FSStats // counted in place; Stats fills in the derived fields
 }
 
 // DefaultTokenLease is how long the manager waits for a revocation ack
@@ -248,7 +246,7 @@ func (fs *FileSystem) FreeBytes() units.Bytes {
 }
 
 // MetaOps returns the count of metadata operations served.
-func (fs *FileSystem) MetaOps() uint64 { return fs.metaOps }
+func (fs *FileSystem) MetaOps() uint64 { return fs.st.MetaOps }
 
 // checkClusterAccess enforces the mmauth per-FS grant for remote clusters.
 func (fs *FileSystem) checkClusterAccess(cluster string, op disk.Op) error {
@@ -395,10 +393,10 @@ func (fs *FileSystem) serveMeta(p *sim.Proc, req *netsim.Request) netsim.Respons
 	}
 	if n := len(fs.shards); n > 0 {
 		if k := metaRoute(n, op); k >= 0 {
-			fs.shards[k].escalations++
+			fs.shards[k].st.Escalations++
 			fs.stealBack(p, k)
 		} else if op.Op == "rename" {
-			fs.shards[pathShard(n, op.Path)].escalations++
+			fs.shards[pathShard(n, op.Path)].st.Escalations++
 		}
 	}
 	return fs.serveMetaOp(p, op, nil)
@@ -411,7 +409,7 @@ func (fs *FileSystem) serveMeta(p *sim.Proc, req *netsim.Request) netsim.Respons
 // genuinely partitioned: a shard serves it from bulk regions it drew
 // from the central allocation maps.
 func (fs *FileSystem) serveMetaOp(p *sim.Proc, op metaOp, sh *tokenShard) netsim.Response {
-	fs.metaOps++
+	fs.st.MetaOps++
 	dop := disk.Read
 	switch op.Op {
 	case "create", "mkdir", "remove", "alloc", "setsize", "truncate", "rename", "chmod", "chown":

@@ -204,8 +204,7 @@ type NSDServer struct {
 	nsds []*NSD
 	down bool
 
-	bytesIn  units.Bytes // client writes landed here
-	bytesOut units.Bytes // client reads served from here
+	st ServerStats
 }
 
 // Fail takes the server down: subsequent requests are refused.
@@ -218,7 +217,9 @@ func (s *NSDServer) Recover() { s.down = false }
 func (s *NSDServer) Down() bool { return s.down }
 
 // BytesServed returns (reads, writes) moved through this server.
-func (s *NSDServer) BytesServed() (units.Bytes, units.Bytes) { return s.bytesOut, s.bytesIn }
+func (s *NSDServer) BytesServed() (units.Bytes, units.Bytes) {
+	return s.st.BytesRead, s.st.BytesWritten
+}
 
 // ioPayload is the nsd.io RPC body. Count > 1 names a batched transfer:
 // Count consecutive block slots starting at Block, with Off == 0 and
@@ -277,12 +278,7 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 	} else if io.Off+io.Len > n.blockSize {
 		return netsim.Response{Err: fmt.Errorf("core: I/O past block end (%d+%d > %d)", io.Off, io.Len, n.blockSize)}
 	}
-	tr := s.fs.Sim.Tracer()
-	reg := s.fs.cluster.Net.Metrics
-	var issued sim.Time
-	if tr != nil || reg != nil {
-		issued = s.fs.Sim.Now()
-	}
+	tr, reg, issued := s.fs.Sim.Tracer(), s.fs.cluster.Net.Metrics, s.fs.Sim.Now()
 	// The service span parents everything the store does on our behalf —
 	// for SAN-backed NSDs that includes a nested RPC to the array — so
 	// fabric time separates from disk time on the critical path.
@@ -308,8 +304,13 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 	if tr != nil || reg != nil {
 		s.recordIO(tr, reg, n, io.Op, io.Len, cnt, issued, req.Ctx, sid)
 	}
+	if cnt > 1 {
+		s.st.BatchedOps++
+		s.st.BatchedBlocks += uint64(cnt)
+	}
 	if io.Op == disk.Read {
-		s.bytesOut += io.Len
+		s.st.Reads++
+		s.st.BytesRead += io.Len
 		var data []byte
 		if io.Verify {
 			if cnt > 1 {
@@ -323,7 +324,8 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 		}
 		return netsim.Response{Size: io.Len, Payload: data}
 	}
-	s.bytesIn += io.Len
+	s.st.Writes++
+	s.st.BytesWritten += io.Len
 	if io.Data != nil {
 		if cnt > 1 {
 			for b := int64(0); b < cnt; b++ {
@@ -354,12 +356,6 @@ func (s *NSDServer) recordIO(tr *trace.Tracer, reg *metrics.Registry, n *NSD, op
 		}
 	}
 	if reg != nil {
-		reg.Counter("nsd." + name + ".ops").Inc()
-		reg.Counter("nsd." + name + ".bytes").Add(uint64(ln))
-		if cnt > 1 {
-			reg.Counter("nsd.batched.ops").Inc()
-			reg.Counter("nsd.batched.blocks").Add(uint64(cnt))
-		}
 		reg.Histogram("nsd.service_ns").Observe(float64(now - issued))
 	}
 }
@@ -423,7 +419,6 @@ type elevMerged struct {
 // elevator never serializes I/O the store itself would have overlapped.
 func (e *nsdElevator) run(p *sim.Proc) {
 	tr := e.fs.Sim.Tracer()
-	reg := e.fs.cluster.Net.Metrics
 	for len(e.q) > 0 {
 		batch := e.q
 		e.q = nil
@@ -445,12 +440,8 @@ func (e *nsdElevator) run(p *sim.Proc) {
 			}
 			runs = append(runs, &elevMerged{op: r.op, off: r.off, ln: r.ln, reqs: []*elevReq{r}})
 		}
-		if reg != nil {
-			reg.Counter("nsd.elev.rounds").Inc()
-			if merged := len(batch) - len(runs); merged > 0 {
-				reg.Counter("nsd.elev.merged").Add(uint64(merged))
-			}
-		}
+		e.fs.st.ElevRounds++
+		e.fs.st.ElevMerged += uint64(len(batch) - len(runs))
 		wg := sim.NewWaitGroup(e.fs.Sim)
 		for _, m := range runs {
 			wg.Add(1)

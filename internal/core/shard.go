@@ -65,9 +65,7 @@ type tokenShard struct {
 	// them without consulting the coordinator.
 	regions []allocRegion
 
-	waiting     int    // acquires blocked on revokes at this shard
-	escalations uint64 // operations homed here that the coordinator served
-	steals      uint64 // holdings merged into the coordinator at steal-back
+	st ShardStats
 }
 
 // allocRegion is a half-open run [next, end) of reserved slots on one NSD.
@@ -119,21 +117,6 @@ func (fs *FileSystem) SetTokenShards(n int) {
 		fs.shards = append(fs.shards, sh)
 	}
 }
-
-// TokenShards returns the shard count (0 = unsharded).
-func (fs *FileSystem) TokenShards() int { return len(fs.shards) }
-
-// ShardStats returns shard k's cumulative counters: token grants and
-// revokes served by the shard, operations escalated to the coordinator
-// on its behalf, and holdings stolen back at takeover.
-func (fs *FileSystem) ShardStats(k int) (grants, revokes, escalations, steals uint64) {
-	sh := fs.shards[k]
-	return sh.table.grants, sh.table.revokes, sh.escalations, sh.steals
-}
-
-// ShardWaiters returns shard k's blocked-acquire count, sampled by the
-// timeline plane.
-func (fs *FileSystem) ShardWaiters(k int) int { return fs.shards[k].waiting }
 
 // pathShard maps a path onto a shard: FNV-1a over the canonical path.
 // Hashing the whole path (not the directory) is what stripes a large
@@ -272,7 +255,7 @@ func (fs *FileSystem) stealBack(p *sim.Proc, k int) {
 	wg := sim.NewWaitGroup(fs.Sim)
 	wg.Add(1)
 	fs.takeovers[k] = wg
-	fs.obsTokenEvent("shard_lease_wait", sh.home.Name, int64(k), 0, 0)
+	fs.obsTokenEvent(&fs.st.ShardLeaseWaits, "shard_lease_wait", sh.home.Name, int64(k), 0, 0)
 	// The shard's authority is covered by the same lease that covers a
 	// client's tokens: nothing it granted can outlive this wait without
 	// the coordinator hearing about it.
@@ -300,11 +283,11 @@ func (fs *FileSystem) stealBack(p *sim.Proc, k int) {
 	}
 	sh.table.byInode = make(map[int64][]heldRange)
 	sh.table.contended = make(map[int64]bool)
-	sh.steals += uint64(moved)
+	sh.st.Steals += uint64(moved)
 	sh.stolen = true
 	delete(fs.takeovers, k)
 	wg.Done()
-	fs.obsTokenEvent("shard_steal", sh.home.Name, int64(k), 0, units.Bytes(moved))
+	fs.obsTokenEvent(&fs.st.ShardSteals, "shard_steal", sh.home.Name, int64(k), 0, units.Bytes(moved))
 }
 
 // dropInodeTokens forgets a removed file's tokens wherever they live:

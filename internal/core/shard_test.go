@@ -122,9 +122,8 @@ func TestShardedWriteReadCrossClient(t *testing.T) {
 			return fmt.Errorf("unexpected fallbacks: %d", st.ShardFallbacks)
 		}
 		var grants uint64
-		for k := 0; k < r.fs.TokenShards(); k++ {
-			g, _, _, _ := r.fs.ShardStats(k)
-			grants += g
+		for _, sh := range r.fs.Stats().Shards {
+			grants += sh.Grants
 		}
 		if grants == 0 {
 			return fmt.Errorf("no shard served a token grant")
@@ -289,11 +288,11 @@ func TestShardCrashStealBack(t *testing.T) {
 		if st := m0.Stats(); st.ShardFallbacks == 0 {
 			return fmt.Errorf("client never fell back to the coordinator")
 		}
-		_, _, esc, steals := r.fs.ShardStats(0)
-		if esc == 0 {
+		sh := r.fs.Stats().Shards[0]
+		if sh.Escalations == 0 {
 			return fmt.Errorf("no escalations recorded for the dead shard")
 		}
-		if steals == 0 {
+		if sh.Steals == 0 {
 			return fmt.Errorf("steal-back moved no holdings (victim %s should be homed here)", victim)
 		}
 

@@ -16,9 +16,9 @@ import (
 
 // MountStats is the per-mount I/O statistics record — the analogue of one
 // mmpmon fs_io_s response row. A Mount counts into its own MountStats in
-// place, and WriteMmpmon renders every field with an mmpmon tag as one
-// "label: value" row, in declaration order: a new mount counter is one
-// tagged field plus its increment.
+// place. A field tagged mmpmon:"<label>" is an fs_io_s row, in declaration
+// order; a field tagged counter:"<name>" is a line of the gfssim -stats
+// counter block. A new mount counter is one tagged field plus its increment.
 //
 // The cache counters keep speculation honest: CacheMisses counts only
 // demand fetches, while prefetched blocks are tracked from issue
@@ -32,20 +32,20 @@ type MountStats struct {
 	Closes         uint64      `mmpmon:"closes"`
 	Reads          uint64      `mmpmon:"reads"`  // read calls (ReadAt/Read), not blocks
 	Writes         uint64      `mmpmon:"writes"` // write calls (WriteAt/Write)
-	CacheHits      uint64      `mmpmon:"cache hits"`
-	CacheMisses    uint64      `mmpmon:"cache misses"`    // demand fetches only; prefetches are separate
-	PrefetchIssued uint64      `mmpmon:"prefetch issued"` // speculative block fetches started
-	PrefetchHits   uint64      `mmpmon:"prefetch hits"`   // prefetched blocks later claimed by demand reads
-	PrefetchUnused uint64      `mmpmon:"prefetch unused"` // prefetched blocks dropped without a demand read
-	Writebacks     uint64      `mmpmon:"writebacks"`      // background dirty-page flushes issued
-	WriteStalls    uint64      `mmpmon:"write stalls"`    // writes blocked on write-behind backpressure
+	CacheHits      uint64      `mmpmon:"cache hits" counter:"cache.hits"`
+	CacheMisses    uint64      `mmpmon:"cache misses" counter:"cache.misses"`             // demand fetches only; prefetches are separate
+	PrefetchIssued uint64      `mmpmon:"prefetch issued" counter:"cache.prefetch_issued"` // speculative block fetches started
+	PrefetchHits   uint64      `mmpmon:"prefetch hits" counter:"cache.prefetch_hits"`     // prefetched blocks later claimed by demand reads
+	PrefetchUnused uint64      `mmpmon:"prefetch unused"`                                 // prefetched blocks dropped without a demand read
+	Writebacks     uint64      `mmpmon:"writebacks"`                                      // background dirty-page flushes issued
+	WriteStalls    uint64      `mmpmon:"write stalls"`                                    // writes blocked on write-behind backpressure
 
 	// Write-gathering counters (zero unless ClientConfig.Gather /
 	// WideTokens are on).
-	GatheredFlushes  uint64 `mmpmon:"gathered flushes"`   // multi-page flush RPCs issued
-	FullStripeWrites uint64 `mmpmon:"full stripe writes"` // gathered flushes covering whole RAID stripes
-	WideTokenGrants  uint64 `mmpmon:"wide token grants"`  // token grants wider than the desired range
-	BatchedNSDOps    uint64 `mmpmon:"batched nsd ops"`    // multi-block NSD RPCs (flushes + prefetches)
+	GatheredFlushes  uint64 `mmpmon:"gathered flushes" counter:"cache.gathered_flushes"` // multi-page flush RPCs issued
+	FullStripeWrites uint64 `mmpmon:"full stripe writes"`                                // gathered flushes covering whole RAID stripes
+	WideTokenGrants  uint64 `mmpmon:"wide token grants" counter:"token.wide_grants"`     // token grants wider than the desired range
+	BatchedNSDOps    uint64 `mmpmon:"batched nsd ops"`                                   // multi-block NSD RPCs: BatchedFetches + GatheredFlushes
 
 	// Sharded-plane counters (zero on an unsharded filesystem).
 	ShardMetaOps       uint64 `mmpmon:"shard meta ops"`       // metadata ops served by a shard
@@ -57,6 +57,16 @@ type MountStats struct {
 	ArenaMisses   uint64 `mmpmon:"arena misses"`   // buffer gets that had to allocate
 	ArenaRecycled uint64 `mmpmon:"arena recycled"` // buffers returned to a free list
 
+	// Counter-block-only counters (no fs_io_s row).
+	BatchedFetches      uint64 `counter:"cache.batched_fetches"`      // multi-block prefetch RPCs issued
+	ReadaheadBlocks     uint64 `counter:"cache.readahead_blocks"`     // blocks the stream detector asked to prefetch
+	WritebehindTriggers uint64 `counter:"cache.writebehind_triggers"` // times the dirty bound started a background flush
+	Flushes             uint64 `counter:"cache.flushes"`              // flush RPCs acked, gathered or not
+	MetaCalls           uint64 `counter:"meta.calls"`                 // metadata RPCs issued
+	TokenAcquires       uint64 `counter:"token.acquires"`             // token acquire RPCs granted
+	PrimaryDowns        uint64 `counter:"failover.primary_down"`      // NSD primaries observed down
+	PrimaryUps          uint64 `counter:"failover.primary_up"`        // NSD primaries observed back
+
 	DirtyPages int // dirty pages currently in the pool
 }
 
@@ -64,32 +74,158 @@ type MountStats struct {
 func (m *Mount) Stats() MountStats {
 	st := m.st
 	st.PrefetchUnused = m.pool.unusedPrefetch
+	st.BatchedNSDOps = st.BatchedFetches + st.GatheredFlushes
 	st.DirtyPages = len(m.pool.dirty)
 	st.ArenaHits, st.ArenaMisses, st.ArenaRecycled = m.arena.hits, m.arena.misses, m.arena.recycled
 	return st
 }
 
-// FSName returns the name of the mounted filesystem (which may differ
-// from the local device name for remote mounts).
-func (m *Mount) FSName() string { return m.fsName }
+// add folds o into s field by field.
+func (s *MountStats) add(o MountStats) {
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.CanInt() {
+			f.SetInt(f.Int() + ov.Field(i).Int())
+		} else {
+			f.SetUint(f.Uint() + ov.Field(i).Uint())
+		}
+	}
+}
 
-// OwnerCluster returns the name of the cluster owning the filesystem.
-func (m *Mount) OwnerCluster() string { return m.owner }
+// Stats sums the statistics of every mount the client has had, unmounted
+// ones included, so a client's counts never step backwards.
+func (cl *Client) Stats() MountStats {
+	st := cl.retired
+	for _, m := range cl.mounts {
+		st.add(m.Stats())
+	}
+	return st
+}
+
+// FSStats is a filesystem's server-side statistics — the analogue of one
+// mmpmon io_s response, tagged like MountStats. Each of Shards adds a
+// group of "token shard <k>" rows.
+type FSStats struct {
+	BytesRead    units.Bytes `mmpmon:"bytes read"`    // summed over the NSD servers
+	BytesWritten units.Bytes `mmpmon:"bytes written"` // summed over the NSD servers
+	TokenGrants  uint64      `mmpmon:"token grants" counter:"token.grants"`
+	TokenRevokes uint64      `mmpmon:"token revokes" counter:"token.revokes"`
+	MetaOps      uint64      `mmpmon:"meta ops"`
+	Capacity     units.Bytes `mmpmon:"capacity"`
+	Free         units.Bytes `mmpmon:"free"`
+
+	TokenSteals     uint64 `counter:"token.steals"`            // revoked spans handed over
+	LeaseWaits      uint64 `counter:"token.lease_waits"`       // revokes a dead holder never acked
+	Expires         uint64 `counter:"token.expires"`           // dead holders' tokens reclaimed
+	ShardLeaseWaits uint64 `counter:"token.shard_lease_waits"` // steal-backs that waited out a shard's lease
+	ShardSteals     uint64 `counter:"token.shard_steals"`      // shard tables merged into the coordinator
+	ElevRounds      uint64 `counter:"nsd.elev.rounds"`         // NSD elevator dispatch rounds
+	ElevMerged      uint64 `counter:"nsd.elev.merged"`         // requests merged into a neighbour
+
+	Waiting int          // acquires blocked on revokes right now: the wait-queue depth
+	Shards  []ShardStats // one per token shard; nil when unsharded
+}
+
+// ShardStats is one token shard's row group in the io_s section.
+type ShardStats struct {
+	Grants      uint64 `mmpmon:"grants"`      // token grants served by the shard
+	Revokes     uint64 `mmpmon:"revokes"`     // revokes the shard sent
+	Escalations uint64 `mmpmon:"escalations"` // ops homed here that the coordinator served
+	Steals      uint64 `mmpmon:"steals"`      // holdings merged into the coordinator at steal-back
+	Waiting     int    // acquires blocked on revokes at this shard right now
+}
+
+// Stats returns a snapshot of the filesystem's statistics.
+func (fs *FileSystem) Stats() FSStats {
+	st := fs.st
+	for _, srv := range fs.servers {
+		st.BytesRead += srv.st.BytesRead
+		st.BytesWritten += srv.st.BytesWritten
+	}
+	st.Capacity, st.Free = fs.Capacity(), fs.FreeBytes()
+	for _, sh := range fs.shards {
+		st.Shards = append(st.Shards, sh.st)
+	}
+	return st
+}
+
+// ServerStats counts the I/O an NSD server has served.
+type ServerStats struct {
+	BytesRead     units.Bytes `counter:"nsd.read.bytes"`
+	BytesWritten  units.Bytes `counter:"nsd.write.bytes"`
+	Reads         uint64      `counter:"nsd.read.ops"`
+	Writes        uint64      `counter:"nsd.write.ops"`
+	BatchedOps    uint64      `counter:"nsd.batched.ops"`    // multi-block transfers
+	BatchedBlocks uint64      `counter:"nsd.batched.blocks"` // blocks those transfers covered
+}
+
+// Stats returns a snapshot of the server's statistics.
+func (s *NSDServer) Stats() ServerStats { return s.st }
+
+// ClusterStats counts a cluster's multi-cluster handshakes, as the
+// importing side.
+type ClusterStats struct {
+	Handshakes   uint64 `counter:"auth.handshakes"`
+	AuthFailures uint64 `counter:"auth.failures"`
+}
+
+// Stats returns a snapshot of the cluster's statistics.
+func (c *Cluster) Stats() ClusterStats { return c.st }
+
+// Counters sums counter-tagged statistics by name (the -stats counter block).
+type Counters map[string]uint64
+
+// Add folds every field of the statistics struct v tagged
+// counter:"<name>" into c.
+func (c Counters) Add(v any) {
+	eachTagged(v, "counter", func(name string, f reflect.Value) {
+		if f.CanInt() {
+			c[name] += uint64(f.Int())
+		} else {
+			c[name] += f.Uint()
+		}
+	})
+}
+
+// Write renders every non-zero counter as one line, sorted by name.
+func (c Counters) Write(w io.Writer) {
+	names := make([]string, 0, len(c))
+	for n, v := range c {
+		if v != 0 {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(w, "counter %-32s %d\n", n, c[n])
+	}
+}
+
+// eachTagged calls fn for every field of the struct v carrying a key tag,
+// with the tag's value, in declaration order.
+func eachTagged(v any, key string, fn func(tag string, f reflect.Value)) {
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumField(); i++ {
+		if tag := rv.Type().Field(i).Tag.Get(key); tag != "" {
+			fn(tag, rv.Field(i))
+		}
+	}
+}
+
+// writeRows renders every mmpmon-tagged field of the statistics struct v
+// as a "<prefix><label>: <value>" row, in declaration order.
+func writeRows(w io.Writer, prefix string, v any) {
+	eachTagged(v, "mmpmon", func(label string, f reflect.Value) {
+		fmt.Fprintf(w, "%s%s: %d\n", prefix, label, f.Interface())
+	})
+}
 
 // Client returns the client this mount belongs to.
 func (m *Mount) Client() *Client { return m.c }
 
-// Clients returns the cluster's known clients sorted by ID. Remote
-// clients that mounted one of this cluster's filesystems are included,
-// exactly as the token manager sees them.
-func (c *Cluster) Clients() []*Client {
-	out := make([]*Client, 0, len(c.clients))
-	for _, cl := range c.clients {
-		out = append(out, cl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
+// Members returns the clients created in this cluster, in creation order,
+// whether or not they still mount anything.
+func (c *Cluster) Members() []*Client { return c.members }
 
 // Filesystems returns the cluster's filesystems sorted by name.
 func (c *Cluster) Filesystems() []*FileSystem {
@@ -102,27 +238,21 @@ func (c *Cluster) Filesystems() []*FileSystem {
 }
 
 // WriteMmpmon renders an mmpmon-style statistics snapshot: one fs_io_s
-// section per mounted filesystem per client, one io_s section per
-// filesystem (server-side aggregate plus token and metadata counters),
-// one nsd_s line per NSD server, and one resource line per registered
-// sim.Resource (service-capacity utilization). Ordering is fully
-// deterministic: clients by ID, filesystems by name, resources in
+// section per mounted filesystem per client created in the given
+// clusters (pass every cluster on s for a whole-site view), one io_s
+// section per filesystem (server-side aggregate plus token and metadata
+// counters), one nsd_s line per NSD server, and one resource line per
+// registered sim.Resource (service-capacity utilization). Ordering is
+// fully deterministic: clients by ID, filesystems by name, resources in
 // creation order.
 func WriteMmpmon(w io.Writer, s *sim.Sim, clusters []*Cluster) {
 	now := s.Now()
 	fmt.Fprintf(w, "=== mmpmon snapshot t=%.6fs ===\n", now.Seconds())
 
-	// Clients can appear in several clusters' registries (a remote mount
-	// registers the client with the exporting cluster too); dedupe by ID.
-	seen := map[string]bool{}
+	// Every client belongs to its home cluster, whatever it mounts.
 	var all []*Client
 	for _, c := range clusters {
-		for _, cl := range c.Clients() {
-			if !seen[cl.id] {
-				seen[cl.id] = true
-				all = append(all, cl)
-			}
-		}
+		all = append(all, c.members...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 
@@ -130,58 +260,36 @@ func WriteMmpmon(w io.Writer, s *sim.Sim, clusters []*Cluster) {
 		mounts := cl.Mounts()
 		sort.Slice(mounts, func(i, j int) bool { return mounts[i].Device < mounts[j].Device })
 		for _, m := range mounts {
-			st := reflect.ValueOf(m.Stats())
 			fmt.Fprintf(w, "mmpmon node %s fs_io_s OK\n", cl.id)
 			fmt.Fprintf(w, "cluster: %s\n", m.owner)
 			fmt.Fprintf(w, "filesystem: %s\n", m.fsName)
 			fmt.Fprintf(w, "disks: %d\n", m.info.NSDs)
 			fmt.Fprintf(w, "timestamp: %.6f\n", now.Seconds())
-			for i := 0; i < st.NumField(); i++ {
-				if label := st.Type().Field(i).Tag.Get("mmpmon"); label != "" {
-					fmt.Fprintf(w, "%s: %d\n", label, st.Field(i).Interface())
-				}
-			}
+			writeRows(w, "", m.Stats())
 		}
 	}
 
 	for _, c := range clusters {
 		for _, fs := range c.Filesystems() {
-			var in, out units.Bytes
-			for _, srv := range fs.servers {
-				o, i := srv.BytesServed()
-				out += o
-				in += i
-			}
-			grants, revokes := fs.TokenStats()
+			st := fs.Stats()
 			fmt.Fprintf(w, "mmpmon fs %s io_s OK\n", fs.Name)
 			fmt.Fprintf(w, "cluster: %s\n", c.Name)
 			fmt.Fprintf(w, "disks: %d\n", fs.NSDs())
 			fmt.Fprintf(w, "timestamp: %.6f\n", now.Seconds())
-			fmt.Fprintf(w, "bytes read: %d\n", int64(out))
-			fmt.Fprintf(w, "bytes written: %d\n", int64(in))
-			fmt.Fprintf(w, "token grants: %d\n", grants)
-			fmt.Fprintf(w, "token revokes: %d\n", revokes)
-			fmt.Fprintf(w, "meta ops: %d\n", fs.MetaOps())
-			fmt.Fprintf(w, "capacity: %d\n", int64(fs.Capacity()))
-			fmt.Fprintf(w, "free: %d\n", int64(fs.FreeBytes()))
-			// Per-shard token-plane counters, emitted only when the plane
-			// is sharded. Plain key/value rows inside the io_s section, so
+			writeRows(w, "", st)
+			// Per-shard token-plane rows, emitted only when the plane is
+			// sharded. Plain key/value rows inside the io_s section, so
 			// older ParseMmpmon scrapers recover them as ordinary counters.
-			for k := 0; k < fs.TokenShards(); k++ {
-				g, r, esc, st := fs.ShardStats(k)
-				fmt.Fprintf(w, "token shard %d grants: %d\n", k, g)
-				fmt.Fprintf(w, "token shard %d revokes: %d\n", k, r)
-				fmt.Fprintf(w, "token shard %d escalations: %d\n", k, esc)
-				fmt.Fprintf(w, "token shard %d steals: %d\n", k, st)
+			for k, sh := range st.Shards {
+				writeRows(w, fmt.Sprintf("token shard %d ", k), sh)
 			}
 			for _, srv := range fs.servers {
-				o, i := srv.BytesServed()
 				state := "up"
 				if srv.Down() {
 					state = "down"
 				}
 				fmt.Fprintf(w, "mmpmon nsd %s %s read %d written %d\n",
-					srv.Name, state, int64(o), int64(i))
+					srv.Name, state, int64(srv.st.BytesRead), int64(srv.st.BytesWritten))
 			}
 		}
 	}

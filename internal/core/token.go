@@ -43,19 +43,11 @@ type tokenTable struct {
 	// exact desired-range grants — otherwise strided writers leapfrog each
 	// other into the unclaimed tail and every acquisition pays a revoke.
 	contended map[int64]bool
-	grants    uint64
-	revokes   uint64
 }
 
 func newTokenTable() *tokenTable {
 	return &tokenTable{byInode: make(map[int64][]heldRange), contended: make(map[int64]bool)}
 }
-
-// Grants returns the cumulative number of token grants.
-func (t *tokenTable) Grants() uint64 { return t.grants }
-
-// Revokes returns the cumulative number of revocations sent.
-func (t *tokenTable) Revokes() uint64 { return t.revokes }
 
 func overlaps(aS, aE, bS, bE units.Bytes) bool { return aS < bE && bS < aE }
 
@@ -147,7 +139,6 @@ func (t *tokenTable) insert(inode int64, holder string, start, end units.Bytes, 
 		return out[i].Holder < out[j].Holder
 	})
 	t.byInode[inode] = out
-	t.grants++
 }
 
 // dropHolder releases every token a client holds (unmount / eviction).
@@ -258,17 +249,16 @@ type revokePayload struct {
 
 const revokeService = "token.revoke"
 
-// obsTokenEvent emits one token-protocol instant (manager side) plus its
-// counter: "grant" when a range is handed out, "revoke" when a victim is
-// asked to give a span up, "steal" when the span actually changes hands.
-func (fs *FileSystem) obsTokenEvent(what, holder string, ino int64, start, end units.Bytes) {
+// obsTokenEvent counts one token-protocol event in *n and emits its
+// instant (manager side): "grant" when a range is handed out, "revoke"
+// when a victim is asked to give a span up, "steal" when the span
+// actually changes hands.
+func (fs *FileSystem) obsTokenEvent(n *uint64, what, holder string, ino int64, start, end units.Bytes) {
+	*n++
 	if tr := fs.Sim.Tracer(); tr != nil {
 		tr.Instant("token", what, fs.Name, int64(fs.Sim.Now()),
 			trace.S("holder", holder), trace.I("ino", ino),
 			trace.I("start", int64(start)), trace.I("end", int64(end)))
-	}
-	if reg := fs.cluster.Net.Metrics; reg != nil {
-		reg.Counter("token." + what + "s").Inc()
 	}
 }
 
@@ -284,7 +274,7 @@ func (fs *FileSystem) serveToken(p *sim.Proc, req *netsim.Request) netsim.Respon
 	}
 	if n := len(fs.shards); n > 0 && (op.Op == "acquire" || op.Op == "release") {
 		k := inodeShard(n, op.Inode)
-		fs.shards[k].escalations++
+		fs.shards[k].st.Escalations++
 		fs.stealBack(p, k)
 	}
 	return fs.serveTokenOp(p, op, nil)
@@ -349,8 +339,10 @@ func (fs *FileSystem) serveTokenOp(p *sim.Proc, op tokenOp, sh *tokenShard) nets
 					continue
 				}
 				wg.Add(1)
-				t.revokes++
-				fs.obsTokenEvent("revoke", h, op.Inode, s0, e0)
+				if sh != nil {
+					sh.st.Revokes++
+				}
+				fs.obsTokenEvent(&fs.st.TokenRevokes, "revoke", h, op.Inode, s0, e0)
 				h := h
 				from.GoCtx(p.Ctx(), cl.EP, revokeService, 128,
 					revokePayload{FS: fs.Name, Inode: op.Inode, Start: s0, End: e0},
@@ -361,29 +353,29 @@ func (fs *FileSystem) serveTokenOp(p *sim.Proc, op tokenOp, sh *tokenShard) nets
 							// lease runs out and the manager reclaims its
 							// tokens (its dirty data is lost, as on a real
 							// node crash). Wait out the lease, then steal.
-							fs.obsTokenEvent("lease_wait", h, op.Inode, s0, e0)
+							fs.obsTokenEvent(&fs.st.LeaseWaits, "lease_wait", h, op.Inode, s0, e0)
 							fs.Sim.Schedule(fs.lease, func() {
 								t.carve(op.Inode, h, s0, e0)
 								t.dropHolder(h)
 								delete(fs.cluster.clients, h)
-								fs.obsTokenEvent("expire", h, op.Inode, s0, e0)
+								fs.obsTokenEvent(&fs.st.Expires, "expire", h, op.Inode, s0, e0)
 								wg.Done()
 							})
 							return
 						}
 						t.carve(op.Inode, h, s0, e0)
-						fs.obsTokenEvent("steal", h, op.Inode, s0, e0)
+						fs.obsTokenEvent(&fs.st.TokenSteals, "steal", h, op.Inode, s0, e0)
 						wg.Done()
 					})
 			}
-			fs.tokenWaiting++
+			fs.st.Waiting++
 			if sh != nil {
-				sh.waiting++
+				sh.st.Waiting++
 			}
 			wg.Wait(p)
-			fs.tokenWaiting--
+			fs.st.Waiting--
 			if sh != nil {
-				sh.waiting--
+				sh.st.Waiting--
 			}
 		}
 		if sh != nil && sh.stolen {
@@ -398,7 +390,10 @@ func (fs *FileSystem) serveTokenOp(p *sim.Proc, op tokenOp, sh *tokenShard) nets
 			gStart, gEnd = t.widen(op.Inode, op.Client, dStart, dEnd, op.Mode)
 		}
 		t.insert(op.Inode, op.Client, gStart, gEnd, op.Mode)
-		fs.obsTokenEvent("grant", op.Client, op.Inode, gStart, gEnd)
+		if sh != nil {
+			sh.st.Grants++
+		}
+		fs.obsTokenEvent(&fs.st.TokenGrants, "grant", op.Client, op.Inode, gStart, gEnd)
 		return netsim.Response{Size: 64, Payload: grantRange{gStart, gEnd}}
 
 	case "release":
@@ -413,24 +408,16 @@ func (fs *FileSystem) serveTokenOp(p *sim.Proc, op tokenOp, sh *tokenShard) nets
 		for _, s2 := range fs.shards {
 			s2.table.dropHolder(op.Client)
 		}
-		delete(fs.cluster.clients, op.Client)
+		// The registry is cluster-wide: a client that still mounts another
+		// of this cluster's filesystems must stay reachable for revokes.
+		if cl := fs.cluster.clients[op.Client]; cl != nil && cl.mountsOf(fs.cluster.Name) <= 1 {
+			delete(fs.cluster.clients, op.Client)
+		}
 		return netsim.Response{Size: 64}
 	}
 	return netsim.Response{Err: fmt.Errorf("core: unknown token op %q", op.Op)}
 }
 
-// TokenStats returns (grants, revokes) counters summed across the
-// coordinator and every shard, for tests and benches.
-func (fs *FileSystem) TokenStats() (uint64, uint64) {
-	g, r := fs.tokens.Grants(), fs.tokens.Revokes()
-	for _, sh := range fs.shards {
-		g += sh.table.Grants()
-		r += sh.table.Revokes()
-	}
-	return g, r
-}
-
-// TokenWaiters returns how many acquire requests are currently blocked
-// waiting for conflicting holders to ack revokes — the manager's
-// wait-queue depth, sampled by the timeline plane.
-func (fs *FileSystem) TokenWaiters() int { return fs.tokenWaiting }
+// TokenStats returns the (grants, revokes) the coordinator and every
+// shard have served, for tests and benches.
+func (fs *FileSystem) TokenStats() (uint64, uint64) { return fs.st.TokenGrants, fs.st.TokenRevokes }

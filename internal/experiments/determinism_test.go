@@ -14,11 +14,10 @@ import (
 	"gfs/internal/units"
 )
 
-// traceWorkload builds a small two-site WAN topology in env, seeds a
-// file at the owning site, reads it remotely (read-ahead, tokens, a
-// revoke via a second writer).
-func traceWorkload(t *testing.T, env Env) {
-	t.Helper()
+// twoSites builds a small two-site WAN topology in env: "alpha" owns
+// gpfs0 and exports it to "beta", which has its own scratch filesystem.
+// It returns the simulator, both sites and beta's device for gpfs0.
+func twoSites(env Env) (*sim.Sim, *Site, *Site, string) {
 	s := env.NewSim()
 	nw := env.newEthernetNet(s)
 	owner := env.NewSite(s, nw, "alpha")
@@ -34,8 +33,14 @@ func traceWorkload(t *testing.T, env Env) {
 		StoreRate: 200 * units.MBps, StoreCap: 64 * units.GiB, StoreStreams: 2,
 	})
 	nw.DuplexLink("wan", owner.Switch, importer.Switch, units.Gbps, 10*sim.Millisecond)
-	device := Peer(owner, importer, auth.ReadWrite)
+	return s, owner, importer, Peer(owner, importer, auth.ReadWrite)
+}
 
+// traceWorkload seeds a file at the owning site of twoSites and reads it
+// remotely (read-ahead, tokens, a revoke via a second writer).
+func traceWorkload(t *testing.T, env Env) {
+	t.Helper()
+	s, owner, importer, device := twoSites(env)
 	writer := owner.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 	reader := importer.AddClients(1, units.Gbps, core.DefaultClientConfig())[0]
 
@@ -76,7 +81,7 @@ func traceWorkload(t *testing.T, env Env) {
 
 // traceRun observes traceWorkload and returns the
 // observability products: the Chrome trace bytes, the JSONL bytes, the
-// mmpmon snapshot and the registry.
+// mmpmon snapshot and the counter block with the histograms.
 func traceRun(t *testing.T) (chrome, jsonl, snapshot, registry []byte) {
 	t.Helper()
 	o := NewObs(ObsConfig{Trace: true, Stats: true})
@@ -90,7 +95,10 @@ func traceRun(t *testing.T) (chrome, jsonl, snapshot, registry []byte) {
 		t.Fatal(err)
 	}
 	o.Snapshot(&sb)
-	return cb.Bytes(), jb.Bytes(), sb.Bytes(), []byte(o.Registry.Render())
+	var rb bytes.Buffer
+	o.WriteCounters(&rb)
+	rb.WriteString(o.Registry.Render())
+	return cb.Bytes(), jb.Bytes(), sb.Bytes(), rb.Bytes()
 }
 
 // TestTraceDeterminism runs the same seeded experiment twice and demands

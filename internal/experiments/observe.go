@@ -86,8 +86,8 @@ type ObsConfig struct {
 }
 
 // Obs is the live state of one observed run or sweep: the shared tracer
-// and registry plus every simulator and cluster created through an Env
-// carrying it.
+// and histogram registry plus every simulator, network and cluster
+// created through an Env carrying it.
 type Obs struct {
 	cfg      ObsConfig
 	Tracer   *trace.Tracer
@@ -95,6 +95,7 @@ type Obs struct {
 	// Agg is the incremental critical-path aggregator (cfg.Agg only).
 	Agg      *critpath.Agg
 	sims     []*sim.Sim
+	nets     []*netsim.Network
 	clusters []*core.Cluster
 
 	// Engine telemetry: one probe per simulator, and one finished window
@@ -154,12 +155,13 @@ func (e Env) NewSim() *sim.Sim {
 	return s
 }
 
-// newNet builds a plain network on s with, when observability is on,
-// the metrics registry.
+// newNet builds a plain network on s and, when observability is on,
+// attaches the histogram registry and registers it for WriteCounters.
 func (e Env) newNet(s *sim.Sim) *netsim.Network {
 	nw := netsim.New(s)
 	if e.Obs != nil {
 		nw.Metrics = e.Obs.Registry
+		e.Obs.nets = append(e.Obs.nets, nw)
 	}
 	return nw
 }
@@ -227,9 +229,9 @@ func (o *Obs) attachTimeline(s *sim.Sim) *timeline.Collector {
 
 // sampleSim emits one window's worth of whole-stack instruments for the
 // clusters living on s. Enumeration order is deterministic: clusters in
-// registration order, filesystems and clients sorted by name, servers,
-// NSDs and links in creation order — and the collector re-sorts series
-// by name anyway before recording.
+// registration order, filesystems sorted by name, clients (each under its
+// home cluster), servers, NSDs and links in creation order — and the
+// collector re-sorts series by name anyway before recording.
 func (o *Obs) sampleSim(s *sim.Sim, tk *timeline.Tick) {
 	tk.Rate("engine.events_per_s", "ev/s", float64(s.EventsFired()))
 	seenNet := map[*netsim.Network]bool{}
@@ -248,24 +250,23 @@ func (o *Obs) sampleSim(s *sim.Sim, tk *timeline.Tick) {
 			}
 		}
 		for _, fs := range c.Filesystems() {
-			grants, revokes := fs.TokenStats()
-			tk.Rate("token."+fs.Name+".grants_per_s", "ops/s", float64(grants))
-			tk.Rate("token."+fs.Name+".revokes_per_s", "ops/s", float64(revokes))
-			tk.Gauge("token."+fs.Name+".waiting", "reqs", float64(fs.TokenWaiters()))
-			tk.Rate("meta."+fs.Name+".ops_per_s", "ops/s", float64(fs.MetaOps()))
-			for k := 0; k < fs.TokenShards(); k++ {
-				g, r, esc, st := fs.ShardStats(k)
+			st := fs.Stats()
+			tk.Rate("token."+fs.Name+".grants_per_s", "ops/s", float64(st.TokenGrants))
+			tk.Rate("token."+fs.Name+".revokes_per_s", "ops/s", float64(st.TokenRevokes))
+			tk.Gauge("token."+fs.Name+".waiting", "reqs", float64(st.Waiting))
+			tk.Rate("meta."+fs.Name+".ops_per_s", "ops/s", float64(st.MetaOps))
+			for k, sh := range st.Shards {
 				pre := fmt.Sprintf("token.%s.s%d.", fs.Name, k)
-				tk.Rate(pre+"grants_per_s", "ops/s", float64(g))
-				tk.Rate(pre+"revokes_per_s", "ops/s", float64(r))
-				tk.Rate(pre+"escalations_per_s", "ops/s", float64(esc))
-				tk.Rate(pre+"steals_per_s", "ops/s", float64(st))
-				tk.Gauge(pre+"waiting", "reqs", float64(fs.ShardWaiters(k)))
+				tk.Rate(pre+"grants_per_s", "ops/s", float64(sh.Grants))
+				tk.Rate(pre+"revokes_per_s", "ops/s", float64(sh.Revokes))
+				tk.Rate(pre+"escalations_per_s", "ops/s", float64(sh.Escalations))
+				tk.Rate(pre+"steals_per_s", "ops/s", float64(sh.Steals))
+				tk.Gauge(pre+"waiting", "reqs", float64(sh.Waiting))
 			}
 			for _, srv := range fs.Servers() {
-				out, in := srv.BytesServed()
-				tk.Rate("nsd."+srv.Name+".read_MBps", "MB/s", float64(out)/1e6)
-				tk.Rate("nsd."+srv.Name+".write_MBps", "MB/s", float64(in)/1e6)
+				sst := srv.Stats()
+				tk.Rate("nsd."+srv.Name+".read_MBps", "MB/s", float64(sst.BytesRead)/1e6)
+				tk.Rate("nsd."+srv.Name+".write_MBps", "MB/s", float64(sst.BytesWritten)/1e6)
 				tk.Gauge("nsd."+srv.Name+".inflight", "rpcs", float64(srv.EP.InFlight()))
 			}
 			for _, n := range fs.NSDList() {
@@ -279,15 +280,8 @@ func (o *Obs) sampleSim(s *sim.Sim, tk *timeline.Tick) {
 				}
 			}
 		}
-		for _, cl := range c.Clients() {
-			var st core.MountStats
-			for _, m := range cl.Mounts() {
-				ms := m.Stats()
-				st.Reads += ms.Reads
-				st.Writes += ms.Writes
-				st.CacheHits += ms.CacheHits
-				st.CacheMisses += ms.CacheMisses
-			}
+		for _, cl := range c.Members() {
+			st := cl.Stats()
 			tk.Rate("client."+cl.ID()+".ops_per_s", "ops/s", float64(st.Reads+st.Writes))
 			tk.Ratio("client."+cl.ID()+".hit_rate", "frac",
 				float64(st.CacheHits), float64(st.CacheHits+st.CacheMisses))
@@ -401,6 +395,37 @@ func (o *Obs) snapshotSim(w io.Writer, s *sim.Sim) {
 		o.Agg.Report().WriteOpLat(w)
 	} else if o.Tracer != nil && o.Tracer.Len() > 0 {
 		critpath.Analyze(o.Tracer).WriteOpLat(w)
+	}
+}
+
+// WriteCounters writes the counter block of gfssim -stats: every field
+// tagged counter:"<name>" on the observed networks, clusters,
+// filesystems, NSD servers and clients, summed by name (core.Counters),
+// then the rpc.in_flight gauge: in flight now and the highest peak.
+func (o *Obs) WriteCounters(w io.Writer) {
+	sum := core.Counters{}
+	var inFlight, peak int
+	for _, nw := range o.nets {
+		st := nw.Stats()
+		sum.Add(st)
+		inFlight += st.InFlight
+		peak = max(peak, st.PeakInFlight)
+	}
+	for _, c := range o.clusters {
+		sum.Add(c.Stats())
+		for _, fs := range c.Filesystems() {
+			sum.Add(fs.Stats())
+			for _, srv := range fs.Servers() {
+				sum.Add(srv.Stats())
+			}
+		}
+		for _, cl := range c.Members() {
+			sum.Add(cl.Stats())
+		}
+	}
+	sum.Write(w)
+	if peak > 0 {
+		fmt.Fprintf(w, "gauge   %-32s %d (peak %d)\n", "rpc.in_flight", inFlight, peak)
 	}
 }
 

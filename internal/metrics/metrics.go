@@ -249,16 +249,6 @@ func (m *RateMonitor) PeakRate() units.BytesPerSec {
 	return units.BytesPerSec(peak)
 }
 
-// MeanRate returns total bytes divided by elapsed time since the monitor
-// was created.
-func (m *RateMonitor) MeanRate() units.BytesPerSec {
-	el := (m.sim.Now() - m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return units.BytesPerSec(float64(m.total) / el)
-}
-
 // Summary accumulates scalar observations (latencies, sizes, counts) and
 // reports order statistics.
 type Summary struct {

@@ -6,79 +6,18 @@ import (
 	"strings"
 )
 
-// Counter is a monotonically increasing count.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Gauge is an instantaneous value with a high-water mark.
-type Gauge struct {
-	v, peak float64
-	set     bool
-}
-
-// Set replaces the value, tracking the peak.
-func (g *Gauge) Set(v float64) {
-	g.v = v
-	if !g.set || v > g.peak {
-		g.peak = v
-	}
-	g.set = true
-}
-
-// Add adjusts the value by d, tracking the peak.
-func (g *Gauge) Add(d float64) { g.Set(g.v + d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Peak returns the high-water mark.
-func (g *Gauge) Peak() float64 { return g.peak }
-
-// Registry is the central sink for instrumentation: named counters,
-// gauges and log-scale histograms, created on first use. Like the rest of
-// the simulation it is single-threaded and needs no locking; rendering is
-// sorted by name so output is deterministic.
+// Registry is the central sink for latency instrumentation: named
+// log-scale histograms, created on first use. Counters are not kept
+// here; each component declares its own as typed fields. Like the rest
+// of the simulation it is single-threaded and needs no locking;
+// rendering is sorted by name so output is deterministic.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Counter returns the named counter, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{hists: make(map[string]*Histogram)}
 }
 
 // Histogram returns the named histogram, creating it if needed.
@@ -102,33 +41,11 @@ func (r *Registry) HistogramNames() []string {
 	return names
 }
 
-// Render returns the registry contents as aligned text, one metric per
-// line, sorted by name within each section.
+// Render returns the registry contents as aligned text, one histogram
+// per line, sorted by name.
 func (r *Registry) Render() string {
 	var b strings.Builder
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "counter %-32s %d\n", n, r.counters[n].Value())
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		g := r.gauges[n]
-		fmt.Fprintf(&b, "gauge   %-32s %g (peak %g)\n", n, g.Value(), g.Peak())
-	}
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range r.HistogramNames() {
 		fmt.Fprintf(&b, "hist    %-32s %s\n", n, r.hists[n].String())
 	}
 	return b.String()

@@ -373,9 +373,9 @@ func (c *Conn) deliverHead(now sim.Time) {
 			trace.I("xmit_ns", int64(now-head.started)),
 			trace.I("prop_ns", int64(c.oneWay)))
 	}
+	nw.st.Msgs++
+	nw.st.Bytes += uint64(head.size)
 	if reg := nw.Metrics; reg != nil {
-		reg.Counter("net.msgs").Inc()
-		reg.Counter("net.bytes").Add(uint64(head.size))
 		reg.Histogram("flow.xfer_ns").Observe(float64(now - head.started))
 	}
 	if head.onDelivered != nil {

@@ -50,8 +50,6 @@ type Network struct {
 	msgFree    []*message
 	callFree   []*rpcCall // recycled RPC call records
 
-	rpcInFlight int // RPCs issued on any endpoint and not yet answered
-
 	// capIndex holds exactly the active conns whose window cap can bind —
 	// rateCap <= pathCap — sorted by capLess. activate, bump and
 	// deactivate keep it current, so a solve sweeps it with a cursor
@@ -65,10 +63,10 @@ type Network struct {
 	// DefaultTCP is applied to conns dialed without explicit options.
 	DefaultTCP TCPConfig
 
-	// Metrics, when non-nil, receives counters and latency histograms
-	// from the RPC and flow layers (and from the file-system core, which
-	// reaches it through its cluster's network). Nil disables metric
-	// collection at the cost of one branch per site.
+	// Metrics, when non-nil, receives latency histograms from the RPC and
+	// flow layers (and from the file-system core, which reaches it
+	// through its cluster's network). Nil disables them at the cost of
+	// one branch per site. Counters live in Stats, always on.
 	Metrics *metrics.Registry
 
 	// LinkEfficiency derates every subsequently created link's usable
@@ -106,7 +104,28 @@ type Network struct {
 	SolveTolerance float64
 
 	stats SolverStats
+	st    NetStats
 }
+
+// NetStats counts a network's RPC and message traffic since it was built;
+// each field tagged counter:"<name>" is a line of the -stats counter block.
+type NetStats struct {
+	RPCCalls        uint64 `counter:"rpc.calls"`            // RPCs answered
+	RPCErrors       uint64 `counter:"rpc.errors"`           // RPCs answered with an error
+	RPCReqBytes     uint64 `counter:"rpc.req_bytes"`        // request bytes, headers included
+	RPCRespBytes    uint64 `counter:"rpc.resp_bytes"`       // response bytes, headers included
+	DeadlineExpired uint64 `counter:"rpc.deadline_expired"` // deadlines that fired before the response
+	Retries         uint64 `counter:"rpc.retries"`          // GoRetry re-sends
+	Msgs            uint64 `counter:"net.msgs"`             // messages delivered
+	Bytes           uint64 `counter:"net.bytes"`            // message bytes delivered
+
+	// InFlight counts RPCs issued on any endpoint and not yet answered;
+	// PeakInFlight is its high-water mark.
+	InFlight, PeakInFlight int
+}
+
+// Stats returns a snapshot of the network's traffic counters.
+func (nw *Network) Stats() NetStats { return nw.st }
 
 // frontierBuckets is the number of log2 component-size buckets in the
 // solver's frontier histogram: bucket i holds solves whose component had

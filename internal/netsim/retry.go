@@ -79,9 +79,7 @@ func (e *Endpoint) GoDeadline(ctx trace.Ctx, peer *Endpoint, service string, req
 	expired := false
 	timer := nw.Sim.ScheduleKind(kindRPCTimer, deadline, func() {
 		expired = true
-		if reg := nw.Metrics; reg != nil {
-			reg.Counter("rpc.deadline_expired").Inc()
-		}
+		nw.st.DeadlineExpired++
 		if onDone != nil {
 			onDone(Response{Err: ErrDeadline})
 		}
@@ -113,9 +111,7 @@ func (e *Endpoint) GoRetry(ctx trace.Ctx, peer *Endpoint, service string, reqSiz
 				}
 				return
 			}
-			if reg := nw.Metrics; reg != nil {
-				reg.Counter("rpc.retries").Inc()
-			}
+			nw.st.Retries++
 			gap := pol.Backoff(n)
 			start := nw.Sim.Now()
 			nw.Sim.ScheduleKind(kindRPCTimer, gap, func() {

@@ -209,10 +209,7 @@ func (e *Endpoint) issue(ctx trace.Ctx, peer *Endpoint, name string, reqSize uni
 	nw := e.net
 	c := nw.newCall()
 	c.e, c.peer, c.svc, c.ctx, c.onDone, c.wake = e, peer, svc, ctx, onDone, wake
-	c.tr, c.reg = nw.Sim.Tracer(), nw.Metrics
-	if c.tr != nil || c.reg != nil {
-		c.issued = nw.Sim.Now()
-	}
+	c.tr, c.reg, c.issued = nw.Sim.Tracer(), nw.Metrics, nw.Sim.Now()
 	var child trace.Ctx
 	if c.tr != nil {
 		c.sid = c.tr.NewSpanID()
@@ -222,9 +219,9 @@ func (e *Endpoint) issue(ctx trace.Ctx, peer *Endpoint, name string, reqSize uni
 	if e.inFlight > e.peakInFlight {
 		e.peakInFlight = e.inFlight
 	}
-	nw.rpcInFlight++
-	if c.reg != nil {
-		c.reg.Gauge("rpc.in_flight").Set(float64(nw.rpcInFlight))
+	nw.st.InFlight++
+	if nw.st.InFlight > nw.st.PeakInFlight {
+		nw.st.PeakInFlight = nw.st.InFlight
 	}
 	reqConn := e.connTo(peer)
 	c.respConn = peer.connTo(e)
@@ -253,10 +250,13 @@ func (c *rpcCall) respond() {
 	e := c.e
 	nw := e.net
 	e.inFlight--
-	nw.rpcInFlight--
-	if c.reg != nil {
-		c.reg.Gauge("rpc.in_flight").Set(float64(nw.rpcInFlight))
+	nw.st.InFlight--
+	nw.st.RPCCalls++
+	if c.resp.Err != nil {
+		nw.st.RPCErrors++
 	}
+	nw.st.RPCReqBytes += uint64(c.req.Size + HeaderBytes)
+	nw.st.RPCRespBytes += uint64(c.resp.Size + HeaderBytes)
 	if c.tr != nil || c.reg != nil {
 		c.record()
 	}
@@ -291,12 +291,6 @@ func (c *rpcCall) record() {
 			int64(c.issued), int64(now), args...)
 	}
 	if reg != nil {
-		reg.Counter("rpc.calls").Inc()
-		if resp.Err != nil {
-			reg.Counter("rpc.errors").Inc()
-		}
-		reg.Counter("rpc.req_bytes").Add(uint64(reqSize + HeaderBytes))
-		reg.Counter("rpc.resp_bytes").Add(uint64(resp.Size + HeaderBytes))
 		reg.Histogram("rpc.latency_ns").Observe(float64(now - c.issued))
 		reg.Histogram("rpc.latency_ns." + service).Observe(float64(now - c.issued))
 	}

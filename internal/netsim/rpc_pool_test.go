@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/trace"
 	"gfs/internal/units"
@@ -182,7 +181,6 @@ func TestRPCInFlightGaugeIsNetworkWide(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	nw := New(s)
-	nw.Metrics = metrics.NewRegistry()
 	srv := nw.NewNode("server")
 	var eps []*Endpoint
 	for i := 0; i < 2; i++ {
@@ -195,7 +193,6 @@ func TestRPCInFlightGaugeIsNetworkWide(t *testing.T) {
 		p.Sleep(10 * sim.Millisecond)
 		return Response{Size: 64}
 	})
-	gauge := nw.Metrics.Gauge("rpc.in_flight")
 	done := 0
 	s.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
@@ -207,16 +204,17 @@ func TestRPCInFlightGaugeIsNetworkWide(t *testing.T) {
 		if eps[0].InFlight() != 3 || eps[1].InFlight() != 2 {
 			t.Errorf("per-endpoint in flight = %d, %d; want 3, 2", eps[0].InFlight(), eps[1].InFlight())
 		}
-		if gauge.Value() != 5 {
-			t.Errorf("gauge after issue = %v, want the network total 5", gauge.Value())
+		if st := nw.Stats(); st.InFlight != 5 {
+			t.Errorf("network in flight after issue = %d, want the total 5", st.InFlight)
 		}
 	})
 	s.Run()
 	if done != 5 {
 		t.Fatalf("done = %d", done)
 	}
-	if gauge.Value() != 0 || gauge.Peak() != 5 {
-		t.Errorf("gauge after drain = %v (peak %v), want 0 (peak 5)", gauge.Value(), gauge.Peak())
+	if st := nw.Stats(); st.InFlight != 0 || st.PeakInFlight != 5 || st.RPCCalls != 5 {
+		t.Errorf("after drain: in flight %d (peak %d), %d calls; want 0 (peak 5), 5 calls",
+			st.InFlight, st.PeakInFlight, st.RPCCalls)
 	}
 	if eps[0].PeakInFlight() != 3 || eps[1].PeakInFlight() != 2 {
 		t.Errorf("per-endpoint peaks = %d, %d; want 3, 2", eps[0].PeakInFlight(), eps[1].PeakInFlight())
