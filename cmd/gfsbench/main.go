@@ -12,9 +12,9 @@
 //	gfsbench -sweep metastorm                  # metadata storm vs token-shard count
 //	gfsbench -sweep readahead -json BENCH_2.json  # machine-readable results
 //
-// With -json the sweep additionally records a causal trace and the output
-// file carries the sweep rows plus per-op-type rates and critical-path
-// attribution totals.
+// With -json the sweep additionally attributes every operation's critical
+// path as it completes, and the output file carries the sweep rows plus
+// per-op-type rates and critical-path attribution totals.
 //
 // The simscale sweep profiles the simulator itself, not the modeled
 // hardware: it runs the production workload at 64/256/1024 nodes (up to
@@ -100,6 +100,7 @@ func main() {
 		// carries rate-vs-time series per row, not just the scalar rates.
 		obs = experiments.NewObs(experiments.ObsConfig{
 			Trace:            *jsonPath != "" && *sweep != "simscale",
+			Discard:          true,
 			Engine:           *sweep == "simscale" || opts.EngineStats,
 			Timeline:         *jsonPath != "" && *sweep != "simscale",
 			TimelineInterval: 250 * sim.Millisecond,
@@ -236,8 +237,8 @@ func main() {
 
 	if obs != nil && *jsonPath != "" {
 		var rep *critpath.Report
-		if obs.Tracer != nil {
-			rep = critpath.Analyze(obs.Tracer)
+		if obs.Agg != nil {
+			rep = obs.Agg.Report()
 		}
 		if err := writeJSON(*jsonPath, *sweep, columns, rows, series, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "gfsbench:", err)
@@ -375,22 +376,8 @@ func writeJSON(path, sweep string, columns []string, rows [][]float64, series []
 	// active. Sweeps run many sims on one tracer, so this is a rate over
 	// total observed virtual time, not one run's throughput.
 	for _, s := range rep.Ops {
-		var minStart, maxEnd int64
-		first := true
-		for _, in := range rep.Instances() {
-			if in.Name != s.Name {
-				continue
-			}
-			if first || in.Start < minStart {
-				minStart = in.Start
-			}
-			if end := in.Start + in.E2E; first || end > maxEnd {
-				maxEnd = end
-			}
-			first = false
-		}
 		perSec := 0.0
-		if span := maxEnd - minStart; span > 0 {
+		if span := s.End - s.Start; span > 0 {
 			perSec = float64(s.Count) / (float64(span) / 1e9)
 		}
 		mean := int64(0)

@@ -1,7 +1,7 @@
 // Command gfsprof analyzes a trace dump offline: it reads the JSONL
-// event stream written by `gfssim -jsonl` (or `gfsbench -jsonl`) and
-// prints the same critical-path latency attribution the live `-attr`
-// flag produces, plus per-operation drill-downs.
+// event stream written by `gfssim -jsonl` and prints the same
+// critical-path latency attribution the live `-attr` flag produces, plus
+// per-operation drill-downs.
 //
 //	gfssim -exp deisa -jsonl trace.jsonl
 //	gfsprof trace.jsonl                # attribution table
@@ -104,7 +104,7 @@ func main() {
 
 	if *top > 0 {
 		fmt.Printf("\nslowest %d operations:\n", *top)
-		for _, in := range rep.Slowest(*top) {
+		for _, in := range rep.Slowest(tr, *top) {
 			fmt.Printf("  op %-8d %-8s %-12s e2e %s", in.ID, in.Name, in.Track, fmtMs(in.E2E))
 			for _, ph := range critpath.Phases {
 				if d := in.Phases[ph]; d != 0 {

@@ -16,7 +16,6 @@
 //	gfssim -exp production -engine-stats         # profile the simulator itself
 //	gfssim -exp production -nodes 1024 -size 64MiB -jsonl-stream t.jsonl -trace-sample 64
 //	                                  # bounded-memory sampled trace at scale
-//	gfssim -exp production -attr-agg  # attribution with zero event retention
 //	gfssim -exp failover -timeline-jsonl tl.jsonl   # per-interval rate series for every resource
 //	gfssim -exp production -http :8080 -http-hold 30s
 //	                                  # live Prometheus /metrics + /timeline JSON while running
@@ -34,7 +33,6 @@ import (
 	"os"
 	"time"
 
-	"gfs/internal/critpath"
 	"gfs/internal/experiments"
 	"gfs/internal/metrics"
 	"gfs/internal/sim"
@@ -221,13 +219,10 @@ func main() {
 	}
 	env := experiments.Env{Obs: obs}
 
-	// With -attr but no trace export, each experiment is analyzed and the
-	// buffer dropped, keeping -exp all bounded. When a trace file or the
-	// final snapshot's op_lat section also needs the buffer, it must
-	// survive, so attribution runs once at the end over everything.
-	attrPerRun := opts.Attr && opts.TraceOut == "" && opts.JSONLOut == "" && !opts.Stats
-
 	for _, r := range runners {
+		if obs != nil && obs.Agg != nil {
+			obs.Agg.Reset() // attribution covers the experiment about to run
+		}
 		fmt.Printf("running %s (%s)...\n", r.Name, r.Paper)
 		res := r.Run(env)
 		if *csv {
@@ -242,25 +237,14 @@ func main() {
 		} else {
 			fmt.Print(res.String())
 		}
-		if attrPerRun {
+		if opts.Attr {
 			fmt.Printf("-- %s: critical-path attribution --\n", r.Name)
-			critpath.Analyze(obs.Tracer).WriteTable(os.Stdout)
-			obs.Tracer.Reset()
+			obs.Agg.Report().WriteTable(os.Stdout)
 		}
 		fmt.Println()
 	}
 
 	if obs != nil {
-		if opts.Attr && !attrPerRun {
-			fmt.Println("-- critical-path attribution --")
-			critpath.Analyze(obs.Tracer).WriteTable(os.Stdout)
-			fmt.Println()
-		}
-		if opts.AttrAgg {
-			fmt.Println("-- critical-path attribution (incremental, zero retention) --")
-			obs.Agg.Report().WriteTable(os.Stdout)
-			fmt.Println()
-		}
 		if opts.Stats {
 			obs.Snapshot(os.Stdout)
 			obs.WriteCounters(os.Stdout)
@@ -273,13 +257,12 @@ func main() {
 			obs.WriteSolverReport(os.Stdout)
 			fmt.Println()
 		}
-		if obs.Tracer != nil && !attrPerRun {
-			if opts.JSONLStream != "" || opts.AttrAgg {
-				fmt.Printf("trace: %d events emitted, %d retained\n",
-					obs.Tracer.TotalEmitted(), obs.Tracer.Len())
-			} else {
-				fmt.Printf("trace: %d events (%s)\n", obs.Tracer.Len(), obs.Tracer.Summary())
-			}
+		switch {
+		case opts.JSONLStream != "":
+			fmt.Printf("trace: %d events emitted, %d retained\n",
+				obs.Tracer.TotalEmitted(), obs.Tracer.Len())
+		case opts.TraceOut != "" || opts.JSONLOut != "" || opts.TraceRing > 0:
+			fmt.Printf("trace: %d events (%s)\n", obs.Tracer.Len(), obs.Tracer.Summary())
 		}
 		if opts.TraceOut != "" {
 			writeFileWith(opts.TraceOut, obs.Tracer.WriteChrome)

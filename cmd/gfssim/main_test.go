@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -57,18 +58,7 @@ func TestGolden(t *testing.T) {
 			dir := t.TempDir()
 			jsonl := filepath.Join(dir, "t.jsonl")
 			report := filepath.Join(dir, "report.txt")
-			out, err := os.Create(report)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stdout, args, cmdline := os.Stdout, os.Args, flag.CommandLine
-			defer func() { os.Stdout, os.Args, flag.CommandLine = stdout, args, cmdline }()
-			os.Stdout = out
-			os.Args = append(append([]string{"gfssim"}, tc.args...), "-jsonl", jsonl)
-			flag.CommandLine = flag.NewFlagSet("gfssim", flag.ContinueOnError)
-			main()
-			os.Stdout = stdout
-			if err := out.Close(); err != nil {
+			if err := os.WriteFile(report, gfssim(t, append(tc.args, "-jsonl", jsonl)...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -85,5 +75,85 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gfssim runs main in-process with args and returns what it printed.
+func gfssim(t *testing.T, args ...string) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout.txt")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, osArgs, cmdline := os.Stdout, os.Args, flag.CommandLine
+	defer func() { os.Stdout, os.Args, flag.CommandLine = stdout, osArgs, cmdline }()
+	os.Stdout = out
+	os.Args = append([]string{"gfssim"}, args...)
+	flag.CommandLine = flag.NewFlagSet("gfssim", flag.ContinueOnError)
+	main()
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// attrTable returns the -attr table gfssim printed for exp: its header,
+// latency rows, a blank line and phase rows.
+func attrTable(out []byte, exp string) string {
+	_, table, _ := strings.Cut(string(out), "-- "+exp+": critical-path attribution --\n")
+	lines := strings.SplitAfter(table, "\n")
+	blanks := 0
+	for n, ln := range lines {
+		if ln == "\n" {
+			if blanks++; blanks == 2 {
+				return strings.Join(lines[:n], "")
+			}
+		}
+	}
+	return table
+}
+
+// opLatRows returns the mmpmon op_lat rows of out.
+func opLatRows(out []byte) string {
+	var b strings.Builder
+	for _, ln := range strings.SplitAfter(string(out), "\n") {
+		if strings.HasPrefix(ln, "mmpmon op_lat ") {
+			b.WriteString(ln)
+		}
+	}
+	return b.String()
+}
+
+// TestAttributionWithoutRetention: attribution must not depend on what
+// the tracer retains. On failover, a 2000-event ring and a streamed
+// trace print the same -attr table as a plain -attr run, and streamed
+// -stats prints the same op_lat rows as -stats with a buffered trace.
+func TestAttributionWithoutRetention(t *testing.T) {
+	dir := t.TempDir()
+	stream := filepath.Join(dir, "s.jsonl")
+	want := attrTable(gfssim(t, "-exp", "failover", "-attr"), "failover")
+	if !strings.Contains(want, "prefetch_hit") {
+		t.Fatalf("plain -attr table looks wrong:\n%s", want)
+	}
+	for _, args := range [][]string{
+		{"-trace-ring", "2000"},
+		{"-jsonl-stream", stream},
+	} {
+		got := attrTable(gfssim(t, append([]string{"-exp", "failover", "-attr"}, args...)...), "failover")
+		if got != want {
+			t.Errorf("-attr %s table:\n%s\nwant:\n%s", strings.Join(args, " "), got, want)
+		}
+	}
+	wantLat := opLatRows(gfssim(t, "-exp", "failover", "-stats", "-jsonl", filepath.Join(dir, "b.jsonl")))
+	if strings.Count(wantLat, "\n") < 2 {
+		t.Fatalf("-stats -jsonl printed too few op_lat rows:\n%s", wantLat)
+	}
+	if got := opLatRows(gfssim(t, "-exp", "failover", "-stats", "-jsonl-stream", stream)); got != wantLat {
+		t.Errorf("-stats -jsonl-stream op_lat rows:\n%s\nwant:\n%s", got, wantLat)
 	}
 }

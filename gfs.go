@@ -296,7 +296,9 @@ type (
 	// Env is an experiment run's environment: its observability. Pass
 	// one to Runner.Run; the zero Env is a plain run.
 	Env = experiments.Env
-	// ObsConfig selects what an Env's observability collects.
+	// ObsConfig selects what an Env's observability collects. With Trace
+	// on, every operation's critical path is attributed as it completes
+	// (Obs.Agg); Discard keeps the tracer from retaining the events.
 	ObsConfig = experiments.ObsConfig
 	// Obs carries an observed run's tracer, registry and snapshots.
 	Obs = experiments.Obs

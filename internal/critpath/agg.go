@@ -1,37 +1,30 @@
 package critpath
 
-// Incremental (aggregate-only) attribution. Analyze needs the whole
-// trace in RAM; at 1024+ nodes that is gigabytes. Agg computes the same
-// per-op-type report while retaining only the spans of operations still
-// in flight: each operation's tree is analyzed and folded into running
-// aggregates the moment its root span arrives, then its spans are freed.
-// Latency quantiles come from a log-scale metrics.Histogram instead of a
-// stored latency list, so the memory bound is O(in-flight ops + op
-// types), independent of run length.
-//
-// Two deliberate approximations versus Analyze, both bounded:
-//   - Quantiles have the histogram's ~9% bucket resolution instead of
-//     being exact nearest-rank values.
-//   - Background-wait redistribution (fetch_wait/sync_wait) uses the
-//     whole-run fetch/flush phase profiles applied to the *summed* wait
-//     time per op type, where Analyze applies them per instance; the two
-//     differ only by per-instance rounding (< one ns per instance and
-//     phase).
+// Incremental attribution. Agg analyzes each operation's tree the moment
+// its root span arrives, folds the result into its op type's running
+// totals and frees the spans, so memory is the spans of operations still
+// in flight plus a few words per finished op: its end-to-end latency and,
+// if it waited on background work, its (fetch, flush) wait pair. Report
+// sorts the latencies for exact nearest-rank quantiles and redistributes
+// every waiting instance over the final background profiles, so a report
+// is independent of whether its events were retained.
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
-	"gfs/internal/metrics"
 	"gfs/internal/trace"
 )
 
 // aggStats is one op type's running aggregate.
 type aggStats struct {
-	count   int
-	totalNs int64
-	hist    *metrics.Histogram
-	phases  map[string]int64
-	waits   map[string]int64 // pending redistribution, by target op type
+	count      int
+	totalNs    int64
+	start, end int64
+	lats       []int64
+	phases     map[string]int64
+	waits      [][2]int64 // one pair per instance that waited
 }
 
 // Agg folds trace events into per-op-type attribution aggregates
@@ -40,10 +33,10 @@ type aggStats struct {
 //	agg := critpath.NewAgg()
 //	tr.Configure(trace.Config{
 //		Observer: agg.Observe,
-//		Discard:  true, // aggregate-only: nothing retained
+//		Discard:  true, // nothing retained
 //	})
 //
-// and call Report after the run.
+// and call Report after (or during) the run.
 type Agg struct {
 	open  map[int64]*aggOp
 	stats map[string]*aggStats
@@ -58,6 +51,9 @@ type aggOp struct {
 func NewAgg() *Agg {
 	return &Agg{open: map[int64]*aggOp{}, stats: map[string]*aggStats{}}
 }
+
+// Reset drops everything observed so far, in-flight spans included.
+func (a *Agg) Reset() { *a = *NewAgg() }
 
 // Observe consumes one trace event (the trace.Tracer observer
 // signature). Span events of attributed operations are buffered until
@@ -91,33 +87,40 @@ func (a *Agg) Observe(e trace.Event, args []trace.Arg) {
 func (a *Agg) fold(inst *OpInstance) {
 	s := a.stats[inst.Name]
 	if s == nil {
-		s = &aggStats{hist: metrics.NewHistogram(),
-			phases: map[string]int64{}, waits: map[string]int64{}}
+		s = &aggStats{start: inst.Start, end: inst.Start + inst.E2E, phases: map[string]int64{}}
 		a.stats[inst.Name] = s
 	}
 	s.count++
 	s.totalNs += inst.E2E
-	s.hist.Observe(float64(inst.E2E))
+	s.start = min(s.start, inst.Start)
+	s.end = max(s.end, inst.Start+inst.E2E)
+	s.lats = append(s.lats, inst.E2E)
 	for ph, d := range inst.Phases {
 		s.phases[ph] += d
 	}
-	for tgt, d := range inst.waits {
-		s.waits[tgt] += d
+	if inst.waits != [2]int64{} {
+		s.waits = append(s.waits, inst.waits)
 	}
 }
 
 // Open returns the number of operations whose root span has not arrived
-// yet — after a run drains this should be (close to) zero; a large value
-// means root spans were sampled away or never recorded, and that much
+// yet — after a run drains this should be zero; a nonzero value means
+// root spans were sampled away or never recorded, and that much
 // attribution is missing from Report.
 func (a *Agg) Open() int { return len(a.open) }
 
-// Report finalizes the aggregates into the same Report shape Analyze
-// produces. Operations still open (rootless) are dropped, exactly as
-// Analyze drops rootless span groups. Per-instance data is not retained,
-// so Slowest and Instances on the returned report are empty.
+// Report finalizes the aggregates. Operations still open (rootless) are
+// left out.
 func (a *Agg) Report() *Report {
 	rep := &Report{}
+	for k, target := range waitTargets {
+		if s := a.stats[target]; s != nil {
+			rep.bg[k].phases = maps.Clone(s.phases)
+			for _, d := range s.phases {
+				rep.bg[k].total += d
+			}
+		}
+	}
 	names := make([]string, 0, len(a.stats))
 	for n := range a.stats {
 		names = append(names, n)
@@ -127,52 +130,14 @@ func (a *Agg) Report() *Report {
 		src := a.stats[n]
 		s := &OpStats{
 			Name: n, Count: src.count, TotalNs: src.totalNs,
-			hist: src.hist, Phases: map[string]int64{},
+			Start: src.start, End: src.end,
+			lats: slices.Clone(src.lats), Phases: maps.Clone(src.phases),
 		}
-		for ph, d := range src.phases {
-			s.Phases[ph] += d
+		slices.Sort(s.lats)
+		for _, w := range src.waits {
+			rep.redistribute(s.Phases, w)
 		}
 		rep.Ops = append(rep.Ops, s)
-	}
-	// Redistribute summed background waits using the whole-run fetch and
-	// flush profiles — the aggregate analogue of Report.redistribute.
-	for i, n := range names {
-		src := a.stats[n]
-		s := rep.Ops[i]
-		for _, target := range []string{"fetch", "flush"} {
-			w := src.waits[target]
-			if w == 0 {
-				continue
-			}
-			prof := a.stats[target]
-			var tot int64
-			if prof != nil {
-				for _, d := range prof.phases {
-					tot += d
-				}
-			}
-			if tot == 0 {
-				s.Phases[PhaseCache] += w
-				continue
-			}
-			distributed := int64(0)
-			maxPh, maxV := PhaseCache, int64(-1)
-			for _, ph := range Phases {
-				v := prof.phases[ph]
-				if v == 0 {
-					continue
-				}
-				share := int64(float64(w) * (float64(v) / float64(tot)))
-				s.Phases[ph] += share
-				distributed += share
-				if v > maxV {
-					maxPh, maxV = ph, v
-				}
-			}
-			if rem := w - distributed; rem != 0 {
-				s.Phases[maxPh] += rem
-			}
-		}
 	}
 	return rep
 }

@@ -7,22 +7,6 @@ import (
 	"gfs/internal/trace"
 )
 
-// emitOpEndOrder emits a span tree in end-time order (ties: child before
-// parent), which is how a live run records spans — each is recorded when
-// it ends, and a root interval ends last. Agg depends on this ordering.
-func emitOpEndOrder(tr *trace.Tracer, op int64, spans []spanSpec) {
-	ordered := append([]spanSpec(nil), spans...)
-	for i := 0; i < len(ordered); i++ {
-		for j := i + 1; j < len(ordered); j++ {
-			a, b := ordered[i], ordered[j]
-			if b.end < a.end || (b.end == a.end && a.parent == 0 && b.parent != 0) {
-				ordered[i], ordered[j] = b, a
-			}
-		}
-	}
-	emitOp(tr, op, ordered)
-}
-
 // buildWorkload emits a mixed workload: reads with rpc/disk/flow trees,
 // writes with token subtrees and sync waits, background fetches and
 // flushes — every attribution feature in one trace. Deterministic and
@@ -34,7 +18,7 @@ func buildWorkload(tr *trace.Tracer, nOps int) {
 		switch i % 4 {
 		case 0: // read: client + rpc + disk + flow
 			lat := int64(400 + i%7*100)
-			emitOpEndOrder(tr, op, []spanSpec{
+			emitOp(tr, op, []spanSpec{
 				{sid: op * 10, parent: 0, cat: "op", name: "read", start: base, end: base + lat},
 				{sid: op*10 + 1, parent: op * 10, cat: "rpc", name: "nsd.io", start: base + 20, end: base + lat - 20},
 				{sid: 0, parent: op*10 + 1, cat: "flow", name: "xfer", start: base + 30, end: base + 130,
@@ -43,19 +27,19 @@ func buildWorkload(tr *trace.Tracer, nOps int) {
 			})
 		case 1: // write: token subtree + sync wait
 			lat := int64(600 + i%5*80)
-			emitOpEndOrder(tr, op, []spanSpec{
+			emitOp(tr, op, []spanSpec{
 				{sid: op * 10, parent: 0, cat: "op", name: "write", start: base, end: base + lat},
 				{sid: op*10 + 1, parent: op * 10, cat: "token", name: "acquire", start: base + 10, end: base + 200},
 				{sid: 0, parent: op*10 + 1, cat: "rpc", name: "token.acquire", start: base + 20, end: base + 190},
 				{sid: 0, parent: op * 10, cat: "cache", name: "sync_wait", start: base + 250, end: base + lat - 50},
 			})
 		case 2: // background fetch: disk-heavy profile
-			emitOpEndOrder(tr, op, []spanSpec{
+			emitOp(tr, op, []spanSpec{
 				{sid: op * 10, parent: 0, cat: "op", name: "fetch", start: base, end: base + 300},
 				{sid: 0, parent: op * 10, cat: "nsd", name: "read", start: base + 60, end: base + 290},
 			})
 		case 3: // background flush: rpc + disk
-			emitOpEndOrder(tr, op, []spanSpec{
+			emitOp(tr, op, []spanSpec{
 				{sid: op * 10, parent: 0, cat: "op", name: "flush", start: base, end: base + 350},
 				{sid: op*10 + 1, parent: op * 10, cat: "rpc", name: "nsd.write", start: base + 10, end: base + 340},
 				{sid: 0, parent: op*10 + 1, cat: "disk", name: "write", start: base + 100, end: base + 300},
@@ -64,10 +48,9 @@ func buildWorkload(tr *trace.Tracer, nOps int) {
 	}
 }
 
-// TestAggMatchesAnalyze feeds the same trace through batch Analyze and
-// incremental Agg and requires counts and totals to match exactly,
-// phases to match within per-instance rounding, and quantiles within the
-// histogram's bucket resolution.
+// TestAggMatchesAnalyze feeds the same trace to a live Agg and to
+// Analyze's replay of the retained events and requires identical
+// reports: counts, totals, every phase and every quantile.
 func TestAggMatchesAnalyze(t *testing.T) {
 	t.Parallel()
 	tr := trace.New()
@@ -76,51 +59,41 @@ func TestAggMatchesAnalyze(t *testing.T) {
 	const nOps = 200
 	buildWorkload(tr, nOps)
 
-	batch := Analyze(tr)
+	replay := Analyze(tr)
 	if agg.Open() != 0 {
 		t.Fatalf("%d ops still open after drain", agg.Open())
 	}
-	incr := agg.Report()
+	live := agg.Report()
 
-	if len(batch.Ops) != len(incr.Ops) {
-		t.Fatalf("op-type counts differ: batch %d, incr %d", len(batch.Ops), len(incr.Ops))
+	if len(replay.Ops) != 4 || len(replay.Ops) != len(live.Ops) {
+		t.Fatalf("op-type counts: replay %d, live %d, want 4", len(replay.Ops), len(live.Ops))
 	}
-	for i, bs := range batch.Ops {
-		is := incr.Ops[i]
-		if bs.Name != is.Name || bs.Count != is.Count || bs.TotalNs != is.TotalNs {
-			t.Errorf("op %s: batch (n=%d tot=%d) vs incr (%s n=%d tot=%d)",
-				bs.Name, bs.Count, bs.TotalNs, is.Name, is.Count, is.TotalNs)
+	for i, rs := range replay.Ops {
+		ls := live.Ops[i]
+		if rs.Name != ls.Name || rs.Count != ls.Count || rs.TotalNs != ls.TotalNs ||
+			rs.Start != ls.Start || rs.End != ls.End {
+			t.Errorf("op %s: replay %+v vs live %+v", rs.Name, rs, ls)
 			continue
 		}
-		// Phases: aggregate redistribution rounds once per op type where
-		// batch rounds once per instance — allow 1 ns per instance slack.
-		tol := int64(bs.Count) + 1
 		for _, ph := range Phases {
-			d := bs.Phases[ph] - is.Phases[ph]
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
-				t.Errorf("op %s phase %s: batch %d vs incr %d (tol %d)",
-					bs.Name, ph, bs.Phases[ph], is.Phases[ph], tol)
+			if rs.Phases[ph] != ls.Phases[ph] {
+				t.Errorf("op %s phase %s: replay %d vs live %d", rs.Name, ph, rs.Phases[ph], ls.Phases[ph])
 			}
 		}
-		// Quantiles: histogram buckets are 2^(1/8) apart (~9%).
 		for _, q := range []float64{0.50, 0.95, 0.99, 0.999} {
-			b, v := float64(bs.Quantile(q)), float64(is.Quantile(q))
-			if b == 0 && v == 0 {
-				continue
-			}
-			if v < b*0.99 || v > b*1.10 {
-				t.Errorf("op %s q%.3f: batch %.0f vs incr %.0f (>9%% off)", bs.Name, q, b, v)
+			if rq, lq := rs.Quantile(q), ls.Quantile(q); rq != lq {
+				t.Errorf("op %s q%.3f: replay %d vs live %d", rs.Name, q, rq, lq)
 			}
 		}
+	}
+	if replay.String() != live.String() {
+		t.Errorf("tables differ:\n%s\n---\n%s", replay, live)
 	}
 }
 
 // TestAggDiscardMode checks the aggregate-only configuration: observer +
 // discard retains nothing yet produces the identical report to observer +
-// buffer, and rendering works off the histogram-backed stats.
+// buffer, and rendering works off the aggregated stats.
 func TestAggDiscardMode(t *testing.T) {
 	t.Parallel()
 	run := func(discard bool) (*Agg, *trace.Tracer) {
@@ -147,8 +120,8 @@ func TestAggDiscardMode(t *testing.T) {
 	}
 }
 
-// TestAggRootless checks that ops whose root never arrives are dropped,
-// matching Analyze's behaviour for rootless span groups.
+// TestAggRootless checks that ops whose root never arrives stay open and
+// out of the report.
 func TestAggRootless(t *testing.T) {
 	t.Parallel()
 	agg := NewAgg()

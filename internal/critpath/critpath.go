@@ -7,13 +7,18 @@
 // queueing, network transmission (serialization), WAN propagation, disk
 // service, and cache machinery.
 //
+// One algorithm computes every report: Agg (agg.go) analyzes each
+// operation the moment its root span is recorded, live during a run or
+// replayed from a dump by Analyze, and keeps only in-flight spans plus a
+// few words per finished op, so reports are exact at any run length.
+//
 // Foreground operations often block not on their own I/O but on shared
 // background work: a ReadAt waits on a demand fetch another read
 // started, a Sync on the flush drain. Those waits appear in traces as
-// cache "*_wait" spans; Analyze redistributes their time over the
-// aggregate phase profile of the background op type that did the work
-// ("fetch" or "flush"), so the final table answers "where did the time
-// go" truthfully — e.g. a sync whose flushes sat in RAID5
+// cache "*_wait" spans; each waiting instance's time is redistributed
+// over the aggregate phase profile of the background op type that did
+// the work ("fetch" or "flush"), so the final table answers "where did
+// the time go" truthfully — e.g. a sync whose flushes sat in RAID5
 // read-modify-write is charged to disk, not to an opaque cache bucket.
 //
 // Two pipelining stalls are charged directly instead of redistributed,
@@ -34,7 +39,6 @@ import (
 	"sort"
 	"strings"
 
-	"gfs/internal/metrics"
 	"gfs/internal/trace"
 )
 
@@ -64,13 +68,14 @@ var Phases = []string{
 	PhaseDiskQueue, PhaseDisk, PhaseCache, PhasePrefetch, PhaseWriteback, PhaseOther,
 }
 
-// waitTarget maps a cache wait-span name to the background op type whose
-// aggregate profile absorbs the waited time. prefetch_hit and writeback
-// spans are deliberately absent: they charge to their own phases.
-var waitTarget = map[string]string{
-	"fetch_wait": "fetch",
-	"sync_wait":  "flush",
-}
+// waitTargets names the background op types whose profiles absorb
+// cache wait time, and waitTarget maps each wait-span name to its index
+// there. prefetch_hit and writeback spans are deliberately absent: they
+// charge to their own phases.
+var (
+	waitTargets = [2]string{"fetch", "flush"}
+	waitTarget  = map[string]int{"fetch_wait": 0, "sync_wait": 1}
+)
 
 // OpInstance is one analyzed operation.
 type OpInstance struct {
@@ -80,28 +85,23 @@ type OpInstance struct {
 	Start  int64
 	E2E    int64            // end-to-end nanoseconds (root span duration)
 	Phases map[string]int64 // critical-path nanoseconds per phase
-	waits  map[string]int64 // wait ns pending redistribution, by target op type
+	waits  [2]int64         // wait ns pending redistribution, by waitTargets index
 }
 
 // OpStats aggregates all instances of one op type.
 type OpStats struct {
-	Name    string
-	Count   int
-	TotalNs int64
-	lats    []int64            // sorted ascending (batch Analyze)
-	hist    *metrics.Histogram // bucketed latencies (incremental Agg)
-	Phases  map[string]int64
+	Name       string
+	Count      int
+	TotalNs    int64
+	Start, End int64   // first start and last end of any instance
+	lats       []int64 // sorted ascending
+	Phases     map[string]int64
 }
 
-// Quantile returns the q-quantile (0 < q <= 1) of the op type's
-// end-to-end latencies: exact nearest-rank when the raw latencies were
-// retained (Analyze), bucket-resolution (~9%) when they were folded into
-// a histogram (Agg).
+// Quantile returns the exact nearest-rank q-quantile (0 < q <= 1) of the
+// op type's end-to-end latencies.
 func (s *OpStats) Quantile(q float64) int64 {
 	if len(s.lats) == 0 {
-		if s.hist != nil {
-			return int64(s.hist.Quantile(q))
-		}
 		return 0
 	}
 	i := int(q*float64(len(s.lats))+0.9999999) - 1
@@ -114,10 +114,17 @@ func (s *OpStats) Quantile(q float64) int64 {
 	return s.lats[i]
 }
 
+// profile is a background op type's summed critical-path phases before
+// any redistribution: the shape its waiters' time is spread over.
+type profile struct {
+	phases map[string]int64
+	total  int64
+}
+
 // Report is the analysis product for one trace.
 type Report struct {
-	Ops   []*OpStats // sorted by op-type name
-	insts []*OpInstance
+	Ops []*OpStats // sorted by op-type name
+	bg  [2]profile // by waitTargets index
 }
 
 // node is one span in an op's tree during analysis.
@@ -130,55 +137,57 @@ type node struct {
 
 func (n *node) end() int64 { return n.ev.TS + n.ev.Dur }
 
-// Analyze reconstructs every op tree in the tracer's buffer and returns
-// the attribution report.
+// Analyze replays every event retained by t through an aggregator and
+// returns its report: the offline twin of a live Agg observer.
 func Analyze(t *trace.Tracer) *Report {
+	a := NewAgg()
 	events := t.Events()
-	// Group span events by op, preserving emission order. Op IDs are
-	// collected in first-appearance order and sorted for determinism.
-	byOp := map[int64][]*node{}
-	var opIDs []int64
 	for i := range events {
-		e := &events[i]
-		if e.Kind != trace.Span || e.Op == 0 {
-			continue
-		}
-		if _, ok := byOp[e.Op]; !ok {
-			opIDs = append(opIDs, e.Op)
-		}
-		byOp[e.Op] = append(byOp[e.Op], &node{ev: e, idx: i, args: t.EvArgs(e)})
+		a.Observe(events[i], t.EvArgs(&events[i]))
 	}
-	sort.Slice(opIDs, func(i, j int) bool { return opIDs[i] < opIDs[j] })
-
-	rep := &Report{}
-	for _, op := range opIDs {
-		if inst := analyzeOp(op, byOp[op]); inst != nil {
-			rep.insts = append(rep.insts, inst)
-		}
-	}
-	rep.redistribute()
-	rep.aggregate()
-	return rep
+	return a.Report()
 }
 
-// analyzeOp builds one op's tree and walks its critical path.
-func analyzeOp(op int64, nodes []*node) *OpInstance {
+// spans returns op's span nodes in t, in emission order.
+func spans(t *trace.Tracer, op int64) []*node {
+	events := t.Events()
+	var nodes []*node
+	for i := range events {
+		if e := &events[i]; e.Kind == trace.Span && e.Op == op {
+			nodes = append(nodes, &node{ev: e, idx: i, args: t.EvArgs(e)})
+		}
+	}
+	return nodes
+}
+
+// link wires each node under its parent and returns, in emission order,
+// the nodes with no parent among nodes: roots and orphans.
+func link(nodes []*node) []*node {
 	bySID := map[int64]*node{}
-	var root *node
 	for _, n := range nodes {
 		if n.ev.SID != 0 {
 			bySID[n.ev.SID] = n
 		}
 	}
+	var roots []*node
 	for _, n := range nodes {
-		if n.ev.Parent == 0 {
-			if n.ev.Cat == "op" && root == nil {
-				root = n
-			}
-			continue
-		}
-		if p, ok := bySID[n.ev.Parent]; ok && p != n {
+		if p, ok := bySID[n.ev.Parent]; n.ev.Parent != 0 && ok {
 			p.children = append(p.children, n)
+		} else {
+			roots = append(roots, n)
+		}
+	}
+	return roots
+}
+
+// analyzeOp builds one op's tree and walks its critical path. The root
+// is the first parentless "op" span; orphaned spans are ignored.
+func analyzeOp(op int64, nodes []*node) *OpInstance {
+	var root *node
+	for _, n := range link(nodes) {
+		if n.ev.Parent == 0 && n.ev.Cat == "op" {
+			root = n
+			break
 		}
 	}
 	if root == nil {
@@ -187,7 +196,7 @@ func analyzeOp(op int64, nodes []*node) *OpInstance {
 	inst := &OpInstance{
 		ID: op, Name: root.ev.Name, Track: root.ev.Track,
 		Start: root.ev.TS, E2E: root.ev.Dur,
-		Phases: map[string]int64{}, waits: map[string]int64{},
+		Phases: map[string]int64{},
 	}
 	attribute(root, root.ev.TS, root.end(), inst, "")
 	return inst
@@ -203,11 +212,7 @@ func analyzeOp(op int64, nodes []*node) *OpInstance {
 // transport.
 func attribute(n *node, lo, hi int64, inst *OpInstance, absorb string) {
 	if hi <= lo {
-		if hi == lo && n.ev.Parent == 0 {
-			// Zero-duration op: nothing to attribute.
-			return
-		}
-		return
+		return // zero-duration interval: nothing to attribute
 	}
 	kids := n.children
 	if len(kids) > 1 {
@@ -296,8 +301,8 @@ func charge(n *node, lo, hi int64, inst *OpInstance, absorb string) {
 		case "writeback":
 			inst.Phases[PhaseWriteback] += d
 		default:
-			if target, ok := waitTarget[e.Name]; ok {
-				inst.waits[target] += d
+			if k, ok := waitTarget[e.Name]; ok {
+				inst.waits[k] += d
 			} else {
 				inst.Phases[PhaseCache] += d
 			}
@@ -344,107 +349,70 @@ func chargeFlow(n *node, lo, hi int64, inst *OpInstance) {
 	}
 }
 
-// redistribute converts each instance's pending wait time into concrete
-// phases using the aggregate profile of the target background op type.
-// With no observed background ops of that type, the wait stays in the
-// cache phase.
-func (r *Report) redistribute() {
-	profiles := map[string]map[string]int64{}
-	totals := map[string]int64{}
-	for _, in := range r.insts {
-		if in.Name != "fetch" && in.Name != "flush" {
+// redistribute charges one instance's background waits to concrete
+// phases in proportion to the fetch or flush profile, handing the
+// rounding remainder to the profile's largest phase. With no observed
+// background work of that type, the wait stays in the cache phase.
+func (r *Report) redistribute(phases map[string]int64, waits [2]int64) {
+	for k, w := range waits {
+		if w == 0 {
 			continue
 		}
-		prof := profiles[in.Name]
-		if prof == nil {
-			prof = map[string]int64{}
-			profiles[in.Name] = prof
+		prof := r.bg[k]
+		if prof.total == 0 {
+			phases[PhaseCache] += w
+			continue
 		}
-		for ph, d := range in.Phases {
-			prof[ph] += d
-			totals[in.Name] += d
-		}
-	}
-	for _, in := range r.insts {
-		for _, target := range []string{"fetch", "flush"} {
-			w := in.waits[target]
-			if w == 0 {
+		distributed := int64(0)
+		maxPh, maxV := PhaseCache, int64(-1)
+		for _, ph := range Phases {
+			v := prof.phases[ph]
+			if v == 0 {
 				continue
 			}
-			prof, tot := profiles[target], totals[target]
-			if tot == 0 {
-				in.Phases[PhaseCache] += w
-				continue
-			}
-			distributed := int64(0)
-			maxPh, maxV := PhaseCache, int64(-1)
-			for _, ph := range Phases {
-				v := prof[ph]
-				if v == 0 {
-					continue
-				}
-				share := int64(float64(w) * (float64(v) / float64(tot)))
-				in.Phases[ph] += share
-				distributed += share
-				if v > maxV {
-					maxPh, maxV = ph, v
-				}
-			}
-			if rem := w - distributed; rem != 0 {
-				in.Phases[maxPh] += rem // rounding remainder to the largest phase
+			share := int64(float64(w) * (float64(v) / float64(prof.total)))
+			phases[ph] += share
+			distributed += share
+			if v > maxV {
+				maxPh, maxV = ph, v
 			}
 		}
-		in.waits = nil
+		if rem := w - distributed; rem != 0 {
+			phases[maxPh] += rem
+		}
 	}
 }
 
-// aggregate folds instances into per-op-type stats.
-func (r *Report) aggregate() {
-	byName := map[string]*OpStats{}
-	for _, in := range r.insts {
-		s := byName[in.Name]
-		if s == nil {
-			s = &OpStats{Name: in.Name, Phases: map[string]int64{}}
-			byName[in.Name] = s
-		}
-		s.Count++
-		s.TotalNs += in.E2E
-		s.lats = append(s.lats, in.E2E)
-		for ph, d := range in.Phases {
-			s.Phases[ph] += d
+// Slowest analyzes the n operations in t with the longest root spans
+// (ties: ascending op ID) and redistributes their waits over r's
+// background profiles, so each instance's phases read like r's rows. r
+// should be the report of the same trace.
+func (r *Report) Slowest(t *trace.Tracer, n int) []*OpInstance {
+	type root struct{ op, dur int64 }
+	var roots []root
+	events := t.Events()
+	for i := range events {
+		if e := &events[i]; e.Kind == trace.Span && e.Op != 0 && e.Parent == 0 && e.Cat == "op" {
+			roots = append(roots, root{e.Op, e.Dur})
 		}
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	r.Ops = r.Ops[:0]
-	for _, n := range names {
-		s := byName[n]
-		sort.Slice(s.lats, func(i, j int) bool { return s.lats[i] < s.lats[j] })
-		r.Ops = append(r.Ops, s)
-	}
-}
-
-// Slowest returns up to n analyzed instances ordered by descending
-// end-to-end latency (ties: ascending op ID).
-func (r *Report) Slowest(n int) []*OpInstance {
-	out := append([]*OpInstance(nil), r.insts...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].E2E != out[j].E2E {
-			return out[i].E2E > out[j].E2E
+	sort.Slice(roots, func(i, j int) bool {
+		if roots[i].dur != roots[j].dur {
+			return roots[i].dur > roots[j].dur
 		}
-		return out[i].ID < out[j].ID
+		return roots[i].op < roots[j].op
 	})
-	if n < len(out) {
-		out = out[:n]
+	if n < len(roots) {
+		roots = roots[:n]
+	}
+	out := make([]*OpInstance, 0, len(roots))
+	for _, rt := range roots {
+		inst := analyzeOp(rt.op, spans(t, rt.op))
+		r.redistribute(inst.Phases, inst.waits)
+		out = append(out, inst)
 	}
 	return out
 }
-
-// Instances returns every analyzed op in op-ID order.
-func (r *Report) Instances() []*OpInstance { return r.insts }
 
 // fmtMs renders nanoseconds as fixed-format milliseconds.
 func fmtMs(ns int64) string {
@@ -539,36 +507,23 @@ func (r *Report) WriteOpLat(w io.Writer) {
 }
 
 // WriteTree renders the span tree of one operation, indented, for
-// offline drill-down (gfsprof -op).
+// offline drill-down (gfsprof -op). Spans whose parent chain loops
+// without reaching a root are rendered as roots where the loop is cut.
 func WriteTree(w io.Writer, t *trace.Tracer, op int64) {
-	events := t.Events()
-	var nodes []*node
-	for i := range events {
-		e := &events[i]
-		if e.Kind == trace.Span && e.Op == op {
-			nodes = append(nodes, &node{ev: e, idx: i, args: t.EvArgs(e)})
-		}
-	}
+	nodes := spans(t, op)
 	if len(nodes) == 0 {
 		fmt.Fprintf(w, "critpath: no spans for op %d\n", op)
 		return
 	}
-	bySID := map[int64]*node{}
-	for _, n := range nodes {
-		if n.ev.SID != 0 {
-			bySID[n.ev.SID] = n
-		}
+	roots := link(nodes)
+	base := nodes[0].ev.TS
+	if len(roots) > 0 {
+		base = roots[0].ev.TS
 	}
-	var roots []*node
-	for _, n := range nodes {
-		if p, ok := bySID[n.ev.Parent]; n.ev.Parent != 0 && ok && p != n {
-			p.children = append(p.children, n)
-		} else {
-			roots = append(roots, n)
-		}
-	}
-	var dump func(n *node, depth int, base int64)
-	dump = func(n *node, depth int, base int64) {
+	done := map[*node]bool{}
+	var dump func(n *node, depth int)
+	dump = func(n *node, depth int) {
+		done[n] = true
 		e := n.ev
 		fmt.Fprintf(w, "%s%s/%s [%s +%s] %s\n",
 			strings.Repeat("  ", depth), e.Cat, e.Name,
@@ -581,11 +536,14 @@ func WriteTree(w io.Writer, t *trace.Tracer, op int64) {
 			return kids[i].idx < kids[j].idx
 		})
 		for _, k := range kids {
-			dump(k, depth+1, base)
+			if !done[k] {
+				dump(k, depth+1)
+			}
 		}
 	}
-	base := roots[0].ev.TS
-	for _, rt := range roots {
-		dump(rt, 0, base)
+	for _, n := range append(roots, nodes...) {
+		if !done[n] {
+			dump(n, 0)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 package critpath
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"gfs/internal/trace"
 )
 
-// buildOp emits a hand-built span tree onto tr and returns the op ID.
-// Spans are given as (sid, parent, cat, name, start, end).
+// spanSpec is one span of a hand-built operation tree.
 type spanSpec struct {
 	sid, parent int64
 	cat, name   string
@@ -16,8 +16,20 @@ type spanSpec struct {
 	args        []trace.Arg
 }
 
+// emitOp records a hand-built span tree onto tr in end-time order (ties:
+// child before parent), which is how a live run records spans — each is
+// recorded when it ends, and a root interval ends last. The aggregator
+// analyzes an op when its root arrives, so it depends on this ordering.
 func emitOp(tr *trace.Tracer, op int64, spans []spanSpec) {
-	for _, s := range spans {
+	ordered := append([]spanSpec(nil), spans...)
+	sort.SliceStable(ordered, func(i, j int) bool {
+		a, b := ordered[i], ordered[j]
+		if a.end != b.end {
+			return a.end < b.end
+		}
+		return a.parent != 0 && b.parent == 0
+	})
+	for _, s := range ordered {
 		tr.SpanCtx(trace.Ctx{Op: op, Parent: s.parent}, s.sid, s.cat, s.name, "t",
 			s.start, s.end, s.args...)
 	}
@@ -335,7 +347,7 @@ func TestSlowest(t *testing.T) {
 		})
 	}
 	r := Analyze(tr)
-	top := r.Slowest(3)
+	top := r.Slowest(tr, 3)
 	if len(top) != 3 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -363,5 +375,51 @@ func TestWriteTree(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("tree missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// Two spans that name each other as parent form a loop with no root;
+// WriteTree must render them rather than index an empty root list.
+func TestWriteTreeParentCycle(t *testing.T) {
+	t.Parallel()
+	tr := trace.New()
+	emitOp(tr, 3, []spanSpec{
+		{sid: 1, parent: 2, cat: "rpc", name: "a", start: 0, end: 10},
+		{sid: 2, parent: 1, cat: "rpc", name: "b", start: 2, end: 8},
+	})
+	var b strings.Builder
+	WriteTree(&b, tr, 3)
+	out := b.String()
+	for _, want := range []string{"rpc/a", "rpc/b"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("tree missing %q:\n%s", want, out)
+		}
+	}
+	if got := Analyze(tr); len(got.Ops) != 0 {
+		t.Errorf("rootless loop was attributed: %+v", got.Ops)
+	}
+}
+
+// Waits redistribute per instance, with rounding per instance: two reads
+// each waiting 2 ns on a fetch profile of rpc 1 / disk 2 get 0 + 1 ns
+// plus the 1 ns remainder on disk apiece, where splitting their summed
+// 4 ns once would charge rpc 1 ns.
+func TestPerInstanceRedistribution(t *testing.T) {
+	t.Parallel()
+	tr := trace.New()
+	emitOp(tr, 1, []spanSpec{
+		{sid: 1, parent: 0, cat: "op", name: "fetch", start: 0, end: 3},
+		{sid: 0, parent: 1, cat: "nsd", name: "read", start: 1, end: 3},
+		{sid: 2, parent: 1, cat: "rpc", name: "nsd.io", start: 0, end: 1},
+	})
+	for op := int64(2); op <= 3; op++ {
+		emitOp(tr, op, []spanSpec{
+			{sid: op * 10, parent: 0, cat: "op", name: "read", start: 10, end: 12},
+			{sid: 0, parent: op * 10, cat: "cache", name: "fetch_wait", start: 10, end: 12},
+		})
+	}
+	ph := phasesOf(t, Analyze(tr), "read")
+	if ph[PhaseDisk] != 4 || ph[PhaseRPC] != 0 {
+		t.Errorf("disk/rpc = %d/%d, want 4/0", ph[PhaseDisk], ph[PhaseRPC])
 	}
 }

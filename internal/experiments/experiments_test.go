@@ -11,9 +11,33 @@ import (
 // The full-size experiment configs run in the benchmark harness; tests use
 // scaled-down versions to verify construction, plumbing and shape.
 
+// conserved returns an Env that attributes every operation of the test's
+// run and retains no trace events. When the test ends it checks the
+// attribution: every op type's phases sum to its end-to-end total, and
+// no operation is left open after the run drains.
+func conserved(t *testing.T) Env {
+	o := NewObs(ObsConfig{Trace: true, Discard: true})
+	t.Cleanup(func() {
+		if n := o.Agg.Open(); n != 0 {
+			t.Errorf("%d operations still open after the run drained", n)
+		}
+		for _, s := range o.Agg.Report().Ops {
+			var sum int64
+			for _, d := range s.Phases {
+				sum += d
+			}
+			if sum != s.TotalNs {
+				t.Errorf("%s: phases sum to %d ns, end-to-end total is %d ns", s.Name, sum, s.TotalNs)
+			}
+		}
+	})
+	return Env{Obs: o}
+}
+
 func TestSC02Small(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultSC02Config()
+	cfg.Env = conserved(t)
 	cfg.FileSize = 4 * units.GB
 	r := RunSC02(cfg)
 	if r.Headline["sustained MB/s"] < 400 {
@@ -30,6 +54,7 @@ func TestSC02Small(t *testing.T) {
 func TestSC03Small(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultSC03Config()
+	cfg.Env = conserved(t)
 	cfg.Servers = 10
 	cfg.VizNodes = 12
 	cfg.Files = 24
@@ -58,6 +83,7 @@ func TestSC03Small(t *testing.T) {
 func TestSC04Small(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultSC04Config()
+	cfg.Env = conserved(t)
 	cfg.Servers = 12
 	cfg.SiteNodes = 10
 	cfg.ReadFiles = 20
@@ -79,6 +105,7 @@ func TestSC04Small(t *testing.T) {
 func TestStorCloudSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultStorCloudConfig()
+	cfg.Env = conserved(t)
 	cfg.Servers = 10
 	cfg.Arrays = 8
 	cfg.PerServer = 2 * units.GiB
@@ -96,6 +123,7 @@ func TestStorCloudSmall(t *testing.T) {
 func TestProductionSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultProductionConfig()
+	cfg.Env = conserved(t)
 	cfg.Servers = 16
 	cfg.Arrays = 8
 	cfg.NodeCounts = []int{2, 8, 16}
@@ -119,6 +147,7 @@ func TestProductionSmall(t *testing.T) {
 func TestANLSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultANLConfig()
+	cfg.Env = conserved(t)
 	cfg.Production.Servers = 16
 	cfg.Production.Arrays = 8
 	cfg.ANLNodes = 16
@@ -137,6 +166,7 @@ func TestANLSmall(t *testing.T) {
 func TestDEISASmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultDEISAConfig()
+	cfg.Env = conserved(t)
 	cfg.Sites = []string{"cineca", "fzj", "rzg"}
 	cfg.Servers = 4
 	cfg.FileSize = 512 * units.MiB
@@ -155,6 +185,7 @@ func TestDEISASmall(t *testing.T) {
 func TestParadigmSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultParadigmConfig()
+	cfg.Env = conserved(t)
 	cfg.FileSize = 8 * units.GB
 	cfg.Queries = 100
 	cfg.TouchedFiles = 4
@@ -173,6 +204,7 @@ func TestParadigmSmall(t *testing.T) {
 func TestHSMSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultHSMConfig()
+	cfg.Env = conserved(t)
 	cfg.Files = 12
 	cfg.FileSize = 200 * units.GB
 	cfg.DiskPool = units.TB
@@ -217,6 +249,7 @@ func TestRegistryAndRendering(t *testing.T) {
 func TestCacheExperimentSmall(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultCacheConfig()
+	cfg.Env = conserved(t)
 	cfg.Files = 6
 	cfg.FileSize = 64 * units.MiB
 	cfg.Budget = 512 * units.MiB
@@ -231,5 +264,15 @@ func TestCacheExperimentSmall(t *testing.T) {
 	}
 	if r.Headline["cache hits"] == 0 {
 		t.Error("no cache hits")
+	}
+}
+
+func TestMetastormSmall(t *testing.T) {
+	t.Parallel()
+	cfg := smallMetastorm(conserved(t))
+	cfg.Shards = []int{0, 4}
+	r := RunMetastorm(cfg)
+	if r.Headline["speedup @4 shards"] <= 1 {
+		t.Errorf("4 shards speedup = %.2f over the central manager, want > 1", r.Headline["speedup @4 shards"])
 	}
 }

@@ -34,7 +34,7 @@ func smallFailover(env Env) FailoverConfig {
 // rate after the restart, with no read ever surfacing an error.
 func TestFailoverRecovers(t *testing.T) {
 	t.Parallel()
-	res := RunFailover(smallFailover(Env{}))
+	res := RunFailover(smallFailover(conserved(t)))
 	pre := res.Headline["pre-fault Gb/s"]
 	dip := res.Headline["dip Gb/s"]
 	post := res.Headline["post-recovery Gb/s"]

@@ -31,7 +31,8 @@ type Env struct {
 // ObsConfig selects what the observability layer collects while
 // experiments run.
 type ObsConfig struct {
-	// Trace collects virtual-time events for the Chrome/JSONL exporters.
+	// Trace collects virtual-time events for the Chrome/JSONL exporters
+	// and attributes every operation's latency as it completes (Obs.Agg).
 	Trace bool
 	// Stats attaches a metrics registry and enables mmpmon snapshots.
 	Stats bool
@@ -58,10 +59,10 @@ type ObsConfig struct {
 	Stream io.Writer
 	// Ring retains only the last n events (0 = unbounded buffer).
 	Ring int
-	// Agg folds spans into an incremental critpath aggregate as they are
-	// recorded. Without Stream or Ring the tracer is put in discard mode:
-	// attribution with zero event retention.
-	Agg bool
+	// Discard retains no events: the aggregator still attributes every
+	// operation, but the tracer keeps nothing for the exporters (Stream
+	// and Ring take precedence).
+	Discard bool
 
 	// Timeline attaches a timeline.Collector to every simulator: per-
 	// interval rates for every resource (NSD servers, links, clients,
@@ -92,7 +93,7 @@ type Obs struct {
 	cfg      ObsConfig
 	Tracer   *trace.Tracer
 	Registry *metrics.Registry
-	// Agg is the incremental critical-path aggregator (cfg.Agg only).
+	// Agg attributes every traced operation's latency (cfg.Trace only).
 	Agg      *critpath.Agg
 	sims     []*sim.Sim
 	nets     []*netsim.Network
@@ -125,18 +126,15 @@ func NewObs(cfg ObsConfig) *Obs {
 		// trace.Config resolves retention precedence (Stream > Ring >
 		// Discard > buffer) exactly as the CLI always did, so the whole
 		// bounded-memory surface maps onto one declarative struct.
-		tc := trace.Config{
+		o.Agg = critpath.NewAgg()
+		o.Tracer = trace.New()
+		o.Tracer.Configure(trace.Config{
 			SampleOneIn: cfg.SampleOneIn,
 			Stream:      cfg.Stream,
 			Ring:        cfg.Ring,
-			Discard:     cfg.Agg,
-		}
-		if cfg.Agg {
-			o.Agg = critpath.NewAgg()
-			tc.Observer = o.Agg.Observe
-		}
-		o.Tracer = trace.New()
-		o.Tracer.Configure(tc)
+			Discard:     cfg.Discard,
+			Observer:    o.Agg.Observe,
+		})
 	}
 	if cfg.Stats {
 		o.Registry = metrics.NewRegistry()
@@ -377,8 +375,8 @@ func (o *Obs) WriteSolverReport(w io.Writer) {
 
 // snapshotSim writes one mmpmon snapshot for the clusters living on s.
 // With tracing on, the counters are followed by an op_lat section —
-// per-op-type latency quantiles with critical-path phase percentages,
-// derived from the events recorded so far.
+// per-op-type latency quantiles with critical-path phase percentages of
+// the operations attributed so far.
 func (o *Obs) snapshotSim(w io.Writer, s *sim.Sim) {
 	var cs []*core.Cluster
 	for _, c := range o.clusters {
@@ -393,8 +391,6 @@ func (o *Obs) snapshotSim(w io.Writer, s *sim.Sim) {
 	core.WriteMmpmonHists(w, o.Registry)
 	if o.Agg != nil {
 		o.Agg.Report().WriteOpLat(w)
-	} else if o.Tracer != nil && o.Tracer.Len() > 0 {
-		critpath.Analyze(o.Tracer).WriteOpLat(w)
 	}
 }
 

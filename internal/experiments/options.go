@@ -31,8 +31,7 @@ type Options struct {
 	JSONLOut    string        // raw JSONL trace path
 	Stats       bool          // mmpmon snapshot + metrics registry
 	Interval    time.Duration // periodic live snapshots, simulated time
-	Attr        bool          // batch critical-path attribution
-	AttrAgg     bool          // incremental attribution, zero retention
+	Attr        bool          // critical-path attribution per experiment
 	JSONLStream string        // stream JSONL as events happen (O(1) memory)
 	TraceSample uint64        // keep one traced op in N
 	TraceRing   int           // retain only the last N trace events
@@ -84,8 +83,6 @@ func (o *Options) RegisterTrace(fs *flag.FlagSet) {
 		"also print live mmpmon snapshots every so much simulated time (e.g. 5s)")
 	fs.BoolVar(&o.Attr, "attr", false,
 		"print a critical-path latency attribution report per experiment")
-	fs.BoolVar(&o.AttrAgg, "attr-agg", false,
-		"critical-path attribution computed incrementally with zero event retention")
 	fs.StringVar(&o.JSONLStream, "jsonl-stream", "",
 		"stream trace events to this JSONL file as they happen (O(1) trace memory)")
 	fs.Uint64Var(&o.TraceSample, "trace-sample", 0,
@@ -184,9 +181,6 @@ func (o *Options) Validate() error {
 	if o.JSONLStream != "" && (o.TraceOut != "" || o.JSONLOut != "" || o.TraceRing > 0) {
 		return fmt.Errorf("-jsonl-stream retains nothing; it cannot combine with -trace/-jsonl/-trace-ring")
 	}
-	if o.Attr && o.AttrAgg {
-		return fmt.Errorf("pick one of -attr (batch, retains the trace) or -attr-agg (incremental, retains nothing)")
-	}
 	return nil
 }
 
@@ -225,7 +219,7 @@ func (o *Options) SizeBytes() (units.Bytes, error) {
 
 // NeedTrace reports whether any requested output requires a tracer.
 func (o *Options) NeedTrace() bool {
-	return o.TraceOut != "" || o.JSONLOut != "" || o.Attr || o.AttrAgg ||
+	return o.TraceOut != "" || o.JSONLOut != "" || o.Attr ||
 		o.JSONLStream != "" || o.TraceSample > 1 || o.TraceRing > 0
 }
 
@@ -253,7 +247,7 @@ func (o *Options) ObsConfig(out io.Writer) ObsConfig {
 		Engine:      o.EngineStats,
 		SampleOneIn: o.TraceSample,
 		Ring:        o.TraceRing,
-		Agg:         o.AttrAgg,
+		Discard:     o.TraceOut == "" && o.JSONLOut == "",
 	}
 	if cfg.Engine && cfg.Trace {
 		// One deterministic engine/sample instant every 4096 events:

@@ -45,7 +45,7 @@ func TestFlagSurface(t *testing.T) {
 		{"engine", (*Options).RegisterEngine,
 			[]string{"engine-stats"}},
 		{"trace", (*Options).RegisterTrace,
-			[]string{"attr", "attr-agg", "interval", "jsonl", "jsonl-stream",
+			[]string{"attr", "interval", "jsonl", "jsonl-stream",
 				"stats", "trace", "trace-ring", "trace-sample"}},
 		{"timeline", (*Options).RegisterTimeline,
 			[]string{"http", "http-hold", "timeline-interval", "timeline-jsonl", "timeline-ring"}},
@@ -114,7 +114,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{JSONLStream: "s.jsonl", TraceOut: "t.json"},
 		{JSONLStream: "s.jsonl", TraceRing: 16},
-		{Attr: true, AttrAgg: true},
 		{Interval: -time.Second},
 		{TimelineInterval: -time.Second},
 		{HTTPHold: -time.Second},
@@ -161,6 +160,13 @@ func TestObsConfigMapping(t *testing.T) {
 	}
 	if cfg.Interval != 5_000_000_000 {
 		t.Fatalf("Interval = %d ns", cfg.Interval)
+	}
+	// Events are retained only for the -trace and -jsonl exporters.
+	if !cfg.Discard {
+		t.Fatal("-attr without -trace/-jsonl retains events")
+	}
+	if c := (&Options{Attr: true, JSONLOut: "t.jsonl"}).ObsConfig(nil); c.Discard {
+		t.Fatal("-jsonl discards the events it exports")
 	}
 	plain := Options{}
 	if c := plain.ObsConfig(nil); c.Trace || c.Timeline || c.Engine || c.Stats {
