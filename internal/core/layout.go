@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gfs/internal/units"
 )
@@ -64,21 +65,14 @@ func (a *Allocator) Alloc() (int64, bool) {
 	if a.used >= a.total {
 		return 0, false
 	}
-	for scanned := int64(0); scanned < a.total; scanned++ {
-		i := (a.hint + scanned) % a.total
-		w, b := i/64, uint(i%64)
-		if a.words[w]&(1<<b) == 0 {
-			a.words[w] |= 1 << b
-			a.used++
-			a.hint = i + 1
-			return i, true
-		}
-		// Skip whole full words for speed.
-		if b == 0 && a.words[w] == ^uint64(0) {
-			scanned += 63
-		}
+	i := a.nextFree(a.hint % a.total)
+	if i == a.total {
+		i = a.nextFree(0) // wrap: a free slot exists below the hint
 	}
-	return 0, false
+	a.words[i/64] |= 1 << uint(i%64)
+	a.used++
+	a.hint = i + 1
+	return i, true
 }
 
 // AllocRun claims n consecutive free slots whose start is a multiple of
@@ -98,29 +92,62 @@ func (a *Allocator) AllocRun(n, align int64) (int64, bool) {
 	}
 	steps := (a.total + align - 1) / align // candidate aligned starts
 	base := (a.hint / align) % steps       // next-fit: resume near the hint
-	for s := int64(0); s < steps; s++ {
-		i := ((base + s) % steps) * align
-		if i+n > a.total {
-			continue
+	i, ok := a.firstRun(base*align, steps*align, n, align)
+	if !ok {
+		i, ok = a.firstRun(0, base*align, n, align)
+	}
+	if !ok {
+		return 0, false
+	}
+	for j := i; j < i+n; {
+		w, b := j/64, uint(j%64)
+		bitsHere := min(64-int64(b), i+n-j)
+		a.words[w] |= (^uint64(0) >> uint(64-bitsHere)) << b
+		j += bitsHere
+	}
+	a.used += n
+	a.hint = i + n
+	return i, true
+}
+
+// firstRun returns the first start in [lo, hi), a multiple of align from
+// lo, of n free slots. A candidate that hits a used slot fails, and so
+// does every later start before the next free slot, so the scan jumps
+// there (rounded up to align) instead of stepping one start at a time.
+func (a *Allocator) firstRun(lo, hi, n, align int64) (int64, bool) {
+	for i := lo; i < hi && i+n <= a.total; {
+		used := a.nextUsed(i, i+n)
+		if used == i+n {
+			return i, true
 		}
-		free := true
-		for j := int64(0); j < n; j++ {
-			if a.IsAllocated(i + j) {
-				free = false
-				break
-			}
-		}
-		if !free {
-			continue
-		}
-		for j := int64(0); j < n; j++ {
-			a.words[(i+j)/64] |= 1 << uint((i+j)%64)
-		}
-		a.used += n
-		a.hint = i + n
-		return i, true
+		free := a.nextFree(used + 1)
+		i = (free + align - 1) / align * align
 	}
 	return 0, false
+}
+
+// nextFree returns the first free slot at or after i, or total if none.
+func (a *Allocator) nextFree(i int64) int64 {
+	for i < a.total {
+		w := i / 64
+		if x := ^a.words[w] >> uint(i%64); x != 0 {
+			return min(i+int64(bits.TrailingZeros64(x)), a.total)
+		}
+		i = (w + 1) * 64
+	}
+	return a.total
+}
+
+// nextUsed returns the first allocated slot in [i, end), or end if none.
+func (a *Allocator) nextUsed(i, end int64) int64 {
+	for i < end {
+		w := i / 64
+		if x := a.words[w] >> uint(i%64); x != 0 {
+			return min(i+int64(bits.TrailingZeros64(x)), end)
+		}
+		i = (w + 1) * 64
+	}
+	return end
 }
 
 // IsAllocated reports the state of a slot.

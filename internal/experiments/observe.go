@@ -351,14 +351,16 @@ func (o *Obs) SolverStats() netsim.SolverStats {
 }
 
 // WriteSolverReport prints the rate solver's work: how many solves ran,
-// how many conns they re-rated, and the log2 histogram of solved frontier
-// sizes. Silent when no network ever solved (pure SAN/engine benchmarks).
+// how many conns they re-solved and how many of those changed rate, and
+// the log2 histogram of solved frontier sizes. Silent when no network
+// ever solved (pure SAN/engine benchmarks).
 func (o *Obs) WriteSolverReport(w io.Writer) {
 	st := o.SolverStats()
 	if st.Solves() == 0 {
 		return
 	}
-	fmt.Fprintf(w, "rate solves: %d, re-solved %d conns\n", st.FullSolves, st.RegionConns)
+	fmt.Fprintf(w, "rate solves: %d, re-solved %d conns, %d rate changes\n",
+		st.FullSolves, st.RegionConns, st.RateChanges)
 	fmt.Fprintf(w, "  frontier conns per solve:")
 	for i, n := range st.FrontierHist {
 		if n == 0 {

@@ -18,11 +18,11 @@ const rateEps = 0.5 // bytes; slop for float remaining-byte arithmetic
 // overflows sim.Time.
 const completionHorizon = 1e15
 
-// message is one byte-counted transfer queued on a conn. Messages are
-// recycled through Network.msgFree once delivered.
+// message is one byte-counted transfer queued on a conn; the bytes of
+// the head message still undelivered live on the conn (Conn.headLeft).
+// Messages are recycled through Network.msgFree once delivered.
 type message struct {
 	size        float64
-	remaining   float64
 	enq         sim.Time // when Send queued it
 	started     sim.Time // when it reached the head of the queue
 	ctx         trace.Ctx
@@ -34,14 +34,33 @@ type message struct {
 // has queued bytes it competes for link bandwidth under max-min fairness,
 // capped at cwnd/RTT.
 type Conn struct {
-	net  *Network
-	id   int
-	src  *Node
-	dst  *Node
-	path []*Link
+	// The fields a solve reads for every conn in its region come first
+	// and fill 64 bytes; the completion event it re-arms sits with its
+	// callback and network further down.
 
-	tcp    TCPConfig
-	cwnd   float64 // bytes
+	// mark == Network.epoch while the conn is in the current solve's
+	// region and not yet assigned a rate.
+	mark        uint32
+	active      bool
+	rate        float64 // bytes/sec currently allocated
+	prevRate    float64 // allocation scratch
+	headLeft    float64 // undelivered bytes of the head message
+	lastAdvance sim.Time
+	path        []*Link
+
+	rateCap float64 // cwnd/RTT, cached; updated on dial/activate/bump
+	cwnd    float64 // bytes
+	id      int
+	src     *Node
+	dst     *Node
+	tcp     TCPConfig
+
+	// completionEvt/bumpEvt are caller-owned reusable events (sim.Arm):
+	// the hottest timers in the simulator re-arm with zero allocation.
+	completionEvt sim.Event
+	completionFn  func()
+	net           *Network
+
 	oneWay sim.Time
 	rtt    sim.Time
 
@@ -49,33 +68,18 @@ type Conn struct {
 	// head instead of reslicing, and a drained queue rewinds to the start
 	// of its backing array, so a conn carrying one message at a time
 	// never reallocates it.
-	queue       []*message
-	head        int
-	active      bool
-	actIdx      int     // index in Network.activeList, -1 when inactive
-	rate        float64 // bytes/sec currently allocated
-	prevRate    float64 // allocation scratch
-	rateCap     float64 // cwnd/RTT, cached; updated on dial/activate/bump
-	pathCap     float64 // capacity of the slowest link on path (+Inf if none)
-	lastAdvance sim.Time
-	idleSince   sim.Time
+	queue     []*message
+	head      int
+	actIdx    int     // index in Network.activeList, -1 when inactive
+	pathCap   float64 // capacity of the slowest link on path (+Inf if none)
+	idleSince sim.Time
 
 	// linkPos[i] is this conn's slot in path[i].conns while active, so
 	// deactivation is O(path) with no map or search.
 	linkPos []int32
 
-	// mark stamps the conn into the current incremental-solve component,
-	// solved stamps it assigned within that solve (both compared against
-	// Network.epoch).
-	mark   uint32
-	solved uint32
-
-	// completionEvt/bumpEvt are caller-owned reusable events (sim.Arm):
-	// the hottest timers in the simulator re-arm with zero allocation.
-	completionEvt sim.Event
-	bumpEvt       sim.Event
-	completionFn  func()
-	bumpFn        func()
+	bumpEvt sim.Event
+	bumpFn  func()
 
 	bytesSent units.Bytes
 	msgsSent  uint64
@@ -179,12 +183,12 @@ func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 		return
 	}
 	m := nw.newMessage()
-	m.size, m.remaining = float64(size), float64(size)
+	m.size = float64(size)
 	m.enq = nw.Sim.Now()
 	m.ctx = ctx
 	m.onDelivered = onDelivered
 	if size == 0 {
-		m.size, m.remaining = 1, 1 // headers are never free
+		m.size = 1 // headers are never free
 	}
 	if c.head > 0 && len(c.queue) == cap(c.queue) {
 		// Full with delivered slots at the front: slide the live
@@ -218,7 +222,7 @@ func (c *Conn) activate() {
 	c.active = true
 	nw.capIndexAdd(c)
 	c.lastAdvance = now
-	c.queue[c.head].started = now
+	c.startHead(now)
 	for i, l := range c.path {
 		c.linkPos[i] = int32(len(l.conns))
 		l.conns = append(l.conns, linkSlot{c: c, pi: int32(i)})
@@ -325,16 +329,22 @@ func (c *Conn) advance(now sim.Time) {
 	}
 	credit := c.rate * (now - c.lastAdvance).Seconds()
 	c.lastAdvance = now
-	for c.head < len(c.queue) {
-		head := c.queue[c.head]
-		if head.remaining > credit+rateEps {
-			head.remaining -= credit
+	for c.active { // an active conn's queue is never empty
+		if c.headLeft > credit+rateEps {
+			c.headLeft -= credit
 			return
 		}
-		credit -= head.remaining
-		head.remaining = 0
+		credit -= c.headLeft
+		c.headLeft = 0
 		c.deliverHead(now)
 	}
+}
+
+// startHead puts the message at the head of the queue on the wire.
+func (c *Conn) startHead(now sim.Time) {
+	m := c.queue[c.head]
+	m.started = now
+	c.headLeft = m.size
 }
 
 func (c *Conn) deliverHead(now sim.Time) {
@@ -386,14 +396,14 @@ func (c *Conn) deliverHead(now sim.Time) {
 	if len(c.queue) == 0 {
 		c.deactivate()
 	} else {
-		c.queue[c.head].started = now
+		c.startHead(now)
 	}
 }
 
 // scheduleCompletion arranges the event at which the head message finishes
 // at the current rate.
 func (c *Conn) scheduleCompletion() {
-	if !c.active || len(c.queue) == 0 || c.rate <= 0 {
+	if !c.active || c.rate <= 0 {
 		if c.completionEvt.Queued() {
 			c.completionEvt.Cancel()
 		}
@@ -404,7 +414,7 @@ func (c *Conn) scheduleCompletion() {
 	// where the conversion wraps and the dt<1 clamp would re-arm it every
 	// nanosecond instead. Park the conn: don't arm at all beyond the
 	// horizon. Any future solve that gives it a real rate reschedules it.
-	ns := c.queue[c.head].remaining / c.rate * 1e9
+	ns := c.headLeft / c.rate * 1e9
 	if ns > completionHorizon {
 		if c.completionEvt.Queued() {
 			c.completionEvt.Cancel()
@@ -607,22 +617,28 @@ func (nw *Network) solve() {
 	for left > 0 {
 		m := math.Inf(1)
 		ties = ties[:0]
+		// A link whose conns are all assigned stays out of every later
+		// round (nActive only falls), so the scan drops it in place,
+		// keeping the live links' order and with it the tie order.
+		live := links[:0]
 		for _, l := range links {
-			if l.nActive > 0 {
-				if s := l.residual / float64(l.nActive); s < m {
-					m = s
-					ties = append(ties[:0], l)
-				} else if s == m {
-					ties = append(ties, l)
-				}
+			if l.nActive == 0 {
+				continue
+			}
+			live = append(live, l)
+			if s := l.residual / float64(l.nActive); s < m {
+				m = s
+				ties = append(ties[:0], l)
+			} else if s == m {
+				ties = append(ties, l)
 			}
 		}
+		links = live
 		if len(ties) == 0 {
 			// No link constraint: should not happen (active conns always
 			// cross >= 1 link), but terminate safely at the window cap.
 			for _, c := range unassigned {
-				if c.solved != epoch {
-					c.solved = epoch
+				if c.mark == epoch {
 					nw.assignRate(c, c.rateCap)
 					left--
 				}
@@ -637,10 +653,9 @@ func (nw *Network) solve() {
 		for capPos < len(capIndex) && capIndex[capPos].rateCap <= m {
 			c := capIndex[capPos]
 			capPos++
-			if c.mark != epoch || c.solved == epoch {
+			if c.mark != epoch {
 				continue // outside the component, or drained via a bottleneck
 			}
-			c.solved = epoch
 			nw.assignRate(c, c.rateCap)
 			left--
 			swept = true
@@ -659,10 +674,9 @@ func (nw *Network) solve() {
 		for _, l := range ties {
 			for _, slot := range l.conns {
 				c := slot.c
-				if c.mark != epoch || c.solved == epoch {
+				if c.mark != epoch {
 					continue // outside the component, or already done
 				}
-				c.solved = epoch
 				nw.assignRate(c, m)
 				left--
 			}
@@ -678,10 +692,12 @@ func (nw *Network) solve() {
 
 // assignRate fixes a conn's allocation, withdraws it from its links, and
 // re-arms its completion event. Every active conn is assigned exactly
-// once per solve (the solved-epoch guard), and its rate is final at that
-// moment, so completion scheduling rides along instead of paying a third
-// full scan over the component.
+// once per solve (it leaves the region's mark behind here, and every
+// caller skips conns without it), and its rate is final at that moment,
+// so completion scheduling rides along instead of paying a third full
+// scan over the component.
 func (nw *Network) assignRate(c *Conn, r float64) {
+	c.mark = nw.epoch - 1
 	c.rate = r
 	for _, l := range c.path {
 		l.residual -= r
@@ -692,7 +708,9 @@ func (nw *Network) assignRate(c *Conn, r float64) {
 	}
 	// A conn whose rate is unchanged keeps its pending completion
 	// event — rescheduling it would be pure queue churn.
-	if r == c.prevRate && c.completionEvt.Queued() {
+	if r != c.prevRate {
+		nw.stats.RateChanges++
+	} else if c.completionEvt.Queued() {
 		return
 	}
 	c.scheduleCompletion()

@@ -140,6 +140,10 @@ type SolverStats struct {
 	FullSolves uint64
 	// RegionConns is the cumulative number of conns re-solved.
 	RegionConns uint64
+	// RateChanges counts the re-solved conns whose assigned rate differs
+	// from their rate before the solve: the share of a region that
+	// really moves, and whose completion event is re-armed.
+	RateChanges uint64
 	// FrontierHist is a log2 histogram of solved component sizes (conns
 	// per solve): bucket i counts solves with [2^(i-1), 2^i) conns.
 	FrontierHist [frontierBuckets]uint64
@@ -149,6 +153,7 @@ type SolverStats struct {
 func (s *SolverStats) Add(other SolverStats) {
 	s.FullSolves += other.FullSolves
 	s.RegionConns += other.RegionConns
+	s.RateChanges += other.RateChanges
 	for i := range s.FrontierHist {
 		s.FrontierHist[i] += other.FrontierHist[i]
 	}
@@ -235,31 +240,30 @@ type linkSlot struct {
 
 // Link is a directed pipe with a capacity and one-way propagation delay.
 type Link struct {
+	// The solver's hot fields come first (see Conn). nActive and
+	// residual are allocation scratch, valid during a solve.
+	mark     uint32 // stamped into the current solve component (vs Network.epoch)
+	nActive  int
+	residual float64
+	cap      float64 // bytes/sec
+	// conns lists the active conns crossing this link, in activation
+	// order with swap-removal — the deterministic replacement for the
+	// old flows map.
+	conns []linkSlot
+
 	net   *Network
 	id    int
 	name  string
 	Src   *Node
 	Dst   *Node
-	cap   float64 // bytes/sec
 	delay sim.Time
 
 	Monitor *metrics.RateMonitor // optional; records delivered bytes
 
 	delivered units.Bytes // cumulative bytes delivered across this link
 
-	down bool // failed link: active conns crossing it stall at rate 0
-
-	// conns lists the active conns crossing this link, in activation
-	// order with swap-removal — the deterministic replacement for the
-	// old flows map.
-	conns []linkSlot
-
-	dirty bool   // queued on Network.dirtyLinks
-	mark  uint32 // stamped into the current solve component (vs Network.epoch)
-
-	// allocation scratch, valid during a solve
-	residual float64
-	nActive  int
+	down  bool // failed link: active conns crossing it stall at rate 0
+	dirty bool // queued on Network.dirtyLinks
 
 	busyIdx int // index in Network.busyLinks, -1 when idle
 }

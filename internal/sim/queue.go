@@ -1,9 +1,22 @@
 package sim
 
-// eventQueue is the pending-event queue behind a Sim: a binary min-heap
+// eventQueue is the pending-event queue behind a Sim, kept in two tiers
 // under the (when, seq) order. The order is total — seq is unique — so
 // dispatch is a pure function of what was scheduled, and a run's event
 // sequence, and therefore every trace byte, is reproducible.
+//
+//   - The near tier h is a binary min-heap holding every event with
+//     when <= limit.
+//   - The far tier far is an unordered slice holding every event with
+//     when > limit. Each event records its slot, so push, move and
+//     remove there are O(1): a flow-completion estimate that is re-armed
+//     again and again before it can fire never pays for heap order.
+//
+// Every far event is later than every near one, so the heap's top is the
+// global minimum. When the heap runs dry, refill selects the k-th
+// smallest far instant, makes it the new limit and moves every far event
+// at or before it into the heap. limit only grows, and seq is never
+// touched, so dispatch order is exactly that of one heap over all events.
 //
 // The contract is narrow on purpose:
 //
@@ -15,10 +28,14 @@ package sim
 //   - pop returns the minimum event and marks it not-queued; it returns
 //     nil when empty.
 //
-// The queue owns each Event's pos and queued fields; nothing else writes
-// them.
+// The queue owns each Event's pos, far and queued fields; nothing else
+// writes them.
 type eventQueue struct {
-	h []*Event
+	h     []*Event // near tier: binary heap, every when <= limit
+	far   []*Event // far tier: unordered, every when > limit
+	limit Time
+
+	whens []Time // refill scratch: the far tier's instants
 }
 
 // eventLess is the dispatch order: time first, scheduling sequence as the
@@ -30,11 +47,11 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) len() int { return len(q.h) }
+func (q *eventQueue) len() int { return len(q.h) + len(q.far) }
 
 // peekWhen returns the minimum timestamp; ok is false when empty.
 func (q *eventQueue) peekWhen() (when Time, ok bool) {
-	if len(q.h) == 0 {
+	if len(q.h) == 0 && !q.refill() {
 		return 0, false
 	}
 	return q.h[0].when, true
@@ -42,15 +59,19 @@ func (q *eventQueue) peekWhen() (when Time, ok bool) {
 
 func (q *eventQueue) push(e *Event) {
 	e.queued = true
+	if e.when > q.limit {
+		q.pushFar(e)
+		return
+	}
 	q.h = append(q.h, e)
 	q.up(len(q.h) - 1)
 }
 
 func (q *eventQueue) pop() *Event {
-	n := len(q.h)
-	if n == 0 {
+	if len(q.h) == 0 && !q.refill() {
 		return nil
 	}
+	n := len(q.h)
 	e := q.h[0]
 	last := q.h[n-1]
 	q.h[n-1] = nil
@@ -65,6 +86,56 @@ func (q *eventQueue) pop() *Event {
 }
 
 func (q *eventQueue) remove(e *Event) {
+	if e.far {
+		q.removeFar(e)
+	} else {
+		q.removeNear(e)
+	}
+	e.queued = false
+	e.pos = -1
+}
+
+// fix restores the tier invariant and heap order after a queued event's
+// key changed. An event that stays in the far tier does not move at all.
+func (q *eventQueue) fix(e *Event) {
+	switch {
+	case e.far && e.when > q.limit:
+	case e.far:
+		q.removeFar(e)
+		q.h = append(q.h, e)
+		q.up(len(q.h) - 1)
+	case e.when > q.limit:
+		q.removeNear(e)
+		q.pushFar(e)
+	default:
+		if i := int(e.pos); !q.up(i) {
+			q.down(i)
+		}
+	}
+}
+
+func (q *eventQueue) pushFar(e *Event) {
+	e.far = true
+	e.pos = int32(len(q.far))
+	q.far = append(q.far, e)
+}
+
+// removeFar swap-removes e from the far tier.
+func (q *eventQueue) removeFar(e *Event) {
+	i := int(e.pos)
+	n := len(q.far) - 1
+	if i < n {
+		last := q.far[n]
+		q.far[i] = last
+		last.pos = int32(i)
+	}
+	q.far[n] = nil
+	q.far = q.far[:n]
+	e.far = false
+}
+
+// removeNear takes e out of the heap, whatever its current key.
+func (q *eventQueue) removeNear(e *Event) {
 	i := int(e.pos)
 	n := len(q.h) - 1
 	last := q.h[n]
@@ -76,15 +147,86 @@ func (q *eventQueue) remove(e *Event) {
 			q.down(i)
 		}
 	}
-	e.queued = false
-	e.pos = -1
 }
 
-// fix restores heap order after a queued event's key changed.
-func (q *eventQueue) fix(e *Event) {
-	if i := int(e.pos); !q.up(i) {
+// refillMin is the least number of far events a refill moves into the
+// heap; a larger far tier moves an eighth of itself, so selection stays
+// O(1) amortized per event however far the tier grows.
+const refillMin = 64
+
+// refill moves the earliest far events into the empty heap and reports
+// whether there were any. The new limit is the k-th smallest far
+// instant, so at least k events move (more on ties at the limit).
+func (q *eventQueue) refill() bool {
+	n := len(q.far)
+	if n == 0 {
+		return false
+	}
+	k := min(max(refillMin, n/8), n)
+	whens := q.whens[:0]
+	for _, e := range q.far {
+		whens = append(whens, e.when)
+	}
+	q.limit = selectKth(whens, k-1)
+	q.whens = whens[:0]
+	// Swap each event at or before the limit out of the far tier.
+	for i := 0; i < len(q.far); {
+		e := q.far[i]
+		if e.when > q.limit {
+			i++
+			continue
+		}
+		q.removeFar(e)
+		e.pos = int32(len(q.h))
+		q.h = append(q.h, e)
+	}
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
 		q.down(i)
 	}
+	return true
+}
+
+// selectKth returns the k-th smallest value of a (0-based), reordering
+// a. Hoare partitioning stops on keys equal to the pivot from both
+// sides, which splits the many equal instants a simulation produces
+// evenly.
+func selectKth(a []Time, k int) Time {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// Median of three as the pivot.
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+		}
+		p := max(x, y)
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo:j+1] <= p, a[j+1:i] == p, a[i:hi+1] >= p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // up sifts the event at index i toward the root, moving parents down

@@ -295,3 +295,257 @@ func BenchmarkEventQueue(b *testing.B) {
 		s.Step()
 	}
 }
+
+// scaleStats counts what a scaleTrace run put the two tiers through.
+type scaleStats struct {
+	peak       int // most events pending at once, by the reference's count
+	toNear     int // queued events re-armed from the far tier into the heap
+	toFar      int // queued events re-armed from the heap into the far tier
+	farCancels int // events canceled while in the far tier
+	limits     int // RunUntil stops at which the tier limit had moved
+}
+
+// scaleTrace runs the queue pattern a shared-bottleneck rate solve makes
+// — about 2,000 pending completion events, and on every dispatch a batch
+// of them re-armed to new instants, most later and some earlier, so
+// events cross the tier limit both ways — with far-tier cancels, pooled
+// posts, a self-rescheduling daemon and RunUntil stops between refills.
+// It records the dispatch order (got) beside the sort-by-(when, seq)
+// reference (want), checking Pending() against the reference's count at
+// every stop and the probe's peak against the reference's at the end.
+func scaleTrace(t *testing.T, seed int64) (got, want []string, st scaleStats) {
+	const conns, rerates, budget = 2000, 8, 12000
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	probe := NewEngineProbe()
+	s.SetEngineProbe(probe)
+	var refs []*refEvent
+	pending := 0
+	note := func(when Time, tag string, daemon bool) *refEvent {
+		r := &refEvent{when: when, seq: s.seq, tag: tag, daemon: daemon}
+		refs = append(refs, r)
+		pending++
+		st.peak = max(st.peak, pending)
+		return r
+	}
+	record := func(tag string) {
+		got = append(got, fmt.Sprintf("%d:%s", int64(s.Now()), tag))
+		pending--
+	}
+	delay := func() Time {
+		if rng.Intn(4) == 0 {
+			return Time(rng.Intn(2000)) // near: likely under the limit
+		}
+		return Time(1000 + rng.Intn(2_000_000))
+	}
+
+	type conn struct {
+		e   Event
+		ref *refEvent
+		id  int
+		gen int
+	}
+	cs := make([]*conn, conns)
+	fired := 0
+	var rearm func(c *conn, d Time)
+	var onConn func(c *conn)
+	cancel := func(c *conn) {
+		if !c.e.Queued() {
+			return
+		}
+		if c.e.far {
+			st.farCancels++
+		}
+		c.e.Cancel()
+		c.ref.canceled = true
+		pending--
+	}
+	rearm = func(c *conn, d Time) {
+		queued, wasFar := c.e.Queued(), c.e.far
+		if queued {
+			c.ref.canceled = true
+			pending--
+		}
+		c.gen++
+		tag := fmt.Sprintf("c%d.%d", c.id, c.gen)
+		s.Rearm(&c.e, KindOther, d, func() { record(tag); onConn(c) })
+		if queued && wasFar && !c.e.far {
+			st.toNear++
+		}
+		if queued && !wasFar && c.e.far {
+			st.toFar++
+		}
+		c.ref = note(c.e.When(), tag, false)
+	}
+	posts := 0
+	onConn = func(c *conn) {
+		fired++
+		if fired > budget {
+			return
+		}
+		if rng.Intn(4) != 0 {
+			rearm(c, delay())
+		}
+		for i := 0; i < rerates; i++ {
+			if o := cs[rng.Intn(conns)]; o.e.Queued() {
+				rearm(o, delay())
+			}
+		}
+		if rng.Intn(16) == 0 {
+			cancel(cs[rng.Intn(conns)])
+		}
+		if rng.Intn(8) == 0 {
+			posts++
+			tag := fmt.Sprintf("p%d", posts)
+			d := delay()
+			s.Post(KindOther, d, func() { record(tag) })
+			note(s.Now()+d, tag, false)
+		}
+	}
+	for i := range cs {
+		cs[i] = &conn{id: i}
+		rearm(cs[i], delay())
+	}
+	ticks := 0
+	var tick func()
+	tick = func() {
+		ticks++
+		tag := fmt.Sprintf("d%d", ticks)
+		s.AtDaemon(s.Now()+37*Microsecond, func() { record(tag); tick() })
+		note(s.Now()+37*Microsecond, tag, true)
+	}
+	tick()
+
+	var stop Time
+	limit := s.q.limit
+	for fired <= budget {
+		stop += 150 * Microsecond
+		s.RunUntil(stop)
+		if s.Pending() != pending {
+			t.Fatalf("seed %d: Pending() = %d at %v, reference %d", seed, s.Pending(), stop, pending)
+		}
+		if s.q.limit != limit {
+			limit = s.q.limit
+			st.limits++
+		}
+		for i := 0; i < 3; i++ {
+			cancel(cs[rng.Intn(conns)])
+		}
+		for i := 0; i < 5; i++ {
+			rearm(cs[rng.Intn(conns)], delay())
+		}
+	}
+	s.Run()
+	if p := probe.Snapshot().PeakPending; p != st.peak {
+		t.Fatalf("seed %d: probe peak pending %d, reference %d", seed, p, st.peak)
+	}
+
+	var live []*refEvent
+	last := stop
+	for _, r := range refs {
+		if r.canceled {
+			continue
+		}
+		live = append(live, r)
+		if !r.daemon && r.when > last {
+			last = r.when
+		}
+	}
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].when != live[j].when {
+			return live[i].when < live[j].when
+		}
+		return live[i].seq < live[j].seq
+	})
+	for _, r := range live {
+		if r.when <= last {
+			want = append(want, fmt.Sprintf("%d:%s", int64(r.when), r.tag))
+		}
+	}
+	return got, want, st
+}
+
+// TestSchedulerDifferentialScale: the differential check at the scale
+// where the far tier works — thousands pending, refills between every
+// few stops, re-arms crossing the limit both ways, far-tier cancels.
+func TestSchedulerDifferentialScale(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 3; seed++ {
+		got, want, st := scaleTrace(t, seed)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: queue fired %d events, reference %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch diverges at %d: queue %q, reference %q",
+					seed, i, got[i], want[i])
+			}
+		}
+		if st.peak < 2000 || st.toNear == 0 || st.toFar == 0 || st.farCancels == 0 || st.limits < 10 {
+			t.Fatalf("seed %d: workload missed the far tier: %+v", seed, st)
+		}
+	}
+}
+
+// BenchmarkRearm is the queue pattern of a shared-bottleneck rate solve:
+// 2,000 pending completion events, and for every dispatched one about
+// 500 others re-armed to later instants.
+func BenchmarkRearm(b *testing.B) {
+	const conns, rerates = 2000, 500
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	events := make([]Event, conns)
+	fns := make([]func(), conns)
+	// Precomputed draws keep the random source out of the timed loop.
+	picks := make([]int, 1<<14)
+	for i := range picks {
+		picks[i] = rng.Intn(conns)
+	}
+	slips := make([]Time, 1<<14)
+	for i := range slips {
+		slips[i] = Time(1 + rng.Intn(1000))
+	}
+	next := 0
+	for i := range events {
+		e := &events[i]
+		fns[i] = func() {
+			for j := 0; j < rerates; j++ {
+				next = (next + 1) & (len(picks) - 1)
+				o := &events[picks[next]]
+				if o.Queued() {
+					s.Rearm(o, KindOther, o.When()-s.Now()+slips[next], fns[picks[next]])
+				}
+			}
+			s.Arm(e, KindOther, 1000*Microsecond+slips[next], fns[i])
+		}
+		s.Arm(e, KindOther, Time(rng.Intn(1000))*Microsecond, fns[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// TestSelectKth: the refill's selection returns the k-th smallest of
+// any multiset, ties and sorted runs included.
+func TestSelectKth(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(300)
+		spread := 1 + rng.Intn(2*n)
+		a := make([]Time, n)
+		for i := range a {
+			a[i] = Time(rng.Intn(spread))
+		}
+		if trial%3 == 0 {
+			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		}
+		sorted := append([]Time(nil), a...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		k := rng.Intn(n)
+		if got := selectKth(a, k); got != sorted[k] {
+			t.Fatalf("trial %d: selectKth(k=%d of %d) = %d, want %d", trial, k, n, got, sorted[k])
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel keeps a virtual clock and a binary heap of pending events.
+// The kernel keeps a virtual clock and a two-tier queue of pending events.
 // Events scheduled for the same instant fire in scheduling order, so a
 // simulation run is fully reproducible. On top of the raw event queue the
 // package offers SimPy-style processes (see Proc) — coroutines switched on
@@ -74,8 +74,10 @@ type Event struct {
 	sim  *Sim
 
 	// Queue bookkeeping: queued is the authoritative in-queue flag (an
-	// Event zero value is not queued); pos is the heap index.
+	// Event zero value is not queued); far says which tier holds it and
+	// pos is its index there (see eventQueue).
 	queued bool
+	far    bool
 	pos    int32
 
 	canceled bool
@@ -275,8 +277,9 @@ func (s *Sim) Arm(e *Event, k EventKind, d Time, fn func()) {
 }
 
 // Rearm is Arm for an event that may still be queued. A queued event
-// moves to its new instant in place — one heap sift instead of a remove
-// and a push — and takes a fresh sequence number just as Cancel then Arm
+// moves to its new instant in place — at most one heap sift instead of a
+// remove and a push, and nothing at all for a far event that stays far —
+// and takes a fresh sequence number just as Cancel then Arm
 // would give it, so dispatch order is exactly theirs. An event that is
 // not queued is simply armed.
 func (s *Sim) Rearm(e *Event, k EventKind, d Time, fn func()) {
