@@ -125,13 +125,72 @@ func (d *Disk) ServiceTime(op Op, offset, size units.Bytes) sim.Time {
 
 // Access performs one command, blocking p for queueing plus service time.
 func (d *Disk) Access(p *sim.Proc, op Op, offset, size units.Bytes) {
+	d.check(offset, size)
+	d.queue.Acquire(p, 1)
+	p.Sleep(d.begin(op, offset, size))
+	d.queue.Release(1)
+}
+
+// kindService labels the service-end events of submitted commands.
+var kindService = sim.RegisterEventKind("disk.service")
+
+// Cmd is one drive command run from event context, with no process: see
+// Submit. The caller owns it and may reuse it once Done has run; the
+// callbacks it hands the drive are bound on first use, so a reused Cmd
+// costs no allocation.
+type Cmd struct {
+	Op           Op
+	Offset, Size units.Bytes
+	// Done runs when the command completes, after the drive has been
+	// handed to the next command in its queue.
+	Done func()
+
+	d         *Disk
+	evt       sim.Event
+	grantedFn func()
+	endFn     func()
+}
+
+// Submit queues c on the drive. When the drive reaches it, c is served
+// for the same time Access would take, with the same counters, and then
+// the drive is released before c.Done runs — the order in which Access
+// releases the drive and returns to its process, so a command makes
+// exactly the scheduling calls a process's Access makes.
+func (d *Disk) Submit(c *Cmd) {
+	d.check(c.Offset, c.Size)
+	c.d = d
+	if c.grantedFn == nil {
+		c.grantedFn = c.granted
+		c.endFn = c.end
+	}
+	d.queue.AcquireFunc(1, c.grantedFn)
+}
+
+// granted starts service once c holds the drive.
+func (c *Cmd) granted() {
+	d := c.d
+	d.sim.Arm(&c.evt, kindService, d.begin(c.Op, c.Offset, c.Size), c.endFn)
+}
+
+// end hands the drive on, then completes c.
+func (c *Cmd) end() {
+	c.d.queue.Release(1)
+	c.Done()
+}
+
+// check panics on a command outside the drive.
+func (d *Disk) check(offset, size units.Bytes) {
 	if size <= 0 {
 		panic(fmt.Sprintf("disk %q: access size %d", d.name, size))
 	}
 	if offset < 0 || offset+size > d.params.Capacity {
 		panic(fmt.Sprintf("disk %q: access [%d,%d) beyond capacity %d", d.name, offset, offset+size, d.params.Capacity))
 	}
-	d.queue.Acquire(p, 1)
+}
+
+// begin starts serving a command that holds the drive: it books the
+// counters, moves the head and returns the service time.
+func (d *Disk) begin(op Op, offset, size units.Bytes) sim.Time {
 	st := d.ServiceTime(op, offset, size)
 	d.lastEnd = offset + size
 	d.ops++
@@ -141,8 +200,7 @@ func (d *Disk) Access(p *sim.Proc, op Op, offset, size units.Bytes) {
 	} else {
 		d.bytesWr += size
 	}
-	p.Sleep(st)
-	d.queue.Release(1)
+	return st
 }
 
 // QueueDepth returns the number of commands waiting (not in service).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -141,6 +142,47 @@ func TestProductionSmall(t *testing.T) {
 	if write.Points[2].Y >= read.Points[2].Y {
 		t.Errorf("write %.0f >= read %.0f at 16 nodes; RAID5 penalty missing",
 			write.Points[2].Y, read.Points[2].Y)
+	}
+}
+
+// TestRAIDEventConservation checks that a production run's RAID events
+// balance. Every command a RAID set submits holds its drive's queue
+// once and ends in one disk.service event, so on each simulator the
+// disk.service count equals the TotalAcquired sum over the member drive
+// queues. Every raid.member event starts one non-empty work list, so
+// there are at least as many commands as member starts.
+func TestRAIDEventConservation(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultProductionConfig()
+	o := NewObs(ObsConfig{Engine: true})
+	cfg.Env = Env{Obs: o}
+	cfg.Servers = 16
+	cfg.Arrays = 8
+	cfg.NodeCounts = []int{8}
+	cfg.SizePer = 64 * units.MiB
+	RunProductionScaling(cfg)
+	member := regexp.MustCompile(`/set[0-9]+/d[0-9]+/q$`)
+	if len(o.sims) == 0 {
+		t.Fatal("no simulator observed")
+	}
+	for i, s := range o.sims {
+		var acquired uint64
+		for _, r := range s.Resources() {
+			if member.MatchString(r.Name()) {
+				acquired += r.TotalAcquired()
+			}
+		}
+		kinds := map[string]uint64{}
+		for _, k := range s.EngineProbe().Snapshot().Kinds {
+			kinds[k.Name] = k.Count
+		}
+		service, starts := kinds["disk.service"], kinds["raid.member"]
+		if acquired == 0 || service != acquired {
+			t.Errorf("sim %d: %d disk.service events, member queues granted %d", i, service, acquired)
+		}
+		if starts == 0 || starts > service {
+			t.Errorf("sim %d: %d raid.member events for %d commands", i, starts, service)
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ type Set struct {
 
 	failed int // index of failed member, -1 if healthy
 
+	free []*op // recycled op records
+
 	reads            uint64
 	writes           uint64
 	rmwWrites        uint64 // partial-stripe (read-modify-write) writes
@@ -115,11 +117,90 @@ func (r *Set) diskOffset(stripe int64) units.Bytes {
 	return units.Bytes(stripe) * r.stripeUnit
 }
 
-// diskWork is a per-member list of operations for one logical request.
+// kindMember labels the events that start a member's work list.
+var kindMember = sim.RegisterEventKind("raid.member")
+
+// diskWork is one command in a member's work list.
 type diskWork struct {
 	op     disk.Op
 	offset units.Bytes
 	size   units.Bytes
+}
+
+// seg is one stripe segment a Write touches.
+type seg struct {
+	stripe         int64
+	k              int
+	segOff, segLen units.Bytes
+}
+
+// op is one logical request: its per-member work lists and the state of
+// running them. A Set recycles its op records, so a request allocates
+// nothing once the records' lists have grown to size.
+type op struct {
+	work    [][]diskWork // indexed by member, in issue order
+	members []member
+	segs    []seg  // Write's plan scratch
+	pending int    // members still running
+	wake    func() // resumes the caller once pending reaches zero
+}
+
+// member runs one member drive's work list as a chain of disk commands,
+// each submitted from the completion of the one before, with no process.
+type member struct {
+	o       *op
+	i       int
+	d       *disk.Disk
+	next    int // index of the command in service
+	cmd     disk.Cmd
+	startFn func()
+}
+
+// newOp takes a recycled op record, or builds one with its members'
+// callbacks bound once.
+func (r *Set) newOp() *op {
+	if n := len(r.free); n > 0 {
+		o := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		return o
+	}
+	o := &op{work: make([][]diskWork, len(r.disks)), members: make([]member, len(r.disks))}
+	for i := range o.members {
+		m := &o.members[i]
+		m.o, m.i = o, i
+		m.startFn = m.submit
+		m.cmd.Done = m.done
+	}
+	return o
+}
+
+// add appends a command to member i's work list.
+func (o *op) add(i int, dop disk.Op, offset, size units.Bytes) {
+	o.work[i] = append(o.work[i], diskWork{dop, offset, size})
+}
+
+// submit sends the member's current command to its drive.
+func (m *member) submit() {
+	w := m.o.work[m.i][m.next]
+	m.cmd.Op, m.cmd.Offset, m.cmd.Size = w.op, w.offset, w.size
+	m.d.Submit(&m.cmd)
+}
+
+// done moves to the next command, or finishes the member. The last
+// member to finish wakes the caller, which may recycle the op at once,
+// so nothing here touches the op after that.
+func (m *member) done() {
+	m.next++
+	if m.next < len(m.o.work[m.i]) {
+		m.submit()
+		return
+	}
+	o := m.o
+	o.pending--
+	if o.pending == 0 {
+		o.wake()
+	}
 }
 
 // coalesce merges adjacent same-op, contiguous entries in a work list —
@@ -141,36 +222,41 @@ func coalesce(ops []diskWork) []diskWork {
 }
 
 // run executes the per-member work lists in parallel and blocks p until
-// all complete (a logical RAID op finishes when its slowest member does).
-// Members launch in index order: map iteration order here would assign
-// event sequence numbers randomly, and two members finishing at the same
-// virtual instant would then complete in a different order on every run —
-// timing nondeterminism that snowballs through the whole simulation.
-func (r *Set) run(p *sim.Proc, work map[int][]diskWork) {
-	wg := sim.NewWaitGroup(r.sim)
-	for i := range r.disks {
-		ops, ok := work[i]
-		if !ok {
+// all complete (a logical RAID op finishes when its slowest member
+// does), then recycles o. Each member with work gets one start event,
+// posted in member index order: two members finishing at the same
+// virtual instant then complete in the same order on every run. The
+// members issue exactly the scheduling calls a process per member would
+// — a start event, then per command the drive's service event — so the
+// event sequence is that of the process form.
+func (r *Set) run(p *sim.Proc, o *op) {
+	for i, ws := range o.work {
+		ws = coalesce(ws)
+		o.work[i] = ws
+		if len(ws) == 0 {
 			continue
 		}
-		ops = coalesce(ops)
-		if len(ops) == 0 {
-			continue
-		}
-		wg.Add(1)
-		d := r.disks[i]
-		r.sim.Go(r.name+"/member", func(mp *sim.Proc) {
-			defer wg.Done()
-			for _, w := range ops {
-				d.Access(mp, w.op, w.offset, w.size)
-			}
-		})
+		m := &o.members[i]
+		m.d = r.disks[i]
+		m.next = 0
+		o.pending++
+		r.sim.Post(kindMember, 0, m.startFn)
 	}
-	wg.Wait(p)
+	for o.pending > 0 {
+		o.wake = p.Suspend()
+		p.Block()
+	}
+	// A caller killed while it waits never gets here: its op stays with
+	// the members still running it and is not recycled.
+	for i := range o.work {
+		o.work[i] = o.work[i][:0]
+	}
+	o.segs = o.segs[:0]
+	r.free = append(r.free, o)
 }
 
 // segments invokes fn for every (stripe, segment k, byte range within the
-// segment) overlapping [off, off+size).
+// segment) overlapping [off, off+size), in offset order.
 func (r *Set) segments(off, size units.Bytes, fn func(stripe int64, k int, segOff, segLen units.Bytes)) {
 	if size <= 0 {
 		panic(fmt.Sprintf("raid %q: request size %d", r.name, size))
@@ -199,120 +285,86 @@ func (r *Set) segments(off, size units.Bytes, fn func(stripe int64, k int, segOf
 // whole stripe from survivors.
 func (r *Set) Read(p *sim.Proc, off, size units.Bytes) {
 	r.reads++
-	work := map[int][]diskWork{}
+	o := r.newOp()
 	r.segments(off, size, func(stripe int64, k int, segOff, segLen units.Bytes) {
 		di := r.dataDisk(stripe, k)
 		base := r.diskOffset(stripe)
 		if di == r.failed {
 			// Reconstruct: read the same range from every survivor.
 			for m := range r.disks {
-				if m == r.failed {
-					continue
+				if m != r.failed {
+					o.add(m, disk.Read, base+segOff, segLen)
 				}
-				work[m] = append(work[m], diskWork{disk.Read, base + segOff, segLen})
 			}
 			return
 		}
-		work[di] = append(work[di], diskWork{disk.Read, base + segOff, segLen})
+		o.add(di, disk.Read, base+segOff, segLen)
 	})
-	r.run(p, work)
+	r.run(p, o)
 }
 
 // Write services a logical write. Full stripes write data plus parity in
-// one pass; partial stripes pay read-modify-write: read old data and old
-// parity, then write new data and new parity.
+// one pass, computing parity from the new data alone — the path
+// stripe-aligned gathered flushes are built to hit. Partial stripes pay
+// read-modify-write: read old data and old parity, then write new data
+// and new parity.
 func (r *Set) Write(p *sim.Proc, off, size units.Bytes) {
 	r.writes++
-	sw := r.StripeWidth()
-	if off%sw == 0 && size > 0 && size%sw == 0 {
-		// First-class full-stripe path: the request is stripe-aligned end
-		// to end, so parity is computed entirely from the new data — no
-		// member reads at all. This is the path stripe-aligned gathered
-		// flushes are built to hit.
-		work := map[int][]diskWork{}
-		first := int64(off / sw)
-		nStripes := int64(size / sw)
-		for s := int64(0); s < nStripes; s++ {
-			stripe := first + s
-			base := r.diskOffset(stripe)
-			for k := 0; k < r.DataDisks(); k++ {
-				if di := r.dataDisk(stripe, k); di != r.failed {
-					work[di] = append(work[di], diskWork{disk.Write, base, r.stripeUnit})
-				}
-			}
-			if pd := r.parityDisk(stripe); pd != r.failed {
-				work[pd] = append(work[pd], diskWork{disk.Write, base, r.stripeUnit})
-			}
-		}
-		r.fullStripeWrites += uint64(nStripes)
-		r.run(p, work)
-		return
-	}
-	work := map[int][]diskWork{}
-	rmw := false
-	// Track which stripes are written in full.
-	type stripeAcc struct {
-		touched units.Bytes
-		ops     []struct {
-			k              int
-			segOff, segLen units.Bytes
-			stripe         int64
-		}
-	}
-	stripes := map[int64]*stripeAcc{}
-	order := []int64{}
+	o := r.newOp()
 	r.segments(off, size, func(stripe int64, k int, segOff, segLen units.Bytes) {
-		sa := stripes[stripe]
-		if sa == nil {
-			sa = &stripeAcc{}
-			stripes[stripe] = sa
-			order = append(order, stripe)
-		}
-		sa.touched += segLen
-		sa.ops = append(sa.ops, struct {
-			k              int
-			segOff, segLen units.Bytes
-			stripe         int64
-		}{k, segOff, segLen, stripe})
+		o.segs = append(o.segs, seg{stripe, k, segOff, segLen})
 	})
-	for _, stripe := range order {
-		sa := stripes[stripe]
-		base := r.diskOffset(stripe)
-		pd := r.parityDisk(stripe)
-		if sa.touched == sw {
-			// Full stripe: write every data segment and the parity segment.
-			for _, op := range sa.ops {
-				di := r.dataDisk(stripe, op.k)
-				if di != r.failed {
-					work[di] = append(work[di], diskWork{disk.Write, base + op.segOff, op.segLen})
-				}
-			}
-			if pd != r.failed {
-				work[pd] = append(work[pd], diskWork{disk.Write, base, r.stripeUnit})
-			}
-			r.fullStripeWrites++
-			continue
+	// Segments arrive in offset order, so each stripe's are contiguous:
+	// plan one stripe at a time.
+	sw := r.StripeWidth()
+	rmw := false
+	for segs := o.segs; len(segs) > 0; {
+		n, touched := 0, units.Bytes(0)
+		for ; n < len(segs) && segs[n].stripe == segs[0].stripe; n++ {
+			touched += segs[n].segLen
 		}
-		// Partial stripe: read-modify-write on touched data segments + parity.
-		rmw = true
-		for _, op := range sa.ops {
-			di := r.dataDisk(stripe, op.k)
-			if di != r.failed {
-				work[di] = append(work[di],
-					diskWork{disk.Read, base + op.segOff, op.segLen},
-					diskWork{disk.Write, base + op.segOff, op.segLen})
-			}
+		if !r.planStripe(o, segs[:n], touched == sw) {
+			rmw = true
 		}
-		if pd != r.failed {
-			work[pd] = append(work[pd],
-				diskWork{disk.Read, base, r.stripeUnit},
-				diskWork{disk.Write, base, r.stripeUnit})
-		}
+		segs = segs[n:]
 	}
 	if rmw {
 		r.rmwWrites++
 	}
-	r.run(p, work)
+	r.run(p, o)
+}
+
+// planStripe adds one stripe's share of a Write to o's work lists and
+// reports whether the stripe was written in full.
+func (r *Set) planStripe(o *op, segs []seg, full bool) bool {
+	stripe := segs[0].stripe
+	base := r.diskOffset(stripe)
+	pd := r.parityDisk(stripe)
+	if full {
+		// Every data segment and the parity segment, no reads.
+		for _, sg := range segs {
+			if di := r.dataDisk(stripe, sg.k); di != r.failed {
+				o.add(di, disk.Write, base+sg.segOff, sg.segLen)
+			}
+		}
+		if pd != r.failed {
+			o.add(pd, disk.Write, base, r.stripeUnit)
+		}
+		r.fullStripeWrites++
+		return true
+	}
+	// Read-modify-write on the touched data segments and the parity.
+	for _, sg := range segs {
+		if di := r.dataDisk(stripe, sg.k); di != r.failed {
+			o.add(di, disk.Read, base+sg.segOff, sg.segLen)
+			o.add(di, disk.Write, base+sg.segOff, sg.segLen)
+		}
+	}
+	if pd != r.failed {
+		o.add(pd, disk.Read, base, r.stripeUnit)
+		o.add(pd, disk.Write, base, r.stripeUnit)
+	}
+	return false
 }
 
 // Rebuild reconstructs the failed member onto a spare, reading every
@@ -330,14 +382,13 @@ func (r *Set) Rebuild(p *sim.Proc, spare *disk.Disk) {
 		if off+n > per {
 			n = per - off
 		}
-		work := map[int][]diskWork{}
+		o := r.newOp()
 		for m := range r.disks {
-			if m == r.failed {
-				continue
+			if m != r.failed {
+				o.add(m, disk.Read, off, n)
 			}
-			work[m] = append(work[m], diskWork{disk.Read, off, n})
 		}
-		r.run(p, work)
+		r.run(p, o)
 		spare.Access(p, disk.Write, off, n)
 	}
 	r.disks[r.failed] = spare

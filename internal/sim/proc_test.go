@@ -539,3 +539,133 @@ func TestKillCancelsSleep(t *testing.T) {
 		t.Fatalf("Run ended at %v with %d pending, want 1s and 0", s.Now(), s.Pending())
 	}
 }
+
+// grantLog records resource grants as "name@time" for the waiter-order
+// tests below.
+type grantLog struct {
+	s   *Sim
+	got []string
+}
+
+func (l *grantLog) note(name string) { l.got = append(l.got, fmt.Sprintf("%s@%v", name, l.s.Now())) }
+
+// callbackWaiter acquires n units of r with AcquireFunc at time at and
+// holds them for hold.
+func (l *grantLog) callbackWaiter(r *Resource, name string, at Time, n int, hold Time) {
+	l.s.Schedule(at, func() {
+		r.AcquireFunc(n, func() {
+			l.note(name)
+			l.s.Schedule(hold, func() { r.Release(n) })
+		})
+	})
+}
+
+// procWaiter does the same from a process with Acquire.
+func (l *grantLog) procWaiter(r *Resource, name string, at Time, n int, hold Time) *Proc {
+	return l.s.Go(name, func(p *Proc) {
+		p.Sleep(at)
+		r.Acquire(p, n)
+		l.note(name)
+		p.Sleep(hold)
+		r.Release(n)
+	})
+}
+
+// TestAcquireFuncSharesFIFO: callback and process waiters queue in one
+// FIFO, a waiter that does not fit holds back every one behind it, and a
+// callback on free units runs before AcquireFunc returns.
+func TestAcquireFuncSharesFIFO(t *testing.T) {
+	t.Parallel()
+	s := New()
+	r := NewResource(s, "r", 2)
+	l := &grantLog{s: s}
+	l.procWaiter(r, "holder", 0, 2, Second)
+	l.callbackWaiter(r, "a", 1*Millisecond, 1, Second)
+	l.procWaiter(r, "b", 2*Millisecond, 2, Second)
+	l.callbackWaiter(r, "c", 3*Millisecond, 1, Second)
+	l.procWaiter(r, "d", 4*Millisecond, 1, Second)
+	queued := -1
+	s.Schedule(500*Millisecond, func() { queued = r.Queued() })
+	s.Run()
+	want := "[holder@0ns a@1.000s b@2.000s c@3.000s d@3.000s]"
+	if got := fmt.Sprint(l.got); got != want {
+		t.Errorf("grants %s, want %s", got, want)
+	}
+	if queued != 4 {
+		t.Errorf("Queued() = %d with four waiters", queued)
+	}
+	if r.TotalAcquired() != 5 || r.PeakInUse() != 2 || r.InUse() != 0 {
+		t.Errorf("acquired %d, peak %d, in use %d", r.TotalAcquired(), r.PeakInUse(), r.InUse())
+	}
+	ran := false
+	r.AcquireFunc(1, func() { ran = true })
+	if !ran || r.InUse() != 1 {
+		t.Errorf("AcquireFunc on a free resource: ran %v, in use %d", ran, r.InUse())
+	}
+}
+
+// TestKillAbandonPastHead: a process killed in the queue behind waiters
+// that were already granted (so the queue's head has moved) leaves it
+// without disturbing the order of the rest, and the drained queue
+// rewinds to the start of its array.
+func TestKillAbandonPastHead(t *testing.T) {
+	t.Parallel()
+	s := New()
+	r := NewResource(s, "r", 1)
+	l := &grantLog{s: s}
+	l.procWaiter(r, "holder", 0, 1, Second)
+	l.callbackWaiter(r, "w1", 1*Millisecond, 1, Second)
+	victim := l.procWaiter(r, "victim", 2*Millisecond, 1, Second)
+	l.procWaiter(r, "w3", 3*Millisecond, 1, Second)
+	l.callbackWaiter(r, "w4", 4*Millisecond, 1, Second)
+	var head, queued int
+	s.Schedule(1500*Millisecond, func() {
+		head = r.head
+		victim.Kill()
+	})
+	s.Schedule(1600*Millisecond, func() { queued = r.Queued() })
+	s.Run()
+	want := "[holder@0ns w1@1.000s w3@2.000s w4@3.000s]"
+	if got := fmt.Sprint(l.got); got != want {
+		t.Errorf("grants %s, want %s", got, want)
+	}
+	if head == 0 || queued != 2 {
+		t.Errorf("at the kill head = %d (want > 0); after it Queued() = %d, want 2", head, queued)
+	}
+	if r.InUse() != 0 || r.Queued() != 0 || r.head != 0 || len(r.waiters) != 0 {
+		t.Errorf("drained: in use %d, queued %d, head %d, len %d", r.InUse(), r.Queued(), r.head, len(r.waiters))
+	}
+}
+
+// TestResourceBacklogKeepsItsArray: a wait queue that never drains —
+// each Release grants the head while a new waiter joins the tail —
+// keeps its order and reuses its array instead of growing it.
+func TestResourceBacklogKeepsItsArray(t *testing.T) {
+	t.Parallel()
+	s := New()
+	r := NewResource(s, "r", 1)
+	r.TryAcquire(1)
+	var granted []int
+	next := 0
+	join := func() {
+		id := next
+		next++
+		r.AcquireFunc(1, func() { granted = append(granted, id) })
+	}
+	for i := 0; i < 4; i++ {
+		join()
+	}
+	c := cap(r.waiters)
+	for i := 0; i < 1000; i++ {
+		r.Release(1)
+		join()
+	}
+	if r.Queued() != 4 || cap(r.waiters) != c {
+		t.Errorf("backlog %d in an array of %d, want 4 in %d", r.Queued(), cap(r.waiters), c)
+	}
+	for i, id := range granted {
+		if id != i {
+			t.Fatalf("grant %d went to waiter %d", i, id)
+		}
+	}
+}

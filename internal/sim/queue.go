@@ -13,9 +13,9 @@ package sim
 //     again and again before it can fire never pays for heap order.
 //
 // Every far event is later than every near one, so the heap's top is the
-// global minimum. When the heap runs dry, refill selects the k-th
-// smallest far instant, makes it the new limit and moves every far event
-// at or before it into the heap. limit only grows, and seq is never
+// global minimum. When the heap runs dry, refill picks a far instant near
+// the k-th smallest, makes it the new limit and moves every far event at
+// or before it into the heap. limit only grows, and seq is never
 // touched, so dispatch order is exactly that of one heap over all events.
 //
 // The contract is narrow on purpose:
@@ -149,27 +149,55 @@ func (q *eventQueue) removeNear(e *Event) {
 	}
 }
 
-// refillMin is the least number of far events a refill moves into the
-// heap; a larger far tier moves an eighth of itself, so selection stays
-// O(1) amortized per event however far the tier grows.
+// refillMin is the number of far events a refill aims to move into the
+// heap, and the most far instants it samples to place the limit; a
+// larger far tier moves about an eighth of itself.
 const refillMin = 64
 
 // refill moves the earliest far events into the empty heap and reports
-// whether there were any. The new limit is the k-th smallest far
-// instant, so at least k events move (more on ties at the limit).
+// whether there were any. It aims to move the k earliest, k = max(64,
+// n/8) of the n far events, and places the limit at that rank's place
+// in a strided sample of min(n, 64) far instants: on a tier of 64 or
+// fewer the sample is the whole tier and the limit is exactly the k-th
+// smallest instant. The limit is a real far instant, so at least one
+// event moves. A far tier whose slice order defeats the stride can make
+// the sample place it too early; if fewer than k/4 events moved, the
+// limit is placed again by selection over every remaining far instant,
+// so each refill moves at least k/4 events for its O(n) scan and the
+// cost stays O(1) amortized per moved event. Where the limit falls
+// never changes dispatch order, only how much work the heap holds.
 func (q *eventQueue) refill() bool {
 	n := len(q.far)
 	if n == 0 {
 		return false
 	}
 	k := min(max(refillMin, n/8), n)
+	m := min(n, refillMin)
 	whens := q.whens[:0]
-	for _, e := range q.far {
-		whens = append(whens, e.when)
+	for i := 0; i < m; i++ {
+		whens = append(whens, q.far[i*n/m].when)
 	}
-	q.limit = selectKth(whens, k-1)
+	q.limit = selectKth(whens, (m*k-1)/n)
+	moved := q.moveNear()
+	if moved < k/4 {
+		whens = whens[:0]
+		for _, e := range q.far {
+			whens = append(whens, e.when)
+		}
+		q.limit = selectKth(whens, k-moved-1)
+		q.moveNear()
+	}
 	q.whens = whens[:0]
-	// Swap each event at or before the limit out of the far tier.
+	for i := len(q.h)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+	return true
+}
+
+// moveNear swaps every far event at or before the limit into the heap,
+// unordered, and returns how many moved.
+func (q *eventQueue) moveNear() int {
+	moved := 0
 	for i := 0; i < len(q.far); {
 		e := q.far[i]
 		if e.when > q.limit {
@@ -179,11 +207,9 @@ func (q *eventQueue) refill() bool {
 		q.removeFar(e)
 		e.pos = int32(len(q.h))
 		q.h = append(q.h, e)
+		moved++
 	}
-	for i := len(q.h)/2 - 1; i >= 0; i-- {
-		q.down(i)
-	}
-	return true
+	return moved
 }
 
 // selectKth returns the k-th smallest value of a (0-based), reordering

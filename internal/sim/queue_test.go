@@ -485,6 +485,35 @@ func TestSchedulerDifferentialScale(t *testing.T) {
 			t.Fatalf("seed %d: workload missed the far tier: %+v", seed, st)
 		}
 	}
+
+	// A far tier laid out so that the strided sample holds only its
+	// earliest instants: the sampled limit moves 8 events, and the refill
+	// must fall back to selection over the whole tier to move k = n/8.
+	const n, stride = 2048, 2048 / refillMin
+	s := New()
+	var got, want []Time
+	for i := 0; i < n; i++ {
+		when := Time(1000 + i)
+		if i%stride == 0 {
+			when = Time(1 + i/stride)
+		}
+		want = append(want, when)
+		s.Post(KindOther, when, func() { got = append(got, s.Now()) })
+	}
+	s.Step()
+	if moved := len(s.q.h) + 1; moved < n/8 {
+		t.Fatalf("refill of a stride-defeating far tier moved %d events, want at least %d", moved, n/8)
+	}
+	s.Run()
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if len(got) != n {
+		t.Fatalf("stride-defeating far tier: fired %d events, want %d", len(got), n)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("stride-defeating far tier: event %d fired at %d, want %d", i, got[i], want[i])
+		}
+	}
 }
 
 // BenchmarkRearm is the queue pattern of a shared-bottleneck rate solve:

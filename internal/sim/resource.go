@@ -9,16 +9,25 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+
+	// waiters[head:] is the FIFO wait queue; grants advance head
+	// instead of reslicing. The array rewinds when it drains and slides
+	// down when it fills, so a steady load stops reallocating it.
+	waiters []resWaiter
+	head    int
 
 	// Stats
 	totalAcquired uint64
 	peakInUse     int
 }
 
+// resWaiter is one queued acquisition: a blocked process, or a
+// callback to run from the Release that grants it (see AcquireFunc).
+// Both kinds wait in the same FIFO.
 type resWaiter struct {
-	n int
-	p *Proc
+	n       int
+	p       *Proc
+	granted func()
 }
 
 // NewResource returns a resource with the given capacity (> 0). The
@@ -42,8 +51,9 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the currently acquired units.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Queued returns the number of waiting processes.
-func (r *Resource) Queued() int { return len(r.waiters) }
+// Queued returns the number of waiting acquisitions, processes and
+// callbacks alike.
+func (r *Resource) Queued() int { return len(r.waiters) - r.head }
 
 // PeakInUse returns the high-water mark of acquired units.
 func (r *Resource) PeakInUse() int { return r.peakInUse }
@@ -57,7 +67,7 @@ func (r *Resource) TryAcquire(n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q acquire %d of %d", r.name, n, r.capacity))
 	}
-	if len(r.waiters) > 0 || r.inUse+n > r.capacity {
+	if r.Queued() > 0 || r.inUse+n > r.capacity {
 		return false
 	}
 	r.grant(n)
@@ -79,7 +89,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.TryAcquire(n) {
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{n: n, p: p})
+	r.enqueue(resWaiter{n: n, p: p})
 	defer func() {
 		if p.killed {
 			r.abandon(p, n)
@@ -88,16 +98,52 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	p.Block()
 }
 
+// AcquireFunc acquires n units for event-context code, which cannot
+// block: when the units are free granted runs at once, otherwise it runs
+// from the Release that grants them, holding the same FIFO place a
+// waiting process would.
+func (r *Resource) AcquireFunc(n int, granted func()) {
+	if r.TryAcquire(n) {
+		granted()
+		return
+	}
+	r.enqueue(resWaiter{n: n, granted: granted})
+}
+
+// enqueue appends w to the wait queue. A full array with granted slots
+// at its front slides the live waiters down instead of growing, so a
+// queue that never drains stays as large as its backlog.
+func (r *Resource) enqueue(w resWaiter) {
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters, r.head = r.waiters[:n], 0
+	}
+	r.waiters = append(r.waiters, w)
+}
+
 // abandon undoes a killed waiter's Acquire.
 func (r *Resource) abandon(p *Proc, n int) {
-	for i, w := range r.waiters {
-		if w.p == p {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
+	for i := r.head; i < len(r.waiters); i++ {
+		if r.waiters[i].p == p {
+			last := len(r.waiters) - 1
+			copy(r.waiters[i:], r.waiters[i+1:])
+			r.waiters[last] = resWaiter{}
+			r.waiters = r.waiters[:last]
+			r.rewind()
 			r.grantWaiters()
 			return
 		}
 	}
 	r.Release(n)
+}
+
+// rewind resets the drained wait queue to the start of its array.
+func (r *Resource) rewind() {
+	if r.head == len(r.waiters) {
+		r.waiters = r.waiters[:0]
+		r.head = 0
+	}
 }
 
 // Release returns n units and wakes any waiters that now fit.
@@ -110,16 +156,22 @@ func (r *Resource) Release(n int) {
 }
 
 // grantWaiters grants units to waiters in FIFO order while the head fits,
-// waking each synchronously.
+// waking each process, or running each callback, synchronously.
 func (r *Resource) grantWaiters() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.head < len(r.waiters) {
+		w := r.waiters[r.head]
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters[r.head] = resWaiter{}
+		r.head++
+		r.rewind()
 		r.grant(w.n)
-		w.p.wake()
+		if w.p != nil {
+			w.p.wake()
+		} else {
+			w.granted()
+		}
 	}
 }
 
