@@ -140,14 +140,7 @@ func BenchmarkHSM_MigrateRecall(b *testing.B) {
 // BenchmarkAuth_Handshake measures the three-message RSA cluster
 // handshake (mmauth model) in real CPU time.
 func BenchmarkAuth_Handshake(b *testing.B) {
-	ka, err := auth.GenerateKey("sdsc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	kb, err := auth.GenerateKey("ncsa")
-	if err != nil {
-		b.Fatal(err)
-	}
+	ka, kb := auth.NewKey("sdsc"), auth.NewKey("ncsa")
 	imp := auth.NewRegistry(kb, auth.AuthOnly)
 	exp := auth.NewRegistry(ka, auth.AuthOnly)
 	if err := imp.AddRemote("sdsc", ka.PublicPEM()); err != nil {
@@ -177,8 +170,7 @@ func BenchmarkAuth_SealAES128(b *testing.B) {
 }
 
 func benchSeal(b *testing.B, mode auth.CipherMode) {
-	ka, _ := auth.GenerateKey("a")
-	kb, _ := auth.GenerateKey("b")
+	ka, kb := auth.NewKey("a"), auth.NewKey("b")
 	imp := auth.NewRegistry(kb, mode)
 	exp := auth.NewRegistry(ka, mode)
 	_ = imp.AddRemote("a", ka.PublicPEM())

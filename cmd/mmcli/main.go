@@ -62,7 +62,7 @@ func main() {
 	sdscKey := sdsc.Cluster.PublicPEM()
 	ncsaKey := ncsa.Cluster.PublicPEM()
 	if *tamper {
-		evil, _ := core.NewCluster(s, nw, "ncsa.teragrid", mode)
+		evil := core.NewCluster(s, nw, "ncsa.teragrid", mode)
 		ncsaKey = evil.PublicPEM()
 		step("(mail) exchange id_rsa.pub files", "TAMPERED: a wrong key was mailed for ncsa")
 	} else {

@@ -145,8 +145,9 @@ const (
 	DefaultPerm = core.DefaultPerm
 )
 
-// NewCluster creates a cluster with a fresh RSA identity.
-func NewCluster(s *Sim, nw *Network, name string, mode CipherMode) (*Cluster, error) {
+// NewCluster creates a cluster. Its RSA identity is generated on first
+// use: the first public-key export or handshake.
+func NewCluster(s *Sim, nw *Network, name string, mode CipherMode) *Cluster {
 	return core.NewCluster(s, nw, name, mode)
 }
 

@@ -3,16 +3,17 @@ package auth
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
 
 // Keys are expensive to generate; share across tests.
 var (
-	sdscKey, _ = GenerateKey("sdsc.teragrid")
-	ncsaKey, _ = GenerateKey("ncsa.teragrid")
-	anlKey, _  = GenerateKey("anl.teragrid")
-	evilKey, _ = GenerateKey("sdsc.teragrid") // right name, wrong key
+	sdscKey = NewKey("sdsc.teragrid")
+	ncsaKey = NewKey("ncsa.teragrid")
+	anlKey  = NewKey("anl.teragrid")
+	evilKey = NewKey("sdsc.teragrid") // right name, wrong key
 )
 
 func pairedRegistries(t *testing.T, mode CipherMode) (imp, exp *Registry) {
@@ -40,6 +41,40 @@ func TestPublicPEMRoundTrip(t *testing.T) {
 	}
 	if pub.N.Cmp(sdscKey.Public().N) != 0 {
 		t.Error("round-tripped key differs")
+	}
+}
+
+func TestKeyMadeOnFirstUse(t *testing.T) {
+	t.Parallel()
+	k := NewKey("lazy.teragrid")
+	NewRegistry(k, AES128)
+	if k.priv != nil {
+		t.Fatal("key material exists before first use")
+	}
+	pem := k.PublicPEM()
+	if k.priv == nil {
+		t.Fatal("PublicPEM made no key")
+	}
+	if !bytes.Equal(pem, k.PublicPEM()) {
+		t.Error("PublicPEM differs between calls")
+	}
+}
+
+func TestConcurrentFirstUseMakesOneKey(t *testing.T) {
+	t.Parallel()
+	k := NewKey("racy.teragrid")
+	var pems [2][]byte
+	var wg sync.WaitGroup
+	for i := range pems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pems[i] = k.PublicPEM()
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(pems[0], pems[1]) {
+		t.Fatal("two first uses made two keys")
 	}
 }
 
@@ -85,7 +120,7 @@ func TestHandshakeRejectsImpostorServer(t *testing.T) {
 func TestHandshakeRejectsImpostorClient(t *testing.T) {
 	t.Parallel()
 	// Exporter trusts real ncsa; an impostor claims to be ncsa.
-	impostorKey, _ := GenerateKey("ncsa.teragrid")
+	impostorKey := NewKey("ncsa.teragrid")
 	impostor := NewRegistry(impostorKey, AuthOnly)
 	exp := NewRegistry(sdscKey, AuthOnly)
 	if err := exp.AddRemote("ncsa.teragrid", ncsaKey.PublicPEM()); err != nil {

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // CipherMode mirrors the GPFS cipherList configuration option.
@@ -39,27 +40,40 @@ func (m CipherMode) String() string {
 	return "AUTHONLY"
 }
 
-// ClusterKey is a cluster's RSA identity, created by GenerateKey (the
-// mmauth genkey analogue).
+// ClusterKey is a cluster's RSA identity, the keypair mmauth genkey
+// makes. The pair is generated on first use — the first public-key
+// export or handshake — since a cluster that never joins a multi-cluster
+// setup never needs one. Each key is fresh and random.
 type ClusterKey struct {
 	Cluster string
+	once    sync.Once
 	priv    *rsa.PrivateKey
 }
 
 // keyBits is small enough to keep tests fast and large enough to be real.
 const keyBits = 1024
 
-// GenerateKey creates a fresh RSA keypair for the named cluster.
-func GenerateKey(cluster string) (*ClusterKey, error) {
-	priv, err := rsa.GenerateKey(rand.Reader, keyBits)
-	if err != nil {
-		return nil, fmt.Errorf("auth: generating key for %s: %w", cluster, err)
-	}
-	return &ClusterKey{Cluster: cluster, priv: priv}, nil
+// NewKey returns the named cluster's identity; its keypair is generated
+// when first used.
+func NewKey(cluster string) *ClusterKey { return &ClusterKey{Cluster: cluster} }
+
+// private returns the keypair, generating it on the first call; callers
+// racing on the first use all get the one key. Generation fails only
+// when the runtime refuses keyBits (a FIPS-only mode), a configuration
+// no run of this package supports, so it panics.
+func (k *ClusterKey) private() *rsa.PrivateKey {
+	k.once.Do(func() {
+		priv, err := rsa.GenerateKey(rand.Reader, keyBits)
+		if err != nil {
+			panic(fmt.Sprintf("auth: generating key for %s: %v", k.Cluster, err))
+		}
+		k.priv = priv
+	})
+	return k.priv
 }
 
 // Public returns the shareable public half.
-func (k *ClusterKey) Public() *rsa.PublicKey { return &k.priv.PublicKey }
+func (k *ClusterKey) Public() *rsa.PublicKey { return &k.private().PublicKey }
 
 // PublicPEM renders the public key as the PEM file administrators exchange
 // out of band (the paper: "via an out-of-band mechanism such as e-mail").
@@ -91,7 +105,7 @@ func ParsePublicPEM(data []byte) (*rsa.PublicKey, error) {
 // sign produces an RSA-PKCS1v15-SHA256 signature over msg.
 func (k *ClusterKey) sign(msg []byte) ([]byte, error) {
 	h := sha256.Sum256(msg)
-	return rsa.SignPKCS1v15(rand.Reader, k.priv, crypto.SHA256, h[:])
+	return rsa.SignPKCS1v15(rand.Reader, k.private(), crypto.SHA256, h[:])
 }
 
 func verify(pub *rsa.PublicKey, msg, sig []byte) error {
@@ -214,7 +228,7 @@ func ServerAccept(k *ClusterKey, clientPub *rsa.PublicKey, hello Hello, ns []byt
 	var key []byte
 	if mode == AES128 {
 		var err error
-		key, err = rsa.DecryptOAEP(sha256.New(), rand.Reader, k.priv, proof.EncKey, []byte("gfs-session"))
+		key, err = rsa.DecryptOAEP(sha256.New(), rand.Reader, k.private(), proof.EncKey, []byte("gfs-session"))
 		if err != nil {
 			return nil, fmt.Errorf("auth: decrypting session key: %w", err)
 		}

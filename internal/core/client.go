@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"slices"
@@ -490,10 +489,12 @@ func transientIO(err error) bool {
 // under the retry policy's exponential backoff. ctx is the causal context
 // of the operation the I/O belongs to.
 func (m *Mount) goIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayload, onDone func(netsim.Response)) {
-	m.issueIO(ctx, nsd, reqSize, pl, 1, onDone)
+	m.issueIO(ctx, nsd, reqSize, &pl, 1, onDone)
 }
 
-func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl ioPayload, attempt int, onDone func(netsim.Response)) {
+// issueIO sends one attempt. Every attempt carries the same payload
+// record, which the server only reads.
+func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl *ioPayload, attempt int, onDone func(netsim.Response)) {
 	pol := m.c.cfg.Retry
 	st := &m.fo[nsd]
 	srv := m.info.Servers[nsd]
@@ -787,7 +788,9 @@ type page struct {
 	pins     int
 	orphaned bool
 
-	elem *list.Element
+	// lruPrev and lruNext link the page into its pool's LRU ring; both
+	// are nil once it is unlinked.
+	lruPrev, lruNext *page
 }
 
 // pagePool is the client cache: the page map, an LRU list, and an index
@@ -814,8 +817,8 @@ type pagePool struct {
 	byIno    map[int64][]*page
 	inos     []int64
 	dirty    []*page
-	lru      *list.List // front = most recently used
-	arena    *bufArena  // reclaims page.data on remove
+	lru      page      // sentinel of the LRU ring: lru.lruNext is the most recently used
+	arena    *bufArena // reclaims page.data on remove
 	// unusedPrefetch counts prefetched pages dropped before any demand
 	// read claimed them — the honest cost of speculation (see
 	// MountStats.PrefetchUnused).
@@ -826,8 +829,27 @@ func newPagePool(capacity int, arena *bufArena) *pagePool {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &pagePool{capacity: capacity, pages: make(map[pageKey]*page),
-		byIno: make(map[int64][]*page), lru: list.New(), arena: arena}
+	pp := &pagePool{capacity: capacity, pages: make(map[pageKey]*page),
+		byIno: make(map[int64][]*page), arena: arena}
+	pp.lru.lruPrev, pp.lru.lruNext = &pp.lru, &pp.lru
+	return pp
+}
+
+// lruFront links pg in as the most recently used page.
+func (pp *pagePool) lruFront(pg *page) {
+	root := &pp.lru
+	pg.lruPrev, pg.lruNext = root, root.lruNext
+	root.lruNext.lruPrev = pg
+	root.lruNext = pg
+}
+
+// lruUnlink takes pg out of the LRU ring; an unlinked page is left as is.
+func (pp *pagePool) lruUnlink(pg *page) {
+	if pg.lruNext == nil {
+		return
+	}
+	pg.lruPrev.lruNext, pg.lruNext.lruPrev = pg.lruNext, pg.lruPrev
+	pg.lruPrev, pg.lruNext = nil, nil
 }
 
 // blockPos returns the position in pgs (one inode's pages, in block
@@ -852,13 +874,14 @@ func (pp *pagePool) get(k pageKey) *page {
 		// it. Callers must not resurrect it — they get a fresh page.
 		return nil
 	}
-	pp.lru.MoveToFront(pg.elem)
+	pp.lruUnlink(pg)
+	pp.lruFront(pg)
 	return pg
 }
 
 func (pp *pagePool) add(k pageKey, ref BlockRef) *page {
 	pg := &page{key: k, ref: ref}
-	pg.elem = pp.lru.PushFront(pg)
+	pp.lruFront(pg)
 	pp.pages[k] = pg
 	pgs := pp.byIno[k.ino]
 	if len(pgs) == 0 {
@@ -885,7 +908,7 @@ func (pp *pagePool) remove(pg *page) {
 		pp.unusedPrefetch++
 		pg.prefetched = false
 	}
-	pp.lru.Remove(pg.elem)
+	pp.lruUnlink(pg)
 	if pp.pages[pg.key] == pg {
 		delete(pp.pages, pg.key)
 		pgs := pp.byIno[pg.key.ino]
@@ -945,14 +968,12 @@ func (pp *pagePool) unpin(pg *page) {
 
 // evict drops clean cold pages until within capacity.
 func (pp *pagePool) evict() {
-	e := pp.lru.Back()
-	for len(pp.pages) > pp.capacity && e != nil {
-		prev := e.Prev()
-		pg := e.Value.(*page)
+	for pg := pp.lru.lruPrev; len(pp.pages) > pp.capacity && pg != &pp.lru; {
+		prev := pg.lruPrev
 		if !pg.dirty && !pg.fetching && !pg.flushing {
 			pp.remove(pg)
 		}
-		e = prev
+		pg = prev
 	}
 }
 

@@ -51,23 +51,21 @@ type RemoteFS struct {
 	RemoteFSName  string
 }
 
-// NewCluster creates a cluster with a freshly generated RSA identity
-// (mmcrcluster + mmauth genkey).
-func NewCluster(s *sim.Sim, nw *netsim.Network, name string, mode auth.CipherMode) (*Cluster, error) {
-	key, err := auth.GenerateKey(name)
-	if err != nil {
-		return nil, err
-	}
+// NewCluster creates a cluster (mmcrcluster). Its RSA identity (mmauth
+// genkey) is generated when first used: by the first PublicPEM export
+// for mmauth add, or the first handshake. A single-cluster run makes no
+// key.
+func NewCluster(s *sim.Sim, nw *netsim.Network, name string, mode auth.CipherMode) *Cluster {
 	return &Cluster{
 		Sim: s, Net: nw, Name: name,
-		Registry:       auth.NewRegistry(key, mode),
+		Registry:       auth.NewRegistry(auth.NewKey(name), mode),
 		fss:            make(map[string]*FileSystem),
 		clients:        make(map[string]*Client),
 		remoteClusters: make(map[string]*RemoteClusterDef),
 		remoteFS:       make(map[string]*RemoteFS),
 		pending:        make(map[string][]byte),
 		peers:          make(map[string]bool),
-	}, nil
+	}
 }
 
 // PublicPEM returns the key file an administrator mails to peer clusters.

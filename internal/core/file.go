@@ -86,7 +86,7 @@ func (f *File) ensureLayout(p *sim.Proc, upto int64) error {
 		return resp.Err
 	}
 	refs, _ := resp.Payload.([]BlockRef)
-	f.layout = append(f.layout, refs...)
+	f.appendLayout(refs)
 	if int64(len(f.layout)) <= upto {
 		return fmt.Errorf("core: %s: block %d beyond end of file: %w", f.name, upto, ErrStale)
 	}
@@ -110,8 +110,20 @@ func (f *File) ensureAlloc(p *sim.Proc, upto int64) error {
 		return resp.Err
 	}
 	refs, _ := resp.Payload.([]BlockRef)
-	f.layout = append(f.layout, refs...)
+	f.appendLayout(refs)
 	return nil
+}
+
+// appendLayout extends the cached layout with the refs of a layout or
+// alloc reply. The manager builds each reply's slice afresh, so an empty
+// layout adopts it instead of copying it: a rank's first fetch of a
+// shared file's layout is often the whole file up to its own region.
+func (f *File) appendLayout(refs []BlockRef) {
+	if len(f.layout) == 0 {
+		f.layout = refs
+		return
+	}
+	f.layout = append(f.layout, refs...)
 }
 
 // fetchAsync starts (or joins) a block fetch into the page pool. A

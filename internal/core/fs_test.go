@@ -29,10 +29,7 @@ func newRig(t testing.TB, nServers, nClients int, blockSize units.Bytes) *rig {
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	cluster, err := NewCluster(s, nw, "sdsc", auth.AuthOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := NewCluster(s, nw, "sdsc", auth.AuthOnly)
 	r := &rig{s: s, nw: nw, cl: cluster, sw: nw.NewNode("eth")}
 	r.fs = cluster.CreateFS("gpfs0", blockSize)
 	for i := 0; i < nServers; i++ {
@@ -419,7 +416,7 @@ func TestReadAheadHidesWANLatency(t *testing.T) {
 	elapsed := func(ra int) sim.Time {
 		s := sim.New()
 		nw := netsim.New(s)
-		cluster, _ := NewCluster(s, nw, "sdsc", auth.AuthOnly)
+		cluster := NewCluster(s, nw, "sdsc", auth.AuthOnly)
 		sw := nw.NewNode("wan-sw")
 		fs := cluster.CreateFS("gpfs0", units.MiB)
 		for i := 0; i < 4; i++ {

@@ -22,10 +22,7 @@ func newSANRig(t testing.TB, nClients int, cfg ClientConfig) (*rig, *san.Array) 
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	cluster, err := NewCluster(s, nw, "sdsc", auth.AuthOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := NewCluster(s, nw, "sdsc", auth.AuthOnly)
 	r := &rig{s: s, nw: nw, cl: cluster, sw: nw.NewNode("eth")}
 	r.fs = cluster.CreateFS("gpfs0", 128*units.KiB)
 	fab := san.NewFabric(s, nw)

@@ -35,19 +35,29 @@ var NilBlock = BlockRef{NSD: -1, Block: -1}
 
 // Allocator hands out block slots on one NSD using a bitmap with a
 // next-fit hint, the moral equivalent of a GPFS allocation-map segment.
+// The bitmap has two levels: fixed-size chunks of words, each allocated
+// when its first slot is claimed. An absent chunk reads as all-free, so
+// a fresh allocator costs one pointer per chunk however large its NSD,
+// and a run pays only for the regions it writes.
 type Allocator struct {
-	words []uint64
-	total int64
-	used  int64
-	hint  int64
+	chunks []*[chunkWords]uint64 // nil: every slot in the chunk is free
+	total  int64
+	used   int64
+	hint   int64
 }
+
+// A chunk is 128 words: 8,192 slots in 1 KiB.
+const (
+	chunkWords = 128
+	chunkSlots = chunkWords * 64
+)
 
 // NewAllocator returns an allocator with the given number of slots.
 func NewAllocator(blocks int64) *Allocator {
 	if blocks <= 0 {
 		panic(fmt.Sprintf("core: allocator size %d", blocks))
 	}
-	return &Allocator{words: make([]uint64, (blocks+63)/64), total: blocks}
+	return &Allocator{chunks: make([]*[chunkWords]uint64, (blocks+chunkSlots-1)/chunkSlots), total: blocks}
 }
 
 // Total returns the slot count.
@@ -59,6 +69,16 @@ func (a *Allocator) Used() int64 { return a.used }
 // Free returns unallocated slots.
 func (a *Allocator) Free() int64 { return a.total - a.used }
 
+// word returns bitmap word w for writing, allocating its chunk.
+func (a *Allocator) word(w int64) *uint64 {
+	c := a.chunks[w/chunkWords]
+	if c == nil {
+		c = new([chunkWords]uint64)
+		a.chunks[w/chunkWords] = c
+	}
+	return &c[w&(chunkWords-1)]
+}
+
 // Alloc claims the next free slot, scanning from the hint. It returns
 // false when the NSD is full.
 func (a *Allocator) Alloc() (int64, bool) {
@@ -69,7 +89,7 @@ func (a *Allocator) Alloc() (int64, bool) {
 	if i == a.total {
 		i = a.nextFree(0) // wrap: a free slot exists below the hint
 	}
-	a.words[i/64] |= 1 << uint(i%64)
+	*a.word(i / 64) |= 1 << uint(i%64)
 	a.used++
 	a.hint = i + 1
 	return i, true
@@ -100,9 +120,9 @@ func (a *Allocator) AllocRun(n, align int64) (int64, bool) {
 		return 0, false
 	}
 	for j := i; j < i+n; {
-		w, b := j/64, uint(j%64)
+		b := uint(j % 64)
 		bitsHere := min(64-int64(b), i+n-j)
-		a.words[w] |= (^uint64(0) >> uint(64-bitsHere)) << b
+		*a.word(j / 64) |= (^uint64(0) >> uint(64-bitsHere)) << b
 		j += bitsHere
 	}
 	a.used += n
@@ -130,7 +150,11 @@ func (a *Allocator) firstRun(lo, hi, n, align int64) (int64, bool) {
 func (a *Allocator) nextFree(i int64) int64 {
 	for i < a.total {
 		w := i / 64
-		if x := ^a.words[w] >> uint(i%64); x != 0 {
+		c := a.chunks[w/chunkWords]
+		if c == nil {
+			return i
+		}
+		if x := ^c[w&(chunkWords-1)] >> uint(i%64); x != 0 {
 			return min(i+int64(bits.TrailingZeros64(x)), a.total)
 		}
 		i = (w + 1) * 64
@@ -142,7 +166,12 @@ func (a *Allocator) nextFree(i int64) int64 {
 func (a *Allocator) nextUsed(i, end int64) int64 {
 	for i < end {
 		w := i / 64
-		if x := a.words[w] >> uint(i%64); x != 0 {
+		c := a.chunks[w/chunkWords]
+		if c == nil {
+			i = (w/chunkWords + 1) * chunkSlots
+			continue
+		}
+		if x := c[w&(chunkWords-1)] >> uint(i%64); x != 0 {
 			return min(i+int64(bits.TrailingZeros64(x)), end)
 		}
 		i = (w + 1) * 64
@@ -155,20 +184,21 @@ func (a *Allocator) IsAllocated(i int64) bool {
 	if i < 0 || i >= a.total {
 		return false
 	}
-	return a.words[i/64]&(1<<uint(i%64)) != 0
+	c := a.chunks[i/chunkSlots]
+	return c != nil && c[i/64&(chunkWords-1)]&(1<<uint(i%64)) != 0
 }
 
-// Free releases a slot; releasing a free slot panics (double free is a
+// Release frees a slot; releasing a free slot panics (double free is a
 // metadata corruption, not a recoverable condition).
 func (a *Allocator) Release(i int64) {
 	if i < 0 || i >= a.total {
 		panic(fmt.Sprintf("core: release of slot %d outside [0,%d)", i, a.total))
 	}
-	w, b := i/64, uint(i%64)
-	if a.words[w]&(1<<b) == 0 {
+	c, bit := a.chunks[i/chunkSlots], uint64(1)<<uint(i%64)
+	if c == nil || c[i/64&(chunkWords-1)]&bit == 0 {
 		panic(fmt.Sprintf("core: double free of slot %d", i))
 	}
-	a.words[w] &^= 1 << b
+	c[i/64&(chunkWords-1)] &^= bit
 	a.used--
 	if i < a.hint {
 		a.hint = i

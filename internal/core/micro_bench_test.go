@@ -20,6 +20,18 @@ func BenchmarkAllocatorAllocRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkNewAllocator builds the allocation map of one DS4100 8+P set
+// in 1 MiB blocks (~1.9M slots). A flat bitmap would cost ~238 KB/op;
+// the chunked map costs its chunk pointers until the first write.
+func BenchmarkNewAllocator(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if a := NewAllocator(int64(8 * 250 * units.GB / units.MiB)); a.Free() == 0 {
+			b.Fatal("empty")
+		}
+	}
+}
+
 func BenchmarkStriperMapping(b *testing.B) {
 	s := Striper{NSDs: 224, First: 17}
 	var sink int

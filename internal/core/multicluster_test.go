@@ -29,14 +29,8 @@ func newWANRig(t testing.TB, grant auth.Access, exchangeKeys bool) *wanRig {
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
-	sdsc, err := NewCluster(s, nw, "sdsc.teragrid", auth.AuthOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncsa, err := NewCluster(s, nw, "ncsa.teragrid", auth.AuthOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sdsc := NewCluster(s, nw, "sdsc.teragrid", auth.AuthOnly)
+	ncsa := NewCluster(s, nw, "ncsa.teragrid", auth.AuthOnly)
 	r := &wanRig{s: s, nw: nw, sdsc: sdsc, ncsa: ncsa, grantedLevel: grant}
 	r.sdscSW = nw.NewNode("sdsc-sw")
 	r.ncsaSW = nw.NewNode("ncsa-sw")

@@ -241,7 +241,7 @@ type ioPayload struct {
 const nsdService = "nsd.io"
 
 func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
-	io, ok := req.Payload.(ioPayload)
+	io, ok := req.Payload.(*ioPayload)
 	if !ok {
 		return netsim.Response{Err: fmt.Errorf("core: bad nsd.io payload %T", req.Payload)}
 	}

@@ -29,10 +29,7 @@ type Site struct {
 // observability is on, registers it for snapshots, timelines and solver
 // statistics.
 func (e Env) NewSite(s *sim.Sim, nw *netsim.Network, name string) *Site {
-	cl, err := core.NewCluster(s, nw, name, auth.AuthOnly)
-	if err != nil {
-		panic(err)
-	}
+	cl := core.NewCluster(s, nw, name, auth.AuthOnly)
 	if e.Obs != nil {
 		e.Obs.clusters = append(e.Obs.clusters, cl)
 	}

@@ -41,10 +41,7 @@ func TestDegradedReadsSurviveDiskFailure(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	nw := netsim.New(s)
-	cluster, err := core.NewCluster(s, nw, "sdsc", auth.AuthOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cluster := core.NewCluster(s, nw, "sdsc", auth.AuthOnly)
 	fs := cluster.CreateFS("gpfs0", 256*units.KiB)
 	sw := nw.NewNode("eth")
 

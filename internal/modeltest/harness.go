@@ -95,10 +95,7 @@ type rig struct {
 func buildRig(cfg *Config) *rig {
 	s := sim.New()
 	nw := netsim.New(s)
-	cluster, err := core.NewCluster(s, nw, "model", auth.AuthOnly)
-	if err != nil {
-		panic(err)
-	}
+	cluster := core.NewCluster(s, nw, "model", auth.AuthOnly)
 	fs := cluster.CreateFS("gpfs-model", cfg.BlockSize)
 	sw := nw.NewNode("sw")
 	for i := 0; i < nServers; i++ {
