@@ -23,6 +23,7 @@ type File struct {
 	name   string
 	size   units.Bytes
 	layout []BlockRef
+	gen    int64 // manager generation layout is a view of; -1 once mixed
 	pos    units.Bytes
 
 	// Sequential stream detector state. raDepth ramps up (2, 4, 8, ...)
@@ -53,7 +54,6 @@ func (f *File) Seek(off units.Bytes) { f.pos = off }
 func (f *File) Refresh(p *sim.Proc) error {
 	resp := f.m.meta(p, metaOp{Op: "stat", Path: "", Inode: f.ino})
 	if resp.Err != nil {
-		// Fall back to a path-less stat failing: use layout probe.
 		return resp.Err
 	}
 	a := resp.Payload.(Attrs)
@@ -85,8 +85,7 @@ func (f *File) ensureLayout(p *sim.Proc, upto int64) error {
 	if resp.Err != nil {
 		return resp.Err
 	}
-	refs, _ := resp.Payload.([]BlockRef)
-	f.appendLayout(refs)
+	f.appendLayout(resp.Payload.(blockView))
 	if int64(len(f.layout)) <= upto {
 		return fmt.Errorf("core: %s: block %d beyond end of file: %w", f.name, upto, ErrStale)
 	}
@@ -109,21 +108,26 @@ func (f *File) ensureAlloc(p *sim.Proc, upto int64) error {
 	if resp.Err != nil {
 		return resp.Err
 	}
-	refs, _ := resp.Payload.([]BlockRef)
-	f.appendLayout(refs)
+	f.appendLayout(resp.Payload.(blockView))
 	return nil
 }
 
-// appendLayout extends the cached layout with the refs of a layout or
-// alloc reply. The manager builds each reply's slice afresh, so an empty
-// layout adopts it instead of copying it: a rank's first fetch of a
-// shared file's layout is often the whole file up to its own region.
-func (f *File) appendLayout(refs []BlockRef) {
-	if len(f.layout) == 0 {
-		f.layout = refs
+// appendLayout extends the cached layout with the refs v.Refs[v.From:]
+// of a layout or alloc reply. v.Refs is a view of the inode's block
+// list, which only grows between shrinks, and a shrink starts a new
+// generation. So when the layout is empty, or is exactly [0, v.From) of
+// the same generation, v.Refs holds the layout plus the new refs and is
+// adopted whole: every handle on a shared file shares the manager's one
+// list. Otherwise (a stale or truncated handle) the new refs are copied
+// after the old ones into an array of the handle's own, which mixes
+// generations for good.
+func (f *File) appendLayout(v blockView) {
+	if len(f.layout) == 0 || (int64(len(f.layout)) == v.From && f.gen == v.Gen) {
+		f.layout, f.gen = v.Refs, v.Gen
 		return
 	}
-	f.layout = append(f.layout, refs...)
+	f.layout = append(f.layout, v.Refs[v.From:]...)
+	f.gen = -1
 }
 
 // fetchAsync starts (or joins) a block fetch into the page pool. A
@@ -920,7 +924,9 @@ func (f *File) Truncate(p *sim.Proc, size units.Bytes) error {
 		f.pos = size
 	}
 	if int64(len(f.layout)) > keep {
-		f.layout = f.layout[:keep]
+		// Clip the capacity too: the layout may be a view of the
+		// manager's list, which no append may write into.
+		f.layout = f.layout[:keep:keep]
 	}
 	if f.raEdge >= keep {
 		f.raEdge = 0

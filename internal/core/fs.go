@@ -37,7 +37,31 @@ type Inode struct {
 	Size    units.Bytes
 	Blocks  []BlockRef
 
+	// blocksGen counts the shrinks of Blocks. Between two shrinks Blocks
+	// only grows by append, so (Num, blocksGen) names one list whose
+	// every prefix handed out stays valid (see blockView).
+	blocksGen int64
+
 	children map[string]int64
+}
+
+// blockView is an alloc or layout reply: the inode's block list up to
+// the requested end, of which the refs from From on were asked for. Refs
+// is a read-only view of Inode.Blocks with its capacity clipped, so no
+// holder's append can write into the manager's array.
+type blockView struct {
+	Gen  int64
+	From int64
+	Refs []BlockRef
+}
+
+// view replies with indexes [from, end) of ino's block list. The wire
+// size counts only the refs asked for.
+func (ino *Inode) view(from, end int64) netsim.Response {
+	return netsim.Response{
+		Size:    units.Bytes(64 + 16*(end-from)),
+		Payload: blockView{Gen: ino.blocksGen, From: from, Refs: ino.Blocks[:end:end]},
+	}
 }
 
 // Attrs is the stat result shipped over the wire.
@@ -512,11 +536,10 @@ func (fs *FileSystem) serveMetaOp(p *sim.Proc, op metaOp, sh *tokenShard) netsim
 		if ino == nil || ino.Dir {
 			return netsim.Response{Size: 64, Err: fmt.Errorf("core: alloc on inode %d: %w", op.Inode, ErrNotExist)}
 		}
-		refs, err := fs.allocBlocks(ino, op.From, op.Count, sh)
-		if err != nil {
+		if err := fs.allocBlocks(ino, op.From, op.Count, sh); err != nil {
 			return netsim.Response{Size: 64, Err: err}
 		}
-		return netsim.Response{Size: units.Bytes(64 + 16*len(refs)), Payload: refs}
+		return ino.view(op.From, op.From+op.Count)
 
 	case "layout":
 		ino := fs.inodes[op.Inode]
@@ -533,9 +556,7 @@ func (fs *FileSystem) serveMetaOp(p *sim.Proc, op metaOp, sh *tokenShard) netsim
 		if from+count > int64(len(ino.Blocks)) {
 			count = int64(len(ino.Blocks)) - from
 		}
-		refs := make([]BlockRef, count)
-		copy(refs, ino.Blocks[from:from+count])
-		return netsim.Response{Size: units.Bytes(64 + 16*len(refs)), Payload: refs}
+		return ino.view(from, from+count)
 
 	case "setsize":
 		ino := fs.inodes[op.Inode]
@@ -639,7 +660,7 @@ func (fs *FileSystem) serveMetaOp(p *sim.Proc, op metaOp, sh *tokenShard) netsim
 // When a shard serves the allocation (sh != nil, per-block striping
 // only), slots come from the shard's bulk regions instead of the
 // central map's next-fit scan.
-func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard) ([]BlockRef, error) {
+func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard) error {
 	striper := Striper{NSDs: len(fs.nsds), First: int(ino.Num) % len(fs.nsds)}
 	if fs.stripeAlign {
 		striper.Group = fs.stripeGroup()
@@ -688,18 +709,19 @@ func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard)
 			}
 		}
 		if !ref.Valid() {
-			return nil, fmt.Errorf("core: %s: %w", fs.Name, ErrNoSpace)
+			return fmt.Errorf("core: %s: %w", fs.Name, ErrNoSpace)
 		}
 		ino.Blocks = append(ino.Blocks, ref)
 	}
-	out := make([]BlockRef, count)
-	copy(out, ino.Blocks[from:from+count])
-	return out, nil
+	return nil
 }
 
 // freeBlocks releases block slots beyond index keep and clears content.
+// A shrink starts a new generation and clips the list's capacity, so the
+// next append moves to a fresh array and views handed out before keep
+// their contents.
 func (fs *FileSystem) freeBlocks(ino *Inode, keep int64) {
-	if ino.Blocks == nil {
+	if keep >= int64(len(ino.Blocks)) {
 		return
 	}
 	for i := keep; i < int64(len(ino.Blocks)); i++ {
@@ -709,7 +731,8 @@ func (fs *FileSystem) freeBlocks(ino *Inode, keep int64) {
 			delete(fs.nsds[ref.NSD].content, ref.Block)
 		}
 	}
-	ino.Blocks = ino.Blocks[:keep]
+	ino.Blocks = ino.Blocks[:keep:keep]
+	ino.blocksGen++
 }
 
 // mountReq asks for mount configuration and registers the client for

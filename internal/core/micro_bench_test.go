@@ -132,3 +132,46 @@ func BenchmarkWriteBehind(b *testing.B) {
 		return nil
 	})
 }
+
+// BenchmarkSharedFileLayout has 16 mounts open one 4,096-block shared
+// file and fetch its layout at strided offsets, rank i up to the end of
+// its own region, as MPI-IO ranks do before a strided read. One op is
+// all 16 opens and fetches. Replies are views of the manager's one block
+// list, so B/op is the RPCs' own cost (~12 KB); copied replies read
+// ~610 KB/op.
+func BenchmarkSharedFileLayout(b *testing.B) {
+	const ranks, blocks = 16, 4096
+	r := newRig(b, 4, ranks, 64*units.KiB)
+	r.run(b, func(p *sim.Proc) error {
+		mounts := make([]*Mount, ranks)
+		for i, c := range r.clients {
+			m, err := c.MountLocal(p, r.fs)
+			if err != nil {
+				return err
+			}
+			mounts[i] = m
+		}
+		f, err := mounts[0].Create(p, "/shared", DefaultPerm)
+		if err != nil {
+			return err
+		}
+		if err := f.ensureAlloc(p, blocks-1); err != nil {
+			return err
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, m := range mounts {
+				g, err := m.Open(p, "/shared")
+				if err != nil {
+					return err
+				}
+				if err := g.ensureLayout(p, int64(k+1)*blocks/ranks-1); err != nil {
+					return err
+				}
+			}
+		}
+		b.StopTimer()
+		return nil
+	})
+}

@@ -156,21 +156,38 @@ type member struct {
 	startFn func()
 }
 
-// newOp takes a recycled op record, or builds one with its members'
-// callbacks bound once.
+// opBatch is how many op records newOp carves at once.
+const opBatch = 4
+
+// newOp takes a recycled op record, carving a batch of new ones when
+// none is free. A batch's records, member arrays and work-list headers
+// are one allocation each; a record's member callbacks are bound the
+// first time it is handed out, so records a set never needs cost no
+// closures.
 func (r *Set) newOp() *op {
-	if n := len(r.free); n > 0 {
-		o := r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-		return o
+	if len(r.free) == 0 {
+		nd := len(r.disks)
+		ops := make([]op, opBatch)
+		members := make([]member, opBatch*nd)
+		work := make([][]diskWork, opBatch*nd)
+		for j := range ops {
+			o := &ops[j]
+			o.work = work[j*nd : (j+1)*nd : (j+1)*nd]
+			o.members = members[j*nd : (j+1)*nd : (j+1)*nd]
+			r.free = append(r.free, o)
+		}
 	}
-	o := &op{work: make([][]diskWork, len(r.disks)), members: make([]member, len(r.disks))}
-	for i := range o.members {
-		m := &o.members[i]
-		m.o, m.i = o, i
-		m.startFn = m.submit
-		m.cmd.Done = m.done
+	n := len(r.free)
+	o := r.free[n-1]
+	r.free[n-1] = nil
+	r.free = r.free[:n-1]
+	if o.members[0].o == nil {
+		for i := range o.members {
+			m := &o.members[i]
+			m.o, m.i = o, i
+			m.startFn = m.submit
+			m.cmd.Done = m.done
+		}
 	}
 	return o
 }

@@ -273,3 +273,44 @@ func TestPropertySegmentsPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpRecordsCarvedInBatches takes 10 op records from a fresh set at
+// once: they come in batches of opBatch, each record owns its members
+// and work-list headers (capped, so no record's slices reach into a
+// neighbour's), records still in the free list have no callbacks bound
+// yet, and a returned record is reused before any new batch.
+func TestOpRecordsCarvedInBatches(t *testing.T) {
+	t.Parallel()
+	r := newSet(sim.New(), 9)
+	seen := map[*op]bool{}
+	var ops []*op
+	for k := 0; k < 10; k++ {
+		o := r.newOp()
+		if seen[o] {
+			t.Fatalf("record %d handed out twice", k)
+		}
+		seen[o] = true
+		ops = append(ops, o)
+		if len(o.work) != 9 || cap(o.work) != 9 || len(o.members) != 9 || cap(o.members) != 9 {
+			t.Fatalf("record %d: work %d/%d, members %d/%d, want 9/9", k,
+				len(o.work), cap(o.work), len(o.members), cap(o.members))
+		}
+		for i := range o.members {
+			if m := &o.members[i]; m.o != o || m.i != i || m.startFn == nil || m.cmd.Done == nil {
+				t.Fatalf("record %d member %d not bound to its record", k, i)
+			}
+		}
+	}
+	if want := (10+opBatch-1)/opBatch*opBatch - 10; len(r.free) != want {
+		t.Fatalf("free list holds %d records, want %d", len(r.free), want)
+	}
+	for _, o := range r.free {
+		if o.members[0].startFn != nil {
+			t.Fatal("a record never handed out has callbacks bound")
+		}
+	}
+	r.free = append(r.free, ops[3])
+	if o := r.newOp(); o != ops[3] {
+		t.Fatal("returned record not reused first")
+	}
+}
