@@ -444,8 +444,7 @@ func writeGatherRow(env experiments.Env, gather bool, size units.Bytes) []float6
 	if gather {
 		ccfg.Gather = true
 		ccfg.WideTokens = true
-		site.FS.SetStripeAlign(true)
-		site.FS.SetElevator(true)
+		site.FS.EnableGather()
 	}
 	writer := site.AddClients(1, 10*units.Gbps, ccfg)[0]
 	reader := site.AddClients(1, 10*units.Gbps, ccfg)[0]

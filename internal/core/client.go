@@ -766,12 +766,13 @@ type page struct {
 	dirty    bool
 	dFrom    units.Bytes
 	dTo      units.Bytes
-	// gen counts content revisions. A flush snapshots it at issue time
-	// and may only mark the page clean if it is unchanged at completion:
-	// a write landing while the flush is in flight — even one that leaves
-	// the dirty interval identical — must keep the page dirty, or the
-	// rewrite never reaches the media.
-	gen uint64
+	// gen counts content revisions. A flush snapshots it into flushGen at
+	// issue time and may only mark the page clean if it is unchanged at
+	// completion: a write landing while the flush is in flight — even one
+	// that leaves the dirty interval identical — must keep the page dirty,
+	// or the rewrite never reaches the media.
+	gen, flushGen uint64
+
 	err error // sticky I/O error, surfaced on wait/sync
 
 	fetching   bool

@@ -130,20 +130,25 @@ func (f *File) appendLayout(v blockView) {
 	f.gen = -1
 }
 
-// fetchAsync starts (or joins) a block fetch into the page pool. A
-// prefetch fetch is speculative: it is issued by the sequential stream
-// detector, accounted separately from demand misses, and the page stays
-// marked prefetched until a demand read claims it (a prefetch hit) or
-// the page is dropped unused. The pool's fetching flag doubles as the
-// in-flight dedupe map: a demand read landing on an in-flight prefetch
-// joins it instead of issuing a second RPC.
-func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bool) *page {
+// fetchRun reads the n blocks of f from index idx on, which sit
+// consecutively on one NSD, into the page pool as one NSD RPC, and
+// returns the first block's page. A demand miss is a run of one; longer
+// runs come only from the readahead issuer (prefetchBatch). Only a run of
+// one may join a page already cached or in flight: the pool's fetching
+// flag doubles as the in-flight dedupe map, so a demand read landing on an
+// in-flight prefetch joins it instead of issuing a second RPC. A longer
+// run covers absent blocks only; its pages are created up front and
+// marked fetching, so a demand read arriving mid-flight joins it too.
+//
+// A prefetch is speculative: it is accounted separately from demand
+// misses, and its pages stay marked prefetched until a demand read claims
+// them (a prefetch hit) or they are dropped unused.
+func (m *Mount) fetchRun(f *File, idx, n int64, verify, prefetch bool) *page {
 	k := pageKey{ino: f.ino, idx: idx}
 	pg := m.pool.get(k)
 	if pg == nil {
-		pg = m.pool.add(k, ref)
-	}
-	if pg.fetching || (pg.present && (!verify || pg.hasBytes || pg.dirty)) {
+		pg = m.pool.add(k, f.layout[idx])
+	} else if pg.fetching || (pg.present && (!verify || pg.hasBytes || pg.dirty)) {
 		if !prefetch && pg.prefetched {
 			// Demand read claims a prefetched (or in-flight prefetch)
 			// page: the speculation paid off.
@@ -152,16 +157,22 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 		}
 		return pg
 	}
-	pg.fetching = true
-	pg.inPrefetch = prefetch
-	opName := "fetch"
-	tr, _ := m.obs()
+	pg.startFetch(prefetch)
+	var rest []*page
+	if n > 1 {
+		rest = make([]*page, n-1)
+		for i := range rest {
+			j := idx + 1 + int64(i)
+			rest[i] = m.pool.add(pageKey{ino: f.ino, idx: j}, f.layout[j])
+			rest[i].startFetch(prefetch)
+		}
+		m.st.BatchedFetches++
+	}
+	opName, what := "fetch", "miss"
 	if prefetch {
-		pg.prefetched = true
-		m.st.PrefetchIssued++
-		opName = "prefetch"
+		opName, what = "prefetch", "prefetch"
+		m.st.PrefetchIssued += uint64(n)
 	} else {
-		pg.prefetched = false
 		m.st.CacheMisses++
 	}
 	// Each fetch is its own background operation: several foreground
@@ -170,152 +181,109 @@ func (m *Mount) fetchAsync(f *File, idx int64, ref BlockRef, verify, prefetch bo
 	// spans are redistributed over the aggregate fetch profile by
 	// critpath.
 	rec := m.beginBgOp(opName)
-	if tr != nil {
-		what := "miss"
-		if prefetch {
-			what = "prefetch"
+	if tr, _ := m.obs(); tr != nil {
+		if n > 1 {
+			tr.InstantCtx(rec.ctx(), "cache", what, m.c.id, int64(m.c.sim.Now()),
+				trace.I("ino", f.ino), trace.I("block", idx), trace.I("blocks", n))
+		} else {
+			tr.InstantCtx(rec.ctx(), "cache", what, m.c.id, int64(m.c.sim.Now()),
+				trace.I("ino", f.ino), trace.I("block", idx))
 		}
-		tr.InstantCtx(rec.ctx(), "cache", what, m.c.id, int64(m.c.sim.Now()),
-			trace.I("ino", f.ino), trace.I("block", idx))
 	}
-	bs := m.info.BlockSize
+	ref := f.layout[idx]
+	ln := m.info.BlockSize * units.Bytes(n)
 	m.goIO(rec.ctx(), ref.NSD, 64, ioPayload{
 		Cluster: m.c.cluster.Name, FS: m.fsName,
-		NSD: ref.NSD, Block: ref.Block, Off: 0, Len: bs,
+		NSD: ref.NSD, Block: ref.Block, Off: 0, Len: ln, Count: n,
 		Op: disk.Read, Verify: verify,
 	}, func(resp netsim.Response) {
-		pg.fetching = false
-		pg.inPrefetch = false
-		m.endBgOp(rec, trace.I("ino", f.ino), trace.I("block", idx), trace.I("bytes", int64(bs)))
-		if pg.stale {
-			// The block was freed (truncate/remove) while the fetch was
-			// in flight; the page must not be resurrected.
-			ws := pg.waiters
-			pg.waiters = nil
-			for _, w := range ws {
-				w()
+		m.endBgOp(rec, trace.I("ino", pg.key.ino), trace.I("block", pg.key.idx), trace.I("bytes", int64(ln)))
+		media, _ := resp.Payload.([]byte)
+		if !verify || units.Bytes(len(media)) != ln {
+			media = nil
+		}
+		landed := m.landFetch(pg, resp.Err, media)
+		for _, q := range rest {
+			if media != nil {
+				media = media[m.info.BlockSize:]
 			}
-			m.pool.remove(pg)
-			return
+			landed = m.landFetch(q, resp.Err, media) || landed
 		}
-		if resp.Err == nil {
-			pg.present = true
-			pg.err = nil
-			m.st.BytesRead += bs
-			if verify {
-				if bytes, ok := resp.Payload.([]byte); ok {
-					pg.mergeFetched(m.arena, bytes, bs)
-				}
-			}
-		} else {
-			pg.err = resp.Err
+		if landed {
+			m.pool.evict()
 		}
-		ws := pg.waiters
-		pg.waiters = nil
-		for _, w := range ws {
-			w()
-		}
-		m.pool.evict()
 	})
 	return pg
 }
 
-// prefetchBatch issues the readahead window [from,last] as the fewest
-// possible NSD RPCs: runs of absent blocks that sit consecutively on one
-// NSD (stripe-group allocation makes these the common case) go out as
-// single multi-block fetches; everything else falls back to the per-block
-// prefetch path.
-func (m *Mount) prefetchBatch(f *File, from, last int64, verify bool) {
-	var run []int64
-	flush := func() {
-		switch {
-		case len(run) == 0:
-		case len(run) == 1:
-			m.fetchAsync(f, run[0], f.layout[run[0]], verify, true)
-		default:
-			m.fetchRunAsync(f, run, verify)
-		}
-		run = nil
-	}
-	for idx := from; idx <= last; idx++ {
-		if m.pool.get(pageKey{ino: f.ino, idx: idx}) != nil {
-			// Cached or already in flight: fetchAsync dedupes. Breaks the run.
-			flush()
-			m.fetchAsync(f, idx, f.layout[idx], verify, true)
-			continue
-		}
-		if n := len(run); n > 0 {
-			prev, cur := f.layout[run[n-1]], f.layout[idx]
-			if cur.NSD != prev.NSD || cur.Block != prev.Block+1 {
-				flush()
-			}
-		}
-		run = append(run, idx)
-	}
-	flush()
+// startFetch marks a page as being filled by a fetch.
+func (pg *page) startFetch(prefetch bool) {
+	pg.fetching = true
+	pg.inPrefetch = prefetch
+	pg.prefetched = prefetch
 }
 
-// fetchRunAsync issues one multi-block prefetch covering consecutive
-// blocks of one NSD. Pages are created up front and marked fetching, so a
-// demand read arriving mid-flight joins the batch like any other fetch.
-func (m *Mount) fetchRunAsync(f *File, idxs []int64, verify bool) {
-	bs := m.info.BlockSize
-	k := len(idxs)
-	first := f.layout[idxs[0]]
-	pages := make([]*page, k)
-	for i, idx := range idxs {
-		pg := m.pool.add(pageKey{ino: f.ino, idx: idx}, f.layout[idx])
-		pg.fetching = true
-		pg.inPrefetch = true
-		pg.prefetched = true
-		pages[i] = pg
+// landFetch completes one page of a fetch run and wakes its waiters; media
+// starts with the page's block (nil unless the run was verified). It
+// reports whether the page landed: a page discarded (truncate/remove)
+// while the fetch was in flight is dropped after the wake instead, never
+// resurrected.
+func (m *Mount) landFetch(pg *page, err error, media []byte) bool {
+	pg.fetching = false
+	pg.inPrefetch = false
+	landed := !pg.stale
+	switch {
+	case !landed:
+	case err != nil:
+		pg.err = err
+	default:
+		bs := m.info.BlockSize
+		pg.present = true
+		pg.err = nil
+		m.st.BytesRead += bs
+		if media != nil {
+			pg.mergeFetched(m.arena, media[:bs], bs)
+		}
 	}
-	m.st.PrefetchIssued += uint64(k)
-	m.st.BatchedFetches++
-	tr, _ := m.obs()
-	rec := m.beginBgOp("prefetch")
-	if tr != nil {
-		tr.InstantCtx(rec.ctx(), "cache", "prefetch", m.c.id, int64(m.c.sim.Now()),
-			trace.I("ino", f.ino), trace.I("block", idxs[0]), trace.I("blocks", int64(k)))
+	ws := pg.waiters
+	pg.waiters = nil
+	for _, w := range ws {
+		w()
 	}
-	ln := bs * units.Bytes(k)
-	m.goIO(rec.ctx(), first.NSD, 64, ioPayload{
-		Cluster: m.c.cluster.Name, FS: m.fsName,
-		NSD: first.NSD, Block: first.Block, Off: 0, Len: ln, Count: int64(k),
-		Op: disk.Read, Verify: verify,
-	}, func(resp netsim.Response) {
-		media, _ := resp.Payload.([]byte)
-		m.endBgOp(rec, trace.I("ino", f.ino), trace.I("block", idxs[0]), trace.I("bytes", int64(ln)))
-		for i, pg := range pages {
-			pg.fetching = false
-			pg.inPrefetch = false
-			if pg.stale {
-				ws := pg.waiters
-				pg.waiters = nil
-				for _, w := range ws {
-					w()
-				}
-				m.pool.remove(pg)
-				continue
+	if !landed {
+		m.pool.remove(pg)
+	}
+	return landed
+}
+
+// prefetchBatch issues the readahead window [from,last] as the fewest
+// NSD RPCs gathering allows. With it on, a run of absent blocks that sit
+// consecutively on one NSD (stripe-group allocation makes these the
+// common case) goes out as one multi-block fetch; with it off, every
+// block is a run of one. A block already cached or in flight breaks the
+// run and goes to fetchRun alone, which dedupes it.
+func (m *Mount) prefetchBatch(f *File, from, last int64, verify bool) {
+	run := from // [run, idx) is the pending run of absent blocks
+	for idx := from; idx <= last; idx++ {
+		if m.pool.get(pageKey{ino: f.ino, idx: idx}) != nil {
+			if run < idx {
+				m.fetchRun(f, run, idx-run, verify, true)
 			}
-			if resp.Err == nil {
-				pg.present = true
-				pg.err = nil
-				m.st.BytesRead += bs
-				if verify && units.Bytes(len(media)) == ln {
-					pg.mergeFetched(m.arena, media[units.Bytes(i)*bs:units.Bytes(i+1)*bs], bs)
-				}
-			} else {
-				pg.err = resp.Err
-			}
-			ws := pg.waiters
-			pg.waiters = nil
-			for _, w := range ws {
-				w()
+			m.fetchRun(f, idx, 1, verify, true)
+			run = idx + 1
+			continue
+		}
+		if run < idx {
+			prev, cur := f.layout[idx-1], f.layout[idx]
+			if !m.c.cfg.Gather || cur.NSD != prev.NSD || cur.Block != prev.Block+1 {
+				m.fetchRun(f, run, idx-run, verify, true)
+				run = idx
 			}
 		}
-		m.pool.evict()
-	})
+	}
+	if run <= last {
+		m.fetchRun(f, run, last+1-run, verify, true)
+	}
 }
 
 // mergeFetched installs media bytes without clobbering a dirty interval.
@@ -391,7 +359,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 	tr, _ := m.obs()
 	var hits uint64
 	for i, sp := range sps {
-		pg := m.fetchAsync(f, sp.Index, f.layout[sp.Index], verify, false)
+		pg := m.fetchRun(f, sp.Index, 1, verify, false)
 		if !pg.fetching && pg.present {
 			m.st.CacheHits++
 			hits++
@@ -442,13 +410,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 		raFrom := f.raEdge + 1
 		if raFrom <= raLast {
 			if err := f.ensureLayout(p, raLast); err == nil {
-				if m.c.cfg.Gather {
-					m.prefetchBatch(f, raFrom, raLast, verify)
-				} else {
-					for idx := raFrom; idx <= raLast; idx++ {
-						m.fetchAsync(f, idx, f.layout[idx], verify, true)
-					}
-				}
+				m.prefetchBatch(f, raFrom, raLast, verify)
 				f.raEdge = raLast
 				m.st.ReadaheadBlocks += uint64(raLast - raFrom + 1)
 				if tr != nil {
@@ -635,39 +597,16 @@ func (m *Mount) flushAllDirty(ino int64) {
 	m.flushDirty(m.pool.dirtyOf(ino), true)
 }
 
-// gatherRuns groups pages (pre-sorted by inode and block index) into runs
-// flushable as one NSD RPC: fully-dirty pages of one inode, consecutive
-// in both file block index and NSD block slot, uniform in hasBytes.
-// Partially-dirty pages always end up as singleton runs.
-func (m *Mount) gatherRuns(pgs []*page) [][]*page {
-	bs := m.info.BlockSize
-	var runs [][]*page
-	for _, pg := range pgs {
-		if n := len(runs); n > 0 {
-			last := runs[n-1]
-			prev := last[len(last)-1]
-			if pg.dFrom == 0 && pg.dTo == bs &&
-				prev.dFrom == 0 && prev.dTo == bs &&
-				pg.key.ino == prev.key.ino && pg.key.idx == prev.key.idx+1 &&
-				pg.ref.NSD == prev.ref.NSD && pg.ref.Block == prev.ref.Block+1 &&
-				pg.hasBytes == prev.hasBytes {
-				runs[n-1] = append(last, pg)
-				continue
-			}
-		}
-		runs = append(runs, []*page{pg})
-	}
-	return runs
-}
-
 // flushDirty starts flushes for the dirty, not-yet-flushing pages of pgs
-// and returns how many flush RPCs it issued. With gathering off, every
-// page goes out alone (the historical path, byte-identical). With it on,
-// contiguous runs go out as single multi-block RPCs; in non-barrier mode
-// (write-behind) a run's unaligned edges are additionally held back so
-// the next round can complete them into full RAID stripes — the store
-// then skips its parity read entirely. Barrier callers (sync, revoke,
-// unmount, truncate) flush everything regardless of alignment.
+// (sorted by inode and block index) and returns how many flush RPCs it
+// issued. Each RPC carries one run, cut in place from the candidates.
+// With gathering on, fully-dirty pages consecutive in both file block
+// index and NSD slot, and uniform in hasBytes, join one run; otherwise
+// every page is a run of one. In non-barrier mode (write-behind),
+// gathering also holds a run's unaligned edges back so the next round can
+// complete them into full RAID stripes — the store then skips its parity
+// read entirely. Barrier callers (sync, revoke, unmount, truncate) flush
+// everything regardless of alignment.
 func (m *Mount) flushDirty(pgs []*page, barrier bool) int {
 	var cand []*page
 	for _, pg := range pgs {
@@ -675,88 +614,97 @@ func (m *Mount) flushDirty(pgs []*page, barrier bool) int {
 			cand = append(cand, pg)
 		}
 	}
-	if len(cand) == 0 {
-		return 0
-	}
-	if !m.c.cfg.Gather {
-		for _, pg := range cand {
-			m.flushAsync(pg)
-		}
-		return len(cand)
-	}
+	gather := m.c.cfg.Gather
 	bs := m.info.BlockSize
 	issued := 0
-	for _, run := range m.gatherRuns(cand) {
-		lo, n := 0, len(run)
-		if !barrier {
+	for lo := 0; lo < len(cand); {
+		hi := lo + 1
+		for gather && hi < len(cand) && joinsRun(cand[hi-1], cand[hi], bs) {
+			hi++
+		}
+		run := cand[lo:hi]
+		lo = hi
+		if gather && !barrier {
 			if run[0].dFrom != 0 || run[0].dTo != bs {
-				// Partially-dirty page (always a singleton run): hold it
-				// back — a writer straddling block boundaries completes it
-				// on its next transfer, and flushing the half now means
-				// paying the store's read-modify-write twice for one block.
-				// Barrier callers and the write-behind fallback still flush
+				// Partially-dirty page (always a run of one): hold it back —
+				// a writer straddling block boundaries completes it on its
+				// next transfer, and flushing the half now means paying the
+				// store's read-modify-write twice for one block. Barrier
+				// callers and the write-behind fallback still flush
 				// partials, so a lone half page cannot stall the pool.
 				continue
 			}
 			if sw := m.stripeWOf(run[0].ref.NSD); sw > 0 && sw%bs == 0 {
-				if swb := int(sw / bs); swb > 1 && run[0].dFrom == 0 && run[0].dTo == bs {
+				if swb := int(sw / bs); swb > 1 {
 					skip := (swb - int(run[0].ref.Block)%swb) % swb
-					aligned := (n - skip) / swb * swb
+					aligned := (len(run) - skip) / swb * swb
 					if aligned <= 0 {
 						continue // no full stripe accumulated yet; stays dirty
 					}
-					lo, n = skip, aligned
+					run = run[skip : skip+aligned]
 				}
 			}
 		}
-		m.flushGathered(run[lo : lo+n])
+		m.flushRun(run)
 		issued++
 	}
 	return issued
 }
 
-// flushGathered writes one run of fully-dirty consecutive pages back as a
-// single multi-block NSD RPC (single-page runs take the ordinary path).
-// The store sees one contiguous write — stripe-aligned runs hit the RAID
-// full-stripe path with no parity read. A failed gathered flush leaves
-// every page dirty with a sticky error: it must not ack.
-func (m *Mount) flushGathered(run []*page) {
-	if len(run) == 1 {
-		m.flushAsync(run[0])
-		return
-	}
+// joinsRun reports whether pg may follow prev in one gathered flush run:
+// both fully dirty, consecutive in the same inode and on the same NSD,
+// and uniform in hasBytes.
+func joinsRun(prev, pg *page, bs units.Bytes) bool {
+	return pg.dFrom == 0 && pg.dTo == bs && prev.dFrom == 0 && prev.dTo == bs &&
+		pg.key.ino == prev.key.ino && pg.key.idx == prev.key.idx+1 &&
+		pg.ref.NSD == prev.ref.NSD && pg.ref.Block == prev.ref.Block+1 &&
+		pg.hasBytes == prev.hasBytes
+}
+
+// flushRun writes one run of dirty pages back to their NSD server as a
+// single RPC covering [run[0].dFrom, (n-1)·bs + run[n-1].dTo): a run of
+// one writes its page's dirty interval, and a longer run (fully-dirty
+// pages, see flushDirty) one contiguous store transfer — stripe-aligned
+// runs hit the RAID full-stripe path with no parity read. Each page takes
+// its flushGen at issue; a page rewritten while the flush is in flight
+// stays dirty and flushes again. A failed flush leaves every page dirty
+// with a sticky error: it must not ack.
+func (m *Mount) flushRun(run []*page) {
 	bs := m.info.BlockSize
 	n := len(run)
-	ln := bs * units.Bytes(n)
+	first, from := run[0], run[0].dFrom
+	ln := units.Bytes(n-1)*bs + run[n-1].dTo - from
 	for _, pg := range run {
 		pg.flushing = true
+		pg.flushGen = pg.gen
 	}
 	m.st.Writebacks += uint64(n)
-	m.st.GatheredFlushes++
-	if sw := m.stripeWOf(run[0].ref.NSD); sw > 0 && sw%bs == 0 {
-		if swb := int64(sw / bs); swb >= 1 && run[0].ref.Block%swb == 0 {
-			m.st.FullStripeWrites += uint64(int64(n) / swb)
+	if n > 1 {
+		m.st.GatheredFlushes++
+		if sw := m.stripeWOf(first.ref.NSD); sw > 0 && sw%bs == 0 {
+			if swb := int64(sw / bs); first.ref.Block%swb == 0 {
+				m.st.FullStripeWrites += uint64(int64(n) / swb)
+			}
 		}
 	}
 	var data []byte
-	if run[0].hasBytes {
+	if first.hasBytes {
 		data = m.arena.getScratch(int(ln))
 		for i, pg := range run {
-			copy(data[units.Bytes(i)*bs:], pg.data)
+			copy(data[units.Bytes(i)*bs+pg.dFrom-from:], pg.data[pg.dFrom:pg.dTo])
 		}
-	}
-	snapGens := make([]uint64, n)
-	for i, pg := range run {
-		snapGens[i] = pg.gen
 	}
 	_, reg := m.obs()
 	issued := m.c.sim.Now()
+	// Each write-back is its own background "flush" op: the writer that
+	// dirtied the pages has long since returned, and wb_wait/sync_wait
+	// time is redistributed over the aggregate flush profile by critpath.
 	rec := m.beginBgOp("flush")
 	m.wgFl.Add(1)
 	m.flInFlight++
-	m.goIO(rec.ctx(), run[0].ref.NSD, ln, ioPayload{
+	m.goIO(rec.ctx(), first.ref.NSD, ln, ioPayload{
 		Cluster: m.c.cluster.Name, FS: m.fsName,
-		NSD: run[0].ref.NSD, Block: run[0].ref.Block, Off: 0, Len: ln, Count: int64(n),
+		NSD: first.ref.NSD, Block: first.ref.Block, Off: from, Len: ln, Count: int64(n),
 		Op: disk.Write, Data: data,
 	}, func(resp netsim.Response) {
 		// The server copied the payload on receipt (goIO retries resend the
@@ -767,94 +715,56 @@ func (m *Mount) flushGathered(run []*page) {
 			pg.flushing = false
 		}
 		m.flInFlight--
-		m.endBgOp(rec, trace.I("ino", run[0].key.ino), trace.I("bytes", int64(ln)), trace.I("blocks", int64(n)))
+		if len(run) > 1 {
+			m.endBgOp(rec, trace.I("ino", run[0].key.ino), trace.I("bytes", int64(ln)), trace.I("blocks", int64(len(run))))
+		} else {
+			m.endBgOp(rec, trace.I("ino", run[0].key.ino), trace.I("bytes", int64(ln)))
+		}
 		m.st.Flushes++
 		if reg != nil {
 			reg.Histogram("cache.flush_ns").Observe(float64(m.c.sim.Now() - issued))
 		}
-		for i, pg := range run {
-			if pg.stale {
+		wrote := ln // per landed page: its dirty interval, or a whole block of a longer run
+		if len(run) > 1 {
+			wrote = m.info.BlockSize
+		}
+		landed, stale := false, false
+		for _, pg := range run {
+			switch {
+			case pg.stale:
+				// The block was freed (truncate/remove) mid-flush: the page
+				// is dropped below, after the wake, never reinstated.
 				m.pool.markClean(pg)
-				m.pool.remove(pg)
-				continue
-			}
-			if resp.Err == nil {
+				stale = true
+			case resp.Err != nil:
+				landed = true
+				pg.err = resp.Err
+			default:
+				landed = true
 				pg.err = nil
-				m.st.BytesWritten += bs
-				// Same rule as flushAsync: a page rewritten mid-flight
-				// (generation moved) stays dirty and flushes again.
-				if pg.gen == snapGens[i] {
+				m.st.BytesWritten += wrote
+				// Clean only if nothing touched the page while the flush
+				// was in flight; an unchanged interval is not enough — the
+				// content may have been rewritten in place.
+				if pg.gen == pg.flushGen {
 					m.pool.markClean(pg)
 				}
-			} else {
-				pg.err = resp.Err
 			}
 		}
 		m.wgFl.Done()
 		m.flSig.Fire()
-		m.pool.evict()
-	})
-}
-
-// flushAsync writes a page's dirty interval back to its NSD server.
-func (m *Mount) flushAsync(pg *page) {
-	if pg.flushing || !pg.dirty {
-		return
-	}
-	pg.flushing = true
-	m.st.Writebacks++
-	snapFrom, snapTo := pg.dFrom, pg.dTo
-	snapGen := pg.gen
-	var data []byte
-	if pg.hasBytes {
-		data = m.arena.getScratch(int(snapTo - snapFrom))
-		copy(data, pg.data[snapFrom:snapTo])
-	}
-	_, reg := m.obs()
-	issued := m.c.sim.Now()
-	// Each write-back is its own background "flush" op: the writer that
-	// dirtied the page has long since returned, and wb_wait/sync_wait
-	// time is redistributed over the aggregate flush profile by critpath.
-	rec := m.beginBgOp("flush")
-	m.wgFl.Add(1)
-	m.flInFlight++
-	m.goIO(rec.ctx(), pg.ref.NSD, snapTo-snapFrom, ioPayload{
-		Cluster: m.c.cluster.Name, FS: m.fsName,
-		NSD: pg.ref.NSD, Block: pg.ref.Block, Off: snapFrom, Len: snapTo - snapFrom,
-		Op: disk.Write, Data: data,
-	}, func(resp netsim.Response) {
-		m.arena.putScratch(data) // server copied the payload; buffer is dead
-		pg.flushing = false
-		m.flInFlight--
-		m.endBgOp(rec, trace.I("ino", pg.key.ino), trace.I("bytes", int64(snapTo-snapFrom)))
-		m.st.Flushes++
-		if reg != nil {
-			reg.Histogram("cache.flush_ns").Observe(float64(m.c.sim.Now() - issued))
-		}
-		if pg.stale {
-			// The block was freed (truncate/remove) mid-flush; drop the
-			// page rather than reinstating any state.
-			m.pool.markClean(pg)
-			m.wgFl.Done()
-			m.flSig.Fire()
-			m.pool.remove(pg)
-			return
-		}
-		if resp.Err == nil {
-			pg.err = nil
-			m.st.BytesWritten += snapTo - snapFrom
-			// Clean only if nothing touched the page while the flush was
-			// in flight; an unchanged interval is not enough — the content
-			// may have been rewritten in place.
-			if pg.gen == snapGen {
-				m.pool.markClean(pg)
+		if stale {
+			for _, pg := range run {
+				// A woken proc may have started new I/O on a page and
+				// discarded it since; that I/O's landing drops it.
+				if pg.stale && !pg.flushing && !pg.fetching {
+					m.pool.remove(pg)
+				}
 			}
-		} else {
-			pg.err = resp.Err
 		}
-		m.wgFl.Done()
-		m.flSig.Fire()
-		m.pool.evict()
+		if landed {
+			m.pool.evict()
+		}
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,11 +106,9 @@ type FileSystem struct {
 	shards    []*tokenShard
 	takeovers map[int]*sim.WaitGroup
 
-	// stripeAlign places stripe-width groups of consecutive file blocks
-	// contiguously on one NSD (see SetStripeAlign); elevator enables
-	// per-NSD request scheduling (see SetElevator).
-	stripeAlign bool
-	elevator    bool
+	// gather is the filesystem half of write gathering (see
+	// EnableGather): stripe-aligned allocation and per-NSD elevators.
+	gather bool
 
 	st FSStats // counted in place; Stats fills in the derived fields
 }
@@ -195,7 +194,7 @@ func (fs *FileSystem) AddNSD(name string, store BlockStore, server *NSDServer) *
 	if sw, ok := store.(stripeWidther); ok {
 		n.stripeW = sw.StripeWidth()
 	}
-	if fs.elevator {
+	if fs.gather {
 		n.elev = &nsdElevator{fs: fs, nsd: n}
 	}
 	fs.nsds = append(fs.nsds, n)
@@ -203,26 +202,23 @@ func (fs *FileSystem) AddNSD(name string, store BlockStore, server *NSDServer) *
 	return n
 }
 
-// SetStripeAlign makes the allocator hand out stripe-width groups of
-// consecutive file blocks as contiguous, stripe-aligned slot runs on one
-// NSD (then round-robin to the next NSD), instead of scattering every
-// block to a different NSD. A client gathering consecutive dirty blocks
-// then lands one contiguous full-stripe store write — the layout half of
-// write gathering. Off by default: the historical per-block round-robin.
-func (fs *FileSystem) SetStripeAlign(on bool) { fs.stripeAlign = on }
-
-// SetElevator enables (or disables) per-NSD elevator scheduling: block
-// I/O arriving while the store is busy queues, is sorted by store offset,
-// and contiguous same-direction requests merge into one submission.
-func (fs *FileSystem) SetElevator(on bool) {
-	fs.elevator = on
+// EnableGather turns on the filesystem half of write gathering, which
+// clients pair with ClientConfig.Gather:
+//   - Stripe alignment: the allocator hands out stripe-width groups of
+//     consecutive file blocks as contiguous, stripe-aligned slot runs on
+//     one NSD (then round-robin to the next NSD), instead of scattering
+//     every block to a different NSD. A client gathering consecutive
+//     dirty blocks then lands one contiguous full-stripe store write.
+//   - Elevators: block I/O arriving at an NSD while its store is busy
+//     queues, is sorted by store offset, and contiguous same-direction
+//     requests merge into one submission.
+//
+// Off by default: per-block round-robin allocation, no queueing.
+func (fs *FileSystem) EnableGather() {
+	fs.gather = true
 	for _, n := range fs.nsds {
-		if on {
-			if n.elev == nil {
-				n.elev = &nsdElevator{fs: fs, nsd: n}
-			}
-		} else {
-			n.elev = nil
+		if n.elev == nil {
+			n.elev = &nsdElevator{fs: fs, nsd: n}
 		}
 	}
 }
@@ -662,12 +658,15 @@ func (fs *FileSystem) serveMetaOp(p *sim.Proc, op metaOp, sh *tokenShard) netsim
 // central map's next-fit scan.
 func (fs *FileSystem) allocBlocks(ino *Inode, from, count int64, sh *tokenShard) error {
 	striper := Striper{NSDs: len(fs.nsds), First: int(ino.Num) % len(fs.nsds)}
-	if fs.stripeAlign {
+	if fs.gather {
 		striper.Group = fs.stripeGroup()
 	}
 	g := int64(striper.Group)
 	if g < 1 {
 		g = 1
+	}
+	if n := from + count - int64(len(ino.Blocks)); n > 0 {
+		ino.Blocks = slices.Grow(ino.Blocks, int(n))
 	}
 	for int64(len(ino.Blocks)) < from+count {
 		idx := int64(len(ino.Blocks))

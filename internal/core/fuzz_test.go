@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"gfs/internal/disk"
 	"gfs/internal/metrics"
+	"gfs/internal/netsim"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -526,4 +528,82 @@ func FuzzTokenRange(f *testing.F) {
 			checkTokenInvariants(t, tab)
 		}
 	})
+}
+
+// FuzzNSDContent drives the NSD content shadow with writes and reads at
+// random (block, off, len) ranges spanning up to four slots, against a
+// flat byte model of the store. Each op is four bytes: kind (even
+// writes, odd reads), block, offset and length. Every read must return
+// the model's bytes, never-written bytes read as zeros, and only slots a
+// write touched may hold content.
+func FuzzNSDContent(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 16, 1, 0, 0, 64})
+	f.Add([]byte{2, 1, 15, 49, 1, 2, 0, 16, 3, 0, 15, 2})
+	f.Add([]byte{4, 4, 0, 0, 5, 4, 0, 64})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const bs, slots, span = 16, 8, 4
+		n := &NSD{blockSize: bs, content: map[int64][]byte{}}
+		model := make([]byte, bs*slots)
+		touched := map[int64]bool{}
+		for i := 0; i+3 < len(ops); i += 4 {
+			block := int64(ops[i+1]) % (slots - span + 1)
+			off := units.Bytes(ops[i+2]) % bs
+			ln := units.Bytes(ops[i+3]) % (span*bs - off + 1)
+			at := units.Bytes(block)*bs + off
+			if ops[i]%2 == 0 {
+				data := make([]byte, ln)
+				for j := range data {
+					data[j] = ops[i] + byte(j)*31 + 1
+				}
+				n.writeContent(block, off, data)
+				copy(model[at:], data)
+				for b := at / bs; b*bs < at+ln; b++ {
+					touched[int64(b)] = true
+				}
+				continue
+			}
+			if got := n.readContent(block, off, ln); !bytes.Equal(got, model[at:at+ln]) {
+				t.Fatalf("op %d: read block %d off %d len %d = %x, want %x", i/4, block, off, ln, got, model[at:at+ln])
+			}
+		}
+		for b, c := range n.content {
+			if !touched[b] {
+				t.Fatalf("slot %d holds content no write touched", b)
+			}
+			if !bytes.Equal(c, model[units.Bytes(b)*bs:units.Bytes(b+1)*bs]) {
+				t.Fatalf("slot %d = %x, want %x", b, c, model[units.Bytes(b)*bs:units.Bytes(b+1)*bs])
+			}
+		}
+	})
+}
+
+// TestNSDRejectsBadGeometry sends the server transfers whose range or
+// data does not fit what they name. writeContent runs on across slots,
+// so each must be refused before any content is stored.
+func TestNSDRejectsBadGeometry(t *testing.T) {
+	t.Parallel()
+	r := newRig(t, 1, 0, 64*units.KiB)
+	n := r.fs.nsds[0]
+	bs := n.blockSize
+	cases := []ioPayload{
+		{Off: bs / 2, Len: bs},                             // past the block end
+		{Len: bs, Count: 2},                                // batched length is not count blocks
+		{Off: 1, Len: 2 * bs, Count: 2},                    // batched offset inside a block
+		{Block: n.Blocks() - 1, Len: 2 * bs, Count: 2},     // past the NSD end
+		{Off: bs / 2, Len: bs / 4, Data: make([]byte, bs)}, // data longer than the range
+		{Len: 2 * bs, Count: 2, Data: make([]byte, bs)},    // data shorter than the run
+	}
+	r.run(t, func(p *sim.Proc) error {
+		for i, io := range cases {
+			io.Cluster, io.FS, io.Op = r.cl.Name, r.fs.Name, disk.Write
+			if resp := n.Primary.serve(p, &netsim.Request{Payload: &io}); resp.Err == nil {
+				t.Errorf("case %d (block %d off %d len %d count %d, %d data bytes) accepted",
+					i, io.Block, io.Off, io.Len, io.Count, len(io.Data))
+			}
+		}
+		return nil
+	})
+	if len(n.content) != 0 {
+		t.Errorf("refused writes stored content in %d slots", len(n.content))
+	}
 }

@@ -48,8 +48,7 @@ func newSANRig(t testing.TB, nClients int, cfg ClientConfig) (*rig, *san.Array) 
 	mgrNode := nw.NewNode("mgr")
 	nw.DuplexLink("mgr-eth", mgrNode, r.sw, units.Gbps, 50*sim.Microsecond)
 	r.fs.SetManager(mgrNode, 2)
-	r.fs.SetStripeAlign(true)
-	r.fs.SetElevator(true)
+	r.fs.EnableGather()
 	for i := 0; i < nClients; i++ {
 		r.addClient(fmt.Sprintf("c%d", i), cfg, Identity{DN: fmt.Sprintf("/O=SDSC/CN=user%d", i)})
 	}

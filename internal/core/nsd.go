@@ -173,24 +173,36 @@ func (n *NSD) byteOff(block int64, off units.Bytes) units.Bytes {
 	return units.Bytes(block)*n.blockSize + off
 }
 
-// readContent copies stored bytes for [off,off+ln) of a block; absent
-// content reads as zeros.
+// readContent copies stored bytes for [off, off+ln) counted from the
+// start of slot block; a range past the block's end runs on into the
+// following slots. Absent content reads as zeros.
 func (n *NSD) readContent(block int64, off, ln units.Bytes) []byte {
 	out := make([]byte, ln)
-	if b, ok := n.content[block]; ok {
-		copy(out, b[off:off+ln])
+	for done := units.Bytes(0); done < ln; {
+		b, o := block+int64((off+done)/n.blockSize), (off+done)%n.blockSize
+		k := min(n.blockSize-o, ln-done)
+		if c, ok := n.content[b]; ok {
+			copy(out[done:done+k], c[o:])
+		}
+		done += k
 	}
 	return out
 }
 
-// writeContent stores real bytes into a block.
+// writeContent stores real bytes at off counted from the start of slot
+// block, running on into the following slots like readContent.
 func (n *NSD) writeContent(block int64, off units.Bytes, data []byte) {
-	b, ok := n.content[block]
-	if !ok {
-		b = make([]byte, n.blockSize)
-		n.content[block] = b
+	for len(data) > 0 {
+		b, o := block+int64(off/n.blockSize), off%n.blockSize
+		c, ok := n.content[b]
+		if !ok {
+			c = make([]byte, n.blockSize)
+			n.content[b] = c
+		}
+		k := copy(c[o:], data)
+		data = data[k:]
+		off += units.Bytes(k)
 	}
-	copy(b[off:], data)
 }
 
 // NSDServer is an I/O node exporting NSDs to clients. One server may
@@ -272,11 +284,13 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 		if io.Block < 0 || io.Block+cnt > n.alloc.Total() {
 			return netsim.Response{Err: fmt.Errorf("core: batched I/O past NSD end (block %d count %d of %d)", io.Block, cnt, n.alloc.Total())}
 		}
-		if io.Data != nil && units.Bytes(len(io.Data)) != io.Len {
-			return netsim.Response{Err: fmt.Errorf("core: batched write data %d != len %d", len(io.Data), io.Len)}
-		}
 	} else if io.Off+io.Len > n.blockSize {
 		return netsim.Response{Err: fmt.Errorf("core: I/O past block end (%d+%d > %d)", io.Off, io.Len, n.blockSize)}
+	}
+	if io.Data != nil && units.Bytes(len(io.Data)) != io.Len {
+		// writeContent runs on past the block end, so the data must be
+		// exactly the range the geometry checks passed.
+		return netsim.Response{Err: fmt.Errorf("core: write data %d != len %d", len(io.Data), io.Len)}
 	}
 	tr, reg, issued := s.fs.Sim.Tracer(), s.fs.cluster.Net.Metrics, s.fs.Sim.Now()
 	// The service span parents everything the store does on our behalf —
@@ -313,27 +327,14 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 		s.st.BytesRead += io.Len
 		var data []byte
 		if io.Verify {
-			if cnt > 1 {
-				data = make([]byte, 0, io.Len)
-				for b := int64(0); b < cnt; b++ {
-					data = append(data, n.readContent(io.Block+b, 0, n.blockSize)...)
-				}
-			} else {
-				data = n.readContent(io.Block, io.Off, io.Len)
-			}
+			data = n.readContent(io.Block, io.Off, io.Len)
 		}
 		return netsim.Response{Size: io.Len, Payload: data}
 	}
 	s.st.Writes++
 	s.st.BytesWritten += io.Len
 	if io.Data != nil {
-		if cnt > 1 {
-			for b := int64(0); b < cnt; b++ {
-				n.writeContent(io.Block+b, 0, io.Data[units.Bytes(b)*n.blockSize:units.Bytes(b+1)*n.blockSize])
-			}
-		} else {
-			n.writeContent(io.Block, io.Off, io.Data)
-		}
+		n.writeContent(io.Block, io.Off, io.Data)
 	}
 	return netsim.Response{Size: 64}
 }

@@ -230,6 +230,7 @@ func TestTruncateDiscardsDirtyTail(t *testing.T) {
 		}
 		return nil
 	})
+	t.Run("gather", func(t *testing.T) { discardRunsInFlight(t, false) })
 }
 
 // Removing a file with cached state discards its pages; blocks freed by
@@ -272,6 +273,122 @@ func TestRemoveDiscardsPages(t *testing.T) {
 		}
 		if st := m.Stats(); st.DirtyPages != 0 {
 			t.Errorf("dirty pages = %d, want 0", st.DirtyPages)
+		}
+		return nil
+	})
+	t.Run("gather", func(t *testing.T) { discardRunsInFlight(t, true) })
+}
+
+// discardRunsInFlight truncates (or removes) a file while a gathered
+// multi-page flush and a batched prefetch of it are in flight, with a
+// reader waiting on a page of the prefetch. Truncate discards before its
+// barrier flush, so both runs land stale; remove waits out the flush
+// first, so only the prefetch does. A stale run must drop its pages
+// without resurrecting any, wake its waiters, and leave the surviving
+// bytes exact and the filesystem clean.
+func discardRunsInFlight(t *testing.T, remove bool) {
+	t.Parallel()
+	r := newRig(t, 1, 0, 64*units.KiB) // one NSD: file blocks sit on consecutive slots
+	r.fs.EnableGather()
+	cfg := DefaultClientConfig()
+	cfg.Gather = true
+	cl := r.addClient("g", cfg, Identity{DN: "/CN=g"})
+	r.run(t, func(p *sim.Proc) error {
+		m, err := cl.MountLocal(p, r.fs)
+		if err != nil {
+			return err
+		}
+		bs := m.BlockSize()
+		f, err := m.Create(p, "/t", DefaultPerm)
+		if err != nil {
+			return err
+		}
+		data := seqBytes(24 * int(bs))
+		if err := f.WriteBytesAt(p, 0, data); err != nil {
+			return err
+		}
+		if err := f.Sync(p); err != nil {
+			return err
+		}
+		m.DropCaches()
+		if err := f.WriteBytesAt(p, 4*bs, bytes.Repeat([]byte{0x5A}, 4*int(bs))); err != nil {
+			return err
+		}
+		// Hold every token truncate asks for, so nothing blocks between
+		// issuing the runs below and discarding their pages.
+		if err := m.acquireToken(p, f.ino, 0, 1<<60, TokExclusive); err != nil {
+			return err
+		}
+		before := m.Stats()
+		m.flushDirty(m.pool.dirtyOf(f.ino), true) // blocks 4..7, one run
+		m.prefetchBatch(f, 8, 23, true)           // blocks 8..23, one run
+		st := m.Stats()
+		if st.GatheredFlushes == before.GatheredFlushes || st.BatchedFetches == before.BatchedFetches {
+			t.Fatalf("runs not gathered: flushes %d -> %d, batched fetches %d -> %d",
+				before.GatheredFlushes, st.GatheredFlushes, before.BatchedFetches, st.BatchedFetches)
+		}
+		var pages []*page
+		for idx := int64(4); idx < 24; idx++ {
+			pages = append(pages, m.pool.get(pageKey{ino: f.ino, idx: idx}))
+		}
+		flushed, fetched := pages[0], pages[4]
+		if !flushed.flushing || !fetched.fetching {
+			t.Fatal("runs not in flight before the discard")
+		}
+		woken := false
+		r.s.Go("waiter", func(wp *sim.Proc) {
+			m.waitPage(wp, pages[8])
+			woken = true
+		})
+		keep := 2 * bs
+		survivor := "/t"
+		if remove {
+			err = m.Remove(p, "/t")
+			keep, survivor = 0, ""
+		} else {
+			err = f.Truncate(p, keep)
+		}
+		if err != nil {
+			return err
+		}
+		p.Sleep(sim.Second) // let both runs land
+		if !fetched.stale || flushed.stale == remove {
+			t.Errorf("stale after discard: prefetch %v, flush %v", fetched.stale, flushed.stale)
+		}
+		if !woken {
+			t.Error("reader waiting on a discarded prefetch page never woke")
+		}
+		for _, pg := range pages {
+			if m.pool.pages[pg.key] == pg {
+				t.Errorf("discarded page %d resurrected in the pool", pg.key.idx)
+			}
+		}
+		if st := m.Stats(); st.DirtyPages != 0 {
+			t.Errorf("dirty pages = %d, want 0", st.DirtyPages)
+		}
+		// A new file takes the freed slots; both files read back exact.
+		g, err := m.Create(p, "/heir", DefaultPerm)
+		if err != nil {
+			return err
+		}
+		heir := bytes.Repeat([]byte{0xC3}, 22*int(bs))
+		if err := g.WriteBytesAt(p, 0, heir); err != nil {
+			return err
+		}
+		if err := g.Sync(p); err != nil {
+			return err
+		}
+		m.DropCaches()
+		if got, err := g.ReadBytesAt(p, 0, units.Bytes(len(heir))); err != nil || !bytes.Equal(got, heir) {
+			t.Errorf("heir file corrupt after the discard (err %v)", err)
+		}
+		if survivor != "" {
+			if got, err := f.ReadBytesAt(p, 0, keep); err != nil || !bytes.Equal(got, data[:keep]) {
+				t.Errorf("truncated file corrupt (err %v)", err)
+			}
+		}
+		if rep := r.fs.Check(); !rep.OK() {
+			t.Errorf("fsck after the discard: %v", rep)
 		}
 		return nil
 	})

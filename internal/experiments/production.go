@@ -59,8 +59,7 @@ func buildProduction(env Env, s *sim.Sim, nw *netsim.Network, cfg ProductionConf
 		ServerHBA: san.FC2, HBAsPer: 1,
 	})
 	if cfg.Gather {
-		site.FS.SetStripeAlign(true)
-		site.FS.SetElevator(true)
+		site.FS.EnableGather()
 	}
 	return site
 }

@@ -109,8 +109,7 @@ func buildRig(cfg *Config) *rig {
 	nw.DuplexLink("mgr-eth", mgrNode, sw, units.Gbps, 50*sim.Microsecond)
 	fs.SetManager(mgrNode, 2)
 	if cfg.Gather {
-		fs.SetStripeAlign(true)
-		fs.SetElevator(true)
+		fs.EnableGather()
 	}
 	fs.SetTokenShards(cfg.Shards)
 	if cfg.Lease > 0 {

@@ -115,7 +115,6 @@ type NetStats struct {
 	RPCReqBytes     uint64 `counter:"rpc.req_bytes"`        // request bytes, headers included
 	RPCRespBytes    uint64 `counter:"rpc.resp_bytes"`       // response bytes, headers included
 	DeadlineExpired uint64 `counter:"rpc.deadline_expired"` // deadlines that fired before the response
-	Retries         uint64 `counter:"rpc.retries"`          // GoRetry re-sends
 	Msgs            uint64 `counter:"net.msgs"`             // messages delivered
 	Bytes           uint64 `counter:"net.bytes"`            // message bytes delivered
 

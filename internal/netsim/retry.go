@@ -16,7 +16,8 @@ var ErrDeadline = errors.New("netsim: call deadline exceeded")
 // RetryPolicy governs recovery from transient RPC failures: how many
 // times to try, how long each attempt may take, and how long to back off
 // between attempts. The zero value means one attempt, no deadline —
-// exactly the pre-policy behaviour.
+// exactly the pre-policy behaviour. The caller runs the attempts (core's
+// NSD I/O pairs them with server failover); each one is a GoDeadline.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (first call included).
 	// Values below 1 mean 1: no retries.
@@ -29,10 +30,6 @@ type RetryPolicy struct {
 	// Deadline bounds each attempt; an attempt with no response after
 	// this long fails with ErrDeadline. Zero waits forever.
 	Deadline sim.Time
-	// Retryable classifies errors worth another attempt. Nil retries
-	// only ErrDeadline; permanent failures (bad payload, permission)
-	// must not be hammered.
-	Retryable func(error) bool
 }
 
 // Attempts returns the effective attempt budget (>= 1).
@@ -57,13 +54,6 @@ func (p RetryPolicy) Backoff(n int) sim.Time {
 		d = p.MaxBackoff
 	}
 	return d
-}
-
-func (p RetryPolicy) retryable(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
-	return errors.Is(err, ErrDeadline)
 }
 
 // GoDeadline is GoCtx bounded by a deadline: if the response has not
@@ -93,54 +83,4 @@ func (e *Endpoint) GoDeadline(ctx trace.Ctx, peer *Endpoint, service string, req
 			onDone(r)
 		}
 	})
-}
-
-// GoRetry is GoDeadline under a retry policy: transient failures (per
-// pol.Retryable) are retried with exponential backoff until the attempt
-// budget runs out; onDone fires once with the first success or the last
-// failure. Each backoff gap is traced as a "retry" span so critical-path
-// attribution can charge recovery time honestly.
-func (e *Endpoint) GoRetry(ctx trace.Ctx, peer *Endpoint, service string, reqSize units.Bytes, payload any, pol RetryPolicy, onDone func(Response)) {
-	nw := e.net
-	var attempt func(n int)
-	attempt = func(n int) {
-		e.GoDeadline(ctx, peer, service, reqSize, payload, pol.Deadline, func(r Response) {
-			if r.Err == nil || n >= pol.Attempts() || !pol.retryable(r.Err) {
-				if onDone != nil {
-					onDone(r)
-				}
-				return
-			}
-			nw.st.Retries++
-			gap := pol.Backoff(n)
-			start := nw.Sim.Now()
-			nw.Sim.ScheduleKind(kindRPCTimer, gap, func() {
-				if tr := nw.Sim.Tracer(); tr != nil && gap > 0 {
-					tr.SpanCtx(ctx, 0, "retry", "backoff",
-						e.node.name+"->"+peer.node.name,
-						int64(start), int64(nw.Sim.Now()),
-						trace.I("attempt", int64(n)), trace.S("err", r.Err.Error()))
-				}
-				attempt(n + 1)
-			})
-		})
-	}
-	attempt(1)
-}
-
-// CallRetry is the blocking form of GoRetry: it blocks p until the final
-// outcome of the retried call.
-func (e *Endpoint) CallRetry(p *sim.Proc, peer *Endpoint, service string, reqSize units.Bytes, payload any, pol RetryPolicy) Response {
-	var resp Response
-	done := false
-	wake := p.Suspend()
-	e.GoRetry(p.Ctx(), peer, service, reqSize, payload, pol, func(r Response) {
-		resp = r
-		done = true
-		wake()
-	})
-	if !done {
-		p.Block()
-	}
-	return resp
 }

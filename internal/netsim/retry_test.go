@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"gfs/internal/sim"
@@ -50,65 +49,6 @@ func TestDeadlineExpiresAndDiscardsLateResponse(t *testing.T) {
 	}
 	if at != 100*sim.Millisecond {
 		t.Errorf("deadline fired at %v, want 100ms", at)
-	}
-}
-
-func TestGoRetrySucceedsAfterTransientFailures(t *testing.T) {
-	t.Parallel()
-	s, client, server := rpcPair(sim.Millisecond)
-	errFlaky := errors.New("flaky")
-	fails := 3
-	served := 0
-	server.Handle("flaky", func(p *sim.Proc, req *Request) Response {
-		served++
-		if served <= fails {
-			return Response{Err: fmt.Errorf("try again: %w", errFlaky)}
-		}
-		return Response{Size: 1}
-	})
-	pol := RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: 10 * sim.Millisecond,
-		Retryable:   func(err error) bool { return errors.Is(err, errFlaky) },
-	}
-	var final Response
-	s.Schedule(0, func() {
-		client.GoRetry(trace.Ctx{}, server, "flaky", 64, nil, pol, func(r Response) { final = r })
-	})
-	s.Run()
-	if final.Err != nil {
-		t.Fatalf("final err = %v, want success after retries", final.Err)
-	}
-	if served != fails+1 {
-		t.Errorf("server saw %d attempts, want %d", served, fails+1)
-	}
-	// Backoff gaps must actually elapse: 10 + 20 + 40 ms plus RTTs.
-	if now := s.Now(); now < 70*sim.Millisecond {
-		t.Errorf("finished at %v, want >= 70ms of backoff", now)
-	}
-}
-
-func TestGoRetryStopsOnPermanentError(t *testing.T) {
-	t.Parallel()
-	s, client, server := rpcPair(sim.Millisecond)
-	errPerm := errors.New("permanent")
-	served := 0
-	server.Handle("bad", func(p *sim.Proc, req *Request) Response {
-		served++
-		return Response{Err: errPerm}
-	})
-	pol := RetryPolicy{MaxAttempts: 5, BaseBackoff: sim.Millisecond,
-		Retryable: func(err error) bool { return false }}
-	var final Response
-	s.Schedule(0, func() {
-		client.GoRetry(trace.Ctx{}, server, "bad", 64, nil, pol, func(r Response) { final = r })
-	})
-	s.Run()
-	if served != 1 {
-		t.Errorf("server saw %d attempts, want 1 for a permanent error", served)
-	}
-	if !errors.Is(final.Err, errPerm) {
-		t.Errorf("final err = %v, want the permanent error", final.Err)
 	}
 }
 
