@@ -442,7 +442,6 @@ func writeGatherRow(env experiments.Env, gather bool, size units.Bytes) []float6
 	ccfg.ReadAhead = 16
 	ccfg.WriteBehind = 16
 	if gather {
-		ccfg.Gather = true
 		ccfg.WideTokens = true
 		site.FS.EnableGather()
 	}

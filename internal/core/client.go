@@ -38,11 +38,6 @@ type ClientConfig struct {
 	// has observed down, instead of sending to the backup. Zero takes
 	// DefaultProbeInterval.
 	ProbeInterval sim.Time
-	// Gather turns on stripe-aligned flush gathering and batched
-	// prefetch: contiguous dirty pages on one NSD are flushed as a single
-	// multi-block RPC, held back until a full RAID stripe accumulates so
-	// the array skips its parity read (Fig. 11's write-path fix).
-	Gather bool
 	// WideTokens asks the manager for opportunistic grants: the widest
 	// conflict-free range containing the request, carved back down when a
 	// competitor shows up.
@@ -564,7 +559,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl *ioPaylo
 		}
 		gap := pol.Backoff(attempt)
 		start := done
-		m.c.sim.Schedule(gap, func() {
+		m.c.sim.Post(sim.KindOther, gap, func() {
 			if tr != nil && gap > 0 {
 				tr.SpanCtx(ctx, 0, "retry", "backoff", m.c.id,
 					int64(start), int64(m.c.sim.Now()),
@@ -579,7 +574,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl *ioPaylo
 func (m *Mount) obsFailover(n *uint64, what string, nsd int) {
 	*n++
 	if tr, _ := m.obs(); tr != nil {
-		tr.Instant("failover", what, m.c.id, int64(m.c.sim.Now()), trace.I("nsd", int64(nsd)))
+		tr.InstantCtx(trace.Ctx{}, "failover", what, m.c.id, int64(m.c.sim.Now()), trace.I("nsd", int64(nsd)))
 	}
 }
 

@@ -199,7 +199,7 @@ func (c *Cluster) serveHello(p *sim.Proc, req *netsim.Request) netsim.Response {
 	}
 	c.pending[hex.EncodeToString(hello.NonceC)] = ns
 	if tr := c.Sim.Tracer(); tr != nil {
-		tr.Instant("auth", "hello", c.Name, int64(c.Sim.Now()),
+		tr.InstantCtx(trace.Ctx{}, "auth", "hello", c.Name, int64(c.Sim.Now()),
 			trace.S("peer", hello.Cluster))
 	}
 	return netsim.Response{Size: 512, Payload: ch}
@@ -231,7 +231,7 @@ func (c *Cluster) serveProof(p *sim.Proc, req *netsim.Request) netsim.Response {
 	}
 	c.peers[sess.Peer] = true
 	if tr := c.Sim.Tracer(); tr != nil {
-		tr.Instant("auth", "proof", c.Name, int64(c.Sim.Now()),
+		tr.InstantCtx(trace.Ctx{}, "auth", "proof", c.Name, int64(c.Sim.Now()),
 			trace.S("peer", sess.Peer))
 	}
 	return netsim.Response{Size: 128}
@@ -263,7 +263,7 @@ func (c *Cluster) authenticateTo(p *sim.Proc, ep *netsim.Endpoint, rc *RemoteClu
 			if err != nil {
 				args = append(args, trace.S("err", err.Error()))
 			}
-			tr.Span("auth", "handshake", c.Name, int64(issued), int64(now), args...)
+			tr.SpanCtx(trace.Ctx{}, 0, "auth", "handshake", c.Name, int64(issued), int64(now), args...)
 		}
 		if reg != nil {
 			reg.Histogram("auth.handshake_ns").Observe(float64(now - issued))

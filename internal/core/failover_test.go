@@ -85,7 +85,7 @@ func TestRetryRidesOutShortOutage(t *testing.T) {
 		r.fs.servers[0].Fail()
 		r.fs.servers[1].Fail()
 		// Default policy backs off ~1.27 s in total; restart inside that.
-		r.s.Schedule(300*sim.Millisecond, func() {
+		r.s.Post(sim.KindOther, 300*sim.Millisecond, func() {
 			r.fs.servers[0].Recover()
 			r.fs.servers[1].Recover()
 		})

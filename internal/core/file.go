@@ -275,7 +275,7 @@ func (m *Mount) prefetchBatch(f *File, from, last int64, verify bool) {
 		}
 		if run < idx {
 			prev, cur := f.layout[idx-1], f.layout[idx]
-			if !m.c.cfg.Gather || cur.NSD != prev.NSD || cur.Block != prev.Block+1 {
+			if !m.info.Gather || cur.NSD != prev.NSD || cur.Block != prev.Block+1 {
 				m.fetchRun(f, run, idx-run, verify, true)
 				run = idx
 			}
@@ -377,7 +377,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 		}
 	}()
 	if hits > 0 && tr != nil {
-		tr.Instant("cache", "hit", m.c.id, int64(m.c.sim.Now()),
+		tr.InstantCtx(trace.Ctx{}, "cache", "hit", m.c.id, int64(m.c.sim.Now()),
 			trace.I("ino", f.ino), trace.I("blocks", int64(hits)))
 	}
 	// Read-ahead: the stream detector keeps a pipeline of speculative
@@ -414,7 +414,7 @@ func (f *File) readAt(p *sim.Proc, off, size units.Bytes, verify bool) ([]byte, 
 				f.raEdge = raLast
 				m.st.ReadaheadBlocks += uint64(raLast - raFrom + 1)
 				if tr != nil {
-					tr.Instant("cache", "readahead", m.c.id, int64(m.c.sim.Now()),
+					tr.InstantCtx(trace.Ctx{}, "cache", "readahead", m.c.id, int64(m.c.sim.Now()),
 						trace.I("ino", f.ino), trace.I("blocks", raLast-raFrom+1))
 				}
 			}
@@ -552,7 +552,7 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 		}
 		for len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
 			m.flSig.Wait(p)
-			if m.c.cfg.Gather && len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
+			if m.info.Gather && len(m.pool.dirty) >= 2*m.c.cfg.WriteBehind {
 				// Gathered write-behind may have held edge runs back; keep
 				// the scheduler running so the stall always ends (it falls
 				// back to unaligned flushing once nothing is in flight).
@@ -572,7 +572,7 @@ func (f *File) writeAt(p *sim.Proc, off, size units.Bytes, data []byte) error {
 func (m *Mount) writeBehind(ino int64) {
 	m.st.WritebehindTriggers++
 	if tr, _ := m.obs(); tr != nil {
-		tr.Instant("cache", "writebehind", m.c.id, int64(m.c.sim.Now()),
+		tr.InstantCtx(trace.Ctx{}, "cache", "writebehind", m.c.id, int64(m.c.sim.Now()),
 			trace.I("ino", ino), trace.I("dirty", int64(len(m.pool.dirty))))
 	}
 	issued := m.flushDirty(m.pool.dirtyOf(ino), false)
@@ -614,7 +614,7 @@ func (m *Mount) flushDirty(pgs []*page, barrier bool) int {
 			cand = append(cand, pg)
 		}
 	}
-	gather := m.c.cfg.Gather
+	gather := m.info.Gather
 	bs := m.info.BlockSize
 	issued := 0
 	for lo := 0; lo < len(cand); {

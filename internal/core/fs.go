@@ -161,6 +161,7 @@ type mountInfo struct {
 	StripeW   []units.Bytes // each NSD's RAID stripe width (0 = unknown/none)
 	Manager   *netsim.Endpoint
 	Shards    []*netsim.Endpoint // metadata/token shard endpoints (nil = unsharded)
+	Gather    bool               // write gathering on (see EnableGather)
 }
 
 // newFileSystem is invoked via Cluster.CreateFS.
@@ -202,8 +203,12 @@ func (fs *FileSystem) AddNSD(name string, store BlockStore, server *NSDServer) *
 	return n
 }
 
-// EnableGather turns on the filesystem half of write gathering, which
-// clients pair with ClientConfig.Gather:
+// EnableGather turns on write gathering for the filesystem and every
+// mount made after it (a mount reads the setting from its mount reply):
+//   - Gathered transfers: a mount flushes contiguous dirty pages on one
+//     NSD as a single multi-block RPC, held back until a full RAID stripe
+//     accumulates so the array skips its parity read (Fig. 11's
+//     write-path fix), and batches prefetches of consecutive blocks.
 //   - Stripe alignment: the allocator hands out stripe-width groups of
 //     consecutive file blocks as contiguous, stripe-aligned slot runs on
 //     one NSD (then round-robin to the next NSD), instead of scattering
@@ -774,7 +779,7 @@ func (fs *FileSystem) serveMount(p *sim.Proc, req *netsim.Request) netsim.Respon
 		Payload: mountInfo{
 			FS: fs.Name, BlockSize: fs.BlockSize, NSDs: len(fs.nsds),
 			Servers: servers, Backups: backups, StripeW: stripeW, Manager: fs.mgr,
-			Shards: shardEPs,
+			Shards: shardEPs, Gather: fs.gather,
 		},
 	}
 }

@@ -542,7 +542,10 @@ func FuzzNSDContent(f *testing.F) {
 	f.Add([]byte{4, 4, 0, 0, 5, 4, 0, 64})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const bs, slots, span = 16, 8, 4
-		n := &NSD{blockSize: bs, content: map[int64][]byte{}}
+		n := &NSD{blockSize: bs, alloc: NewAllocator(slots), content: map[int64][]byte{}}
+		for i := 0; i < slots; i++ {
+			n.alloc.Alloc() // content lands only in allocated slots
+		}
 		model := make([]byte, bs*slots)
 		touched := map[int64]bool{}
 		for i := 0; i+3 < len(ops); i += 4 {

@@ -62,7 +62,6 @@ func newSANRig(t testing.TB, nClients int, cfg ClientConfig) (*rig, *san.Array) 
 func TestGatherFullStripeWrites(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultClientConfig()
-	cfg.Gather = true
 	cfg.WideTokens = true
 	r, arr := newSANRig(t, 2, cfg)
 	data := pattern(int(2*units.MiB), 21)
@@ -124,7 +123,6 @@ func TestGatherFullStripeWrites(t *testing.T) {
 func TestGatherFullStripeDegradedRAID(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultClientConfig()
-	cfg.Gather = true
 	cfg.WideTokens = true
 	r, arr := newSANRig(t, 2, cfg)
 	for _, set := range arr.Sets {

@@ -58,21 +58,6 @@ func (s RAIDStore) StripeWidth() units.Bytes { return s.Set.StripeWidth() }
 // BusyTime implements BusyTimer: mean member-spindle busy time.
 func (s RAIDStore) BusyTime() sim.Time { return s.Set.BusyTime() }
 
-// DiskStore is a single direct-attached drive.
-type DiskStore struct{ Disk *disk.Disk }
-
-// IO implements BlockStore.
-func (s DiskStore) IO(p *sim.Proc, op disk.Op, off, size units.Bytes) error {
-	s.Disk.Access(p, op, off, size)
-	return nil
-}
-
-// Capacity implements BlockStore.
-func (s DiskStore) Capacity() units.Bytes { return s.Disk.Params().Capacity }
-
-// BusyTime implements BusyTimer.
-func (s DiskStore) BusyTime() sim.Time { return s.Disk.BusyTime() }
-
 // SANStore is a LUN on a dual-controller array reached across the FC
 // fabric; the bytes cross HBA and controller links.
 type SANStore struct {
@@ -190,18 +175,24 @@ func (n *NSD) readContent(block int64, off, ln units.Bytes) []byte {
 }
 
 // writeContent stores real bytes at off counted from the start of slot
-// block, running on into the following slots like readContent.
+// block, running on into the following slots like readContent. A slot
+// the allocator holds free takes no bytes: a flush still in flight when
+// a truncate or remove freed its blocks lands there, and the slot's next
+// owner must read zeros where it never wrote.
 func (n *NSD) writeContent(block int64, off units.Bytes, data []byte) {
 	for len(data) > 0 {
 		b, o := block+int64(off/n.blockSize), off%n.blockSize
-		c, ok := n.content[b]
-		if !ok {
-			c = make([]byte, n.blockSize)
-			n.content[b] = c
+		k := min(n.blockSize-o, units.Bytes(len(data)))
+		if n.alloc.IsAllocated(b) {
+			c, ok := n.content[b]
+			if !ok {
+				c = make([]byte, n.blockSize)
+				n.content[b] = c
+			}
+			copy(c[o:], data[:k])
 		}
-		k := copy(c[o:], data)
 		data = data[k:]
-		off += units.Bytes(k)
+		off += k
 	}
 }
 

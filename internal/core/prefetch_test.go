@@ -284,15 +284,14 @@ func TestRemoveDiscardsPages(t *testing.T) {
 // reader waiting on a page of the prefetch. Truncate discards before its
 // barrier flush, so both runs land stale; remove waits out the flush
 // first, so only the prefetch does. A stale run must drop its pages
-// without resurrecting any, wake its waiters, and leave the surviving
-// bytes exact and the filesystem clean.
+// without resurrecting any, wake its waiters, leave no bytes in the
+// slots the discard freed, and leave the surviving bytes exact and the
+// filesystem clean.
 func discardRunsInFlight(t *testing.T, remove bool) {
 	t.Parallel()
 	r := newRig(t, 1, 0, 64*units.KiB) // one NSD: file blocks sit on consecutive slots
 	r.fs.EnableGather()
-	cfg := DefaultClientConfig()
-	cfg.Gather = true
-	cl := r.addClient("g", cfg, Identity{DN: "/CN=g"})
+	cl := r.addClient("g", DefaultClientConfig(), Identity{DN: "/CN=g"})
 	r.run(t, func(p *sim.Proc) error {
 		m, err := cl.MountLocal(p, r.fs)
 		if err != nil {
@@ -366,14 +365,32 @@ func discardRunsInFlight(t *testing.T, remove bool) {
 		if st := m.Stats(); st.DirtyPages != 0 {
 			t.Errorf("dirty pages = %d, want 0", st.DirtyPages)
 		}
-		// A new file takes the freed slots; both files read back exact.
+		// A flush that landed on freed slots left no bytes there.
+		nsd, stale := r.fs.nsds[0], 0
+		for b := range nsd.content {
+			if !nsd.alloc.IsAllocated(b) {
+				stale++
+			}
+		}
+		if stale != 0 {
+			t.Errorf("%d free slots hold content after the discard", stale)
+		}
+		// A new file takes the freed slots and writes the second half of
+		// each block: it reads zeros in the halves it never wrote, and
+		// both files read back exact.
 		g, err := m.Create(p, "/heir", DefaultPerm)
 		if err != nil {
 			return err
 		}
-		heir := bytes.Repeat([]byte{0xC3}, 22*int(bs))
-		if err := g.WriteBytesAt(p, 0, heir); err != nil {
-			return err
+		heir := make([]byte, 22*int(bs))
+		for i := 0; i < 22; i++ {
+			half := heir[i*int(bs)+int(bs)/2 : (i+1)*int(bs)]
+			for j := range half {
+				half[j] = 0xC3
+			}
+			if err := g.WriteBytesAt(p, units.Bytes(i)*bs+bs/2, half); err != nil {
+				return err
+			}
 		}
 		if err := g.Sync(p); err != nil {
 			return err

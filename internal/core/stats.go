@@ -40,8 +40,8 @@ type MountStats struct {
 	Writebacks     uint64      `mmpmon:"writebacks"`                                      // background dirty-page flushes issued
 	WriteStalls    uint64      `mmpmon:"write stalls"`                                    // writes blocked on write-behind backpressure
 
-	// Write-gathering counters (zero unless ClientConfig.Gather /
-	// WideTokens are on).
+	// Write-gathering counters (zero unless the filesystem has gathering
+	// on, FileSystem.EnableGather, or the mount asks for WideTokens).
 	GatheredFlushes  uint64 `mmpmon:"gathered flushes" counter:"cache.gathered_flushes"` // multi-page flush RPCs issued
 	FullStripeWrites uint64 `mmpmon:"full stripe writes"`                                // gathered flushes covering whole RAID stripes
 	WideTokenGrants  uint64 `mmpmon:"wide token grants" counter:"token.wide_grants"`     // token grants wider than the desired range

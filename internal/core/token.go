@@ -256,7 +256,7 @@ const revokeService = "token.revoke"
 func (fs *FileSystem) obsTokenEvent(n *uint64, what, holder string, ino int64, start, end units.Bytes) {
 	*n++
 	if tr := fs.Sim.Tracer(); tr != nil {
-		tr.Instant("token", what, fs.Name, int64(fs.Sim.Now()),
+		tr.InstantCtx(trace.Ctx{}, "token", what, fs.Name, int64(fs.Sim.Now()),
 			trace.S("holder", holder), trace.I("ino", ino),
 			trace.I("start", int64(start)), trace.I("end", int64(end)))
 	}
@@ -354,7 +354,7 @@ func (fs *FileSystem) serveTokenOp(p *sim.Proc, op tokenOp, sh *tokenShard) nets
 							// tokens (its dirty data is lost, as on a real
 							// node crash). Wait out the lease, then steal.
 							fs.obsTokenEvent(&fs.st.LeaseWaits, "lease_wait", h, op.Inode, s0, e0)
-							fs.Sim.Schedule(fs.lease, func() {
+							fs.Sim.Post(sim.KindOther, fs.lease, func() {
 								t.carve(op.Inode, h, s0, e0)
 								t.dropHolder(h)
 								delete(fs.cluster.clients, h)

@@ -99,13 +99,10 @@ func runMetastormArm(cfg MetastormConfig, shards int) (float64, float64) {
 			return err
 		}
 		t0 := p.Now()
-		wg := sim.NewWaitGroup(s)
-		var firstErr error
+		g := sim.NewGroup(s)
 		for i, m := range mounts {
 			i, m := i, m
-			wg.Add(1)
-			s.Go(fmt.Sprintf("storm-c%d", i), func(cp *sim.Proc) {
-				defer wg.Done()
+			g.Go(fmt.Sprintf("storm-c%d", i), func(cp *sim.Proc) error {
 				// Deterministic stagger so the clients do not tick in
 				// lockstep (no RNG: the arm must be byte-reproducible).
 				cp.Sleep(sim.Time(i) * 17 * sim.Microsecond)
@@ -117,43 +114,29 @@ func runMetastormArm(cfg MetastormConfig, shards int) (float64, float64) {
 					f, err := m.Create(cp, path, core.DefaultPerm)
 					metaWait += cp.Now() - mt0
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					if err := f.WriteAt(cp, 0, cfg.FileSize); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					if err := f.Close(cp); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					mt0 = cp.Now()
 					if _, err := m.Stat(cp, path); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					if err := m.Remove(cp, path); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					metaWait += cp.Now() - mt0
 				}
+				return nil
 			})
 		}
-		wg.Wait(p)
+		err = g.Wait(p)
 		elapsed = p.Now() - t0
-		return firstErr
+		return err
 	})
 	if elapsed <= 0 {
 		return 0, 0

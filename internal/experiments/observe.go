@@ -188,9 +188,9 @@ func (o *Obs) attachSim(s *sim.Sim) {
 		tick = func() {
 			o.snapshotSim(o.cfg.Out, s)
 			// Daemon ticks never keep Run from draining.
-			s.AtDaemon(s.Now()+o.cfg.Interval, tick)
+			s.PostDaemon(o.cfg.Interval, tick)
 		}
-		s.AtDaemon(o.cfg.Interval, tick)
+		s.PostDaemon(o.cfg.Interval, tick)
 	}
 }
 

@@ -82,7 +82,6 @@ func RunProductionScaling(cfg ProductionConfig) *Result {
 			// Widen tokens to exactly one MPI block: strided writers then
 			// never conflict (see core token negotiation).
 			ccfg.TokenChunk = int64(cfg.MPIBlock / cfg.BlockSize)
-			ccfg.Gather = cfg.Gather
 			ccfg.WideTokens = cfg.WideTokens
 			clients := site.AddClients(nodes, units.Gbps, ccfg)
 			var rate float64
@@ -195,35 +194,26 @@ func RunANL(cfg ANLConfig) *Result {
 			return err
 		}
 		t0 := p.Now()
-		wg := sim.NewWaitGroup(s)
-		var firstErr error
+		g := sim.NewGroup(s)
 		var moved units.Bytes
 		for i, m := range mounts {
 			i, m := i, m
-			wg.Add(1)
-			s.Go("anl-read", func(rp *sim.Proc) {
-				defer wg.Done()
+			g.Go("anl-read", func(rp *sim.Proc) error {
 				f, err := m.Open(rp, fmt.Sprintf("/remote%02d.dat", i))
 				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+					return err
 				}
 				for off := units.Bytes(0); off < f.Size(); off += units.MiB {
 					if err := f.ReadAt(rp, off, units.MiB); err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 				}
 				moved += f.Size()
+				return nil
 			})
 		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
+		if err := g.Wait(p); err != nil {
+			return err
 		}
 		rate = float64(moved) / (p.Now() - t0).Seconds()
 		return nil

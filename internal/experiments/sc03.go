@@ -114,32 +114,23 @@ func RunSC03(cfg SC03Config) *Result {
 		// pass streams one file per viz node; shift picks a disjoint file
 		// set so the second pass isn't served from the pagepool.
 		pass := func(shift int) error {
-			wg := sim.NewWaitGroup(s)
-			var firstErr error
+			g := sim.NewGroup(s)
 			for i, m := range mounts {
 				m, i := m, i
-				wg.Add(1)
-				s.Go(fmt.Sprintf("viz%d", i), func(vp *sim.Proc) {
-					defer wg.Done()
+				g.Go(fmt.Sprintf("viz%d", i), func(vp *sim.Proc) error {
 					f, err := m.Open(vp, fmt.Sprintf("/viz%02d.dat", (i+shift)%cfg.Files))
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					for off := units.Bytes(0); off < f.Size(); off += cfg.BlockSize {
 						if err := f.ReadAt(vp, off, cfg.BlockSize); err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
+							return err
 						}
 					}
+					return nil
 				})
 			}
-			wg.Wait(p)
-			return firstErr
+			return g.Wait(p)
 		}
 		if err := pass(0); err != nil {
 			return err

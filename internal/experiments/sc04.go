@@ -126,52 +126,37 @@ func RunSC04(cfg SC04Config) *Result {
 		// file from the booth, write its output back, repeat — no global
 		// barrier, which is why the paper's rates were "remarkably
 		// constant" while reads and writes alternated.
-		wg := sim.NewWaitGroup(s)
-		var firstErr error
+		g := sim.NewGroup(s)
 		for i, m := range mounts {
 			m, i := m, i
-			wg.Add(1)
-			s.Go("sort", func(vp *sim.Proc) {
-				defer wg.Done()
+			g.Go("sort", func(vp *sim.Proc) error {
 				for phase := 0; phase < cfg.Phases; phase++ {
 					f, err := m.Open(vp, fmt.Sprintf("/enzo%03d.out", (i+phase*len(mounts))%cfg.ReadFiles))
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					for off := units.Bytes(0); off < f.Size(); off += cfg.BlockSize {
 						if err := f.ReadAt(vp, off, cfg.BlockSize); err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
+							return err
 						}
 					}
 					out, err := m.Create(vp, fmt.Sprintf("/sorted.p%d.%03d", phase, i), core.DefaultPerm)
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					for off := units.Bytes(0); off < cfg.WriteBytes; off += cfg.BlockSize {
 						if err := out.WriteAt(vp, off, cfg.BlockSize); err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
+							return err
 						}
 					}
-					if err := out.Close(vp); err != nil && firstErr == nil {
-						firstErr = err
+					if err := out.Close(vp); err != nil {
+						return err
 					}
 				}
+				return nil
 			})
 		}
-		wg.Wait(p)
-		return firstErr
+		return g.Wait(p)
 	})
 
 	// Per-link series (out+in summed) and the aggregate.

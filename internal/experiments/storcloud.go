@@ -64,41 +64,35 @@ func RunStorCloudLocal(cfg StorCloudConfig) *Result {
 	var moved units.Bytes
 	var elapsed sim.Time
 	cfg.Env.run(s, func(p *sim.Proc) error {
-		wg := sim.NewWaitGroup(s)
-		var firstErr error
+		g := sim.NewGroup(s)
 		t0 := p.Now()
 		for i, ep := range eps {
 			i, ep := i, ep
-			wg.Add(1)
-			s.Go("stream", func(sp *sim.Proc) {
-				defer wg.Done()
+			g.Go("stream", func(sp *sim.Proc) error {
 				// Stripe across arrays and LUNs, GPFS-style, so no single
 				// controller pins the server's three HBAs.
 				window := sim.NewResource(s, "w", 12)
-				inner := sim.NewWaitGroup(s)
+				reads := sim.NewGroup(s)
 				j := 0
 				for off := units.Bytes(0); off < cfg.PerServer; off += cfg.IOSize {
 					arr := arrays[(i+j)%len(arrays)]
 					lun := ((i + j) / len(arrays)) % len(arr.Sets)
 					window.Acquire(sp, 1)
-					inner.Add(1)
+					reads.Add(1)
 					lunOff := (units.Bytes(j) * cfg.IOSize) % (arr.Sets[lun].Capacity() - cfg.IOSize)
 					arr.GoReadLUN(ep, sp.Ctx(), lun, lunOff, cfg.IOSize, func(err error) {
-						if err != nil && firstErr == nil {
-							firstErr = err
-						}
 						moved += cfg.IOSize
 						window.Release(1)
-						inner.Done()
+						reads.Done(err)
 					})
 					j++
 				}
-				inner.Wait(sp)
+				return reads.Wait(sp)
 			})
 		}
-		wg.Wait(p)
+		err := g.Wait(p)
 		elapsed = p.Now() - t0
-		return firstErr
+		return err
 	})
 
 	rate := float64(moved) / elapsed.Seconds()

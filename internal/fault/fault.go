@@ -57,7 +57,7 @@ func (p *Plan) At(t sim.Time, name string, fn func(s *sim.Sim)) *Plan {
 // instant emits one fault-timeline marker.
 func instant(s *sim.Sim, name, track string, args ...trace.Arg) {
 	if tr := s.Tracer(); tr != nil {
-		tr.Instant("fault", name, track, int64(s.Now()), args...)
+		tr.InstantCtx(trace.Ctx{}, "fault", name, track, int64(s.Now()), args...)
 	}
 }
 
@@ -154,7 +154,7 @@ func (p *Plan) ClientCrash(at sim.Time, cl *core.Client, procs ...*sim.Proc) *Pl
 
 // Install schedules every planned event onto the simulator. Events fire
 // in (time, insertion-order) order; installing a plan whose earliest
-// event is already in the past panics, as Sim.At would.
+// event is already in the past panics: it would corrupt causality.
 func (p *Plan) Install(s *sim.Sim) {
 	for i := range p.events {
 		e := p.events[i]
@@ -162,6 +162,6 @@ func (p *Plan) Install(s *sim.Sim) {
 			panic(fmt.Sprintf("fault: plan %s: event %s at %v is in the past (now %v)",
 				p.name, e.name, e.at, s.Now()))
 		}
-		s.At(e.at, func() { e.fn(s) })
+		s.Post(sim.KindOther, e.at-s.Now(), func() { e.fn(s) })
 	}
 }

@@ -231,8 +231,7 @@ func (c *Client) ReadFile(p *sim.Proc, name string, blockSize units.Bytes, depth
 		depth = 1
 	}
 	window := sim.NewResource(c.sim, "sanergy-window", depth)
-	wg := sim.NewWaitGroup(c.sim)
-	var firstErr error
+	g := sim.NewGroup(c.sim)
 	for _, e := range exts {
 		for off := units.Bytes(0); off < e.Len; off += blockSize {
 			ln := blockSize
@@ -240,24 +239,20 @@ func (c *Client) ReadFile(p *sim.Proc, name string, blockSize units.Bytes, depth
 				ln = e.Len - off
 			}
 			window.Acquire(p, 1)
-			wg.Add(1)
+			g.Add(1)
 			e, off, ln := e, off, ln
 			// Each block read is one traced operation: issue-to-landing
 			// latency is what depth-N pipelining trades against.
 			rec := c.beginOp("read")
 			e.Array.GoReadLUN(c.EP, rec.ctx(), e.LUN, e.Off+off, ln, func(err error) {
 				c.endOp(rec, ln)
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
 				c.BytesRead += ln
 				window.Release(1)
-				wg.Done()
+				g.Done(err)
 			})
 		}
 	}
-	wg.Wait(p)
-	return firstErr
+	return g.Wait(p)
 }
 
 // WriteFile streams data to a pre-created file with the same pipelining.
@@ -271,8 +266,7 @@ func (c *Client) WriteFile(p *sim.Proc, name string, blockSize units.Bytes, dept
 		depth = 1
 	}
 	window := sim.NewResource(c.sim, "sanergy-window", depth)
-	wg := sim.NewWaitGroup(c.sim)
-	var firstErr error
+	g := sim.NewGroup(c.sim)
 	for _, e := range exts {
 		for off := units.Bytes(0); off < e.Len; off += blockSize {
 			ln := blockSize
@@ -280,20 +274,16 @@ func (c *Client) WriteFile(p *sim.Proc, name string, blockSize units.Bytes, dept
 				ln = e.Len - off
 			}
 			window.Acquire(p, 1)
-			wg.Add(1)
+			g.Add(1)
 			e, off, ln := e, off, ln
 			rec := c.beginOp("write")
 			e.Array.GoWriteLUN(c.EP, rec.ctx(), e.LUN, e.Off+off, ln, func(err error) {
 				c.endOp(rec, ln)
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
 				c.BytesWritten += ln
 				window.Release(1)
-				wg.Done()
+				g.Done(err)
 			})
 		}
 	}
-	wg.Wait(p)
-	return firstErr
+	return g.Wait(p)
 }

@@ -12,6 +12,7 @@ import (
 	"gfs/internal/disk"
 	"gfs/internal/netsim"
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -173,28 +174,23 @@ func (c *Client) stream(p *sim.Proc, srv *Server, name string, size units.Bytes,
 		return fmt.Errorf("gridftp: bad client tuning")
 	}
 	window := sim.NewResource(c.sim, "gridftp-window", c.Pipeline)
-	wg := sim.NewWaitGroup(c.sim)
-	var firstErr error
+	g := sim.NewGroup(c.sim)
 	for off := units.Bytes(0); off < size; off += c.ChunkSize {
 		ln := c.ChunkSize
 		if off+ln > size {
 			ln = size - off
 		}
 		window.Acquire(p, 1)
-		wg.Add(1)
+		g.Add(1)
 		reqSize := units.Bytes(64)
 		if op == disk.Write {
 			reqSize = ln
 		}
-		c.EP.Go(srv.EP, dataService, reqSize, dataReq{Op: op, Name: name, Off: off, Len: ln},
+		c.EP.GoCtx(trace.Ctx{}, srv.EP, dataService, reqSize, dataReq{Op: op, Name: name, Off: off, Len: ln},
 			func(r netsim.Response) {
-				if r.Err != nil && firstErr == nil {
-					firstErr = r.Err
-				}
 				window.Release(1)
-				wg.Done()
+				g.Done(r.Err)
 			})
 	}
-	wg.Wait(p)
-	return firstErr
+	return g.Wait(p)
 }

@@ -14,9 +14,9 @@ func TestRateMonitorBinning(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "link", sim.Second)
-	s.Schedule(500*sim.Millisecond, func() { m.Record(100 * units.MB) })
-	s.Schedule(1500*sim.Millisecond, func() { m.Record(200 * units.MB) })
-	s.Schedule(1700*sim.Millisecond, func() { m.Record(100 * units.MB) })
+	s.Post(sim.KindOther, 500*sim.Millisecond, func() { m.Record(100 * units.MB) })
+	s.Post(sim.KindOther, 1500*sim.Millisecond, func() { m.Record(200 * units.MB) })
+	s.Post(sim.KindOther, 1700*sim.Millisecond, func() { m.Record(100 * units.MB) })
 	s.Run()
 	ser := m.SeriesMBps()
 	if ser.Len() != 2 {
@@ -37,7 +37,7 @@ func TestRateMonitorSpread(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "x", sim.Second)
-	s.Schedule(2*sim.Second, func() {
+	s.Post(sim.KindOther, 2*sim.Second, func() {
 		// 300 MB over [0.5s, 3.5s): 1/6 in bin0, 1/3 in bin1, 1/3 in bin2, 1/6 in bin3.
 		m.RecordSpread(300*units.MB, 500*sim.Millisecond, 3500*sim.Millisecond)
 	})
@@ -58,7 +58,7 @@ func TestRateMonitorPeakAndGbps(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	m := NewRateMonitor(s, "x", sim.Second)
-	s.Schedule(sim.Second/2, func() { m.Record(units.Bytes(1.25e9)) }) // 10 Gb in one second
+	s.Post(sim.KindOther, sim.Second/2, func() { m.Record(units.Bytes(1.25e9)) }) // 10 Gb in one second
 	s.Run()
 	if got := m.PeakRate(); got != 1.25*units.GBps {
 		t.Errorf("peak = %v, want 1.25GB/s", got)
@@ -78,7 +78,7 @@ func TestPropertySpreadConservesBytes(t *testing.T) {
 		n := units.Bytes(nRaw)
 		from := sim.Time(fromRaw) * sim.Millisecond
 		to := from + sim.Time(spanRaw)*sim.Millisecond
-		s.Schedule(100*sim.Second, func() { m.RecordSpread(n, from, to) })
+		s.Post(sim.KindOther, 100*sim.Second, func() { m.RecordSpread(n, from, to) })
 		s.Run()
 		sum := 0.0
 		for _, p := range m.SeriesMBps().Points {

@@ -121,7 +121,6 @@ func buildRig(cfg *Config) *rig {
 	ccfg.ReadAhead = cfg.ReadAhead
 	ccfg.WriteBehind = cfg.WriteBehind
 	ccfg.TokenChunk = 8 // narrow tokens: more steal traffic between clients
-	ccfg.Gather = cfg.Gather
 	ccfg.WideTokens = cfg.WideTokens
 	// Enough retry budget to ride out the scripted server outage.
 	ccfg.Retry = netsim.RetryPolicy{

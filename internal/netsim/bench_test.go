@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -20,10 +21,10 @@ func BenchmarkRecompute(b *testing.B) {
 		nw.DuplexLink(fmt.Sprintf("l%d", i), h, core, units.Gbps, sim.Millisecond)
 		hosts = append(hosts, h)
 	}
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 256; i++ {
 			c := nw.DialTCP(hosts[i%64], hosts[(i+7)%64], TCPConfig{})
-			c.Send(100*units.GB, nil) // long-lived: stays active
+			c.SendCtx(trace.Ctx{}, 100*units.GB, nil) // long-lived: stays active
 		}
 	})
 	s.RunUntil(sim.Second)
@@ -62,13 +63,13 @@ func BenchmarkRecomputeWindowCapped(b *testing.B) {
 		nw.DuplexLink(fmt.Sprintf("sl%d", i), h, sw2, 10*units.Gbps, 50*sim.Microsecond)
 		servers = append(servers, h)
 	}
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 256; i++ {
 			c := nw.DialTCP(servers[i%8], clients[i%64], TCPConfig{
 				InitWindow: 64 * units.KiB << (i % 5),
 				MaxWindow:  16 * units.MiB,
 			})
-			c.Send(100*units.GB, nil) // long-lived: stays active
+			c.SendCtx(trace.Ctx{}, 100*units.GB, nil) // long-lived: stays active
 		}
 	})
 	// Stop before the first window bump (one RTT in): every conn is
@@ -96,9 +97,9 @@ func BenchmarkMessageThroughput(b *testing.B) {
 	conn := nw.DialTCP(a, c, TCPConfig{})
 	delivered := 0
 	b.ResetTimer()
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < b.N; i++ {
-			conn.Send(units.MiB, func() { delivered++ })
+			conn.SendCtx(trace.Ctx{}, units.MiB, func() { delivered++ })
 		}
 	})
 	s.Run()

@@ -159,15 +159,11 @@ func (c *Conn) updateRateCap() {
 // Queued returns the number of undelivered messages.
 func (c *Conn) Queued() int { return len(c.queue) - c.head }
 
-// Send queues size bytes for delivery; onDelivered (optional) fires at the
-// virtual instant the last byte arrives at the destination. Must be called
-// from event context (inside an event callback or a process).
-func (c *Conn) Send(size units.Bytes, onDelivered func()) {
-	c.SendCtx(trace.Ctx{}, size, onDelivered)
-}
-
-// SendCtx is Send with a causal context: the flow span this message emits
-// on delivery is attributed to ctx.
+// SendCtx queues size bytes for delivery; onDelivered (optional) fires at
+// the virtual instant the last byte arrives at the destination. The flow
+// span this message emits on delivery is attributed to ctx (the zero Ctx
+// for none). Must be called from event context (inside an event callback
+// or a process).
 func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative message size %d", size))

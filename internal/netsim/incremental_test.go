@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -195,13 +196,13 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				at := sim.Time(rng.Intn(200)) * sim.Millisecond
 				switch rng.Intn(10) {
 				case 0:
-					s.At(at, func() { trunk.SetDown(true) })
+					s.Post(sim.KindOther, at, func() { trunk.SetDown(true) })
 				case 1:
-					s.At(at, func() { trunk.SetDown(false) })
+					s.Post(sim.KindOther, at, func() { trunk.SetDown(false) })
 				default:
 					c := conns[rng.Intn(len(conns))]
 					size := units.Bytes(1+rng.Intn(4<<20)) * 1
-					s.At(at, func() { c.Send(size, nil) })
+					s.Post(sim.KindOther, at, func() { c.SendCtx(trace.Ctx{}, size, nil) })
 				}
 				_ = i
 			}
@@ -273,7 +274,7 @@ func TestIncrementalWindowCapped(t *testing.T) {
 				at := sim.Time(rng.Intn(100)) * sim.Millisecond
 				for k := 0; k < 6; k++ {
 					size := units.Bytes(64+rng.Intn(16<<10)) * units.KiB
-					s.At(at, func() { c.Send(size, nil) })
+					s.Post(sim.KindOther, at, func() { c.SendCtx(trace.Ctx{}, size, nil) })
 					at += gaps[rng.Intn(len(gaps))]
 				}
 			}
@@ -360,14 +361,14 @@ func churnRig(seed int64, tune func(*Network)) (*sim.Sim, *Network, *Link, []*Co
 		at := sim.Time(rng.Intn(200)) * sim.Millisecond
 		switch rng.Intn(10) {
 		case 0:
-			s.At(at, func() { trunk.SetDown(true) })
+			s.Post(sim.KindOther, at, func() { trunk.SetDown(true) })
 		case 1:
-			s.At(at, func() { trunk.SetDown(false) })
+			s.Post(sim.KindOther, at, func() { trunk.SetDown(false) })
 		default:
 			c := conns[rng.Intn(len(conns))]
 			size := units.Bytes(1+rng.Intn(4<<20)) * 1
 			total += size
-			s.At(at, func() { c.Send(size, nil) })
+			s.Post(sim.KindOther, at, func() { c.SendCtx(trace.Ctx{}, size, nil) })
 		}
 	}
 	return s, nw, trunk, conns, total
@@ -428,15 +429,15 @@ func TestSendOnActiveConnSkipsSolve(t *testing.T) {
 	b := nw.NewNode("b")
 	nw.DuplexLink("ab", a, b, units.Gbps, sim.Millisecond)
 	c := nw.DialTCP(a, b, TCPConfig{})
-	s.Schedule(0, func() { c.Send(64*units.MiB, nil) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, 64*units.MiB, nil) })
 	// Let the first allocation settle.
 	s.RunUntil(10 * sim.Millisecond)
 	if !c.active || c.rate <= 0 {
 		t.Fatalf("conn not streaming: active=%v rate=%g", c.active, c.rate)
 	}
 	before := c.rate
-	s.Schedule(0, func() {
-		c.Send(64*units.MiB, nil)
+	s.Post(sim.KindOther, 0, func() {
+		c.SendCtx(trace.Ctx{}, 64*units.MiB, nil)
 		if len(nw.dirtyLinks) != 0 {
 			t.Error("send on active conn dirtied links")
 		}

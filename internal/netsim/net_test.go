@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -33,8 +34,8 @@ func TestSingleFlowSaturatesLink(t *testing.T) {
 	s, nw, a, b := twoNodeNet(1*units.Gbps, sim.Millisecond)
 	c := nw.DialTCP(a, b, noWindow)
 	var deliveredAt sim.Time
-	s.Schedule(0, func() {
-		c.Send(125*units.MB, func() { deliveredAt = s.Now() })
+	s.Post(sim.KindOther, 0, func() {
+		c.SendCtx(trace.Ctx{}, 125*units.MB, func() { deliveredAt = s.Now() })
 	})
 	s.Run()
 	// 125 MB at 125 MB/s = 1 s, + 1 ms propagation.
@@ -52,8 +53,8 @@ func TestWindowCapsThroughput(t *testing.T) {
 	c := nw.DialTCP(a, b, TCPConfig{MaxWindow: 8 * units.MiB})
 	var deliveredAt sim.Time
 	size := units.Bytes(8*units.MiB) * 10
-	s.Schedule(0, func() {
-		c.Send(size, func() { deliveredAt = s.Now() })
+	s.Post(sim.KindOther, 0, func() {
+		c.SendCtx(trace.Ctx{}, size, func() { deliveredAt = s.Now() })
 	})
 	s.Run()
 	rate := float64(8*units.MiB) / 0.080
@@ -67,9 +68,9 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	c1 := nw.DialTCP(a, b, noWindow)
 	c2 := nw.DialTCP(a, b, noWindow)
 	var t1, t2 sim.Time
-	s.Schedule(0, func() {
-		c1.Send(125*units.MB, func() { t1 = s.Now() })
-		c2.Send(125*units.MB, func() { t2 = s.Now() })
+	s.Post(sim.KindOther, 0, func() {
+		c1.SendCtx(trace.Ctx{}, 125*units.MB, func() { t1 = s.Now() })
+		c2.SendCtx(trace.Ctx{}, 125*units.MB, func() { t2 = s.Now() })
 	})
 	s.Run()
 	// Each gets 62.5 MB/s while both active: both finish at ~2 s.
@@ -83,9 +84,9 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 	c1 := nw.DialTCP(a, b, noWindow)
 	c2 := nw.DialTCP(a, b, noWindow)
 	var t1, t2 sim.Time
-	s.Schedule(0, func() {
-		c1.Send(125*units.MB, func() { t1 = s.Now() })
-		c2.Send(units.Bytes(62.5e6)/2, func() { t2 = s.Now() }) // 31.25 MB
+	s.Post(sim.KindOther, 0, func() {
+		c1.SendCtx(trace.Ctx{}, 125*units.MB, func() { t1 = s.Now() })
+		c2.SendCtx(trace.Ctx{}, units.Bytes(62.5e6)/2, func() { t2 = s.Now() }) // 31.25 MB
 	})
 	s.Run()
 	// Shared phase: both at 62.5 MB/s; c2 finishes its 31.25 MB at 0.5 s.
@@ -103,9 +104,9 @@ func TestCappedFlowLeavesResidual(t *testing.T) {
 	capped := nw.DialTCP(a, b, TCPConfig{MaxWindow: 5 * units.MB})
 	open := nw.DialTCP(a, b, noWindow)
 	var tOpen sim.Time
-	s.Schedule(0, func() {
-		capped.Send(500*units.MB, nil) // keeps it busy throughout
-		open.Send(75*units.MB, func() { tOpen = s.Now() })
+	s.Post(sim.KindOther, 0, func() {
+		capped.SendCtx(trace.Ctx{}, 500*units.MB, nil) // keeps it busy throughout
+		open.SendCtx(trace.Ctx{}, 75*units.MB, func() { tOpen = s.Now() })
 	})
 	s.RunUntil(20 * sim.Second)
 	approx(t, "open flow finish", tOpen.Seconds(), 1.0+0.05, 5e-3)
@@ -117,7 +118,7 @@ func TestSlowStartRamp(t *testing.T) {
 	// the steady-state cap, and cwnd doubles each RTT.
 	s, nw, a, b := twoNodeNet(10*units.Gbps, 40*sim.Millisecond)
 	c := nw.DialTCP(a, b, TCPConfig{MaxWindow: 16 * units.MiB, InitWindow: 64 * units.KiB})
-	s.Schedule(0, func() { c.Send(1*units.GB, nil) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, 1*units.GB, nil) })
 	s.RunUntil(100 * sim.Millisecond) // ~1 RTT in
 	early := float64(c.Rate())
 	s.RunUntil(2 * sim.Second)
@@ -141,7 +142,7 @@ func TestBottleneckInMiddle(t *testing.T) {
 	nw.DuplexLink("mb", m, b, 1*units.Gbps, 0)
 	c := nw.DialTCP(a, b, noWindow)
 	var done sim.Time
-	s.Schedule(0, func() { c.Send(125*units.MB, func() { done = s.Now() }) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, 125*units.MB, func() { done = s.Now() }) })
 	s.Run()
 	approx(t, "bottleneck time", done.Seconds(), 1.0, 1e-3)
 }
@@ -195,7 +196,7 @@ func TestLoopbackConn(t *testing.T) {
 	a := nw.NewNode("a")
 	c := nw.DialTCP(a, a, noWindow)
 	delivered := false
-	s.Schedule(0, func() { c.Send(units.GB, func() { delivered = true }) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, units.GB, func() { delivered = true }) })
 	s.Run()
 	if !delivered {
 		t.Fatal("loopback message not delivered")
@@ -210,7 +211,7 @@ func TestMonitorRecordsLinkBytes(t *testing.T) {
 	s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
 	mon := nw.MonitorLink(nw.Links()[0], sim.Second)
 	c := nw.DialTCP(a, b, noWindow)
-	s.Schedule(0, func() { c.Send(250*units.MB, nil) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, 250*units.MB, nil) })
 	s.Run()
 	if mon.Total() != 250*units.MB {
 		t.Errorf("monitor total = %v, want 250MB", mon.Total())
@@ -228,10 +229,10 @@ func TestMessagesFIFO(t *testing.T) {
 	s, nw, a, b := twoNodeNet(1*units.Gbps, sim.Millisecond)
 	c := nw.DialTCP(a, b, noWindow)
 	var order []int
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 5; i++ {
 			i := i
-			c.Send(units.MB, func() { order = append(order, i) })
+			c.SendCtx(trace.Ctx{}, units.MB, func() { order = append(order, i) })
 		}
 	})
 	s.Run()
@@ -267,10 +268,10 @@ func TestPropertyMaxMinSaturation(t *testing.T) {
 		n := int(nRaw%16) + 1
 		s, nw, a, b := twoNodeNet(1*units.Gbps, 0)
 		conns := make([]*Conn, n)
-		s.Schedule(0, func() {
+		s.Post(sim.KindOther, 0, func() {
 			for i := range conns {
 				conns[i] = nw.DialTCP(a, b, noWindow)
-				conns[i].Send(units.GB, nil)
+				conns[i].SendCtx(trace.Ctx{}, units.GB, nil)
 			}
 		})
 		s.RunUntil(sim.Second)
@@ -301,11 +302,11 @@ func TestPropertyByteConservation(t *testing.T) {
 		mon := nw.MonitorLink(nw.Links()[0], sim.Second)
 		c := nw.DialTCP(a, b, noWindow)
 		var want units.Bytes
-		s.Schedule(0, func() {
+		s.Post(sim.KindOther, 0, func() {
 			for _, sz := range sizesRaw {
 				n := units.Bytes(sz) + 1
 				want += n
-				c.Send(n, nil)
+				c.SendCtx(trace.Ctx{}, n, nil)
 			}
 		})
 		s.Run()

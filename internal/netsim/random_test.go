@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -59,7 +60,7 @@ func TestPropertyRandomTopologyConservation(t *testing.T) {
 		var recs []rec
 		delivered := 0
 		sent := 0
-		s.Schedule(0, func() {
+		s.Post(sim.KindOther, 0, func() {
 			nConns := rng.Intn(6) + 1
 			for i := 0; i < nConns; i++ {
 				src := hosts[rng.Intn(len(hosts))]
@@ -79,7 +80,7 @@ func TestPropertyRandomTopologyConservation(t *testing.T) {
 					n := units.Bytes(rng.Intn(int(8*units.MiB)) + 1)
 					want += n
 					sent++
-					c.Send(n, func() { delivered++ })
+					c.SendCtx(trace.Ctx{}, n, func() { delivered++ })
 				}
 				recs = append(recs, rec{c, want})
 			}
@@ -133,7 +134,7 @@ func TestPropertyPhysicsBound(t *testing.T) {
 		c := nw.DialTCP(a, b, TCPConfig{})
 		size := units.Bytes(szRaw%uint32(64*units.MiB)) + 1
 		var done sim.Time
-		s.Schedule(0, func() { c.Send(size, func() { done = s.Now() }) })
+		s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, size, func() { done = s.Now() }) })
 		s.Run()
 		bound := float64(size)/(float64(rate)/8) + delay.Seconds()
 		return done.Seconds() >= bound-1e-9
@@ -158,7 +159,7 @@ func TestPropertyWindowBound(t *testing.T) {
 		c := nw.DialTCP(a, b, TCPConfig{MaxWindow: wnd})
 		size := 64 * units.MiB
 		var done sim.Time
-		s.Schedule(0, func() { c.Send(size, func() { done = s.Now() }) })
+		s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, size, func() { done = s.Now() }) })
 		s.Run()
 		rate := float64(size) / (done - delay).Seconds()
 		capRate := float64(wnd) / (2 * delay).Seconds()

@@ -67,7 +67,8 @@ func (e *Endpoint) GoDeadline(ctx trace.Ctx, peer *Endpoint, service string, req
 	}
 	nw := e.net
 	expired := false
-	timer := nw.Sim.ScheduleKind(kindRPCTimer, deadline, func() {
+	var timer sim.Event
+	nw.Sim.Arm(&timer, kindRPCTimer, deadline, func() {
 		expired = true
 		nw.st.DeadlineExpired++
 		if onDone != nil {

@@ -33,7 +33,7 @@ func TestDeadlineExpiresAndDiscardsLateResponse(t *testing.T) {
 	calls := 0
 	var firstErr error
 	var at sim.Time
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		client.GoDeadline(trace.Ctx{}, server, "slow", 64, nil, 100*sim.Millisecond, func(r Response) {
 			calls++
 			firstErr = r.Err
@@ -67,16 +67,16 @@ func TestLinkDownStallsAndResumes(t *testing.T) {
 	// Fail the forward link before the request, restore it at t=2s: the
 	// in-flight message must stall, not be lost, and complete after repair.
 	var doneAt sim.Time
-	s.Schedule(0, func() { fwd.SetDown(true) })
-	s.Schedule(sim.Millisecond, func() {
-		ea.Go(eb, "echo", units.MiB, nil, func(r Response) {
+	s.Post(sim.KindOther, 0, func() { fwd.SetDown(true) })
+	s.Post(sim.KindOther, sim.Millisecond, func() {
+		ea.GoCtx(trace.Ctx{}, eb, "echo", units.MiB, nil, func(r Response) {
 			if r.Err != nil {
 				t.Errorf("call over flapped link failed: %v", r.Err)
 			}
 			doneAt = s.Now()
 		})
 	})
-	s.Schedule(2*sim.Second, func() { fwd.SetDown(false) })
+	s.Post(sim.KindOther, 2*sim.Second, func() { fwd.SetDown(false) })
 	s.Run()
 	if doneAt < 2*sim.Second {
 		t.Errorf("call completed at %v, before the link was restored", doneAt)

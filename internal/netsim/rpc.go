@@ -182,15 +182,10 @@ func (e *Endpoint) Call(p *sim.Proc, peer *Endpoint, service string, reqSize uni
 	return resp
 }
 
-// Go performs a non-blocking RPC with no causal context; onDone fires in
-// event context when the response arrives. Useful for keeping many
-// requests in flight (the read-ahead pipeline at the heart of WAN-GFS
-// performance).
-func (e *Endpoint) Go(peer *Endpoint, service string, reqSize units.Bytes, payload any, onDone func(Response)) {
-	e.issue(trace.Ctx{}, peer, service, reqSize, payload, onDone, nil)
-}
-
-// GoCtx is Go with an explicit causal context. The RPC's span ID is
+// GoCtx performs a non-blocking RPC under the causal context ctx (the
+// zero Ctx for none); onDone fires in event context when the response
+// arrives. Useful for keeping many requests in flight (the read-ahead
+// pipeline at the heart of WAN-GFS performance). The RPC's span ID is
 // allocated at issue time; the request flow, the handler process and the
 // response flow all run under {ctx.Op, rpc span}, so everything the RPC
 // causes — nested calls, disk service, wire transfers — hangs off it in
@@ -200,7 +195,7 @@ func (e *Endpoint) GoCtx(ctx trace.Ctx, peer *Endpoint, service string, reqSize 
 }
 
 // issue starts one RPC on a fresh call record and sends its request.
-// Exactly one of onDone (Go) and wake (Call) is used on completion.
+// Exactly one of onDone (GoCtx) and wake (Call) is used on completion.
 func (e *Endpoint) issue(ctx trace.Ctx, peer *Endpoint, name string, reqSize units.Bytes, payload any, onDone func(Response), wake func()) *rpcCall {
 	svc, ok := peer.services[name]
 	if !ok {

@@ -120,7 +120,7 @@ func TestRPCPoolDeadlineFiresOnce(t *testing.T) {
 	})
 	handleEcho(server, 3)
 	var got []Response
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		client.GoDeadline(trace.Ctx{}, server, "slow", 64, "late", 10*sim.Millisecond,
 			func(r Response) { got = append(got, r) })
 	})
@@ -156,7 +156,7 @@ func TestRPCPoolOnDoneIssuesNextCall(t *testing.T) {
 	var next func(i int)
 	next = func(i int) {
 		pl := echoPayload{0, i}
-		client.Go(server, "echo", 64, pl, func(r Response) {
+		client.GoCtx(trace.Ctx{}, server, "echo", 64, pl, func(r Response) {
 			checkEcho(t, pl, r)
 			done++
 			if i+1 < n {
@@ -164,7 +164,7 @@ func TestRPCPoolOnDoneIssuesNextCall(t *testing.T) {
 			}
 		})
 	}
-	s.Schedule(0, func() { next(0) })
+	s.Post(sim.KindOther, 0, func() { next(0) })
 	s.Run()
 	if done != n {
 		t.Fatalf("%d of %d chained calls completed", done, n)
@@ -194,12 +194,12 @@ func TestRPCInFlightGaugeIsNetworkWide(t *testing.T) {
 		return Response{Size: 64}
 	})
 	done := 0
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 3; i++ {
-			eps[0].Go(server, "slow", 64, nil, func(Response) { done++ })
+			eps[0].GoCtx(trace.Ctx{}, server, "slow", 64, nil, func(Response) { done++ })
 		}
 		for i := 0; i < 2; i++ {
-			eps[1].Go(server, "slow", 64, nil, func(Response) { done++ })
+			eps[1].GoCtx(trace.Ctx{}, server, "slow", 64, nil, func(Response) { done++ })
 		}
 		if eps[0].InFlight() != 3 || eps[1].InFlight() != 2 {
 			t.Errorf("per-endpoint in flight = %d, %d; want 3, 2", eps[0].InFlight(), eps[1].InFlight())

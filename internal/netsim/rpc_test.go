@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -71,9 +72,9 @@ func TestRPCPipelinedGo(t *testing.T) {
 		return Response{Size: units.KiB}
 	})
 	n := 0
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 32; i++ {
-			client.Go(server, "get", 64, nil, func(Response) { n++ })
+			client.GoCtx(trace.Ctx{}, server, "get", 64, nil, func(Response) { n++ })
 		}
 	})
 	s.Run()
@@ -111,7 +112,7 @@ func TestRPCUnknownServicePanics(t *testing.T) {
 			t.Fatal("unknown service did not panic")
 		}
 	}()
-	s.Schedule(0, func() { client.Go(server, "nope", 1, nil, nil) })
+	s.Post(sim.KindOther, 0, func() { client.GoCtx(trace.Ctx{}, server, "nope", 1, nil, nil) })
 	s.Run()
 }
 
@@ -144,9 +145,9 @@ func TestRPCMultipleConnsRaiseWindow(t *testing.T) {
 			return Response{Size: 8 * units.MiB}
 		})
 		done := 0
-		s.Schedule(0, func() {
+		s.Post(sim.KindOther, 0, func() {
 			for i := 0; i < 64; i++ {
-				ea.Go(eb, "read", 64, nil, func(Response) { done++ })
+				ea.GoCtx(trace.Ctx{}, eb, "read", 64, nil, func(Response) { done++ })
 			}
 		})
 		s.Run()
@@ -173,9 +174,9 @@ func TestInFlightAccounting(t *testing.T) {
 	}
 	const n = 8
 	done := 0
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < n; i++ {
-			client.Go(server, "read", 64, nil, func(Response) { done++ })
+			client.GoCtx(trace.Ctx{}, server, "read", 64, nil, func(Response) { done++ })
 		}
 		if client.InFlight() != n {
 			t.Errorf("after issue: in_flight = %d, want %d", client.InFlight(), n)

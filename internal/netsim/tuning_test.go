@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gfs/internal/sim"
+	"gfs/internal/trace"
 	"gfs/internal/units"
 )
 
@@ -18,7 +19,7 @@ func TestLinkEfficiencyDeratesCapacity(t *testing.T) {
 	nw.DuplexLink("ab", a, b, units.Gbps, 0)
 	c := nw.DialTCP(a, b, noWindow)
 	var done sim.Time
-	s.Schedule(0, func() { c.Send(units.Bytes(117.5e6), func() { done = s.Now() }) })
+	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, units.Bytes(117.5e6), func() { done = s.Now() }) })
 	s.Run()
 	// 117.5 MB at 117.5 MB/s (94% of 125) = 1 s.
 	approx(t, "derated transfer", done.Seconds(), 1.0, 1e-3)
@@ -53,11 +54,11 @@ func TestRestartIdlePreservesWindowOverShortGaps(t *testing.T) {
 		// Grow the window with a long first transfer, then idle exactly
 		// `gap` before the second.
 		var t0, t1 sim.Time
-		s.Schedule(0, func() {
-			c.Send(256*units.MiB, func() {
-				s.Schedule(gap, func() {
+		s.Post(sim.KindOther, 0, func() {
+			c.SendCtx(trace.Ctx{}, 256*units.MiB, func() {
+				s.Post(sim.KindOther, gap, func() {
 					t0 = s.Now()
-					c.Send(32*units.MiB, func() { t1 = s.Now() })
+					c.SendCtx(trace.Ctx{}, 32*units.MiB, func() { t1 = s.Now() })
 				})
 			})
 		})
@@ -82,11 +83,11 @@ func TestMinRecomputeIntervalStillConservesBytes(t *testing.T) {
 	mon := nw.MonitorLink(nw.Links()[0], sim.Second)
 	conns := make([]*Conn, 4)
 	var want units.Bytes
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := range conns {
 			conns[i] = nw.DialTCP(a, b, noWindow)
 			for j := 0; j < 8; j++ {
-				conns[i].Send(units.Bytes(j+1)*units.MiB, nil)
+				conns[i].SendCtx(trace.Ctx{}, units.Bytes(j+1)*units.MiB, nil)
 				want += units.Bytes(j+1) * units.MiB
 			}
 		}
@@ -121,9 +122,9 @@ func TestThrottledRecomputeTimingError(t *testing.T) {
 	c1 := nw.DialTCP(a, b, noWindow)
 	c2 := nw.DialTCP(a, b, noWindow)
 	var t1, t2 sim.Time
-	s.Schedule(0, func() {
-		c1.Send(125*units.MB, func() { t1 = s.Now() })
-		c2.Send(125*units.MB, func() { t2 = s.Now() })
+	s.Post(sim.KindOther, 0, func() {
+		c1.SendCtx(trace.Ctx{}, 125*units.MB, func() { t1 = s.Now() })
+		c2.SendCtx(trace.Ctx{}, 125*units.MB, func() { t2 = s.Now() })
 	})
 	s.Run()
 	// Exact sharing: both at 2 s. Allow the staleness bound.
@@ -145,9 +146,9 @@ func TestEndpointConnsRoundRobin(t *testing.T) {
 	eb := nw.NewEndpoint(b, 3)
 	eb.Handle("noop", func(p *sim.Proc, req *Request) Response { return Response{Size: 1} })
 	done := 0
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 9; i++ {
-			ea.Go(eb, "noop", 1, nil, func(Response) { done++ })
+			ea.GoCtx(trace.Ctx{}, eb, "noop", 1, nil, func(Response) { done++ })
 		}
 	})
 	s.Run()

@@ -270,8 +270,8 @@ func runMix(seed int64, ref bool, small disk.Params) []string {
 			}
 		})
 	}
-	s.Schedule(150*sim.Millisecond, func() { r.FailDisk(4) })
-	s.Schedule(170*sim.Millisecond, func() {
+	s.Post(sim.KindOther, 150*sim.Millisecond, func() { r.FailDisk(4) })
+	s.Post(sim.KindOther, 170*sim.Millisecond, func() {
 		note(fmt.Sprintf("kill in op %v", inOp[0]))
 		victim.Kill()
 	})

@@ -139,7 +139,7 @@ func TestPipelinedReadsOverlapDiskAndWire(t *testing.T) {
 	f.AttachHBA(host, sw, FC2, 1)
 	ep := f.Net.NewEndpoint(host, 4)
 	done := 0
-	s.Schedule(0, func() {
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 16; i++ {
 			lun := i % len(a.Sets)
 			a.GoReadLUN(ep, trace.Ctx{}, lun, units.Bytes(i)*units.MiB, units.MiB, func(err error) {

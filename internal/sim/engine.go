@@ -28,8 +28,9 @@ import (
 // array index on the event hot path.
 type EventKind uint8
 
-// KindOther is the default kind for events scheduled through the untyped
-// At/Schedule API.
+// KindOther is the catch-all kind: daemon ticks (PostDaemon) and events
+// whose poster names no subsystem (fault plans, lease expiry, retry
+// backoff).
 const KindOther EventKind = 0
 
 // kindNames maps EventKind to its registered name. Index 0 is the
@@ -186,13 +187,13 @@ func (p *EngineProbe) emitTraceSample() {
 	if tr == nil {
 		return
 	}
-	tr.Instant("engine", "sample", "engine", int64(p.sim.now),
+	tr.InstantCtx(trace.Ctx{}, "engine", "sample", "engine", int64(p.sim.now),
 		trace.I("fired", int64(p.sim.fired)),
 		trace.I("pending", int64(p.sim.q.len())))
 }
 
-// notePending tracks the exact event-queue high-water mark (called from
-// At on the scheduling path, probe-enabled runs only).
+// notePending tracks the exact event-queue high-water mark (called on
+// the scheduling path, probe-enabled runs only).
 func (p *EngineProbe) notePending(n int) {
 	if n > p.peakPending {
 		p.peakPending = n

@@ -23,7 +23,7 @@ func TestEngineProbeCounts(t *testing.T) {
 		}
 	})
 	for i := 0; i < 3; i++ {
-		s.Schedule(Time(i)*Microsecond, func() {})
+		s.Post(KindOther, Time(i)*Microsecond, func() {})
 	}
 	s.Run()
 
@@ -71,7 +71,7 @@ func TestEngineProbeDetached(t *testing.T) {
 	t.Parallel()
 	s := New()
 	for i := 0; i < 5; i++ {
-		s.Schedule(Time(i), func() {})
+		s.Post(KindOther, Time(i), func() {})
 	}
 	s.Run()
 	if s.EventsFired() != 5 {
@@ -81,7 +81,7 @@ func TestEngineProbeDetached(t *testing.T) {
 	p := NewEngineProbe()
 	s.SetEngineProbe(p)
 	for i := 0; i < 7; i++ {
-		s.Schedule(Time(i), func() {})
+		s.Post(KindOther, Time(i), func() {})
 	}
 	s.Run()
 	if got := p.Snapshot().Events; got != 7 {
@@ -89,7 +89,7 @@ func TestEngineProbeDetached(t *testing.T) {
 	}
 
 	s.SetEngineProbe(nil)
-	s.Schedule(0, func() {})
+	s.Post(KindOther, 0, func() {})
 	s.Run()
 	if s.EventsFired() != 13 {
 		t.Errorf("fired %d, want 13", s.EventsFired())

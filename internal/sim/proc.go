@@ -11,8 +11,8 @@ import (
 
 // Proc is a simulated process: a coroutine whose execution interleaves
 // with the event loop one-at-a-time, SimPy style. Inside the process
-// function, blocking calls (Sleep, Resource.Acquire, Queue.Get,
-// Signal.Wait) suspend the process and hand control back to whoever
+// function, blocking calls (Sleep, Resource.Acquire, Signal.Wait,
+// WaitGroup.Wait) suspend the process and hand control back to whoever
 // resumed it — the event loop, or a process that woke it synchronously;
 // the simulator resumes it when the corresponding event fires. At most one
 // of the event loop and the processes runs at any moment, so process code
@@ -42,7 +42,7 @@ type Proc struct {
 // another. Switching to it with next and back with yield is a direct
 // runtime coroutine switch on the caller's thread: no scheduler round trip,
 // no channel. Nested switches are fine — a process that wakes another
-// synchronously (Resource.Release, Queue.push) resumes it from inside its
+// synchronously (Resource.Release, Signal.Fire) resumes it from inside its
 // own coroutine and regains control when that one parks.
 type runner struct {
 	p     *Proc
@@ -144,9 +144,8 @@ type procKilled struct{}
 // Kill terminates the process the next time it would resume. Blocking calls
 // never return in a killed process; the coroutine unwinds via panic/recover
 // internally, and the blocking call it was parked in gives back what it
-// held (a queue slot, granted resource units, a pending sleep). Must be
-// called from the event loop or another process, not from the process
-// itself.
+// held (granted resource units, a pending sleep). Must be called from
+// the event loop or another process, not from the process itself.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return

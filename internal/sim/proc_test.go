@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -176,54 +177,6 @@ func TestResourceTryAcquire(t *testing.T) {
 	}
 }
 
-func TestQueueProducerConsumer(t *testing.T) {
-	t.Parallel()
-	s := New()
-	q := NewQueue[int](s, "q", 0)
-	var got []int
-	s.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	s.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(Second)
-			q.Put(p, i)
-		}
-	})
-	s.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %d items, want 5", len(got))
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("got = %v", got)
-		}
-	}
-}
-
-func TestQueueBoundedBlocksPutter(t *testing.T) {
-	t.Parallel()
-	s := New()
-	q := NewQueue[int](s, "q", 2)
-	var putDone Time
-	s.Go("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // blocks until consumer gets one
-		putDone = p.Now()
-	})
-	s.Go("consumer", func(p *Proc) {
-		p.Sleep(5 * Second)
-		q.Get(p)
-	})
-	s.Run()
-	if putDone != 5*Second {
-		t.Fatalf("third Put completed at %v, want 5s", putDone)
-	}
-}
-
 func TestSignalBroadcast(t *testing.T) {
 	t.Parallel()
 	s := New()
@@ -286,6 +239,43 @@ func TestWaitGroupZeroDoesNotBlock(t *testing.T) {
 	s.Run()
 	if !ran {
 		t.Fatal("Wait on zero counter blocked")
+	}
+}
+
+// TestGroupFirstError: Wait returns once every member is done — spawned
+// processes and callback members alike — with the first error reported
+// in time, and a killed member counts as done.
+func TestGroupFirstError(t *testing.T) {
+	t.Parallel()
+	s := New()
+	g := NewGroup(s)
+	errLate, errEarly := errors.New("late"), errors.New("early")
+	g.Go("late", func(p *Proc) error {
+		p.Sleep(3 * Second)
+		return errLate
+	})
+	g.Go("ok", func(p *Proc) error {
+		p.Sleep(Second)
+		return nil
+	})
+	var victim *Proc
+	g.Go("victim", func(p *Proc) error {
+		victim = p
+		p.Sleep(Hour)
+		return errors.New("killed member returned")
+	})
+	g.Add(1)
+	s.Post(KindOther, 2*Second, func() { g.Done(errEarly) })
+	s.Post(KindOther, Second, func() { victim.Kill() })
+	var err error
+	var doneAt Time
+	s.Go("waiter", func(p *Proc) {
+		err = g.Wait(p)
+		doneAt = p.Now()
+	})
+	s.Run()
+	if err != errEarly || doneAt != 3*Second {
+		t.Fatalf("Wait returned %v at %v, want %v at 3s", err, doneAt, errEarly)
 	}
 }
 
@@ -409,14 +399,14 @@ func TestProcStaleWakeOnReusedRunner(t *testing.T) {
 	p1 := s.Go("first", func(p *Proc) { first = p.r })
 	var woke Time
 	var p2 *Proc
-	s.Schedule(Millisecond, func() {
+	s.Post(KindOther, Millisecond, func() {
 		p2 = s.Go("second", func(p *Proc) {
 			p.Sleep(Second)
 			woke = p.Now()
 		})
 	})
 	stale := p1.Suspend()
-	s.Schedule(2*Millisecond, func() {
+	s.Post(KindOther, 2*Millisecond, func() {
 		if p2.r != first {
 			t.Errorf("second process did not reuse the first's runner")
 		}
@@ -466,7 +456,7 @@ func TestKillReleasesResource(t *testing.T) {
 			t.Errorf("granted=%v: killed process acquired", granted)
 		})
 		if !granted {
-			s.Schedule(Second, victim.Kill)
+			s.Post(KindOther, Second, victim.Kill)
 		}
 		var late Time = -1
 		s.Go("late", func(p *Proc) {
@@ -483,57 +473,13 @@ func TestKillReleasesResource(t *testing.T) {
 	}
 }
 
-// TestKillQueueWaiter: a process killed in Get or Put neither keeps its
-// place in line nor swallows the wakeup meant for the live waiter behind
-// it, whether the kill lands before or after the wakeup.
-func TestKillQueueWaiter(t *testing.T) {
-	t.Parallel()
-	for _, spent := range []bool{false, true} {
-		s := New()
-		in := NewQueue[int](s, "in", 0)
-		out := NewQueue[int](s, "out", 1)
-		out.TryPut(0)
-		var dead []*Proc
-		for _, name := range []string{"dead-getter", "dead-putter"} {
-			name := name
-			dead = append(dead, s.Go(name, func(p *Proc) {
-				if name == "dead-getter" {
-					in.Get(p)
-				} else {
-					out.Put(p, 1)
-				}
-				t.Errorf("spent=%v: %s returned", spent, name)
-			}))
-		}
-		got, put := -1, false
-		s.Go("live-getter", func(p *Proc) { got = in.Get(p) })
-		s.Go("live-putter", func(p *Proc) { out.Put(p, 2); put = true })
-		s.Go("driver", func(p *Proc) {
-			p.Sleep(Second)
-			for _, d := range dead {
-				d.Kill()
-			}
-			if !spent {
-				p.Sleep(Second) // the kills land before the handoffs
-			}
-			in.Put(p, 7) // with spent, wakes the dead getter first
-			out.Get(p)   // with spent, wakes the dead putter first
-		})
-		s.Run()
-		if got != 7 || !put || in.Len() != 0 || out.Len() != 1 {
-			t.Fatalf("spent=%v: live getter got %d, live putter put %v, lens %d/%d",
-				spent, got, put, in.Len(), out.Len())
-		}
-	}
-}
-
 // TestKillCancelsSleep: a killed sleeper's timer goes with it, so it no
 // longer keeps Run going.
 func TestKillCancelsSleep(t *testing.T) {
 	t.Parallel()
 	s := New()
 	p := s.Go("sleeper", func(p *Proc) { p.Sleep(Hour) })
-	s.Schedule(Second, p.Kill)
+	s.Post(KindOther, Second, p.Kill)
 	s.Run()
 	if s.Now() != Second || s.Pending() != 0 {
 		t.Fatalf("Run ended at %v with %d pending, want 1s and 0", s.Now(), s.Pending())
@@ -552,10 +498,10 @@ func (l *grantLog) note(name string) { l.got = append(l.got, fmt.Sprintf("%s@%v"
 // callbackWaiter acquires n units of r with AcquireFunc at time at and
 // holds them for hold.
 func (l *grantLog) callbackWaiter(r *Resource, name string, at Time, n int, hold Time) {
-	l.s.Schedule(at, func() {
+	l.s.Post(KindOther, at, func() {
 		r.AcquireFunc(n, func() {
 			l.note(name)
-			l.s.Schedule(hold, func() { r.Release(n) })
+			l.s.Post(KindOther, hold, func() { r.Release(n) })
 		})
 	})
 }
@@ -585,7 +531,7 @@ func TestAcquireFuncSharesFIFO(t *testing.T) {
 	l.callbackWaiter(r, "c", 3*Millisecond, 1, Second)
 	l.procWaiter(r, "d", 4*Millisecond, 1, Second)
 	queued := -1
-	s.Schedule(500*Millisecond, func() { queued = r.Queued() })
+	s.Post(KindOther, 500*Millisecond, func() { queued = r.Queued() })
 	s.Run()
 	want := "[holder@0ns a@1.000s b@2.000s c@3.000s d@3.000s]"
 	if got := fmt.Sprint(l.got); got != want {
@@ -619,11 +565,11 @@ func TestKillAbandonPastHead(t *testing.T) {
 	l.procWaiter(r, "w3", 3*Millisecond, 1, Second)
 	l.callbackWaiter(r, "w4", 4*Millisecond, 1, Second)
 	var head, queued int
-	s.Schedule(1500*Millisecond, func() {
+	s.Post(KindOther, 1500*Millisecond, func() {
 		head = r.head
 		victim.Kill()
 	})
-	s.Schedule(1600*Millisecond, func() { queued = r.Queued() })
+	s.Post(KindOther, 1600*Millisecond, func() { queued = r.Queued() })
 	s.Run()
 	want := "[holder@0ns w1@1.000s w3@2.000s w4@3.000s]"
 	if got := fmt.Sprint(l.got); got != want {

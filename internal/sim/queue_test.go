@@ -66,7 +66,7 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 		d := Time(rng.Intn(5)) * Millisecond // frequent same-instant ties
 		switch rng.Intn(10) {
 		case 0:
-			s.AtDaemon(s.Now()+d, func() { record(tag + "-daemon") })
+			s.PostDaemon(d, func() { record(tag + "-daemon") })
 			note(s.Now()+d, tag+"-daemon", true)
 		case 1:
 			s.Post(KindOther, d, func() {
@@ -81,7 +81,8 @@ func dispatchTrace(seed int64, n int) (got, want []string) {
 			s.Arm(e, KindOther, d, func() { record(tag + "-armed") })
 			armed = append(armed, &handle{e, note(e.When(), tag+"-armed", false), tag})
 		default:
-			e := s.Schedule(d, func() {
+			e := &Event{}
+			s.Arm(e, KindOther, d, func() {
 				record(tag)
 				if depth < 3 && rng.Intn(2) == 0 {
 					spawn(depth + 1)
@@ -209,8 +210,7 @@ func TestArmReuse(t *testing.T) {
 // TestRearmMovesQueuedEvent: Rearm moves a queued event earlier, later or
 // to the same instant, and it fires exactly once at its new instant. At a
 // shared instant it fires after events scheduled before the re-arm, just
-// as a Cancel then Arm would. On an idle event Rearm is Arm, and a
-// re-armed daemon stops counting as one.
+// as a Cancel then Arm would. On an idle event Rearm is Arm.
 func TestRearmMovesQueuedEvent(t *testing.T) {
 	t.Parallel()
 	s := New()
@@ -222,21 +222,16 @@ func TestRearmMovesQueuedEvent(t *testing.T) {
 	s.Arm(&earlier, KindOther, 5*Millisecond, rec("stale-earlier"))
 	s.Arm(&later, KindOther, 3*Millisecond, rec("stale-later"))
 	s.Arm(&same, KindOther, 4*Millisecond, rec("stale-same"))
-	s.Schedule(4*Millisecond, rec("tie"))
+	s.Post(KindOther, 4*Millisecond, rec("tie"))
 	s.Rearm(&earlier, KindOther, 2*Millisecond, rec("earlier"))
 	s.Rearm(&later, KindOther, 8*Millisecond, rec("later"))
 	s.Rearm(&same, KindOther, 4*Millisecond, rec("same"))
 	s.Rearm(&idle, KindOther, 6*Millisecond, rec("idle"))
-	d := s.AtDaemon(Millisecond, rec("stale-daemon"))
-	s.Rearm(d, KindOther, 7*Millisecond, rec("daemon"))
-	if s.Daemons() != 0 {
-		t.Fatalf("%d daemons after re-arming the only one", s.Daemons())
-	}
-	if s.Pending() != 6 {
-		t.Fatalf("%d events pending, want 6", s.Pending())
+	if s.Pending() != 5 {
+		t.Fatalf("%d events pending, want 5", s.Pending())
 	}
 	s.Run()
-	want := []string{"2:earlier", "4:tie", "4:same", "6:idle", "7:daemon", "8:later"}
+	want := []string{"2:earlier", "4:tie", "4:same", "6:idle", "8:later"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
@@ -411,7 +406,7 @@ func scaleTrace(t *testing.T, seed int64) (got, want []string, st scaleStats) {
 	tick = func() {
 		ticks++
 		tag := fmt.Sprintf("d%d", ticks)
-		s.AtDaemon(s.Now()+37*Microsecond, func() { record(tag); tick() })
+		s.PostDaemon(37*Microsecond, func() { record(tag); tick() })
 		note(s.Now()+37*Microsecond, tag, true)
 	}
 	tick()

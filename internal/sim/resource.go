@@ -175,123 +175,6 @@ func (r *Resource) grantWaiters() {
 	}
 }
 
-// Use runs fn while holding n units, handling release on all paths.
-func (r *Resource) Use(p *Proc, n int, fn func()) {
-	r.Acquire(p, n)
-	defer r.Release(n)
-	fn()
-}
-
-// Queue is an unbounded (or bounded) FIFO of items with blocking Get and,
-// when bounded, blocking Put.
-type Queue[T any] struct {
-	sim     *Sim
-	name    string
-	max     int // 0 = unbounded
-	items   []T
-	getters []*Proc
-	putters []*Proc
-
-	totalPut uint64
-	peakLen  int
-}
-
-// NewQueue returns a queue. max 0 means unbounded.
-func NewQueue[T any](s *Sim, name string, max int) *Queue[T] {
-	return &Queue[T]{sim: s, name: name, max: max}
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// PeakLen returns the maximum queue length observed.
-func (q *Queue[T]) PeakLen() int { return q.peakLen }
-
-// TotalPut returns the cumulative number of items enqueued.
-func (q *Queue[T]) TotalPut() uint64 { return q.totalPut }
-
-// TryPut enqueues without blocking; reports success.
-func (q *Queue[T]) TryPut(item T) bool {
-	if q.max > 0 && len(q.items) >= q.max {
-		return false
-	}
-	q.push(item)
-	return true
-}
-
-func (q *Queue[T]) push(item T) {
-	q.items = append(q.items, item)
-	q.totalPut++
-	if len(q.items) > q.peakLen {
-		q.peakLen = len(q.items)
-	}
-	wakeFirst(&q.getters)
-}
-
-// Put enqueues item, blocking p while the queue is full.
-func (q *Queue[T]) Put(p *Proc, item T) {
-	for q.max > 0 && len(q.items) >= q.max {
-		parkIn(p, &q.putters, func() bool { return len(q.items) < q.max })
-	}
-	q.push(item)
-}
-
-// TryGet dequeues without blocking.
-func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	return q.pop(), true
-}
-
-func (q *Queue[T]) pop() T {
-	item := q.items[0]
-	q.items = q.items[1:]
-	wakeFirst(&q.putters)
-	return item
-}
-
-// Get dequeues the oldest item, blocking p while the queue is empty.
-func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		parkIn(p, &q.getters, func() bool { return len(q.items) > 0 })
-	}
-	return q.pop()
-}
-
-// wakeFirst wakes the longest-waiting process on the list.
-func wakeFirst(ws *[]*Proc) {
-	if len(*ws) > 0 {
-		p := (*ws)[0]
-		*ws = (*ws)[1:]
-		p.wake()
-	}
-}
-
-// parkIn blocks p on the wait list ws. A process killed while parked
-// leaves the list on its way out and, when ready reports that what it
-// waited for is there, passes the wakeup it may have been spent on to the
-// next waiter.
-func parkIn(p *Proc, ws *[]*Proc, ready func() bool) {
-	*ws = append(*ws, p)
-	defer func() {
-		if !p.killed {
-			return
-		}
-		for i, w := range *ws {
-			if w == p {
-				*ws = append((*ws)[:i], (*ws)[i+1:]...)
-				break
-			}
-		}
-		if ready() {
-			wakeFirst(ws)
-		}
-	}()
-	p.Block()
-}
-
 // Signal is a broadcast condition: processes Wait on it and a later Fire
 // wakes all current waiters. Unlike sync.Cond there is no lock to reacquire
 // — the simulation is single-threaded.
@@ -364,4 +247,46 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		wg.waiters = append(wg.waiters, p.Suspend())
 		p.Block()
 	}
+}
+
+// Group is a fan-out of work that reports its first error: the
+// simulated counterpart of errgroup. Processes join it with Go; event
+// callbacks (pipelined RPCs, array I/O) join with Add and leave with
+// Done.
+type Group struct {
+	wg  WaitGroup
+	err error
+}
+
+// NewGroup returns an empty group.
+func NewGroup(s *Sim) *Group { return &Group{wg: WaitGroup{sim: s}} }
+
+// Go spawns a process running fn as a member of the group. The member
+// is done when fn returns, or when the process is killed.
+func (g *Group) Go(name string, fn func(p *Proc) error) {
+	g.wg.Add(1)
+	g.wg.sim.Go(name, func(p *Proc) {
+		var err error
+		defer func() { g.Done(err) }()
+		err = fn(p)
+	})
+}
+
+// Add adds n members that will each call Done.
+func (g *Group) Add(n int) { g.wg.Add(n) }
+
+// Done marks one member finished, keeping err if it is the group's
+// first error.
+func (g *Group) Done(err error) {
+	if err != nil && g.err == nil {
+		g.err = err
+	}
+	g.wg.Done()
+}
+
+// Wait suspends p until every member is done and returns the first
+// error any of them reported.
+func (g *Group) Wait(p *Proc) error {
+	g.wg.Wait(p)
+	return g.err
 }

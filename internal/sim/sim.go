@@ -5,8 +5,8 @@
 // simulation run is fully reproducible. On top of the raw event queue the
 // package offers SimPy-style processes (see Proc) — coroutines switched on
 // the caller's thread and run on runners pooled per Sim — and blocking
-// resources (Resource, Queue, Signal) that make sequential protocol code
-// readable.
+// primitives (Resource, Signal, WaitGroup, Group) that make sequential
+// protocol code readable.
 //
 // All other packages in this repository — the network, disk, RAID, SAN and
 // file-system models — are built on this kernel.
@@ -54,19 +54,19 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. It may be canceled before it fires.
+// Event is a scheduled callback. It comes in two forms:
 //
-// Events come in three ownership flavors:
+//   - pooled events (Post, PostDaemon): fire-and-forget, recycled through
+//     a free list the moment they dispatch — no handle ever escapes;
+//   - caller-owned events (Arm): a struct the caller holds, typically
+//     embedded in a long-lived one and re-armed across many firings
+//     (flow completion estimates, cwnd bumps, process sleeps, RPC
+//     deadlines). The owner may Cancel it before it fires. Arm requires
+//     an event that is not queued; Rearm also takes a queued one and
+//     moves it in place, dispatching exactly as Cancel then Arm.
 //
-//   - handle events (At/Schedule): allocated per call, returned to the
-//     caller, who may Cancel them;
-//   - pooled events (Post): fire-and-forget, recycled through a free list
-//     the moment they dispatch — no handle ever escapes;
-//   - caller-owned events (Arm): embedded in a long-lived struct and
-//     re-armed across many firings, eliminating per-firing allocation on
-//     hot timers (flow completion estimates, cwnd bumps, process sleeps).
-//     Arm requires an event that is not queued; Rearm also takes a queued
-//     one and moves it in place, dispatching exactly as Cancel then Arm.
+// Both forms take the next sequence number when scheduled, so events at
+// one instant fire in scheduling order whatever their form.
 type Event struct {
 	when Time
 	seq  uint64
@@ -81,7 +81,7 @@ type Event struct {
 	pos    int32
 
 	canceled bool
-	daemon   bool      // housekeeping: never keeps Run alive (see AtDaemon)
+	daemon   bool      // housekeeping: never keeps Run alive (see PostDaemon)
 	pooled   bool      // recycled through Sim.free after dispatch (see Post)
 	kind     EventKind // engine-telemetry label (see RegisterEventKind)
 }
@@ -106,11 +106,8 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.canceled = true
-	if e.queued && e.sim != nil {
+	if e.queued {
 		e.sim.q.remove(e)
-		if e.daemon {
-			e.sim.daemons--
-		}
 	}
 }
 
@@ -179,28 +176,17 @@ func (s *Sim) EventsFired() uint64 { return s.fired }
 // Pending returns the number of events still queued.
 func (s *Sim) Pending() int { return s.q.len() }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently corrupt causality.
-func (s *Sim) At(t Time, fn func()) *Event {
-	return s.AtKind(KindOther, t, fn)
+// Post schedules fn to run after duration d (d may be zero; the event
+// then fires after all currently-running work at this instant) as a
+// fire-and-forget event: no handle is returned, so the event struct is
+// drawn from — and recycled back into — a free list, costing zero
+// steady-state allocations. Use Arm when the caller needs to Cancel or
+// move the event.
+func (s *Sim) Post(k EventKind, d Time, fn func()) {
+	s.post(k, d, fn, false)
 }
 
-// AtKind is At with an engine-telemetry kind label. The label is inert
-// unless an EngineProbe is attached.
-func (s *Sim) AtKind(k EventKind, t Time, fn func()) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	e := &Event{when: t, seq: s.seq, fn: fn, sim: s, kind: k, pos: -1}
-	s.q.push(e)
-	if s.probe != nil {
-		s.probe.notePending(s.q.len())
-	}
-	return e
-}
-
-// AtDaemon schedules a daemon event: housekeeping (periodic samplers,
+// PostDaemon posts a daemon event: housekeeping (periodic samplers,
 // snapshot ticks) that fires like any event while real work is queued
 // but never keeps Run alive by itself. A daemon tick can therefore
 // reschedule itself unconditionally; when only daemons remain, Run
@@ -208,36 +194,16 @@ func (s *Sim) AtKind(k EventKind, t Time, fn func()) *Event {
 // rescheduled "only while Pending() > 0" — a rule that deadlocks into a
 // livelock the moment two independent tickers each count the other as
 // pending work.
-func (s *Sim) AtDaemon(t Time, fn func()) *Event {
-	e := s.AtKind(KindOther, t, fn)
-	e.daemon = true
+func (s *Sim) PostDaemon(d Time, fn func()) {
+	s.post(KindOther, d, fn, true)
 	s.daemons++
-	return e
 }
 
 // Daemons returns the number of queued daemon events.
 func (s *Sim) Daemons() int { return s.daemons }
 
-// Schedule schedules fn to run after duration d (d may be zero; the event
-// then fires after all currently-running work at this instant).
-func (s *Sim) Schedule(d Time, fn func()) *Event {
-	return s.ScheduleKind(KindOther, d, fn)
-}
-
-// ScheduleKind is Schedule with an engine-telemetry kind label.
-func (s *Sim) ScheduleKind(k EventKind, d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.AtKind(k, s.now+d, fn)
-}
-
-// Post schedules fn to run after duration d as a fire-and-forget event: no
-// handle is returned, so the event struct is drawn from — and recycled
-// back into — a free list, costing zero steady-state allocations. Use it
-// for the one-shot callbacks that dominate hot loops (message delivery,
-// recompute kicks); use Schedule when the caller needs to Cancel.
-func (s *Sim) Post(k EventKind, d Time, fn func()) {
+// post queues a pooled event.
+func (s *Sim) post(k EventKind, d Time, fn func(), daemon bool) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
@@ -254,6 +220,7 @@ func (s *Sim) Post(k EventKind, d Time, fn func()) {
 	e.seq = s.seq
 	e.fn = fn
 	e.kind = k
+	e.daemon = daemon
 	s.q.push(e)
 	if s.probe != nil {
 		s.probe.notePending(s.q.len())
@@ -287,9 +254,6 @@ func (s *Sim) Rearm(e *Event, k EventKind, d Time, fn func()) {
 		s.Arm(e, k, d, fn)
 		return
 	}
-	if e.daemon {
-		s.daemons--
-	}
 	s.arm(e, k, d, fn)
 	s.q.fix(e)
 	if s.probe != nil {
@@ -298,8 +262,7 @@ func (s *Sim) Rearm(e *Event, k EventKind, d Time, fn func()) {
 }
 
 // arm stamps a caller-owned event with its next firing: instant, a fresh
-// sequence number, callback and kind, as a plain (non-daemon, unpooled,
-// uncanceled) event of this sim.
+// sequence number, callback and kind, as an uncanceled event of this sim.
 func (s *Sim) arm(e *Event, k EventKind, d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -311,8 +274,6 @@ func (s *Sim) arm(e *Event, k EventKind, d Time, fn func()) {
 	e.sim = s
 	e.kind = k
 	e.canceled = false
-	e.daemon = false
-	e.pooled = false
 }
 
 // Step executes the next pending event, advancing the clock. It returns

@@ -19,9 +19,9 @@ func TestScheduleOrdering(t *testing.T) {
 	t.Parallel()
 	s := New()
 	var got []int
-	s.Schedule(3*Second, func() { got = append(got, 3) })
-	s.Schedule(1*Second, func() { got = append(got, 1) })
-	s.Schedule(2*Second, func() { got = append(got, 2) })
+	s.Post(KindOther, 3*Second, func() { got = append(got, 3) })
+	s.Post(KindOther, 1*Second, func() { got = append(got, 1) })
+	s.Post(KindOther, 2*Second, func() { got = append(got, 2) })
 	s.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -40,7 +40,7 @@ func TestSameTimeFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(Second, func() { got = append(got, i) })
+		s.Post(KindOther, Second, func() { got = append(got, i) })
 	}
 	s.Run()
 	for i := range got {
@@ -54,7 +54,8 @@ func TestCancel(t *testing.T) {
 	t.Parallel()
 	s := New()
 	fired := false
-	e := s.Schedule(Second, func() { fired = true })
+	e := &Event{}
+	s.Arm(e, KindOther, Second, func() { fired = true })
 	e.Cancel()
 	s.Run()
 	if fired {
@@ -68,14 +69,14 @@ func TestCancel(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	t.Parallel()
 	s := New()
-	s.Schedule(Second, func() {})
+	s.Post(KindOther, Second, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(0, func() {})
+	s.Post(KindOther, -Second, func() {})
 }
 
 func TestRunUntil(t *testing.T) {
@@ -83,7 +84,7 @@ func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(Time(i)*Second, func() { count++ })
+		s.Post(KindOther, Time(i)*Second, func() { count++ })
 	}
 	s.RunUntil(5 * Second)
 	if count != 5 {
@@ -106,7 +107,7 @@ func TestStop(t *testing.T) {
 	s := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.Schedule(Time(i)*Second, func() {
+		s.Post(KindOther, Time(i)*Second, func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -127,10 +128,10 @@ func TestNestedScheduling(t *testing.T) {
 	rec = func() {
 		depth++
 		if depth < 100 {
-			s.Schedule(Millisecond, rec)
+			s.Post(KindOther, Millisecond, rec)
 		}
 	}
-	s.Schedule(0, rec)
+	s.Post(KindOther, 0, rec)
 	s.Run()
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
@@ -148,7 +149,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		s := New()
 		var fired []Time
 		for _, d := range delaysRaw {
-			s.Schedule(Time(d)*Microsecond, func() {
+			s.Post(KindOther, Time(d)*Microsecond, func() {
 				fired = append(fired, s.Now())
 			})
 		}
@@ -168,10 +169,10 @@ func TestPropertyCancelExactness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := New()
 		fired := map[int]bool{}
-		events := make([]*Event, int(n)+1)
+		events := make([]Event, int(n)+1)
 		for i := range events {
 			i := i
-			events[i] = s.Schedule(Time(rng.Intn(1000))*Microsecond, func() { fired[i] = true })
+			s.Arm(&events[i], KindOther, Time(rng.Intn(1000))*Microsecond, func() { fired[i] = true })
 		}
 		canceled := map[int]bool{}
 		for i := range events {

@@ -162,7 +162,7 @@ func New(s *sim.Sim, interval sim.Time) *Collector {
 		series:   map[string]*Series{},
 		lastCum:  map[string]float64{},
 	}
-	s.AtDaemon(s.Now()+interval, c.tick)
+	s.PostDaemon(interval, c.tick)
 	return c
 }
 
@@ -336,7 +336,7 @@ func (c *Collector) tick() {
 	}
 
 	// Daemon events never keep Run alive, so reschedule unconditionally.
-	c.s.AtDaemon(now+c.interval, c.tick)
+	c.s.PostDaemon(c.interval, c.tick)
 }
 
 // writeStreamLine renders one JSONL record by hand: sorted keys and

@@ -15,7 +15,7 @@ import (
 func driveCounter(s *sim.Sim, end sim.Time, step float64) *float64 {
 	cum := new(float64)
 	for t := 100 * sim.Millisecond; t <= end; t += 100 * sim.Millisecond {
-		s.At(t, func() { *cum += step })
+		s.Post(sim.KindOther, t, func() { *cum += step })
 	}
 	return cum
 }
@@ -59,9 +59,9 @@ func TestRatioWindows(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
 	hits, total := new(float64), new(float64)
-	s.At(sim.Second/2, func() { *hits += 3; *total += 4 })
-	s.At(3*sim.Second/2, func() { *hits += 1; *total += 4 })
-	s.At(3*sim.Second, func() {}) // keeps the third (traffic-free) window open
+	s.Post(sim.KindOther, sim.Second/2, func() { *hits += 3; *total += 4 })
+	s.Post(sim.KindOther, 3*sim.Second/2, func() { *hits += 1; *total += 4 })
+	s.Post(sim.KindOther, 3*sim.Second, func() {}) // keeps the third (traffic-free) window open
 	c := New(s, sim.Second)
 	c.AddSource(func(tk *Tick) { tk.Ratio("hit", "frac", *hits, *total) })
 	s.Run()
@@ -88,7 +88,7 @@ func TestDaemonTicksDoNotKeepRunAlive(t *testing.T) {
 	b := New(s, 300*sim.Millisecond)
 	a.AddSource(func(tk *Tick) { tk.Gauge("x", "", 1) })
 	b.AddSource(func(tk *Tick) { tk.Gauge("y", "", 2) })
-	s.At(5*sim.Second, func() {}) // the only real work
+	s.Post(sim.KindOther, 5*sim.Second, func() {}) // the only real work
 	s.Run()
 	if s.Now() != 5*sim.Second {
 		t.Fatalf("run ended at %v, want 5s (collectors must not extend the run)", s.Now())
@@ -174,7 +174,7 @@ func TestStreamDeterminismAndRoundTrip(t *testing.T) {
 func TestSanitizeNonFinite(t *testing.T) {
 	t.Parallel()
 	s := sim.New()
-	s.At(sim.Second, func() {})
+	s.Post(sim.KindOther, sim.Second, func() {})
 	c := New(s, sim.Second)
 	c.AddSource(func(tk *Tick) {
 		tk.Gauge("nan", "", math.NaN())

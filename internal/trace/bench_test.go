@@ -9,8 +9,8 @@ import "testing"
 func TestDisabledSiteDoesNotAllocate(t *testing.T) {
 	var tr *Tracer
 	if n := testing.AllocsPerRun(1000, func() {
-		tr.Span("rpc", "nsd.io", "a->b", 0, 100, I("bytes", 4096), S("srv", "nsd0"))
-		tr.Instant("cache", "hit", "c0", 50, I("block", 7))
+		tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", 0, 100, I("bytes", 4096), S("srv", "nsd0"))
+		tr.InstantCtx(Ctx{}, "cache", "hit", "c0", 50, I("block", 7))
 	}); n != 0 {
 		t.Fatalf("disabled trace sites allocated %.1f times per run, want 0", n)
 	}
@@ -23,7 +23,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span("rpc", "nsd.io", "a->b", int64(i), int64(i)+100, I("bytes", 4096))
+		tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", int64(i), int64(i)+100, I("bytes", 4096))
 	}
 }
 
@@ -34,7 +34,7 @@ func BenchmarkTraceDisabledGuarded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if tr.Enabled() {
-			tr.Span("rpc", "nsd.io", "a->b", int64(i), int64(i)+100, I("bytes", 4096))
+			tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", int64(i), int64(i)+100, I("bytes", 4096))
 		}
 	}
 }

@@ -16,7 +16,7 @@ func emitOps(t *Tracer, nOps int) {
 		t.SpanCtx(Ctx{Op: op}, sid, "op", "read", "client0", base, base+900, I("bytes", 4096))
 		t.SpanCtx(Ctx{Op: op, Parent: sid}, 0, "rpc", "nsd_read", "c->s", base+10, base+800)
 		t.InstantCtx(Ctx{Op: op, Parent: sid}, "cache", "miss", "client0", base+5)
-		t.Instant("engine", "sample", "engine", base, I("fired", int64(i)))
+		t.InstantCtx(Ctx{}, "engine", "sample", "engine", base, I("fired", int64(i)))
 	}
 }
 

@@ -18,7 +18,7 @@ func emitWorkload(t *Tracer) {
 			I("bytes", int64(i)), S("peer", "c0"))
 		t.InstantCtx(Ctx{Op: op, Parent: sid}, "token", "grant", "mgr", int64(i)*1000+100)
 	}
-	t.Instant("engine", "sample", "engine", 99, I("fired", 12))
+	t.InstantCtx(Ctx{}, "engine", "sample", "engine", 99, I("fired", 12))
 }
 
 // TestConfigPrecedence: stream wins over ring wins over discard, matching

@@ -146,17 +146,9 @@ func (t *Tracer) push(e Event, args []Arg) {
 	t.dispatch(e, args)
 }
 
-// Span records an interval event covering [start, end] nanoseconds with
-// no causal context.
-func (t *Tracer) Span(cat, name, track string, start, end int64, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.SpanCtx(Ctx{}, 0, cat, name, track, start, end, args...)
-}
-
-// SpanCtx records an interval event attributed to ctx.Op with parent
-// ctx.Parent. sid is the span's own pre-allocated ID (from NewSpanID);
+// SpanCtx records an interval event covering [start, end] nanoseconds,
+// attributed to ctx.Op with parent ctx.Parent (the zero Ctx for no
+// causal context). sid is the span's own pre-allocated ID (from NewSpanID);
 // pass 0 for leaf spans that never hand their ID to children.
 func (t *Tracer) SpanCtx(ctx Ctx, sid int64, cat, name, track string, start, end int64, args ...Arg) {
 	if t == nil {
@@ -172,15 +164,8 @@ func (t *Tracer) SpanCtx(ctx Ctx, sid int64, cat, name, track string, start, end
 	}, args)
 }
 
-// Instant records a point event at ts nanoseconds with no causal context.
-func (t *Tracer) Instant(cat, name, track string, ts int64, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.InstantCtx(Ctx{}, cat, name, track, ts, args...)
-}
-
-// InstantCtx records a point event attributed to ctx.
+// InstantCtx records a point event at ts nanoseconds attributed to ctx
+// (the zero Ctx for no causal context).
 func (t *Tracer) InstantCtx(ctx Ctx, cat, name, track string, ts int64, args ...Arg) {
 	if t == nil {
 		return

@@ -12,8 +12,8 @@ import (
 func TestNilTracerIsSafe(t *testing.T) {
 	t.Parallel()
 	var tr *Tracer
-	tr.Span("rpc", "call", "a->b", 0, 10, I("bytes", 4))
-	tr.Instant("cache", "hit", "c0", 5)
+	tr.SpanCtx(Ctx{}, 0, "rpc", "call", "a->b", 0, 10, I("bytes", 4))
+	tr.InstantCtx(Ctx{}, "cache", "hit", "c0", 5)
 	tr.Reset()
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
@@ -29,9 +29,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestRecordAndCount(t *testing.T) {
 	t.Parallel()
 	tr := New()
-	tr.Span("rpc", "nsd.io", "a->b", 1000, 3000, I("bytes", 64))
-	tr.Span("rpc", "nsd.io", "a->b", 2000, 5000)
-	tr.Instant("token", "grant", "fs0", 2500, S("holder", "c0"))
+	tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", 1000, 3000, I("bytes", 64))
+	tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", 2000, 5000)
+	tr.InstantCtx(Ctx{}, "token", "grant", "fs0", 2500, S("holder", "c0"))
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
@@ -69,9 +69,9 @@ func TestWriteChromeShape(t *testing.T) {
 	tr := New()
 	// Two categories, two tracks in the first — exercises the pid/tid
 	// metadata assignment.
-	tr.Span("rpc", "nsd.io", "a->b", 1_500, 4_500, I("bytes", 1024), S("err", "boom"))
-	tr.Span("rpc", "nsd.io", "b->a", 2_000, 2_750)
-	tr.Instant("token", "grant", "fs0", 3_000, S("holder", "c0"))
+	tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "a->b", 1_500, 4_500, I("bytes", 1024), S("err", "boom"))
+	tr.SpanCtx(Ctx{}, 0, "rpc", "nsd.io", "b->a", 2_000, 2_750)
+	tr.InstantCtx(Ctx{}, "token", "grant", "fs0", 3_000, S("holder", "c0"))
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -145,8 +145,8 @@ func TestWriteChromeShape(t *testing.T) {
 func TestWriteJSONL(t *testing.T) {
 	t.Parallel()
 	tr := New()
-	tr.Span("flow", "xfer", "a->b", 0, 100, I("bytes", 7))
-	tr.Instant("cache", "miss", "c0", 50)
+	tr.SpanCtx(Ctx{}, 0, "flow", "xfer", "a->b", 0, 100, I("bytes", 7))
+	tr.InstantCtx(Ctx{}, "cache", "miss", "c0", 50)
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -183,8 +183,8 @@ func TestChromeDeterminism(t *testing.T) {
 	build := func() *Tracer {
 		tr := New()
 		for i := int64(0); i < 50; i++ {
-			tr.Span("rpc", "call", "a->b", i*10, i*10+5, I("i", i))
-			tr.Instant("token", "grant", "fs", i*10+1)
+			tr.SpanCtx(Ctx{}, 0, "rpc", "call", "a->b", i*10, i*10+5, I("i", i))
+			tr.InstantCtx(Ctx{}, "token", "grant", "fs", i*10+1)
 		}
 		return tr
 	}

@@ -69,37 +69,26 @@ func (w *SCEC) Run(p *sim.Proc) (Result, error) {
 				return err
 			}
 		}
-		wg := sim.NewWaitGroup(s)
-		var firstErr error
+		g := sim.NewGroup(s)
 		t0 := p.Now()
 		for rank, m := range w.Mounts {
 			rank, m := rank, m
-			wg.Add(1)
-			s.Go(fmt.Sprintf("scec%d", rank), func(tp *sim.Proc) {
-				defer wg.Done()
+			g.Go(fmt.Sprintf("scec%d", rank), func(tp *sim.Proc) error {
 				f, err := m.Open(tp, name)
 				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+					return err
 				}
 				if err := slabIO(tp, f, rank, write); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
+					return err
 				}
 				if write {
-					if err := f.Close(tp); err != nil && firstErr == nil {
-						firstErr = err
-					}
+					return f.Close(tp)
 				}
+				return nil
 			})
 		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
+		if err := g.Wait(p); err != nil {
+			return err
 		}
 		res.Bytes += w.SlabSize * units.Bytes(nRanks)
 		res.Elapsed += p.Now() - t0

@@ -121,10 +121,8 @@ func (v *Viz) Run(p *sim.Proc) (Result, error) {
 	if v.Repeat < 1 {
 		v.Repeat = 1
 	}
-	s := p.Sim()
-	wg := sim.NewWaitGroup(s)
+	g := sim.NewGroup(p.Sim())
 	var res Result
-	var firstErr error
 	t0 := p.Now()
 	for n, m := range v.Mounts {
 		var mine []string
@@ -135,17 +133,12 @@ func (v *Viz) Run(p *sim.Proc) (Result, error) {
 			continue
 		}
 		m := m
-		wg.Add(1)
-		s.Go(fmt.Sprintf("viz%d", n), func(vp *sim.Proc) {
-			defer wg.Done()
+		g.Go(fmt.Sprintf("viz%d", n), func(vp *sim.Proc) error {
 			for r := 0; r < v.Repeat; r++ {
 				for _, name := range mine {
 					f, err := m.Open(vp, name)
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					for off := units.Bytes(0); off < f.Size(); off += v.IOSize {
 						ln := v.IOSize
@@ -153,21 +146,19 @@ func (v *Viz) Run(p *sim.Proc) (Result, error) {
 							ln = f.Size() - off
 						}
 						if err := f.ReadAt(vp, off, ln); err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
+							return err
 						}
 						res.Bytes += ln
 						res.Ops++
 					}
 				}
 			}
+			return nil
 		})
 	}
-	wg.Wait(p)
+	err := g.Wait(p)
 	res.Elapsed = p.Now() - t0
-	return res, firstErr
+	return res, err
 }
 
 // Sorter reads an input file and writes a same-sized output — the
@@ -292,7 +283,6 @@ func (mp *MPIIO) Run(p *sim.Proc) (Result, error) {
 	if mp.BlockSize <= 0 || mp.Transfer <= 0 || mp.SizePer <= 0 {
 		return Result{}, fmt.Errorf("workload: MPIIO with zero sizes")
 	}
-	s := p.Sim()
 	total := mp.SizePer * units.Bytes(nt)
 	// Writers create the file rank-0 style; readers open it.
 	var setupErr error
@@ -305,21 +295,15 @@ func (mp *MPIIO) Run(p *sim.Proc) (Result, error) {
 		return Result{}, setupErr
 	}
 	var res Result
-	var firstErr error
-	wg := sim.NewWaitGroup(s)
+	g := sim.NewGroup(p.Sim())
 	t0 := p.Now()
 	for rank := 0; rank < nt; rank++ {
 		rank := rank
 		m := mp.Mounts[rank]
-		wg.Add(1)
-		s.Go(fmt.Sprintf("mpi%d", rank), func(tp *sim.Proc) {
-			defer wg.Done()
+		g.Go(fmt.Sprintf("mpi%d", rank), func(tp *sim.Proc) error {
 			f, err := m.Open(tp, mp.Path)
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
+				return err
 			}
 			moved := units.Bytes(0)
 			for blk := int64(rank); moved < mp.SizePer; blk += int64(nt) {
@@ -338,24 +322,20 @@ func (mp *MPIIO) Run(p *sim.Proc) (Result, error) {
 						err = f.ReadAt(tp, base+off, ln)
 					}
 					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
+						return err
 					}
 					moved += ln
 					res.Ops++
 				}
 			}
 			if mp.Write {
-				if err := f.Close(tp); err != nil && firstErr == nil {
-					firstErr = err
-				}
+				err = f.Close(tp)
 			}
 			res.Bytes += moved
+			return err
 		})
 	}
-	wg.Wait(p)
+	err := g.Wait(p)
 	res.Elapsed = p.Now() - t0
-	return res, firstErr
+	return res, err
 }
