@@ -9,6 +9,7 @@ import (
 	"gfs/internal/experiments"
 	"gfs/internal/netsim"
 	"gfs/internal/raid"
+	"gfs/internal/san"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -143,6 +144,106 @@ func stripeRate(b *testing.B, servers int, blockSize units.Bytes) float64 {
 	})
 	s.Run()
 	return rate
+}
+
+// gatherRow is one arm of the write-gathering ablation: the writer's and
+// the cold reader's rates, the RAID sets' write counters and the
+// writer's gathered flushes.
+type gatherRow struct {
+	writeMBps, readMBps                          float64
+	rmwWrites, fullStripeWrites, gatheredFlushes uint64
+}
+
+// writeGatherRow runs one sequential writer, then a cold reader, through
+// 512 MiB on a small DS4100-backed filesystem with stripe-aligned write
+// gathering off or on. BlockSize 1 MiB against a 2 MiB stripe width
+// makes every ungathered write-back a sub-stripe update.
+func writeGatherRow(tb testing.TB, gather bool) gatherRow {
+	tb.Helper()
+	s := sim.New()
+	nw := netsim.New(s)
+	site := experiments.Env{}.NewSite(s, nw, "wg")
+	// DS4100 enclosures trimmed to four LUNs behind 4 Gb/s loops: the
+	// SATA spindles, not the fabric, set the ceiling, so the ablation
+	// measures the RAID write path rather than FC serialization.
+	acfg := san.DS4100Config()
+	acfg.Sets = 4
+	acfg.CtrlRate = san.FC4
+	site.BuildFS(experiments.FSOptions{
+		Name: "fs", BlockSize: units.MiB,
+		Servers: 4, ServerEth: 10 * units.Gbps,
+		Arrays: 2, ArrayCfg: acfg,
+		ServerHBA: san.FC4, HBAsPer: 1,
+	})
+	ccfg := core.DefaultClientConfig()
+	ccfg.ReadAhead = 16
+	ccfg.WriteBehind = 16
+	if gather {
+		ccfg.WideTokens = true
+		site.FS.EnableGather()
+	}
+	writer := site.AddClients(1, 10*units.Gbps, ccfg)[0]
+	reader := site.AddClients(1, 10*units.Gbps, ccfg)[0]
+
+	const size = 512 * units.MiB
+	var row gatherRow
+	s.Go("writegather", func(p *sim.Proc) {
+		m, err := writer.MountLocal(p, site.FS)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		f, err := m.Create(p, "/seq.dat", core.DefaultPerm)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		t0 := p.Now()
+		for off := units.Bytes(0); off < size; off += units.MiB {
+			if err := f.WriteAt(p, off, units.MiB); err != nil {
+				tb.Error(err)
+				return
+			}
+		}
+		if err := f.Sync(p); err != nil {
+			tb.Error(err)
+			return
+		}
+		row.writeMBps = float64(size) / (p.Now() - t0).Seconds() / 1e6
+		row.gatheredFlushes = m.Stats().GatheredFlushes
+		if err := f.Close(p); err != nil {
+			tb.Error(err)
+			return
+		}
+		// Cold read from a second client: demand fetches plus batched
+		// prefetch go to the NSD servers, not the writer's pagepool.
+		rm, err := reader.MountLocal(p, site.FS)
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		g, err := rm.Open(p, "/seq.dat")
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		t1 := p.Now()
+		for off := units.Bytes(0); off < size; off += units.MiB {
+			if err := g.ReadAt(p, off, units.MiB); err != nil {
+				tb.Error(err)
+				return
+			}
+		}
+		row.readMBps = float64(size) / (p.Now() - t1).Seconds() / 1e6
+	})
+	s.Run()
+	for _, arr := range site.Fabric.Arrays {
+		for _, set := range arr.Sets {
+			row.rmwWrites += set.RMWWrites()
+			row.fullStripeWrites += set.FullStripeWrites()
+		}
+	}
+	return row
 }
 
 // newBenchRAID builds one 8+P SATA set for the RAID5 penalty ablation.

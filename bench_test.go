@@ -258,8 +258,8 @@ func BenchmarkAblation_StripeWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_BlockSize sweeps the file system block size over a
-// WAN path.
+// BenchmarkAblation_BlockSize sweeps the file system block size of a
+// LAN stream striped across 8 NSD servers.
 func BenchmarkAblation_BlockSize(b *testing.B) {
 	for _, bs := range []units.Bytes{256 * units.KiB, units.MiB, 4 * units.MiB} {
 		b.Run(benchName("KiB", int(bs/units.KiB)), func(b *testing.B) {
@@ -267,5 +267,62 @@ func BenchmarkAblation_BlockSize(b *testing.B) {
 				b.ReportMetric(stripeRate(b, 8, bs), "simMB/s")
 			}
 		})
+	}
+}
+
+// BenchmarkAblation_SC03Depth sweeps the read-ahead depth of one
+// visualization client on the SC'03 show-floor topology: how much WAN
+// pipeline does one reader need? The client NIC is raised to 10 GbE, so
+// the answer is about pipelining, not the SC'03-era GbE NIC.
+func BenchmarkAblation_SC03Depth(b *testing.B) {
+	for _, depth := range []int{1, 2, 4, 8, 16, 32} {
+		b.Run(benchName("depth", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cfg := experiments.DefaultSC03Config()
+				cfg.VizNodes = 1
+				cfg.Files = 2
+				cfg.FileSize = 256 * units.MiB
+				cfg.VizEth = 10 * units.Gbps
+				cfg.ReadAhead = depth
+				r := experiments.RunSC03(cfg)
+				b.ReportMetric(r.Headline["client MB/s"], "simClientMB/s")
+				b.ReportMetric(r.Headline["peak Gb/s"], "simPeakGb/s")
+			}
+		})
+	}
+}
+
+// BenchmarkAblation_WriteGather writes then cold-reads 512 MiB through
+// DS4100-backed RAID5 with stripe-aligned write gathering off and on:
+// gathered write-back turns read-modify-write updates into full-stripe
+// writes.
+func BenchmarkAblation_WriteGather(b *testing.B) {
+	for _, gather := range []int{0, 1} {
+		b.Run(benchName("gather", gather), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := writeGatherRow(b, gather == 1)
+				b.ReportMetric(r.writeMBps, "simWriteMB/s")
+				b.ReportMetric(r.readMBps, "simReadMB/s")
+				b.ReportMetric(float64(r.rmwWrites), "rmwWrites")
+				b.ReportMetric(float64(r.fullStripeWrites), "fullStripeWrites")
+				b.ReportMetric(float64(r.gatheredFlushes), "gatheredFlushes")
+			}
+		})
+	}
+}
+
+// TestWriteGatherFloor keeps write gathering's reason to exist: on the
+// ablation's 512 MiB sequential write, the gathered path writes at least
+// 1.5x faster than the ungathered one and pays no RAID5
+// read-modify-writes.
+func TestWriteGatherFloor(t *testing.T) {
+	t.Parallel()
+	base, gath := writeGatherRow(t, false), writeGatherRow(t, true)
+	if gath.writeMBps < 1.5*base.writeMBps {
+		t.Errorf("gathered write %.1f MB/s is %.2fx the ungathered %.1f MB/s, below the 1.5x floor",
+			gath.writeMBps, gath.writeMBps/base.writeMBps, base.writeMBps)
+	}
+	if gath.rmwWrites != 0 {
+		t.Errorf("gathered path pays %d RAID5 read-modify-writes, want 0", gath.rmwWrites)
 	}
 }

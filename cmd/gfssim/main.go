@@ -20,9 +20,7 @@
 //	gfssim -exp production -http :8080 -http-hold 30s
 //	                                  # live Prometheus /metrics + /timeline JSON while running
 //
-// The flag surface is shared with gfsbench through experiments.Options —
-// the Register* groups are the single source of truth for flag names,
-// defaults and help text, so the binaries cannot drift apart.
+// The flags are declared once, in experiments.Options.
 package main
 
 import (
@@ -47,12 +45,7 @@ func main() {
 		csv  = flag.Bool("csv", false, "print series as CSV instead of ASCII charts")
 	)
 	var opts experiments.Options
-	opts.RegisterEngine(flag.CommandLine)
-	opts.RegisterTrace(flag.CommandLine)
-	opts.RegisterTimeline(flag.CommandLine)
-	opts.RegisterWorkload(flag.CommandLine)
-	opts.RegisterTuning(flag.CommandLine)
-	opts.RegisterProfiles(flag.CommandLine)
+	opts.Register(flag.CommandLine)
 	flag.Parse()
 
 	if err := opts.Validate(); err != nil {

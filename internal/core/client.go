@@ -34,18 +34,15 @@ type ClientConfig struct {
 	// and exponential backoff between attempts. The zero value takes
 	// DefaultRetryPolicy.
 	Retry netsim.RetryPolicy
-	// ProbeInterval is how often a mount re-probes a primary server it
-	// has observed down, instead of sending to the backup. Zero takes
-	// DefaultProbeInterval.
-	ProbeInterval sim.Time
 	// WideTokens asks the manager for opportunistic grants: the widest
 	// conflict-free range containing the request, carved back down when a
 	// competitor shows up.
 	WideTokens bool
 }
 
-// DefaultProbeInterval is how often a mount re-checks a down primary.
-const DefaultProbeInterval = 500 * sim.Millisecond
+// probeInterval is how often a mount re-probes a primary server it has
+// observed down, instead of sending to the backup.
+const probeInterval = 500 * sim.Millisecond
 
 // DefaultRetryPolicy tunes NSD I/O recovery: enough attempts with capped
 // backoff to ride out a short outage, few enough to surface a dead
@@ -91,9 +88,6 @@ func NewClient(c *Cluster, name string, node *netsim.Node, cfg ClientConfig, id 
 	}
 	if cfg.Retry.Attempts() <= 1 && cfg.Retry.BaseBackoff == 0 && cfg.Retry.Deadline == 0 {
 		cfg.Retry = DefaultRetryPolicy()
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	cl := &Client{
 		sim:     c.Sim,
@@ -479,7 +473,7 @@ func transientIO(err error) bool {
 // goIO issues one NSD I/O with retry and primary/backup failover. A
 // transient failure on the primary marks it down for this mount: further
 // I/O goes to the backup (if configured) while the primary is re-probed
-// every ProbeInterval, so a restarted server is rediscovered without any
+// every probeInterval, so a restarted server is rediscovered without any
 // manual reset. Without a backup, attempts keep targeting the primary
 // under the retry policy's exponential backoff. ctx is the causal context
 // of the operation the I/O belongs to.
@@ -508,7 +502,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl *ioPaylo
 	if st.down && backup != nil {
 		if now >= st.nextProbe {
 			probing = true
-			st.nextProbe = now + m.c.cfg.ProbeInterval
+			st.nextProbe = now + probeInterval
 			if tr != nil {
 				probeSID = tr.NewSpanID()
 				probeStart = now
@@ -543,7 +537,7 @@ func (m *Mount) issueIO(ctx trace.Ctx, nsd int, reqSize units.Bytes, pl *ioPaylo
 		if onPrimary {
 			if !st.down {
 				st.down = true
-				st.nextProbe = done + m.c.cfg.ProbeInterval
+				st.nextProbe = done + probeInterval
 				m.obsFailover(&m.st.PrimaryDowns, "primary_down", nsd)
 			}
 			if backup != nil {

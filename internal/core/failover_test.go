@@ -48,7 +48,7 @@ func TestFailoverProbeRediscoversPrimary(t *testing.T) {
 		// Let several probe intervals pass while issuing reads; the probe
 		// must notice the primary is back.
 		for i := 0; i < 4; i++ {
-			p.Sleep(m.c.cfg.ProbeInterval)
+			p.Sleep(probeInterval)
 			m.DropCaches()
 			if _, err := f.ReadBytesAt(p, 0, units.Bytes(len(data))); err != nil {
 				return err

@@ -810,10 +810,11 @@ func (f *File) Close(p *sim.Proc) error {
 }
 
 // Truncate shrinks or logically extends the file. It is a write-behind
-// barrier: dirty pages below the new size flush first, and pages at or
-// beyond it are discarded (their dirty data is semantically gone) — a
-// flush landing after the blocks were freed would corrupt whatever file
-// the allocator hands those blocks next.
+// barrier: pages at or beyond the new size are discarded (their dirty
+// data is semantically gone), dirty pages below it flush, and every
+// flush of the inode still in flight lands before the blocks are freed,
+// as Remove does — a flush landing after the free would write into
+// whatever file the allocator hands those blocks next.
 func (f *File) Truncate(p *sim.Proc, size units.Bytes) error {
 	if f.m.detached {
 		return fmt.Errorf("core: %s on %s: %w", f.m.Device, f.m.c.id, ErrNotMounted)
@@ -824,7 +825,7 @@ func (f *File) Truncate(p *sim.Proc, size units.Bytes) error {
 	bs := f.m.info.BlockSize
 	keep := int64((size + bs - 1) / bs)
 	f.m.pool.discard(f.ino, keep)
-	f.m.flushRange(p, f.ino, 0, units.Bytes(keep)*bs)
+	f.m.flushRange(p, f.ino, 0, 1<<60)
 	resp := f.m.meta(p, metaOp{Op: "truncate", Inode: f.ino, Size: size})
 	if resp.Err != nil {
 		return resp.Err

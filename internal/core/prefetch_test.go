@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"gfs/internal/sim"
@@ -406,6 +407,74 @@ func discardRunsInFlight(t *testing.T, remove bool) {
 		}
 		if rep := r.fs.Check(); !rep.OK() {
 			t.Errorf("fsck after the discard: %v", rep)
+		}
+		return nil
+	})
+}
+
+// TestTruncateWaitsOutFlushesInFlight: a file created the moment
+// Truncate returns takes the slots Truncate freed. A flush of the
+// discarded tail still in flight must land before those slots are freed;
+// landing after, it writes the dead file's bytes into the new file's
+// slots, and the new file reads them where it never wrote.
+func TestTruncateWaitsOutFlushesInFlight(t *testing.T) {
+	t.Parallel()
+	r := newRig(t, 1, 0, 64*units.KiB) // one NSD: the heir takes the freed slots in order
+	r.fs.EnableGather()
+	cl := r.addClient("g", DefaultClientConfig(), Identity{DN: "/CN=g"})
+	r.run(t, func(p *sim.Proc) error {
+		m, err := cl.MountLocal(p, r.fs)
+		if err != nil {
+			return err
+		}
+		bs := m.BlockSize()
+		const blocks = 16
+		f, err := m.Create(p, "/t", DefaultPerm)
+		if err != nil {
+			return err
+		}
+		if err := f.WriteBytesAt(p, 0, bytes.Repeat([]byte{0x5A}, blocks*int(bs))); err != nil {
+			return err
+		}
+		if err := m.acquireToken(p, f.ino, 0, 1<<60, TokExclusive); err != nil {
+			return err
+		}
+		m.flushDirty(m.pool.dirtyOf(f.ino), true)
+		if tail := m.pool.get(pageKey{ino: f.ino, idx: blocks - 1}); tail == nil || !tail.flushing {
+			return errors.New("tail flush not in flight before the truncate")
+		}
+		if err := f.Truncate(p, 0); err != nil {
+			return err
+		}
+		// The heir writes the second half of each block and must read
+		// zeros in every first half.
+		g, err := m.Create(p, "/heir", DefaultPerm)
+		if err != nil {
+			return err
+		}
+		want := make([]byte, blocks*int(bs))
+		for i := 0; i < blocks; i++ {
+			half := want[i*int(bs)+int(bs)/2 : (i+1)*int(bs)]
+			for j := range half {
+				half[j] = 0xC3
+			}
+			if err := g.WriteBytesAt(p, units.Bytes(i)*bs+bs/2, half); err != nil {
+				return err
+			}
+		}
+		if err := g.Sync(p); err != nil {
+			return err
+		}
+		m.DropCaches()
+		got, err := g.ReadBytesAt(p, 0, units.Bytes(len(want)))
+		if err != nil {
+			return err
+		}
+		if dead := bytes.Count(got, []byte{0x5A}); dead != 0 || !bytes.Equal(got, want) {
+			t.Errorf("heir reads %d bytes of the truncated file's data", dead)
+		}
+		if rep := r.fs.Check(); !rep.OK() {
+			t.Errorf("fsck after the truncate: %v", rep)
 		}
 		return nil
 	})

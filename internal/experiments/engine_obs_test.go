@@ -179,7 +179,7 @@ func TestEngineObsExperiment(t *testing.T) {
 		if err := o.Tracer.WriteJSONL(&b); err != nil {
 			t.Fatal(err)
 		}
-		if len(o.EngineWindows()) == 0 {
+		if len(o.engineWindows()) == 0 {
 			t.Fatal("no engine windows captured")
 		}
 		return b.Bytes(), o.EngineSnapshot()

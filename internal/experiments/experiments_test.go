@@ -309,6 +309,20 @@ func TestCacheExperimentSmall(t *testing.T) {
 	}
 }
 
+// TestMetastormShardingFloor keeps the sharded token/metadata plane's
+// reason to exist: on the default storm, four shards serve at least
+// twice the central manager's metadata ops/sec.
+func TestMetastormShardingFloor(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultMetastormConfig()
+	cfg.Shards = []int{0, 4}
+	r := RunMetastorm(cfg)
+	if got := r.Headline["speedup @4 shards"]; got < 2 {
+		t.Errorf("4 shards serve %.2fx the central manager's ops/s (%.0f vs %.0f), below the 2x floor",
+			got, r.Headline["ops/s @4 shards"], r.Headline["ops/s @0 shards"])
+	}
+}
+
 func TestMetastormSmall(t *testing.T) {
 	t.Parallel()
 	cfg := smallMetastorm(conserved(t))

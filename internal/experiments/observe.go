@@ -318,10 +318,10 @@ func (o *Obs) captureEngine(s *sim.Sim) {
 	o.engineSnaps = append(o.engineSnaps, p.Snapshot())
 }
 
-// EngineWindows returns every finished engine window so far — one per
+// engineWindows returns every finished engine window so far — one per
 // simulator run with a probe attached. Probes whose runs did not go
 // through Env.run are snapshotted now.
-func (o *Obs) EngineWindows() []sim.EngineSnapshot {
+func (o *Obs) engineWindows() []sim.EngineSnapshot {
 	for _, s := range o.sims {
 		o.captureEngine(s)
 	}
@@ -330,7 +330,7 @@ func (o *Obs) EngineWindows() []sim.EngineSnapshot {
 
 // EngineSnapshot merges every engine window into one summary.
 func (o *Obs) EngineSnapshot() sim.EngineSnapshot {
-	return sim.MergeEngineSnapshots(o.EngineWindows())
+	return sim.MergeEngineSnapshots(o.engineWindows())
 }
 
 // SolverStats merges the flow-solver counters across every observed

@@ -15,18 +15,14 @@ import (
 	"gfs/internal/units"
 )
 
-// Options is the shared command-line surface of the gfssim and gfsbench
-// binaries. Each Register* method registers one coherent group of flags
-// onto a FlagSet with identical names, defaults and help text; both
-// binaries assemble their CLIs from these groups, so a knob added here
-// shows up in every binary that registers the group and the two cannot
-// drift apart. Flags a binary does not register simply leave the zero
-// value in place.
+// Options is gfssim's command-line surface: Register puts every flag
+// onto a FlagSet with its name, default and help text, and the methods
+// below turn the parsed values into run configuration.
 type Options struct {
-	// Engine plane (RegisterEngine).
+	// Engine plane.
 	EngineStats bool // print engine telemetry after the runs
 
-	// Trace retention and sampling (RegisterTrace).
+	// Trace retention and sampling.
 	TraceOut    string        // Chrome trace-event JSON path
 	JSONLOut    string        // raw JSONL trace path
 	Stats       bool          // mmpmon snapshot + metrics registry
@@ -36,18 +32,18 @@ type Options struct {
 	TraceSample uint64        // keep one traced op in N
 	TraceRing   int           // retain only the last N trace events
 
-	// Timeline plane (RegisterTimeline).
+	// Timeline plane.
 	TimelineJSONL    string
 	TimelineInterval time.Duration
 	TimelineRing     int
 	HTTPAddr         string
 	HTTPHold         time.Duration
 
-	// Workload shape (RegisterWorkload).
+	// Workload shape.
 	Nodes string // comma-separated node counts
 	Size  string // bytes moved per client node, e.g. "64MiB"
 
-	// Experiment tuning overrides (RegisterTuning; gfssim only).
+	// Experiment tuning overrides.
 	Depth       int
 	Block       int64
 	FileSize    int64
@@ -60,19 +56,18 @@ type Options struct {
 	WideTok     bool
 	TokenShards int
 
-	// Profiling (RegisterProfiles).
+	// Profiling.
 	CPUProfile string
 	MemProfile string
 }
 
-// RegisterEngine registers the engine-plane flags: engine telemetry.
-func (o *Options) RegisterEngine(fs *flag.FlagSet) {
+// Register registers every flag onto fs.
+func (o *Options) Register(fs *flag.FlagSet) {
+	// Engine plane.
 	fs.BoolVar(&o.EngineStats, "engine-stats", false,
 		"print engine-plane telemetry (events/sec, queue depth, per-kind wall attribution)")
-}
 
-// RegisterTrace registers the trace/attribution/snapshot flags.
-func (o *Options) RegisterTrace(fs *flag.FlagSet) {
+	// Trace retention and sampling.
 	fs.StringVar(&o.TraceOut, "trace", "",
 		"write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
 	fs.StringVar(&o.JSONLOut, "jsonl", "",
@@ -89,10 +84,8 @@ func (o *Options) RegisterTrace(fs *flag.FlagSet) {
 		"keep one traced operation in N (deterministic hash of the op ID; 0/1 keeps all)")
 	fs.IntVar(&o.TraceRing, "trace-ring", 0,
 		"retain only the last N trace events (ring buffer)")
-}
 
-// RegisterTimeline registers the timeline-plane flags.
-func (o *Options) RegisterTimeline(fs *flag.FlagSet) {
+	// Timeline plane.
 	fs.StringVar(&o.TimelineJSONL, "timeline-jsonl", "",
 		"stream per-interval resource rate series (timeline windows) to this JSONL file")
 	fs.DurationVar(&o.TimelineInterval, "timeline-interval", time.Second,
@@ -103,19 +96,14 @@ func (o *Options) RegisterTimeline(fs *flag.FlagSet) {
 		"serve live timeline telemetry on this address: Prometheus text on /metrics, JSON history on /timeline")
 	fs.DurationVar(&o.HTTPHold, "http-hold", 0,
 		"keep the -http exporter serving this long (wall time) after the runs finish")
-}
 
-// RegisterWorkload registers the workload-shape flags shared by the
-// production experiment and the sweeps.
-func (o *Options) RegisterWorkload(fs *flag.FlagSet) {
+	// Workload shape.
 	fs.StringVar(&o.Nodes, "nodes", "",
 		"override node counts, comma-separated (e.g. 64,256,1024)")
 	fs.StringVar(&o.Size, "size", "",
 		"override bytes moved per client node (e.g. 64MiB)")
-}
 
-// RegisterTuning registers the per-experiment override flags.
-func (o *Options) RegisterTuning(fs *flag.FlagSet) {
+	// Experiment tuning overrides.
 	fs.IntVar(&o.Depth, "depth", 0,
 		"sc02 only: override the SANergy pipeline depth (outstanding block requests)")
 	fs.Int64Var(&o.Block, "block", 0,
@@ -138,18 +126,15 @@ func (o *Options) RegisterTuning(fs *flag.FlagSet) {
 		"production only: opportunistic wide token grants")
 	fs.IntVar(&o.TokenShards, "token-shards", -1,
 		"metastorm only: run a single arm with this many token shards (0 = central manager)")
-}
 
-// RegisterProfiles registers the pprof output flags.
-func (o *Options) RegisterProfiles(fs *flag.FlagSet) {
+	// Profiling.
 	fs.StringVar(&o.CPUProfile, "cpuprofile", "",
 		"write a pprof CPU profile of the process to this file")
 	fs.StringVar(&o.MemProfile, "memprofile", "",
 		"write a pprof heap profile (post-run, after GC) to this file")
 }
 
-// Validate checks flag ranges and cross-flag consistency — the rules
-// that hold whichever binary parsed the flags.
+// Validate checks flag ranges and cross-flag consistency.
 func (o *Options) Validate() error {
 	for _, d := range []struct {
 		flag string

@@ -4,70 +4,39 @@ import (
 	"flag"
 	"io"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
 
-// registerAll builds the full CLI surface on one FlagSet, the way gfssim
-// does. flag.FlagSet panics on duplicate registration, so this is also
-// the collision check across groups.
+// registerAll builds gfssim's CLI surface on one FlagSet.
+// flag.FlagSet panics on a duplicate name, so this is also the collision
+// check.
 func registerAll(o *Options) *flag.FlagSet {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	o.RegisterEngine(fs)
-	o.RegisterTrace(fs)
-	o.RegisterTimeline(fs)
-	o.RegisterWorkload(fs)
-	o.RegisterTuning(fs)
-	o.RegisterProfiles(fs)
+	o.Register(fs)
 	return fs
 }
 
-func names(fs *flag.FlagSet) []string {
-	var out []string
-	fs.VisitAll(func(f *flag.Flag) { out = append(out, f.Name) })
-	sort.Strings(out)
-	return out
-}
-
-// TestFlagSurface pins the exact flag names each group registers. A
-// binary that registers these groups gets exactly this surface; renaming
-// or dropping a flag must update this test, making drift between gfssim
-// and gfsbench a compile-and-test-visible event instead of a silent one.
+// TestFlagSurface pins the exact flag names Register puts on a FlagSet:
+// renaming, adding or dropping a flag must update this test.
 func TestFlagSurface(t *testing.T) {
 	t.Parallel()
-	groups := []struct {
-		name     string
-		register func(*Options, *flag.FlagSet)
-		want     []string
-	}{
-		{"engine", (*Options).RegisterEngine,
-			[]string{"engine-stats"}},
-		{"trace", (*Options).RegisterTrace,
-			[]string{"attr", "interval", "jsonl", "jsonl-stream",
-				"stats", "trace", "trace-ring", "trace-sample"}},
-		{"timeline", (*Options).RegisterTimeline,
-			[]string{"http", "http-hold", "timeline-interval", "timeline-jsonl", "timeline-ring"}},
-		{"workload", (*Options).RegisterWorkload,
-			[]string{"nodes", "size"}},
-		{"tuning", (*Options).RegisterTuning,
-			[]string{"block", "crash", "depth", "duration", "filesize",
-				"gather", "outage", "ra-depth", "token-shards", "wb-max-dirty", "wide-tokens"}},
-		{"profiles", (*Options).RegisterProfiles,
-			[]string{"cpuprofile", "memprofile"}},
+	want := []string{
+		"attr", "block", "cpuprofile", "crash", "depth", "duration",
+		"engine-stats", "filesize", "gather", "http", "http-hold",
+		"interval", "jsonl", "jsonl-stream", "memprofile", "nodes",
+		"outage", "ra-depth", "size", "stats", "timeline-interval",
+		"timeline-jsonl", "timeline-ring", "token-shards", "trace",
+		"trace-ring", "trace-sample", "wb-max-dirty", "wide-tokens",
 	}
-	for _, g := range groups {
-		var o Options
-		fs := flag.NewFlagSet(g.name, flag.ContinueOnError)
-		g.register(&o, fs)
-		if got := names(fs); !reflect.DeepEqual(got, g.want) {
-			t.Errorf("%s group registers %v, want %v", g.name, got, g.want)
-		}
-	}
-	// All groups must coexist on one FlagSet (gfssim's full surface).
 	var o Options
-	registerAll(&o)
+	fs := registerAll(&o)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Register registers %v, want %v", got, want)
+	}
 }
 
 func TestOptionsParsing(t *testing.T) {

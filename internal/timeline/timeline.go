@@ -166,9 +166,6 @@ func New(s *sim.Sim, interval sim.Time) *Collector {
 	return c
 }
 
-// Interval returns the sampling interval.
-func (c *Collector) Interval() sim.Time { return c.interval }
-
 // Ticks returns how many windows have closed so far.
 func (c *Collector) Ticks() int { return c.ticks }
 
@@ -368,28 +365,6 @@ func (c *Collector) writeStreamLine(t float64, names []string, vals map[string]f
 	if _, err := io.WriteString(c.stream, b.String()); err != nil {
 		c.streamErr = fmt.Errorf("timeline: stream: %w", err)
 	}
-}
-
-// Sum builds a new series summing a group by window time (union of
-// times; a series without a point at some time contributes zero). All
-// inputs must come from one collector so times align exactly.
-func Sum(group []*Series, name, unit string) *Series {
-	acc := map[float64]float64{}
-	for _, se := range group {
-		for _, p := range se.Points() {
-			acc[p.T] += p.V
-		}
-	}
-	ts := make([]float64, 0, len(acc))
-	for t := range acc {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
-	out := &Series{Name: name, Unit: unit}
-	for _, t := range ts {
-		out.add(t, acc[t])
-	}
-	return out
 }
 
 // Spark renders values as a unicode sparkline scaled to max (computed

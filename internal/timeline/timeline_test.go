@@ -188,18 +188,8 @@ func TestSanitizeNonFinite(t *testing.T) {
 	}
 }
 
-func TestSumAndSpark(t *testing.T) {
+func TestSpark(t *testing.T) {
 	t.Parallel()
-	a := &Series{Name: "a"}
-	b := &Series{Name: "b"}
-	a.add(1, 10)
-	a.add(2, 20)
-	b.add(2, 5) // no point at t=1: contributes zero there
-	sum := Sum([]*Series{a, b}, "total", "x")
-	pts := sum.Points()
-	if len(pts) != 2 || pts[0].V != 10 || pts[1].V != 25 {
-		t.Fatalf("sum %v", pts)
-	}
 	if got := Spark([]float64{0, 1, 2, 4}, 4); len([]rune(got)) != 4 {
 		t.Fatalf("spark %q", got)
 	}
