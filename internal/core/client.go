@@ -27,8 +27,6 @@ type ClientConfig struct {
 	// TokenChunk is the number of blocks a token request is widened to,
 	// amortizing token RPCs over sequential access.
 	TokenChunk int64
-	// Conns is the number of parallel connections to each server.
-	Conns int
 	// Retry governs recovery from transient NSD I/O failures (a refused
 	// request on a down server, a deadline expiry): per-attempt deadline
 	// and exponential backoff between attempts. The zero value takes
@@ -39,6 +37,10 @@ type ClientConfig struct {
 	// competitor shows up.
 	WideTokens bool
 }
+
+// clientConns is the number of parallel connections a client's endpoint
+// carries.
+const clientConns = 2
 
 // probeInterval is how often a mount re-probes a primary server it has
 // observed down, instead of sending to the backup.
@@ -62,7 +64,6 @@ func DefaultClientConfig() ClientConfig {
 		ReadAhead:   16,
 		WriteBehind: 16,
 		TokenChunk:  1024,
-		Conns:       2,
 	}
 }
 
@@ -83,9 +84,6 @@ type Client struct {
 
 // NewClient creates a client on a node.
 func NewClient(c *Cluster, name string, node *netsim.Node, cfg ClientConfig, id Identity) *Client {
-	if cfg.Conns < 1 {
-		cfg.Conns = 1
-	}
 	if cfg.Retry.Attempts() <= 1 && cfg.Retry.BaseBackoff == 0 && cfg.Retry.Deadline == 0 {
 		cfg.Retry = DefaultRetryPolicy()
 	}
@@ -93,7 +91,7 @@ func NewClient(c *Cluster, name string, node *netsim.Node, cfg ClientConfig, id 
 		sim:     c.Sim,
 		id:      c.Name + "/" + name,
 		cluster: c,
-		EP:      c.Net.NewEndpoint(node, cfg.Conns),
+		EP:      c.Net.NewEndpoint(node, clientConns),
 		Ident:   id,
 		cfg:     cfg,
 		mounts:  make(map[string]*Mount),

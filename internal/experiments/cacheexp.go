@@ -8,6 +8,7 @@ import (
 	"gfs/internal/core"
 	"gfs/internal/sim"
 	"gfs/internal/units"
+	"gfs/internal/workload"
 )
 
 // CacheConfig parameterizes the §8 automatic-caching experiment.
@@ -87,15 +88,6 @@ func RunCache(cfg CacheConfig) *Result {
 		return nil
 	}
 
-	readAll := func(p *sim.Proc, f *core.File) error {
-		for off := units.Bytes(0); off < f.Size(); off += units.MiB {
-			if err := f.ReadAt(p, off, units.MiB); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// --- Baseline: every access crosses the WAN directly. ---
 	var directTime sim.Time
 	var directWAN units.Bytes
@@ -118,7 +110,7 @@ func RunCache(cfg CacheConfig) *Result {
 					return err
 				}
 				m.DropCaches()
-				if err := readAll(p, f); err != nil {
+				if _, err := workload.ReadAll(p, f, units.MiB); err != nil {
 					return err
 				}
 			}
@@ -158,7 +150,7 @@ func RunCache(cfg CacheConfig) *Result {
 					return err
 				}
 				local.DropCaches()
-				if err := readAll(p, f); err != nil {
+				if _, err := workload.ReadAll(p, f, units.MiB); err != nil {
 					return err
 				}
 			}

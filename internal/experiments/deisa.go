@@ -6,6 +6,7 @@ import (
 	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/units"
+	"gfs/internal/workload"
 )
 
 // DEISAConfig parameterizes the §7 European deployment reproduction.
@@ -73,7 +74,7 @@ func RunDEISA(cfg DEISAConfig) *Result {
 	var minRate, maxRate float64
 	cfg.Env.run(s, func(p *sim.Proc) error {
 		// Seed one plasma dataset at each site.
-		for i, st := range sites {
+		for _, st := range sites {
 			m, err := st.Clients[0].MountLocal(p, st.FS)
 			if err != nil {
 				return err
@@ -81,7 +82,6 @@ func RunDEISA(cfg DEISAConfig) *Result {
 			if err := seedFile(p, m, "/turbulence.h5", cfg.FileSize, 8*units.MiB); err != nil {
 				return err
 			}
-			_ = i
 		}
 		pair := 0
 		for i := range sites {
@@ -98,13 +98,11 @@ func RunDEISA(cfg DEISAConfig) *Result {
 				if err != nil {
 					return err
 				}
-				t0 := p.Now()
-				for off := units.Bytes(0); off < f.Size(); off += cfg.BlockSize {
-					if err := f.ReadAt(p, off, cfg.BlockSize); err != nil {
-						return err
-					}
+				r, err := workload.ReadAll(p, f, cfg.BlockSize)
+				if err != nil {
+					return err
 				}
-				rate := float64(f.Size()) / (p.Now() - t0).Seconds() / 1e6
+				rate := float64(r.Rate()) / 1e6
 				matrix.Add(float64(pair), rate)
 				if minRate == 0 || rate < minRate {
 					minRate = rate

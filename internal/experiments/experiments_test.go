@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -52,16 +54,21 @@ func TestSC02Small(t *testing.T) {
 	}
 }
 
-func TestSC03Small(t *testing.T) {
-	t.Parallel()
+// smallSC03 is Fig. 5 on a 10-server booth and 12 viz nodes.
+func smallSC03(env Env) SC03Config {
 	cfg := DefaultSC03Config()
-	cfg.Env = conserved(t)
+	cfg.Env = env
 	cfg.Servers = 10
 	cfg.VizNodes = 12
 	cfg.Files = 24
 	cfg.FileSize = 512 * units.MiB
 	cfg.RestartGap = 4 * sim.Second
-	r := RunSC03(cfg)
+	return cfg
+}
+
+func TestSC03Small(t *testing.T) {
+	t.Parallel()
+	r := RunSC03(smallSC03(conserved(t)))
 	if r.Headline["peak Gb/s"] < 6 {
 		t.Errorf("peak = %.2f Gb/s, want > 6 (paper: 8.96 on 10GbE)", r.Headline["peak Gb/s"])
 	}
@@ -81,16 +88,22 @@ func TestSC03Small(t *testing.T) {
 	}
 }
 
-func TestSC04Small(t *testing.T) {
-	t.Parallel()
+// smallSC04 is Fig. 8 with 10 nodes per site and one sort phase.
+func smallSC04(env Env) SC04Config {
 	cfg := DefaultSC04Config()
-	cfg.Env = conserved(t)
+	cfg.Env = env
 	cfg.Servers = 12
 	cfg.SiteNodes = 10
 	cfg.ReadFiles = 20
 	cfg.FileSize = 512 * units.MiB
 	cfg.WriteBytes = 256 * units.MiB
 	cfg.Phases = 1
+	return cfg
+}
+
+func TestSC04Small(t *testing.T) {
+	t.Parallel()
+	cfg := smallSC04(conserved(t))
 	r := RunSC04(cfg)
 	if r.Headline["peak aggregate Gb/s"] < 8 {
 		t.Errorf("aggregate peak = %.1f Gb/s, want > 8 with 20 GbE clients", r.Headline["peak aggregate Gb/s"])
@@ -142,6 +155,22 @@ func TestProductionSmall(t *testing.T) {
 	if write.Points[2].Y >= read.Points[2].Y {
 		t.Errorf("write %.0f >= read %.0f at 16 nodes; RAID5 penalty missing",
 			write.Points[2].Y, read.Points[2].Y)
+	}
+}
+
+// TestProductionOneNodeReadsCold: a lone rank has no other rank's region
+// to read, so its read pass must still go to the NSD servers, not its own
+// page pool, and cannot beat its 1 GbE NIC.
+func TestProductionOneNodeReadsCold(t *testing.T) {
+	t.Parallel()
+	cfg := DefaultProductionConfig()
+	cfg.Servers = 16
+	cfg.Arrays = 8
+	cfg.NodeCounts = []int{1}
+	cfg.SizePer = 64 * units.MiB
+	r := RunProductionScaling(cfg)
+	if got := r.Headline["max read MB/s"]; got > 125 {
+		t.Errorf("1-node read = %.1f MB/s, above the client's 125 MB/s NIC: served from its own cache", got)
 	}
 }
 
@@ -205,14 +234,19 @@ func TestANLSmall(t *testing.T) {
 	}
 }
 
-func TestDEISASmall(t *testing.T) {
-	t.Parallel()
+// smallDEISA is §7 on three sites of four servers.
+func smallDEISA(env Env) DEISAConfig {
 	cfg := DefaultDEISAConfig()
-	cfg.Env = conserved(t)
+	cfg.Env = env
 	cfg.Sites = []string{"cineca", "fzj", "rzg"}
 	cfg.Servers = 4
 	cfg.FileSize = 512 * units.MiB
-	r := RunDEISA(cfg)
+	return cfg
+}
+
+func TestDEISASmall(t *testing.T) {
+	t.Parallel()
+	r := RunDEISA(smallDEISA(conserved(t)))
 	if r.Headline["min pair MB/s"] < 100 {
 		t.Errorf("min pair = %.0f MB/s, paper says >100", r.Headline["min pair MB/s"])
 	}
@@ -288,16 +322,21 @@ func TestRegistryAndRendering(t *testing.T) {
 	}
 }
 
-func TestCacheExperimentSmall(t *testing.T) {
-	t.Parallel()
+// smallCache is §8 over six 64 MiB files and a 12-access trace.
+func smallCache(env Env) CacheConfig {
 	cfg := DefaultCacheConfig()
-	cfg.Env = conserved(t)
+	cfg.Env = env
 	cfg.Files = 6
 	cfg.FileSize = 64 * units.MiB
 	cfg.Budget = 512 * units.MiB
 	cfg.Accesses = 12
 	cfg.HotSet = 2
-	r := RunCache(cfg)
+	return cfg
+}
+
+func TestCacheExperimentSmall(t *testing.T) {
+	t.Parallel()
+	r := RunCache(smallCache(conserved(t)))
 	if r.Headline["speedup"] <= 1.5 {
 		t.Errorf("cache speedup = %.2f, want > 1.5", r.Headline["speedup"])
 	}
@@ -306,6 +345,40 @@ func TestCacheExperimentSmall(t *testing.T) {
 	}
 	if r.Headline["cache hits"] == 0 {
 		t.Error("no cache hits")
+	}
+}
+
+// TestUnalignedFileSizes: a file size that is not a multiple of the
+// experiment's I/O size ends in one short read, not a read past EOF.
+func TestUnalignedFileSizes(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		run    func() *Result
+		metric string
+	}{
+		{"deisa", func() *Result {
+			cfg := smallDEISA(Env{})
+			cfg.FileSize = 64*units.MiB + 512*units.KiB
+			return RunDEISA(cfg)
+		}, "min pair MB/s"},
+		{"cache", func() *Result {
+			cfg := smallCache(Env{})
+			cfg.FileSize = 16*units.MiB + 4*units.KiB
+			return RunCache(cfg)
+		}, "cache hits"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			defer func() {
+				if err := recover(); err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+			}()
+			if r := tc.run(); r.Headline[tc.metric] <= 0 {
+				t.Errorf("%s = %v, want > 0", tc.metric, r.Headline[tc.metric])
+			}
+		})
 	}
 }
 
@@ -330,5 +403,34 @@ func TestMetastormSmall(t *testing.T) {
 	r := RunMetastorm(cfg)
 	if r.Headline["speedup @4 shards"] <= 1 {
 		t.Errorf("4 shards speedup = %.2f over the central manager, want > 1", r.Headline["speedup @4 shards"])
+	}
+}
+
+// TestResultPinned pins the rendered reports of the small SC'03, SC'04,
+// DEISA and edge-cache runs to sha256 digests: a rewrite of how the
+// experiments stream their files must not move a single byte.
+func TestResultPinned(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		run    func() *Result
+		digest string
+	}{
+		{"sc03", func() *Result { return RunSC03(smallSC03(Env{})) },
+			"5c21ea8d2dbb26fc414673d76e5144fa9ce70603a9ac49322928e05b8e6bc56a"},
+		{"sc04", func() *Result { return RunSC04(smallSC04(Env{})) },
+			"e353b6765af48b048e3c940ee03737db5e1696384eafa4be2cb22eb3d3d25d93"},
+		{"deisa", func() *Result { return RunDEISA(smallDEISA(Env{})) },
+			"c2157592502ce99c7d90f2dcb4863b327d9828951d4e77aae02055b394b0b75d"},
+		{"cache", func() *Result { return RunCache(smallCache(Env{})) },
+			"9d98778839494d21a05414ebf49e5e2b779e9549cc8219c999edd960b8023e3c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			out := tc.run().String()
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != tc.digest {
+				t.Errorf("digest %s, want %s:\n%s", got, tc.digest, out)
+			}
+		})
 	}
 }

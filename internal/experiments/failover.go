@@ -147,6 +147,8 @@ func RunFailover(cfg FailoverConfig) *Result {
 					readErrs++
 					return
 				}
+				// The reader stops mid-file at end and rides out read
+				// errors, so it keeps its own loop.
 				for rp.Now() < end {
 					for off := units.Bytes(0); off < f.Size() && rp.Now() < end; off += cfg.BlockSize {
 						if err := f.ReadAt(rp, off, cfg.BlockSize); err != nil {

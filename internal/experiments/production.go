@@ -103,17 +103,18 @@ func RunProductionScaling(cfg ProductionConfig) *Result {
 					rate = float64(wres.Rate())
 					return nil
 				}
-				// Read pass over the file just written (fresh mounts keep
-				// the pagepool cold: reads go to the NSD servers).
+				// Read pass over the file just written, kept off the page
+				// pool: each rank reads the region another rank wrote, and
+				// a lone rank, with no other region to read, drops its
+				// cache instead.
+				if len(mounts) == 1 {
+					mounts[0].DropCaches()
+				}
 				rd := &workload.MPIIO{
-					Mounts: mounts, Path: "/ior.dat",
+					Mounts: append(mounts[1:], mounts[0]), Path: "/ior.dat",
 					SizePer: cfg.SizePer, BlockSize: cfg.MPIBlock,
 					Transfer: cfg.Transfer, Write: false,
 				}
-				// Invalidate caches by reopening via fresh clients is
-				// expensive; instead shift each rank's assignment so it
-				// reads blocks another rank wrote.
-				rd.Mounts = append(mounts[1:], mounts[0])
 				rres, err := rd.Run(p)
 				if err != nil {
 					return err
@@ -184,8 +185,10 @@ func RunANL(cfg ANLConfig) *Result {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < cfg.ANLNodes; i++ {
-			if err := seedFile(p, sm, fmt.Sprintf("/remote%02d.dat", i), cfg.SizePer, 8*units.MiB); err != nil {
+		files := make([]string, cfg.ANLNodes) // one per node
+		for i := range files {
+			files[i] = fmt.Sprintf("/remote%02d.dat", i)
+			if err := seedFile(p, sm, files[i], cfg.SizePer, 8*units.MiB); err != nil {
 				return err
 			}
 		}
@@ -193,30 +196,10 @@ func RunANL(cfg ANLConfig) *Result {
 		if err != nil {
 			return err
 		}
-		t0 := p.Now()
-		g := sim.NewGroup(s)
-		var moved units.Bytes
-		for i, m := range mounts {
-			i, m := i, m
-			g.Go("anl-read", func(rp *sim.Proc) error {
-				f, err := m.Open(rp, fmt.Sprintf("/remote%02d.dat", i))
-				if err != nil {
-					return err
-				}
-				for off := units.Bytes(0); off < f.Size(); off += units.MiB {
-					if err := f.ReadAt(rp, off, units.MiB); err != nil {
-						return err
-					}
-				}
-				moved += f.Size()
-				return nil
-			})
-		}
-		if err := g.Wait(p); err != nil {
-			return err
-		}
-		rate = float64(moved) / (p.Now() - t0).Seconds()
-		return nil
+		viz := &workload.Viz{Mounts: mounts, Files: files, IOSize: units.MiB}
+		vres, err := viz.Run(p)
+		rate = float64(vres.Rate())
+		return err
 	})
 	res.Headline["aggregate GB/s"] = rate / 1e9
 	res.Headline["WAN cap GB/s"] = float64(cfg.WANRate) / 8e9

@@ -7,6 +7,7 @@ import (
 	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/units"
+	"gfs/internal/workload"
 )
 
 // SC03Config parameterizes the Fig. 5 reproduction.
@@ -114,23 +115,12 @@ func RunSC03(cfg SC03Config) *Result {
 		// pass streams one file per viz node; shift picks a disjoint file
 		// set so the second pass isn't served from the pagepool.
 		pass := func(shift int) error {
-			g := sim.NewGroup(s)
-			for i, m := range mounts {
-				m, i := m, i
-				g.Go(fmt.Sprintf("viz%d", i), func(vp *sim.Proc) error {
-					f, err := m.Open(vp, fmt.Sprintf("/viz%02d.dat", (i+shift)%cfg.Files))
-					if err != nil {
-						return err
-					}
-					for off := units.Bytes(0); off < f.Size(); off += cfg.BlockSize {
-						if err := f.ReadAt(vp, off, cfg.BlockSize); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
+			files := make([]string, len(mounts))
+			for i := range files {
+				files[i] = fmt.Sprintf("/viz%02d.dat", (i+shift)%cfg.Files)
 			}
-			return g.Wait(p)
+			_, err := (&workload.Viz{Mounts: mounts, Files: files, IOSize: cfg.BlockSize}).Run(p)
+			return err
 		}
 		if err := pass(0); err != nil {
 			return err

@@ -9,6 +9,7 @@ import (
 	"gfs/internal/netsim"
 	"gfs/internal/sim"
 	"gfs/internal/units"
+	"gfs/internal/workload"
 )
 
 // SC04Config parameterizes the Fig. 8 reproduction.
@@ -131,25 +132,14 @@ func RunSC04(cfg SC04Config) *Result {
 			m, i := m, i
 			g.Go("sort", func(vp *sim.Proc) error {
 				for phase := 0; phase < cfg.Phases; phase++ {
-					f, err := m.Open(vp, fmt.Sprintf("/enzo%03d.out", (i+phase*len(mounts))%cfg.ReadFiles))
-					if err != nil {
-						return err
+					so := &workload.Sorter{
+						Mount:      m,
+						Input:      fmt.Sprintf("/enzo%03d.out", (i+phase*len(mounts))%cfg.ReadFiles),
+						Output:     fmt.Sprintf("/sorted.p%d.%03d", phase, i),
+						OutputSize: cfg.WriteBytes,
+						IOSize:     cfg.BlockSize,
 					}
-					for off := units.Bytes(0); off < f.Size(); off += cfg.BlockSize {
-						if err := f.ReadAt(vp, off, cfg.BlockSize); err != nil {
-							return err
-						}
-					}
-					out, err := m.Create(vp, fmt.Sprintf("/sorted.p%d.%03d", phase, i), core.DefaultPerm)
-					if err != nil {
-						return err
-					}
-					for off := units.Bytes(0); off < cfg.WriteBytes; off += cfg.BlockSize {
-						if err := out.WriteAt(vp, off, cfg.BlockSize); err != nil {
-							return err
-						}
-					}
-					if err := out.Close(vp); err != nil {
+					if _, err := so.Run(vp); err != nil {
 						return err
 					}
 				}

@@ -9,6 +9,7 @@ import (
 	"gfs/internal/san"
 	"gfs/internal/sim"
 	"gfs/internal/units"
+	"gfs/internal/workload"
 )
 
 // lanDelay is an in-machine-room Ethernet hop.
@@ -54,18 +55,18 @@ type FSOptions struct {
 	StoreCap     units.Bytes
 	StoreStreams int
 	// SAN path: real DS4100-style arrays; LUNs round-robin onto servers.
-	Arrays      int
-	ArrayCfg    san.ArrayConfig
-	ServerHBA   units.BitsPerSec
-	HBAsPer     int
-	ServerConns int
+	Arrays    int
+	ArrayCfg  san.ArrayConfig
+	ServerHBA units.BitsPerSec
+	HBAsPer   int
 }
+
+// serverConns is the number of parallel connections each NSD server's
+// endpoint carries.
+const serverConns = 2
 
 // BuildFS provisions NSD servers, stores and the manager on the site.
 func (st *Site) BuildFS(opt FSOptions) *core.FileSystem {
-	if opt.ServerConns < 1 {
-		opt.ServerConns = 2
-	}
 	fs := st.Cluster.CreateFS(opt.Name, opt.BlockSize)
 	st.FS = fs
 	servers := make([]*core.NSDServer, opt.Servers)
@@ -73,7 +74,7 @@ func (st *Site) BuildFS(opt FSOptions) *core.FileSystem {
 	for i := 0; i < opt.Servers; i++ {
 		node := st.Net.NewNode(fmt.Sprintf("%s-nsd%d", st.Cluster.Name, i))
 		st.Net.DuplexLink(fmt.Sprintf("%s-nsd%d-eth", st.Cluster.Name, i), node, st.Switch, opt.ServerEth, lanDelay)
-		servers[i] = fs.AddServer(fmt.Sprintf("%s-srv%d", st.Cluster.Name, i), node, opt.ServerConns)
+		servers[i] = fs.AddServer(fmt.Sprintf("%s-srv%d", st.Cluster.Name, i), node, serverConns)
 		nodes[i] = node
 	}
 	if opt.Arrays > 0 {
@@ -195,14 +196,8 @@ func seedFile(p *sim.Proc, m *core.Mount, name string, size, ioSize units.Bytes)
 	if err != nil {
 		return err
 	}
-	for off := units.Bytes(0); off < size; off += ioSize {
-		ln := ioSize
-		if off+ln > size {
-			ln = size - off
-		}
-		if err := f.WriteAt(p, off, ln); err != nil {
-			return err
-		}
+	if _, err := workload.WriteAll(p, f, size, ioSize); err != nil {
+		return err
 	}
 	return f.Close(p)
 }

@@ -73,20 +73,15 @@ func (e *Enzo) Run(p *sim.Proc) (Result, error) {
 			if err != nil {
 				return res, err
 			}
-			for off := units.Bytes(0); off < e.FileSize; off += e.IOSize {
-				ln := e.IOSize
-				if off+ln > e.FileSize {
-					ln = e.FileSize - off
-				}
-				if err := f.WriteAt(p, off, ln); err != nil {
-					return res, err
-				}
-				res.Ops++
+			w, err := WriteAll(p, f, e.FileSize, e.IOSize)
+			res.Bytes += w.Bytes
+			res.Ops += w.Ops
+			if err != nil {
+				return res, err
 			}
 			if err := f.Close(p); err != nil {
 				return res, err
 			}
-			res.Bytes += e.FileSize
 		}
 		res.Elapsed += p.Now() - t0
 	}
@@ -110,16 +105,12 @@ type Viz struct {
 	Mounts []*core.Mount // one per node
 	Files  []string      // assigned round-robin
 	IOSize units.Bytes
-	Repeat int // passes over the assignment (>=1)
 }
 
 // Run streams all assignments in parallel and returns the aggregate.
 func (v *Viz) Run(p *sim.Proc) (Result, error) {
 	if v.IOSize <= 0 {
 		v.IOSize = 4 * units.MiB
-	}
-	if v.Repeat < 1 {
-		v.Repeat = 1
 	}
 	g := sim.NewGroup(p.Sim())
 	var res Result
@@ -134,23 +125,16 @@ func (v *Viz) Run(p *sim.Proc) (Result, error) {
 		}
 		m := m
 		g.Go(fmt.Sprintf("viz%d", n), func(vp *sim.Proc) error {
-			for r := 0; r < v.Repeat; r++ {
-				for _, name := range mine {
-					f, err := m.Open(vp, name)
-					if err != nil {
-						return err
-					}
-					for off := units.Bytes(0); off < f.Size(); off += v.IOSize {
-						ln := v.IOSize
-						if off+ln > f.Size() {
-							ln = f.Size() - off
-						}
-						if err := f.ReadAt(vp, off, ln); err != nil {
-							return err
-						}
-						res.Bytes += ln
-						res.Ops++
-					}
+			for _, name := range mine {
+				f, err := m.Open(vp, name)
+				if err != nil {
+					return err
+				}
+				r, err := ReadAll(vp, f, v.IOSize)
+				res.Bytes += r.Bytes
+				res.Ops += r.Ops
+				if err != nil {
+					return err
 				}
 			}
 			return nil
@@ -161,18 +145,22 @@ func (v *Viz) Run(p *sim.Proc) (Result, error) {
 	return res, err
 }
 
-// Sorter reads an input file and writes a same-sized output — the
-// network-limited bidirectional load of the SC'04 demonstration.
+// Sorter reads an input file and writes an output of OutputSize bytes —
+// the network-limited bidirectional load of the SC'04 demonstration.
 type Sorter struct {
-	Mount  *core.Mount
-	Input  string
-	Output string
-	IOSize units.Bytes
+	Mount      *core.Mount
+	Input      string
+	Output     string
+	OutputSize units.Bytes // bytes written to Output (required)
+	IOSize     units.Bytes
 }
 
 // Run performs the read pass then the write pass, returning combined
 // totals.
 func (so *Sorter) Run(p *sim.Proc) (Result, error) {
+	if so.OutputSize <= 0 {
+		return Result{}, fmt.Errorf("workload: Sorter with no output size")
+	}
 	if so.IOSize <= 0 {
 		so.IOSize = 4 * units.MiB
 	}
@@ -182,34 +170,54 @@ func (so *Sorter) Run(p *sim.Proc) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	for off := units.Bytes(0); off < in.Size(); off += so.IOSize {
-		ln := so.IOSize
-		if off+ln > in.Size() {
-			ln = in.Size() - off
-		}
-		if err := in.ReadAt(p, off, ln); err != nil {
-			return res, err
-		}
-		res.Bytes += ln
-		res.Ops++
+	r, err := ReadAll(p, in, so.IOSize)
+	res.Bytes, res.Ops = r.Bytes, r.Ops
+	if err != nil {
+		return res, err
 	}
 	out, err := so.Mount.Create(p, so.Output, core.DefaultPerm)
 	if err != nil {
 		return res, err
 	}
-	for off := units.Bytes(0); off < in.Size(); off += so.IOSize {
-		ln := so.IOSize
-		if off+ln > in.Size() {
-			ln = in.Size() - off
-		}
-		if err := out.WriteAt(p, off, ln); err != nil {
+	w, err := WriteAll(p, out, so.OutputSize, so.IOSize)
+	res.Bytes += w.Bytes
+	res.Ops += w.Ops
+	if err != nil {
+		return res, err
+	}
+	if err := out.Close(p); err != nil {
+		return res, err
+	}
+	res.Elapsed = p.Now() - t0
+	return res, nil
+}
+
+// ReadAll reads f from its start to its size in ioSize requests, the last
+// clipped at the size.
+func ReadAll(p *sim.Proc, f *core.File, ioSize units.Bytes) (Result, error) {
+	return stream(p, f.Size(), ioSize, f.ReadAt)
+}
+
+// WriteAll writes size bytes to f from offset 0 in ioSize requests, the
+// last clipped at size.
+func WriteAll(p *sim.Proc, f *core.File, size, ioSize units.Bytes) (Result, error) {
+	return stream(p, size, ioSize, f.WriteAt)
+}
+
+// stream moves [0, size) through op in ioSize requests.
+func stream(p *sim.Proc, size, ioSize units.Bytes, op func(*sim.Proc, units.Bytes, units.Bytes) error) (Result, error) {
+	var res Result
+	if ioSize <= 0 {
+		return res, fmt.Errorf("workload: I/O size %v", ioSize)
+	}
+	t0 := p.Now()
+	for off := units.Bytes(0); off < size; off += ioSize {
+		ln := min(ioSize, size-off)
+		if err := op(p, off, ln); err != nil {
 			return res, err
 		}
 		res.Bytes += ln
 		res.Ops++
-	}
-	if err := out.Close(p); err != nil {
-		return res, err
 	}
 	res.Elapsed = p.Now() - t0
 	return res, nil

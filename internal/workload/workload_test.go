@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"fmt"
 	"testing"
 
 	"gfs/internal/core"
@@ -142,7 +141,7 @@ func TestSorterMovesBothDirections(t *testing.T) {
 		if err := f.Close(p); err != nil {
 			return err
 		}
-		so := &workload.Sorter{Mount: m, Input: "/input", Output: "/output", IOSize: 4 * units.MiB}
+		so := &workload.Sorter{Mount: m, Input: "/input", Output: "/output", OutputSize: 16 * units.MiB, IOSize: 4 * units.MiB}
 		res, err := so.Run(p)
 		if err != nil {
 			return err
@@ -321,55 +320,59 @@ func TestMPIIOErrors(t *testing.T) {
 	})
 }
 
-func TestSCECCheckpointRun(t *testing.T) {
-	t.Parallel()
-	r := newRig(t, 4, 4)
-	r.run(t, func(p *sim.Proc) error {
-		var mounts []*core.Mount
-		for _, cl := range r.site.Clients {
-			m, err := cl.MountLocal(p, r.site.FS)
-			if err != nil {
-				return err
-			}
-			mounts = append(mounts, m)
-		}
-		w := &workload.SCEC{
-			Mounts: mounts, Dir: "/scec",
-			Checkpoints: 3, SlabSize: 8 * units.MiB, IOSize: 2 * units.MiB,
-			ComputeTime: sim.Second, RestartAfter: 2,
-		}
-		res, err := w.Run(p)
-		if err != nil {
-			return err
-		}
-		// 3 checkpoints written + 1 restart read = 4 phases of 32 MiB.
-		if res.Bytes != 4*32*units.MiB {
-			t.Errorf("moved %v", res.Bytes)
-		}
-		if w.TotalWritten() != 3*32*units.MiB {
-			t.Errorf("TotalWritten = %v", w.TotalWritten())
-		}
-		// All checkpoint files exist at full size.
-		for c := 0; c < 3; c++ {
-			a, err := mounts[0].Stat(p, fmt.Sprintf("/scec/ckpt%04d", c))
-			if err != nil {
-				return err
-			}
-			if a.Size != 32*units.MiB {
-				t.Errorf("ckpt%d size %v", c, a.Size)
-			}
-		}
-		return nil
-	})
-}
-
-func TestSCECValidation(t *testing.T) {
+// TestStreamClipsLastChunk: a size that is not a multiple of the I/O size
+// ends in one short request, on the write and the read side alike, and a
+// Sorter writes the output size it is given, not its input's.
+func TestStreamClipsLastChunk(t *testing.T) {
 	t.Parallel()
 	r := newRig(t, 2, 1)
 	r.run(t, func(p *sim.Proc) error {
-		w := &workload.SCEC{Dir: "/x", Checkpoints: 1, SlabSize: units.MiB}
-		if _, err := w.Run(p); err == nil {
-			t.Error("rank-less SCEC succeeded")
+		m, err := r.site.Clients[0].MountLocal(p, r.site.FS)
+		if err != nil {
+			return err
+		}
+		size := 5*units.MiB + units.KiB
+		f, err := m.Create(p, "/odd", core.DefaultPerm)
+		if err != nil {
+			return err
+		}
+		w, err := workload.WriteAll(p, f, size, 2*units.MiB)
+		if err != nil {
+			return err
+		}
+		if err := f.Close(p); err != nil {
+			return err
+		}
+		rd, err := workload.ReadAll(p, f, 2*units.MiB)
+		if err != nil {
+			return err
+		}
+		for _, got := range []workload.Result{w, rd} {
+			if got.Bytes != size || got.Ops != 3 {
+				t.Errorf("moved %v in %d requests, want %v in 3", got.Bytes, got.Ops, size)
+			}
+		}
+		so := &workload.Sorter{Mount: m, Input: "/odd", Output: "/sorted", OutputSize: 3 * units.MiB, IOSize: 2 * units.MiB}
+		res, err := so.Run(p)
+		if err != nil {
+			return err
+		}
+		if res.Bytes != size+3*units.MiB || res.Ops != 5 {
+			t.Errorf("sorter moved %v in %d requests, want %v in 5", res.Bytes, res.Ops, size+3*units.MiB)
+		}
+		a, err := m.Stat(p, "/sorted")
+		if err != nil {
+			return err
+		}
+		if a.Size != 3*units.MiB {
+			t.Errorf("output size %v, want 3MiB", a.Size)
+		}
+		so.OutputSize = 0
+		if _, err := so.Run(p); err == nil {
+			t.Error("Sorter without an output size succeeded")
+		}
+		if _, err := workload.ReadAll(p, f, 0); err == nil {
+			t.Error("ReadAll with a zero I/O size succeeded")
 		}
 		return nil
 	})
