@@ -20,7 +20,9 @@
 //	gfssim -exp production -http :8080 -http-hold 30s
 //	                                  # live Prometheus /metrics + /timeline JSON while running
 //
-// The flags are declared once, in experiments.Options.
+// The flags are declared once, in experiments.Options. Each experiment's
+// registry entry names the tuning flags it reads (-depth, -crash,
+// -nodes, ...); any other tuning flag is a usage error, exit status 2.
 package main
 
 import (
@@ -29,141 +31,82 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"gfs/internal/experiments"
 	"gfs/internal/metrics"
-	"gfs/internal/sim"
 	"gfs/internal/timeline"
-	"gfs/internal/units"
 )
 
-func main() {
-	var (
-		exp  = flag.String("exp", "", "experiment name (see -list), or 'all'")
-		list = flag.Bool("list", false, "list experiments")
-		csv  = flag.Bool("csv", false, "print series as CSV instead of ASCII charts")
-	)
-	var opts experiments.Options
-	opts.Register(flag.CommandLine)
-	flag.Parse()
+// command is one parsed gfssim command line.
+type command struct {
+	exp       string
+	list, csv bool
+	opts      experiments.Options
+	runners   []experiments.Runner // the experiments -exp names, tuned by opts
+}
 
-	if err := opts.Validate(); err != nil {
+// parse reads a gfssim command line into fs's flags and resolves the
+// experiments to run. Every error is a usage error and comes before
+// anything runs: a bad flag value, an unknown experiment, or a tuning
+// flag that a chosen experiment does not declare.
+func parse(fs *flag.FlagSet, args []string) (*command, error) {
+	c := &command{}
+	fs.StringVar(&c.exp, "exp", "", "experiment name (see -list), or 'all'")
+	fs.BoolVar(&c.list, "list", false, "list experiments")
+	fs.BoolVar(&c.csv, "csv", false, "print series as CSV instead of ASCII charts")
+	c.opts.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := c.opts.Validate(); err != nil {
+		return nil, err
+	}
+	if c.list || c.exp == "" {
+		return c, nil
+	}
+	readers := map[string][]string{} // tuning flag -> the experiments that declare it
+	for _, r := range experiments.Tuned(&c.opts) {
+		for _, f := range r.Tuning {
+			readers[f] = append(readers[f], r.Name)
+		}
+		if c.exp == "all" || r.Name == c.exp {
+			c.runners = append(c.runners, r)
+		}
+	}
+	if len(c.runners) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (try -list)", c.exp)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		for _, r := range c.runners {
+			if err == nil && readers[f.Name] != nil && !slices.Contains(r.Tuning, f.Name) {
+				err = fmt.Errorf("-%s only applies to -exp %s", f.Name, strings.Join(readers[f.Name], " or -exp "))
+			}
+		}
+	})
+	return c, err
+}
+
+func main() {
+	c, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gfssim:", err)
 		os.Exit(2)
 	}
+	opts := &c.opts
 
-	if *list || *exp == "" {
+	if c.list || c.exp == "" {
 		fmt.Println("experiments (gfssim -exp <name>):")
 		for _, r := range experiments.All() {
 			fmt.Printf("  %-11s %s\n", r.Name, r.Paper)
 		}
-		if *exp == "" && !*list {
+		if c.exp == "" && !c.list {
 			os.Exit(2)
 		}
 		return
-	}
-
-	var runners []experiments.Runner
-	if *exp == "all" {
-		runners = experiments.All()
-	} else {
-		r, ok := experiments.ByName(*exp)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gfssim: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(2)
-		}
-		runners = []experiments.Runner{r}
-	}
-
-	if opts.Depth > 0 || opts.Block > 0 || opts.FileSize > 0 {
-		if *exp != "sc02" {
-			fmt.Fprintln(os.Stderr, "gfssim: -depth/-block/-filesize only apply to -exp sc02")
-			os.Exit(2)
-		}
-		cfg := experiments.DefaultSC02Config()
-		if opts.Depth > 0 {
-			cfg.Depth = opts.Depth
-		}
-		if opts.Block > 0 {
-			cfg.BlockSize = units.Bytes(opts.Block)
-		}
-		if opts.FileSize > 0 {
-			cfg.FileSize = units.Bytes(opts.FileSize)
-		}
-		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunSC02(cfg) }
-	}
-
-	if opts.RADepth > 0 || opts.WBDirty > 0 {
-		if *exp != "sc03" && *exp != "failover" {
-			fmt.Fprintln(os.Stderr, "gfssim: -ra-depth/-wb-max-dirty only apply to -exp sc03 or -exp failover")
-			os.Exit(2)
-		}
-		if *exp == "sc03" {
-			cfg := experiments.DefaultSC03Config()
-			cfg.ReadAhead = opts.RADepth
-			cfg.WriteBehind = opts.WBDirty
-			runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunSC03(cfg) }
-		}
-	}
-
-	if opts.CrashAt > 0 || opts.Outage > 0 || opts.Duration > 0 ||
-		(*exp == "failover" && (opts.RADepth > 0 || opts.WBDirty > 0)) {
-		if *exp != "failover" {
-			fmt.Fprintln(os.Stderr, "gfssim: -crash/-outage/-duration only apply to -exp failover")
-			os.Exit(2)
-		}
-		cfg := experiments.DefaultFailoverConfig()
-		if opts.CrashAt > 0 {
-			cfg.CrashAt = sim.Time(opts.CrashAt / time.Nanosecond)
-		}
-		if opts.Outage > 0 {
-			cfg.Outage = sim.Time(opts.Outage / time.Nanosecond)
-		}
-		if opts.Duration > 0 {
-			cfg.Duration = sim.Time(opts.Duration / time.Nanosecond)
-		}
-		cfg.ReadAhead = opts.RADepth
-		cfg.WriteBehind = opts.WBDirty
-		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunFailover(cfg) }
-	}
-
-	if opts.Gather || opts.WideTok || opts.Nodes != "" || opts.Size != "" {
-		if *exp != "production" {
-			fmt.Fprintln(os.Stderr, "gfssim: -gather/-wide-tokens/-nodes/-size only apply to -exp production")
-			os.Exit(2)
-		}
-		cfg := experiments.DefaultProductionConfig()
-		cfg.Gather = opts.Gather
-		cfg.WideTokens = opts.WideTok
-		counts, err := opts.NodeCounts(cfg.NodeCounts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gfssim: -nodes:", err)
-			os.Exit(2)
-		}
-		cfg.NodeCounts = counts
-		sz, err := opts.SizeBytes()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gfssim: -size:", err)
-			os.Exit(2)
-		}
-		if sz > 0 {
-			cfg.SizePer = sz
-		}
-		runners[0].Run = func(env experiments.Env) *experiments.Result {
-			cfg.Env = env
-			return experiments.RunProductionScaling(cfg)
-		}
-	}
-
-	if opts.TokenShards >= 0 {
-		if *exp != "metastorm" {
-			fmt.Fprintln(os.Stderr, "gfssim: -token-shards only applies to -exp metastorm")
-			os.Exit(2)
-		}
-		cfg := experiments.DefaultMetastormConfig()
-		cfg.Shards = []int{opts.TokenShards}
-		runners[0].Run = func(env experiments.Env) *experiments.Result { cfg.Env = env; return experiments.RunMetastorm(cfg) }
 	}
 
 	stopProf, err := opts.StartCPUProfile()
@@ -212,13 +155,13 @@ func main() {
 	}
 	env := experiments.Env{Obs: obs}
 
-	for _, r := range runners {
+	for _, r := range c.runners {
 		if obs != nil && obs.Agg != nil {
 			obs.Agg.Reset() // attribution covers the experiment about to run
 		}
 		fmt.Printf("running %s (%s)...\n", r.Name, r.Paper)
 		res := r.Run(env)
-		if *csv {
+		if c.csv {
 			fmt.Printf("== %s: %s ==\n", res.ID, res.Title)
 			fmt.Print(res.HeadlineTable())
 			for _, n := range res.Notes {

@@ -43,9 +43,6 @@ func (f *File) Inode() int64 { return f.ino }
 // Size returns the locally known size (see Refresh).
 func (f *File) Size() units.Bytes { return f.size }
 
-// Pos returns the sequential position.
-func (f *File) Pos() units.Bytes { return f.pos }
-
 // Seek sets the sequential position.
 func (f *File) Seek(off units.Bytes) { f.pos = off }
 

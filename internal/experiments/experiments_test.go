@@ -356,17 +356,23 @@ func TestUnalignedFileSizes(t *testing.T) {
 		name   string
 		run    func() *Result
 		metric string
+		zero   bool // the metric must be 0, not positive
 	}{
 		{"deisa", func() *Result {
 			cfg := smallDEISA(Env{})
 			cfg.FileSize = 64*units.MiB + 512*units.KiB
 			return RunDEISA(cfg)
-		}, "min pair MB/s"},
+		}, "min pair MB/s", false},
 		{"cache", func() *Result {
 			cfg := smallCache(Env{})
 			cfg.FileSize = 16*units.MiB + 4*units.KiB
 			return RunCache(cfg)
-		}, "cache hits"},
+		}, "cache hits", false},
+		{"failover", func() *Result {
+			cfg := smallFailover(Env{})
+			cfg.FileSize = 64*units.MiB + 128*units.KiB
+			return RunFailover(cfg)
+		}, "read errors", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -375,8 +381,11 @@ func TestUnalignedFileSizes(t *testing.T) {
 					t.Fatalf("run failed: %v", err)
 				}
 			}()
-			if r := tc.run(); r.Headline[tc.metric] <= 0 {
-				t.Errorf("%s = %v, want > 0", tc.metric, r.Headline[tc.metric])
+			switch v := tc.run().Headline[tc.metric]; {
+			case tc.zero && v != 0:
+				t.Errorf("%s = %v, want 0", tc.metric, v)
+			case !tc.zero && v <= 0:
+				t.Errorf("%s = %v, want > 0", tc.metric, v)
 			}
 		})
 	}

@@ -151,7 +151,7 @@ func RunFailover(cfg FailoverConfig) *Result {
 				// errors, so it keeps its own loop.
 				for rp.Now() < end {
 					for off := units.Bytes(0); off < f.Size() && rp.Now() < end; off += cfg.BlockSize {
-						if err := f.ReadAt(rp, off, cfg.BlockSize); err != nil {
+						if err := f.ReadAt(rp, off, min(cfg.BlockSize, f.Size()-off)); err != nil {
 							readErrs++
 							rp.Sleep(100 * sim.Millisecond)
 						}

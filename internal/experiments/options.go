@@ -99,9 +99,9 @@ func (o *Options) Register(fs *flag.FlagSet) {
 
 	// Workload shape.
 	fs.StringVar(&o.Nodes, "nodes", "",
-		"override node counts, comma-separated (e.g. 64,256,1024)")
+		"production only: override node counts, comma-separated (e.g. 64,256,1024)")
 	fs.StringVar(&o.Size, "size", "",
-		"override bytes moved per client node (e.g. 64MiB)")
+		"production only: override bytes moved per client node (e.g. 64MiB)")
 
 	// Experiment tuning overrides.
 	fs.IntVar(&o.Depth, "depth", 0,
@@ -165,6 +165,12 @@ func (o *Options) Validate() error {
 	}
 	if o.JSONLStream != "" && (o.TraceOut != "" || o.JSONLOut != "" || o.TraceRing > 0) {
 		return fmt.Errorf("-jsonl-stream retains nothing; it cannot combine with -trace/-jsonl/-trace-ring")
+	}
+	if _, err := o.NodeCounts(nil); err != nil {
+		return fmt.Errorf("-nodes: %v", err)
+	}
+	if _, err := o.SizeBytes(); err != nil {
+		return fmt.Errorf("-size: %v", err)
 	}
 	return nil
 }

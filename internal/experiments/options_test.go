@@ -97,6 +97,8 @@ func TestOptionsValidate(t *testing.T) {
 		{RADepth: -1},
 		{WBDirty: -1},
 		{TokenShards: -2},
+		{Nodes: "4,x"},
+		{Size: "0"},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

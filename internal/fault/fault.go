@@ -81,7 +81,7 @@ func (p *Plan) ServerCrash(at, outage sim.Time, srv *core.NSDServer) *Plan {
 
 // DiskFail fails one member of a RAID set at time at. Reads continue
 // degraded — every surviving member is read and the missing strip is
-// reconstructed from parity — until RepairDisk or a Rebuild completes.
+// reconstructed from parity — until a Rebuild completes.
 func (p *Plan) DiskFail(at sim.Time, name string, set *raid.Set, member int) *Plan {
 	p.At(at, "disk_fail", func(s *sim.Sim) {
 		set.FailDisk(member)

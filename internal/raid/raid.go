@@ -92,9 +92,6 @@ func (r *Set) FailDisk(i int) {
 	r.failed = i
 }
 
-// RepairDisk clears the failure (after an out-of-band rebuild).
-func (r *Set) RepairDisk() { r.failed = -1 }
-
 // parityDisk returns the member holding parity for the given stripe
 // (left-symmetric rotation).
 func (r *Set) parityDisk(stripe int64) int {

@@ -199,9 +199,6 @@ func (s *Sim) PostDaemon(d Time, fn func()) {
 	s.daemons++
 }
 
-// Daemons returns the number of queued daemon events.
-func (s *Sim) Daemons() int { return s.daemons }
-
 // post queues a pooled event.
 func (s *Sim) post(k EventKind, d Time, fn func(), daemon bool) {
 	if d < 0 {

@@ -45,16 +45,6 @@ type Enzo struct {
 	ComputeTime sim.Time
 }
 
-// DefaultEnzo writes 4 dumps of 8 x 4 GiB files — a scaled-down version
-// of the "Terabyte per hour" runs the paper describes.
-func DefaultEnzo(m *core.Mount, dir string) *Enzo {
-	return &Enzo{
-		Mount: m, Dir: dir,
-		Dumps: 4, FilesPer: 8, FileSize: 4 * units.GiB,
-		IOSize: 4 * units.MiB, ComputeTime: sim.Minute,
-	}
-}
-
 // Run executes all dump cycles, returning I/O totals (compute time is
 // excluded from Elapsed so Rate is the I/O rate).
 func (e *Enzo) Run(p *sim.Proc) (Result, error) {
