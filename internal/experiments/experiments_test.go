@@ -415,9 +415,37 @@ func TestMetastormSmall(t *testing.T) {
 	}
 }
 
-// TestResultPinned pins the rendered reports of the small SC'03, SC'04,
-// DEISA and edge-cache runs to sha256 digests: a rewrite of how the
-// experiments stream their files must not move a single byte.
+// TestFigureSeriesStartAtZero: a rate-vs-time figure measures time from
+// the start of its demonstration, so no point of the small sc02, sc03,
+// sc04 and failover runs may sit before t = 0.
+func TestFigureSeriesStartAtZero(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		run  func() *Result
+	}{
+		{"sc02", func() *Result { return RunSC02(DefaultSC02Config()) }},
+		{"sc03", func() *Result { return RunSC03(smallSC03(Env{})) }},
+		{"sc04", func() *Result { return RunSC04(smallSC04(Env{})) }},
+		{"failover", func() *Result { return RunFailover(smallFailover(Env{})) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			for _, s := range tc.run().Series {
+				for _, p := range s.Points {
+					if p.X < 0 {
+						t.Errorf("%s: point (%g, %g) before t = 0", s.Name, p.X, p.Y)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestResultPinned pins the rendered reports of the default SC'02 run and
+// the small SC'03, SC'04, DEISA and edge-cache runs to sha256 digests: a
+// rewrite of how the experiments stream their files or build their
+// figure series must not move a single byte.
 func TestResultPinned(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -425,10 +453,15 @@ func TestResultPinned(t *testing.T) {
 		run    func() *Result
 		digest string
 	}{
+		{"sc02", func() *Result { return RunSC02(DefaultSC02Config()) },
+			"4067a879e11e42fbf08d5884adbc32bf61323ada6faa8974a7782feadec61b75"},
 		{"sc03", func() *Result { return RunSC03(smallSC03(Env{})) },
 			"5c21ea8d2dbb26fc414673d76e5144fa9ce70603a9ac49322928e05b8e6bc56a"},
+		// The small sc04 demo starts in the second half of a bin; its
+		// figure starts at the first bin whose midpoint is at or after
+		// the start (no point at t = -0.27 s).
 		{"sc04", func() *Result { return RunSC04(smallSC04(Env{})) },
-			"e353b6765af48b048e3c940ee03737db5e1696384eafa4be2cb22eb3d3d25d93"},
+			"f04a76a6de0ae77fcb645c7316cd9c9734140a483f59a4ca7d4acd9e9e90077b"},
 		{"deisa", func() *Result { return RunDEISA(smallDEISA(Env{})) },
 			"c2157592502ce99c7d90f2dcb4863b327d9828951d4e77aae02055b394b0b75d"},
 		{"cache", func() *Result { return RunCache(smallCache(Env{})) },

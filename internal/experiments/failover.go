@@ -5,7 +5,6 @@ import (
 
 	"gfs/internal/core"
 	"gfs/internal/fault"
-	"gfs/internal/metrics"
 	"gfs/internal/netsim"
 	"gfs/internal/sim"
 	"gfs/internal/timeline"
@@ -71,8 +70,7 @@ func RunFailover(cfg FailoverConfig) *Result {
 	})
 	edgeSW := nw.NewNode("edge-sw")
 	wanFwd, _ := nw.DuplexLink("wan", prod.Switch, edgeSW, cfg.WANRate, cfg.WANDelay)
-	mon := metrics.NewRateMonitor(s, "wan", cfg.Interval)
-	wanFwd.Monitor = mon
+	mon := nw.MonitorLink(wanFwd, cfg.Interval)
 
 	// A local timeline tracks each NSD server's serve rate so the result
 	// can report how unevenly the survivors carried the load while one
@@ -166,40 +164,25 @@ func RunFailover(cfg FailoverConfig) *Result {
 
 	crash := cfg.CrashAt.Seconds()
 	restart := (cfg.CrashAt + cfg.Outage).Seconds()
-	ser := &metrics.Series{Name: "WAN bandwidth", XLabel: "time (s)", YLabel: "Gb/s"}
-	var pts []timeline.Point
-	for _, pt := range mon.SeriesGbps().Points {
-		x := pt.X - start.Seconds()
-		if x < 0 {
-			continue
-		}
-		ser.Add(x, pt.Y)
-		pts = append(pts, timeline.Point{T: x, V: pt.Y})
-	}
+	ser := mon.SeriesGbps().From("WAN bandwidth", start.Seconds())
 	res.Add(ser)
 
 	// The Fig. 5 quantities, computed instead of eyeballed: baseline from
 	// t=1 (skipping the ramp) to the crash, minimum and mean across the
 	// outage, recovery at the first post-restart window back to >= 90% of
 	// baseline.
-	rep := timeline.AnalyzeDip(pts, 1, crash, restart, cfg.Duration.Seconds(), 0.9)
+	rep := timeline.AnalyzeDip(ser.Points, 1, crash, restart, cfg.Duration.Seconds(), 0.9)
 
 	// How unevenly the surviving servers carried the outage: CoV across
 	// per-server serve rates, window by window.
-	cov := timeline.CoVSeries(tl.Prefix("nsd."), "NSD load CoV")
-	covSer := &metrics.Series{Name: "NSD load CoV", XLabel: "time (s)", YLabel: "CoV"}
+	cov := timeline.CoVSeries(tl.Prefix("nsd."), "NSD load CoV").From("NSD load CoV", start.Seconds())
 	peakCoV := 0.0
-	for _, p := range cov.Points() {
-		x := p.T - start.Seconds()
-		if x < 0 {
-			continue
-		}
-		covSer.Add(x, p.V)
-		if x >= crash && x < restart && p.V > peakCoV {
-			peakCoV = p.V
+	for _, p := range cov.Points {
+		if p.X >= crash && p.X < restart && p.Y > peakCoV {
+			peakCoV = p.Y
 		}
 	}
-	res.Add(covSer)
+	res.Add(cov)
 
 	res.Headline["pre-fault Gb/s"] = rep.Baseline
 	res.Headline["dip Gb/s"] = rep.Dip

@@ -43,8 +43,8 @@ func RunHSM(cfg HSMConfig) *Result {
 	lib := hsm.NewLibrary(s, "silo", cfg.Drives, cfg.Carts, hsm.LTO2())
 	mgr := hsm.NewManager(s, "gfs-hsm", lib, cfg.DiskPool)
 
-	resident := metrics.NewSummary("resident access s")
-	recall := metrics.NewSummary("recall access s")
+	// Access times in seconds, resident and recalled.
+	resident, recall := metrics.NewHistogram(), metrics.NewHistogram()
 	cfg.Env.run(s, func(p *sim.Proc) error {
 		// Ingest a dataset 1.6x the disk pool: migration must kick in.
 		for i := 0; i < cfg.Files; i++ {

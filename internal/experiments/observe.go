@@ -99,10 +99,9 @@ type Obs struct {
 	nets     []*netsim.Network
 	clusters []*core.Cluster
 
-	// Engine telemetry: one probe per simulator, and one finished window
-	// per run — captured the moment a run's event loop drains, so a
-	// window's wall clock is not polluted by later runs in the same sweep.
-	probes      []*sim.EngineProbe
+	// Engine telemetry: one finished window per run — captured the moment
+	// a run's event loop drains, so a window's wall clock is not polluted
+	// by later runs in the same sweep.
 	engineSnaps []sim.EngineSnapshot
 	snapped     map[*sim.EngineProbe]bool
 
@@ -175,7 +174,6 @@ func (o *Obs) attachSim(s *sim.Sim) {
 			p.TraceSampleEvery = o.cfg.EngineTraceEvery
 		}
 		s.SetEngineProbe(p)
-		o.probes = append(o.probes, p)
 	}
 	// The timeline collector attaches before the snapshot tick so that
 	// when both intervals coincide the window closes first and the

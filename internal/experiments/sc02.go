@@ -65,9 +65,7 @@ func RunSC02(cfg SC02Config) *Result {
 	// Monitor the eastbound tunnel channels and aggregate them.
 	var mons []*metrics.RateMonitor
 	for _, l := range tun.EastboundLinks() {
-		m := metrics.NewRateMonitor(s, l.Name(), cfg.Interval)
-		l.Monitor = m
-		mons = append(mons, m)
+		mons = append(mons, nw.MonitorLink(l, cfg.Interval))
 	}
 
 	cfg.Env.run(s, func(p *sim.Proc) error {
@@ -77,32 +75,13 @@ func RunSC02(cfg SC02Config) *Result {
 		return client.ReadFile(p, "/enzo.dump", cfg.BlockSize, cfg.Depth)
 	})
 
-	agg := &metrics.Series{Name: "Read", XLabel: "time (s)", YLabel: "MB/s"}
 	parts := make([]*metrics.Series, len(mons))
-	maxLen := 0
 	for i, m := range mons {
 		parts[i] = m.SeriesMBps()
-		if parts[i].Len() > maxLen {
-			maxLen = parts[i].Len()
-		}
 	}
-	var peak float64
-	for i := 0; i < maxLen; i++ {
-		sum := 0.0
-		var x float64
-		for _, ps := range parts {
-			if i < ps.Len() {
-				sum += ps.Points[i].Y
-				x = ps.Points[i].X
-			}
-		}
-		agg.Add(x, sum)
-		if sum > peak {
-			peak = sum
-		}
-	}
+	agg := metrics.Sum("Read", "MB/s", parts...)
 	res.Add(agg)
-	res.Headline["peak MB/s"] = peak
+	res.Headline["peak MB/s"] = agg.MaxY()
 	dur := agg.Points[len(agg.Points)-1].X
 	res.Headline["sustained MB/s"] = agg.SustainedY(0.2*dur, 0.9*dur)
 	res.Headline["path cap MB/s"] = float64(cfg.Tunnel.Channels) * float64(cfg.Tunnel.ChannelRate) * (1 - cfg.Tunnel.EncapOverhead) / 8e6

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gfs/internal/core"
-	"gfs/internal/metrics"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 	"gfs/internal/workload"
@@ -68,8 +67,7 @@ func RunSC03(cfg SC03Config) *Result {
 	// SciNet 10 GbE from the booth to the TeraGrid, then SDSC.
 	sdscSW := nw.NewNode("sdsc-sw")
 	wanFwd, _ := nw.DuplexLink("scinet", show.Switch, sdscSW, cfg.WANRate, cfg.WANDelay)
-	mon := metrics.NewRateMonitor(s, "scinet", cfg.Interval)
-	wanFwd.Monitor = mon
+	mon := nw.MonitorLink(wanFwd, cfg.Interval)
 
 	ccfg := core.DefaultClientConfig()
 	ccfg.ReadAhead = 32
@@ -131,13 +129,7 @@ func RunSC03(cfg SC03Config) *Result {
 		return err
 	})
 
-	ser := mon.SeriesGbps()
-	vizSer := &metrics.Series{Name: "WAN bandwidth", XLabel: "time (s)", YLabel: "Gb/s"}
-	for _, pt := range ser.Points {
-		if pt.X >= vizStart.Seconds() {
-			vizSer.Add(pt.X-vizStart.Seconds(), pt.Y)
-		}
-	}
+	vizSer := mon.SeriesGbps().From("WAN bandwidth", vizStart.Seconds())
 	res.Add(vizSer)
 	res.Headline["peak Gb/s"] = vizSer.MaxY()
 	res.Headline["sustained GB/s"] = vizSer.MeanY() / 8

@@ -6,7 +6,6 @@ import (
 	"gfs/internal/auth"
 	"gfs/internal/core"
 	"gfs/internal/metrics"
-	"gfs/internal/netsim"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 	"gfs/internal/workload"
@@ -59,19 +58,15 @@ func RunSC04(cfg SC04Config) *Result {
 		StoreRate: 375 * units.MBps, StoreCap: 4 * units.TB, StoreStreams: 6,
 	})
 
-	// TeraGrid hub, reached from the booth over 3 parallel 10 GbE links.
+	// TeraGrid hub, reached from the booth over 3 parallel 10 GbE links,
+	// each monitored both ways.
 	hub := nw.NewNode("tg-hub")
-	var fwd []*netsim.Link
-	mons := make([]*metrics.RateMonitor, 0, 2*cfg.WANLinks)
-	for i := 0; i < cfg.WANLinks; i++ {
+	type linkMons struct{ out, in *metrics.RateMonitor }
+	mons := make([]linkMons, cfg.WANLinks)
+	for i := range mons {
 		f, r := nw.DuplexLink(fmt.Sprintf("scinet%d", i), show.Switch, hub, 10*units.Gbps, cfg.WANDelay)
-		mf := metrics.NewRateMonitor(s, fmt.Sprintf("link%d-out", i), cfg.Interval)
-		mr := metrics.NewRateMonitor(s, fmt.Sprintf("link%d-in", i), cfg.Interval)
-		f.Monitor, r.Monitor = mf, mr
-		mons = append(mons, mf, mr)
-		fwd = append(fwd, f)
+		mons[i] = linkMons{nw.MonitorLink(f, cfg.Interval), nw.MonitorLink(r, cfg.Interval)}
 	}
-	_ = fwd
 
 	// Remote sites hang off the hub.
 	makeSite := func(name string) *Site {
@@ -83,20 +78,8 @@ func RunSC04(cfg SC04Config) *Result {
 	ncsa := makeSite("ncsa")
 
 	// Multi-cluster trust: SC'04 was the first outing of GSI-era auth.
-	for _, st := range []*Site{sdsc, ncsa} {
-		if err := show.Cluster.AuthAdd(st.Cluster.Name, st.Cluster.PublicPEM()); err != nil {
-			panic(err)
-		}
-		if err := show.Cluster.AuthGrant("gpfs-sc04", st.Cluster.Name, auth.ReadWrite); err != nil {
-			panic(err)
-		}
-		if err := st.Cluster.RemoteClusterAdd(show.Cluster.Name, show.Cluster.Contact(), show.Cluster.PublicPEM()); err != nil {
-			panic(err)
-		}
-		if err := st.Cluster.RemoteFSAdd("gpfs_sc04", show.Cluster.Name, "gpfs-sc04"); err != nil {
-			panic(err)
-		}
-	}
+	device := Peer(show, sdsc, auth.ReadWrite)
+	Peer(show, ncsa, auth.ReadWrite)
 	ccfg := core.DefaultClientConfig()
 	ccfg.ReadAhead = 24
 	sdscClients := sdsc.AddClients(cfg.SiteNodes, units.Gbps, ccfg)
@@ -117,7 +100,7 @@ func RunSC04(cfg SC04Config) *Result {
 		demoStart = p.Now()
 		var mounts []*core.Mount
 		for _, cl := range append(append([]*core.Client{}, sdscClients...), ncsaClients...) {
-			m, err := cl.MountRemote(p, "gpfs_sc04")
+			m, err := cl.MountRemote(p, device)
 			if err != nil {
 				return err
 			}
@@ -149,51 +132,19 @@ func RunSC04(cfg SC04Config) *Result {
 		return g.Wait(p)
 	})
 
-	// Per-link series (out+in summed) and the aggregate.
-	agg := &metrics.Series{Name: "aggregate", XLabel: "time (s)", YLabel: "Gb/s"}
+	// Per-link series (out+in summed) and the aggregate, clipped to the
+	// demonstration proper: the seeding phase puts nothing on the WAN.
 	perLink := make([]*metrics.Series, cfg.WANLinks)
-	maxLen := 0
-	parts := make([]*metrics.Series, len(mons))
+	var peakLink float64
 	for i, m := range mons {
-		parts[i] = m.SeriesGbps()
-		if parts[i].Len() > maxLen {
-			maxLen = parts[i].Len()
-		}
+		name := fmt.Sprintf("link %d", i)
+		perLink[i] = metrics.Sum(name, "Gb/s", m.out.SeriesGbps(), m.in.SeriesGbps()).From(name, demoStart.Seconds())
+		peakLink = max(peakLink, perLink[i].MaxY())
+		res.Add(perLink[i])
 	}
-	for li := 0; li < cfg.WANLinks; li++ {
-		perLink[li] = &metrics.Series{Name: fmt.Sprintf("link %d", li), XLabel: "time (s)", YLabel: "Gb/s"}
-	}
-	var peakAgg, peakLink float64
-	// Clip the seeding phase (no WAN traffic) so the time axis starts at
-	// the demonstration proper.
-	startBin := int(demoStart / cfg.Interval)
-	for i := startBin; i < maxLen; i++ {
-		var sum float64
-		var x float64
-		for li := 0; li < cfg.WANLinks; li++ {
-			var v float64
-			for _, idx := range []int{2 * li, 2*li + 1} {
-				if i < parts[idx].Len() {
-					v += parts[idx].Points[i].Y
-					x = parts[idx].Points[i].X - demoStart.Seconds()
-				}
-			}
-			perLink[li].Add(x, v)
-			sum += v
-			if v > peakLink {
-				peakLink = v
-			}
-		}
-		agg.Add(x, sum)
-		if sum > peakAgg {
-			peakAgg = sum
-		}
-	}
-	for _, ls := range perLink {
-		res.Add(ls)
-	}
+	agg := metrics.Sum("aggregate", "Gb/s", perLink...)
 	res.Add(agg)
-	res.Headline["peak aggregate Gb/s"] = peakAgg
+	res.Headline["peak aggregate Gb/s"] = agg.MaxY()
 	res.Headline["peak per-link Gb/s"] = peakLink
 	res.Headline["sustained aggregate Gb/s"] = agg.SustainedY(5, agg.Points[len(agg.Points)-1].X-5)
 	res.Note("paper: 7-9 Gb/s per link, ~24 Gb/s aggregate, 27 Gb/s momentary peak")

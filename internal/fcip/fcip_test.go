@@ -13,7 +13,7 @@ import (
 
 // sc02Rig builds a miniature SC'02: QFS disk + metadata at "sdsc", a
 // SANergy client at "baltimore", joined by an FCIP tunnel.
-func sc02Rig(t testing.TB, tunnelCfg TunnelConfig, arrays int) (*sim.Sim, *Client, []*san.Array, *Tunnel) {
+func sc02Rig(t testing.TB, tunnelCfg TunnelConfig, arrays int) (*sim.Sim, *Client, *netsim.Network, *Tunnel) {
 	t.Helper()
 	s := sim.New()
 	nw := netsim.New(s)
@@ -38,7 +38,7 @@ func sc02Rig(t testing.TB, tunnelCfg TunnelConfig, arrays int) (*sim.Sim, *Clien
 	hostNode := nw.NewNode("sf6800")
 	f.AttachHBA(hostNode, swShow, 2*units.Gbps, 4)
 	client := NewClient(f, hostNode, meta, 8)
-	return s, client, arrs, tun
+	return s, client, nw, tun
 }
 
 func TestTunnelShape(t *testing.T) {
@@ -162,11 +162,10 @@ func TestWriteFile(t *testing.T) {
 
 func TestTunnelMonitorSeesTraffic(t *testing.T) {
 	t.Parallel()
-	s, c, _, tun := sc02Rig(t, DefaultTunnelConfig(), 2)
+	s, c, nw, tun := sc02Rig(t, DefaultTunnelConfig(), 2)
 	var mons []*metrics.RateMonitor
 	for _, l := range tun.EastboundLinks() {
-		mons = append(mons, metrics.NewRateMonitor(s, l.Name(), sim.Second))
-		l.Monitor = mons[len(mons)-1]
+		mons = append(mons, nw.MonitorLink(l, sim.Second))
 	}
 	var err error
 	s.Go("r", func(p *sim.Proc) {

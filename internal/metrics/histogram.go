@@ -16,9 +16,9 @@ const histSubBits = 3
 const histBuckets = 64<<histSubBits + 1
 
 // Histogram is a log-scale histogram for latency-like values (virtual
-// nanoseconds, queue depths, sizes). Unlike Summary it never stores raw
-// observations, so it is safe to feed from per-RPC and per-block hot
-// paths of arbitrarily long runs.
+// nanoseconds, queue depths, sizes). It never stores raw observations,
+// so it is safe to feed from per-RPC and per-block hot paths of
+// arbitrarily long runs; N, Sum, Mean, Min and Max are exact.
 type Histogram struct {
 	counts   [histBuckets]uint64
 	n        uint64

@@ -2,12 +2,12 @@
 // them as the time series, tables and ASCII charts used to regenerate the
 // paper's figures. A RateMonitor bins byte counts into fixed intervals the
 // way the SciNet bandwidth monitors binned the SC'04 demo traffic; Series
-// holds (x, y) points; Summary accumulates scalar statistics.
+// holds (x, y) points, and Sum and From turn monitor series into a
+// figure's series.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -46,17 +46,6 @@ func (s *Series) MaxY() float64 {
 	return max
 }
 
-// MinY returns the smallest Y value (0 for an empty series).
-func (s *Series) MinY() float64 {
-	min := 0.0
-	for i, p := range s.Points {
-		if i == 0 || p.Y < min {
-			min = p.Y
-		}
-	}
-	return min
-}
-
 // MeanY returns the arithmetic mean of Y values.
 func (s *Series) MeanY() float64 {
 	if len(s.Points) == 0 {
@@ -85,14 +74,38 @@ func (s *Series) SustainedY(from, to float64) float64 {
 	return sum / float64(n)
 }
 
-// CSV renders the series as a two-column CSV with a header row.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s,%s\n", csvField(s.XLabel), csvField(s.YLabel))
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%g,%g\n", p.X, p.Y)
+// Sum adds rate-vs-time parts point by point on their shared bin grid:
+// point i of the result is the sum, in argument order, of every part's
+// point i, with X from the last part that has one. A part shorter than
+// the longest contributes nothing past its end.
+func Sum(name, yLabel string, parts ...*Series) *Series {
+	n := 0
+	for _, p := range parts {
+		n = max(n, p.Len())
 	}
-	return b.String()
+	out := &Series{Name: name, XLabel: "time (s)", YLabel: yLabel, Points: make([]Point, n)}
+	for i := range out.Points {
+		for _, p := range parts {
+			if i < p.Len() {
+				out.Points[i].X = p.Points[i].X
+				out.Points[i].Y += p.Points[i].Y
+			}
+		}
+	}
+	return out
+}
+
+// From returns the points at or after t0 as a new series called name,
+// with X measured from t0: a figure's time axis starting at the
+// demonstration proper.
+func (s *Series) From(name string, t0 float64) *Series {
+	out := &Series{Name: name, XLabel: s.XLabel, YLabel: s.YLabel}
+	for _, p := range s.Points {
+		if p.X >= t0 {
+			out.Add(p.X-t0, p.Y)
+		}
+	}
+	return out
 }
 
 func csvField(s string) string {
@@ -236,107 +249,3 @@ func (m *RateMonitor) SeriesMBps() *Series { return m.Series("MB/s", 1e6) }
 
 // SeriesGbps returns the series in gigabits per second.
 func (m *RateMonitor) SeriesGbps() *Series { return m.Series("Gb/s", 0.125e9) }
-
-// PeakRate returns the highest per-bin rate in bytes/sec.
-func (m *RateMonitor) PeakRate() units.BytesPerSec {
-	peak := 0.0
-	for _, b := range m.bins {
-		r := b / m.interval.Seconds()
-		if r > peak {
-			peak = r
-		}
-	}
-	return units.BytesPerSec(peak)
-}
-
-// Summary accumulates scalar observations (latencies, sizes, counts) and
-// reports order statistics.
-type Summary struct {
-	Name   string
-	vals   []float64
-	sorted bool
-}
-
-// NewSummary returns an empty summary.
-func NewSummary(name string) *Summary { return &Summary{Name: name} }
-
-// Observe records one value.
-func (s *Summary) Observe(v float64) {
-	s.vals = append(s.vals, v)
-	s.sorted = false
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.vals[0]
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.vals[len(s.vals)-1]
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank.
-func (s *Summary) Quantile(q float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	idx := int(math.Ceil(q*float64(len(s.vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s.vals) {
-		idx = len(s.vals) - 1
-	}
-	return s.vals[idx]
-}
-
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
-}
-
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.vals)
-		s.sorted = true
-	}
-}
-
-func (s *Summary) String() string {
-	return fmt.Sprintf("%s: n=%d mean=%.2f min=%.2f p50=%.2f p99=%.2f max=%.2f",
-		s.Name, s.N(), s.Mean(), s.Min(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
-}

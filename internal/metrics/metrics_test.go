@@ -60,12 +60,9 @@ func TestRateMonitorPeakAndGbps(t *testing.T) {
 	m := NewRateMonitor(s, "x", sim.Second)
 	s.Post(sim.KindOther, sim.Second/2, func() { m.Record(units.Bytes(1.25e9)) }) // 10 Gb in one second
 	s.Run()
-	if got := m.PeakRate(); got != 1.25*units.GBps {
-		t.Errorf("peak = %v, want 1.25GB/s", got)
-	}
 	g := m.SeriesGbps()
-	if math.Abs(g.Points[0].Y-10) > 1e-9 {
-		t.Errorf("Gbps bin = %v, want 10", g.Points[0].Y)
+	if math.Abs(g.MaxY()-10) > 1e-9 {
+		t.Errorf("peak Gbps bin = %v, want 10", g.MaxY())
 	}
 }
 
@@ -97,8 +94,8 @@ func TestSeriesStats(t *testing.T) {
 	for i, y := range []float64{1, 5, 3, 9, 7} {
 		s.Add(float64(i), y)
 	}
-	if s.MaxY() != 9 || s.MinY() != 1 {
-		t.Errorf("max/min = %v/%v", s.MaxY(), s.MinY())
+	if s.MaxY() != 9 {
+		t.Errorf("max = %v, want 9", s.MaxY())
 	}
 	if s.MeanY() != 5 {
 		t.Errorf("mean = %v, want 5", s.MeanY())
@@ -108,15 +105,58 @@ func TestSeriesStats(t *testing.T) {
 	}
 }
 
-func TestSeriesCSV(t *testing.T) {
+func TestSum(t *testing.T) {
 	t.Parallel()
-	s := &Series{Name: "r", XLabel: "t", YLabel: "MB/s"}
-	s.Add(0, 1.5)
-	s.Add(1, 2.5)
-	got := s.CSV()
-	want := "t,MB/s\n0,1.5\n1,2.5\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
+	x, y, z := 0.1, 0.2, 0.3
+	a := &Series{Points: []Point{{0.5, x}, {1.5, 1}, {2.5, 3}}}
+	b := &Series{Points: []Point{{0.5, y}, {1.5, 2}}} // ragged: one bin short
+	c := &Series{Points: []Point{{0.5, z}}}
+	got := Sum("agg", "Gb/s", a, b, c)
+	if got.Name != "agg" || got.XLabel != "time (s)" || got.YLabel != "Gb/s" {
+		t.Errorf("labels %q/%q/%q", got.Name, got.XLabel, got.YLabel)
+	}
+	// Point i adds the parts in argument order, so bin 0 is (x+y)+z;
+	// (z+y)+x differs from it in the last bit.
+	want := []Point{{0.5, (x + y) + z}, {1.5, 3}, {2.5, 3}}
+	if len(got.Points) != len(want) {
+		t.Fatalf("points %v, want %v", got.Points, want)
+	}
+	for i, w := range want {
+		if got.Points[i] != w {
+			t.Errorf("point %d = %v, want %v", i, got.Points[i], w)
+		}
+	}
+	if rev := Sum("r", "Gb/s", c, b, a); rev.Points[0].Y == got.Points[0].Y {
+		t.Errorf("reversed order summed to the same %v; the order check is vacuous", rev.Points[0].Y)
+	}
+	if e := Sum("none", "MB/s"); e.Len() != 0 {
+		t.Errorf("sum of no parts has %d points", e.Len())
+	}
+}
+
+func TestFrom(t *testing.T) {
+	t.Parallel()
+	s := &Series{Name: "raw", XLabel: "time (s)", YLabel: "MB/s",
+		Points: []Point{{0.5, 1}, {1.5, 2}, {2.5, 3}, {3.5, 4}}}
+	got := s.From("demo", 1.5)
+	if got.Name != "demo" || got.XLabel != "time (s)" || got.YLabel != "MB/s" {
+		t.Errorf("labels %q/%q/%q", got.Name, got.XLabel, got.YLabel)
+	}
+	// The point exactly at t0 is kept and lands on X = 0.
+	want := []Point{{0, 2}, {1, 3}, {2, 4}}
+	if len(got.Points) != len(want) {
+		t.Fatalf("points %v, want %v", got.Points, want)
+	}
+	for i, w := range want {
+		if got.Points[i] != w {
+			t.Errorf("point %d = %v, want %v", i, got.Points[i], w)
+		}
+	}
+	if s.Len() != 4 || s.Points[0].X != 0.5 {
+		t.Errorf("From changed its receiver: %v", s.Points)
+	}
+	if late := s.From("late", 10); late.Len() != 0 {
+		t.Errorf("clip past the end kept %v", late.Points)
 	}
 }
 
@@ -140,31 +180,6 @@ func TestMergeCSV(t *testing.T) {
 	}
 	if !strings.Contains(got, "3,,15\n") {
 		t.Errorf("row 3 wrong: %q", got)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	t.Parallel()
-	sm := NewSummary("lat")
-	for _, v := range []float64{4, 1, 3, 2, 5} {
-		sm.Observe(v)
-	}
-	if sm.N() != 5 || sm.Mean() != 3 || sm.Min() != 1 || sm.Max() != 5 {
-		t.Errorf("summary stats wrong: %v", sm)
-	}
-	if got := sm.Quantile(0.5); got != 3 {
-		t.Errorf("p50 = %v, want 3", got)
-	}
-	if got := sm.Stddev(); math.Abs(got-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("stddev = %v", got)
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	t.Parallel()
-	sm := NewSummary("e")
-	if sm.Mean() != 0 || sm.Min() != 0 || sm.Max() != 0 || sm.Quantile(0.9) != 0 {
-		t.Error("empty summary should return zeros")
 	}
 }
 

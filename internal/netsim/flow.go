@@ -360,8 +360,8 @@ func (c *Conn) deliverHead(now sim.Time) {
 	c.msgsSent++
 	for _, l := range c.path {
 		l.delivered += units.Bytes(head.size)
-		if l.Monitor != nil {
-			l.Monitor.RecordSpread(units.Bytes(head.size), head.started, now)
+		if l.monitor != nil {
+			l.monitor.RecordSpread(units.Bytes(head.size), head.started, now)
 		}
 	}
 	if tr := nw.Sim.Tracer(); tr != nil {

@@ -257,7 +257,7 @@ type Link struct {
 	Dst   *Node
 	delay sim.Time
 
-	Monitor *metrics.RateMonitor // optional; records delivered bytes
+	monitor *metrics.RateMonitor // optional (MonitorLink); records delivered bytes
 
 	delivered units.Bytes // cumulative bytes delivered across this link
 
@@ -336,10 +336,12 @@ func (nw *Network) DuplexLink(name string, a, b *Node, rate units.BitsPerSec, de
 }
 
 // MonitorLink attaches a rate monitor with the given binning interval to a
-// link and returns it.
+// link and returns it. It is the one way to monitor a link: the monitor
+// bins the link's delivered bytes from the attach time on, replacing any
+// monitor attached before.
 func (nw *Network) MonitorLink(l *Link, interval sim.Time) *metrics.RateMonitor {
-	l.Monitor = metrics.NewRateMonitor(nw.Sim, l.name, interval)
-	return l.Monitor
+	l.monitor = metrics.NewRateMonitor(nw.Sim, l.name, interval)
+	return l.monitor
 }
 
 // Nodes returns all nodes.

@@ -7,6 +7,8 @@ package timeline
 import (
 	"math"
 	"sort"
+
+	"gfs/internal/metrics"
 )
 
 // DipReport quantifies a Fig. 5-style outage on a throughput series.
@@ -32,13 +34,13 @@ type DipReport struct {
 	Ratio     float64
 }
 
-// AnalyzeDip measures an outage on pts (window-time/rate pairs, sorted
-// by time): the fault lands at faultAt, service returns at restartAt,
+// AnalyzeDip measures an outage on pts (time/rate pairs sorted by time,
+// such as a figure's rate-vs-time series): the fault lands at faultAt, service returns at restartAt,
 // and the analysis stops at end (all in the series' time base).
 // Baseline is averaged over [baselineFrom, faultAt); the outage window
 // is [faultAt, restartAt); recovery requires a window >= frac*Baseline
 // at or after restartAt.
-func AnalyzeDip(pts []Point, baselineFrom, faultAt, restartAt, end, frac float64) DipReport {
+func AnalyzeDip(pts []metrics.Point, baselineFrom, faultAt, restartAt, end, frac float64) DipReport {
 	rep := DipReport{
 		Baseline:   MeanBetween(pts, baselineFrom, faultAt),
 		OutageMean: MeanBetween(pts, faultAt, restartAt),
@@ -47,9 +49,9 @@ func AnalyzeDip(pts []Point, baselineFrom, faultAt, restartAt, end, frac float64
 	rep.DipT, rep.Dip = MinBetween(pts, faultAt, restartAt)
 	threshold := frac * rep.Baseline
 	for _, p := range pts {
-		if p.T >= restartAt && p.T < end && p.V >= threshold {
-			rep.RecoverAt = p.T
-			rep.TimeToRecover = p.T - restartAt
+		if p.X >= restartAt && p.X < end && p.Y >= threshold {
+			rep.RecoverAt = p.X
+			rep.TimeToRecover = p.X - restartAt
 			break
 		}
 	}
@@ -75,12 +77,12 @@ func (r DipReport) DipDepthPct() float64 {
 	return d
 }
 
-// MeanBetween averages V over points with T in [from, to).
-func MeanBetween(pts []Point, from, to float64) float64 {
+// MeanBetween averages Y over points with X in [from, to).
+func MeanBetween(pts []metrics.Point, from, to float64) float64 {
 	sum, n := 0.0, 0
 	for _, p := range pts {
-		if p.T >= from && p.T < to {
-			sum += p.V
+		if p.X >= from && p.X < to {
+			sum += p.Y
 			n++
 		}
 	}
@@ -90,13 +92,13 @@ func MeanBetween(pts []Point, from, to float64) float64 {
 	return sum / float64(n)
 }
 
-// MinBetween returns the time and value of the minimum V over points
-// with T in [from, to), or (-1, 0) when the window is empty.
-func MinBetween(pts []Point, from, to float64) (t, v float64) {
+// MinBetween returns the time and value of the minimum Y over points
+// with X in [from, to), or (-1, 0) when the window is empty.
+func MinBetween(pts []metrics.Point, from, to float64) (t, v float64) {
 	t, v = -1, 0
 	for _, p := range pts {
-		if p.T >= from && p.T < to && (t < 0 || p.V < v) {
-			t, v = p.T, p.V
+		if p.X >= from && p.X < to && (t < 0 || p.Y < v) {
+			t, v = p.X, p.Y
 		}
 	}
 	return t, v
@@ -139,9 +141,9 @@ func ComputeImbalance(vals []float64) Imbalance {
 
 // CoVSeries computes the per-window coefficient of variation across a
 // group of series from one collector (times align exactly): the
-// NSD-load-imbalance curve. Windows where fewer than two series have
-// points are skipped.
-func CoVSeries(group []*Series, name string) *Series {
+// NSD-load-imbalance curve, as a figure series. Windows where fewer than
+// two series have points are skipped.
+func CoVSeries(group []*Series, name string) *metrics.Series {
 	acc := map[float64][]float64{}
 	for _, se := range group {
 		for _, p := range se.Points() {
@@ -155,9 +157,9 @@ func CoVSeries(group []*Series, name string) *Series {
 		}
 	}
 	sort.Float64s(ts)
-	out := &Series{Name: name, Unit: "CoV"}
+	out := &metrics.Series{Name: name, XLabel: "time (s)", YLabel: "CoV"}
 	for _, t := range ts {
-		out.add(t, ComputeImbalance(acc[t]).CoV)
+		out.Add(t, ComputeImbalance(acc[t]).CoV)
 	}
 	return out
 }

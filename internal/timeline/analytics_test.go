@@ -3,12 +3,14 @@ package timeline
 import (
 	"math"
 	"testing"
+
+	"gfs/internal/metrics"
 )
 
 // fig5 builds a synthetic dip: 10 units/s baseline, collapse to ~0
 // during [5,8), two ramp windows, then full recovery.
-func fig5() []Point {
-	var pts []Point
+func fig5() []metrics.Point {
+	var pts []metrics.Point
 	for t := 1.0; t <= 20; t++ {
 		v := 10.0
 		switch {
@@ -17,7 +19,7 @@ func fig5() []Point {
 		case t == 8:
 			v = 4 // ramp window below the 90% threshold
 		}
-		pts = append(pts, Point{T: t, V: v})
+		pts = append(pts, metrics.Point{X: t, Y: v})
 	}
 	return pts
 }
@@ -49,7 +51,7 @@ func TestAnalyzeDip(t *testing.T) {
 
 func TestAnalyzeDipNeverRecovers(t *testing.T) {
 	t.Parallel()
-	pts := []Point{{1, 10}, {2, 10}, {3, 1}, {4, 1}, {5, 1}}
+	pts := []metrics.Point{{X: 1, Y: 10}, {X: 2, Y: 10}, {X: 3, Y: 1}, {X: 4, Y: 1}, {X: 5, Y: 1}}
 	rep := AnalyzeDip(pts, 1, 3, 4, 6, 0.9)
 	if rep.RecoverAt != -1 || rep.TimeToRecover != -1 {
 		t.Errorf("recover %v/%v, want -1/-1", rep.RecoverAt, rep.TimeToRecover)
@@ -61,7 +63,7 @@ func TestAnalyzeDipNeverRecovers(t *testing.T) {
 
 func TestMeanMinBetween(t *testing.T) {
 	t.Parallel()
-	pts := []Point{{1, 4}, {2, 8}, {3, 2}}
+	pts := []metrics.Point{{X: 1, Y: 4}, {X: 2, Y: 8}, {X: 3, Y: 2}}
 	if m := MeanBetween(pts, 1, 3); m != 6 {
 		t.Errorf("mean [1,3) = %v, want 6 (half-open: t=3 excluded)", m)
 	}
@@ -103,14 +105,17 @@ func TestCoVSeries(t *testing.T) {
 	b.add(2, 10)
 	a.add(3, 5) // b has no window at t=3: skipped (fewer than 2 series)
 	cov := CoVSeries([]*Series{a, b}, "cov")
-	pts := cov.Points()
+	if cov.Name != "cov" || cov.YLabel != "CoV" {
+		t.Errorf("series %q in %q, want cov in CoV", cov.Name, cov.YLabel)
+	}
+	pts := cov.Points
 	if len(pts) != 2 {
 		t.Fatalf("got %d windows, want 2 (singleton window skipped): %v", len(pts), pts)
 	}
-	if pts[0].T != 1 || pts[0].V != 1 {
+	if pts[0].X != 1 || pts[0].Y != 1 {
 		t.Errorf("window 1: %v, want CoV 1", pts[0])
 	}
-	if pts[1].T != 2 || pts[1].V != 0 {
+	if pts[1].X != 2 || pts[1].Y != 0 {
 		t.Errorf("window 2: %v, want CoV 0", pts[1])
 	}
 }
