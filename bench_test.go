@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"gfs/internal/auth"
+	"gfs/internal/disk"
 	"gfs/internal/experiments"
 	"gfs/internal/sim"
 	"gfs/internal/units"
@@ -224,14 +225,13 @@ func BenchmarkAblation_RAID5Penalty(b *testing.B) {
 		s, set := newBenchRAID()
 		var bytes units.Bytes
 		s.Go("w", func(p *sim.Proc) {
+			size := set.StripeWidth()
+			if partial {
+				size = units.MiB
+			}
 			for i := 0; i < 64; i++ {
-				if partial {
-					set.Write(p, units.Bytes(i)*set.StripeWidth(), units.MiB)
-					bytes += units.MiB
-				} else {
-					set.Write(p, units.Bytes(i)*set.StripeWidth(), set.StripeWidth())
-					bytes += set.StripeWidth()
-				}
+				p.Await(func(done func()) { set.IO(disk.Write, units.Bytes(i)*set.StripeWidth(), size, done) })
+				bytes += size
 			}
 		})
 		s.Run()

@@ -93,7 +93,7 @@ func (fs *FileSystem) svc(base string) string { return base + "." + fs.Name }
 // (mmcrnsd assigns NSDs to it via AddNSD).
 func (fs *FileSystem) AddServer(name string, node *netsim.Node, conns int) *NSDServer {
 	srv := &NSDServer{fs: fs, Name: name, EP: fs.cluster.Net.NewEndpoint(node, conns)}
-	srv.EP.Handle(fs.svc(nsdService), srv.serve)
+	srv.EP.HandleAsync(fs.svc(nsdService), kindServe, srv.serve)
 	fs.servers = append(fs.servers, srv)
 	return srv
 }

@@ -196,7 +196,7 @@ func (fs *FileSystem) AddNSD(name string, store BlockStore, server *NSDServer) *
 		n.stripeW = sw.StripeWidth()
 	}
 	if fs.gather {
-		n.elev = &nsdElevator{fs: fs, nsd: n}
+		n.elev = newElevator(fs, n)
 	}
 	fs.nsds = append(fs.nsds, n)
 	server.nsds = append(server.nsds, n)
@@ -223,7 +223,7 @@ func (fs *FileSystem) EnableGather() {
 	fs.gather = true
 	for _, n := range fs.nsds {
 		if n.elev == nil {
-			n.elev = &nsdElevator{fs: fs, nsd: n}
+			n.elev = newElevator(fs, n)
 		}
 	}
 }

@@ -596,16 +596,19 @@ func TestNSDRejectsBadGeometry(t *testing.T) {
 		{Off: bs / 2, Len: bs / 4, Data: make([]byte, bs)}, // data longer than the range
 		{Len: 2 * bs, Count: 2, Data: make([]byte, bs)},    // data shorter than the run
 	}
-	r.run(t, func(p *sim.Proc) error {
-		for i, io := range cases {
-			io.Cluster, io.FS, io.Op = r.cl.Name, r.fs.Name, disk.Write
-			if resp := n.Primary.serve(p, &netsim.Request{Payload: &io}); resp.Err == nil {
-				t.Errorf("case %d (block %d off %d len %d count %d, %d data bytes) accepted",
-					i, io.Block, io.Off, io.Len, io.Count, len(io.Data))
-			}
+	for i, io := range cases {
+		io.Cluster, io.FS, io.Op = r.cl.Name, r.fs.Name, disk.Write
+		var err error
+		answered := false
+		n.Primary.serve(&netsim.Request{Payload: &io}, func(resp netsim.Response) {
+			answered, err = true, resp.Err
+		})
+		r.s.Run() // an accepted transfer completes (and stores) here
+		if !answered || err == nil {
+			t.Errorf("case %d (block %d off %d len %d count %d, %d data bytes) accepted",
+				i, io.Block, io.Off, io.Len, io.Count, len(io.Data))
 		}
-		return nil
-	})
+	}
 	if len(n.content) != 0 {
 		t.Errorf("refused writes stored content in %d slots", len(n.content))
 	}

@@ -18,9 +18,14 @@ import (
 // Implementations account the simulated time of moving the bytes between
 // the server and the media.
 type BlockStore interface {
-	// IO performs a contiguous transfer at the store; it blocks p for the
-	// simulated duration.
-	IO(p *sim.Proc, op disk.Op, off, size units.Bytes) error
+	// IO starts a contiguous transfer at the store and calls done when
+	// it completes, with no process parked on the way. The continuation
+	// contract: IO schedules exactly the events a process blocked for
+	// the transfer would, in the same order, and calls done
+	// synchronously at the point where that process would have resumed
+	// — so moving a caller between the two forms changes no output.
+	// ctx parents any trace events (nested RPCs) the store emits.
+	IO(ctx trace.Ctx, op disk.Op, off, size units.Bytes, done func(error))
 	// Capacity is the usable size of the store.
 	Capacity() units.Bytes
 }
@@ -40,13 +45,8 @@ type BusyTimer interface{ BusyTime() sim.Time }
 type RAIDStore struct{ Set *raid.Set }
 
 // IO implements BlockStore.
-func (s RAIDStore) IO(p *sim.Proc, op disk.Op, off, size units.Bytes) error {
-	if op == disk.Read {
-		s.Set.Read(p, off, size)
-	} else {
-		s.Set.Write(p, off, size)
-	}
-	return nil
+func (s RAIDStore) IO(_ trace.Ctx, op disk.Op, off, size units.Bytes, done func(error)) {
+	s.Set.IO(op, off, size, func() { done(nil) })
 }
 
 // Capacity implements BlockStore.
@@ -67,11 +67,12 @@ type SANStore struct {
 }
 
 // IO implements BlockStore.
-func (s SANStore) IO(p *sim.Proc, op disk.Op, off, size units.Bytes) error {
+func (s SANStore) IO(ctx trace.Ctx, op disk.Op, off, size units.Bytes, done func(error)) {
 	if op == disk.Read {
-		return s.Array.ReadLUN(s.Initiator, p, s.LUN, off, size)
+		s.Array.GoReadLUN(s.Initiator, ctx, s.LUN, off, size, done)
+	} else {
+		s.Array.GoWriteLUN(s.Initiator, ctx, s.LUN, off, size, done)
 	}
-	return s.Array.WriteLUN(s.Initiator, p, s.LUN, off, size)
 }
 
 // Capacity implements BlockStore.
@@ -93,7 +94,17 @@ type RateStore struct {
 	rate    units.BytesPerSec
 	cap     units.Bytes
 	streams int
-	busy    sim.Time // total stream-service time across all streams
+	busy    sim.Time  // total stream-service time across all streams
+	free    []*rateIO // recycled transfer records
+}
+
+// rateIO is one RateStore transfer: a stream grant, then a timer for
+// its service time.
+type rateIO struct {
+	s                   *RateStore
+	d                   sim.Time
+	done                func(error)
+	grantedFn, finishFn func()
 }
 
 // NewRateStore builds a rate-limited store with the given parallelism.
@@ -104,14 +115,34 @@ func NewRateStore(s *sim.Sim, name string, rate units.BytesPerSec, capacity unit
 	return &RateStore{sim: s, res: sim.NewResource(s, name, streams), rate: rate, cap: capacity, streams: streams}
 }
 
-// IO implements BlockStore.
-func (s *RateStore) IO(p *sim.Proc, op disk.Op, off, size units.Bytes) error {
-	s.res.Acquire(p, 1)
-	d := sim.FromSeconds(float64(size) / float64(s.rate))
-	p.Sleep(d)
-	s.busy += d
+// IO implements BlockStore: wait FIFO for a stream, hold it for the
+// transfer's service time, release it.
+func (s *RateStore) IO(_ trace.Ctx, op disk.Op, off, size units.Bytes, done func(error)) {
+	var x *rateIO
+	if n := len(s.free); n > 0 {
+		x = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		x = &rateIO{s: s}
+		x.grantedFn, x.finishFn = x.granted, x.finish
+	}
+	x.d, x.done = sim.FromSeconds(float64(size)/float64(s.rate)), done
+	s.res.AcquireFunc(1, x.grantedFn)
+}
+
+// granted starts the service-time timer once a stream is held.
+func (x *rateIO) granted() { x.s.sim.Post(sim.KindTimer, x.d, x.finishFn) }
+
+// finish releases the stream, handing it to the next waiter, then
+// completes the transfer.
+func (x *rateIO) finish() {
+	s, done := x.s, x.done
+	s.busy += x.d
 	s.res.Release(1)
-	return nil
+	x.done = nil
+	s.free = append(s.free, x)
+	done(nil)
 }
 
 // Capacity implements BlockStore.
@@ -206,6 +237,7 @@ type NSDServer struct {
 
 	nsds []*NSD
 	down bool
+	free []*blockIO // recycled request records
 
 	st ServerStats
 }
@@ -243,26 +275,81 @@ type ioPayload struct {
 
 const nsdService = "nsd.io"
 
-func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
+// kindServe labels the service-start events of nsd.io requests: a
+// server serves them as continuations, not processes.
+var kindServe = sim.RegisterEventKind("nsd.serve")
+
+// blockIO is one nsd.io request in service: what its store completion
+// needs to answer it. Servers recycle them.
+type blockIO struct {
+	s      *NSDServer
+	req    *netsim.Request
+	reply  func(netsim.Response)
+	n      *NSD
+	cnt    int64
+	issued sim.Time
+	tr     *trace.Tracer     // tracer at service start, nil when off
+	reg    *metrics.Registry // registry at service start, nil when off
+	sid    int64             // the service span's ID (0 when not tracing)
+	doneFn func(error)
+}
+
+// serve checks one nsd.io request and starts its store transfer; the
+// transfer's completion answers it.
+func (s *NSDServer) serve(req *netsim.Request, reply func(netsim.Response)) {
+	io, n, cnt, err := s.check(req)
+	if err != nil {
+		reply(netsim.Response{Err: err})
+		return
+	}
+	var x *blockIO
+	if k := len(s.free); k > 0 {
+		x = s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+	} else {
+		x = &blockIO{s: s}
+		x.doneFn = x.done
+	}
+	x.req, x.reply, x.n, x.cnt = req, reply, n, cnt
+	x.tr, x.reg, x.issued = s.fs.Sim.Tracer(), s.fs.cluster.Net.Metrics, s.fs.Sim.Now()
+	// The service span parents everything the store does on our behalf —
+	// for SAN-backed NSDs that includes a nested RPC to the array — so
+	// fabric time separates from disk time on the critical path.
+	ctx := req.Ctx
+	if x.tr != nil {
+		x.sid = x.tr.NewSpanID()
+		ctx = trace.Ctx{Op: req.Ctx.Op, Parent: x.sid}
+	}
+	if n.elev != nil {
+		n.elev.submit(ctx, io.Op, n.byteOff(io.Block, io.Off), io.Len, x.doneFn)
+	} else {
+		n.Store.IO(ctx, io.Op, n.byteOff(io.Block, io.Off), io.Len, x.doneFn)
+	}
+}
+
+// check validates an nsd.io request and returns its payload, its NSD
+// and the number of block slots it covers.
+func (s *NSDServer) check(req *netsim.Request) (*ioPayload, *NSD, int64, error) {
 	io, ok := req.Payload.(*ioPayload)
 	if !ok {
-		return netsim.Response{Err: fmt.Errorf("core: bad nsd.io payload %T", req.Payload)}
+		return nil, nil, 0, fmt.Errorf("core: bad nsd.io payload %T", req.Payload)
 	}
 	if s.down {
-		return netsim.Response{Err: fmt.Errorf("core: %s: %w", s.Name, ErrServerDown)}
+		return nil, nil, 0, fmt.Errorf("core: %s: %w", s.Name, ErrServerDown)
 	}
 	if io.FS != s.fs.Name {
-		return netsim.Response{Err: fmt.Errorf("core: server exports %s, not %s", s.fs.Name, io.FS)}
+		return nil, nil, 0, fmt.Errorf("core: server exports %s, not %s", s.fs.Name, io.FS)
 	}
 	if err := s.fs.checkClusterAccess(io.Cluster, io.Op); err != nil {
-		return netsim.Response{Err: err}
+		return nil, nil, 0, err
 	}
 	if io.NSD < 0 || io.NSD >= len(s.fs.nsds) {
-		return netsim.Response{Err: fmt.Errorf("core: NSD %d: %w", io.NSD, ErrNoSuchDevice)}
+		return nil, nil, 0, fmt.Errorf("core: NSD %d: %w", io.NSD, ErrNoSuchDevice)
 	}
 	n := s.fs.nsds[io.NSD]
 	if n.Primary != s && n.Backup != s {
-		return netsim.Response{Err: fmt.Errorf("core: NSD %s not served by %s: %w", n.Name, s.Name, ErrNoSuchDevice)}
+		return nil, nil, 0, fmt.Errorf("core: NSD %s not served by %s: %w", n.Name, s.Name, ErrNoSuchDevice)
 	}
 	cnt := io.Count
 	if cnt < 1 {
@@ -270,42 +357,33 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 	}
 	if cnt > 1 {
 		if io.Off != 0 || io.Len != n.blockSize*units.Bytes(cnt) {
-			return netsim.Response{Err: fmt.Errorf("core: bad batched I/O geometry (off %d len %d count %d)", io.Off, io.Len, cnt)}
+			return nil, nil, 0, fmt.Errorf("core: bad batched I/O geometry (off %d len %d count %d)", io.Off, io.Len, cnt)
 		}
 		if io.Block < 0 || io.Block+cnt > n.alloc.Total() {
-			return netsim.Response{Err: fmt.Errorf("core: batched I/O past NSD end (block %d count %d of %d)", io.Block, cnt, n.alloc.Total())}
+			return nil, nil, 0, fmt.Errorf("core: batched I/O past NSD end (block %d count %d of %d)", io.Block, cnt, n.alloc.Total())
 		}
 	} else if io.Off+io.Len > n.blockSize {
-		return netsim.Response{Err: fmt.Errorf("core: I/O past block end (%d+%d > %d)", io.Off, io.Len, n.blockSize)}
+		return nil, nil, 0, fmt.Errorf("core: I/O past block end (%d+%d > %d)", io.Off, io.Len, n.blockSize)
 	}
 	if io.Data != nil && units.Bytes(len(io.Data)) != io.Len {
 		// writeContent runs on past the block end, so the data must be
 		// exactly the range the geometry checks passed.
-		return netsim.Response{Err: fmt.Errorf("core: write data %d != len %d", len(io.Data), io.Len)}
+		return nil, nil, 0, fmt.Errorf("core: write data %d != len %d", len(io.Data), io.Len)
 	}
-	tr, reg, issued := s.fs.Sim.Tracer(), s.fs.cluster.Net.Metrics, s.fs.Sim.Now()
-	// The service span parents everything the store does on our behalf —
-	// for SAN-backed NSDs that includes a nested RPC to the array — so
-	// fabric time separates from disk time on the critical path.
-	var sid int64
-	var prev trace.Ctx
-	if tr != nil {
-		sid = tr.NewSpanID()
-		prev = p.Ctx()
-		p.SetCtx(trace.Ctx{Op: req.Ctx.Op, Parent: sid})
-	}
-	var err error
-	if n.elev != nil {
-		err = n.elev.submit(p, io.Op, n.byteOff(io.Block, io.Off), io.Len)
-	} else {
-		err = n.Store.IO(p, io.Op, n.byteOff(io.Block, io.Off), io.Len)
-	}
-	if tr != nil {
-		p.SetCtx(prev)
-	}
+	return io, n, cnt, nil
+}
+
+// done answers the request once the store has moved its bytes.
+func (x *blockIO) done(err error) {
+	s, req, reply, n, cnt := x.s, x.req, x.reply, x.n, x.cnt
+	tr, reg, issued, sid := x.tr, x.reg, x.issued, x.sid
+	*x = blockIO{s: s, doneFn: x.doneFn}
+	s.free = append(s.free, x)
 	if err != nil {
-		return netsim.Response{Err: err}
+		reply(netsim.Response{Err: err})
+		return
 	}
+	io := req.Payload.(*ioPayload)
 	if tr != nil || reg != nil {
 		s.recordIO(tr, reg, n, io.Op, io.Len, cnt, issued, req.Ctx, sid)
 	}
@@ -320,14 +398,15 @@ func (s *NSDServer) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 		if io.Verify {
 			data = n.readContent(io.Block, io.Off, io.Len)
 		}
-		return netsim.Response{Size: io.Len, Payload: data}
+		reply(netsim.Response{Size: io.Len, Payload: data})
+		return
 	}
 	s.st.Writes++
 	s.st.BytesWritten += io.Len
 	if io.Data != nil {
 		n.writeContent(io.Block, io.Off, io.Data)
 	}
-	return netsim.Response{Size: 64}
+	reply(netsim.Response{Size: 64})
 }
 
 // recordIO emits the disk-service span and registry samples for one NSD
@@ -359,15 +438,31 @@ func (s *NSDServer) recordIO(tr *trace.Tracer, reg *metrics.Registry, n *NSD, op
 // submissions. Under a purely concurrent load the elevator degenerates to
 // pass-through rounds of one request each; under a sequential multi-block
 // load it turns N adjacent RPCs into one long store transfer.
+//
+// The elevator runs on events alone: a round starts from an nsd.elev
+// event, each merged submission starts from one of its own, and the last
+// submission of a round to complete starts the next round at once.
 type nsdElevator struct {
-	fs   *FileSystem
-	nsd  *NSD
-	q    []*elevReq
-	seq  int64 // arrival order, the sort tie-breaker
-	busy bool  // a dispatcher proc is running
+	fs      *FileSystem
+	nsd     *NSD
+	q       []*elevReq
+	seq     int64 // arrival order, the sort tie-breaker
+	busy    bool  // a round is queued or in flight
+	pending int   // the round's submissions still in flight
+	roundFn func()
 }
 
-// elevReq is one queued block I/O request.
+// newElevator returns an idle elevator for n.
+func newElevator(fs *FileSystem, n *NSD) *nsdElevator {
+	e := &nsdElevator{fs: fs, nsd: n}
+	e.roundFn = e.round
+	return e
+}
+
+// kindElev labels the elevator's round and submission start events.
+var kindElev = sim.RegisterEventKind("nsd.elev")
+
+// elevReq is one queued block I/O request and its continuation.
 type elevReq struct {
 	op   disk.Op
 	off  units.Bytes
@@ -375,88 +470,88 @@ type elevReq struct {
 	seq  int64
 	ctx  trace.Ctx
 	enq  sim.Time // enqueue time, for the elev_wait span
-	err  error
-	done bool
-	wake func()
+	done func(error)
 }
 
-// submit queues one request and blocks p until the store I/O carrying it
-// completes. The first request into an idle elevator starts a dispatcher
-// proc; requests arriving while a round is in flight form the next round.
-func (e *nsdElevator) submit(p *sim.Proc, op disk.Op, off, ln units.Bytes) error {
-	r := &elevReq{op: op, off: off, ln: ln, seq: e.seq, ctx: p.Ctx(), enq: e.fs.Sim.Now()}
+// submit queues one request; done runs when the store I/O carrying it
+// completes. The first request into an idle elevator posts a round;
+// requests arriving while a round is in flight form the next round.
+func (e *nsdElevator) submit(ctx trace.Ctx, op disk.Op, off, ln units.Bytes, done func(error)) {
+	e.q = append(e.q, &elevReq{op: op, off: off, ln: ln, seq: e.seq, ctx: ctx, enq: e.fs.Sim.Now(), done: done})
 	e.seq++
-	e.q = append(e.q, r)
 	if !e.busy {
 		e.busy = true
-		e.fs.Sim.Go("elev/"+e.nsd.Name, e.run)
+		e.fs.Sim.Post(kindElev, 0, e.roundFn)
 	}
-	for !r.done {
-		r.wake = p.Suspend()
-		p.Block()
-	}
-	return r.err
 }
 
 // elevMerged is one merged store submission and the requests it carries.
 type elevMerged struct {
+	e       *nsdElevator
 	op      disk.Op
 	off, ln units.Bytes
 	reqs    []*elevReq
+	started sim.Time
 }
 
-// run is the dispatcher: it drains rounds until the queue stays empty.
-// Merged submissions within a round run as parallel procs (launch order
-// is the sorted order, keeping event timing deterministic), so the
-// elevator never serializes I/O the store itself would have overlapped.
-func (e *nsdElevator) run(p *sim.Proc) {
-	tr := e.fs.Sim.Tracer()
-	for len(e.q) > 0 {
-		batch := e.q
-		e.q = nil
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].off != batch[j].off {
-				return batch[i].off < batch[j].off
-			}
-			return batch[i].seq < batch[j].seq
-		})
-		var runs []*elevMerged
-		for _, r := range batch {
-			if n := len(runs); n > 0 {
-				last := runs[n-1]
-				if last.op == r.op && last.off+last.ln == r.off {
-					last.ln += r.ln
-					last.reqs = append(last.reqs, r)
-					continue
-				}
-			}
-			runs = append(runs, &elevMerged{op: r.op, off: r.off, ln: r.ln, reqs: []*elevReq{r}})
-		}
-		e.fs.st.ElevRounds++
-		e.fs.st.ElevMerged += uint64(len(batch) - len(runs))
-		wg := sim.NewWaitGroup(e.fs.Sim)
-		for _, m := range runs {
-			wg.Add(1)
-			m := m
-			e.fs.Sim.Go("elev/"+e.nsd.Name+"/io", func(ip *sim.Proc) {
-				defer wg.Done()
-				started := e.fs.Sim.Now()
-				err := e.nsd.Store.IO(ip, m.op, m.off, m.ln)
-				for _, r := range m.reqs {
-					if tr != nil && started > r.enq {
-						tr.SpanCtx(r.ctx, 0, "nsd", "elev_wait", e.nsd.Name,
-							int64(r.enq), int64(started))
-					}
-					r.err = err
-					r.done = true
-					if w := r.wake; w != nil {
-						r.wake = nil
-						w()
-					}
-				}
-			})
-		}
-		wg.Wait(p)
+// round dispatches the queue, or idles the elevator when it is empty.
+// Merged submissions within a round run in parallel, each from its own
+// start event (posted in sorted order, keeping event timing
+// deterministic), so the elevator never serializes I/O the store itself
+// would have overlapped.
+func (e *nsdElevator) round() {
+	if len(e.q) == 0 {
+		e.busy = false
+		return
 	}
-	e.busy = false
+	batch := e.q
+	e.q = nil
+	sort.SliceStable(batch, func(i, j int) bool {
+		if batch[i].off != batch[j].off {
+			return batch[i].off < batch[j].off
+		}
+		return batch[i].seq < batch[j].seq
+	})
+	var runs []*elevMerged
+	for _, r := range batch {
+		if n := len(runs); n > 0 {
+			last := runs[n-1]
+			if last.op == r.op && last.off+last.ln == r.off {
+				last.ln += r.ln
+				last.reqs = append(last.reqs, r)
+				continue
+			}
+		}
+		runs = append(runs, &elevMerged{e: e, op: r.op, off: r.off, ln: r.ln, reqs: []*elevReq{r}})
+	}
+	e.fs.st.ElevRounds++
+	e.fs.st.ElevMerged += uint64(len(batch) - len(runs))
+	e.pending = len(runs)
+	for _, m := range runs {
+		e.fs.Sim.Post(kindElev, 0, m.start)
+	}
+}
+
+// start submits the merged transfer to the store.
+func (m *elevMerged) start() {
+	m.started = m.e.fs.Sim.Now()
+	m.e.nsd.Store.IO(trace.Ctx{}, m.op, m.off, m.ln, m.finish)
+}
+
+// finish completes every request the transfer carried, in sorted order;
+// the round's last transfer to finish starts the next round.
+func (m *elevMerged) finish(err error) {
+	e := m.e
+	tr := e.fs.Sim.Tracer()
+	for _, r := range m.reqs {
+		if tr != nil && m.started > r.enq {
+			tr.SpanCtx(r.ctx, 0, "nsd", "elev_wait", e.nsd.Name,
+				int64(r.enq), int64(m.started))
+		}
+		r.done(err)
+	}
+	e.pending--
+	if e.pending == 0 {
+		e.round()
+	}
 }

@@ -109,14 +109,14 @@ func TestRunOfOneAllocs(t *testing.T) {
 		gather bool
 		op     opFunc
 	}{
-		{"cold-read", 12, false, func(p *sim.Proc, m, _ *Mount, f *File) error {
+		{"cold-read", 10, false, func(p *sim.Proc, m, _ *Mount, f *File) error {
 			m.DropCaches()
 			return f.ReadAt(p, 0, m.BlockSize())
 		}},
 		{"cached-read", 2, false, func(p *sim.Proc, m, _ *Mount, f *File) error {
 			return f.ReadAt(p, 0, m.BlockSize())
 		}},
-		{"writebehind-flush", 9, false, func(p *sim.Proc, m, _ *Mount, f *File) error {
+		{"writebehind-flush", 7, false, func(p *sim.Proc, m, _ *Mount, f *File) error {
 			if err := f.WriteAt(p, 0, m.BlockSize()); err != nil {
 				return err
 			}
@@ -138,7 +138,7 @@ func TestRunOfOneAllocs(t *testing.T) {
 			}
 			return f.ReadAt(p, 0, units.MiB)
 		}},
-		{"batched-prefetch", 32, true, func(p *sim.Proc, m, _ *Mount, f *File) error {
+		{"batched-prefetch", 22, true, func(p *sim.Proc, m, _ *Mount, f *File) error {
 			if err := grow(p, f, 4*m.BlockSize()); err != nil {
 				return err
 			}

@@ -112,7 +112,7 @@ func BenchmarkMessageThroughput(b *testing.B) {
 // LAN pair: request and response transfers, the handler's process, and
 // the call-record and message recycling around them.
 func BenchmarkRPCRoundTrip(b *testing.B) {
-	step := callLoop(b)
+	step := callLoop(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -58,7 +58,8 @@ type Network struct {
 	capIndex []*Conn
 
 	routesDirty bool
-	dist        [][]int32 // dist[dst.id][n.id] = hops from n to dst, -1 unreachable
+	dist        [][]int32 // dist[dst.id][n.id] = hops from n to dst, -1 unreachable; nil until needed
+	bfsQueue    []int32   // distTo's scratch
 
 	// DefaultTCP is applied to conns dialed without explicit options.
 	DefaultTCP TCPConfig
@@ -214,6 +215,7 @@ type Node struct {
 	name string
 
 	out []*Link // links whose Src is this node
+	in  []*Link // links whose Dst is this node
 }
 
 // Name returns the node's name.
@@ -323,6 +325,7 @@ func (nw *Network) NewLink(name string, src, dst *Node, rate units.BitsPerSec, d
 	}
 	nw.links = append(nw.links, l)
 	src.out = append(src.out, l)
+	dst.in = append(dst.in, l)
 	nw.routesDirty = true
 	return l
 }
@@ -350,39 +353,70 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 // Links returns all links.
 func (nw *Network) Links() []*Link { return nw.links }
 
-// recomputeRoutes rebuilds hop-count distance tables (BFS per
-// destination) as flat slices indexed by node id — on the dial path this
-// table is hit once per hop candidate, and map lookups were a fifth of a
-// large run's setup wall-clock.
-func (nw *Network) recomputeRoutes() {
+// distTo returns the hop-count table toward dst as a flat slice indexed
+// by node id — on the dial path it is hit once per hop candidate, and
+// map lookups were a fifth of a large run's setup wall-clock. A table is
+// built by BFS over in-links the first time a path toward its
+// destination is needed, and every table is dropped when the topology
+// changes, so a run pays only for the destinations it dials.
+func (nw *Network) distTo(dst *Node) []int32 {
 	n := len(nw.nodes)
-	nw.dist = make([][]int32, n)
-	// Reverse adjacency: for BFS from destination we need links into a node.
-	in := make([][]*Link, n)
-	for _, l := range nw.links {
-		in[l.Dst.id] = append(in[l.Dst.id], l)
-	}
-	queue := make([]int32, 0, n)
-	for _, dst := range nw.nodes {
-		d := make([]int32, n)
-		for i := range d {
-			d[i] = -1
+	if nw.routesDirty {
+		if cap(nw.dist) >= n {
+			nw.dist = nw.dist[:n]
+			clear(nw.dist)
+		} else {
+			nw.dist = make([][]int32, n)
 		}
-		d[dst.id] = 0
-		queue = append(queue[:0], int32(dst.id))
-		for len(queue) > 0 {
-			ni := queue[0]
-			queue = queue[1:]
-			for _, l := range in[ni] {
-				if d[l.Src.id] < 0 {
-					d[l.Src.id] = d[ni] + 1
-					queue = append(queue, int32(l.Src.id))
-				}
+		nw.routesDirty = false
+	}
+	if d := nw.dist[dst.id]; d != nil {
+		return d
+	}
+	d := make([]int32, n)
+	for i := range d {
+		d[i] = -1
+	}
+	d[dst.id] = 0
+	queue := append(nw.bfsQueue[:0], int32(dst.id))
+	for i := 0; i < len(queue); i++ {
+		ni := queue[i]
+		for _, l := range nw.nodes[ni].in {
+			if d[l.Src.id] < 0 {
+				d[l.Src.id] = d[ni] + 1
+				queue = append(queue, int32(l.Src.id))
 			}
 		}
-		nw.dist[dst.id] = d
 	}
-	nw.routesDirty = false
+	nw.bfsQueue = queue
+	nw.dist[dst.id] = d
+	return d
+}
+
+// ecmpPick returns the pick-th of the links that satisfy ok, counting
+// from zero in slice order — pick taken modulo their number, with h
+// the ECMP hash — or nil when none does. Two passes, no candidate
+// slice.
+func ecmpPick(links []*Link, h uint, ok func(*Link) bool) *Link {
+	n := 0
+	for _, l := range links {
+		if ok(l) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	pick := int(h % uint(n))
+	for _, l := range links {
+		if ok(l) {
+			if pick == 0 {
+				return l
+			}
+			pick--
+		}
+	}
+	return nil
 }
 
 // pathFor computes the path from src to dst for conn id, spreading conns
@@ -391,10 +425,7 @@ func (nw *Network) pathFor(src, dst *Node, connID int) ([]*Link, error) {
 	if src == dst {
 		return nil, nil
 	}
-	if nw.routesDirty {
-		nw.recomputeRoutes()
-	}
-	d := nw.dist[dst.id]
+	d := nw.distTo(dst)
 	if d[src.id] < 0 {
 		return nil, fmt.Errorf("netsim: no route %s -> %s", src, dst)
 	}
@@ -402,30 +433,21 @@ func (nw *Network) pathFor(src, dst *Node, connID int) ([]*Link, error) {
 	cur := src
 	hop := 0
 	for cur != dst {
-		// Count the equal-cost next hops, then pick one deterministically
-		// (ECMP: mix conn id, hop index and node id) — two passes, no
-		// candidate slice.
+		// Pick one of the equal-cost next hops deterministically (ECMP:
+		// mix conn id, hop index and node id). On the last hop the
+		// candidates are exactly cur's links into dst, which dst's
+		// in-links list in the same creation order as cur.out: a host's
+		// few links instead of a switch's thousands.
 		want := d[cur.id] - 1
-		n := 0
-		for _, l := range cur.out {
-			if d[l.Dst.id] == want {
-				n++
-			}
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("netsim: routing hole at %s toward %s", cur, dst)
-		}
 		h := uint(connID)*2654435761 + uint(hop)*40503 + uint(cur.id)*97
-		pick := int(h % uint(n))
 		var chosen *Link
-		for _, l := range cur.out {
-			if d[l.Dst.id] == want {
-				if pick == 0 {
-					chosen = l
-					break
-				}
-				pick--
-			}
+		if want == 0 && len(dst.in) < len(cur.out) {
+			chosen = ecmpPick(dst.in, h, func(l *Link) bool { return l.Src == cur })
+		} else {
+			chosen = ecmpPick(cur.out, h, func(l *Link) bool { return d[l.Dst.id] == want })
+		}
+		if chosen == nil {
+			return nil, fmt.Errorf("netsim: routing hole at %s toward %s", cur, dst)
 		}
 		path = append(path, chosen)
 		cur = chosen.Dst

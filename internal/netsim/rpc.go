@@ -25,18 +25,30 @@ type Response struct {
 	Err     error
 }
 
-// Handler serves one request. It runs in its own simulated process and may
-// block (on disk resources, nested RPCs, etc.). The *Request is valid only
-// until the handler returns: it lives in a pooled call record that the
-// next RPC reuses, so a handler must not keep the pointer (or hand it to
-// a process or callback that outlives it). Copy the fields it needs.
+// Handler serves one request in the process form (see Handle): it runs in
+// a simulated process of its own and may block (on resources, nested
+// RPCs, etc.). The *Request is valid only until the handler returns: it
+// lives in a pooled call record that the next RPC reuses, so a handler
+// must not keep the pointer (or hand it to a process or callback that
+// outlives it). Copy the fields it needs.
 type Handler func(p *sim.Proc, req *Request) Response
 
-// service is one registered handler with its process name, built once at
-// Handle time rather than on every request.
+// AsyncHandler serves one request in the continuation form (see
+// HandleAsync): it runs in event context, starts the work the request
+// asks for, and answers by calling reply exactly once — before it
+// returns, or later from the completion that finishes the work (a
+// nested GoCtx's onDone, a disk command's Done). The *Request stays
+// valid until reply is called and must not be touched after.
+type AsyncHandler func(req *Request, reply func(Response))
+
+// service is one registered handler, in the process form (h, with its
+// process name built once at Handle time) or the continuation form
+// (async, with the kind of its service-start event).
 type service struct {
-	h    Handler
-	proc string // "rpc:"+name
+	h     Handler
+	proc  string // "rpc:"+name
+	async AsyncHandler
+	kind  sim.EventKind
 }
 
 // peerConns is an endpoint's conn pool to one peer and its round-robin
@@ -95,12 +107,31 @@ func (e *Endpoint) InFlight() int { return e.inFlight }
 // actually got, which is what hides the bandwidth-delay product.
 func (e *Endpoint) PeakInFlight() int { return e.peakInFlight }
 
-// Handle registers a service handler by name.
+// Handle registers a service handler by name, in the process form: each
+// request starts a process (a sim.proc_start event) that runs h and
+// parks with it until h returns. Services whose handlers block on
+// protocol state — waiting for a token, a lease, a nested call chain —
+// use this form.
 func (e *Endpoint) Handle(name string, h Handler) {
+	e.register(name, service{h: h, proc: "rpc:" + name})
+}
+
+// HandleAsync registers a service handler by name, in the continuation
+// form: each request posts one service-start event of the given kind,
+// at the instant and in the order the process form's start event would
+// take, and h runs from it with no process of its own. Services that
+// keep many requests in flight against slow media (NSD and array block
+// I/O) use this form, so a request waiting on a disk holds a call
+// record and nothing more.
+func (e *Endpoint) HandleAsync(name string, kind sim.EventKind, h AsyncHandler) {
+	e.register(name, service{async: h, kind: kind})
+}
+
+func (e *Endpoint) register(name string, svc service) {
 	if _, dup := e.services[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate service %q on %s", name, e.node))
 	}
-	e.services[name] = service{h: h, proc: "rpc:" + name}
+	e.services[name] = svc
 }
 
 func (e *Endpoint) connTo(peer *Endpoint) *Conn {
@@ -119,8 +150,10 @@ func (e *Endpoint) connTo(peer *Endpoint) *Conn {
 
 // rpcCall is the record of one in-flight RPC. Records are recycled
 // through Network.callFree, so a steady-state round trip allocates only
-// the handler's process. Its three stages — request arrival, handler
-// body, response arrival — are method values bound once per record.
+// the handler's process in the process form, and nothing in the
+// continuation form. Its stages — request arrival, handler body (a
+// process or a start event), reply, response arrival — are method
+// values bound once per record.
 //
 // Lifetime: a record is freed after its last read — by Call once its
 // caller is woken, or by respond just before onDone runs — so a woken
@@ -144,6 +177,8 @@ type rpcCall struct {
 
 	arriveFn  func()
 	serveFn   func(*sim.Proc)
+	startFn   func()
+	replyFn   func(Response)
 	respondFn func()
 }
 
@@ -156,14 +191,14 @@ func (nw *Network) newCall() *rpcCall {
 		return c
 	}
 	c := &rpcCall{}
-	c.arriveFn, c.serveFn, c.respondFn = c.arrive, c.serve, c.respond
+	c.arriveFn, c.serveFn, c.startFn, c.replyFn, c.respondFn = c.arrive, c.serve, c.start, c.reply, c.respond
 	return c
 }
 
 // freeCall recycles a call record, dropping every reference it holds but
 // its bound stages.
 func (nw *Network) freeCall(c *rpcCall) {
-	*c = rpcCall{arriveFn: c.arriveFn, serveFn: c.serveFn, respondFn: c.respondFn}
+	*c = rpcCall{arriveFn: c.arriveFn, serveFn: c.serveFn, startFn: c.startFn, replyFn: c.replyFn, respondFn: c.respondFn}
 	nw.callFree = append(nw.callFree, c)
 }
 
@@ -225,16 +260,33 @@ func (e *Endpoint) issue(ctx trace.Ctx, peer *Endpoint, name string, reqSize uni
 	return c
 }
 
-// arrive runs when the request's last byte lands: spawn the handler.
+// arrive runs when the request's last byte lands: start the handler — a
+// service-start event for the continuation form, a process (whose start
+// event takes the same place in the queue) for the process form.
 func (c *rpcCall) arrive() {
+	if c.svc.async != nil {
+		c.peer.net.Sim.Post(c.svc.kind, 0, c.startFn)
+		return
+	}
 	c.peer.net.Sim.Go(c.svc.proc, c.serveFn)
+}
+
+// start is the continuation form's service-start event: hand the
+// request to the handler, which replies now or later.
+func (c *rpcCall) start() {
+	c.svc.async(&c.req, c.replyFn)
 }
 
 // serve is the handler process's body: run the handler, send the
 // response back.
 func (c *rpcCall) serve(sp *sim.Proc) {
 	sp.SetCtx(c.req.Ctx)
-	c.resp = c.svc.h(sp, &c.req)
+	c.reply(c.svc.h(sp, &c.req))
+}
+
+// reply sends the handler's response back to the caller.
+func (c *rpcCall) reply(resp Response) {
+	c.resp = resp
 	c.respConn.SendCtx(c.req.Ctx, c.resp.Size+HeaderBytes, c.respondFn)
 }
 

@@ -223,12 +223,20 @@ func TestRPCInFlightGaugeIsNetworkWide(t *testing.T) {
 
 // callLoop starts a process that performs blocking echo Calls one after
 // another, forever, and returns a step function that runs the simulator
-// until one more Call has returned.
-func callLoop(tb testing.TB) func() {
+// until one more Call has returned. The echo service is registered in
+// the continuation form when async is set, in the process form
+// otherwise.
+func callLoop(tb testing.TB, async bool) func() {
 	s, client, server := rpcPair(sim.Millisecond)
-	server.Handle("echo", func(p *sim.Proc, req *Request) Response {
-		return Response{Size: req.Size, Payload: req.Payload}
-	})
+	if async {
+		server.HandleAsync("echo", kindTestServe, func(req *Request, reply func(Response)) {
+			reply(Response{Size: req.Size, Payload: req.Payload})
+		})
+	} else {
+		server.Handle("echo", func(p *sim.Proc, req *Request) Response {
+			return Response{Size: req.Size, Payload: req.Payload}
+		})
+	}
 	calls := 0
 	s.Go("caller", func(p *sim.Proc) {
 		for {
@@ -256,12 +264,25 @@ func TestCallAllocs(t *testing.T) {
 		s.Go("x", func(*sim.Proc) {})
 		s.Step()
 	})
-	step := callLoop(t)
+	step := callLoop(t, false)
 	for i := 0; i < 16; i++ {
 		step() // warm the pools
 	}
 	call := testing.AllocsPerRun(200, step)
 	if call > spawn {
 		t.Errorf("steady-state Call allocates %.1f objects, want at most Sim.Go's %.1f", call, spawn)
+	}
+}
+
+// TestAsyncCallAllocs pins a steady-state round trip to a continuation-
+// form handler at zero allocations: no process, no wake, the record's
+// reply bound once.
+func TestAsyncCallAllocs(t *testing.T) {
+	step := callLoop(t, true)
+	for i := 0; i < 16; i++ {
+		step() // warm the pools
+	}
+	if call := testing.AllocsPerRun(200, step); call != 0 {
+		t.Errorf("steady-state Call to a continuation handler allocates %.1f objects, want 0", call)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gfs/internal/disk"
 	"gfs/internal/sim"
 	"gfs/internal/units"
 )
@@ -35,10 +36,11 @@ func BenchmarkUpdateParity(b *testing.B) {
 	}
 }
 
-// BenchmarkRAIDWrite runs 16 concurrent writers on one 8+P set, each
-// issuing 384 KiB partial-stripe writes (read-modify-write on two or
-// three members plus parity) at random 128 KiB-aligned offsets. One op
-// is one logical Write, member commands and events included.
+// BenchmarkRAIDWrite keeps 16 concurrent writes in flight on one 8+P
+// set, each a 384 KiB partial-stripe write (read-modify-write on two or
+// three members plus parity) at a random 128 KiB-aligned offset; each
+// write's completion issues the next. One op is one logical write,
+// member commands and events included.
 func BenchmarkRAIDWrite(b *testing.B) {
 	s := sim.New()
 	r := newSet(s, 9)
@@ -46,13 +48,15 @@ func BenchmarkRAIDWrite(b *testing.B) {
 	const size = 384 * units.KiB
 	slots := int64((r.Capacity() - size) / (128 * units.KiB))
 	left := b.N
+	var next func()
+	next = func() {
+		if left > 0 {
+			left--
+			r.IO(disk.Write, units.Bytes(rng.Int63n(slots))*128*units.KiB, size, next)
+		}
+	}
 	for w := 0; w < 16; w++ {
-		s.Go("writer", func(p *sim.Proc) {
-			for left > 0 {
-				left--
-				r.Write(p, units.Bytes(rng.Int63n(slots))*128*units.KiB, size)
-			}
-		})
+		s.Post(sim.KindOther, 0, next)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -68,13 +68,13 @@ func (r *Set) BusyTime() sim.Time {
 	return sum / sim.Time(len(r.disks))
 }
 
-// Reads returns the number of Read calls served.
+// Reads returns the number of reads served.
 func (r *Set) Reads() uint64 { return r.reads }
 
-// Writes returns the number of Write calls served.
+// Writes returns the number of writes served.
 func (r *Set) Writes() uint64 { return r.writes }
 
-// RMWWrites returns how many Write calls touched a partial stripe.
+// RMWWrites returns how many writes touched a partial stripe.
 func (r *Set) RMWWrites() uint64 { return r.rmwWrites }
 
 // FullStripeWrites returns how many full stripes were written without a
@@ -124,7 +124,7 @@ type diskWork struct {
 	size   units.Bytes
 }
 
-// seg is one stripe segment a Write touches.
+// seg is one stripe segment a write touches.
 type seg struct {
 	stripe         int64
 	k              int
@@ -135,11 +135,12 @@ type seg struct {
 // running them. A Set recycles its op records, so a request allocates
 // nothing once the records' lists have grown to size.
 type op struct {
+	set     *Set
 	work    [][]diskWork // indexed by member, in issue order
 	members []member
-	segs    []seg  // Write's plan scratch
+	segs    []seg  // write's plan scratch
 	pending int    // members still running
-	wake    func() // resumes the caller once pending reaches zero
+	done    func() // the caller's continuation, run once pending reaches zero
 }
 
 // member runs one member drive's work list as a chain of disk commands,
@@ -169,6 +170,7 @@ func (r *Set) newOp() *op {
 		work := make([][]diskWork, opBatch*nd)
 		for j := range ops {
 			o := &ops[j]
+			o.set = r
 			o.work = work[j*nd : (j+1)*nd : (j+1)*nd]
 			o.members = members[j*nd : (j+1)*nd : (j+1)*nd]
 			r.free = append(r.free, o)
@@ -202,8 +204,8 @@ func (m *member) submit() {
 }
 
 // done moves to the next command, or finishes the member. The last
-// member to finish wakes the caller, which may recycle the op at once,
-// so nothing here touches the op after that.
+// member to finish completes the op, which recycles it and runs the
+// caller's continuation, so nothing here touches the op after that.
 func (m *member) done() {
 	m.next++
 	if m.next < len(m.o.work[m.i]) {
@@ -213,7 +215,7 @@ func (m *member) done() {
 	o := m.o
 	o.pending--
 	if o.pending == 0 {
-		o.wake()
+		o.set.finish(o)
 	}
 }
 
@@ -235,15 +237,18 @@ func coalesce(ops []diskWork) []diskWork {
 	return out
 }
 
-// run executes the per-member work lists in parallel and blocks p until
-// all complete (a logical RAID op finishes when its slowest member
-// does), then recycles o. Each member with work gets one start event,
+// run executes the per-member work lists in parallel and, once all
+// complete (a logical RAID op finishes when its slowest member does),
+// recycles o and calls done. Each member with work gets one start event,
 // posted in member index order: two members finishing at the same
 // virtual instant then complete in the same order on every run. The
 // members issue exactly the scheduling calls a process per member would
-// — a start event, then per command the drive's service event — so the
-// event sequence is that of the process form.
-func (r *Set) run(p *sim.Proc, o *op) {
+// — a start event, then per command the drive's service event — and
+// done runs from the last member's completion, where a caller parked in
+// a process would resume, so the event sequence is that of the process
+// form.
+func (r *Set) run(o *op, done func()) {
+	o.done = done
 	for i, ws := range o.work {
 		ws = coalesce(ws)
 		o.work[i] = ws
@@ -256,17 +261,22 @@ func (r *Set) run(p *sim.Proc, o *op) {
 		o.pending++
 		r.sim.Post(kindMember, 0, m.startFn)
 	}
-	for o.pending > 0 {
-		o.wake = p.Suspend()
-		p.Block()
+	if o.pending == 0 {
+		r.finish(o)
 	}
-	// A caller killed while it waits never gets here: its op stays with
-	// the members still running it and is not recycled.
+}
+
+// finish recycles a completed op and runs its caller's continuation,
+// which may start the next op on the same record at once.
+func (r *Set) finish(o *op) {
+	done := o.done
+	o.done = nil
 	for i := range o.work {
 		o.work[i] = o.work[i][:0]
 	}
 	o.segs = o.segs[:0]
 	r.free = append(r.free, o)
+	done()
 }
 
 // segments invokes fn for every (stripe, segment k, byte range within the
@@ -294,10 +304,20 @@ func (r *Set) segments(off, size units.Bytes, fn func(stripe int64, k int, segOf
 	}
 }
 
-// Read services a logical read, blocking p for the slowest member.
-// Degraded sets reconstruct segments on the failed member by reading the
-// whole stripe from survivors.
-func (r *Set) Read(p *sim.Proc, off, size units.Bytes) {
+// IO services a logical read or write of [off, off+size) and calls done
+// when its slowest member finishes — from that member's completion
+// event, with no process parked on the way. done may start the next IO.
+func (r *Set) IO(op disk.Op, off, size units.Bytes, done func()) {
+	if op == disk.Read {
+		r.read(off, size, done)
+	} else {
+		r.write(off, size, done)
+	}
+}
+
+// read plans a logical read. Degraded sets reconstruct segments on the
+// failed member by reading the whole stripe from survivors.
+func (r *Set) read(off, size units.Bytes, done func()) {
 	r.reads++
 	o := r.newOp()
 	r.segments(off, size, func(stripe int64, k int, segOff, segLen units.Bytes) {
@@ -314,15 +334,15 @@ func (r *Set) Read(p *sim.Proc, off, size units.Bytes) {
 		}
 		o.add(di, disk.Read, base+segOff, segLen)
 	})
-	r.run(p, o)
+	r.run(o, done)
 }
 
-// Write services a logical write. Full stripes write data plus parity in
+// write plans a logical write. Full stripes write data plus parity in
 // one pass, computing parity from the new data alone — the path
 // stripe-aligned gathered flushes are built to hit. Partial stripes pay
 // read-modify-write: read old data and old parity, then write new data
 // and new parity.
-func (r *Set) Write(p *sim.Proc, off, size units.Bytes) {
+func (r *Set) write(off, size units.Bytes, done func()) {
 	r.writes++
 	o := r.newOp()
 	r.segments(off, size, func(stripe int64, k int, segOff, segLen units.Bytes) {
@@ -345,10 +365,10 @@ func (r *Set) Write(p *sim.Proc, off, size units.Bytes) {
 	if rmw {
 		r.rmwWrites++
 	}
-	r.run(p, o)
+	r.run(o, done)
 }
 
-// planStripe adds one stripe's share of a Write to o's work lists and
+// planStripe adds one stripe's share of a write to o's work lists and
 // reports whether the stripe was written in full.
 func (r *Set) planStripe(o *op, segs []seg, full bool) bool {
 	stripe := segs[0].stripe
@@ -402,7 +422,7 @@ func (r *Set) Rebuild(p *sim.Proc, spare *disk.Disk) {
 				o.add(m, disk.Read, off, n)
 			}
 		}
-		r.run(p, o)
+		p.Await(func(done func()) { r.run(o, done) })
 		spare.Access(p, disk.Write, off, n)
 	}
 	r.disks[r.failed] = spare

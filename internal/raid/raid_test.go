@@ -11,6 +11,12 @@ import (
 	"gfs/internal/units"
 )
 
+// await runs one logical I/O from process p, blocking it until the
+// set's completion.
+func (r *Set) await(p *sim.Proc, op disk.Op, off, size units.Bytes) {
+	p.Await(func(done func()) { r.IO(op, off, size, done) })
+}
+
 func newSet(s *sim.Sim, members int) *Set {
 	disks := make([]*disk.Disk, members)
 	for i := range disks {
@@ -76,7 +82,7 @@ func TestFullStripeWriteNoRMW(t *testing.T) {
 	s := sim.New()
 	r := newSet(s, 9)
 	s.Go("w", func(p *sim.Proc) {
-		r.Write(p, 0, r.StripeWidth())
+		r.await(p, disk.Write, 0, r.StripeWidth())
 	})
 	s.Run()
 	if r.RMWWrites() != 0 {
@@ -88,13 +94,13 @@ func TestPartialWriteIsRMWAndSlower(t *testing.T) {
 	t.Parallel()
 	s1 := sim.New()
 	r1 := newSet(s1, 9)
-	s1.Go("w", func(p *sim.Proc) { r1.Write(p, 0, r1.StripeWidth()) })
+	s1.Go("w", func(p *sim.Proc) { r1.await(p, disk.Write, 0, r1.StripeWidth()) })
 	s1.Run()
 	fullTime := s1.Now()
 
 	s2 := sim.New()
 	r2 := newSet(s2, 9)
-	s2.Go("w", func(p *sim.Proc) { r2.Write(p, 0, 256*units.KiB) }) // one segment
+	s2.Go("w", func(p *sim.Proc) { r2.await(p, disk.Write, 0, 256*units.KiB) }) // one segment
 	s2.Run()
 	partialTime := s2.Now()
 
@@ -114,7 +120,7 @@ func TestReadParallelism(t *testing.T) {
 	// (members work in parallel), not eight.
 	s := sim.New()
 	r := newSet(s, 9)
-	s.Go("rd", func(p *sim.Proc) { r.Read(p, 0, r.StripeWidth()) })
+	s.Go("rd", func(p *sim.Proc) { r.await(p, disk.Read, 0, r.StripeWidth()) })
 	s.Run()
 	one := disk.New(sim.New(), "x", disk.SATA250()).ServiceTime(disk.Read, units.GiB, 256*units.KiB)
 	if s.Now() > 2*one {
@@ -127,7 +133,7 @@ func TestDegradedReadTouchesSurvivors(t *testing.T) {
 	s := sim.New()
 	r := newSet(s, 9)
 	r.FailDisk(r.dataDisk(0, 0))
-	s.Go("rd", func(p *sim.Proc) { r.Read(p, 0, 256*units.KiB) })
+	s.Go("rd", func(p *sim.Proc) { r.await(p, disk.Read, 0, 256*units.KiB) })
 	s.Run()
 	// Reconstruction reads from all 8 survivors.
 	n := 0

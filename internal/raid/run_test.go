@@ -213,7 +213,9 @@ func runMix(seed int64, ref bool, small disk.Params) []string {
 	}
 	r := NewSet(s, "r5", append([]*disk.Disk(nil), disks...), 64*units.KiB)
 	spare := disk.New(s, "spare", small)
-	read, write, rebuild := r.Read, r.Write, r.Rebuild
+	read := func(p *sim.Proc, off, size units.Bytes) { r.await(p, disk.Read, off, size) }
+	write := func(p *sim.Proc, off, size units.Bytes) { r.await(p, disk.Write, off, size) }
+	rebuild := r.Rebuild
 	if ref {
 		read, write, rebuild = r.refRead, r.refWrite, r.refRebuild
 	}

@@ -90,7 +90,8 @@ type Array struct {
 	Sets   []*raid.Set
 	Spares []*disk.Disk
 
-	ctl [2]*netsim.Endpoint
+	ctl  [2]*netsim.Endpoint
+	free []*lunIO // recycled request records
 }
 
 // ArrayConfig sizes an enclosure.
@@ -145,8 +146,8 @@ func (f *Fabric) NewArray(name string, sw *netsim.Node, cfg ArrayConfig) *Array 
 		ep := f.Net.NewEndpoint(node, streams)
 		a.ctl[c] = ep
 	}
-	a.ctl[0].Handle(ioService, a.serve)
-	a.ctl[1].Handle(ioService, a.serve)
+	a.ctl[0].HandleAsync(ioService, kindServe, a.serve)
+	a.ctl[1].HandleAsync(ioService, kindServe, a.serve)
 	f.Arrays = append(f.Arrays, a)
 	return a
 }
@@ -181,29 +182,50 @@ func (a *Array) RawCapacity() units.Bytes {
 	return c
 }
 
-func (a *Array) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
+// kindServe labels the service-start events of san.io requests: a
+// controller serves them as continuations, not processes.
+var kindServe = sim.RegisterEventKind("san.serve")
+
+// lunIO is one san.io request in service at a controller: what its
+// RAID completion needs to answer it. Arrays recycle them.
+type lunIO struct {
+	a      *Array
+	req    *netsim.Request
+	reply  func(netsim.Response)
+	issued sim.Time
+	doneFn func()
+}
+
+// serve starts one san.io request on its LUN's RAID set; the set's
+// completion answers it.
+func (a *Array) serve(req *netsim.Request, reply func(netsim.Response)) {
 	io, ok := req.Payload.(IORequest)
 	if !ok {
-		return netsim.Response{Err: fmt.Errorf("san: bad payload %T", req.Payload)}
+		reply(netsim.Response{Err: fmt.Errorf("san: bad payload %T", req.Payload)})
+		return
 	}
 	if io.LUN < 0 || io.LUN >= len(a.Sets) {
-		return netsim.Response{Err: fmt.Errorf("san: %s has no LUN %d", a.name, io.LUN)}
+		reply(netsim.Response{Err: fmt.Errorf("san: %s has no LUN %d", a.name, io.LUN)})
+		return
 	}
-	set := a.Sets[io.LUN]
-	tr := a.sim.Tracer()
-	var issued sim.Time
-	if tr != nil {
-		issued = a.sim.Now()
-	}
-	var resp netsim.Response
-	if io.Op == disk.Read {
-		set.Read(p, io.Off, io.Size)
-		resp = netsim.Response{Size: io.Size}
+	var x *lunIO
+	if n := len(a.free); n > 0 {
+		x = a.free[n-1]
+		a.free[n-1] = nil
+		a.free = a.free[:n-1]
 	} else {
-		set.Write(p, io.Off, io.Size)
-		resp = netsim.Response{Size: 64}
+		x = &lunIO{a: a}
+		x.doneFn = x.done
 	}
-	if tr != nil {
+	x.req, x.reply, x.issued = req, reply, a.sim.Now()
+	a.Sets[io.LUN].IO(io.Op, io.Off, io.Size, x.doneFn)
+}
+
+// done answers the request once its RAID set has served it.
+func (x *lunIO) done() {
+	a, req, reply := x.a, x.req, x.reply
+	io := req.Payload.(IORequest)
+	if tr := a.sim.Tracer(); tr != nil {
 		// Time inside the RAID set — seeks, media transfer, and on
 		// partial-stripe writes the RAID5 read-modify-write — classified
 		// as disk service by critical-path attribution.
@@ -211,26 +233,16 @@ func (a *Array) serve(p *sim.Proc, req *netsim.Request) netsim.Response {
 		if io.Op == disk.Write {
 			name = "write"
 		}
-		tr.SpanCtx(p.Ctx(), 0, "disk", name, a.name, int64(issued), int64(a.sim.Now()),
+		tr.SpanCtx(req.Ctx, 0, "disk", name, a.name, int64(x.issued), int64(a.sim.Now()),
 			trace.I("lun", int64(io.LUN)), trace.I("bytes", int64(io.Size)))
 	}
-	return resp
-}
-
-// ReadLUN issues a blocking read of [off, off+size) on the LUN from the
-// initiator endpoint; the data bytes cross the fabric in the response.
-func (a *Array) ReadLUN(initiator *netsim.Endpoint, p *sim.Proc, lun int, off, size units.Bytes) error {
-	resp := initiator.Call(p, a.LUNController(lun), ioService, 64,
-		IORequest{LUN: lun, Op: disk.Read, Off: off, Size: size})
-	return resp.Err
-}
-
-// WriteLUN issues a blocking write; the data bytes cross the fabric in the
-// request.
-func (a *Array) WriteLUN(initiator *netsim.Endpoint, p *sim.Proc, lun int, off, size units.Bytes) error {
-	resp := initiator.Call(p, a.LUNController(lun), ioService, size,
-		IORequest{LUN: lun, Op: disk.Write, Off: off, Size: size})
-	return resp.Err
+	resp := netsim.Response{Size: 64}
+	if io.Op == disk.Read {
+		resp.Size = io.Size
+	}
+	*x = lunIO{a: a, doneFn: x.doneFn}
+	a.free = append(a.free, x)
+	reply(resp)
 }
 
 // GoWriteLUN issues a pipelined (non-blocking) write under the causal

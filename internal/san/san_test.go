@@ -1,6 +1,7 @@
 package san
 
 import (
+	"errors"
 	"testing"
 
 	"gfs/internal/netsim"
@@ -8,6 +9,10 @@ import (
 	"gfs/internal/trace"
 	"gfs/internal/units"
 )
+
+// errNotDone stands in for the error of an I/O whose completion never
+// ran.
+var errNotDone = errors.New("never completed")
 
 func testFabric() (*sim.Sim, *Fabric, *netsim.Node) {
 	s := sim.New()
@@ -62,13 +67,13 @@ func TestReadLUNMovesData(t *testing.T) {
 	host := f.Net.NewNode("host")
 	f.AttachHBA(host, sw, FC2, 1)
 	ep := f.Net.NewEndpoint(host, 2)
-	var err error
-	s.Go("io", func(p *sim.Proc) {
-		err = a.ReadLUN(ep, p, 0, 0, 8*units.MiB)
+	err := errNotDone
+	s.Post(sim.KindOther, 0, func() {
+		a.GoReadLUN(ep, trace.Ctx{}, 0, 0, 8*units.MiB, func(e error) { err = e })
 	})
 	s.Run()
 	if err != nil {
-		t.Fatalf("ReadLUN: %v", err)
+		t.Fatalf("GoReadLUN: %v", err)
 	}
 	// 8 MiB over a 2 Gb/s HBA takes >= 33 ms plus disk time.
 	if s.Now() < 33*sim.Millisecond {
@@ -86,11 +91,14 @@ func TestWriteLUNError(t *testing.T) {
 	host := f.Net.NewNode("host")
 	f.AttachHBA(host, sw, FC2, 1)
 	ep := f.Net.NewEndpoint(host, 1)
-	var err error
-	s.Go("io", func(p *sim.Proc) {
-		err = a.WriteLUN(ep, p, 99, 0, units.MiB)
+	err := errNotDone
+	s.Post(sim.KindOther, 0, func() {
+		a.GoWriteLUN(ep, trace.Ctx{}, 99, 0, units.MiB, func(e error) { err = e })
 	})
 	s.Run()
+	if err == errNotDone {
+		t.Fatal("write to missing LUN never completed")
+	}
 	if err == nil {
 		t.Fatal("write to missing LUN succeeded")
 	}
@@ -105,20 +113,16 @@ func TestControllerBandwidthCapsAggregate(t *testing.T) {
 	f.AttachHBA(host, sw, FC4, 2) // host side not the bottleneck
 	ep := f.Net.NewEndpoint(host, 4)
 	total := units.Bytes(0)
-	s.Go("io", func(p *sim.Proc) {
-		wg := sim.NewWaitGroup(s)
+	s.Post(sim.KindOther, 0, func() {
 		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			s.Go("rd", func(rp *sim.Proc) {
-				defer wg.Done()
-				// LUN 0 only => controller A only.
-				if err := a.ReadLUN(ep, rp, 0, units.Bytes(0), 32*units.MiB); err != nil {
+			// LUN 0 only => controller A only.
+			a.GoReadLUN(ep, trace.Ctx{}, 0, units.Bytes(0), 32*units.MiB, func(err error) {
+				if err != nil {
 					t.Errorf("read: %v", err)
 				}
 			})
 			total += 32 * units.MiB
 		}
-		wg.Wait(p)
 	})
 	s.Run()
 	rate := float64(total) / s.Now().Seconds()
@@ -171,8 +175,10 @@ func TestISLAndMultiSwitchPath(t *testing.T) {
 	host := f.Net.NewNode("host")
 	f.AttachHBA(host, swA, FC2, 1)
 	ep := f.Net.NewEndpoint(host, 1)
-	var err error
-	s.Go("io", func(p *sim.Proc) { err = a.ReadLUN(ep, p, 0, 0, units.MiB) })
+	err := errNotDone
+	s.Post(sim.KindOther, 0, func() {
+		a.GoReadLUN(ep, trace.Ctx{}, 0, 0, units.MiB, func(e error) { err = e })
+	})
 	s.Run()
 	if err != nil {
 		t.Fatalf("cross-switch read: %v", err)

@@ -217,6 +217,25 @@ func (p *Proc) WaitUntil(t Time) {
 // context.
 func (p *Proc) Suspend() (wake func()) { return p.wakeFn }
 
+// Await starts an operation that completes by callback and blocks the
+// process until it does: start receives a done func that the operation
+// calls exactly once, from event context or synchronously from start
+// itself. It is the bridge from process code to the continuation-form
+// APIs (raid.Set.IO, BlockStore.IO).
+func (p *Proc) Await(start func(done func())) {
+	finished, parked := false, false
+	start(func() {
+		finished = true
+		if parked {
+			p.wake()
+		}
+	})
+	for !finished {
+		parked = true
+		p.yield()
+	}
+}
+
 // Block parks the process immediately; used together with Suspend by
 // resource implementations:
 //

@@ -87,6 +87,36 @@ func TestProcKill(t *testing.T) {
 	}
 }
 
+// TestProcAwait: Await returns once the operation calls done, whether
+// it does so synchronously inside start or from a later event, and a
+// process killed while it awaits never returns, its late done a no-op.
+func TestProcAwait(t *testing.T) {
+	t.Parallel()
+	s := New()
+	var sync, later Time = -1, -1
+	s.Go("sync", func(p *Proc) {
+		p.Await(func(done func()) { done() })
+		sync = p.Now()
+	})
+	s.Go("later", func(p *Proc) {
+		p.Await(func(done func()) { s.Post(KindOther, 3*Second, done) })
+		later = p.Now()
+	})
+	victimReturned := false
+	victim := s.Go("victim", func(p *Proc) {
+		p.Await(func(done func()) { s.Post(KindOther, 5*Second, done) })
+		victimReturned = true
+	})
+	s.Post(KindOther, Second, victim.Kill)
+	s.Run()
+	if sync != 0 || later != 3*Second {
+		t.Errorf("await returned at %v and %v, want 0 and 3s", sync, later)
+	}
+	if victimReturned || !victim.Done() {
+		t.Errorf("killed process returned %v, done %v; want false, true", victimReturned, victim.Done())
+	}
+}
+
 func TestResourceMutex(t *testing.T) {
 	t.Parallel()
 	s := New()
