@@ -71,6 +71,15 @@ type Disk struct {
 
 	lastEnd units.Bytes // next sequential offset (for seek elision)
 
+	// Submitted commands (see Submit): waitHead..waitTail is the FIFO of
+	// those waiting for the drive, linked through Cmd.next, and cur the
+	// one in service. The drive serves one command at a time, so one
+	// service event and two callbacks bound in New serve them all.
+	waitHead, waitTail *Cmd
+	cur                *Cmd
+	evt                sim.Event
+	grantedFn, endFn   func()
+
 	ops       uint64
 	bytesRead units.Bytes
 	bytesWr   units.Bytes
@@ -82,7 +91,9 @@ func New(s *sim.Sim, name string, p Params) *Disk {
 	if p.TransferRate <= 0 {
 		panic(fmt.Sprintf("disk %q: non-positive transfer rate", name))
 	}
-	return &Disk{sim: s, name: name, params: p, queue: sim.NewResource(s, name+"/q", 1)}
+	d := &Disk{sim: s, name: name, params: p, queue: sim.NewResource(s, name+"/q", 1)}
+	d.grantedFn, d.endFn = d.granted, d.end
+	return d
 }
 
 // Name returns the drive name.
@@ -135,47 +146,60 @@ func (d *Disk) Access(p *sim.Proc, op Op, offset, size units.Bytes) {
 var kindService = sim.RegisterEventKind("disk.service")
 
 // Cmd is one drive command run from event context, with no process: see
-// Submit. The caller owns it and may reuse it once Done has run; the
-// callbacks it hands the drive are bound on first use, so a reused Cmd
-// costs no allocation.
+// Submit. The caller owns it and may reuse it once its Owner has been
+// told it completed. A Cmd carries no callbacks, so a record that embeds
+// one costs nothing to set up.
 type Cmd struct {
 	Op           Op
 	Offset, Size units.Bytes
-	// Done runs when the command completes, after the drive has been
+	// Owner is told when the command completes, after the drive has been
 	// handed to the next command in its queue.
-	Done func()
+	Owner Completer
 
-	d         *Disk
-	evt       sim.Event
-	grantedFn func()
-	endFn     func()
+	next *Cmd // the next submitted command waiting for the same drive
+}
+
+// Completer is the owner of submitted commands: CmdDone runs when c
+// completes.
+type Completer interface {
+	CmdDone(c *Cmd)
 }
 
 // Submit queues c on the drive. When the drive reaches it, c is served
 // for the same time Access would take, with the same counters, and then
-// the drive is released before c.Done runs — the order in which Access
-// releases the drive and returns to its process, so a command makes
-// exactly the scheduling calls a process's Access makes.
+// the drive is released before c.Owner is told — the order in which
+// Access releases the drive and returns to its process, so a command
+// makes exactly the scheduling calls a process's Access makes.
 func (d *Disk) Submit(c *Cmd) {
 	d.check(c.Offset, c.Size)
-	c.d = d
-	if c.grantedFn == nil {
-		c.grantedFn = c.granted
-		c.endFn = c.end
+	if d.waitTail == nil {
+		d.waitHead = c
+	} else {
+		d.waitTail.next = c
 	}
-	d.queue.AcquireFunc(1, c.grantedFn)
+	d.waitTail = c
+	d.queue.AcquireFunc(1, d.grantedFn)
 }
 
-// granted starts service once c holds the drive.
-func (c *Cmd) granted() {
-	d := c.d
-	d.sim.Arm(&c.evt, kindService, d.begin(c.Op, c.Offset, c.Size), c.endFn)
+// granted starts serving the oldest submitted command once it holds the
+// drive. The drive grants its callback waiters in submission order, so
+// the grant is that command's.
+func (d *Disk) granted() {
+	c := d.waitHead
+	d.waitHead, c.next = c.next, nil
+	if d.waitHead == nil {
+		d.waitTail = nil
+	}
+	d.cur = c
+	d.sim.Arm(&d.evt, kindService, d.begin(c.Op, c.Offset, c.Size), d.endFn)
 }
 
-// end hands the drive on, then completes c.
-func (c *Cmd) end() {
-	c.d.queue.Release(1)
-	c.Done()
+// end hands the drive on, then completes the command that held it.
+func (d *Disk) end() {
+	c := d.cur
+	d.cur = nil
+	d.queue.Release(1)
+	c.Owner.CmdDone(c)
 }
 
 // check panics on a command outside the drive.

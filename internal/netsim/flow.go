@@ -19,8 +19,9 @@ const rateEps = 0.5 // bytes; slop for float remaining-byte arithmetic
 const completionHorizon = 1e15
 
 // message is one byte-counted transfer queued on a conn; the bytes of
-// the head message still undelivered live on the conn (Conn.headLeft).
-// Messages are recycled through Network.msgFree once delivered.
+// the head message still undelivered live on the conn's flow
+// (flow.headLeft). Messages are recycled through Network.msgFree once
+// delivered.
 type message struct {
 	size        float64
 	enq         sim.Time // when Send queued it
@@ -33,56 +34,72 @@ type message struct {
 // connection). Messages sent on a conn are delivered FIFO; while the conn
 // has queued bytes it competes for link bandwidth under max-min fairness,
 // capped at cwnd/RTT.
+//
+// A conn keeps only what must outlive an idle gap: its identity and path,
+// the congestion window and idle clock that the slow-start restart reads,
+// and its byte counters — 128 bytes. Everything that means something only
+// while bytes flow (the message queue, the allocated rate and solver
+// scratch, the link slots, the completion and window timers) lives in a
+// flow record that the conn holds from activation to deactivation. A
+// farm whose clients keep conns to every server, few of them busy at
+// once, pays for transfer state per busy conn, not per conn.
 type Conn struct {
-	// The fields a solve reads for every conn in its region come first
-	// and fill 64 bytes; the completion event it re-arms sits with its
-	// callback and network further down.
+	id       int
+	src, dst *Node
+	path     []*Link
+	oneWay   sim.Time // path propagation delay; the RTT is twice it
+	pathCap  float64  // capacity of the slowest link on path (+Inf if none)
+	tcp      TCPConfig
 
-	// mark == Network.epoch while the conn is in the current solve's
+	cwnd      float64 // bytes
+	idleSince sim.Time
+	bytesSent units.Bytes
+	msgsSent  uint64
+
+	f *flow // transfer state while active; nil while idle
+}
+
+// flow is an active conn's transfer state. Flow records come from a LIFO
+// free list on the Network, carved in batches and never moved, so the
+// events they own stay put while queued; a conn takes one on activation
+// and returns it, every event canceled, on deactivation. The solver's
+// loops read flows only: a flow carries its conn's path and id.
+type flow struct {
+	// The fields a solve reads for every flow in its region come first
+	// and fill 64 bytes.
+
+	// mark == Network.epoch while the flow is in the current solve's
 	// region and not yet assigned a rate.
 	mark        uint32
-	active      bool
 	rate        float64 // bytes/sec currently allocated
 	prevRate    float64 // allocation scratch
 	headLeft    float64 // undelivered bytes of the head message
 	lastAdvance sim.Time
-	path        []*Link
+	path        []*Link // the conn's path
 
-	rateCap float64 // cwnd/RTT, cached; updated on dial/activate/bump
-	cwnd    float64 // bytes
-	id      int
-	src     *Node
-	dst     *Node
-	tcp     TCPConfig
-
-	// completionEvt/bumpEvt are caller-owned reusable events (sim.Arm):
-	// the hottest timers in the simulator re-arm with zero allocation.
-	completionEvt sim.Event
-	completionFn  func()
-	net           *Network
-
-	oneWay sim.Time
-	rtt    sim.Time
+	rateCap float64 // cwnd/RTT, cached; set on activate and bump
+	id      int     // the conn's id, for capLess
+	c       *Conn   // nil while the record is free
+	net     *Network
 
 	// queue[head:] are the undelivered messages, FIFO. Delivery advances
 	// head instead of reslicing, and a drained queue rewinds to the start
-	// of its backing array, so a conn carrying one message at a time
-	// never reallocates it.
-	queue     []*message
-	head      int
-	actIdx    int     // index in Network.activeList, -1 when inactive
-	pathCap   float64 // capacity of the slowest link on path (+Inf if none)
-	idleSince sim.Time
+	// of its backing array, which the record keeps from conn to conn.
+	queue  []*message
+	head   int
+	actIdx int // index in Network.activeList
 
-	// linkPos[i] is this conn's slot in path[i].conns while active, so
-	// deactivation is O(path) with no map or search.
+	// linkPos[i] is this flow's slot in path[i].conns, so deactivation is
+	// O(path) with no map or search.
 	linkPos []int32
 
-	bumpEvt sim.Event
-	bumpFn  func()
-
-	bytesSent units.Bytes
-	msgsSent  uint64
+	// completionEvt/bumpEvt are caller-owned reusable events (sim.Arm)
+	// whose callbacks are bound once per record: the hottest timers in
+	// the simulator re-arm with zero allocation.
+	completionEvt sim.Event
+	completionFn  func()
+	bumpEvt       sim.Event
+	bumpFn        func()
 }
 
 // Dial opens a connection from src to dst with the network's default TCP
@@ -91,13 +108,13 @@ func (nw *Network) Dial(src, dst *Node) *Conn {
 	return nw.DialTCP(src, dst, nw.DefaultTCP)
 }
 
-// DialTCP opens a connection with an explicit TCP config.
+// DialTCP opens a connection with an explicit TCP config. A dial costs
+// the conn and its path: transfer state waits for the first send.
 func (nw *Network) DialTCP(src, dst *Node, tcp TCPConfig) *Conn {
 	c := &Conn{
-		net: nw, id: len(nw.conns),
+		id:  nw.dialed,
 		src: src, dst: dst,
 		tcp:       tcp,
-		actIdx:    -1,
 		idleSince: nw.Sim.Now(),
 	}
 	path, err := nw.pathFor(src, dst, c.id)
@@ -105,20 +122,13 @@ func (nw *Network) DialTCP(src, dst *Node, tcp TCPConfig) *Conn {
 		panic(err)
 	}
 	c.path = path
-	c.linkPos = make([]int32, len(path))
 	c.pathCap = math.Inf(1)
 	for _, l := range path {
 		c.oneWay += l.delay
 		c.pathCap = math.Min(c.pathCap, l.cap)
 	}
-	c.rtt = 2 * c.oneWay
 	c.cwnd = c.initialWindow()
-	c.updateRateCap()
-	c.completionFn = func() {
-		c.net.onCompletion(c)
-	}
-	c.bumpFn = c.bump
-	nw.conns = append(nw.conns, c)
+	nw.dialed++
 	return c
 }
 
@@ -136,7 +146,7 @@ func (c *Conn) Src() *Node { return c.src }
 func (c *Conn) Dst() *Node { return c.dst }
 
 // RTT returns the round-trip propagation delay of the conn's path.
-func (c *Conn) RTT() sim.Time { return c.rtt }
+func (c *Conn) RTT() sim.Time { return 2 * c.oneWay }
 
 // Path returns the links the conn crosses.
 func (c *Conn) Path() []*Link { return c.path }
@@ -144,20 +154,33 @@ func (c *Conn) Path() []*Link { return c.path }
 // BytesSent returns the cumulative payload bytes delivered.
 func (c *Conn) BytesSent() units.Bytes { return c.bytesSent }
 
-// Rate returns the currently allocated rate in bytes/sec.
-func (c *Conn) Rate() units.BytesPerSec { return units.BytesPerSec(c.rate) }
-
-// updateRateCap refreshes the cached window-imposed rate cap (bytes/sec).
-func (c *Conn) updateRateCap() {
-	if c.tcp.MaxWindow <= 0 || c.rtt <= 0 {
-		c.rateCap = math.Inf(1)
-		return
+// Rate returns the currently allocated rate in bytes/sec; an idle conn
+// has none.
+func (c *Conn) Rate() units.BytesPerSec {
+	if c.f == nil {
+		return 0
 	}
-	c.rateCap = c.cwnd / c.rtt.Seconds()
+	return units.BytesPerSec(c.f.rate)
+}
+
+// windowCap returns the window-imposed rate cap (bytes/sec).
+func (c *Conn) windowCap() float64 {
+	rtt := c.RTT()
+	if c.tcp.MaxWindow <= 0 || rtt <= 0 {
+		return math.Inf(1)
+	}
+	return c.cwnd / rtt.Seconds()
 }
 
 // Queued returns the number of undelivered messages.
-func (c *Conn) Queued() int { return len(c.queue) - c.head }
+func (c *Conn) Queued() int {
+	if c.f == nil {
+		return 0
+	}
+	return c.f.queued()
+}
+
+func (f *flow) queued() int { return len(f.queue) - f.head }
 
 // SendCtx queues size bytes for delivery; onDelivered (optional) fires at
 // the virtual instant the last byte arrives at the destination. The flow
@@ -168,7 +191,7 @@ func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative message size %d", size))
 	}
-	nw := c.net
+	nw := c.src.net
 	if len(c.path) == 0 {
 		// Same-node loopback: deliver immediately.
 		c.bytesSent += size
@@ -186,66 +209,77 @@ func (c *Conn) SendCtx(ctx trace.Ctx, size units.Bytes, onDelivered func()) {
 	if size == 0 {
 		m.size = 1 // headers are never free
 	}
-	if c.head > 0 && len(c.queue) == cap(c.queue) {
-		// Full with delivered slots at the front: slide the live
-		// messages down instead of growing the array.
-		n := copy(c.queue, c.queue[c.head:])
-		clear(c.queue[n:])
-		c.queue, c.head = c.queue[:n], 0
+	if f := c.f; f != nil {
+		// A send on an already-active conn changes neither link
+		// membership nor any window cap: every allocated rate stays valid
+		// verbatim, so no links are dirtied and no reallocation runs.
+		f.enqueue(m)
+		return
 	}
-	c.queue = append(c.queue, m)
-	if !c.active {
-		c.activate()
-		nw.recompute()
-	}
-	// A send on an already-active conn changes neither link membership nor
-	// any window cap: every allocated rate stays valid verbatim, so no
-	// links are dirtied and no reallocation runs.
+	f := nw.newFlow(c)
+	f.queue = append(f.queue, m)
+	c.activate(f)
+	nw.recompute()
 }
 
-func (c *Conn) activate() {
-	nw := c.net
+// enqueue appends m to the flow's queue.
+func (f *flow) enqueue(m *message) {
+	if f.head > 0 && len(f.queue) == cap(f.queue) {
+		// Full with delivered slots at the front: slide the live
+		// messages down instead of growing the array.
+		n := copy(f.queue, f.queue[f.head:])
+		clear(f.queue[n:])
+		f.queue, f.head = f.queue[:n], 0
+	}
+	f.queue = append(f.queue, m)
+}
+
+// activate attaches f, holding c's first queued message, and puts it on
+// its links.
+func (c *Conn) activate(f *flow) {
+	nw := f.net
 	now := nw.Sim.Now()
 	// Slow-start restart after a long idle period (RFC 2861).
 	restart := c.tcp.RestartIdle
 	if restart <= 0 {
 		restart = defaultRestartIdle
 	}
-	if now-c.idleSince > restart && c.rtt > 0 {
+	if now-c.idleSince > restart && c.oneWay > 0 {
 		c.cwnd = c.initialWindow()
-		c.updateRateCap()
 	}
-	c.active = true
-	nw.capIndexAdd(c)
-	c.lastAdvance = now
-	c.startHead(now)
-	for i, l := range c.path {
-		c.linkPos[i] = int32(len(l.conns))
-		l.conns = append(l.conns, linkSlot{c: c, pi: int32(i)})
+	c.f = f
+	f.rateCap = c.windowCap()
+	nw.capIndexAdd(f)
+	f.lastAdvance = now
+	f.startHead(now)
+	for i, l := range f.path {
+		f.linkPos[i] = int32(len(l.conns))
+		l.conns = append(l.conns, linkSlot{f: f, pi: int32(i)})
 		if len(l.conns) == 1 {
 			l.busyIdx = len(nw.busyLinks)
 			nw.busyLinks = append(nw.busyLinks, l)
 		}
 	}
-	nw.rerate(c)
-	c.actIdx = len(nw.activeList)
-	nw.activeList = append(nw.activeList, c)
-	c.scheduleBump()
+	nw.rerate(f)
+	f.actIdx = len(nw.activeList)
+	nw.activeList = append(nw.activeList, f)
+	f.scheduleBump()
 }
 
-func (c *Conn) deactivate() {
-	nw := c.net
-	c.active = false
-	nw.capIndexRemove(c)
-	c.rate = 0
+// deactivate takes the drained flow off its links, detaches it from its
+// conn and returns it to the pool.
+func (f *flow) deactivate() {
+	nw := f.net
+	c := f.c
+	nw.capIndexRemove(f)
 	c.idleSince = nw.Sim.Now()
-	for i, l := range c.path {
+	for i, l := range f.path {
 		nw.linkChanged(l)
-		pos := c.linkPos[i]
+		pos := f.linkPos[i]
 		last := len(l.conns) - 1
 		moved := l.conns[last]
 		l.conns[pos] = moved
-		moved.c.linkPos[moved.pi] = pos
+		moved.f.linkPos[moved.pi] = pos
 		l.conns[last] = linkSlot{}
 		l.conns = l.conns[:last]
 		if last == 0 && l.busyIdx >= 0 {
@@ -258,107 +292,113 @@ func (c *Conn) deactivate() {
 		}
 	}
 	// Swap-remove from the active list.
-	lastC := nw.activeList[len(nw.activeList)-1]
-	nw.activeList[c.actIdx] = lastC
-	lastC.actIdx = c.actIdx
+	lastF := nw.activeList[len(nw.activeList)-1]
+	nw.activeList[f.actIdx] = lastF
+	lastF.actIdx = f.actIdx
+	nw.activeList[len(nw.activeList)-1] = nil
 	nw.activeList = nw.activeList[:len(nw.activeList)-1]
-	c.actIdx = -1
-	if c.completionEvt.Queued() {
-		c.completionEvt.Cancel()
+	if f.completionEvt.Queued() {
+		f.completionEvt.Cancel()
 	}
-	if c.bumpEvt.Queued() {
-		c.bumpEvt.Cancel()
+	if f.bumpEvt.Queued() {
+		f.bumpEvt.Cancel()
 	}
+	c.f = nil
+	nw.freeFlow(f)
 }
 
 // scheduleBump arranges the next slow-start window doubling.
-func (c *Conn) scheduleBump() {
-	if c.bumpEvt.Queued() {
-		c.bumpEvt.Cancel()
+func (f *flow) scheduleBump() {
+	if f.bumpEvt.Queued() {
+		f.bumpEvt.Cancel()
 	}
-	if c.tcp.MaxWindow <= 0 || c.rtt <= 0 || c.cwnd >= float64(c.tcp.MaxWindow) {
+	c := f.c
+	if c.tcp.MaxWindow <= 0 || c.oneWay <= 0 || c.cwnd >= float64(c.tcp.MaxWindow) {
 		return
 	}
-	c.net.Sim.Arm(&c.bumpEvt, kindBump, c.rtt, c.bumpFn)
+	f.net.Sim.Arm(&f.bumpEvt, kindBump, c.RTT(), f.bumpFn)
 }
 
 // bump doubles the congestion window — a changed cap invalidates the
-// allocation of every conn sharing a link with this one, so its path
+// allocation of every flow sharing a link with this one, so its path
 // links join the dirty frontier.
-func (c *Conn) bump() {
-	if !c.active {
+func (f *flow) bump() {
+	c := f.c
+	if c == nil {
 		return
 	}
-	nw := c.net
+	nw := f.net
 	// The cap binds only when the last solve allocated exactly at it
 	// (assignRate stores rateCap verbatim, so this equality is exact).
 	// Raising a cap the solver never consulted cannot move the max-min
 	// fixed point: every allocated rate stays valid, so a link-limited
-	// conn's window doubling dirties nothing.
-	capped := c.rate >= c.rateCap
-	nw.capIndexRemove(c)
+	// flow's window doubling dirties nothing.
+	capped := f.rate >= f.rateCap
+	nw.capIndexRemove(f)
 	c.cwnd *= 2
 	if c.cwnd > float64(c.tcp.MaxWindow) {
 		c.cwnd = float64(c.tcp.MaxWindow)
 	}
-	c.updateRateCap()
-	nw.capIndexAdd(c)
-	c.scheduleBump()
+	f.rateCap = c.windowCap()
+	nw.capIndexAdd(f)
+	f.scheduleBump()
 	if !capped {
 		return
 	}
-	nw.rerate(c)
+	nw.rerate(f)
 	nw.recompute()
 }
 
 // advance credits progress to the head messages up to now, delivering any
-// that finish.
-func (c *Conn) advance(now sim.Time) {
-	if !c.active {
+// that finish. Delivering the last one deactivates the flow, which
+// leaves f.c nil.
+func (f *flow) advance(now sim.Time) {
+	if f.c == nil {
 		return
 	}
-	if now == c.lastAdvance || c.rate == 0 {
+	if now == f.lastAdvance || f.rate == 0 {
 		// Nothing to credit: repeat solves at one instant (a draining
-		// frontier) advance each conn once, not once per iteration.
-		c.lastAdvance = now
+		// frontier) advance each flow once, not once per iteration.
+		f.lastAdvance = now
 		return
 	}
-	credit := c.rate * (now - c.lastAdvance).Seconds()
-	c.lastAdvance = now
-	for c.active { // an active conn's queue is never empty
-		if c.headLeft > credit+rateEps {
-			c.headLeft -= credit
+	credit := f.rate * (now - f.lastAdvance).Seconds()
+	f.lastAdvance = now
+	for f.c != nil { // an active flow's queue is never empty
+		if f.headLeft > credit+rateEps {
+			f.headLeft -= credit
 			return
 		}
-		credit -= c.headLeft
-		c.headLeft = 0
-		c.deliverHead(now)
+		credit -= f.headLeft
+		f.headLeft = 0
+		f.deliverHead(now)
 	}
 }
 
 // startHead puts the message at the head of the queue on the wire.
-func (c *Conn) startHead(now sim.Time) {
-	m := c.queue[c.head]
+func (f *flow) startHead(now sim.Time) {
+	m := f.queue[f.head]
 	m.started = now
-	c.headLeft = m.size
+	f.headLeft = m.size
 }
 
-func (c *Conn) deliverHead(now sim.Time) {
-	nw := c.net
-	head := c.queue[c.head]
-	c.queue[c.head] = nil
-	c.head++
-	if c.head == len(c.queue) {
-		c.queue, c.head = c.queue[:0], 0
+func (f *flow) deliverHead(now sim.Time) {
+	nw := f.net
+	c := f.c
+	head := f.queue[f.head]
+	f.queue[f.head] = nil
+	f.head++
+	if f.head == len(f.queue) {
+		f.queue, f.head = f.queue[:0], 0
 	}
 	// Any pending completion event refers to the delivered message; drop
 	// it so a skipped reschedule can never fire it for the next one.
-	if c.completionEvt.Queued() {
-		c.completionEvt.Cancel()
+	if f.completionEvt.Queued() {
+		f.completionEvt.Cancel()
 	}
 	c.bytesSent += units.Bytes(head.size)
 	c.msgsSent++
-	for _, l := range c.path {
+	for _, l := range f.path {
 		l.delivered += units.Bytes(head.size)
 		if l.monitor != nil {
 			l.monitor.RecordSpread(units.Bytes(head.size), head.started, now)
@@ -374,7 +414,7 @@ func (c *Conn) deliverHead(now sim.Time) {
 		tr.SpanCtx(head.ctx, 0, "flow", "xfer", c.src.name+"->"+c.dst.name,
 			int64(head.enq), int64(now+c.oneWay),
 			trace.I("bytes", int64(head.size)),
-			trace.I("queued", int64(c.Queued())),
+			trace.I("queued", int64(f.queued())),
 			trace.I("queue_ns", int64(head.started-head.enq)),
 			trace.I("xmit_ns", int64(now-head.started)),
 			trace.I("prop_ns", int64(c.oneWay)))
@@ -389,31 +429,31 @@ func (c *Conn) deliverHead(now sim.Time) {
 		nw.Sim.Post(kindDeliver, c.oneWay, cb)
 	}
 	nw.freeMessage(head)
-	if len(c.queue) == 0 {
-		c.deactivate()
+	if len(f.queue) == 0 {
+		f.deactivate()
 	} else {
-		c.startHead(now)
+		f.startHead(now)
 	}
 }
 
 // scheduleCompletion arranges the event at which the head message finishes
 // at the current rate.
-func (c *Conn) scheduleCompletion() {
-	if !c.active || c.rate <= 0 {
-		if c.completionEvt.Queued() {
-			c.completionEvt.Cancel()
+func (f *flow) scheduleCompletion() {
+	if f.c == nil || f.rate <= 0 {
+		if f.completionEvt.Queued() {
+			f.completionEvt.Cancel()
 		}
 		return
 	}
 	// A rate that is float dust (the residue of residual subtraction,
 	// ~2^-24 B/s) would put the completion ~1e23 ns out — past int64,
 	// where the conversion wraps and the dt<1 clamp would re-arm it every
-	// nanosecond instead. Park the conn: don't arm at all beyond the
+	// nanosecond instead. Park the flow: don't arm at all beyond the
 	// horizon. Any future solve that gives it a real rate reschedules it.
-	ns := c.headLeft / c.rate * 1e9
+	ns := f.headLeft / f.rate * 1e9
 	if ns > completionHorizon {
-		if c.completionEvt.Queued() {
-			c.completionEvt.Cancel()
+		if f.completionEvt.Queued() {
+			f.completionEvt.Cancel()
 		}
 		return
 	}
@@ -425,15 +465,59 @@ func (c *Conn) scheduleCompletion() {
 	if dt < 1 {
 		dt = 1
 	}
-	c.net.Sim.Rearm(&c.completionEvt, kindCompletion, dt, c.completionFn)
+	f.net.Sim.Rearm(&f.completionEvt, kindCompletion, dt, f.completionFn)
 }
 
-func (nw *Network) onCompletion(c *Conn) {
-	c.advance(nw.Sim.Now())
-	if c.active {
-		c.scheduleCompletion()
+// onCompletion is the completion event: the head message is due.
+func (f *flow) onCompletion() {
+	nw := f.net
+	f.advance(nw.Sim.Now())
+	if f.c != nil {
+		f.scheduleCompletion()
 	}
 	nw.recompute() // no-op unless the delivery dirtied links
+}
+
+// flowBatch is how many flow records newFlow carves at once.
+const flowBatch = 64
+
+// newFlow takes a free flow record for c, carving a batch when none is
+// free. A batch is one allocation, plus the two callbacks each record
+// binds for good.
+func (nw *Network) newFlow(c *Conn) *flow {
+	if len(nw.flowFree) == 0 {
+		batch := make([]flow, flowBatch)
+		for i := range batch {
+			f := &batch[len(batch)-1-i]
+			f.net = nw
+			f.completionFn, f.bumpFn = f.onCompletion, f.bump
+			nw.flowFree = append(nw.flowFree, f)
+		}
+	}
+	n := len(nw.flowFree)
+	f := nw.flowFree[n-1]
+	nw.flowFree[n-1] = nil
+	nw.flowFree = nw.flowFree[:n-1]
+	f.c, f.id, f.path = c, c.id, c.path
+	if cap(f.linkPos) < len(c.path) {
+		f.linkPos = make([]int32, len(c.path))
+	}
+	f.linkPos = f.linkPos[:len(c.path)]
+	return f
+}
+
+// freeFlow resets a detached flow record, keeping its bound callbacks and
+// the backing arrays of its queue and link slots, and returns it to the
+// pool. Its events were canceled by deactivate.
+func (nw *Network) freeFlow(f *flow) {
+	*f = flow{
+		net:          nw,
+		queue:        f.queue[:0],
+		linkPos:      f.linkPos[:0],
+		completionFn: f.completionFn,
+		bumpFn:       f.bumpFn,
+	}
+	nw.flowFree = append(nw.flowFree, f)
 }
 
 // newMessage draws a message from the free pool.
@@ -470,10 +554,10 @@ func (nw *Network) linkChanged(l *Link) {
 	nw.dirtyLinks = append(nw.dirtyLinks, l)
 }
 
-// rerate asks for a new rate for c after it joined its links or its
+// rerate asks for a new rate for f after it joined its links or its
 // window cap rose: every link it crosses joins the dirty frontier.
-func (nw *Network) rerate(c *Conn) {
-	for _, l := range c.path {
+func (nw *Network) rerate(f *flow) {
+	for _, l := range f.path {
 		nw.linkChanged(l)
 	}
 }
@@ -537,16 +621,16 @@ func (nw *Network) solve() {
 		}
 	}
 	nw.dirtyLinks = nw.dirtyLinks[:0]
-	conns := nw.compConns[:0]
+	flows := nw.compFlows[:0]
 	for li := 0; li < len(links); li++ {
 		for _, slot := range links[li].conns {
-			c := slot.c
-			if c.mark == epoch {
+			f := slot.f
+			if f.mark == epoch {
 				continue
 			}
-			c.mark = epoch
-			conns = append(conns, c)
-			for _, pl := range c.path {
+			f.mark = epoch
+			flows = append(flows, f)
+			for _, pl := range f.path {
 				if pl.mark != epoch {
 					pl.mark = epoch
 					links = append(links, pl)
@@ -555,25 +639,25 @@ func (nw *Network) solve() {
 		}
 	}
 
-	nw.lastSolveConns = len(conns)
+	nw.lastSolveConns = len(flows)
 	nw.stats.FullSolves++
-	nw.noteFrontier(len(conns))
+	nw.noteFrontier(len(flows))
 
-	// Advance component conns at their old rates before changing them.
-	// This may deliver messages and deactivate conns; linkChanged skips
+	// Advance component flows at their old rates before changing them.
+	// This may deliver messages and deactivate flows; linkChanged skips
 	// re-queuing links already in this component, whose membership is read
 	// live below. The survivors are collected in the same pass — advance
-	// only changes its own conn's active flag, so the post-advance state
-	// each append sees is final.
+	// only detaches its own flow, and nothing activates during the pass,
+	// so the post-advance state each append sees is final.
 	unassigned := nw.unassigned[:0]
 	nw.inSolve = true
-	for _, c := range conns {
-		c.advance(now)
-		if !c.active {
+	for _, f := range flows {
+		f.advance(now)
+		if f.c == nil {
 			continue
 		}
-		c.prevRate = c.rate
-		unassigned = append(unassigned, c)
+		f.prevRate = f.rate
+		unassigned = append(unassigned, f)
 	}
 	nw.inSolve = false
 
@@ -633,9 +717,9 @@ func (nw *Network) solve() {
 		if len(ties) == 0 {
 			// No link constraint: should not happen (active conns always
 			// cross >= 1 link), but terminate safely at the window cap.
-			for _, c := range unassigned {
-				if c.mark == epoch {
-					nw.assignRate(c, c.rateCap)
+			for _, f := range unassigned {
+				if f.mark == epoch {
+					nw.assignRate(f, f.rateCap)
 					left--
 				}
 			}
@@ -647,12 +731,12 @@ func (nw *Network) solve() {
 		// share as it was, so the bottleneck drain goes ahead at this m.
 		swept := false
 		for capPos < len(capIndex) && capIndex[capPos].rateCap <= m {
-			c := capIndex[capPos]
+			f := capIndex[capPos]
 			capPos++
-			if c.mark != epoch {
+			if f.mark != epoch {
 				continue // outside the component, or drained via a bottleneck
 			}
-			nw.assignRate(c, c.rateCap)
+			nw.assignRate(f, f.rateCap)
 			left--
 			swept = true
 		}
@@ -669,11 +753,11 @@ func (nw *Network) solve() {
 		// bottlenecks of the same water level.
 		for _, l := range ties {
 			for _, slot := range l.conns {
-				c := slot.c
-				if c.mark != epoch {
+				f := slot.f
+				if f.mark != epoch {
 					continue // outside the component, or already done
 				}
-				nw.assignRate(c, m)
+				nw.assignRate(f, m)
 				left--
 			}
 		}
@@ -682,52 +766,52 @@ func (nw *Network) solve() {
 
 	// Keep the grown scratch backing arrays for the next solve.
 	nw.compLinks = links[:0]
-	nw.compConns = conns[:0]
+	nw.compFlows = flows[:0]
 	nw.unassigned = unassigned[:0]
 }
 
-// assignRate fixes a conn's allocation, withdraws it from its links, and
-// re-arms its completion event. Every active conn is assigned exactly
+// assignRate fixes a flow's allocation, withdraws it from its links, and
+// re-arms its completion event. Every active flow is assigned exactly
 // once per solve (it leaves the region's mark behind here, and every
-// caller skips conns without it), and its rate is final at that moment,
+// caller skips flows without it), and its rate is final at that moment,
 // so completion scheduling rides along instead of paying a third full
 // scan over the component.
-func (nw *Network) assignRate(c *Conn, r float64) {
-	c.mark = nw.epoch - 1
-	c.rate = r
-	for _, l := range c.path {
+func (nw *Network) assignRate(f *flow, r float64) {
+	f.mark = nw.epoch - 1
+	f.rate = r
+	for _, l := range f.path {
 		l.residual -= r
 		if l.residual < 0 {
 			l.residual = 0
 		}
 		l.nActive--
 	}
-	// A conn whose rate is unchanged keeps its pending completion
+	// A flow whose rate is unchanged keeps its pending completion
 	// event — rescheduling it would be pure queue churn.
-	if r != c.prevRate {
+	if r != f.prevRate {
 		nw.stats.RateChanges++
-	} else if c.completionEvt.Queued() {
+	} else if f.completionEvt.Queued() {
 		return
 	}
-	c.scheduleCompletion()
+	f.scheduleCompletion()
 }
 
-// capLess orders conns by window cap, conn ID breaking ties, so the cap
+// capLess orders flows by window cap, conn ID breaking ties, so the cap
 // sweep's order (and the solver's float arithmetic) is deterministic.
-func capLess(a, b *Conn) bool {
+func capLess(a, b *flow) bool {
 	if a.rateCap != b.rateCap {
 		return a.rateCap < b.rateCap
 	}
 	return a.id < b.id
 }
 
-// capSlot returns c's position in the cap index under capLess: its slot
+// capSlot returns f's position in the cap index under capLess: its slot
 // if indexed, else where it would be inserted.
-func (nw *Network) capSlot(c *Conn) int {
+func (nw *Network) capSlot(f *flow) int {
 	lo, hi := 0, len(nw.capIndex)
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if capLess(nw.capIndex[h], c) {
+		if capLess(nw.capIndex[h], f) {
 			lo = h + 1
 		} else {
 			hi = h
@@ -736,25 +820,25 @@ func (nw *Network) capSlot(c *Conn) int {
 	return lo
 }
 
-// capIndexAdd indexes a conn that just became active or changed its
+// capIndexAdd indexes a flow that just became active or changed its
 // window cap, if that cap can bind (see capIndex).
-func (nw *Network) capIndexAdd(c *Conn) {
-	if c.rateCap > c.pathCap {
+func (nw *Network) capIndexAdd(f *flow) {
+	if f.rateCap > f.c.pathCap {
 		return
 	}
-	i := nw.capSlot(c)
+	i := nw.capSlot(f)
 	nw.capIndex = append(nw.capIndex, nil)
 	copy(nw.capIndex[i+1:], nw.capIndex[i:])
-	nw.capIndex[i] = c
+	nw.capIndex[i] = f
 }
 
-// capIndexRemove drops an active conn from the cap index before it goes
+// capIndexRemove drops an active flow from the cap index before it goes
 // idle or its window cap changes; a no-op if its cap was never indexed.
-func (nw *Network) capIndexRemove(c *Conn) {
-	if c.rateCap > c.pathCap {
+func (nw *Network) capIndexRemove(f *flow) {
+	if f.rateCap > f.c.pathCap {
 		return
 	}
-	i := nw.capSlot(c)
+	i := nw.capSlot(f)
 	n := len(nw.capIndex) - 1
 	copy(nw.capIndex[i:], nw.capIndex[i+1:])
 	nw.capIndex[n] = nil

@@ -14,11 +14,11 @@ import (
 )
 
 // referenceRates runs the from-scratch progressive-filling max-min solve —
-// the pre-incremental recomputeOnce algorithm — over every active conn and
-// busy link, and returns the resulting allocation without disturbing the
-// network's state.
-func referenceRates(nw *Network) map[*Conn]float64 {
-	conns := append([]*Conn(nil), nw.activeList...)
+// the pre-incremental recomputeOnce algorithm — over every active conn's
+// flow and busy link, and returns the resulting allocation without
+// disturbing the network's state.
+func referenceRates(nw *Network) map[*flow]float64 {
+	conns := append([]*flow(nil), nw.activeList...)
 	links := nw.busyLinks
 	residual := make(map[*Link]float64, len(links))
 	nActive := make(map[*Link]int, len(links))
@@ -30,9 +30,9 @@ func referenceRates(nw *Network) map[*Conn]float64 {
 		residual[l] = r
 		nActive[l] = len(l.conns)
 	}
-	rates := make(map[*Conn]float64, len(conns))
-	assigned := make(map[*Conn]bool, len(conns))
-	assign := func(c *Conn, r float64) {
+	rates := make(map[*flow]float64, len(conns))
+	assigned := make(map[*flow]bool, len(conns))
+	assign := func(c *flow, r float64) {
 		rates[c] = r
 		assigned[c] = true
 		for _, l := range c.path {
@@ -113,9 +113,10 @@ func referenceRates(nw *Network) map[*Conn]float64 {
 func checkAgainstReference(t *testing.T, nw *Network, label string) {
 	t.Helper()
 	want := referenceRates(nw)
-	for _, c := range nw.activeList {
-		w := want[c]
-		got := c.rate
+	for _, f := range nw.activeList {
+		c := f.c
+		w := want[f]
+		got := float64(c.Rate())
 		if math.IsInf(w, 1) {
 			if !math.IsInf(got, 1) {
 				t.Fatalf("%s: conn %d rate %g, reference +Inf", label, c.id, got)
@@ -130,9 +131,9 @@ func checkAgainstReference(t *testing.T, nw *Network, label string) {
 }
 
 // checkCapIndex asserts the cap index invariant: strictly sorted by
-// capLess, and holding exactly the active conns whose window cap can bind
-// (rateCap <= pathCap).
-func checkCapIndex(t *testing.T, nw *Network, label string) {
+// capLess, and holding exactly the flows of the active conns among conns
+// whose window cap can bind (rateCap <= pathCap).
+func checkCapIndex(t *testing.T, nw *Network, conns []*Conn, label string) {
 	t.Helper()
 	for i := 1; i < len(nw.capIndex); i++ {
 		if a, b := nw.capIndex[i-1], nw.capIndex[i]; !capLess(a, b) {
@@ -141,13 +142,24 @@ func checkCapIndex(t *testing.T, nw *Network, label string) {
 		}
 	}
 	indexed := make(map[*Conn]bool, len(nw.capIndex))
-	for _, c := range nw.capIndex {
-		indexed[c] = true
+	for _, f := range nw.capIndex {
+		if f.c == nil || f.c.f != f {
+			t.Fatalf("%s: cap index holds a detached flow (conn %d)", label, f.id)
+		}
+		indexed[f.c] = true
 	}
-	for _, c := range nw.conns {
-		if want := c.active && c.rateCap <= c.pathCap; indexed[c] != want {
+	if len(indexed) != len(nw.capIndex) {
+		t.Fatalf("%s: cap index holds a conn twice", label)
+	}
+	for _, c := range conns {
+		active := c.f != nil
+		rateCap := c.windowCap()
+		if want := active && rateCap <= c.pathCap; indexed[c] != want {
 			t.Fatalf("%s: conn %d indexed=%v, want %v (active=%v cap %g pathCap %g)",
-				label, c.id, indexed[c], want, c.active, c.rateCap, c.pathCap)
+				label, c.id, indexed[c], want, active, rateCap, c.pathCap)
+		}
+		if active && c.f.rateCap != rateCap {
+			t.Fatalf("%s: conn %d flow cap %g, window cap %g", label, c.id, c.f.rateCap, rateCap)
 		}
 	}
 }
@@ -212,7 +224,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			steps := 0
 			for s.Step() {
 				steps++
-				checkCapIndex(t, nw, fmt.Sprintf("step %d", steps))
+				checkCapIndex(t, nw, conns, fmt.Sprintf("step %d", steps))
 				if len(nw.dirtyLinks) == 0 && !nw.recomputeScheduled {
 					checkAgainstReference(t, nw, fmt.Sprintf("step %d", steps))
 				}
@@ -285,12 +297,12 @@ func TestIncrementalWindowCapped(t *testing.T) {
 			for s.Step() {
 				steps++
 				label := fmt.Sprintf("step %d", steps)
-				checkCapIndex(t, nw, label)
+				checkCapIndex(t, nw, conns, label)
 				if len(nw.dirtyLinks) == 0 && !nw.recomputeScheduled {
 					checkAgainstReference(t, nw, label)
 				}
 				for _, c := range conns {
-					if !c.active {
+					if c.f == nil {
 						continue
 					}
 					switch {
@@ -299,7 +311,7 @@ func TestIncrementalWindowCapped(t *testing.T) {
 						grown[c] = false
 					case c.cwnd > init:
 						grown[c] = true
-						if c.rateCap <= c.pathCap {
+						if c.f.rateCap <= c.pathCap {
 							repositioned = true
 						} else {
 							outgrown = true
@@ -403,7 +415,7 @@ func TestSolverGolden(t *testing.T) {
 				binary.LittleEndian.PutUint64(buf[:], uint64(s.Now()))
 				h.Write(buf[:])
 				for _, c := range conns {
-					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.rate))
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(float64(c.Rate())))
 					h.Write(buf[:])
 				}
 			}
@@ -432,10 +444,10 @@ func TestSendOnActiveConnSkipsSolve(t *testing.T) {
 	s.Post(sim.KindOther, 0, func() { c.SendCtx(trace.Ctx{}, 64*units.MiB, nil) })
 	// Let the first allocation settle.
 	s.RunUntil(10 * sim.Millisecond)
-	if !c.active || c.rate <= 0 {
-		t.Fatalf("conn not streaming: active=%v rate=%g", c.active, c.rate)
+	if c.Queued() == 0 || c.Rate() <= 0 {
+		t.Fatalf("conn not streaming: queued=%d rate=%g", c.Queued(), c.Rate())
 	}
-	before := c.rate
+	before := c.Rate()
 	s.Post(sim.KindOther, 0, func() {
 		c.SendCtx(trace.Ctx{}, 64*units.MiB, nil)
 		if len(nw.dirtyLinks) != 0 {
@@ -446,7 +458,7 @@ func TestSendOnActiveConnSkipsSolve(t *testing.T) {
 		}
 	})
 	s.RunUntil(11 * sim.Millisecond)
-	if c.rate != before {
-		t.Fatalf("rate changed %g -> %g without membership change", before, c.rate)
+	if c.Rate() != before {
+		t.Fatalf("rate changed %g -> %g without membership change", before, c.Rate())
 	}
 }

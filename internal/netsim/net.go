@@ -28,14 +28,14 @@ import (
 type Network struct {
 	Sim *sim.Sim
 
-	nodes []*Node
-	links []*Link
-	conns []*Conn
+	nodes  []*Node
+	links  []*Link
+	dialed int // conns dialed so far; the next conn's id
 
-	activeList         []*Conn // active conns (swap-removed; order not meaningful)
+	activeList         []*flow // active conns' flows (swap-removed; order not meaningful)
 	busyLinks          []*Link // links with >= 1 active conn
 	dirtyLinks         []*Link // frontier for the next incremental solve
-	epoch              uint32  // stamps links/conns into the current component
+	epoch              uint32  // stamps links/flows into the current component
 	inSolve            bool    // inside solve's advance pass
 	inRecompute        bool
 	recomputeScheduled bool
@@ -44,22 +44,23 @@ type Network struct {
 
 	// solver scratch, reused across solves
 	compLinks  []*Link
-	compConns  []*Conn
-	unassigned []*Conn
+	compFlows  []*flow
+	unassigned []*flow
 	tieLinks   []*Link
 	msgFree    []*message
+	flowFree   []*flow    // free flow records, LIFO (see newFlow)
 	callFree   []*rpcCall // recycled RPC call records
 
-	// capIndex holds exactly the active conns whose window cap can bind —
+	// capIndex holds exactly the active flows whose window cap can bind —
 	// rateCap <= pathCap — sorted by capLess. activate, bump and
 	// deactivate keep it current, so a solve sweeps it with a cursor
 	// instead of ordering its region by cap. LAN conns, whose windows
 	// outrun their links, never enter it.
-	capIndex []*Conn
+	capIndex []*flow
 
 	routesDirty bool
-	dist        [][]int32 // dist[dst.id][n.id] = hops from n to dst, -1 unreachable; nil until needed
-	bfsQueue    []int32   // distTo's scratch
+	dist        []hopTable // dist[dst.id] = hop counts toward dst; zero until needed
+	bfsQueue    []int32    // distTo's scratch
 
 	// DefaultTCP is applied to conns dialed without explicit options.
 	DefaultTCP TCPConfig
@@ -231,17 +232,17 @@ func (nw *Network) NewNode(name string) *Node {
 	return n
 }
 
-// linkSlot is one active conn's membership in a link's conn list; pi is
-// the index of the link within the conn's path, so a swap-remove can fix
-// the moved conn's back-pointer in O(1).
+// linkSlot is one active conn's membership in a link's conn list,
+// held by its flow; pi is the index of the link within the path, so a
+// swap-remove can fix the moved flow's back-pointer in O(1).
 type linkSlot struct {
-	c  *Conn
+	f  *flow
 	pi int32
 }
 
 // Link is a directed pipe with a capacity and one-way propagation delay.
 type Link struct {
-	// The solver's hot fields come first (see Conn). nActive and
+	// The solver's hot fields come first (see flow). nActive and
 	// residual are allocation scratch, valid during a solve.
 	mark     uint32 // stamped into the current solve component (vs Network.epoch)
 	nActive  int
@@ -353,25 +354,61 @@ func (nw *Network) Nodes() []*Node { return nw.nodes }
 // Links returns all links.
 func (nw *Network) Links() []*Link { return nw.links }
 
-// distTo returns the hop-count table toward dst as a flat slice indexed
-// by node id — on the dial path it is hit once per hop candidate, and
-// map lookups were a fifth of a large run's setup wall-clock. A table is
-// built by BFS over in-links the first time a path toward its
-// destination is needed, and every table is dropped when the topology
-// changes, so a run pays only for the destinations it dials.
-func (nw *Network) distTo(dst *Node) []int32 {
+// hopTable is the hop counts toward one destination: hops(n) is the
+// number of links on a shortest path from node n, -1 when there is none.
+// A table either owns its BFS counts (plus 0, hops[dst] = 0) or reads
+// the table of the node that is the destination's only way in, plus one
+// hop (see distTo).
+type hopTable struct {
+	d    []int32 // BFS hop counts toward dst, or toward its uplink node
+	dst  int32
+	plus int32 // hops added to d: 0 for an own table, 1 for an uplink's
+}
+
+// hops returns the hop count from node n to the table's destination.
+func (t hopTable) hops(n int) int32 {
+	if n == int(t.dst) {
+		return 0
+	}
+	if h := t.d[n]; h >= 0 {
+		return h + t.plus
+	}
+	return -1
+}
+
+// distTo returns the hop-count table toward dst, indexed by node id — on
+// the dial path it is hit once per hop candidate, and map lookups were a
+// fifth of a large run's setup wall-clock. A table is built the first
+// time a path toward its destination is needed, and every table is
+// dropped when the topology changes, so a run pays only for the
+// destinations it dials.
+//
+// A destination whose in-links all come from one node S — a host on a
+// single uplink — shares S's table: every path into dst ends with a link
+// from S, and no shortest path to S passes through dst, so the hops from
+// any other node are its hops to S plus one. Only switches and
+// multi-homed hosts pay for a BFS and an n-entry table of their own.
+func (nw *Network) distTo(dst *Node) hopTable {
 	n := len(nw.nodes)
 	if nw.routesDirty {
 		if cap(nw.dist) >= n {
 			nw.dist = nw.dist[:n]
 			clear(nw.dist)
 		} else {
-			nw.dist = make([][]int32, n)
+			nw.dist = make([]hopTable, n)
 		}
 		nw.routesDirty = false
 	}
-	if d := nw.dist[dst.id]; d != nil {
-		return d
+	if t := nw.dist[dst.id]; t.d != nil {
+		return t
+	}
+	if up := soleUplink(dst); up != nil && soleUplink(up) == nil {
+		// Only an uplink that owns its table is shared, so sharing is
+		// one level deep and two nodes that are each other's only way
+		// in (a two-node network) build their own.
+		t := hopTable{d: nw.distTo(up).d, dst: int32(dst.id), plus: 1}
+		nw.dist[dst.id] = t
+		return t
 	}
 	d := make([]int32, n)
 	for i := range d {
@@ -389,8 +426,27 @@ func (nw *Network) distTo(dst *Node) []int32 {
 		}
 	}
 	nw.bfsQueue = queue
-	nw.dist[dst.id] = d
-	return d
+	t := hopTable{d: d, dst: int32(dst.id)}
+	nw.dist[dst.id] = t
+	return t
+}
+
+// soleUplink returns the node every one of n's in-links comes from, or
+// nil when n has none, several sources, or a link from itself.
+func soleUplink(n *Node) *Node {
+	if len(n.in) == 0 {
+		return nil
+	}
+	up := n.in[0].Src
+	for _, l := range n.in[1:] {
+		if l.Src != up {
+			return nil
+		}
+	}
+	if up == n {
+		return nil
+	}
+	return up
 }
 
 // ecmpPick returns the pick-th of the links that satisfy ok, counting
@@ -426,10 +482,11 @@ func (nw *Network) pathFor(src, dst *Node, connID int) ([]*Link, error) {
 		return nil, nil
 	}
 	d := nw.distTo(dst)
-	if d[src.id] < 0 {
+	hops := d.hops(src.id)
+	if hops < 0 {
 		return nil, fmt.Errorf("netsim: no route %s -> %s", src, dst)
 	}
-	var path []*Link
+	path := make([]*Link, 0, hops)
 	cur := src
 	hop := 0
 	for cur != dst {
@@ -438,13 +495,13 @@ func (nw *Network) pathFor(src, dst *Node, connID int) ([]*Link, error) {
 		// candidates are exactly cur's links into dst, which dst's
 		// in-links list in the same creation order as cur.out: a host's
 		// few links instead of a switch's thousands.
-		want := d[cur.id] - 1
+		want := d.hops(cur.id) - 1
 		h := uint(connID)*2654435761 + uint(hop)*40503 + uint(cur.id)*97
 		var chosen *Link
 		if want == 0 && len(dst.in) < len(cur.out) {
 			chosen = ecmpPick(dst.in, h, func(l *Link) bool { return l.Src == cur })
 		} else {
-			chosen = ecmpPick(cur.out, h, func(l *Link) bool { return d[l.Dst.id] == want })
+			chosen = ecmpPick(cur.out, h, func(l *Link) bool { return d.hops(l.Dst.id) == want })
 		}
 		if chosen == nil {
 			return nil, fmt.Errorf("netsim: routing hole at %s toward %s", cur, dst)

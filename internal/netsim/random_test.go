@@ -93,7 +93,7 @@ func TestPropertyRandomTopologyConservation(t *testing.T) {
 			if r.conn.BytesSent() != r.want {
 				return false
 			}
-			if r.conn.Queued() != 0 || r.conn.active {
+			if r.conn.Queued() != 0 || r.conn.f != nil {
 				return false
 			}
 		}
@@ -103,20 +103,11 @@ func TestPropertyRandomTopologyConservation(t *testing.T) {
 				return false
 			}
 		}
-		return len(nw.busyLinks) == 0 && len(nw.activeList) == 0 || allInactive(nw)
+		return len(nw.busyLinks) == 0 && len(nw.activeList) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func allInactive(nw *Network) bool {
-	for _, c := range nw.activeList {
-		if c.active {
-			return false
-		}
-	}
-	return true
 }
 
 // Property: transfer time on a clean two-node path is never better than
@@ -167,5 +158,92 @@ func TestPropertyWindowBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bfsHops is the reference for distTo: a fresh reverse BFS from dst over
+// every link, returning hops[n] from node n to dst (-1 if unreachable).
+func bfsHops(nw *Network, dst *Node) []int32 {
+	hops := make([]int32, len(nw.nodes))
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[dst.id] = 0
+	for frontier := []*Node{dst}; len(frontier) > 0; {
+		var next []*Node
+		for _, n := range frontier {
+			for _, l := range nw.links {
+				if l.Dst == n && hops[l.Src.id] < 0 {
+					hops[l.Src.id] = hops[n.id] + 1
+					next = append(next, l.Src)
+				}
+			}
+		}
+		frontier = next
+	}
+	return hops
+}
+
+// checkDistTo compares distTo's table toward every node with a fresh
+// BFS and returns how many tables were shared from an uplink.
+func checkDistTo(t *testing.T, nw *Network, label string) (shared int) {
+	t.Helper()
+	for _, dst := range nw.nodes {
+		want := bfsHops(nw, dst)
+		got := nw.distTo(dst)
+		for _, n := range nw.nodes {
+			if h := got.hops(n.id); h != want[n.id] {
+				t.Fatalf("%s: hops %s -> %s = %d, BFS says %d", label, n, dst, h, want[n.id])
+			}
+		}
+		if got.plus != 0 {
+			shared++
+		}
+	}
+	return shared
+}
+
+// TestDistToMatchesBFS: a hop table read through a destination's sole
+// uplink equals a fresh BFS toward that destination from every node —
+// on random ring-and-chord topologies (hosts on one uplink, switches on
+// several, sometimes a switch whose only neighbour is another switch)
+// and on a two-level switch fabric with single-homed and dual-homed
+// hosts.
+func TestDistToMatchesBFS(t *testing.T) {
+	t.Parallel()
+	shared := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		nw, _ := buildRandomTopology(sim.New(), rand.New(rand.NewSource(seed)))
+		shared += checkDistTo(t, nw, fmt.Sprintf("random seed %d", seed))
+	}
+	if shared == 0 {
+		t.Fatal("no random topology shared a table")
+	}
+
+	nw := New(sim.New())
+	var cores, edges []*Node
+	for i := 0; i < 2; i++ {
+		cores = append(cores, nw.NewNode(fmt.Sprintf("core%d", i)))
+	}
+	for i := 0; i < 4; i++ {
+		e := nw.NewNode(fmt.Sprintf("edge%d", i))
+		for _, c := range cores {
+			nw.DuplexLink(fmt.Sprintf("%s-%s", e, c), e, c, 10*units.Gbps, sim.Microsecond)
+		}
+		edges = append(edges, e)
+	}
+	for i := 0; i < 16; i++ {
+		h := nw.NewNode(fmt.Sprintf("h%d", i))
+		e := edges[i%4]
+		nw.DuplexLink(fmt.Sprintf("h%d-a", i), h, e, units.Gbps, sim.Microsecond)
+		switch i % 4 {
+		case 1: // two parallel links to one switch: still one uplink
+			nw.DuplexLink(fmt.Sprintf("h%d-b", i), h, e, units.Gbps, sim.Microsecond)
+		case 2: // dual-homed: a table of its own
+			nw.DuplexLink(fmt.Sprintf("h%d-b", i), h, edges[(i+1)%4], units.Gbps, sim.Microsecond)
+		}
+	}
+	if got := checkDistTo(t, nw, "fabric"); got != 12 {
+		t.Fatalf("fabric shared %d tables, want the 12 single-uplink hosts'", got)
 	}
 }

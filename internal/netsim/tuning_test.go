@@ -157,8 +157,8 @@ func TestEndpointConnsRoundRobin(t *testing.T) {
 	}
 	// All three request conns must have carried traffic.
 	used := 0
-	for _, c := range nw.conns {
-		if c.src == a && c.msgsSent > 0 {
+	for _, c := range ea.out[eb].conns {
+		if c.msgsSent > 0 {
 			used++
 		}
 	}

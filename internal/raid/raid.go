@@ -21,6 +21,13 @@ type Set struct {
 
 	free []*op // recycled op records
 
+	// starting..startTail are the members whose start events are
+	// posted and not yet fired, linked through member.nextStart, in
+	// posting order — the order those events fire in, since each is
+	// posted with no delay. One callback bound in NewSet starts them all.
+	starting, startTail *member
+	startFn             func()
+
 	reads            uint64
 	writes           uint64
 	rmwWrites        uint64 // partial-stripe (read-modify-write) writes
@@ -36,7 +43,9 @@ func NewSet(s *sim.Sim, name string, members []*disk.Disk, stripeUnit units.Byte
 	if stripeUnit <= 0 {
 		panic(fmt.Sprintf("raid %q: stripe unit %d", name, stripeUnit))
 	}
-	return &Set{sim: s, name: name, disks: members, stripeUnit: stripeUnit, failed: -1}
+	r := &Set{sim: s, name: name, disks: members, stripeUnit: stripeUnit, failed: -1}
+	r.startFn = r.startNext
+	return r
 }
 
 // Name returns the set name.
@@ -145,13 +154,15 @@ type op struct {
 
 // member runs one member drive's work list as a chain of disk commands,
 // each submitted from the completion of the one before, with no process.
+// It binds no callbacks: its start event is the set's (see startNext)
+// and its drive tells it of each completion through CmdDone.
 type member struct {
-	o       *op
-	i       int
-	d       *disk.Disk
-	next    int // index of the command in service
-	cmd     disk.Cmd
-	startFn func()
+	o         *op
+	i         int
+	d         *disk.Disk
+	next      int // index of the command in service
+	cmd       disk.Cmd
+	nextStart *member // the next member in the set's start queue
 }
 
 // opBatch is how many op records newOp carves at once.
@@ -159,9 +170,7 @@ const opBatch = 4
 
 // newOp takes a recycled op record, carving a batch of new ones when
 // none is free. A batch's records, member arrays and work-list headers
-// are one allocation each; a record's member callbacks are bound the
-// first time it is handed out, so records a set never needs cost no
-// closures.
+// are one allocation each, and that is all a batch costs.
 func (r *Set) newOp() *op {
 	if len(r.free) == 0 {
 		nd := len(r.disks)
@@ -173,6 +182,11 @@ func (r *Set) newOp() *op {
 			o.set = r
 			o.work = work[j*nd : (j+1)*nd : (j+1)*nd]
 			o.members = members[j*nd : (j+1)*nd : (j+1)*nd]
+			for i := range o.members {
+				m := &o.members[i]
+				m.o, m.i = o, i
+				m.cmd.Owner = m
+			}
 			r.free = append(r.free, o)
 		}
 	}
@@ -180,14 +194,6 @@ func (r *Set) newOp() *op {
 	o := r.free[n-1]
 	r.free[n-1] = nil
 	r.free = r.free[:n-1]
-	if o.members[0].o == nil {
-		for i := range o.members {
-			m := &o.members[i]
-			m.o, m.i = o, i
-			m.startFn = m.submit
-			m.cmd.Done = m.done
-		}
-	}
 	return o
 }
 
@@ -203,10 +209,21 @@ func (m *member) submit() {
 	m.d.Submit(&m.cmd)
 }
 
-// done moves to the next command, or finishes the member. The last
+// startNext is a member start event: it starts the oldest member still
+// waiting for its start.
+func (r *Set) startNext() {
+	m := r.starting
+	r.starting, m.nextStart = m.nextStart, nil
+	if r.starting == nil {
+		r.startTail = nil
+	}
+	m.submit()
+}
+
+// CmdDone moves to the next command, or finishes the member. The last
 // member to finish completes the op, which recycles it and runs the
 // caller's continuation, so nothing here touches the op after that.
-func (m *member) done() {
+func (m *member) CmdDone(*disk.Cmd) {
 	m.next++
 	if m.next < len(m.o.work[m.i]) {
 		m.submit()
@@ -259,7 +276,13 @@ func (r *Set) run(o *op, done func()) {
 		m.d = r.disks[i]
 		m.next = 0
 		o.pending++
-		r.sim.Post(kindMember, 0, m.startFn)
+		if r.startTail == nil {
+			r.starting = m
+		} else {
+			r.startTail.nextStart = m
+		}
+		r.startTail = m
+		r.sim.Post(kindMember, 0, r.startFn)
 	}
 	if o.pending == 0 {
 		r.finish(o)

@@ -283,8 +283,10 @@ func TestPropertySegmentsPartition(t *testing.T) {
 // TestOpRecordsCarvedInBatches takes 10 op records from a fresh set at
 // once: they come in batches of opBatch, each record owns its members
 // and work-list headers (capped, so no record's slices reach into a
-// neighbour's), records still in the free list have no callbacks bound
-// yet, and a returned record is reused before any new batch.
+// neighbour's) with every member tied to its record and owning its
+// command, carving a batch costs exactly its three allocations (no
+// callbacks are bound), and a returned record is reused before any new
+// batch.
 func TestOpRecordsCarvedInBatches(t *testing.T) {
 	t.Parallel()
 	r := newSet(sim.New(), 9)
@@ -301,22 +303,25 @@ func TestOpRecordsCarvedInBatches(t *testing.T) {
 			t.Fatalf("record %d: work %d/%d, members %d/%d, want 9/9", k,
 				len(o.work), cap(o.work), len(o.members), cap(o.members))
 		}
-		for i := range o.members {
-			if m := &o.members[i]; m.o != o || m.i != i || m.startFn == nil || m.cmd.Done == nil {
-				t.Fatalf("record %d member %d not bound to its record", k, i)
-			}
-		}
 	}
 	if want := (10+opBatch-1)/opBatch*opBatch - 10; len(r.free) != want {
 		t.Fatalf("free list holds %d records, want %d", len(r.free), want)
 	}
-	for _, o := range r.free {
-		if o.members[0].startFn != nil {
-			t.Fatal("a record never handed out has callbacks bound")
+	for k, o := range append(ops, r.free...) {
+		for i := range o.members {
+			if m := &o.members[i]; m.o != o || m.i != i || m.cmd.Owner != disk.Completer(m) {
+				t.Fatalf("record %d member %d not bound to its record", k, i)
+			}
 		}
 	}
 	r.free = append(r.free, ops[3])
 	if o := r.newOp(); o != ops[3] {
 		t.Fatal("returned record not reused first")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		r.free = r.free[:0]
+		r.newOp()
+	}); n != 3 {
+		t.Fatalf("carving a batch of records costs %v allocations, want 3", n)
 	}
 }
